@@ -87,9 +87,7 @@ def _cmd_sample(args) -> int:
             cw = _parse_category_weights(args.wrw_weights, part)
             trace = sample_wrw(g, part, cw, args.n, start=args.start,
                                burn_in=args.burn_in, seed=seed)
-        if args.thin > 1:
-            trace = thin(trace, args.thin)
-        return trace
+        return thin(trace, args.thin)
 
     if args.walks == 1:
         fileio.save_trace(one_trace(0), args.out)

@@ -1,9 +1,10 @@
 """Category-size and edge-weight estimators over an ObservationLog.
 
 All estimators are inverse-probability-weighted (Hansen-Hurwitz style)
-ratios of totals: each draw contributes through 1/w(v), where w(v) is
-its unnormalized sampling weight, so the unknown normalization of the
-sampling design cancels. With all weights equal to 1 they reduce
+ratios of the per-category totals in ``ObservationLog.totals``: each
+draw contributes through 1/w(v), where w(v) is its unnormalized
+sampling weight, so the unknown normalization of the sampling design
+cancels. With all weights equal to 1 they reduce
 exactly to the plain sample-proportion forms, which is what a uniform
 independence sample calls for.
 
@@ -33,6 +34,15 @@ from .errors import (
 from .observe import INDUCED, STAR, ObservationLog
 
 PROPORTIONAL = "proportional"
+
+# The (size estimator, weight estimator) pairs each observation mode
+# supports. Star estimators read neighbor histograms, which induced logs
+# do not carry; induced weights read the induced edge set, which star
+# logs do not carry.
+ESTIMATOR_PAIRS = {
+    INDUCED: ((INDUCED, INDUCED),),
+    STAR: ((INDUCED, STAR), (STAR, STAR)),
+}
 
 
 def reweighted_size(weights) -> float:
@@ -73,10 +83,8 @@ def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     return float(np.sum(numer * winv) / np.sum(denom * winv))
 
 
-def _per_category_winv(log: ObservationLog) -> np.ndarray:
-    winv = 1.0 / log.weights
-    return np.bincount(log.categories, weights=winv,
-                       minlength=log.num_categories)
+def _pair_dict(a, b, values) -> dict[tuple[int, int], float]:
+    return dict(zip(zip(a.tolist(), b.tolist()), values.tolist()))
 
 
 def est_size_induced(log: ObservationLog, population: float) -> dict[int, float]:
@@ -87,10 +95,8 @@ def est_size_induced(log: ObservationLog, population: float) -> dict[int, float]
     """
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
-    percat = _per_category_winv(log)
-    total = float(np.sum(1.0 / log.weights))
-    return {c: float(population * percat[c] / total)
-            for c in range(log.num_categories)}
+    mass = log.totals.mass
+    return dict(enumerate((population * mass / mass.sum()).tolist()))
 
 
 def est_mean_degrees(log: ObservationLog) -> tuple[float, dict[int, float]]:
@@ -101,16 +107,11 @@ def est_mean_degrees(log: ObservationLog) -> tuple[float, dict[int, float]]:
     """
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
-    winv = 1.0 / log.weights
-    wdeg = log.degrees * winv
-    k_all = float(np.sum(wdeg) / np.sum(winv))
-    percat_winv = np.bincount(log.categories, weights=winv,
-                              minlength=log.num_categories)
-    percat_wdeg = np.bincount(log.categories, weights=wdeg,
-                              minlength=log.num_categories)
-    per_cat = {c: float(percat_wdeg[c] / percat_winv[c])
-               for c in range(log.num_categories) if percat_winv[c] > 0}
-    return k_all, per_cat
+    t = log.totals
+    k_all = float(t.degree_mass.sum() / t.mass.sum())
+    seen = np.flatnonzero(t.mass > 0)
+    return k_all, dict(zip(seen.tolist(),
+                           (t.degree_mass[seen] / t.mass[seen]).tolist()))
 
 
 def est_volume_fraction_star(log: ObservationLog) -> dict[int, float]:
@@ -124,12 +125,11 @@ def est_volume_fraction_star(log: ObservationLog) -> dict[int, float]:
         raise WrongObservationMode("volume fractions need a star log")
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
-    winv = 1.0 / log.weights
-    numer = np.sum(log.neighbor_counts * winv[:, None], axis=0)
-    denom = float(np.sum(log.degrees * winv))
+    t = log.totals
+    denom = float(t.degree_mass.sum())
     if denom == 0.0:
         raise InsufficientSample("no edges observed from any draw")
-    return {c: float(numer[c] / denom) for c in range(log.num_categories)}
+    return dict(enumerate((t.towards.sum(axis=0) / denom).tolist()))
 
 
 def est_size_star(log: ObservationLog, population: float,
@@ -146,10 +146,10 @@ def est_size_star(log: ObservationLog, population: float,
         raise WrongObservationMode("star size estimation needs a star log")
     fvol = est_volume_fraction_star(log)
     if assume_homogeneous_degree:
-        return {c: float(population * fvol[c]) for c in fvol}
+        return {c: float(population * f) for c, f in fvol.items()}
     k_all, k_cat = est_mean_degrees(log)
-    return {c: float(population * fvol[c] * (k_all / k_cat[c]))
-            for c in fvol if c in k_cat and k_cat[c] > 0}
+    return {c: float(population * fvol[c] * (k_all / k))
+            for c, k in k_cat.items() if k > 0}
 
 
 def est_weight_induced(log: ObservationLog) -> dict[tuple[int, int], float]:
@@ -167,32 +167,11 @@ def est_weight_induced(log: ObservationLog) -> dict[tuple[int, int], float]:
                                    "an induced log")
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
-    c = log.num_categories
-    percat = _per_category_winv(log)
-    # inverse-weight mass per distinct drawn node
-    winv_node = np.zeros(int(log.nodes.max()) + 1)
-    np.add.at(winv_node, log.nodes, 1.0 / log.weights)
-    numer = np.zeros((c, c))
-    edges = log.induced_edges
-    if edges is not None and len(edges):
-        cat_of = np.zeros(len(winv_node), dtype=np.int64)
-        cat_of[log.nodes] = log.categories
-        cu = cat_of[edges[:, 0]]
-        cv = cat_of[edges[:, 1]]
-        vals = winv_node[edges[:, 0]] * winv_node[edges[:, 1]]
-        lo = np.minimum(cu, cv)
-        hi = np.maximum(cu, cv)
-        cross = lo != hi
-        np.add.at(numer, (lo[cross], hi[cross]), vals[cross])
-    out: dict[tuple[int, int], float] = {}
-    for a in range(c):
-        if percat[a] == 0:
-            continue
-        for b in range(a + 1, c):
-            if percat[b] == 0:
-                continue
-            out[(a, b)] = float(numer[a, b] / (percat[a] * percat[b]))
-    return out
+    t = log.totals
+    a, b = np.triu_indices(log.num_categories, 1)
+    keep = (t.mass[a] > 0) & (t.mass[b] > 0)
+    a, b = a[keep], b[keep]
+    return _pair_dict(a, b, t.edge_mass[a, b] / (t.mass[a] * t.mass[b]))
 
 
 def est_weight_star(log: ObservationLog,
@@ -213,39 +192,19 @@ def est_weight_star(log: ObservationLog,
         raise EmptySample("no draws to estimate from")
     if size_estimates is None:
         raise MissingSizeEstimate("size estimates are required")
+    t = log.totals
     c = log.num_categories
-    winv = 1.0 / log.weights
-    percat = _per_category_winv(log)
-    # towards[a, b]: corrected count of observed edges from draws in a
-    # into neighbors in b
-    towards = np.zeros((c, c))
-    np.add.at(towards, log.categories, log.neighbor_counts * winv[:, None])
-    out: dict[tuple[int, int], float] = {}
-    for a in range(c):
-        for b in range(a + 1, c):
-            has_a = percat[a] > 0
-            has_b = percat[b] > 0
-            if not (has_a or has_b):
-                continue
-            numer = 0.0
-            denom = 0.0
-            usable = True
-            if has_a:
-                if b not in size_estimates:
-                    usable = False
-                else:
-                    numer += towards[a, b]
-                    denom += percat[a] * size_estimates[b]
-            if usable and has_b:
-                if a not in size_estimates:
-                    usable = False
-                else:
-                    numer += towards[b, a]
-                    denom += percat[b] * size_estimates[a]
-            if not usable or denom == 0.0:
-                continue
-            out[(a, b)] = float(numer / denom)
-    return out
+    known = np.array([k in size_estimates for k in range(c)], dtype=bool)
+    size = np.array([size_estimates.get(k, 0.0) for k in range(c)], dtype=float)
+    drawn = t.mass > 0
+    a, b = np.triu_indices(c, 1)
+    # a side without draws adds exactly 0 to both sums
+    numer = t.towards[a, b] + t.towards[b, a]
+    denom = t.mass[a] * size[b] + t.mass[b] * size[a]
+    # a side with draws needs the far side's size; with no draws on
+    # either side the denominator is 0
+    keep = (known[b] | ~drawn[a]) & (known[a] | ~drawn[b]) & (denom != 0.0)
+    return _pair_dict(a[keep], b[keep], numer[keep] / denom[keep])
 
 
 @dataclass(frozen=True)
@@ -272,20 +231,6 @@ class CategoryGraphEstimate:
     skipped_weight_pairs: frozenset[tuple[int, int]] = field(default_factory=frozenset)
 
 
-def _check_compatible(mode: str, size_estimator: str, weight_estimator: str):
-    if size_estimator not in (INDUCED, STAR):
-        raise ValueError(f"unknown size estimator {size_estimator!r}")
-    if weight_estimator not in (INDUCED, STAR):
-        raise ValueError(f"unknown weight estimator {weight_estimator!r}")
-    if mode == INDUCED and (size_estimator == STAR or weight_estimator == STAR):
-        raise WrongObservationMode(
-            "star estimators need a star log")
-    if mode == STAR and weight_estimator == INDUCED:
-        raise WrongObservationMode(
-            "induced weight estimation needs the induced edge set, "
-            "which a star log does not carry")
-
-
 def estimate_category_graph(log: ObservationLog,
                             population: float | str | None = None,
                             *,
@@ -303,7 +248,14 @@ def estimate_category_graph(log: ObservationLog,
         raise EmptySample("no draws to estimate from")
     if weight_estimator is None:
         weight_estimator = INDUCED if log.mode == INDUCED else STAR
-    _check_compatible(log.mode, size_estimator, weight_estimator)
+    for kind, name in (("size", size_estimator), ("weight", weight_estimator)):
+        if name not in (INDUCED, STAR):
+            raise ValueError(f"unknown {kind} estimator {name!r}")
+    pairs = ESTIMATOR_PAIRS.get(log.mode, ())
+    if (size_estimator, weight_estimator) not in pairs:
+        raise WrongObservationMode(
+            f"a {log.mode} log supports the (size, weight) estimator pairs "
+            f"{list(pairs)}, not {(size_estimator, weight_estimator)}")
 
     if population is None:
         population = (log.population_hint if log.population_hint is not None
@@ -314,9 +266,6 @@ def estimate_category_graph(log: ObservationLog,
         pop_value, pop_mode = float(population), "exact"
 
     all_cats = set(range(log.num_categories))
-    drawn_cats = set(int(c) for c in np.unique(log.categories))
-    zero_draw = frozenset(all_cats - drawn_cats)
-
     if size_estimator == INDUCED:
         sizes = est_size_induced(log, pop_value)
     else:
@@ -331,6 +280,7 @@ def estimate_category_graph(log: ObservationLog,
     all_pairs = {(a, b) for a in range(log.num_categories)
                  for b in range(a + 1, log.num_categories)}
     skipped_weights = frozenset(all_pairs - set(weights))
+    zero_draw = frozenset(np.flatnonzero(log.totals.mass == 0).tolist())
 
     return CategoryGraphEstimate(
         sizes=sizes, weights=weights,

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedNRMSE
-from .estimate import estimate_category_graph
+from .estimate import ESTIMATOR_PAIRS, estimate_category_graph
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
 from .observe import INDUCED, STAR, observe_induced, observe_star
 from .sampling import (
@@ -78,6 +78,12 @@ class ExperimentConfig:
         for s in self.samplers:
             if s not in SAMPLERS:
                 raise ValueError(f"unknown sampler {s!r}")
+        for m in self.modes:
+            if m not in ESTIMATOR_PAIRS:
+                raise ValueError(f"unknown observation mode {m!r}")
+        for e in self.size_estimators + self.weight_estimators:
+            if e not in (INDUCED, STAR):
+                raise ValueError(f"unknown estimator {e!r}")
         if self.replicates < 2:
             raise ValueError("NRMSE needs at least two replicates")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
@@ -202,20 +208,11 @@ class ExperimentReport:
 
 
 def _combos_for_mode(cfg: ExperimentConfig, mode: str):
-    """Valid (size_estimator, weight_estimator) pairs for a mode.
-
-    Induced logs support only the induced/induced combination; star
-    logs support star weights fed by either size estimator. Requested
-    combinations a mode cannot satisfy are skipped with a warning.
-    """
-    combos = []
-    for se in cfg.size_estimators:
-        for we in cfg.weight_estimators:
-            if mode == INDUCED and (se == STAR or we == STAR):
-                continue
-            if mode == STAR and we == INDUCED:
-                continue
-            combos.append((se, we))
+    """The requested (size_estimator, weight_estimator) pairs that a
+    mode supports, in table order. A mode that supports none of them
+    is skipped with a warning."""
+    combos = [(se, we) for se, we in ESTIMATOR_PAIRS[mode]
+              if se in cfg.size_estimators and we in cfg.weight_estimators]
     if not combos:
         warnings.warn(f"no requested estimator combination fits mode "
                       f"{mode!r}; cell grid skipped", RuntimeWarning,
@@ -243,9 +240,7 @@ def _make_trace(cfg: ExperimentConfig, sampler: str, n: int, seed):
                            burn_in=cfg.burn_in, seed=seed)
     else:  # pragma: no cover - guarded by config validation
         raise ValueError(f"unknown sampler {sampler!r}")
-    if cfg.thin_interval > 1:
-        trace = thin(trace, cfg.thin_interval)
-    return trace
+    return thin(trace, cfg.thin_interval)
 
 
 def _probe_pairs(truth: CategoryGraph,

@@ -15,6 +15,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,8 @@ from .estimate import CategoryGraphEstimate
 from .graph import CategoryGraph, CategoryPartition, Graph
 from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
+
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,23 +133,84 @@ def save_trace(trace: SampleTrace, path) -> None:
 
 
 def load_trace(path) -> SampleTrace:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise FileFormatError(f"{path}:1: missing trace meta line")
-    try:
-        meta = json.loads(lines[0])
-        rows = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
+    meta_line, meta, lines, rows = _read_jsonl(path, "trace")
+    weights = _column(path, lines, rows, "w", float)
+    _require(path, lines, np.isfinite(weights) & (weights > 0),
+             "weight must be positive and finite", weights)
+    start = _meta(path, meta_line, meta, "start", None,
+                  lambda v: v is None or type(v) is int,
+                  "must be an integer or null")
+    burn_in, thin = (_meta(path, meta_line, meta, key, default,
+                           lambda v: type(v) is int, "must be an integer")
+                     for key, default in (("burn_in", 0), ("thin", 1)))
     return SampleTrace(
-        nodes=np.asarray([r["v"] for r in rows], dtype=np.int64),
-        steps=np.asarray([r["i"] for r in rows], dtype=np.int64),
-        weights=np.asarray([r["w"] for r in rows], dtype=float),
+        nodes=_column(path, lines, rows, "v", int),
+        steps=_column(path, lines, rows, "i", int),
+        weights=weights,
         sampler=meta.get("sampler", "unknown"),
-        seed=meta.get("seed"), start=meta.get("start"),
-        burn_in=int(meta.get("burn_in", 0)),
-        thin_interval=int(meta.get("thin", 1)))
+        seed=meta.get("seed"), start=start, burn_in=burn_in,
+        thin_interval=thin)
+
+
+def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
+    """Parse a JSON Lines file whose first non-blank line holds a meta
+    object: (meta line number, meta, line numbers of the other
+    non-blank lines, their values)."""
+    with open(path) as fh:
+        text = fh.read().splitlines()
+    lines = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
+    nonblank = [ln for ln in text if ln]
+    try:
+        values = list(map(json.loads, nonblank))
+    except json.JSONDecodeError as exc:
+        # every earlier copy of the failing line parsed, so this finds it
+        lineno = lines[nonblank.index(exc.doc)]
+        raise FileFormatError(
+            f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+    if not values:
+        raise FileFormatError(f"{path}:1: missing {kind} meta line")
+    if type(values[0]) is not dict:
+        raise FileFormatError(
+            f"{path}:{lines[0]}: {kind} meta line is not a JSON object")
+    return lines[0], values[0], lines[1:], values[1:]
+
+
+def _typed(values, kind: type) -> list[bool]:
+    """Which values are JSON integers that fit 64 bits (``int``) or JSON
+    numbers (``float``); booleans are neither."""
+    if kind is int:
+        return [type(v) is int and _INT64_MIN <= v <= _INT64_MAX
+                for v in values]
+    return [type(v) in (int, float) for v in values]
+
+
+def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
+    """``key`` of every record as an int64 or float array."""
+    _require(path, lines, [type(r) is dict and key in r for r in records],
+             f"record has no {key!r}", records)
+    values = [r[key] for r in records]
+    _require(path, lines, _typed(values, kind),
+             f"{key!r} must be {'an integer' if kind is int else 'a number'}",
+             values)
+    return np.asarray(values, dtype=np.int64 if kind is int else float)
+
+
+def _require(path, lines, ok, rule: str, values) -> None:
+    """Name the line of the first value for which ``ok`` is False."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(bad):
+        got = values[bad[0]]
+        if isinstance(got, (np.generic, np.ndarray)):
+            got = got.tolist()
+        raise FileFormatError(f"{path}:{lines[bad[0]]}: {rule}, got {got!r}")
+
+
+def _meta(path, lineno, meta: dict, key: str, default, ok, rule: str):
+    value = meta.get(key, default)
+    if not ok(value):
+        raise FileFormatError(
+            f"{path}:{lineno}: meta {key!r} {rule}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -171,48 +235,92 @@ def save_log(log: ObservationLog, path) -> None:
 
 
 def load_log(path) -> ObservationLog:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines:
-        raise FileFormatError(f"{path}:1: missing log meta line")
-    try:
-        meta = json.loads(lines[0])
-        objs = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
-    mode = meta.get("mode")
-    if mode not in (INDUCED, STAR):
-        raise FileFormatError(f"{path}:1: unknown mode {mode!r}")
-    names = tuple(meta.get("categories", ()))
+    """Read a log written by :func:`save_log`.
+
+    Every record must hold an integer node id >= 0, a category id in
+    0..C-1, a degree >= 0 and a positive finite weight; star records'
+    neighbor counts must sum to their degree, and induced edges must
+    join drawn nodes. A record that breaks a rule is named by its line.
+    """
+    meta_line, meta, lines, rows = _read_jsonl(path, "log")
+    mode = _meta(path, meta_line, meta, "mode", None,
+                 lambda v: v in (INDUCED, STAR), "must be induced or star")
+    names = _meta(path, meta_line, meta, "categories", [],
+                  lambda v: type(v) is list and all(type(x) is str for x in v),
+                  "must be a list of names")
+    population = _meta(path, meta_line, meta, "N", None,
+                       lambda v: v is None or type(v) is int and v > 0,
+                       "must be a positive integer or null")
     induced = None
     if mode == INDUCED:
-        if not objs or "induced_edges" not in objs[-1]:
+        if not rows or type(rows[-1]) is not dict \
+                or "induced_edges" not in rows[-1]:
             raise FileFormatError(
                 f"{path}: induced log missing trailing induced_edges block")
-        induced = np.asarray(objs[-1]["induced_edges"],
-                             dtype=np.int64).reshape(-1, 2)
-        objs = objs[:-1]
-    cats = np.asarray([r["c"] for r in objs], dtype=np.int64)
-    num_categories = len(names) if names else (int(cats.max()) + 1 if len(cats) else 0)
-    if not names:
-        names = tuple(str(c) for c in range(num_categories))
+        induced = _edge_block(path, lines[-1], rows[-1]["induced_edges"])
+        induced_line, lines, rows = lines[-1], lines[:-1], rows[:-1]
+
+    nodes = _column(path, lines, rows, "v", int)
+    cats = _column(path, lines, rows, "c", int)
+    degrees = _column(path, lines, rows, "deg", int)
+    weights = _column(path, lines, rows, "w", float)
+    num_categories = len(names) or (int(cats.max()) + 1 if len(cats) else 0)
+    _require(path, lines, nodes >= 0, "node id must be >= 0", nodes)
+    _require(path, lines, (cats >= 0) & (cats < num_categories),
+             f"category must be in 0..{num_categories - 1}", cats)
+    _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
+    _require(path, lines, np.isfinite(weights) & (weights > 0),
+             "weight must be positive and finite", weights)
+
     counts = None
     if mode == STAR:
-        counts = np.zeros((len(objs), num_categories), dtype=np.int64)
-        for i, r in enumerate(objs):
-            for c_str, cnt in r.get("nbr_cats", {}).items():
-                counts[i, int(c_str)] = cnt
+        counts = _neighbor_counts(path, lines, rows, num_categories)
+        _require(path, lines, counts.sum(axis=1) == degrees,
+                 "nbr_cats must sum to deg", counts.sum(axis=1))
+    else:
+        drawn = np.isin(induced, nodes).all(axis=1)
+        _require(path, np.full(len(induced), induced_line), drawn,
+                 "induced edge has an undrawn endpoint", induced)
     return ObservationLog(
-        mode=mode,
-        nodes=np.asarray([r["v"] for r in objs], dtype=np.int64),
-        categories=cats,
-        degrees=np.asarray([r["deg"] for r in objs], dtype=np.int64),
-        weights=np.asarray([r["w"] for r in objs], dtype=float),
-        num_categories=num_categories,
-        category_names=names,
-        population_hint=meta.get("N"),
-        induced_edges=induced,
-        neighbor_counts=counts)
+        mode=mode, nodes=nodes, categories=cats, degrees=degrees,
+        weights=weights, num_categories=num_categories,
+        category_names=tuple(names or map(str, range(num_categories))),
+        population_hint=population,
+        induced_edges=induced, neighbor_counts=counts)
+
+
+def _edge_block(path, lineno: int, block) -> np.ndarray:
+    if type(block) is list and all(type(e) is list and len(e) == 2
+                                   for e in block):
+        flat = list(chain.from_iterable(block))
+        if all(_typed(flat, int)):
+            return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+    raise FileFormatError(
+        f"{path}:{lineno}: induced_edges must be a list of [u, v] "
+        "integer pairs")
+
+
+def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
+    """The star records' ``nbr_cats`` objects as an (n, C) count matrix."""
+    nbrs = [r.get("nbr_cats", {}) for r in records]
+    _require(path, lines, [type(x) is dict for x in nbrs],
+             "nbr_cats must be an object", nbrs)
+    rows = np.repeat(np.arange(len(nbrs)), [len(x) for x in nbrs])
+    entry_lines = lines[rows]
+    keys = list(chain.from_iterable(nbrs))
+    col_of = {str(c): c for c in range(num_categories)}
+    cols = np.asarray([col_of.get(k, -1) for k in keys], dtype=np.int64)
+    _require(path, entry_lines, cols >= 0,
+             f"nbr_cats key must be a category in 0..{num_categories - 1}",
+             keys)
+    values = list(chain.from_iterable(map(dict.values, nbrs)))
+    _require(path, entry_lines, _typed(values, int),
+             "nbr_cats count must be an integer", values)
+    _require(path, entry_lines, np.asarray(values, dtype=np.int64) >= 0,
+             "nbr_cats count must be >= 0", values)
+    counts = np.zeros((len(nbrs), num_categories), dtype=np.int64)
+    counts[rows, cols] = values
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +365,11 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
                   names: tuple[str, ...] | None = None) -> None:
     if isinstance(est, CategoryGraph):
         est = _exact_as_estimate(est, names)
+    # a non-finite value raises ValueError here, before the file opens
+    text = json.dumps(_estimate_payload(est), indent=1, sort_keys=True,
+                      allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_estimate_payload(est), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_estimate(path) -> CategoryGraphEstimate:

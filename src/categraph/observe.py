@@ -24,6 +24,24 @@ STAR = "star"
 
 
 @dataclass(frozen=True, eq=False)
+class CategoryTotals:
+    """Per-category inverse-weight totals of one log.
+
+    Every size and edge-weight estimator is a ratio of these. Over the
+    draws in category c, ``mass[c]`` sums 1/w and ``degree_mass[c]``
+    sums deg/w. Star logs add ``towards[a, b]``: over the draws in a,
+    the sum of (neighbors in b)/w. Induced logs add ``edge_mass[a, b]``
+    (a < b): over every ordered pair of draws, one in a and one in b,
+    whose nodes share an observed edge, the sum of 1/(w_a * w_b).
+    """
+
+    mass: np.ndarray
+    degree_mass: np.ndarray
+    towards: np.ndarray | None = None
+    edge_mass: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
 class ObservationLog:
     """What a sampling experiment actually observed.
 
@@ -58,9 +76,34 @@ class ObservationLog:
         return len(self.nodes)
 
     @cached_property
-    def node_category(self) -> dict[int, int]:
-        """Category of each distinct drawn node."""
-        return {int(v): int(c) for v, c in zip(self.nodes, self.categories)}
+    def totals(self) -> CategoryTotals:
+        """The per-category inverse-weight totals every estimator reads,
+        reduced once per log."""
+        c = self.num_categories
+        cats = self.categories
+        winv = 1.0 / self.weights
+        mass = np.bincount(cats, weights=winv, minlength=c)
+        degree_mass = np.bincount(cats, weights=self.degrees * winv, minlength=c)
+        if self.mode == STAR:
+            towards = np.column_stack([
+                np.bincount(cats, weights=col * winv, minlength=c)
+                for col in self.neighbor_counts.T])
+            return CategoryTotals(mass, degree_mass, towards=towards)
+        edges = self.induced_edges
+        if edges is None:
+            edges = np.empty((0, 2), dtype=np.int64)
+        # inverse-weight mass per distinct drawn node, indexed by node id
+        node_mass = np.bincount(self.nodes, weights=winv)
+        cat_of = np.zeros(len(node_mass), dtype=np.int64)
+        cat_of[self.nodes] = cats
+        u, v = edges[:, 0], edges[:, 1]
+        cu, cv = cat_of[u], cat_of[v]
+        cross = cu != cv
+        pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
+        edge_mass = np.bincount(pair[cross],
+                                weights=(node_mass[u] * node_mass[v])[cross],
+                                minlength=c * c).reshape(c, c)
+        return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.

@@ -176,6 +176,68 @@ def naive_weight_induced_weighted(log):
     return out
 
 
+
+def naive_mean_degrees_weighted(log):
+    degs = log.degrees.tolist()
+    cats = log.categories.tolist()
+    w = log.weights.tolist()
+    k_all = (sum(d / x for d, x in zip(degs, w))
+             / sum(1.0 / x for x in w))
+    per = {}
+    for c in range(log.num_categories):
+        mass = sum(1.0 / x for x, cc in zip(w, cats) if cc == c)
+        if mass > 0:
+            per[c] = sum(d / x for d, x, cc in zip(degs, w, cats)
+                         if cc == c) / mass
+    return k_all, per
+
+
+def naive_volume_fraction_star_weighted(log):
+    w = log.weights.tolist()
+    total = sum(d / x for d, x in zip(log.degrees.tolist(), w))
+    out = {}
+    for c in range(log.num_categories):
+        seen = sum(int(row[c]) / x for row, x in zip(log.neighbor_counts, w))
+        out[c] = seen / total
+    return out
+
+
+def naive_size_star_weighted(log, population):
+    fvol = naive_volume_fraction_star_weighted(log)
+    k_all, per = naive_mean_degrees_weighted(log)
+    return {c: population * fvol[c] * (k_all / per[c])
+            for c in fvol if c in per and per[c] > 0}
+
+
+def naive_weight_star_weighted(log, sizes):
+    cats = log.categories.tolist()
+    w = log.weights.tolist()
+    mass = {}
+    for c in range(log.num_categories):
+        mass[c] = sum(1.0 / x for x, cc in zip(w, cats) if cc == c)
+    out = {}
+    for a in range(log.num_categories):
+        for b in range(a + 1, log.num_categories):
+            has_a, has_b = mass[a] > 0, mass[b] > 0
+            if not (has_a or has_b):
+                continue
+            if (has_a and b not in sizes) or (has_b and a not in sizes):
+                continue
+            numer = 0.0
+            denom = 0.0
+            if has_a:
+                numer += sum(int(row[b]) / x for row, x, cc in
+                             zip(log.neighbor_counts, w, cats) if cc == a)
+                denom += mass[a] * sizes[b]
+            if has_b:
+                numer += sum(int(row[a]) / x for row, x, cc in
+                             zip(log.neighbor_counts, w, cats) if cc == b)
+                denom += mass[b] * sizes[a]
+            if denom == 0.0:
+                continue
+            out[(a, b)] = numer / denom
+    return out
+
 def random_graph(n, p, rng, min_degree_one=False):
     """Simple G(n, p) helper for randomized property tests."""
     from categraph import Graph

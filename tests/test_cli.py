@@ -113,3 +113,34 @@ def test_estimate_with_bootstrap_variances(tmp_path):
                 "--out", tmp_path / "est_var.json"]) == 0
     est = json.loads((tmp_path / "est_var.json").read_text())
     assert any("size_var" in c for c in est["categories"])
+
+
+def test_malformed_log_gives_one_error_line(tmp_path, capsys):
+    chain(tmp_path)
+    lines = (tmp_path / "log.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["w"]
+    lines[1] = json.dumps(record)
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["estimate", "--log", tmp_path / "bad.jsonl",
+                "--out", tmp_path / "x.json"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: FileFormatError: ")
+    assert "bad.jsonl:2: record has no 'w'" in err[0]
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_thin_below_one_is_an_error(tmp_path, capsys):
+    chain(tmp_path)
+    for k in ("0", "-3"):
+        capsys.readouterr()
+        code = run(["sample", "--edges", tmp_path / "edges.tsv",
+                    "--categories", tmp_path / "cats.tsv",
+                    "--sampler", "rw", "--n", "20", "--thin", k,
+                    "--out", tmp_path / f"thin{k}.jsonl"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: InvalidThinning: ")
+        assert not (tmp_path / f"thin{k}.jsonl").exists()

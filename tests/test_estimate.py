@@ -29,6 +29,8 @@ from categraph import (
     sample_uis,
 )
 
+from categraph.estimate import ESTIMATOR_PAIRS
+
 import _reference as ref
 
 
@@ -409,18 +411,33 @@ def test_uniform_reduction_bit_for_bit(seed):
     assert star_weights == ref.naive_weight_star_uniform(star_log, sizes)
 
 
+def _assert_close(got, want):
+    assert set(got) == set(want)
+    for key, v in want.items():
+        assert got[key] == pytest.approx(v, rel=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_weighted_estimators_match_literal_formulas(seed):
-    ind_log, _ = _random_log_pair(1000 + seed, unit_weights=False)
+    ind_log, star_log = _random_log_pair(1000 + seed, unit_weights=False)
     n_pop = 100
     sizes = est_size_induced(ind_log, n_pop)
-    for c, v in ref.naive_size_induced_weighted(ind_log, n_pop).items():
-        assert sizes[c] == pytest.approx(v, rel=1e-12)
-    weights = est_weight_induced(ind_log)
-    naive = ref.naive_weight_induced_weighted(ind_log)
-    assert set(weights) == set(naive)
-    for pair, v in naive.items():
-        assert weights[pair] == pytest.approx(v, rel=1e-12)
+    _assert_close(sizes, ref.naive_size_induced_weighted(ind_log, n_pop))
+    _assert_close(est_weight_induced(ind_log),
+                  ref.naive_weight_induced_weighted(ind_log))
+
+    k_all, per = est_mean_degrees(star_log)
+    ref_k_all, ref_per = ref.naive_mean_degrees_weighted(star_log)
+    assert k_all == pytest.approx(ref_k_all, rel=1e-12)
+    _assert_close(per, ref_per)
+    _assert_close(est_volume_fraction_star(star_log),
+                  ref.naive_volume_fraction_star_weighted(star_log))
+    star_sizes = est_size_star(star_log, n_pop)
+    _assert_close(star_sizes, ref.naive_size_star_weighted(star_log, n_pop))
+    # star weights fed by either size estimator
+    for feed in (sizes, star_sizes):
+        _assert_close(est_weight_star(star_log, feed),
+                      ref.naive_weight_star_weighted(star_log, feed))
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +502,33 @@ def test_full_population_pipeline_matches_exact(three_color_graph):
 
 
 def test_pipeline_mode_mismatches_raise(three_color_graph):
+    # the one rule: induced logs take induced/induced only; star logs
+    # take star weights fed by either size estimator
+    assert ESTIMATOR_PAIRS == {
+        "induced": (("induced", "induced"),),
+        "star": (("induced", "star"), ("star", "star")),
+    }
     g, part = three_color_graph
-    ind_log = observe_induced(g, part, _full_trace(g))
-    star_log = observe_star(g, part, _full_trace(g))
-    with pytest.raises(WrongObservationMode):
-        estimate_category_graph(ind_log, 8, size_estimator="star")
-    with pytest.raises(WrongObservationMode):
-        estimate_category_graph(ind_log, 8, weight_estimator="star")
-    with pytest.raises(WrongObservationMode):
-        estimate_category_graph(star_log, 8, weight_estimator="induced")
+    logs = {"induced": observe_induced(g, part, _full_trace(g)),
+            "star": observe_star(g, part, _full_trace(g))}
+    for mode, se, we in itertools.product(("induced", "star"), repeat=3):
+        if (se, we) in ESTIMATOR_PAIRS[mode]:
+            est = estimate_category_graph(logs[mode], 8, size_estimator=se,
+                                          weight_estimator=we)
+            assert (est.size_estimator, est.weight_estimator) == (se, we)
+        else:
+            with pytest.raises(WrongObservationMode):
+                estimate_category_graph(logs[mode], 8, size_estimator=se,
+                                        weight_estimator=we)
+
+
+def test_pipeline_rejects_unknown_estimator(three_color_graph):
+    g, part = three_color_graph
+    log = observe_star(g, part, _full_trace(g))
+    with pytest.raises(ValueError, match="size estimator"):
+        estimate_category_graph(log, 8, size_estimator="bogus")
+    with pytest.raises(ValueError, match="weight estimator"):
+        estimate_category_graph(log, 8, weight_estimator="bogus")
 
 
 def test_pipeline_default_weight_estimator_follows_mode(three_color_graph):

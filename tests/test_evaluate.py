@@ -14,6 +14,7 @@ from categraph import (
     run_experiment,
     synthetic_graph,
 )
+from categraph.estimate import ESTIMATOR_PAIRS
 
 
 def test_nrmse_exact_estimates():
@@ -83,6 +84,34 @@ def test_config_validation(small_graph):
         _small_config(g, part, sample_sizes=(100, 50))
     with pytest.raises(ValueError):
         _small_config(g, part, samplers=("uis", "bogus"))
+
+
+def test_config_rejects_unknown_mode_and_estimator(small_graph):
+    g, part = small_graph
+    with pytest.raises(ValueError, match="mode"):
+        _small_config(g, part, modes=("induced", "bogus"))
+    with pytest.raises(ValueError, match="estimator"):
+        _small_config(g, part, size_estimators=("bogus",))
+    with pytest.raises(ValueError, match="estimator"):
+        _small_config(g, part, weight_estimators=("star", "bogus"))
+
+
+def test_cells_cover_exactly_the_supported_pairs(small_graph):
+    # all four (size, weight) pairs requested in both modes: cells appear
+    # for exactly the pairs the estimator table lists per mode
+    g, part = small_graph
+    report = run_experiment(_small_config(
+        g, part, samplers=("uis",), sample_sizes=(60,), replicates=2,
+        size_estimators=("induced", "star"),
+        weight_estimators=("induced", "star")))
+    table = {(mode, se, we) for mode, pairs in ESTIMATOR_PAIRS.items()
+             for se, we in pairs}
+    weight_cells = {(c.mode, c.size_estimator, c.weight_estimator)
+                    for c in report.cells if c.quantity_kind == "weight"}
+    size_cells = {(c.mode, c.size_estimator)
+                  for c in report.cells if c.quantity_kind == "size"}
+    assert weight_cells == table
+    assert size_cells == {(mode, se) for mode, se, _ in table}
 
 
 def test_run_experiment_deterministic(small_graph):

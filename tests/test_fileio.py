@@ -189,3 +189,134 @@ def test_export_unknown_format(tmp_path, three_color_graph):
     cg = exact_category_graph(g, part)
     with pytest.raises(ValueError):
         export_category_graph(cg, "xml", tmp_path / "x")
+
+
+# ---------------------------------------------------------------------------
+# malformed logs and traces: typed errors that name the line
+
+
+def _saved_records(tmp_path, three_color_graph, mode):
+    """A valid log of 6 rw draws, as parsed JSON lines."""
+    g, part = three_color_graph
+    observer = observe_induced if mode == "induced" else observe_star
+    save_log(observer(g, part, sample_rw(g, 6, start=0, seed=9)),
+             tmp_path / "log.jsonl")
+    lines = (tmp_path / "log.jsonl").read_text().splitlines()
+    return [json.loads(ln) for ln in lines]
+
+
+def _write_records(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def _set(key, value, index=2):
+    def mutate(records):
+        records[index][key] = value
+    return mutate
+
+
+def _drop(key):
+    def mutate(records):
+        del records[2][key]
+    return mutate
+
+
+def _nbr(update):
+    def mutate(records):
+        records[2]["nbr_cats"].update(update)
+    return mutate
+
+
+def _add_edge(edge):
+    def mutate(records):
+        records[-1]["induced_edges"].append(edge)
+    return mutate
+
+
+# (mode, mutation, line named, message fragment); record 2 is on line 3
+MALFORMED_LOGS = {
+    "missing key": ("star", _drop("w"), 3, "record has no 'w'"),
+    "category not an integer": ("induced", _set("c", "x"), 3,
+                                "'c' must be an integer"),
+    "weight not a number": ("star", _set("w", "1.0"), 3,
+                            "'w' must be a number"),
+    "boolean weight": ("induced", _set("w", True), 3, "'w' must be a number"),
+    "fractional degree": ("star", _set("deg", 1.5), 3,
+                          "'deg' must be an integer"),
+    "nbr_cats key beyond C": ("star", _nbr({"3": 0}), 3, "nbr_cats key"),
+    "negative nbr_cats key": ("star", _nbr({"-1": 0}), 3, "nbr_cats key"),
+    "negative nbr_cats count": ("star", _nbr({"0": -1}), 3,
+                                "nbr_cats count"),
+    "nbr_cats not an object": ("star", _set("nbr_cats", [1]), 3,
+                               "nbr_cats must be an object"),
+    "category beyond C": ("induced", _set("c", 7), 3,
+                          r"category must be in 0\.\.2"),
+    "negative category": ("star", _set("c", -1), 3, "category must be"),
+    "zero weight": ("induced", _set("w", 0), 3,
+                    "weight must be positive and finite"),
+    "negative weight": ("star", _set("w", -2.0), 3,
+                        "weight must be positive and finite"),
+    "NaN weight": ("induced", _set("w", float("nan")), 3,
+                   "weight must be positive and finite"),
+    "infinite weight": ("star", _set("w", float("inf")), 3,
+                        "weight must be positive and finite"),
+    "negative degree": ("induced", _set("deg", -1), 3, "degree must be >= 0"),
+    "negative node id": ("induced", _set("v", -1), 3, "node id must be"),
+    "nbr_cats not summing to deg": ("star", _nbr({"0": 99}), 3,
+                                    "nbr_cats must sum to deg"),
+    "undrawn edge endpoint": ("induced", _add_edge([0, 99]), 8,
+                              r"induced edge has an undrawn endpoint, got \[0, 99\]"),
+    "edge of three nodes": ("induced", _add_edge([0, 1, 2]), 8,
+                            r"induced_edges must be a list of \[u, v\] integer"),
+    "zero population": ("star", _set("N", 0, index=0), 1, "meta 'N'"),
+    "categories not a list": ("induced", _set("categories", "abc", index=0),
+                              1, "meta 'categories'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LOGS))
+def test_load_log_rejects_malformed_record(tmp_path, three_color_graph, case):
+    mode, mutate, line, message = MALFORMED_LOGS[case]
+    records = _saved_records(tmp_path, three_color_graph, mode)
+    mutate(records)
+    path = _write_records(tmp_path / "bad.jsonl", records)
+    with pytest.raises(FileFormatError, match=f"bad.jsonl:{line}: {message}"):
+        load_log(path)
+
+
+def test_load_log_names_line_of_invalid_json(tmp_path, three_color_graph):
+    records = _saved_records(tmp_path, three_color_graph, "star")
+    text = "".join(json.dumps(r) + "\n" for r in records[:3])
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text + "\n" + '{"v": 1,\n')   # blank line 4, bad line 5
+    with pytest.raises(FileFormatError, match=r"bad.jsonl:5: invalid JSON"):
+        load_log(path)
+
+
+def test_load_trace_rejects_malformed_record(tmp_path, three_color_graph):
+    g, _ = three_color_graph
+    save_trace(sample_rw(g, 5, start=0, seed=8), tmp_path / "t.jsonl")
+    good = [json.loads(ln)
+            for ln in (tmp_path / "t.jsonl").read_text().splitlines()]
+    cases = [(_drop("v"), 3, "record has no 'v'"),
+             (_set("i", "x"), 3, "'i' must be an integer"),
+             (_set("w", 0.0), 3, "weight must be positive and finite"),
+             (_set("burn_in", "5", index=0), 1, "meta 'burn_in' must be an integer")]
+    for mutate, line, message in cases:
+        records = json.loads(json.dumps(good))
+        mutate(records)
+        path = _write_records(tmp_path / "bad.jsonl", records)
+        with pytest.raises(FileFormatError, match=f"bad.jsonl:{line}: {message}"):
+            load_trace(path)
+
+
+def test_save_estimate_refuses_non_finite_values(tmp_path, three_color_graph):
+    g, part = three_color_graph
+    log = observe_induced(g, part, sample_rw(g, 20, start=0, seed=3))
+    est = estimate_category_graph(log, population=8)
+    import dataclasses
+    bad = dataclasses.replace(est, sizes={**est.sizes, 0: float("nan")})
+    with pytest.raises(ValueError):
+        save_estimate(bad, tmp_path / "est.json")
+    assert not (tmp_path / "est.json").exists()
