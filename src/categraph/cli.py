@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import CategraphError
+from .errors import CategraphError, InvalidThinning
 from .estimate import PROPORTIONAL, bootstrap_variance, estimate_category_graph
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
@@ -68,24 +68,28 @@ def _parse_category_weights(text: str, part):
 
 
 def _cmd_sample(args) -> int:
+    if args.thin < 1:
+        raise InvalidThinning("thinning interval must be an integer >= 1")
     g, part = fileio.load_graph(args.edges, args.categories)
     base_seed = args.seed
+    # draw n*T steps so that thinning keeps n
+    raw_n = args.n * args.thin
 
     def one_trace(walk_index: int):
         seed = base_seed if args.walks == 1 else [base_seed, walk_index]
         if args.sampler == "uis":
-            trace = sample_uis(g, args.n, seed=seed)
+            trace = sample_uis(g, raw_n, seed=seed)
         elif args.sampler == "wis":
-            trace = sample_wis(g, g.degrees.astype(float), args.n, seed=seed)
+            trace = sample_wis(g, g.degrees.astype(float), raw_n, seed=seed)
         elif args.sampler == "rw":
-            trace = sample_rw(g, args.n, start=args.start,
+            trace = sample_rw(g, raw_n, start=args.start,
                               burn_in=args.burn_in, seed=seed)
         elif args.sampler == "mhrw":
-            trace = sample_mhrw(g, args.n, start=args.start,
+            trace = sample_mhrw(g, raw_n, start=args.start,
                                 burn_in=args.burn_in, seed=seed)
         else:
             cw = _parse_category_weights(args.wrw_weights, part)
-            trace = sample_wrw(g, part, cw, args.n, start=args.start,
+            trace = sample_wrw(g, part, cw, raw_n, start=args.start,
                                burn_in=args.burn_in, seed=seed)
         return thin(trace, args.thin)
 
@@ -112,7 +116,11 @@ def _parse_population(text: str):
     if text == "auto":
         return None
     if text.startswith("exact:"):
-        return int(text.split(":", 1)[1])
+        population = int(text.split(":", 1)[1])
+        if population <= 0:
+            raise CategraphError(
+                f"population must be a positive integer; got {text!r}")
+        return population
     raise CategraphError(
         f"population must be exact:<N>, proportional, or auto; got {text!r}")
 
@@ -140,22 +148,32 @@ def _cmd_estimate(args) -> int:
 def _config_from_file(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
+    if type(raw) is not dict:
+        raise CategraphError(f"{path}: the config must be a JSON object")
+
+    def required(parent, key: str, where: str):
+        if key not in parent:
+            raise CategraphError(f"{path}: {where} needs {key!r}")
+        return parent[key]
+
     source = raw.get("graph", {})
     if "synthetic" in source:
         model = source["synthetic"]
         params = SyntheticParams(
-            category_sizes=tuple(model["category_sizes"]),
-            k=model["k"],
+            category_sizes=tuple(required(model, "category_sizes",
+                                          "graph.synthetic")),
+            k=required(model, "k", "graph.synthetic"),
             inter_edge_count=model.get("inter_edge_count"),
             alpha=model.get("alpha", 0.0),
             seed=model.get("seed"))
         g, part = synthetic_graph(params)
     elif "edge_file" in source:
         g, part = fileio.load_graph(source["edge_file"],
-                                    source["category_file"])
+                                    required(source, "category_file",
+                                             "graph"))
     else:
-        raise CategraphError(
-            "config needs graph.synthetic or graph.edge_file/category_file")
+        raise CategraphError(f"{path}: config needs graph.synthetic or "
+                             "graph.edge_file/category_file")
     kwargs = {}
     for key in ("samplers", "sample_sizes", "replicates", "seed", "modes",
                 "size_estimators", "weight_estimators", "burn_in",

@@ -4,9 +4,9 @@ JSON, and DOT export.
 Edge files are TSV, one "u<TAB>v" pair per line with integer node ids;
 lines starting with '#' are comments. Category files are TSV
 "node<TAB>category_name" with exactly one line per node. External node
-ids may be arbitrary integers; they are mapped to dense 0..N-1 ids (in
-ascending order of the external id) at load time. Category names are
-interned to ids in order of first appearance.
+ids may be any integers that fit 64 bits; they are mapped to dense
+0..N-1 ids (in ascending order of the external id) at load time.
+Category names are interned to ids in order of first appearance.
 
 Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
@@ -15,7 +15,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -35,10 +35,60 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     """Load a graph and its category partition from TSV files.
 
     Every edge endpoint must appear in the category file; nodes that
-    appear only there are isolated nodes.
+    appear only there are isolated nodes. The edge file is parsed in
+    bulk and checked with array operations; the earliest refused line
+    is named, counting blank and comment lines.
     """
+    ext_ids, labels, names = _read_categories(category_path)
+    with open(edge_path) as fh:
+        text = fh.read()
+    # only a whole line starting with '#' is a comment
+    rows = [ln for ln in filter(None, text.split("\n")) if ln[0] != "#"]
+    ext, unreadable = _int_pairs(rows)
+
+    n = len(ext_ids)
+    # column by column: a sorted first column makes its search cheap
+    dense = np.ascontiguousarray(np.searchsorted(ext_ids, ext.T).T)
+    labeled = dense < n
+    labeled[labeled] = ext_ids[dense[labeled]] == ext[labeled]
+    self_loop = ext[:, 0] == ext[:, 1]
+    keys = (np.minimum(dense[:, 0], dense[:, 1]) * n
+            + np.maximum(dense[:, 0], dense[:, 1]))
+    duplicate = np.zeros(len(keys), dtype=bool)
+    ordered = np.sort(keys)
+    if np.any(ordered[1:] == ordered[:-1]):
+        # flag every later copy of a key; a row refused for another
+        # reason may share a key with a later row, but it comes first
+        order = np.argsort(keys, kind="stable")
+        duplicate[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    refused = self_loop | ~(labeled[:, 0] & labeled[:, 1]) | duplicate
+    if refused.any():
+        row = int(np.argmax(refused))
+        u_ext, v_ext = ext[row].tolist()
+        if self_loop[row]:
+            rule = f"self-loop at node {u_ext}"
+        elif not labeled[row].all():
+            rule = f"node {ext[row][~labeled[row]][0]} has no category label"
+        else:
+            rule = f"duplicate edge {u_ext}-{v_ext}"
+    elif unreadable is not None:
+        row = unreadable
+        rule = ("expected 'u<TAB>v'" if rows[row].count("\t") != 1
+                else "node ids must be 64-bit decimal integers")
+    else:
+        g = Graph.from_edges(n, dense, validate=False)
+        return g, CategoryPartition(labels=labels, names=names)
+    lineno = next(islice(
+        (i for i, ln in enumerate(text.split("\n"), 1)
+         if ln and ln[0] != "#"), row, None))
+    raise FileFormatError(f"{edge_path}:{lineno}: {rule}")
+
+
+def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The category file as (sorted external ids, the category id of
+    each, category names interned in that order)."""
     label_by_ext: dict[int, str] = {}
-    with open(category_path) as fh:
+    with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -46,64 +96,55 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise FileFormatError(
-                    f"{category_path}:{lineno}: expected 'node<TAB>category'")
+                    f"{path}:{lineno}: expected 'node<TAB>category'")
             try:
                 ext = int(parts[0])
             except ValueError:
                 raise FileFormatError(
-                    f"{category_path}:{lineno}: node id {parts[0]!r} "
+                    f"{path}:{lineno}: node id {parts[0]!r} "
                     "is not an integer") from None
+            if not _INT64_MIN <= ext <= _INT64_MAX:
+                raise FileFormatError(
+                    f"{path}:{lineno}: node id {parts[0]!r} "
+                    "does not fit 64 bits")
             if ext in label_by_ext:
                 raise FileFormatError(
-                    f"{category_path}:{lineno}: node {ext} labeled twice")
+                    f"{path}:{lineno}: node {ext} labeled twice")
             label_by_ext[ext] = parts[1]
-
     ext_ids = sorted(label_by_ext)
-    dense = {ext: i for i, ext in enumerate(ext_ids)}
-    names: list[str] = []
     name_id: dict[str, int] = {}
-    labels = np.empty(len(ext_ids), dtype=np.int64)
-    for ext in ext_ids:
-        name = label_by_ext[ext]
-        if name not in name_id:
-            name_id[name] = len(names)
-            names.append(name)
-        labels[dense[ext]] = name_id[name]
+    labels = np.fromiter(
+        (name_id.setdefault(label_by_ext[ext], len(name_id))
+         for ext in ext_ids), dtype=np.int64, count=len(ext_ids))
+    return np.asarray(ext_ids, dtype=np.int64), labels, tuple(name_id)
 
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    with open(edge_path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FileFormatError(
-                    f"{edge_path}:{lineno}: expected 'u<TAB>v'")
-            try:
-                u_ext, v_ext = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise FileFormatError(
-                    f"{edge_path}:{lineno}: node ids must be integers") from None
-            if u_ext == v_ext:
-                raise FileFormatError(
-                    f"{edge_path}:{lineno}: self-loop at node {u_ext}")
-            for ext in (u_ext, v_ext):
-                if ext not in dense:
-                    raise FileFormatError(
-                        f"{edge_path}:{lineno}: node {ext} has no category "
-                        "label")
-            u, v = dense[u_ext], dense[v_ext]
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise FileFormatError(
-                    f"{edge_path}:{lineno}: duplicate edge {u_ext}-{v_ext}")
-            seen.add(key)
-            edges.append(key)
 
-    g = Graph.from_edges(len(ext_ids), edges, validate=False)
-    return g, CategoryPartition(labels=labels, names=tuple(names))
+def _int_pairs(rows: list[str]) -> tuple[np.ndarray, int | None]:
+    """Parse TSV rows of two int64 fields: (the pairs, None), or, when
+    a row cannot be read, (the pairs of the rows before it, its index),
+    found by bisection."""
+    pairs = _parse_pairs(rows)
+    if pairs is not None:
+        return pairs, None
+    lo, hi = 0, len(rows)   # rows[lo:hi] holds the first unreadable row
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _parse_pairs(rows[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    return _parse_pairs(rows[:lo]), lo
+
+
+def _parse_pairs(rows: list[str]) -> np.ndarray | None:
+    if not rows:   # np.loadtxt warns on empty input
+        return np.empty((0, 2), dtype=np.int64)
+    try:
+        pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t",
+                           comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return pairs if pairs.shape == (len(rows), 2) else None
 
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,

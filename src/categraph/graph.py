@@ -7,7 +7,6 @@ safe to share between threads; every function here is pure.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -56,11 +55,13 @@ class Graph:
             keys = canon[:, 0] * node_count + canon[:, 1]
             if len(np.unique(keys)) != len(keys):
                 raise ValueError("duplicate edges are not allowed")
-        # symmetrize: each undirected edge appears in both endpoint rows
-        heads = np.concatenate([edges[:, 0], edges[:, 1]])
-        tails = np.concatenate([edges[:, 1], edges[:, 0]])
-        order = np.lexsort((tails, heads))
-        heads, tails = heads[order], tails[order]
+        # symmetrize: each undirected edge appears in both endpoint rows,
+        # ordered by one head * N + tail key
+        keys = np.concatenate([edges[:, 0], edges[:, 1]])
+        keys *= node_count
+        keys += np.concatenate([edges[:, 1], edges[:, 0]])
+        keys.sort()
+        heads, tails = np.divmod(keys, node_count)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(heads, minlength=node_count))
         return Graph(indptr=indptr, indices=tails)
@@ -110,43 +111,53 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        n = self.node_count
-        if n == 0:
+        """Breadth-first search from node 0, one frontier at a time."""
+        if self.node_count == 0:
             return True
-        seen = np.zeros(n, dtype=bool)
+        seen = np.zeros(self.node_count, dtype=bool)
         seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v in self.indices[self.indptr[u]:self.indptr[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(int(v))
-        return count == n
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            starts = self.indptr[frontier]
+            lengths = self.indptr[frontier + 1] - starts
+            ends = np.cumsum(lengths)
+            # the positions in ``indices`` of the frontier rows' entries
+            at = np.arange(ends[-1]) + np.repeat(starts - ends + lengths,
+                                                 lengths)
+            nbrs = self.indices[at]
+            frontier = np.unique(nbrs[~seen[nbrs]])
+            seen[frontier] = True
+        return bool(seen.all())
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
         n = self.node_count
-        if len(self.indptr) != n + 1 or self.indptr[0] != 0:
+        if (len(self.indptr) != n + 1 or self.indptr[0] != 0
+                or self.indptr[-1] != len(self.indices)
+                or np.any(self.degrees < 0)):
             raise ValueError("malformed indptr")
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("neighbor id out of range")
         if int(self.degrees.sum()) != 2 * self.edge_count:
             raise ValueError("degree sum must equal twice the edge count")
-        for v in range(n):
-            row = self.indices[self.indptr[v]:self.indptr[v + 1]]
-            if np.any(row == v):
-                raise ValueError(f"self-loop at node {v}")
-            if np.any(np.diff(row) <= 0):
-                raise ValueError(f"neighbor row of {v} not sorted/unique")
-        # symmetry: every (u, v) entry must have a (v, u) twin
         heads = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        fwd = set(zip(heads.tolist(), self.indices.tolist()))
-        for u, v in fwd:
-            if (v, u) not in fwd:
-                raise ValueError(f"missing reverse adjacency for ({u}, {v})")
+        loops = heads[heads == self.indices]
+        # a step within one row that does not increase
+        same_row = heads[1:] == heads[:-1]
+        unsorted = heads[1:][same_row & (np.diff(self.indices) <= 0)]
+        if loops.size or unsorted.size:
+            v = min(loops[:1].tolist() + unsorted[:1].tolist())
+            if loops.size and loops[0] == v:
+                raise ValueError(f"self-loop at node {v}")
+            raise ValueError(f"neighbor row of {v} not sorted/unique")
+        # symmetry: the (head, tail) keys, already ascending, must equal
+        # the sorted (tail, head) keys
+        fwd = heads * n + self.indices
+        rev = self.indices * n + heads
+        if not np.array_equal(fwd, np.sort(rev)):
+            at = np.minimum(np.searchsorted(fwd, rev), len(fwd) - 1)
+            tail, head = divmod(int(rev[np.argmax(fwd[at] != rev)]), n)
+            raise ValueError(f"missing reverse adjacency for ({head}, {tail})")
 
     def _check_node(self, v: int) -> None:
         if not 0 <= v < self.node_count:

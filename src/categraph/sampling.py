@@ -227,25 +227,29 @@ def sample_wrw(g: Graph, part: CategoryPartition,
 
     rng, recorded, start = _prepare_walk(g, n, start, burn_in, seed, "wrw")
     node_cw = cw[part.labels]
-    edge_w = node_cw[g.indices] + np.repeat(node_cw, g.degrees)
+    deg = g.degrees
+    # per-row running sums of the edge weights, added in row order: one
+    # numpy step per degree position j, over the reaching[j] rows longer
+    # than j, whose starts lead by_degree
+    cum = node_cw[g.indices] + np.repeat(node_cw, deg)
+    by_degree = g.indptr[:-1][np.argsort(-deg, kind="stable")]
+    reaching = len(deg) - np.cumsum(np.bincount(deg))
+    for j in range(1, len(reaching)):
+        at = by_degree[:reaching[j]] + j
+        cum[at] += cum[at - 1]
+    node_totals = np.zeros(g.node_count)
+    node_totals[deg > 0] = cum[g.indptr[1:][deg > 0] - 1]
+    cum = cum.tolist()
     ptr = g.indptr.tolist()
-    cums: list[list[float]] = []
-    totals: list[float] = []
-    for v in range(g.node_count):
-        row = np.cumsum(edge_w[ptr[v]:ptr[v + 1]]).tolist()
-        cums.append(row)
-        totals.append(row[-1] if row else 0.0)
     adj = g.adjacency_lists
     total_steps = burn_in + n
-    r = rng.random(total_steps)
     out = np.empty(total_steps, dtype=np.int64)
     u = start
-    for i in range(total_steps):
-        row = cums[u]
-        u = adj[u][bisect_right(row, r[i] * row[-1])]
+    for i, r in enumerate(rng.random(total_steps)):
+        lo, hi = ptr[u], ptr[u + 1]
+        u = adj[u][bisect_right(cum, r * cum[hi - 1], lo, hi) - lo]
         out[i] = u
     nodes = out[burn_in:]
-    node_totals = np.asarray(totals)
     return SampleTrace(nodes=nodes, steps=np.arange(n, dtype=np.int64),
                        weights=node_totals[nodes],
                        sampler="wrw", seed=recorded, start=start,

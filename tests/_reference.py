@@ -270,3 +270,93 @@ def random_partition(n, num_categories, rng):
     return CategoryPartition(
         labels=labels,
         names=tuple(f"C{i}" for i in range(num_categories)))
+
+
+# ---------------------------------------------------------------------------
+# graph files and the wrw walk, literal per-line and per-row forms
+
+
+def naive_load_graph(edge_path, category_path):
+    """Per-line reading of the TSV graph files.
+
+    Returns (edges, labels, names): the sorted (u, v), u < v, pairs of
+    dense ids (external ids in ascending order), each node's category
+    id, and the category names in order of first appearance over the
+    ascending external ids. Raises ValueError on any refused line.
+    """
+    label_by_ext = {}
+    with open(category_path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            node, name = line.split("\t")
+            if int(node) in label_by_ext:
+                raise ValueError(f"node {node} labeled twice")
+            label_by_ext[int(node)] = name
+    ext_ids = sorted(label_by_ext)
+    dense = {ext: i for i, ext in enumerate(ext_ids)}
+    names, labels = [], []
+    for ext in ext_ids:
+        if label_by_ext[ext] not in names:
+            names.append(label_by_ext[ext])
+        labels.append(names.index(label_by_ext[ext]))
+    edges = set()
+    with open(edge_path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            u_ext, v_ext = line.split("\t")
+            u, v = dense[int(u_ext)], dense[int(v_ext)]
+            if u == v or (min(u, v), max(u, v)) in edges:
+                raise ValueError(f"self-loop or duplicate: {line!r}")
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges), labels, tuple(names)
+
+
+def naive_wrw(g, labels, category_weights, n, start=None, burn_in=0,
+              seed=None):
+    """The category-weighted walk with one np.cumsum table per row and
+    one bisect per step; returns (nodes, weights, start).
+
+    Draws from the seed in the order the sampler does: the start node
+    (uniform over non-isolated nodes) if none is given, then one
+    uniform number per step.
+    """
+    from bisect import bisect_right
+
+    rng = np.random.default_rng(seed)
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    if start is None:
+        candidates = [v for v in range(len(labels))
+                      if indptr[v + 1] > indptr[v]]
+        start = candidates[rng.integers(0, len(candidates))]
+    cw = [float(category_weights[c]) for c in labels]
+    rows, totals = [], []
+    for v in range(len(labels)):
+        nbrs = indices[indptr[v]:indptr[v + 1]]
+        cum = np.cumsum([cw[x] + cw[v] for x in nbrs]).tolist()
+        rows.append((nbrs, cum))
+        totals.append(cum[-1] if cum else 0.0)
+    nodes = []
+    u = start
+    for r in rng.random(burn_in + n):
+        nbrs, cum = rows[u]
+        u = nbrs[bisect_right(cum, r * cum[-1])]
+        nodes.append(u)
+    nodes = nodes[burn_in:]
+    return nodes, [totals[v] for v in nodes], start
+
+
+def naive_is_connected(g):
+    """Depth-first search from node 0 over has_edge queries."""
+    n = g.node_count
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if v not in seen and g.has_edge(u, v):
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n or n == 0

@@ -144,3 +144,46 @@ def test_thin_below_one_is_an_error(tmp_path, capsys):
         assert code == 1
         assert capsys.readouterr().err.startswith("error: InvalidThinning: ")
         assert not (tmp_path / f"thin{k}.jsonl").exists()
+
+
+def _one_error_line(capsys, kind):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {kind}: ")
+    return err[0]
+
+
+def test_population_must_be_positive(tmp_path, capsys):
+    chain(tmp_path)
+    for spec in ("exact:0", "exact:-5"):
+        capsys.readouterr()
+        code = run(["estimate", "--log", tmp_path / "log.jsonl",
+                    "--population", spec, "--out", tmp_path / "x.json"])
+        assert code == 1
+        assert spec in _one_error_line(capsys, "CategraphError")
+        assert not (tmp_path / "x.json").exists()
+
+
+def test_config_without_a_required_key_gives_one_error_line(tmp_path, capsys):
+    for graph, key in (({"synthetic": {"category_sizes": [10, 10]}}, "'k'"),
+                       ({"synthetic": {"k": 3}}, "'category_sizes'"),
+                       ({"edge_file": "e.tsv"}, "'category_file'")):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"replicates": 2, "graph": graph}))
+        capsys.readouterr()
+        assert run(["evaluate", "--config", cfg_path]) == 1
+        line = _one_error_line(capsys, "CategraphError")
+        assert "cfg.json" in line and key in line
+
+
+def test_thin_keeps_n_draws(tmp_path):
+    chain(tmp_path)
+    for sampler in ("uis", "rw"):
+        out = tmp_path / f"{sampler}.jsonl"
+        assert run(["sample", "--edges", tmp_path / "edges.tsv",
+                    "--categories", tmp_path / "cats.tsv",
+                    "--sampler", sampler, "--n", "30", "--thin", "4",
+                    "--seed", "2", "--out", out]) == 0
+        meta, *rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+        assert meta["thin"] == 4
+        assert [r["i"] for r in rows] == list(range(0, 120, 4))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from categraph.fileio import (
     save_log,
     save_trace,
 )
+
+from _reference import naive_load_graph
 
 
 def write(path, text):
@@ -77,6 +80,133 @@ def test_load_rejects_double_label(tmp_path):
     cats = write(tmp_path / "c.tsv", "0\ta\n0\tb\n")
     with pytest.raises(FileFormatError, match="twice"):
         load_graph(edges, cats)
+
+
+# The loader's contract: the earliest refused line is named, counting
+# blank and comment lines; (edge file, category file, message).
+CATS = "0\ta\n1\ta\n2\tb\n3\tb\n"
+MALFORMED_GRAPHS = {
+    "edge id not an integer": ("# c\n\n0\t1\n1\tx\n", CATS,
+                               "e.tsv:4: node ids must be"),
+    "fractional edge id": ("0\t1.5\n", CATS, "e.tsv:1: node ids must be"),
+    "comment after an edge": ("0\t1\n\n2\t3 # x\n", CATS,
+                              "e.tsv:3: node ids must be"),
+    "empty edge field": ("0\t1\n2\t\n", CATS, "e.tsv:2: node ids must be"),
+    "edge id beyond 64 bits": ("0\t99999999999999999999\n", CATS,
+                               "e.tsv:1: node ids must be"),
+    "digit separator in edge id": ("1_0\t0\n", CATS,
+                                   "e.tsv:1: node ids must be"),
+    "three edge fields": ("# c\n0\t1\t2\n", CATS,
+                          "e.tsv:2: expected 'u<TAB>v'"),
+    "one edge field": ("0\t1\n\n0 2\n", CATS,
+                       "e.tsv:3: expected 'u<TAB>v'"),
+    "blank-looking edge line": ("0\t1\n \n", CATS,
+                                "e.tsv:2: expected 'u<TAB>v'"),
+    "self-loop": ("0\t1\n\n3\t3\n", CATS, "e.tsv:3: self-loop at node 3"),
+    "self-loop at unlabeled node": ("7\t7\n", CATS,
+                                    "e.tsv:1: self-loop at node 7"),
+    "unlabeled second endpoint": ("0\t1\n# c\n1\t7\n", CATS,
+                                  "e.tsv:3: node 7 has no category label"),
+    "unlabeled first endpoint": ("9\t0\n", CATS,
+                                 "e.tsv:1: node 9 has no category label"),
+    "unlabeled in an empty category file": ("0\t1\n", "",
+                                            "e.tsv:1: node 0 has no category"),
+    "duplicate edge": ("0\t1\n2\t3\n0\t1\n", CATS,
+                       "e.tsv:3: duplicate edge 0-1"),
+    "reversed duplicate edge": ("0\t1\n\n1\t0\n", CATS,
+                                "e.tsv:3: duplicate edge 1-0"),
+    "self-loop before a bad id": ("0\t1\n2\t2\n1\tx\n", CATS,
+                                  "e.tsv:2: self-loop"),
+    "bad id before a duplicate": ("0\t1\n1\tx\n0\t1\n", CATS,
+                                  "e.tsv:2: node ids must be"),
+    "bad field count before an unlabeled node": (
+        "0\t1\n1\t2\t3\n0\t9\n", CATS, "e.tsv:2: expected"),
+    "category id not an integer": ("", "0\ta\nx\tb\n",
+                                   "c.tsv:2: node id 'x' is not an integer"),
+    "category id beyond 64 bits": ("", "99999999999999999999\ta\n",
+                                   "c.tsv:1: node id '99999999999999999999' "
+                                   "does not fit 64 bits"),
+    "one category field": ("", "0\ta\n# c\n1\n",
+                           "c.tsv:3: expected 'node<TAB>category'"),
+    "three category fields": ("", "0\ta\tb\n",
+                              "c.tsv:1: expected 'node<TAB>category'"),
+    "node labeled twice": ("", "0\ta\n\n0\tb\n", "c.tsv:3: node 0 labeled twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_load_graph_names_first_refused_line(tmp_path, case):
+    edge_text, cat_text, message = MALFORMED_GRAPHS[case]
+    edges = write(tmp_path / "e.tsv", edge_text)
+    cats = write(tmp_path / "c.tsv", cat_text)
+    with pytest.raises(FileFormatError, match=message):
+        load_graph(edges, cats)
+
+
+def test_load_graph_reads_crlf_files(tmp_path):
+    edges = write(tmp_path / "e.tsv", "")
+    cats = write(tmp_path / "c.tsv", "")
+    (tmp_path / "e.tsv").write_bytes(b"# c\r\n0\t1\r\n\r\n1\t2\r\n")
+    (tmp_path / "c.tsv").write_bytes(b"0\tleft\r\n1\tmid\r\n2\tleft\r\n")
+    g, part = load_graph(edges, cats)
+    assert g.edge_array.tolist() == [[0, 1], [1, 2]]
+    assert part.names == ("left", "mid")
+
+
+def test_load_graph_keeps_names_with_hash_and_spaces(tmp_path):
+    edges = write(tmp_path / "e.tsv", "5\t1\n")
+    cats = write(tmp_path / "c.tsv", "5\tcity # 2\n1\tNew York \n")
+    g, part = load_graph(edges, cats)
+    assert part.names == ("New York ", "city # 2")
+    assert part.labels.tolist() == [0, 1]
+    assert g.edge_array.tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("edge_text", ["", "# nothing here\n\n# at all\n"])
+def test_load_graph_without_edges_gives_isolated_nodes(tmp_path, edge_text):
+    edges = write(tmp_path / "e.tsv", edge_text)
+    cats = write(tmp_path / "c.tsv", "3\ta\n1\tb\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g, part = load_graph(edges, cats)
+    assert g.node_count == 2 and g.edge_count == 0
+    assert part.names == ("b", "a")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_graph_matches_per_line_reader(tmp_path, seed):
+    """Sparse, unsorted, partly negative external ids with comments and
+    blank lines scattered through both files."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    ext = rng.choice(np.arange(-10**12, 10**12, 7919), size=n, replace=False)
+    names = [f"cat {c}" for c in rng.integers(0, 6, size=n)]
+    iu, iv = np.triu_indices(n, k=1)
+    keep = rng.random(len(iu)) < 0.03
+    pairs = np.column_stack([iu[keep], iv[keep]])
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip][:, ::-1]
+    pairs = pairs[rng.permutation(len(pairs))]
+
+    def text(lines):
+        out = []
+        for line in lines:
+            if rng.random() < 0.05:
+                out.append("" if rng.random() < 0.5 else "# skip\tme")
+            out.append(line)
+        return "\n".join(out) + "\n"
+
+    edges = write(tmp_path / "e.tsv", text(
+        f"{ext[u]}\t{ext[v]}" for u, v in pairs.tolist()))
+    cats = write(tmp_path / "c.tsv", text(
+        f"{ext[i]}\t{names[i]}" for i in rng.permutation(n).tolist()))
+    g, part = load_graph(edges, cats)
+    want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+    assert g.node_count == n
+    assert g.edge_array.tolist() == [list(e) for e in want_edges]
+    assert part.labels.tolist() == want_labels
+    assert part.names == want_names
+    g.validate()
 
 
 def test_graph_roundtrip(tmp_path, three_color_graph):

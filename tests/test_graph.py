@@ -17,7 +17,12 @@ from categraph import (
     volume,
 )
 
-from _reference import brute_force_category_graph, random_graph, random_partition
+from _reference import (
+    brute_force_category_graph,
+    naive_is_connected,
+    random_graph,
+    random_partition,
+)
 
 
 def test_from_edges_rejects_self_loop():
@@ -41,6 +46,31 @@ def test_structural_invariants_random_graphs():
         g = random_graph(30, 0.15, rng)
         g.validate()
         assert int(g.degrees.sum()) == 2 * g.edge_count
+
+
+@pytest.mark.parametrize("indptr, indices, message", [
+    ([0, 1, 2, 4], [1, 0, 2, 2], "self-loop at node 2"),
+    ([0, 2, 3, 4], [2, 1, 0, 0], "neighbor row of 0 not sorted/unique"),
+    ([0, 1, 3, 4], [1, 0, 0, 1], "neighbor row of 1 not sorted/unique"),
+    ([0, 2, 3, 4], [1, 2, 0, 1], r"missing reverse adjacency for \(0, 2\)"),
+    ([0, 2, 1, 4], [1, 2, 0, 1], "malformed indptr"),
+])
+def test_validate_names_each_violation(indptr, indices, message):
+    g = Graph(indptr=np.array(indptr), indices=np.array(indices))
+    with pytest.raises(ValueError, match=message):
+        g.validate()
+
+
+def test_is_connected_matches_search_over_edge_queries():
+    rng = np.random.default_rng(4)
+    seen = set()
+    for n in (1, 2, 5, 12, 30, 60):
+        for p in (0.0, 0.03, 0.08, 0.3):
+            g = random_graph(n, p, rng)
+            assert g.is_connected == naive_is_connected(g)
+            seen.add(g.is_connected)
+    assert seen == {True, False}
+    assert Graph.from_edges(0, []).is_connected
 
 
 def test_neighbor_rows_sorted_and_has_edge():

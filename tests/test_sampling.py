@@ -15,6 +15,8 @@ from categraph import (
     thin,
 )
 
+from _reference import naive_wrw
+
 LONG_RUN = 1_000_000
 
 
@@ -171,6 +173,37 @@ def test_wrw_rejects_bad_category_weights():
         sample_wrw(g, part, {0: 1.0, 1: 0.0}, 5, seed=0)
     with pytest.raises(InvalidWeight):
         sample_wrw(g, part, {0: 1.0}, 5, seed=0)
+
+
+def _hub_graph():
+    """Node 0 joined to 2,400 of 2,600 nodes, a path through the rest,
+    and sparse random edges, in three categories."""
+    rng = np.random.default_rng(5)
+    n = 2600
+    edges = {(0, v) for v in range(1, 2401)}
+    edges |= {(v, v + 1) for v in range(2400, n - 1)}
+    for u, v in rng.integers(1, n, size=(4000, 2)).tolist():
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    g = Graph.from_edges(n, sorted(edges))
+    part = CategoryPartition(labels=rng.integers(0, 3, size=n),
+                             names=("a", "b", "c"))
+    return g, part
+
+
+def test_wrw_matches_per_row_cumsum_reference(three_color_graph):
+    hub, hub_part = _hub_graph()
+    assert hub.degree(0) >= 2000
+    cw = [1.0, 3.7, 0.29]
+    for g, part in ((hub, hub_part), three_color_graph):
+        for seed, start, burn_in in ((0, None, 0), (1, None, 7), (2, 1, 3)):
+            t = sample_wrw(g, part, cw, 3000, start=start, burn_in=burn_in,
+                           seed=seed)
+            nodes, weights, first = naive_wrw(g, part.labels.tolist(), cw,
+                                              3000, start, burn_in, seed)
+            assert t.nodes.tolist() == nodes
+            assert t.weights.tolist() == weights
+            assert t.start == first
 
 
 def test_stationary_laws_all_samplers(eight_node_graph):
