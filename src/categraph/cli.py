@@ -145,47 +145,74 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
+# the JSON type of each key the experiment config takes, per object
+_CONFIG_KEYS = {
+    "": {"graph": "object", "seed": "integer", "replicates": "integer",
+         "sample_sizes": "list of integers", "samplers": "list of strings",
+         "modes": "list of strings", "size_estimators": "list of strings",
+         "weight_estimators": "list of strings", "burn_in": "integer",
+         "thin": "integer", "probe_percentiles": "list of numbers",
+         "wrw_category_weights": '"equal" or list of numbers'},
+    "graph.": {"synthetic": "object", "edge_file": "string",
+               "category_file": "string"},
+    "graph.synthetic.": {"category_sizes": "list of integers", "k": "integer",
+                         "inter_edge_count": "integer or null",
+                         "alpha": "number", "seed": "integer or null"},
+}
+_JSON_TYPES = {"object": (dict,), "string": (str,), "integer": (int,),
+               "number": (int, float), "null": (type(None),)}
+
+
+def _has_type(value, kind: str) -> bool:
+    """Whether a JSON value is of a kind in _CONFIG_KEYS (no booleans)."""
+    if " or " in kind:
+        return any(_has_type(value, k) for k in kind.split(" or "))
+    if kind.startswith("list of "):
+        return (type(value) is list
+                and all(_has_type(v, kind[8:-1]) for v in value))
+    if kind.startswith('"'):
+        return value == kind[1:-1]
+    return type(value) in _JSON_TYPES[kind]
+
+
 def _config_from_file(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
     if type(raw) is not dict:
         raise CategraphError(f"{path}: the config must be a JSON object")
 
-    def required(parent, key: str, where: str):
-        if key not in parent:
-            raise CategraphError(f"{path}: {where} needs {key!r}")
-        return parent[key]
+    def checked(obj: dict, where: str, needs=()) -> dict:
+        for key in needs:
+            if key not in obj:
+                raise CategraphError(f"{path}: {where[:-1]} needs {key!r}")
+        for key, value in obj.items():
+            kind = _CONFIG_KEYS[where].get(key)
+            if kind is None:
+                raise CategraphError(f"{path}: unknown key '{where}{key}'")
+            if not _has_type(value, kind):
+                raise CategraphError(f"{path}: {where}{key}: expected {kind}")
+        return obj
 
-    source = raw.get("graph", {})
+    source = checked(checked(raw, "").get("graph", {}), "graph.")
     if "synthetic" in source:
-        model = source["synthetic"]
-        params = SyntheticParams(
-            category_sizes=tuple(required(model, "category_sizes",
-                                          "graph.synthetic")),
-            k=required(model, "k", "graph.synthetic"),
-            inter_edge_count=model.get("inter_edge_count"),
-            alpha=model.get("alpha", 0.0),
-            seed=model.get("seed"))
-        g, part = synthetic_graph(params)
+        model = checked(source["synthetic"], "graph.synthetic.",
+                        needs=("category_sizes", "k"))
+        g, part = synthetic_graph(SyntheticParams(**model))
     elif "edge_file" in source:
+        checked(source, "graph.", needs=("category_file",))
         g, part = fileio.load_graph(source["edge_file"],
-                                    required(source, "category_file",
-                                             "graph"))
+                                    source["category_file"])
     else:
         raise CategraphError(f"{path}: config needs graph.synthetic or "
                              "graph.edge_file/category_file")
-    kwargs = {}
-    for key in ("samplers", "sample_sizes", "replicates", "seed", "modes",
-                "size_estimators", "weight_estimators", "burn_in",
-                "probe_percentiles"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "thin" in raw:
-        kwargs["thin_interval"] = raw["thin"]
-    if "wrw_category_weights" in raw and raw["wrw_category_weights"] != "equal":
-        kwargs["wrw_category_weights"] = np.asarray(
-            raw["wrw_category_weights"], dtype=float)
-    return ExperimentConfig(graph=g, partition=part, **kwargs)
+    # only wrw_category_weights may be "equal", its default
+    kwargs = {("thin_interval" if key == "thin" else key): value
+              for key, value in raw.items()
+              if key != "graph" and value != "equal"}
+    try:
+        return ExperimentConfig(graph=g, partition=part, **kwargs)
+    except ValueError as exc:
+        raise CategraphError(f"{path}: {exc}") from None
 
 
 def _cmd_evaluate(args) -> int:

@@ -18,6 +18,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +66,7 @@ class ExperimentConfig:
     burn_in: int = 0
     thin_interval: int = 1
     probe_percentiles: tuple[float, ...] = (25.0, 75.0)
-    wis_node_weights: np.ndarray | None = None       # default: degrees
-    wrw_category_weights: np.ndarray | None = None   # default: all equal
+    wrw_category_weights: Sequence[float] | None = None  # default: all equal
 
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
@@ -127,15 +127,16 @@ class CellResult:
 
     @property
     def p25(self) -> float:
-        if not self.nrmse_by_quantity:
-            return float("nan")
-        return float(np.percentile(list(self.nrmse_by_quantity.values()), 25))
+        return self._percentile(25)
 
     @property
     def p75(self) -> float:
+        return self._percentile(75)
+
+    def _percentile(self, q: float) -> float:
         if not self.nrmse_by_quantity:
             return float("nan")
-        return float(np.percentile(list(self.nrmse_by_quantity.values()), 75))
+        return float(np.percentile(list(self.nrmse_by_quantity.values()), q))
 
     def nrmse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted NRMSE values and their cumulative fractions."""
@@ -226,9 +227,7 @@ def _make_trace(cfg: ExperimentConfig, sampler: str, n: int, seed):
     if sampler == "uis":
         trace = sample_uis(g, raw_n, seed=seed)
     elif sampler == "wis":
-        weights = (cfg.wis_node_weights if cfg.wis_node_weights is not None
-                   else g.degrees.astype(float))
-        trace = sample_wis(g, weights, raw_n, seed=seed)
+        trace = sample_wis(g, g.degrees.astype(float), raw_n, seed=seed)
     elif sampler == "rw":
         trace = sample_rw(g, raw_n, burn_in=cfg.burn_in, seed=seed)
     elif sampler == "mhrw":
@@ -267,76 +266,52 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     g, part = cfg.graph, cfg.partition
     truth = exact_category_graph(g, part)
     names = part.names
-    true_sizes = {c: float(truth.sizes[c]) for c in truth.sizes}
-    true_weights = dict(truth.weights)
     probes = _probe_pairs(truth, cfg.probe_percentiles)
-
     combos = {mode: _combos_for_mode(cfg, mode) for mode in cfg.modes}
-
-    # estimates[key][quantity] -> one entry per replicate (None = missing)
-    size_est: dict[tuple, dict[int, list]] = {}
-    weight_est: dict[tuple, dict[tuple[int, int], list]] = {}
-
-    for si, sampler in enumerate(cfg.samplers):
-        for ni, n in enumerate(cfg.sample_sizes):
-            for rep in range(cfg.replicates):
-                trace = _make_trace(cfg, sampler, n,
-                                    seed=[cfg.seed, si, ni, rep])
-                seen_size_cells = set()
-                for mode in cfg.modes:
-                    if not combos[mode]:
-                        continue
-                    log = (observe_induced(g, part, trace) if mode == INDUCED
-                           else observe_star(g, part, trace))
-                    for se, we in combos[mode]:
-                        est = estimate_category_graph(
-                            log, population=g.node_count,
-                            size_estimator=se, weight_estimator=we)
-                        skey = (sampler, mode, se, n)
-                        if skey not in seen_size_cells:
-                            seen_size_cells.add(skey)
-                            store = size_est.setdefault(skey, {})
-                            for c in true_sizes:
-                                store.setdefault(c, []).append(
-                                    est.sizes.get(c))
-                        wkey = (sampler, mode, se, we, n)
-                        store = weight_est.setdefault(wkey, {})
-                        for pair in true_weights:
-                            store.setdefault(pair, []).append(
-                                est.weights.get(pair))
+    # per kind: the true values and the name of each quantity
+    quantities = {
+        "size": (truth.sizes, lambda c: names[c]),
+        "weight": (truth.weights, lambda p: f"{names[p[0]]}|{names[p[1]]}"),
+    }
 
     cells: list[CellResult] = []
-    for (sampler, mode, se, n), store in sorted(size_est.items()):
-        scores: dict[str, float] = {}
-        excluded = 0
-        for c, vals in sorted(store.items()):
-            if any(v is None for v in vals):
-                excluded += 1
-                continue
-            scores[names[c]] = nrmse(vals, true_sizes[c])
-        cells.append(CellResult(quantity_kind="size", sampler=sampler,
-                                mode=mode, size_estimator=se,
-                                weight_estimator=None, n=n,
-                                nrmse_by_quantity=scores, excluded=excluded))
-    for (sampler, mode, se, we, n), store in sorted(weight_est.items()):
-        scores = {}
-        excluded = 0
-        probe_scores: dict[str, float] = {}
-        for pair, vals in sorted(store.items()):
-            if any(v is None for v in vals):
-                excluded += 1
-                continue
-            scores[f"{names[pair[0]]}|{names[pair[1]]}"] = nrmse(
-                vals, true_weights[pair])
-        for label, pair in probes.items():
-            vals = store.get(pair, [])
-            if vals and not any(v is None for v in vals):
-                probe_scores[label] = nrmse(vals, true_weights[pair])
-        cells.append(CellResult(quantity_kind="weight", sampler=sampler,
-                                mode=mode, size_estimator=se,
-                                weight_estimator=we, n=n,
-                                nrmse_by_quantity=scores, excluded=excluded,
-                                probe_nrmse=probe_scores))
+    for (si, sampler), (ni, n) in product(enumerate(cfg.samplers),
+                                          enumerate(cfg.sample_sizes)):
+        # tables[cell key][replicate] -> {quantity: estimate}; a size cell
+        # keeps the first of its mode's pairs with that size estimator
+        tables: dict[tuple, dict[int, dict]] = {}
+        for rep in range(cfg.replicates):
+            trace = _make_trace(cfg, sampler, n, seed=[cfg.seed, si, ni, rep])
+            for mode in cfg.modes:
+                if not combos[mode]:
+                    continue
+                log = (observe_induced(g, part, trace) if mode == INDUCED
+                       else observe_star(g, part, trace))
+                for se, we in combos[mode]:
+                    est = estimate_category_graph(
+                        log, population=g.node_count,
+                        size_estimator=se, weight_estimator=we)
+                    for kind, cell_we, values in (
+                            ("size", None, est.sizes),
+                            ("weight", we, est.weights)):
+                        key = (kind, mode, se, cell_we)
+                        tables.setdefault(key, {}).setdefault(rep, values)
+        for (kind, mode, se, we), table in tables.items():
+            true_values, name_of = quantities[kind]
+            # a quantity missing from any replicate is excluded
+            scores = {}
+            for q, true_value in sorted(true_values.items()):
+                vals = [row.get(q) for row in table.values()]
+                if all(v is not None for v in vals):
+                    scores[q] = nrmse(vals, true_value)
+            cells.append(CellResult(
+                quantity_kind=kind, sampler=sampler, mode=mode,
+                size_estimator=se, weight_estimator=we, n=n,
+                nrmse_by_quantity={name_of(q): s for q, s in scores.items()},
+                excluded=len(true_values) - len(scores),
+                probe_nrmse={label: scores[pair]
+                             for label, pair in probes.items()
+                             if kind == "weight" and pair in scores}))
     cells.sort(key=lambda c: (c.quantity_kind, c.sampler, c.mode,
                               c.size_estimator, c.weight_estimator or "",
                               c.n))

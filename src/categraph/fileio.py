@@ -15,6 +15,7 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain, islice
 
 import numpy as np
@@ -26,6 +27,8 @@ from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+# a node id, as loadtxt reads the edge file: ASCII digits, optional sign
+_NODE_ID = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +100,11 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
             if len(parts) != 2:
                 raise FileFormatError(
                     f"{path}:{lineno}: expected 'node<TAB>category'")
-            try:
-                ext = int(parts[0])
-            except ValueError:
+            if not _NODE_ID.fullmatch(parts[0].strip()):
                 raise FileFormatError(
                     f"{path}:{lineno}: node id {parts[0]!r} "
-                    "is not an integer") from None
+                    "is not an integer")
+            ext = int(parts[0])
             if not _INT64_MIN <= ext <= _INT64_MAX:
                 raise FileFormatError(
                     f"{path}:{lineno}: node id {parts[0]!r} "

@@ -111,23 +111,23 @@ class Graph:
 
     @cached_property
     def is_connected(self) -> bool:
-        """Breadth-first search from node 0, one frontier at a time."""
-        if self.node_count == 0:
-            return True
-        seen = np.zeros(self.node_count, dtype=bool)
-        seen[0] = True
-        frontier = np.zeros(1, dtype=np.int64)
-        while frontier.size:
-            starts = self.indptr[frontier]
-            lengths = self.indptr[frontier + 1] - starts
-            ends = np.cumsum(lengths)
-            # the positions in ``indices`` of the frontier rows' entries
-            at = np.arange(ends[-1]) + np.repeat(starts - ends + lengths,
-                                                 lengths)
-            nbrs = self.indices[at]
-            frontier = np.unique(nbrs[~seen[nbrs]])
-            seen[frontier] = True
-        return bool(seen.all())
+        """Hook-and-shortcut over the u < v edges: each root takes the
+        smallest root across its edges, then pointers jump to roots."""
+        u, v = self.edge_array.T
+        parent = np.arange(self.node_count, dtype=np.int64)
+        while u.size:
+            pu, pv = parent[u], parent[v]
+            # an edge inside one tree stays inside it
+            cross = pu != pv
+            u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
+            np.minimum.at(parent, pu, pv)
+            np.minimum.at(parent, pv, pu)
+            while True:
+                grand = parent[parent]
+                if np.array_equal(grand, parent):
+                    break
+                parent = grand
+        return bool(np.all(parent == 0))
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""

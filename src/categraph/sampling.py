@@ -71,12 +71,34 @@ def _as_rng(seed) -> tuple[np.random.Generator, int | list[int] | None]:
     return np.random.default_rng(seed), recorded
 
 
-def sample_uis(g: Graph, n: int, seed=None) -> SampleTrace:
-    """n i.i.d. uniform draws with replacement; all weights are 1."""
+def _check_request(g: Graph, n: int, verb: str) -> None:
     if g.node_count == 0:
-        raise EmptyGraph("cannot sample from an empty graph")
+        raise EmptyGraph(f"cannot {verb} an empty graph")
     if n < 1:
         raise ValueError("need at least one draw")
+
+
+def _weight_vector(weights, count: int, item: str) -> np.ndarray:
+    """One positive finite weight per id 0..count-1, from a mapping or
+    an array of length count."""
+    if isinstance(weights, Mapping):
+        arr = np.empty(count)
+        for i in range(count):
+            if i not in weights:
+                raise InvalidWeight(f"no weight for {item} {i}")
+            arr[i] = weights[i]
+    else:
+        arr = np.asarray(weights, dtype=float)
+        if arr.shape != (count,):
+            raise InvalidWeight(f"need one weight per {item}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise InvalidWeight(f"{item} weights must be positive and finite")
+    return arr
+
+
+def sample_uis(g: Graph, n: int, seed=None) -> SampleTrace:
+    """n i.i.d. uniform draws with replacement; all weights are 1."""
+    _check_request(g, n, "sample from")
     rng, recorded = _as_rng(seed)
     nodes = rng.integers(0, g.node_count, size=n)
     return SampleTrace(nodes=nodes.astype(np.int64),
@@ -93,22 +115,8 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
     node or an array of length N. All weights must be positive and
     finite.
     """
-    if g.node_count == 0:
-        raise EmptyGraph("cannot sample from an empty graph")
-    if n < 1:
-        raise ValueError("need at least one draw")
-    if isinstance(weights, Mapping):
-        arr = np.empty(g.node_count)
-        for v in range(g.node_count):
-            if v not in weights:
-                raise InvalidWeight(f"no weight for node {v}")
-            arr[v] = weights[v]
-    else:
-        arr = np.asarray(weights, dtype=float)
-        if arr.shape != (g.node_count,):
-            raise InvalidWeight("weight array must have one entry per node")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise InvalidWeight("weights must be positive and finite")
+    _check_request(g, n, "sample from")
+    arr = _weight_vector(weights, g.node_count, "node")
     rng, recorded = _as_rng(seed)
     nodes = rng.choice(g.node_count, size=n, p=arr / arr.sum())
     return SampleTrace(nodes=nodes.astype(np.int64),
@@ -118,10 +126,7 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
 
 
 def _prepare_walk(g: Graph, n: int, start, burn_in: int, seed, kind: str):
-    if g.node_count == 0:
-        raise EmptyGraph("cannot walk on an empty graph")
-    if n < 1:
-        raise ValueError("need at least one draw")
+    _check_request(g, n, "walk on")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rng, recorded = _as_rng(seed)
@@ -212,19 +217,7 @@ def sample_wrw(g: Graph, part: CategoryPartition,
     """
     if part.node_count != g.node_count:
         raise ValueError("partition and graph disagree on node count")
-    if isinstance(category_weights, Mapping):
-        cw = np.empty(part.num_categories)
-        for c in range(part.num_categories):
-            if c not in category_weights:
-                raise InvalidWeight(f"no weight for category {c}")
-            cw[c] = category_weights[c]
-    else:
-        cw = np.asarray(category_weights, dtype=float)
-        if cw.shape != (part.num_categories,):
-            raise InvalidWeight("need one weight per category")
-    if not np.all(np.isfinite(cw)) or np.any(cw <= 0):
-        raise InvalidWeight("category weights must be positive and finite")
-
+    cw = _weight_vector(category_weights, part.num_categories, "category")
     rng, recorded, start = _prepare_walk(g, n, start, burn_in, seed, "wrw")
     node_cw = cw[part.labels]
     deg = g.degrees

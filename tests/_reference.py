@@ -360,3 +360,28 @@ def naive_is_connected(g):
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n or n == 0
+
+
+# ---------------------------------------------------------------------------
+# the evaluation harness's scoring, literal per-quantity form
+
+
+def naive_score_cell(replicate_estimates, truth, probes):
+    """Score one grid cell from its replicates' {quantity: estimate}
+    maps: for every true quantity, sqrt(mean squared error) / truth,
+    or an exclusion if any replicate lacks an estimate of it.
+
+    Returns (scores by quantity, excluded count, scores by probe label).
+    """
+    scores, excluded = {}, 0
+    for q, true_value in truth.items():
+        if any(q not in est for est in replicate_estimates):
+            excluded += 1
+            continue
+        squared = 0.0
+        for est in replicate_estimates:
+            squared += (est[q] - true_value) ** 2
+        scores[q] = (squared / len(replicate_estimates)) ** 0.5 / true_value
+    probe_scores = {label: scores[q] for label, q in probes.items()
+                    if q in scores}
+    return scores, excluded, probe_scores

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from categraph.cli import main
 
 
@@ -187,3 +189,71 @@ def test_thin_keeps_n_draws(tmp_path):
         meta, *rows = [json.loads(ln) for ln in out.read_text().splitlines()]
         assert meta["thin"] == 4
         assert [r["i"] for r in rows] == list(range(0, 120, 4))
+
+
+def _every_key_config():
+    """An experiment config that sets every key the reader takes."""
+    return {
+        "seed": 3, "replicates": 2, "sample_sizes": [20, 40],
+        "samplers": ["uis", "wis", "rw", "mhrw", "wrw"],
+        "modes": ["induced", "star"],
+        "size_estimators": ["induced", "star"],
+        "weight_estimators": ["induced", "star"],
+        "burn_in": 3, "thin": 2, "probe_percentiles": [25, 75.5],
+        "wrw_category_weights": [1, 2.5],
+        "graph": {"synthetic": {"category_sizes": [10, 12], "k": 3,
+                                "inter_edge_count": None, "alpha": 0.5,
+                                "seed": 1}},
+    }
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def change(cfg):
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    return change
+
+
+BAD_CONFIGS = {
+    "unknown top-level key": (_set("replicate", 2), "unknown key 'replicate'"),
+    "unknown graph key": (_set("graph", "edges", "e.tsv"),
+                          "unknown key 'graph.edges'"),
+    "unknown synthetic key": (_set("graph", "synthetic", "sizes", [10]),
+                              "unknown key 'graph.synthetic.sizes'"),
+    "replicates as a string": (_set("replicates", "3"),
+                               "replicates: expected integer"),
+    "replicates as a boolean": (_set("replicates", True),
+                                "replicates: expected integer"),
+    "fractional seed": (_set("seed", 1.5), "seed: expected integer"),
+    "k as a string": (_set("graph", "synthetic", "k", "4"),
+                      "graph.synthetic.k: expected integer"),
+    "samplers as a string": (_set("samplers", "uis"),
+                             "samplers: expected list of strings"),
+    "percentile as a string": (_set("probe_percentiles", [25, "75"]),
+                               "probe_percentiles: expected list of numbers"),
+    "wrw weights as a word": (_set("wrw_category_weights", "heavy"),
+                              "wrw_category_weights: expected"),
+    "graph as a list": (_set("graph", []), "graph: expected object"),
+    "unknown sampler": (_set("samplers", ["uis", "bogus"]),
+                        "unknown sampler 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_config_is_checked_key_by_key(tmp_path, capsys, case):
+    change, message = BAD_CONFIGS[case]
+    cfg = _every_key_config()
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["evaluate", "--config", cfg_path,
+                "--csv", tmp_path / "report.csv"]) == 0
+    change(cfg)
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg_path]) == 1
+    line = _one_error_line(capsys, "CategraphError")
+    assert f"{cfg_path}: " in line and message in line

@@ -15,6 +15,9 @@ from categraph import (
     synthetic_graph,
 )
 from categraph.estimate import ESTIMATOR_PAIRS
+from categraph.sampling import sample_rw, sample_uis
+
+from _reference import naive_score_cell
 
 
 def test_nrmse_exact_estimates():
@@ -197,3 +200,55 @@ def test_report_files_roundtrip_bytes(tmp_path, small_graph):
     header = csv1.read_text().splitlines()[0]
     assert header == ("quantity_kind,sampler,mode,estimator,n,"
                       "median_nrmse,p25,p75,excluded_count")
+
+
+def test_cells_match_literal_scoring_with_missed_categories():
+    # a 6-node category that short walks often miss, so some cells
+    # exclude quantities and some probe edges go unscored
+    g, part = synthetic_graph(SyntheticParams(
+        category_sizes=(6, 30, 40, 24), k=3, alpha=0.3, seed=5))
+    cfg = _small_config(g, part, sample_sizes=(12, 80), replicates=4, seed=2)
+    report = run_experiment(cfg)
+    truth = exact_category_graph(g, part)
+    names = part.names
+    pairs = {"induced": [("induced", "induced")],
+             "star": [("induced", "star"), ("star", "star")]}
+    draw = {"uis": lambda n, seed: sample_uis(g, n, seed=seed),
+            "rw": lambda n, seed: sample_rw(g, n, seed=seed)}
+    checked = excluded = probed = 0
+    for si, sampler in enumerate(cfg.samplers):
+        for ni, n in enumerate(cfg.sample_sizes):
+            estimates = {}   # (mode, size est, weight est) -> replicates
+            for rep in range(cfg.replicates):
+                trace = draw[sampler](n, [cfg.seed, si, ni, rep])
+                for mode, observer in (("induced", observe_induced),
+                                       ("star", observe_star)):
+                    log = observer(g, part, trace)
+                    for se, we in pairs[mode]:
+                        estimates.setdefault((mode, se, we), []).append(
+                            estimate_category_graph(
+                                log, population=g.node_count,
+                                size_estimator=se, weight_estimator=we))
+            for (mode, se, we), ests in estimates.items():
+                for kind, cell_we, truth_map, probes in (
+                        ("size", None, truth.sizes, {}),
+                        ("weight", we, truth.weights, report.probe_pairs)):
+                    scores, n_excluded, probe_scores = naive_score_cell(
+                        [e.sizes if kind == "size" else e.weights
+                         for e in ests], truth_map, probes)
+                    cell = report.find(kind, sampler, mode, n,
+                                       size_estimator=se,
+                                       weight_estimator=cell_we)
+                    named = {(names[q] if kind == "size"
+                              else f"{names[q[0]]}|{names[q[1]]}"): v
+                             for q, v in scores.items()}
+                    assert cell.nrmse_by_quantity == pytest.approx(
+                        named, rel=1e-12)
+                    assert cell.excluded == n_excluded
+                    assert cell.probe_nrmse == pytest.approx(
+                        probe_scores, rel=1e-12)
+                    checked += 1
+                    excluded += n_excluded > 0
+                    probed += len(probe_scores)
+    assert checked == len(report.cells)
+    assert excluded and probed

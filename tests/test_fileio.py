@@ -123,6 +123,12 @@ MALFORMED_GRAPHS = {
         "0\t1\n1\t2\t3\n0\t9\n", CATS, "e.tsv:2: expected"),
     "category id not an integer": ("", "0\ta\nx\tb\n",
                                    "c.tsv:2: node id 'x' is not an integer"),
+    "digit separator in category id": ("", "0\ta\n1_0\tb\n",
+                                       "c.tsv:2: node id '1_0' is not an "
+                                       "integer"),
+    "non-ASCII digits in category id": ("", "\u0661\u0660\ta\n",
+                                        "c.tsv:1: node id '\u0661\u0660' is "
+                                        "not an integer"),
     "category id beyond 64 bits": ("", "99999999999999999999\ta\n",
                                    "c.tsv:1: node id '99999999999999999999' "
                                    "does not fit 64 bits"),

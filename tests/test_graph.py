@@ -73,6 +73,29 @@ def test_is_connected_matches_search_over_edge_queries():
     assert Graph.from_edges(0, []).is_connected
 
 
+@pytest.mark.parametrize("n, edges", [
+    (6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),      # path
+    (6, [(5, 3), (3, 1), (1, 4), (4, 0), (0, 2)]),      # relabeled path
+    (5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]),      # cycle
+    (6, [(0, 2), (2, 4), (1, 3), (3, 5)]),              # two components
+    (4, [(1, 2), (2, 3)]),                              # node 0 isolated
+    (4, [(0, 1), (1, 2)]),                              # node 3 isolated
+    (1, []),
+    (3, []),
+])
+def test_is_connected_on_small_shapes(n, edges):
+    g = Graph.from_edges(n, edges)
+    assert g.is_connected == naive_is_connected(g)
+
+
+def test_is_connected_on_a_long_path():
+    n = 50_000
+    path = np.column_stack([np.arange(n - 1), np.arange(1, n)])
+    assert Graph.from_edges(n, path).is_connected
+    cut = np.delete(path, n // 2, axis=0)
+    assert not Graph.from_edges(n, cut).is_connected
+
+
 def test_neighbor_rows_sorted_and_has_edge():
     g = Graph.from_edges(5, [(3, 1), (0, 3), (2, 3), (4, 0)])
     assert g.neighbors(3).tolist() == [0, 1, 2]

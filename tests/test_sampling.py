@@ -3,6 +3,7 @@ import pytest
 
 from categraph import (
     CategoryPartition,
+    EmptyGraph,
     Graph,
     InvalidThinning,
     InvalidWeight,
@@ -173,6 +174,44 @@ def test_wrw_rejects_bad_category_weights():
         sample_wrw(g, part, {0: 1.0, 1: 0.0}, 5, seed=0)
     with pytest.raises(InvalidWeight):
         sample_wrw(g, part, {0: 1.0}, 5, seed=0)
+
+
+EMPTY = Graph.from_edges(0, [])
+PATH, PARTITION = _two_cat_path()
+BAD_REQUESTS = {
+    "uis on an empty graph": (lambda: sample_uis(EMPTY, 5), EmptyGraph,
+                              "cannot sample from an empty graph"),
+    "wis on an empty graph": (lambda: sample_wis(EMPTY, [], 5), EmptyGraph,
+                              "cannot sample from an empty graph"),
+    "rw on an empty graph": (lambda: sample_rw(EMPTY, 5), EmptyGraph,
+                             "cannot walk on an empty graph"),
+    "uis with no draws": (lambda: sample_uis(PATH, 0), ValueError,
+                          "at least one draw"),
+    "wis with no draws": (lambda: sample_wis(PATH, [1, 1, 1], 0), ValueError,
+                          "at least one draw"),
+    "mhrw with no draws": (lambda: sample_mhrw(PATH, 0), ValueError,
+                           "at least one draw"),
+    "wis weight missing": (lambda: sample_wis(PATH, {0: 1.0, 2: 1.0}, 5),
+                           InvalidWeight, "no weight for node 1"),
+    "wis weights too short": (lambda: sample_wis(PATH, [1.0, 1.0], 5),
+                              InvalidWeight, "one weight per node"),
+    "wis weight not finite": (lambda: sample_wis(PATH, [1, np.nan, 1], 5),
+                              InvalidWeight, "node weights must be positive"),
+    "wrw weight missing": (lambda: sample_wrw(PATH, PARTITION, {0: 1.0}, 5),
+                           InvalidWeight, "no weight for category 1"),
+    "wrw weights too long": (lambda: sample_wrw(PATH, PARTITION, [1, 1, 1], 5),
+                             InvalidWeight, "one weight per category"),
+    "wrw weight negative": (lambda: sample_wrw(PATH, PARTITION, [1, -1], 5),
+                            InvalidWeight,
+                            "category weights must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_REQUESTS))
+def test_bad_requests_name_what_is_wrong(case):
+    draw, error, message = BAD_REQUESTS[case]
+    with pytest.raises(error, match=message):
+        draw()
 
 
 def _hub_graph():
