@@ -20,13 +20,14 @@ from .estimate import PROPORTIONAL, bootstrap_variance, estimate_category_graph
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
 from .observe import INDUCED, STAR, observe_induced, observe_star
-from .sampling import (
+from .sampling import SAMPLERS, draw_traces
+# bench/spans.py wraps the samplers under these names
+from .sampling import (  # noqa: F401
     sample_mhrw,
     sample_rw,
     sample_uis,
     sample_wis,
     sample_wrw,
-    thin,
 )
 
 
@@ -70,34 +71,19 @@ def _parse_category_weights(text: str, part):
 def _cmd_sample(args) -> int:
     if args.thin < 1:
         raise InvalidThinning("thinning interval must be an integer >= 1")
+    if args.walks < 1:
+        raise CategraphError(f"--walks must be at least 1; got {args.walks}")
     g, part = fileio.load_graph(args.edges, args.categories)
-    base_seed = args.seed
-    # draw n*T steps so that thinning keeps n
-    raw_n = args.n * args.thin
-
-    def one_trace(walk_index: int):
-        seed = base_seed if args.walks == 1 else [base_seed, walk_index]
-        if args.sampler == "uis":
-            trace = sample_uis(g, raw_n, seed=seed)
-        elif args.sampler == "wis":
-            trace = sample_wis(g, g.degrees.astype(float), raw_n, seed=seed)
-        elif args.sampler == "rw":
-            trace = sample_rw(g, raw_n, start=args.start,
-                              burn_in=args.burn_in, seed=seed)
-        elif args.sampler == "mhrw":
-            trace = sample_mhrw(g, raw_n, start=args.start,
-                                burn_in=args.burn_in, seed=seed)
-        else:
-            cw = _parse_category_weights(args.wrw_weights, part)
-            trace = sample_wrw(g, part, cw, raw_n, start=args.start,
-                               burn_in=args.burn_in, seed=seed)
-        return thin(trace, args.thin)
-
-    if args.walks == 1:
-        fileio.save_trace(one_trace(0), args.out)
-    else:
-        for i in range(args.walks):
-            fileio.save_trace(one_trace(i), f"{args.out}.{i}")
+    cw = (_parse_category_weights(args.wrw_weights, part)
+          if args.sampler == "wrw" else None)
+    one = args.walks == 1
+    seeds = [args.seed if one else [args.seed, i] for i in range(args.walks)]
+    paths = [args.out if one else f"{args.out}.{i}" for i in range(args.walks)]
+    traces = draw_traces(args.sampler, g, args.n, seeds,
+                         thin_interval=args.thin, start=args.start,
+                         burn_in=args.burn_in, part=part, category_weights=cw)
+    for trace, path in zip(traces, paths):
+        fileio.save_trace(trace, path)
     return 0
 
 
@@ -194,6 +180,9 @@ def _config_from_file(path) -> ExperimentConfig:
         return obj
 
     source = checked(checked(raw, "").get("graph", {}), "graph.")
+    if "synthetic" in source and len(source) > 1:
+        raise CategraphError(f"{path}: graph takes graph.synthetic or "
+                             "graph.edge_file/category_file, not both")
     if "synthetic" in source:
         model = checked(source["synthetic"], "graph.synthetic.",
                         needs=("category_sizes", "k"))
@@ -211,7 +200,7 @@ def _config_from_file(path) -> ExperimentConfig:
               if key != "graph" and value != "equal"}
     try:
         return ExperimentConfig(graph=g, partition=part, **kwargs)
-    except ValueError as exc:
+    except (ValueError, CategraphError) as exc:
         raise CategraphError(f"{path}: {exc}") from None
 
 
@@ -261,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw a sample trace")
     p.add_argument("--edges", required=True)
     p.add_argument("--categories", required=True)
-    p.add_argument("--sampler", choices=("uis", "wis", "rw", "mhrw", "wrw"),
-                   required=True)
+    p.add_argument("--sampler", choices=tuple(SAMPLERS), required=True)
     p.add_argument("--n", type=int, required=True,
                    help="retained draws per trace")
     p.add_argument("--walks", type=int, default=1,
-                   help="number of independent traces (derived seeds)")
+                   help="number of independent traces (derived seeds), "
+                        "drawn together")
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--thin", type=int, default=1)
     p.add_argument("--start", type=int, default=None,

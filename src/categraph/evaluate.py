@@ -27,16 +27,15 @@ from .errors import UndefinedNRMSE
 from .estimate import ESTIMATOR_PAIRS, estimate_category_graph
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
 from .observe import INDUCED, STAR, observe_induced, observe_star
-from .sampling import (
+from .sampling import SAMPLERS, _weight_vector, draw_traces
+# bench/spans.py wraps the samplers under these names
+from .sampling import (  # noqa: F401
     sample_mhrw,
     sample_rw,
     sample_uis,
     sample_wis,
     sample_wrw,
-    thin,
 )
-
-SAMPLERS = ("uis", "wis", "rw", "mhrw", "wrw")
 
 
 def nrmse(estimates: Sequence[float], truth: float) -> float:
@@ -88,8 +87,15 @@ class ExperimentConfig:
             raise ValueError("NRMSE needs at least two replicates")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise ValueError("sample sizes must be strictly increasing")
+        if any(n < 1 for n in self.sample_sizes):
+            raise ValueError("sample sizes must be >= 1")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.thin_interval < 1:
             raise ValueError("thin interval must be >= 1")
+        if self.wrw_category_weights is not None:
+            _weight_vector(self.wrw_category_weights,
+                           self.partition.num_categories, "category")
 
 
 @dataclass
@@ -221,27 +227,6 @@ def _combos_for_mode(cfg: ExperimentConfig, mode: str):
     return combos
 
 
-def _make_trace(cfg: ExperimentConfig, sampler: str, n: int, seed):
-    g = cfg.graph
-    raw_n = n * cfg.thin_interval
-    if sampler == "uis":
-        trace = sample_uis(g, raw_n, seed=seed)
-    elif sampler == "wis":
-        trace = sample_wis(g, g.degrees.astype(float), raw_n, seed=seed)
-    elif sampler == "rw":
-        trace = sample_rw(g, raw_n, burn_in=cfg.burn_in, seed=seed)
-    elif sampler == "mhrw":
-        trace = sample_mhrw(g, raw_n, burn_in=cfg.burn_in, seed=seed)
-    elif sampler == "wrw":
-        cw = (cfg.wrw_category_weights if cfg.wrw_category_weights is not None
-              else np.ones(cfg.partition.num_categories))
-        trace = sample_wrw(g, cfg.partition, cw, raw_n,
-                           burn_in=cfg.burn_in, seed=seed)
-    else:  # pragma: no cover - guarded by config validation
-        raise ValueError(f"unknown sampler {sampler!r}")
-    return thin(trace, cfg.thin_interval)
-
-
 def _probe_pairs(truth: CategoryGraph,
                  percentiles: Sequence[float]) -> dict[str, tuple[int, int]]:
     if not truth.weights or not percentiles:
@@ -259,9 +244,11 @@ def _probe_pairs(truth: CategoryGraph,
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the full sweep and score every grid cell.
 
-    Within one (sampler, n, replicate) triple, a single trace is drawn
-    and shared by both observation modes and all estimator choices, so
-    comparisons across modes and estimators are paired.
+    The R replicate walks of one (sampler, n) cell advance in one
+    lockstep batch. Within one (sampler, n, replicate) triple, a single
+    trace is drawn and shared by both observation modes and all
+    estimator choices, so comparisons across modes and estimators are
+    paired.
     """
     g, part = cfg.graph, cfg.partition
     truth = exact_category_graph(g, part)
@@ -280,8 +267,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         # tables[cell key][replicate] -> {quantity: estimate}; a size cell
         # keeps the first of its mode's pairs with that size estimator
         tables: dict[tuple, dict[int, dict]] = {}
-        for rep in range(cfg.replicates):
-            trace = _make_trace(cfg, sampler, n, seed=[cfg.seed, si, ni, rep])
+        traces = draw_traces(
+            sampler, g, n,
+            [[cfg.seed, si, ni, rep] for rep in range(cfg.replicates)],
+            thin_interval=cfg.thin_interval, burn_in=cfg.burn_in,
+            part=part, category_weights=cfg.wrw_category_weights)
+        for rep, trace in enumerate(traces):
             for mode in cfg.modes:
                 if not combos[mode]:
                     continue
@@ -296,6 +287,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                             ("weight", we, est.weights)):
                         key = (kind, mode, se, cell_we)
                         tables.setdefault(key, {}).setdefault(rep, values)
+                # drop this log before the next is built, as the cell's
+                # walks stay in memory until its last replicate
+                del log, est
         for (kind, mode, se, we), table in tables.items():
             true_values, name_of = quantities[kind]
             # a quantity missing from any replicate is excluded

@@ -104,7 +104,8 @@ class Graph:
 
     @cached_property
     def adjacency_lists(self) -> list[list[int]]:
-        """Plain-list adjacency, cached for tight walk loops."""
+        """Plain-list adjacency. No sampler reads it; the benchmark's
+        tracer (bench/spans.py) wraps it by name."""
         idx = self.indices.tolist()
         ptr = self.indptr.tolist()
         return [idx[ptr[v]:ptr[v + 1]] for v in range(self.node_count)]

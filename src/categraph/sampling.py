@@ -12,27 +12,25 @@ probability correction:
              {u, v} is the sum of the two endpoint category weights;
              stationary weight is the node's incident edge-weight sum
 
-Walks are sequential by nature; distinct traces may be generated
-concurrently against the shared immutable graph, each from its own seed.
+The walks are step rules of one engine, ``lockstep_walks``: a batch
+of walks, one per seed, advances together, each walker drawing exactly
+what a lone walk draws. ``SAMPLERS`` is the one table of samplers.
 Burn-in defaults to 0: the estimators are consistent regardless, so
 discarding a prefix is an experiment knob, not a correctness
 requirement.
 """
 from __future__ import annotations
 
+import copy
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import partial
+from itertools import product
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyGraph,
-    InvalidThinning,
-    InvalidWeight,
-    IsolatedStartNode,
-)
+from .errors import EmptyGraph, InvalidThinning, InvalidWeight, IsolatedStartNode
 from .graph import CategoryPartition, Graph
 
 
@@ -125,26 +123,102 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
                        sampler="wis", seed=recorded, start=None, burn_in=0)
 
 
-def _prepare_walk(g: Graph, n: int, start, burn_in: int, seed, kind: str):
+def _step_rule(rule: str, g: Graph, part, category_weights):
+    """A walk's step, mapping every walker's current node and one uniform
+    per stream to its next node (perhaps updating the current nodes in
+    place), its number of uniform streams and its per-node draw weight."""
+    indptr, indices, deg = g.indptr, g.indices, g.degrees.astype(float)
+    if rule == "rw":
+        def step(cur, r):
+            return indices[indptr[cur] + (r * deg[cur]).astype(np.int64)]
+        return step, 1, deg
+    if rule == "mhrw":
+        def step(cur, r, accept):
+            d = deg[cur]
+            v = indices[indptr[cur] + (r * d).astype(np.int64)]
+            np.copyto(cur, v, where=accept * deg[v] < d)
+            return cur
+        return step, 2, np.ones(g.node_count)
+    if part.node_count != g.node_count:
+        raise ValueError("partition and graph disagree on node count")
+    node_cw = _weight_vector(
+        np.ones(part.num_categories) if category_weights is None
+        else category_weights, part.num_categories, "category")[part.labels]
+    # wrw: per-row running sums of the edge weights, added in row order:
+    # one numpy step per degree position j, over the reaching[j] rows
+    # longer than j, whose starts lead by_degree
+    deg = g.degrees
+    cum = node_cw[indices] + np.repeat(node_cw, deg)
+    by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
+    reaching = len(deg) - np.cumsum(np.bincount(deg))
+    for j in range(1, len(reaching)):
+        at = by_degree[:reaching[j]] + j
+        cum[at] += cum[at - 1]
+    node_totals = np.zeros(g.node_count)
+    node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
+    # complex numbers order by real, then imaginary part, so one search
+    # for u + (r * total(u))j over the row + (running sum)j keys is a
+    # bisect_right inside row u; the complex products are exact
+    search = (np.repeat(np.arange(g.node_count), deg) + 1j * cum).searchsorted
+    totals_j = 1j * node_totals
+    return (lambda cur, r: indices[search(cur + r * totals_j[cur], "right")],
+            1, node_totals)
+
+
+# Uniforms held at once over all walkers and streams: 2**16 doubles, 512 KiB.
+_CHUNK_DOUBLES = 1 << 16
+
+
+def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
+                   start: int | None = None, burn_in: int = 0,
+                   part: CategoryPartition | None = None,
+                   category_weights=None) -> Iterator[SampleTrace]:
+    """One "rw", "mhrw" or "wrw" walk of burn_in + n steps per seed, all
+    advancing together; wrw reads ``part`` and ``category_weights``
+    (equal if None). Each walker draws from its seed as a lone walk
+    would: its start unless given, then one uniform per step, mhrw's
+    acceptance uniforms after all of its proposals. Visits are held in
+    the smallest unsigned dtype that fits a node id until used."""
+    step, stream_count, node_weights = _step_rule(rule, g, part,
+                                                  category_weights)
     _check_request(g, n, "walk on")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    rng, recorded = _as_rng(seed)
-    if start is None:
-        candidates = np.flatnonzero(g.degrees > 0)
-        if candidates.size == 0:
-            raise IsolatedStartNode("graph has no edges to walk on")
-        start = int(candidates[rng.integers(0, candidates.size)])
-    else:
-        start = int(start)
-        g._check_node(start)
-        if g.degree(start) == 0:
-            raise IsolatedStartNode(f"start node {start} has no neighbors")
+    rngs, recorded = zip(*map(_as_rng, seeds))
+    if start is not None and g.degree(int(start)) == 0:
+        raise IsolatedStartNode(f"start node {start} has no neighbors")
+    candidates = np.flatnonzero(g.degrees > 0)
+    if candidates.size == 0:
+        raise IsolatedStartNode("graph has no edges to walk on")
+    starts = [int(candidates[rng.integers(0, candidates.size)])
+              if start is None else int(start) for rng in rngs]
     if not g.is_connected:
-        warnings.warn(f"{kind} walk on a disconnected graph covers only "
+        warnings.warn(f"{rule} walk on a disconnected graph covers only "
                       "the start node's component", RuntimeWarning,
                       stacklevel=3)
-    return rng, recorded, start
+    total, walkers = burn_in + n, len(starts)
+    streams = [rngs]
+    if stream_count == 2:
+        # the second stream follows the first in each generator
+        streams = [[copy.deepcopy(rng) for rng in rngs], rngs]
+        for rng, left in product(rngs, range(total, 0, -_CHUNK_DOUBLES)):
+            rng.random(min(left, _CHUNK_DOUBLES))
+    visits = np.empty((total, walkers), np.min_scalar_type(g.node_count - 1))
+    chunk = max(1, _CHUNK_DOUBLES // (walkers * stream_count))
+    draws = np.empty((stream_count, chunk, walkers))
+    cur = np.asarray(starts, dtype=np.int64)
+    for lo in range(0, total, chunk):
+        size = min(chunk, total - lo)
+        for s, stream in enumerate(streams):
+            for w, rng in enumerate(stream):
+                draws[s, :size, w] = rng.random(size)
+        for i, uniforms in enumerate(zip(*draws[:, :size]), lo):
+            visits[i] = cur = step(cur, *uniforms)
+    columns = (visits[burn_in:, w].astype(np.int64) for w in range(walkers))
+    return (SampleTrace(nodes=nodes, steps=np.arange(n, dtype=np.int64),
+                        weights=node_weights[nodes], sampler=rule, seed=seed,
+                        start=first, burn_in=burn_in)
+            for nodes, seed, first in zip(columns, recorded, starts))
 
 
 def sample_rw(g: Graph, n: int, start: int | None = None,
@@ -155,21 +229,7 @@ def sample_rw(g: Graph, n: int, start: int | None = None,
     node if omitted), discards the first burn_in, and weights every
     retained draw by its degree, the walk's stationary bias.
     """
-    rng, recorded, start = _prepare_walk(g, n, start, burn_in, seed, "rw")
-    adj = g.adjacency_lists
-    total = burn_in + n
-    r = rng.random(total)
-    out = np.empty(total, dtype=np.int64)
-    u = start
-    for i in range(total):
-        nbrs = adj[u]
-        u = nbrs[int(r[i] * len(nbrs))]
-        out[i] = u
-    nodes = out[burn_in:]
-    return SampleTrace(nodes=nodes, steps=np.arange(n, dtype=np.int64),
-                       weights=g.degrees[nodes].astype(float),
-                       sampler="rw", seed=recorded, start=start,
-                       burn_in=burn_in)
+    return next(lockstep_walks("rw", g, n, [seed], start, burn_in))
 
 
 def sample_mhrw(g: Graph, n: int, start: int | None = None,
@@ -181,25 +241,7 @@ def sample_mhrw(g: Graph, n: int, start: int | None = None,
     current node as the next draw, which is what keeps the chain's
     stationary distribution uniform. All weights are 1.
     """
-    rng, recorded, start = _prepare_walk(g, n, start, burn_in, seed, "mhrw")
-    adj = g.adjacency_lists
-    deg = g.degrees.tolist()
-    total = burn_in + n
-    r_prop = rng.random(total)
-    r_acc = rng.random(total)
-    out = np.empty(total, dtype=np.int64)
-    u = start
-    for i in range(total):
-        nbrs = adj[u]
-        v = nbrs[int(r_prop[i] * len(nbrs))]
-        if r_acc[i] * deg[v] < deg[u]:
-            u = v
-        out[i] = u
-    nodes = out[burn_in:]
-    return SampleTrace(nodes=nodes, steps=np.arange(n, dtype=np.int64),
-                       weights=np.ones(n),
-                       sampler="mhrw", seed=recorded, start=start,
-                       burn_in=burn_in)
+    return next(lockstep_walks("mhrw", g, n, [seed], start, burn_in))
 
 
 def sample_wrw(g: Graph, part: CategoryPartition,
@@ -215,38 +257,8 @@ def sample_wrw(g: Graph, part: CategoryPartition,
     as the draw weight. Equal category weights reduce the transition
     law to the simple random walk.
     """
-    if part.node_count != g.node_count:
-        raise ValueError("partition and graph disagree on node count")
-    cw = _weight_vector(category_weights, part.num_categories, "category")
-    rng, recorded, start = _prepare_walk(g, n, start, burn_in, seed, "wrw")
-    node_cw = cw[part.labels]
-    deg = g.degrees
-    # per-row running sums of the edge weights, added in row order: one
-    # numpy step per degree position j, over the reaching[j] rows longer
-    # than j, whose starts lead by_degree
-    cum = node_cw[g.indices] + np.repeat(node_cw, deg)
-    by_degree = g.indptr[:-1][np.argsort(-deg, kind="stable")]
-    reaching = len(deg) - np.cumsum(np.bincount(deg))
-    for j in range(1, len(reaching)):
-        at = by_degree[:reaching[j]] + j
-        cum[at] += cum[at - 1]
-    node_totals = np.zeros(g.node_count)
-    node_totals[deg > 0] = cum[g.indptr[1:][deg > 0] - 1]
-    cum = cum.tolist()
-    ptr = g.indptr.tolist()
-    adj = g.adjacency_lists
-    total_steps = burn_in + n
-    out = np.empty(total_steps, dtype=np.int64)
-    u = start
-    for i, r in enumerate(rng.random(total_steps)):
-        lo, hi = ptr[u], ptr[u + 1]
-        u = adj[u][bisect_right(cum, r * cum[hi - 1], lo, hi) - lo]
-        out[i] = u
-    nodes = out[burn_in:]
-    return SampleTrace(nodes=nodes, steps=np.arange(n, dtype=np.int64),
-                       weights=node_totals[nodes],
-                       sampler="wrw", seed=recorded, start=start,
-                       burn_in=burn_in)
+    return next(lockstep_walks("wrw", g, n, [seed], start, burn_in, part,
+                               category_weights))
 
 
 def thin(trace: SampleTrace, interval: int) -> SampleTrace:
@@ -264,3 +276,21 @@ def thin(trace: SampleTrace, interval: int) -> SampleTrace:
                    steps=trace.steps[::interval],
                    weights=trace.weights[::interval],
                    thin_interval=trace.thin_interval * int(interval))
+
+
+# name -> draw(g, n, seeds, start=, burn_in=, part=, category_weights=),
+# one trace per seed; wis weighs by degree, uis and wis ignore the rest
+SAMPLERS: dict[str, Callable[..., Iterator[SampleTrace]]] = {
+    "uis": lambda g, n, seeds, **_: (sample_uis(g, n, seed=s) for s in seeds),
+    "wis": lambda g, n, seeds, **_: (
+        sample_wis(g, g.degrees.astype(float), n, seed=s) for s in seeds),
+    **{rule: partial(lockstep_walks, rule) for rule in ("rw", "mhrw", "wrw")},
+}
+
+
+def draw_traces(sampler: str, g: Graph, n: int, seeds: Sequence,
+                thin_interval: int = 1, **options) -> Iterator[SampleTrace]:
+    """One trace of n draws per seed from the named sampler, each kept
+    from n * thin_interval by ``thin``; ``options`` as in SAMPLERS."""
+    traces = SAMPLERS[sampler](g, n * thin_interval, seeds, **options)
+    return (thin(trace, thin_interval) for trace in traces)

@@ -349,6 +349,53 @@ def naive_wrw(g, labels, category_weights, n, start=None, burn_in=0,
     return nodes, [totals[v] for v in nodes], start
 
 
+def _neighbor_lists(g):
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    return [indices[indptr[v]:indptr[v + 1]] for v in range(len(indptr) - 1)]
+
+
+def _first_node(rng, nbrs, start):
+    """The given start, or one drawn uniformly over non-isolated nodes."""
+    if start is not None:
+        return start
+    candidates = [v for v in range(len(nbrs)) if nbrs[v]]
+    return candidates[rng.integers(0, len(candidates))]
+
+
+def naive_rw(g, n, start=None, burn_in=0, seed=None):
+    """The simple random walk over per-node neighbor lists, one
+    uniform per step; returns (nodes, weights, start). Draws from the
+    seed in naive_wrw's order."""
+    rng = np.random.default_rng(seed)
+    nbrs = _neighbor_lists(g)
+    start = u = _first_node(rng, nbrs, start)
+    nodes = []
+    for r in rng.random(burn_in + n):
+        u = nbrs[u][int(r * len(nbrs[u]))]
+        nodes.append(u)
+    nodes = nodes[burn_in:]
+    return nodes, [float(len(nbrs[v])) for v in nodes], start
+
+
+def naive_mhrw(g, n, start=None, burn_in=0, seed=None):
+    """The Metropolis-Hastings walk over per-node neighbor lists: the
+    start, then every step's proposal uniform, then every step's
+    acceptance uniform; returns (nodes, weights, start)."""
+    rng = np.random.default_rng(seed)
+    nbrs = _neighbor_lists(g)
+    start = u = _first_node(rng, nbrs, start)
+    proposals = rng.random(burn_in + n)
+    acceptances = rng.random(burn_in + n)
+    nodes = []
+    for r, a in zip(proposals, acceptances):
+        v = nbrs[u][int(r * len(nbrs[u]))]
+        if a * len(nbrs[v]) < len(nbrs[u]):
+            u = v
+        nodes.append(u)
+    nodes = nodes[burn_in:]
+    return nodes, [1.0] * len(nodes), start
+
+
 def naive_is_connected(g):
     """Depth-first search from node 0 over has_edge queries."""
     n = g.node_count

@@ -155,6 +155,40 @@ def _one_error_line(capsys, kind):
     return err[0]
 
 
+def test_walks_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys):
+    for k in ("0", "-2"):
+        capsys.readouterr()
+        code = run(["sample", "--edges", tmp_path / "missing.tsv",
+                    "--categories", tmp_path / "missing.tsv",
+                    "--sampler", "rw", "--n", "20", "--walks", k,
+                    "--out", tmp_path / "walks.jsonl"])
+        assert code == 1
+        assert f"got {k}" in _one_error_line(capsys, "CategraphError")
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_estimate_reads_a_log_with_sparse_node_ids(tmp_path):
+    from categraph import fileio
+    from test_estimate import sparse_ids
+
+    chain(tmp_path)
+    assert run(["sample", "--edges", tmp_path / "edges.tsv",
+                "--categories", tmp_path / "cats.tsv", "--sampler", "uis",
+                "--n", "60", "--seed", "4", "--out", tmp_path / "uis.jsonl"]) == 0
+    assert run(["observe", "--edges", tmp_path / "edges.tsv",
+                "--categories", tmp_path / "cats.tsv",
+                "--trace", tmp_path / "uis.jsonl", "--mode", "induced",
+                "--out", tmp_path / "dense.jsonl"]) == 0
+    sparse = sparse_ids(fileio.load_log(tmp_path / "dense.jsonl"))
+    fileio.save_log(sparse, tmp_path / "sparse.jsonl")
+    assert "46116860184" in (tmp_path / "sparse.jsonl").read_text()
+    for name in ("dense", "sparse"):
+        assert run(["estimate", "--log", tmp_path / f"{name}.jsonl",
+                    "--out", tmp_path / f"{name}.json"]) == 0
+    assert ((tmp_path / "sparse.json").read_bytes()
+            == (tmp_path / "dense.json").read_bytes())
+
+
 def test_population_must_be_positive(tmp_path, capsys):
     chain(tmp_path)
     for spec in ("exact:0", "exact:-5"):
@@ -240,6 +274,17 @@ BAD_CONFIGS = {
     "graph as a list": (_set("graph", []), "graph: expected object"),
     "unknown sampler": (_set("samplers", ["uis", "bogus"]),
                         "unknown sampler 'bogus'"),
+    "synthetic and an edge file": (_set("graph", "edge_file", "e.tsv"),
+                                   "not both"),
+    "synthetic and a category file": (_set("graph", "category_file", "c.tsv"),
+                                      "not both"),
+    "sample size zero": (_set("sample_sizes", [0, 40]),
+                         "sample sizes must be >= 1"),
+    "negative burn-in": (_set("burn_in", -1), "burn_in must be >= 0"),
+    "wrw weight zero": (_set("wrw_category_weights", [1, 0]),
+                        "category weights must be positive and finite"),
+    "wrw weights too short": (_set("wrw_category_weights", [1]),
+                              "one weight per category"),
 }
 
 

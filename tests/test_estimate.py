@@ -26,6 +26,7 @@ from categraph import (
     observe_induced,
     observe_star,
     reweighted_size,
+    sample_rw,
     sample_uis,
 )
 
@@ -571,6 +572,27 @@ def test_zero_draw_category_flagged(three_color_graph):
     # pairs touching black are unestimable under the induced estimator
     assert (0, 2) in est.skipped_weight_pairs
     assert (1, 2) in est.skipped_weight_pairs
+
+
+def sparse_ids(log):
+    """The same log with every node id moved near 2**62."""
+    def move(ids):
+        return 2**62 + ids * 1_000_003
+    return dataclasses.replace(log, nodes=move(log.nodes),
+                               induced_edges=move(log.induced_edges))
+
+
+def test_induced_estimates_take_sparse_node_ids(three_color_graph):
+    g, part = three_color_graph
+    for trace in (sample_uis(g, 40, seed=3),
+                  sample_rw(g, 40, start=0, seed=4)):
+        log = observe_induced(g, part, trace)
+        sparse = sparse_ids(log)
+        assert sparse.nodes.min() >= 2**62 and len(sparse.induced_edges)
+        dense_est = estimate_category_graph(log, population=8)
+        sparse_est = estimate_category_graph(sparse, population=8)
+        assert sparse_est.sizes == dense_est.sizes
+        assert sparse_est.weights == dense_est.weights
 
 
 def test_estimate_on_empty_log_raises(three_color_graph):

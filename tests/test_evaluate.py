@@ -3,6 +3,7 @@ import pytest
 
 from categraph import (
     ExperimentConfig,
+    InvalidWeight,
     SampleTrace,
     SyntheticParams,
     UndefinedNRMSE,
@@ -87,6 +88,20 @@ def test_config_validation(small_graph):
         _small_config(g, part, sample_sizes=(100, 50))
     with pytest.raises(ValueError):
         _small_config(g, part, samplers=("uis", "bogus"))
+
+
+def test_config_checks_value_ranges_before_any_cell_runs(small_graph):
+    g, part = small_graph
+    for bad in ({"sample_sizes": (0, 100)}, {"sample_sizes": (-5,)},
+                {"burn_in": -1}):
+        with pytest.raises(ValueError, match=">= "):
+            _small_config(g, part, **bad)
+    for weights in ([1.0] * (part.num_categories - 1),
+                    [1.0] * (part.num_categories - 1) + [float("inf")],
+                    [0.0] * part.num_categories):
+        with pytest.raises(InvalidWeight, match="category"):
+            _small_config(g, part, samplers=("wrw",),
+                          wrw_category_weights=weights)
 
 
 def test_config_rejects_unknown_mode_and_estimator(small_graph):

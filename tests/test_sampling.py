@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     CategoryPartition,
@@ -16,7 +20,10 @@ from categraph import (
     thin,
 )
 
-from _reference import naive_wrw
+from categraph import sampling
+from categraph.sampling import lockstep_walks
+
+from _reference import naive_mhrw, naive_rw, naive_wrw, random_partition
 
 LONG_RUN = 1_000_000
 
@@ -333,3 +340,96 @@ def test_thin_rejects_zero():
     t = sample_uis(g, 10, seed=53)
     with pytest.raises(InvalidThinning):
         thin(t, 0)
+
+
+def _random_walk_graph(seed, hub):
+    """A sparse random graph, or one whose node 0 joins 500 to 599
+    other nodes, in three categories; some nodes may be isolated."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(510, 600) if hub else rng.integers(2, 40))
+    pairs = rng.integers(0, n, size=(2 * n, 2))
+    if hub:
+        spokes = rng.choice(np.arange(1, n), size=int(rng.integers(500, n)),
+                            replace=False)
+        pairs = np.concatenate([pairs, np.column_stack(
+            [np.zeros_like(spokes), spokes])])
+    edges = {(min(u, v), max(u, v)) for u, v in pairs.tolist() if u != v}
+    if not edges:
+        edges = {(0, 1)}
+    return (Graph.from_edges(n, sorted(edges)),
+            random_partition(n, min(3, n), rng))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(graph_seed=st.integers(0, 2**32 - 1), hub=st.booleans(),
+       walkers=st.integers(1, 6), seed=st.integers(0, 2**63),
+       n=st.integers(1, 50), burn_in=st.integers(0, 10),
+       given_start=st.booleans(), chunk=st.integers(1, 40),
+       cw=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+def test_lockstep_walks_match_per_walker_oracles(graph_seed, hub, walkers,
+                                                 seed, n, burn_in,
+                                                 given_start, chunk, cw):
+    """Every walker of a batch equals its own literal per-step walk,
+    element for element, across uniform chunk boundaries."""
+    g, part = _random_walk_graph(graph_seed, hub)
+    if hub:
+        assert g.degree(0) >= 500
+    cw = cw[:part.num_categories]
+    seeds = [[seed, w] for w in range(walkers)]
+    start = None
+    if given_start:
+        walkable = np.flatnonzero(g.degrees)
+        start = int(walkable[graph_seed % len(walkable)])
+    oracles = {
+        "rw": lambda s: naive_rw(g, n, start, burn_in, s),
+        "mhrw": lambda s: naive_mhrw(g, n, start, burn_in, s),
+        "wrw": lambda s: naive_wrw(g, part.labels.tolist(), cw, n, start,
+                                   burn_in, s),
+    }
+    with mock.patch.object(sampling, "_CHUNK_DOUBLES", chunk):
+        for rule, oracle in oracles.items():
+            traces = lockstep_walks(rule, g, n, seeds, start=start,
+                                    burn_in=burn_in, part=part,
+                                    category_weights=cw)
+            for trace, s in zip(traces, seeds, strict=True):
+                nodes, weights, first = oracle(s)
+                assert trace.nodes.tolist() == nodes
+                assert trace.weights.tolist() == weights
+                assert trace.start == first
+                assert trace.seed == s and trace.sampler == rule
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 10_000])
+def test_generator_seeds_walk_and_end_as_the_per_walker_oracles(chunk):
+    """A Generator passed as the seed draws the oracle's trace and is
+    left where the oracle leaves an identically seeded generator, across
+    uniform chunk boundaries and for a batch of such seeds."""
+    g, part = _random_walk_graph(5, hub=False)
+    cw = [0.5, 2.0, 7.0][:part.num_categories]
+    n, burn_in = 40, 3
+    oracles = {
+        "rw": lambda s: naive_rw(g, n, None, burn_in, s),
+        "mhrw": lambda s: naive_mhrw(g, n, None, burn_in, s),
+        "wrw": lambda s: naive_wrw(g, part.labels.tolist(), cw, n, None,
+                                   burn_in, s),
+    }
+    singles = {
+        "rw": lambda s: sample_rw(g, n, burn_in=burn_in, seed=s),
+        "mhrw": lambda s: sample_mhrw(g, n, burn_in=burn_in, seed=s),
+        "wrw": lambda s: sample_wrw(g, part, cw, n, burn_in=burn_in, seed=s),
+    }
+    with mock.patch.object(sampling, "_CHUNK_DOUBLES", chunk):
+        for rule, oracle in oracles.items():
+            ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+            trace = singles[rule](ours)
+            assert trace.nodes.tolist() == oracle(theirs)[0]
+            assert trace.seed is None
+            assert ours.random() == theirs.random()
+            batch = [np.random.default_rng(k) for k in range(3)]
+            twins = [np.random.default_rng(k) for k in range(3)]
+            traces = lockstep_walks(rule, g, n, batch, burn_in=burn_in,
+                                    part=part, category_weights=cw)
+            for trace, ours, theirs in zip(traces, batch, twins, strict=True):
+                assert trace.nodes.tolist() == oracle(theirs)[0]
+                assert ours.random() == theirs.random()
