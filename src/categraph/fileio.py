@@ -10,13 +10,16 @@ Category names are interned to ids in order of first appearance.
 
 Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files; each builds its file as one string
+and writes it once.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,6 +32,8 @@ from .sampling import SampleTrace
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 # a node id, as loadtxt reads the edge file: ASCII digits, optional sign
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
+# node ids without surrounding spaces, one per line
+_PLAIN_IDS = re.compile(r"[+-]?[0-9]+(?:\n[+-]?[0-9]+)*")
 
 
 # ---------------------------------------------------------------------------
@@ -45,15 +50,11 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     ext_ids, labels, names = _read_categories(category_path)
     with open(edge_path) as fh:
         text = fh.read()
-    # only a whole line starting with '#' is a comment
-    rows = [ln for ln in filter(None, text.split("\n")) if ln[0] != "#"]
+    rows = _data_rows(text)
     ext, unreadable = _int_pairs(rows)
 
     n = len(ext_ids)
-    # column by column: a sorted first column makes its search cheap
-    dense = np.ascontiguousarray(np.searchsorted(ext_ids, ext.T).T)
-    labeled = dense < n
-    labeled[labeled] = ext_ids[dense[labeled]] == ext[labeled]
+    dense, labeled = _dense_ids(ext_ids, ext)
     self_loop = ext[:, 0] == ext[:, 1]
     keys = (np.minimum(dense[:, 0], dense[:, 1]) * n
             + np.maximum(dense[:, 0], dense[:, 1]))
@@ -87,38 +88,88 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     raise FileFormatError(f"{edge_path}:{lineno}: {rule}")
 
 
+def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
+    """The dense id of each external id in ``ext`` and whether the
+    category file labels it.
+
+    Each id is first guessed as ``ext - ext_ids[0]``, which is right
+    wherever the labeled ids run densely from the first; the difference
+    may overflow, and a wrong guess never passes the equality check, so
+    only the misses are searched.
+    """
+    if not len(ext_ids):
+        return np.zeros_like(ext), np.zeros(ext.shape, dtype=bool)
+    dense = np.clip(ext - ext_ids[0], 0, len(ext_ids) - 1)
+    labeled = ext_ids[dense] == ext
+    miss = ~labeled
+    found = np.minimum(np.searchsorted(ext_ids, ext[miss]), len(ext_ids) - 1)
+    dense[miss] = found
+    labeled[miss] = ext_ids[found] == ext[miss]
+    return dense, labeled
+
+
+def _data_rows(text: str) -> list[str]:
+    """The lines of ``text`` that are neither blank nor comments; only a
+    whole line starting with '#' is a comment."""
+    rows = list(filter(None, text.split("\n")))
+    if text.startswith("#") or "\n#" in text:
+        rows = [ln for ln in rows if ln[0] != "#"]
+    return rows
+
+
 def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The category file as (sorted external ids, the category id of
-    each, category names interned in that order)."""
-    label_by_ext: dict[int, str] = {}
+    each, category names interned in that order).
+
+    Plain ids are checked in bulk; when a check fails, the lines are
+    read one by one, which accepts ids with surrounding spaces and names
+    the first refused line.
+    """
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 'node<TAB>category'")
-            if not _NODE_ID.fullmatch(parts[0].strip()):
-                raise FileFormatError(
-                    f"{path}:{lineno}: node id {parts[0]!r} "
-                    "is not an integer")
-            ext = int(parts[0])
-            if not _INT64_MIN <= ext <= _INT64_MAX:
-                raise FileFormatError(
-                    f"{path}:{lineno}: node id {parts[0]!r} "
-                    "does not fit 64 bits")
-            if ext in label_by_ext:
-                raise FileFormatError(
-                    f"{path}:{lineno}: node {ext} labeled twice")
-            label_by_ext[ext] = parts[1]
-    ext_ids = sorted(label_by_ext)
-    name_id: dict[str, int] = {}
-    labels = np.fromiter(
-        (name_id.setdefault(label_by_ext[ext], len(name_id))
-         for ext in ext_ids), dtype=np.int64, count=len(ext_ids))
-    return np.asarray(ext_ids, dtype=np.int64), labels, tuple(name_id)
+        text = fh.read()
+    rows = _data_rows(text)
+    fields = "\t".join(rows).split("\t")
+    ids, names = fields[0::2], fields[1::2]
+    plain = (set(map(str.count, rows, repeat("\t"))) == {1}
+             and _PLAIN_IDS.fullmatch("\n".join(ids)))
+    ext = list(map(int, ids)) if plain else []
+    if not (plain and _INT64_MIN <= min(ext) and max(ext) <= _INT64_MAX
+            and len(set(ext)) == len(ext)):
+        ext = _category_ids(path, text.split("\n"))
+    ext = np.array(ext, dtype=np.int64)
+    order = np.argsort(ext)
+    names = list(map(names.__getitem__, order.tolist()))
+    name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
+    labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
+    return ext[order], labels, tuple(name_id)
+
+
+def _category_ids(path, lines: list[str]) -> list[int]:
+    """The node id of each category line, read line by line; the first
+    refused line raises FileFormatError."""
+    ids, seen = [], set()
+    for lineno, line in enumerate(lines, 1):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FileFormatError(
+                f"{path}:{lineno}: expected 'node<TAB>category'")
+        if not _NODE_ID.fullmatch(parts[0].strip()):
+            raise FileFormatError(
+                f"{path}:{lineno}: node id {parts[0]!r} "
+                "is not an integer")
+        ext = int(parts[0])
+        if not _INT64_MIN <= ext <= _INT64_MAX:
+            raise FileFormatError(
+                f"{path}:{lineno}: node id {parts[0]!r} "
+                "does not fit 64 bits")
+        if ext in seen:
+            raise FileFormatError(
+                f"{path}:{lineno}: node {ext} labeled twice")
+        seen.add(ext)
+        ids.append(ext)
+    return ids
 
 
 def _int_pairs(rows: list[str]) -> tuple[np.ndarray, int | None]:
@@ -152,27 +203,42 @@ def _parse_pairs(rows: list[str]) -> np.ndarray | None:
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
     """Write the edge list (u < v, sorted) and the category file."""
-    with open(edge_path, "w") as fh:
-        for u, v in g.edge_array.tolist():
-            fh.write(f"{u}\t{v}\n")
-    with open(category_path, "w") as fh:
-        for v in range(part.node_count):
-            fh.write(f"{v}\t{part.names[part.labels[v]]}\n")
+    heads, tails = g.edge_array.T.tolist()
+    _write(edge_path, "".join([f"{u}\t{v}\n" for u, v in zip(heads, tails)]))
+    names = map(part.names.__getitem__, part.labels.tolist())
+    _write(category_path,
+           "".join([f"{v}\t{name}\n" for v, name in enumerate(names)]))
+
+
+def _write(path, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _check_weights(weights: np.ndarray) -> None:
+    """Refuse, before any file opens, a weight the readers would refuse."""
+    weights = np.asarray(weights)
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+    if len(bad):
+        raise ValueError(f"draw {bad[0]}: weight must be positive and "
+                         f"finite, got {weights[bad[0]].item()!r}")
 
 
 # ---------------------------------------------------------------------------
 # sample traces
 
 def save_trace(trace: SampleTrace, path) -> None:
+    """Write a trace; a weight that is not positive and finite raises
+    ValueError and no file is written. Floats are written with the
+    ``repr`` that ``json.dumps`` uses."""
+    _check_weights(trace.weights)
     meta = {"sampler": trace.sampler, "seed": trace.seed,
             "start": trace.start, "burn_in": trace.burn_in,
             "thin": trace.thin_interval}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(meta) + "\n")
-        for step, node, weight in zip(trace.steps.tolist(),
-                                      trace.nodes.tolist(),
-                                      trace.weights.tolist()):
-            fh.write(json.dumps({"i": step, "v": node, "w": weight}) + "\n")
+    draws = zip(trace.steps.tolist(), trace.nodes.tolist(),
+                trace.weights.tolist())
+    _write(path, json.dumps(meta) + "\n" + "".join(
+        [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in draws]))
 
 
 def load_trace(path) -> SampleTrace:
@@ -195,21 +261,40 @@ def load_trace(path) -> SampleTrace:
         thin_interval=thin)
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
 def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     """Parse a JSON Lines file whose first non-blank line holds a meta
     object: (meta line number, meta, line numbers of the other
-    non-blank lines, their values)."""
+    non-blank lines, their values).
+
+    Each non-blank line is one JSON value, read exactly as ``json.loads``
+    reads it. The C scanner reads every line from its first character,
+    and its values are kept when it read all lines to their ends; a line
+    it cannot start raises StopIteration, which ends ``map`` early, so
+    the count catches it. Otherwise (invalid JSON, surrounding spaces, a
+    BOM) each line goes through ``json.loads``, which names the line.
+    """
     with open(path) as fh:
         text = fh.read().splitlines()
     lines = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
-    nonblank = [ln for ln in text if ln]
+    nonblank = list(filter(None, text))
     try:
-        values = list(map(json.loads, nonblank))
-    except json.JSONDecodeError as exc:
-        # every earlier copy of the failing line parsed, so this finds it
-        lineno = lines[nonblank.index(exc.doc)]
-        raise FileFormatError(
-            f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        scanned = list(map(_scan_once, nonblank, repeat(0)))
+    except (ValueError, RecursionError):   # invalid past a value's start
+        scanned = []
+    if (len(scanned) == len(nonblank)
+            and list(map(itemgetter(1), scanned)) == list(map(len, nonblank))):
+        values = list(map(itemgetter(0), scanned))
+    else:
+        try:
+            values = list(map(json.loads, nonblank))
+        except json.JSONDecodeError as exc:
+            # every earlier copy of the failing line parsed, so this finds it
+            lineno = lines[nonblank.index(exc.doc)]
+            raise FileFormatError(
+                f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
     if not values:
         raise FileFormatError(f"{path}:1: missing {kind} meta line")
     if type(values[0]) is not dict:
@@ -218,20 +303,32 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     return lines[0], values[0], lines[1:], values[1:]
 
 
-def _typed(values, kind: type) -> list[bool]:
-    """Which values are JSON integers that fit 64 bits (``int``) or JSON
-    numbers (``float``); booleans are neither."""
+# The checks below first pass over all values in C (``set(map(type,
+# ...))``, ``min``, ``max``, ``all(map(...))``) and return True when
+# every value passes; only then is a failure scanned for value by value.
+
+def _typed(values, kind: type) -> bool | list[bool]:
+    """True when every value is a JSON integer that fits 64 bits
+    (``int``) or a JSON number (``float``), else which values are;
+    booleans are neither."""
+    types = set(map(type, values))
     if kind is int:
+        if types <= {int} and (not values or _INT64_MIN <= min(values)
+                               and max(values) <= _INT64_MAX):
+            return True
         return [type(v) is int and _INT64_MIN <= v <= _INT64_MAX
                 for v in values]
-    return [type(v) in (int, float) for v in values]
+    return types <= {int, float} or [type(v) in (int, float) for v in values]
 
 
 def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
     """``key`` of every record as an int64 or float array."""
-    _require(path, lines, [type(r) is dict and key in r for r in records],
+    _require(path, lines,
+             set(map(type, records)) <= {dict}
+             and all(map(dict.__contains__, records, repeat(key)))
+             or [type(r) is dict and key in r for r in records],
              f"record has no {key!r}", records)
-    values = [r[key] for r in records]
+    values = list(map(itemgetter(key), records))
     _require(path, lines, _typed(values, kind),
              f"{key!r} must be {'an integer' if kind is int else 'a number'}",
              values)
@@ -239,7 +336,10 @@ def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
 
 
 def _require(path, lines, ok, rule: str, values) -> None:
-    """Name the line of the first value for which ``ok`` is False."""
+    """Name the line of the first value for which ``ok`` is False;
+    ``ok`` is True when every value passed."""
+    if ok is True:
+        return
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if len(bad):
         got = values[bad[0]]
@@ -260,21 +360,38 @@ def _meta(path, lineno, meta: dict, key: str, default, ok, rule: str):
 # observation logs
 
 def save_log(log: ObservationLog, path) -> None:
+    """Write a log; a weight that is not positive and finite raises
+    ValueError and no file is written."""
+    _check_weights(log.weights)
     meta = {"mode": log.mode, "N": log.population_hint,
             "categories": list(log.category_names)}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(meta) + "\n")
-        for i in range(log.n):
-            rec = {"v": int(log.nodes[i]), "c": int(log.categories[i]),
-                   "deg": int(log.degrees[i]), "w": float(log.weights[i])}
-            if log.mode == STAR:
-                row = log.neighbor_counts[i]
-                rec["nbr_cats"] = {str(c): int(row[c])
-                                   for c in np.flatnonzero(row)}
-            fh.write(json.dumps(rec) + "\n")
-        if log.mode == INDUCED:
-            edges = [[int(u), int(v)] for u, v in log.induced_edges.tolist()]
-            fh.write(json.dumps({"induced_edges": edges}) + "\n")
+    nodes, cats, degrees = (np.asarray(x).astype(np.int64).tolist()
+                            for x in (log.nodes, log.categories, log.degrees))
+    weights = np.asarray(log.weights).astype(float).tolist()
+    records = zip(nodes, cats, degrees, weights)
+    if log.mode == STAR:
+        records = [
+            f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}, '
+            f'"nbr_cats": {{{nbrs}}}}}\n'
+            for (v, c, d, w), nbrs in zip(records, _nbr_cats(log))]
+    else:
+        records = [f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}}}\n'
+                   for v, c, d, w in records]
+    if log.mode == INDUCED:
+        edges = np.asarray(log.induced_edges).astype(np.int64).tolist()
+        records.append(json.dumps({"induced_edges": edges}) + "\n")
+    _write(path, json.dumps(meta) + "\n" + "".join(records))
+
+
+def _nbr_cats(log: ObservationLog) -> list[str]:
+    """Each star record's ``nbr_cats`` entries, as the text between the
+    braces: its nonzero counts in category order."""
+    counts = log.neighbor_counts
+    rows, cols = np.nonzero(counts)
+    entries = [f'"{c}": {k}' for c, k in
+               zip(cols.tolist(), counts[rows, cols].astype(np.int64).tolist())]
+    bounds = np.searchsorted(rows, np.arange(len(counts) + 1)).tolist()
+    return [", ".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def load_log(path) -> ObservationLog:
@@ -333,10 +450,10 @@ def load_log(path) -> ObservationLog:
 
 
 def _edge_block(path, lineno: int, block) -> np.ndarray:
-    if type(block) is list and all(type(e) is list and len(e) == 2
-                                   for e in block):
+    if (type(block) is list and set(map(type, block)) <= {list}
+            and set(map(len, block)) <= {2}):
         flat = list(chain.from_iterable(block))
-        if all(_typed(flat, int)):
+        if _typed(flat, int) is True:
             return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     raise FileFormatError(
         f"{path}:{lineno}: induced_edges must be a list of [u, v] "
@@ -345,14 +462,15 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
 
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
     """The star records' ``nbr_cats`` objects as an (n, C) count matrix."""
-    nbrs = [r.get("nbr_cats", {}) for r in records]
-    _require(path, lines, [type(x) is dict for x in nbrs],
+    nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
+    _require(path, lines, set(map(type, nbrs)) <= {dict}
+             or [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
-    rows = np.repeat(np.arange(len(nbrs)), [len(x) for x in nbrs])
+    rows = np.repeat(np.arange(len(nbrs)), list(map(len, nbrs)))
     entry_lines = lines[rows]
     keys = list(chain.from_iterable(nbrs))
     col_of = {str(c): c for c in range(num_categories)}
-    cols = np.asarray([col_of.get(k, -1) for k in keys], dtype=np.int64)
+    cols = np.fromiter(map(col_of.get, keys, repeat(-1)), np.int64, len(keys))
     _require(path, entry_lines, cols >= 0,
              f"nbr_cats key must be a category in 0..{num_categories - 1}",
              keys)
@@ -415,18 +533,61 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
         fh.write(text + "\n")
 
 
+_STRING = (lambda v: type(v) is str, "a string")
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v),
+           "a finite number")
+_LIST = (lambda v: type(v) is list, "a list")
+# key: (required, (check, what the value must be))
+_ESTIMATE_KEYS = {"N_mode": (True, _STRING), "N": (False, _NUMBER),
+                  "size_estimator": (True, _STRING),
+                  "weight_estimator": (True, _STRING),
+                  "categories": (True, _LIST), "edges": (True, _LIST)}
+_CATEGORY_KEYS = {"id": (True, _INTEGER), "name": (True, _STRING),
+                  "size": (True, _NUMBER), "size_var": (False, _NUMBER)}
+_EDGE_KEYS = {"a": (True, _INTEGER), "b": (True, _INTEGER),
+              "weight": (True, _NUMBER), "weight_var": (False, _NUMBER)}
+
+
+def _checked(path, where: str, obj, keys: dict) -> dict:
+    """``obj``, once it is a JSON object whose ``keys`` are present when
+    required and of the right JSON type; ``where`` prefixes key names."""
+    if type(obj) is not dict:
+        raise FileFormatError(
+            f"{path}: {where.rstrip('.') or 'estimate'} must be a JSON object")
+    for key, (required, (ok, what)) in keys.items():
+        if key not in obj:
+            if required:
+                raise FileFormatError(f"{path}: missing key {where + key!r}")
+        elif not ok(obj[key]):
+            raise FileFormatError(
+                f"{path}: {where + key!r} must be {what}, got {obj[key]!r}")
+    return obj
+
+
 def load_estimate(path) -> CategoryGraphEstimate:
+    """Read an estimate written by :func:`save_estimate`. Invalid JSON, a
+    missing key, a value of the wrong JSON type or a non-finite number
+    raises FileFormatError naming the file and the key."""
     with open(path) as fh:
-        payload = json.load(fh)
-    cats = payload["categories"]
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(
+                f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    payload = _checked(path, "", payload, _ESTIMATE_KEYS)
+    cats = [_checked(path, f"categories[{i}].", c, _CATEGORY_KEYS)
+            for i, c in enumerate(payload["categories"])]
+    edges = [_checked(path, f"edges[{i}].", e, _EDGE_KEYS)
+             for i, e in enumerate(payload["edges"])]
     names_by_id = {c["id"]: c["name"] for c in cats}
     max_id = max(names_by_id) if names_by_id else -1
     names = tuple(names_by_id.get(i, str(i)) for i in range(max_id + 1))
     sizes = {c["id"]: float(c["size"]) for c in cats}
     size_var = {c["id"]: float(c["size_var"]) for c in cats if "size_var" in c}
-    weights = {(e["a"], e["b"]): float(e["weight"]) for e in payload["edges"]}
+    weights = {(e["a"], e["b"]): float(e["weight"]) for e in edges}
     weight_var = {(e["a"], e["b"]): float(e["weight_var"])
-                  for e in payload["edges"] if "weight_var" in e}
+                  for e in edges if "weight_var" in e}
     return CategoryGraphEstimate(
         sizes=sizes, weights=weights,
         size_estimator=payload["size_estimator"],
@@ -447,6 +608,7 @@ def save_dot(est: CategoryGraphEstimate | CategoryGraph, path,
     lines = ["graph category_graph {"]
     for c in sorted(est.sizes):
         name = est.category_names[c] if c < len(est.category_names) else str(c)
+        name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {c} [label="{name}", size={est.sizes[c]!r}];')
     for (a, b) in sorted(est.weights):
         w = est.weights[(a, b)]

@@ -8,6 +8,8 @@ shares code with the package internals.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -273,7 +275,7 @@ def random_partition(n, num_categories, rng):
 
 
 # ---------------------------------------------------------------------------
-# graph files and the wrw walk, literal per-line and per-row forms
+# graph and JSONL files and the wrw walk, literal per-line and per-row forms
 
 
 def naive_load_graph(edge_path, category_path):
@@ -313,6 +315,63 @@ def naive_load_graph(edge_path, category_path):
                 raise ValueError(f"self-loop or duplicate: {line!r}")
             edges.add((min(u, v), max(u, v)))
     return sorted(edges), labels, tuple(names)
+
+
+def naive_save_graph(g, part, edge_path, category_path):
+    """The edge list and category file, one write per line."""
+    with open(edge_path, "w") as fh:
+        for u, v in g.edge_array.tolist():
+            fh.write(f"{u}\t{v}\n")
+    with open(category_path, "w") as fh:
+        for v in range(part.node_count):
+            fh.write(f"{v}\t{part.names[part.labels[v]]}\n")
+
+
+def naive_save_trace(trace, path):
+    """A trace as JSON Lines, one ``json.dumps`` per draw."""
+    meta = {"sampler": trace.sampler, "seed": trace.seed,
+            "start": trace.start, "burn_in": trace.burn_in,
+            "thin": trace.thin_interval}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(meta) + "\n")
+        for step, node, weight in zip(trace.steps.tolist(),
+                                      trace.nodes.tolist(),
+                                      trace.weights.tolist()):
+            fh.write(json.dumps({"i": step, "v": node, "w": weight}) + "\n")
+
+
+def naive_save_log(log, path):
+    """An observation log as JSON Lines, one ``json.dumps`` per record."""
+    meta = {"mode": log.mode, "N": log.population_hint,
+            "categories": list(log.category_names)}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(meta) + "\n")
+        for i in range(log.n):
+            rec = {"v": int(log.nodes[i]), "c": int(log.categories[i]),
+                   "deg": int(log.degrees[i]), "w": float(log.weights[i])}
+            if log.mode == "star":
+                row = log.neighbor_counts[i]
+                rec["nbr_cats"] = {str(c): int(row[c])
+                                   for c in np.flatnonzero(row)}
+            fh.write(json.dumps(rec) + "\n")
+        if log.mode == "induced":
+            edges = [[int(u), int(v)] for u, v in log.induced_edges.tolist()]
+            fh.write(json.dumps({"induced_edges": edges}) + "\n")
+
+
+def naive_read_jsonl(path):
+    """The non-blank lines of a JSON Lines file as (line number, value)
+    pairs, one ``json.loads`` per line. Raises ValueError holding the
+    number of the first line ``json.loads`` refuses."""
+    out = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh.read().splitlines(), 1):
+            if line:
+                try:
+                    out.append((lineno, json.loads(line)))
+                except json.JSONDecodeError:
+                    raise ValueError(lineno) from None
+    return out
 
 
 def naive_wrw(g, labels, category_weights, n, start=None, burn_in=0,

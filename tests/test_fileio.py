@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     CategoryPartition,
@@ -16,6 +20,7 @@ from categraph import (
     sample_rw,
 )
 from categraph.fileio import (
+    _read_jsonl,
     export_category_graph,
     load_estimate,
     load_graph,
@@ -26,8 +31,16 @@ from categraph.fileio import (
     save_log,
     save_trace,
 )
+from categraph.observe import ObservationLog
+from categraph.sampling import SampleTrace
 
-from _reference import naive_load_graph
+from _reference import (
+    naive_load_graph,
+    naive_read_jsonl,
+    naive_save_graph,
+    naive_save_log,
+    naive_save_trace,
+)
 
 
 def write(path, text):
@@ -181,11 +194,25 @@ def test_load_graph_without_edges_gives_isolated_nodes(tmp_path, edge_text):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_load_graph_matches_per_line_reader(tmp_path, seed):
-    """Sparse, unsorted, partly negative external ids with comments and
-    blank lines scattered through both files."""
+    """External ids of every shape the dense-id guess meets: sparse,
+    unsorted and partly negative; dense 0..N-1 in shuffled order; dense
+    and shifted by an offset; dense with gaps; and sparse with both
+    int64 extremes, so that ``ext - ext_ids[0]`` overflows. Comments and
+    blank lines are scattered through both files."""
     rng = np.random.default_rng(seed)
     n = 300
-    ext = rng.choice(np.arange(-10**12, 10**12, 7919), size=n, replace=False)
+    sparse = rng.choice(np.arange(-10**12, 10**12, 7919), size=n, replace=False)
+    extremes = sparse.copy()
+    extremes[rng.choice(n, size=2, replace=False)] = [-2**63, 2**63 - 1]
+    gaps = rng.permutation(n + 40)[:n]
+    for ext in (sparse, rng.permutation(n),
+                rng.permutation(n) + int(rng.integers(-10**15, 10**15)),
+                gaps, extremes):
+        _check_against_naive_load_graph(tmp_path, rng, ext)
+
+
+def _check_against_naive_load_graph(tmp_path, rng, ext):
+    n = len(ext)
     names = [f"cat {c}" for c in rng.integers(0, 6, size=n)]
     iu, iv = np.triu_indices(n, k=1)
     keep = rng.random(len(iu)) < 0.03
@@ -421,6 +448,22 @@ def test_load_log_rejects_malformed_record(tmp_path, three_color_graph, case):
         load_log(path)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("c", True, "'c' must be an integer"),
+    ("v", 2**63, "'v' must be an integer"),
+    ("deg", -2**63 - 1, "'deg' must be an integer"),
+    ("nbr_cats", {"0": False}, "nbr_cats count must be an integer"),
+    ("nbr_cats", {"1": 2**64}, "nbr_cats count must be an integer"),
+])
+def test_load_log_refuses_booleans_and_ints_beyond_64_bits(
+        tmp_path, three_color_graph, key, value, message):
+    records = _saved_records(tmp_path, three_color_graph, "star")
+    _set(key, value, index=4)(records)
+    path = _write_records(tmp_path / "bad.jsonl", records)
+    with pytest.raises(FileFormatError, match=f"bad.jsonl:5: {message}"):
+        load_log(path)
+
+
 def test_load_log_names_line_of_invalid_json(tmp_path, three_color_graph):
     records = _saved_records(tmp_path, three_color_graph, "star")
     text = "".join(json.dumps(r) + "\n" for r in records[:3])
@@ -456,3 +499,314 @@ def test_save_estimate_refuses_non_finite_values(tmp_path, three_color_graph):
     with pytest.raises(ValueError):
         save_estimate(bad, tmp_path / "est.json")
     assert not (tmp_path / "est.json").exists()
+
+
+@pytest.mark.parametrize("first_line", ["5\ta", "+5\ta", " 5 \ta"])
+def test_load_graph_reads_signed_and_padded_category_ids(tmp_path, first_line):
+    """Plain ids are read in bulk, padded ones line by line."""
+    edges = write(tmp_path / "e.tsv", "5\t-2\n1\t 5\n# c\n-2\t1\n")
+    cats = write(tmp_path / "c.tsv", f"{first_line}\n\n+1\tb\n-2\ta b\n")
+    g, part = load_graph(edges, cats)
+    want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+    assert g.edge_array.tolist() == [list(e) for e in want_edges]
+    assert part.labels.tolist() == want_labels == [0, 1, 2]
+    assert part.names == want_names == ("a b", "b", "a")
+
+
+def test_load_graph_refuses_unlabeled_id_in_a_gap(tmp_path):
+    """A guessed dense id that lands on another node's label is a miss,
+    also where ``ext - ext_ids[0]`` overflows."""
+    cats = write(tmp_path / "c.tsv",
+                 f"{-2**63}\ta\n0\ta\n2\tb\n{2**63 - 1}\tb\n")
+    for edge_text, node in [("0\t2\n0\t1\n", 1),
+                            (f"0\t{2**63 - 1}\n{2**63 - 2}\t0\n", 2**63 - 2),
+                            (f"{-2**63}\t2\n{-2**63 + 1}\t0\n", -2**63 + 1)]:
+        edges = write(tmp_path / "e.tsv", edge_text)
+        with pytest.raises(FileFormatError,
+                           match=f"e.tsv:2: node {node} has no category"):
+            load_graph(edges, cats)
+    g, part = load_graph(write(tmp_path / "e.tsv", f"{-2**63}\t{2**63 - 1}\n"),
+                         cats)
+    assert g.edge_array.tolist() == [[0, 3]]
+    assert part.labels.tolist() == [0, 0, 1, 1]
+
+
+# ---------------------------------------------------------------------------
+# writers: the same bytes as the per-line writers of tests/_reference.py,
+# and no file for a weight the readers would refuse
+
+SPECIAL_WEIGHTS = (5e-324, 1e308, 0.1 + 0.2, 1e16, 1.0)
+weights_st = st.one_of(st.sampled_from(SPECIAL_WEIGHTS),
+                       st.floats(min_value=5e-324, max_value=1e308))
+ids_st = st.integers(0, 2**63 - 1)
+names_st = st.text(alphabet='aZ é中ß#"\\-', max_size=6)
+seeds_st = st.one_of(st.none(), st.integers(0, 2**63),
+                     st.lists(st.integers(0, 2**32), max_size=4))
+
+
+def _same_bytes(tmp, write_new, write_naive, *files):
+    write_new(*(tmp / f"new_{f}" for f in files))
+    write_naive(*(tmp / f"naive_{f}" for f in files))
+    for f in files:
+        assert (tmp / f"new_{f}").read_bytes() == (tmp / f"naive_{f}").read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(draws=st.lists(st.tuples(ids_st, ids_st, weights_st), max_size=12),
+       sampler=names_st, seed=seeds_st, start=st.one_of(st.none(), ids_st),
+       burn_in=st.integers(0, 10**6), thin=st.integers(1, 50))
+@example(draws=[(0, 2**63 - 1, w) for w in SPECIAL_WEIGHTS], sampler="中é",
+         seed=[3, 2**32], start=2**63 - 1, burn_in=0, thin=1)
+@example(draws=[], sampler="rw", seed=None, start=None, burn_in=0, thin=1)
+def test_save_trace_matches_per_line_writer(tmp_path_factory, draws, sampler,
+                                            seed, start, burn_in, thin):
+    steps, nodes, weights = (list(col) for col in zip(*draws)) if draws \
+        else ([], [], [])
+    trace = SampleTrace(nodes=np.array(nodes, dtype=np.int64),
+                        steps=np.array(steps, dtype=np.int64),
+                        weights=np.array(weights, dtype=float),
+                        sampler=sampler, seed=seed, start=start,
+                        burn_in=burn_in, thin_interval=thin)
+    _same_bytes(tmp_path_factory.mktemp("trace"),
+                lambda p: save_trace(trace, p),
+                lambda p: naive_save_trace(trace, p), "t.jsonl")
+
+
+@st.composite
+def logs(draw):
+    mode = draw(st.sampled_from(["induced", "star"]))
+    c = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 10))
+    nodes = draw(st.lists(ids_st, min_size=n, max_size=n))
+    counts = np.array(draw(st.lists(
+        st.one_of(st.just([0] * c),
+                  st.lists(st.integers(0, 10**6), min_size=c, max_size=c)),
+        min_size=n, max_size=n)), dtype=np.int64).reshape(n, c)
+    edges = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                          max_size=6)) if nodes else []
+    return ObservationLog(
+        mode=mode, nodes=np.array(nodes, dtype=np.int64),
+        categories=np.array(draw(st.lists(st.integers(0, c - 1),
+                                          min_size=n, max_size=n)), dtype=np.int64),
+        degrees=counts.sum(axis=1),
+        weights=np.array(draw(st.lists(weights_st, min_size=n, max_size=n)),
+                         dtype=float),
+        num_categories=c,
+        category_names=tuple(draw(st.lists(names_st, min_size=c, max_size=c))),
+        population_hint=draw(st.one_of(st.none(), st.integers(1, 2**63 - 1))),
+        induced_edges=(np.array(edges, dtype=np.int64).reshape(-1, 2)
+                       if mode == "induced" else None),
+        neighbor_counts=counts if mode == "star" else None)
+
+
+def _log(mode, n, **fields):
+    return ObservationLog(
+        mode=mode, nodes=2**63 - 1 - np.arange(n, dtype=np.int64),
+        categories=np.zeros(n, dtype=np.int64),
+        degrees=np.zeros(n, dtype=np.int64),
+        weights=np.array(SPECIAL_WEIGHTS[:n], dtype=float), num_categories=2,
+        category_names=("é", "中 x"), **fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=logs())
+@example(log=_log("star", 4, neighbor_counts=np.zeros((4, 2), dtype=np.int64)))
+@example(log=_log("induced", 5, population_hint=None,
+                  induced_edges=np.zeros((0, 2), dtype=np.int64)))
+@example(log=_log("star", 0, population_hint=7,
+                  neighbor_counts=np.zeros((0, 2), dtype=np.int64)))
+def test_save_log_matches_per_line_writer(tmp_path_factory, log):
+    _same_bytes(tmp_path_factory.mktemp("log"),
+                lambda p: save_log(log, p),
+                lambda p: naive_save_log(log, p), "log.jsonl")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 12), data=st.data())
+def test_save_graph_matches_per_line_writer(tmp_path_factory, n, data):
+    iu, iv = np.triu_indices(n, k=1)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    g = Graph.from_edges(n, np.column_stack([iu, iv])[np.array(keep, dtype=bool)])
+    names = tuple(data.draw(st.lists(names_st, min_size=1, max_size=4)))
+    part = CategoryPartition(
+        labels=np.array(data.draw(st.lists(st.integers(0, len(names) - 1),
+                                           min_size=n, max_size=n)), dtype=np.int64),
+        names=names)
+    _same_bytes(tmp_path_factory.mktemp("graph"),
+                lambda e, c: save_graph(g, part, e, c),
+                lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+def test_writers_refuse_weights_the_readers_refuse(tmp_path, three_color_graph,
+                                                   bad):
+    g, part = three_color_graph
+    trace = sample_rw(g, 5, start=0, seed=8)
+    weights = trace.weights.copy()
+    weights[2] = bad
+    log = observe_star(g, part, trace)
+    for save, item in [(save_trace, dataclasses.replace(trace, weights=weights)),
+                       (save_log, dataclasses.replace(log, weights=weights))]:
+        with pytest.raises(ValueError,
+                           match="draw 2: weight must be positive and finite"):
+            save(item, tmp_path / "out.jsonl")
+        assert not (tmp_path / "out.jsonl").exists()
+
+
+# ---------------------------------------------------------------------------
+# readers: each non-blank line is one JSON value, read as json.loads reads it
+
+TRACE_META = {"sampler": "rw", "seed": 1, "start": 0, "burn_in": 0, "thin": 1}
+LOG_META = {"mode": "star", "N": None, "categories": ["a"]}
+# (lines after the meta line, the line json.loads refuses). The joined
+# parse "[" + ",".join(lines) + "]" reads the first case as one record
+# per line, and wrapping each line in [...] reads the second as one
+# value per line.
+JSONL_TRAPS = {
+    "two values on one line, a string across two": (
+        ['{"i": 0, "v": 0, "w": 1.0}, {"i": 1, "v": 1, "w": 1.0}',
+         '{"i": 2, "v": 3, "w": 1.0, "x": "}', '{"}'], 2),
+    "brackets across lines": (["1],[[[[1]", "[1]]]"], 2),
+    "string across lines": (['{"i": 0, "v": 0, "w": 1.0}', '"', '"'], 3),
+    "BOM": (['\ufeff{"i": 0, "v": 0, "w": 1.0}'], 2),
+    "trailing value": (['{"i": 0, "v": 0, "w": 1.0} 1'], 2),
+}
+
+
+@pytest.mark.parametrize("loader", [load_trace, load_log])
+@pytest.mark.parametrize("case", sorted(JSONL_TRAPS))
+def test_jsonl_readers_refuse_what_json_loads_refuses(tmp_path, loader, case):
+    lines, bad_line = JSONL_TRAPS[case]
+    meta = TRACE_META if loader is load_trace else LOG_META
+    path = write(tmp_path / "bad.jsonl",
+                 "\n".join([json.dumps(meta), *lines]) + "\n")
+    with pytest.raises(FileFormatError, match=f"bad.jsonl:{bad_line}: invalid JSON"):
+        loader(path)
+
+
+def test_jsonl_readers_accept_surrounding_spaces(tmp_path, three_color_graph):
+    g, part = three_color_graph
+    trace = sample_rw(g, 6, start=0, seed=8)
+    for save, load, item in [(save_trace, load_trace, trace),
+                             (save_log, load_log, observe_star(g, part, trace))]:
+        save(item, tmp_path / "good.jsonl")
+        lines = (tmp_path / "good.jsonl").read_text().splitlines()
+        spaced = [" " * (i % 3) + ln + "\t \r" * (i % 2)
+                  for i, ln in enumerate(lines)]
+        back = load(write(tmp_path / "spaced.jsonl", "\n".join(spaced) + "\n"))
+        assert np.array_equal(back.nodes, item.nodes)
+        assert np.array_equal(back.weights, item.weights)
+
+
+def test_jsonl_readers_refuse_a_bom_before_the_meta_line(tmp_path):
+    path = write(tmp_path / "bom.jsonl", "\ufeff" + json.dumps(TRACE_META) + "\n")
+    with pytest.raises(FileFormatError,
+                       match=r"bom.jsonl:1: invalid JSON \(Unexpected UTF-8 BOM"):
+        load_trace(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet='{}[]," :1.e-\\\ufeff\t\r\n\x0ctrunl', max_size=40))
+def test_read_jsonl_matches_per_line_json_loads(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+    path.write_text('{"m": 0}\n' + text)
+    try:
+        want = naive_read_jsonl(path)
+    except ValueError as exc:
+        with pytest.raises(FileFormatError, match=f"f.jsonl:{exc.args[0]}: invalid JSON"):
+            _read_jsonl(path, "trace")
+        return
+    meta_line, meta, lines, values = _read_jsonl(path, "trace")
+    assert [(meta_line, meta), *zip(lines.tolist(), values)] == want
+
+
+# ---------------------------------------------------------------------------
+# DOT labels and estimate files
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path, three_color_graph):
+    g, _ = three_color_graph
+    cg = exact_category_graph(g, CategoryPartition(
+        labels=np.array([0, 0, 0, 1, 1, 2, 2, 2]), names=("x", "y", "z")))
+    export_category_graph(cg, "dot", tmp_path / "g.dot",
+                          names=('a"b', "c\\d", '\\"'))
+    text = (tmp_path / "g.dot").read_text()
+    assert '0 [label="a\\"b", size=3.0];' in text
+    assert '1 [label="c\\\\d", size=2.0];' in text
+    assert '2 [label="\\\\\\"", size=3.0];' in text
+
+
+def _saved_estimate(tmp_path, three_color_graph):
+    g, part = three_color_graph
+    log = observe_star(g, part, sample_rw(g, 40, start=0, seed=11))
+    size_var, weight_var = bootstrap_variance(log, 5, seed=12, population=8,
+                                              size_estimator="star")
+    est = dataclasses.replace(
+        estimate_category_graph(log, population=8, size_estimator="star"),
+        size_variances=size_var, weight_variances=weight_var)
+    save_estimate(est, tmp_path / "est.json")
+    return json.loads((tmp_path / "est.json").read_text())
+
+
+_DROP = object()
+
+
+def _put(value, *keys):
+    """Set (or, for _DROP, delete) the value at a key path."""
+    def mutate(payload):
+        *path, last = keys
+        for key in path:
+            payload = payload[key]
+        if value is _DROP:
+            del payload[last]
+        else:
+            payload[last] = value
+    return mutate
+
+
+# mutation of a saved estimate -> message after "bad.json: "
+MALFORMED_ESTIMATES = {
+    "no categories": (_put(_DROP, "categories"), "missing key 'categories'"),
+    "no edges": (_put(_DROP, "edges"), "missing key 'edges'"),
+    "no N_mode": (_put(_DROP, "N_mode"), "missing key 'N_mode'"),
+    "category without name": (_put(_DROP, "categories", 1, "name"),
+                              r"missing key 'categories\[1\]\.name'"),
+    "edge without weight": (_put(_DROP, "edges", 0, "weight"),
+                            r"missing key 'edges\[0\]\.weight'"),
+    "size as a string": (_put("3", "categories", 0, "size"),
+                         r"'categories\[0\]\.size' must be a finite number, got '3'"),
+    "NaN size": (_put(math.nan, "categories", 2, "size"),
+                 r"'categories\[2\]\.size' must be a finite number, got nan"),
+    "infinite weight variance": (
+        _put(math.inf, "edges", 1, "weight_var"),
+        r"'edges\[1\]\.weight_var' must be a finite number, got inf"),
+    "boolean category id": (_put(True, "categories", 0, "id"),
+                            r"'categories\[0\]\.id' must be an integer"),
+    "name not a string": (_put(7, "categories", 0, "name"),
+                          r"'categories\[0\]\.name' must be a string"),
+    "categories not a list": (_put({}, "categories"),
+                              "'categories' must be a list"),
+    "edge not an object": (_put([0, 1], "edges", 0),
+                           r"edges\[0\] must be a JSON object"),
+    "infinite N": (_put(math.inf, "N"), "'N' must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ESTIMATES))
+def test_load_estimate_names_file_and_key(tmp_path, three_color_graph, case):
+    mutate, message = MALFORMED_ESTIMATES[case]
+    payload = _saved_estimate(tmp_path, three_color_graph)
+    mutate(payload)
+    path = write(tmp_path / "bad.json", json.dumps(payload))
+    with pytest.raises(FileFormatError, match=f"bad.json: {message}"):
+        load_estimate(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{}", "bad.json: missing key 'N_mode'"),
+    ("[]", "bad.json: estimate must be a JSON object"),
+    ('{"N_mode": ', r"bad.json:1: invalid JSON \(Expecting value\)"),
+])
+def test_load_estimate_refuses_other_documents(tmp_path, text, message):
+    with pytest.raises(FileFormatError, match=message):
+        load_estimate(write(tmp_path / "bad.json", text))
