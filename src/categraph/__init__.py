@@ -17,6 +17,7 @@ from .errors import (
     InfeasibleRegularGraph,
     InsufficientSample,
     InvalidNode,
+    InvalidParameter,
     InvalidThinning,
     InvalidWeight,
     IsolatedStartNode,
@@ -82,7 +83,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CategraphError", "EmptyCategory", "EmptyGraph", "EmptySample",
     "FileFormatError", "GenerationFailed", "InfeasibleRegularGraph",
-    "InsufficientSample", "InvalidNode", "InvalidThinning", "InvalidWeight",
+    "InsufficientSample", "InvalidNode", "InvalidParameter",
+    "InvalidThinning", "InvalidWeight",
     "IsolatedStartNode", "MissingSizeEstimate", "SelfPairNotSupported",
     "TooManyEdgesRequested", "UndefinedNRMSE", "UnknownCategory",
     "WrongObservationMode",

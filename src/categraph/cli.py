@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import CategraphError, InvalidThinning
+from .errors import CategraphError, InvalidParameter, InvalidThinning
 from .estimate import PROPORTIONAL, bootstrap_variance, estimate_category_graph
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
@@ -31,12 +31,19 @@ from .sampling import (  # noqa: F401
 )
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _parse_sizes(text: str) -> tuple[int, ...]:
+    sizes = []
+    for tok in text.split(","):
+        try:
+            sizes.append(int(tok))
+        except ValueError:
+            raise InvalidParameter(
+                f"--sizes: {tok!r} is not an integer") from None
+    return tuple(sizes)
 
 
 def _cmd_generate(args) -> int:
-    params = SyntheticParams(category_sizes=tuple(_int_list(args.sizes)),
+    params = SyntheticParams(category_sizes=_parse_sizes(args.sizes),
                              k=args.k,
                              inter_edge_count=args.inter,
                              alpha=args.alpha,

@@ -27,6 +27,11 @@ class EmptyGraph(CategraphError):
 
 
 # generators
+class InvalidParameter(CategraphError):
+    """A generator parameter is outside its range (negative degree or
+    edge count, empty category)."""
+
+
 class InfeasibleRegularGraph(CategraphError):
     """No simple k-regular graph exists for the requested size/degree."""
 

@@ -203,8 +203,8 @@ def _parse_pairs(rows: list[str]) -> np.ndarray | None:
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
     """Write the edge list (u < v, sorted) and the category file."""
-    heads, tails = g.edge_array.T.tolist()
-    _write(edge_path, "".join([f"{u}\t{v}\n" for u, v in zip(heads, tails)]))
+    flat = g.edge_array.ravel().tolist()
+    _write(edge_path, ("%d\t%d\n" * (len(flat) // 2)) % tuple(flat))
     names = map(part.names.__getitem__, part.labels.tolist())
     _write(category_path,
            "".join([f"{v}\t{name}\n" for v, name in enumerate(names)]))
@@ -275,9 +275,12 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     it cannot start raises StopIteration, which ends ``map`` early, so
     the count catches it. Otherwise (invalid JSON, surrounding spaces, a
     BOM) each line goes through ``json.loads``, which names the line.
+    Lines end at ``\n`` only, as text mode reads ``\r\n`` and ``\r``:
+    ``str.splitlines`` would also split at U+2028, ``\x0c`` and others
+    that a JSON string may hold raw.
     """
     with open(path) as fh:
-        text = fh.read().splitlines()
+        text = fh.read().split("\n")
     lines = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
     nonblank = list(filter(None, text))
     try:

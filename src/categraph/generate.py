@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     GenerationFailed,
     InfeasibleRegularGraph,
+    InvalidParameter,
     TooManyEdgesRequested,
 )
 from .graph import CategoryPartition, Graph
@@ -30,6 +31,25 @@ DEFAULT_CATEGORY_SIZES = (50, 100, 200, 500, 1000, 2000,
                           5000, 10000, 20000, 50000)
 
 _MAX_REGULAR_ATTEMPTS = 100
+
+
+def _check_model(sizes, k: int, inter_edge_count: int | None = None) -> None:
+    """The model's one parameter check: InvalidParameter for k < 0, a size
+    below 1 or a negative edge count, else InfeasibleRegularGraph."""
+    if k < 0:
+        raise InvalidParameter(f"degree k must be >= 0, got {k}")
+    if (inter_edge_count or 0) < 0:
+        raise InvalidParameter(
+            f"inter-category edge count must be >= 0, got {inter_edge_count}")
+    for s in sizes:
+        if s < 1:
+            raise InvalidParameter(f"category size must be >= 1, got {s}")
+        if s <= k:
+            raise InfeasibleRegularGraph(
+                f"category size {s} must exceed degree k={k}")
+        if (s * k) % 2 != 0:
+            raise InfeasibleRegularGraph(
+                f"size*k must be even (size={s}, k={k})")
 
 
 @dataclass(frozen=True)
@@ -51,13 +71,7 @@ class SyntheticParams:
                            tuple(int(s) for s in self.category_sizes))
         if not self.category_sizes:
             raise InfeasibleRegularGraph("need at least one category")
-        for s in self.category_sizes:
-            if s <= self.k:
-                raise InfeasibleRegularGraph(
-                    f"category size {s} must exceed degree k={self.k}")
-            if (s * self.k) % 2 != 0:
-                raise InfeasibleRegularGraph(
-                    f"size*k must be even (size={s}, k={self.k})")
+        _check_model(self.category_sizes, self.k, self.inter_edge_count)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
@@ -71,44 +85,55 @@ class SyntheticParams:
         return self.node_count * self.k // 10
 
 
-def _suitable(edges: set, stub_nodes: Sequence[int]) -> bool:
-    # Generation can still finish iff some pair of leftover stub nodes
-    # is non-adjacent.
-    distinct = sorted(set(stub_nodes))
-    for i, s1 in enumerate(distinct):
-        for s2 in distinct[i + 1:]:
-            if (s1, s2) not in edges:
-                return True
-    return len(distinct) == 0
+def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Which of ``keys`` occur in the ascending ``sorted_keys``. An edge
+    (u < v) is keyed u*n + v, so sorted keys are sorted edges, all >= 0."""
+    pos = np.searchsorted(sorted_keys, keys)
+    return np.append(sorted_keys, -1)[pos] == keys
+
+
+def _merge(sorted_keys: np.ndarray, new_sorted: np.ndarray) -> np.ndarray:
+    return np.insert(sorted_keys, np.searchsorted(sorted_keys, new_sorted),
+                     new_sorted)
+
+
+def _first_occurrences(keys: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Where each distinct key of ``keys[ok]`` first occurs, by key."""
+    idx = np.flatnonzero(ok)
+    return idx[np.unique(keys[idx], return_index=True)[1]]
+
+
+def _suitable(accepted: np.ndarray, stub_nodes: np.ndarray, size: int) -> bool:
+    # Generation can still finish iff some pair of the (non-empty) leftover
+    # stub nodes is non-adjacent, as one is if there are more pairs than edges.
+    distinct = np.unique(stub_nodes)
+    if (d := len(distinct)) * (d - 1) // 2 > len(accepted):
+        return True
+    iu, iv = np.triu_indices(d, k=1)
+    return not _member(distinct[iu] * size + distinct[iv], accepted).all()
 
 
 def _regular_edges_once(size: int, k: int, rng: np.random.Generator):
     """One pairing-model attempt at a simple k-regular edge set.
 
-    Pairs stubs uniformly; colliding stubs (self-pairs, duplicate edges)
-    are thrown back and re-paired until none remain or no valid pairing
-    can complete. Returns None on failure.
+    Pairs stubs uniformly, accepting the first copy of each new edge;
+    colliding stubs (self-pairs, duplicate edges) are re-paired until none
+    remain or no valid pairing can complete. Returns the sorted (u, v)
+    rows, or None on failure.
     """
-    edges: set[tuple[int, int]] = set()
+    accepted = np.empty(0, dtype=np.int64)
     stubs = np.repeat(np.arange(size, dtype=np.int64), k)
     while stubs.size:
         rng.shuffle(stubs)
-        leftovers: list[int] = []
-        it = iter(stubs.tolist())
-        for s1, s2 in zip(it, it):
-            if s1 > s2:
-                s1, s2 = s2, s1
-            if s1 != s2 and (s1, s2) not in edges:
-                edges.add((s1, s2))
-            else:
-                leftovers.append(s1)
-                leftovers.append(s2)
-        if not leftovers:
-            return edges
-        if not _suitable(edges, leftovers):
+        u, v = stubs[0::2], stubs[1::2]
+        a, b = np.minimum(u, v), np.maximum(u, v)
+        keys = a * size + b
+        firsts = _first_occurrences(keys, (a != b) & ~_member(keys, accepted))
+        accepted = _merge(accepted, keys[firsts])
+        stubs = np.delete(np.column_stack([a, b]), firsts, axis=0).ravel()
+        if stubs.size and not _suitable(accepted, stubs, size):
             return None
-        stubs = np.asarray(leftovers, dtype=np.int64)
-    return edges
+    return np.column_stack(np.divmod(accepted, size))
 
 
 def gen_intra_regular(sizes: Sequence[int], k: int,
@@ -118,34 +143,22 @@ def gen_intra_regular(sizes: Sequence[int], k: int,
     Node ids are assigned in contiguous blocks, category by category.
     """
     sizes = [int(s) for s in sizes]
-    for s in sizes:
-        if s <= k:
-            raise InfeasibleRegularGraph(
-                f"category size {s} must exceed degree k={k}")
-        if (s * k) % 2 != 0:
-            raise InfeasibleRegularGraph(
-                f"size*k must be even (size={s}, k={k})")
-    n = sum(sizes)
+    _check_model(sizes, k)
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-    all_edges: list[np.ndarray] = []
+    all_edges = [np.empty((0, 2), dtype=np.int64)]
     offset = 0
     for size in sizes:
-        if k > 0:
-            edges = None
-            for _ in range(_MAX_REGULAR_ATTEMPTS):
-                edges = _regular_edges_once(size, k, rng)
-                if edges is not None:
-                    break
-            if edges is None:
-                raise GenerationFailed(
-                    f"no simple {k}-regular graph on {size} nodes after "
-                    f"{_MAX_REGULAR_ATTEMPTS} attempts")
-            arr = np.asarray(sorted(edges), dtype=np.int64) + offset
-            all_edges.append(arr)
+        for _ in range(_MAX_REGULAR_ATTEMPTS):
+            edges = _regular_edges_once(size, k, rng)
+            if edges is not None:
+                break
+        else:
+            raise GenerationFailed(
+                f"no simple {k}-regular graph on {size} nodes after "
+                f"{_MAX_REGULAR_ATTEMPTS} attempts")
+        all_edges.append(edges + offset)
         offset += size
-    edge_arr = (np.concatenate(all_edges) if all_edges
-                else np.empty((0, 2), dtype=np.int64))
-    g = Graph.from_edges(n, edge_arr, validate=False)
+    g = Graph.from_edges(offset, np.concatenate(all_edges), validate=False)
     names = tuple(f"C{i}" for i in range(len(sizes)))
     return g, CategoryPartition(labels=labels, names=names)
 
@@ -158,54 +171,41 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
     pairs; when m is a large share of those, the candidates are
     enumerated instead so the call always terminates.
     """
+    _check_model((), 0, m)
     if m == 0:
         return g
-    n = g.node_count
-    labels = part.labels
-    sizes = part.sizes
-    cross_total = (n * n - int((sizes.astype(np.int64) ** 2).sum())) // 2
-    if g.edge_count:
-        ea = g.edge_array
-        existing_inter = int(np.count_nonzero(labels[ea[:, 0]] != labels[ea[:, 1]]))
-    else:
-        existing_inter = 0
+    n, labels = g.node_count, part.labels
+    cross_total = (n * n - int((part.sizes.astype(np.int64) ** 2).sum())) // 2
+    ea = g.edge_array
+    existing_inter = int(np.count_nonzero(labels[ea[:, 0]] != labels[ea[:, 1]]))
     available = cross_total - existing_inter
     if m > available:
         raise TooManyEdgesRequested(
             f"requested {m} inter-category edges, only {available} free pairs")
 
-    existing = set(map(tuple, g.edge_array.tolist())) if g.edge_count else set()
-    chosen: list[tuple[int, int]] = []
-    chosen_set: set[tuple[int, int]] = set()
-
+    taken = np.sort(ea[:, 0] * n + ea[:, 1])
     if cross_total <= 2_000_000 and m * 4 > available:
         # dense regime: enumerate candidates and sample without replacement
         iu, iv = np.triu_indices(n, k=1)
-        mask = labels[iu] != labels[iv]
-        cands = [(int(a), int(b)) for a, b in zip(iu[mask], iv[mask])
-                 if (int(a), int(b)) not in existing]
-        picks = rng.choice(len(cands), size=m, replace=False)
-        chosen = [cands[i] for i in picks]
+        keys = iu * n + iv    # ascending
+        cands = keys[(labels[iu] != labels[iv]) & ~_member(keys, taken)]
+        chosen = cands[rng.choice(len(cands), size=m, replace=False)]
     else:
-        while len(chosen) < m:
-            need = m - len(chosen)
+        # sparse regime: batches of uniform pairs; the first m new
+        # cross-category pairs in draw order
+        chosen = np.empty(0, dtype=np.int64)
+        while (need := m - len(chosen)):
             us = rng.integers(0, n, size=max(64, 2 * need))
             vs = rng.integers(0, n, size=max(64, 2 * need))
-            for u, v in zip(us.tolist(), vs.tolist()):
-                if labels[u] == labels[v]:
-                    continue
-                pair = (u, v) if u < v else (v, u)
-                if pair in existing or pair in chosen_set:
-                    continue
-                chosen.append(pair)
-                chosen_set.add(pair)
-                if len(chosen) == m:
-                    break
+            keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+            ok = (labels[us] != labels[vs]) & ~_member(keys, taken)
+            new = keys[np.sort(_first_occurrences(keys, ok))[:need]]
+            chosen = np.concatenate([chosen, new])
+            if len(new) < need:
+                taken = _merge(taken, np.sort(new))
 
-    new = np.asarray(chosen, dtype=np.int64)
-    combined = (np.concatenate([g.edge_array, new])
-                if g.edge_count else new)
-    return Graph.from_edges(n, combined, validate=False)
+    new = np.column_stack(np.divmod(chosen, n))
+    return Graph.from_edges(n, np.concatenate([ea, new]), validate=False)
 
 
 def permute_labels(part: CategoryPartition, alpha: float,

@@ -365,7 +365,7 @@ def naive_read_jsonl(path):
     number of the first line ``json.loads`` refuses."""
     out = []
     with open(path) as fh:
-        for lineno, line in enumerate(fh.read().splitlines(), 1):
+        for lineno, line in enumerate(fh.read().split("\n"), 1):
             if line:
                 try:
                     out.append((lineno, json.loads(line)))
@@ -491,3 +491,71 @@ def naive_score_cell(replicate_estimates, truth, probes):
     probe_scores = {label: scores[q] for label, q in probes.items()
                     if q in scores}
     return scores, excluded, probe_scores
+
+
+# ---------------------------------------------------------------------------
+# the synthetic generator's pairing rounds and inter-edge draws, as
+# per-pair loops over Python sets
+
+
+def naive_regular_edges_once(size, k, rng):
+    """One pairing-model attempt: shuffle the stubs, pair them in order,
+    keep the first copy of every new edge and re-pair the rest. Returns
+    the sorted edge list, or None once the leftover stub nodes are all
+    adjacent to each other."""
+    edges = set()
+    stubs = np.repeat(np.arange(size, dtype=np.int64), k)
+    while stubs.size:
+        rng.shuffle(stubs)
+        leftovers = []
+        it = iter(stubs.tolist())
+        for s1, s2 in zip(it, it):
+            if s1 > s2:
+                s1, s2 = s2, s1
+            if s1 != s2 and (s1, s2) not in edges:
+                edges.add((s1, s2))
+            else:
+                leftovers.append(s1)
+                leftovers.append(s2)
+        if not leftovers:
+            break
+        distinct = sorted(set(leftovers))
+        if not any((s1, s2) not in edges
+                   for i, s1 in enumerate(distinct) for s2 in distinct[i + 1:]):
+            return None
+        stubs = np.asarray(leftovers, dtype=np.int64)
+    return sorted(edges)
+
+
+def naive_add_inter_edges(n, edges, labels, m, rng):
+    """The m new cross-category pairs (u < v) in the order chosen, given
+    the existing (u < v) edge list; ValueError when fewer than m are
+    free. Enumerates the candidates and picks m without replacement when
+    there are at most 2,000,000 cross pairs and m is more than a quarter
+    of the free ones, else draws pairs in batches and keeps new ones."""
+    labels = [int(c) for c in labels]
+    counts = {}
+    for c in labels:
+        counts[c] = counts.get(c, 0) + 1
+    cross_total = (n * n - sum(s * s for s in counts.values())) // 2
+    existing = {(int(u), int(v)) for u, v in edges}
+    available = cross_total - sum(labels[u] != labels[v] for u, v in existing)
+    if m > available:
+        raise ValueError(f"only {available} free pairs")
+    if cross_total <= 2_000_000 and m * 4 > available:
+        cands = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if labels[a] != labels[b] and (a, b) not in existing]
+        return [cands[i] for i in rng.choice(len(cands), size=m, replace=False)]
+    chosen = []
+    while len(chosen) < m:
+        need = m - len(chosen)
+        us = rng.integers(0, n, size=max(64, 2 * need))
+        vs = rng.integers(0, n, size=max(64, 2 * need))
+        for u, v in zip(us.tolist(), vs.tolist()):
+            pair = (min(u, v), max(u, v))
+            if labels[u] == labels[v] or pair in existing or pair in chosen:
+                continue
+            chosen.append(pair)
+            if len(chosen) == m:
+                break
+    return chosen

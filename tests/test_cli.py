@@ -302,3 +302,21 @@ def test_config_is_checked_key_by_key(tmp_path, capsys, case):
     assert run(["evaluate", "--config", cfg_path]) == 1
     line = _one_error_line(capsys, "CategraphError")
     assert f"{cfg_path}: " in line and message in line
+
+
+@pytest.mark.parametrize("sizes,flags,message", [
+    ("10,a", (), "--sizes: 'a' is not an integer"),
+    ("10,,12", (), "--sizes: '' is not an integer"),
+    ("10,12,", (), "--sizes: '' is not an integer"),
+    ("10,0", (), "category size must be >= 1, got 0"),
+    ("10,12", ("--k", "-2"), "degree k must be >= 0, got -2"),
+    ("10,12", ("--inter", "-3"), "inter-category edge count must be >= 0, got -3"),
+])
+def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message):
+    code = run(["generate", "--sizes", sizes, "--k", "2", *flags,
+                "--out-edges", tmp_path / "e.tsv",
+                "--out-categories", tmp_path / "c.tsv"])
+    assert code == 1
+    assert _one_error_line(capsys, "InvalidParameter") == (
+        f"error: InvalidParameter: {message}")
+    assert not (tmp_path / "e.tsv").exists()

@@ -705,6 +705,53 @@ def test_jsonl_readers_refuse_a_bom_before_the_meta_line(tmp_path):
         load_trace(path)
 
 
+# Characters str.splitlines() breaks at but JSON Lines does not: the
+# first three may stand raw in a JSON string, the rest are control
+# characters, which json.loads refuses there.
+RAW_IN_STRINGS = ["\u2028", "\u2029", "\x85"]
+CONTROL = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _jsonl_with(kind, meta_char, draw_char):
+    if kind == "trace":
+        meta = {"sampler": f"rw{meta_char}x", "seed": 3}
+        draws = [{"i": i, "v": v, "w": 1.0} for i, v in enumerate((4, 7))]
+    else:
+        meta = {"mode": "induced", "N": 10, "categories": [f"a{meta_char}b", "c"]}
+        draws = [{"v": v, "c": c, "deg": 2, "w": 1.0} for v, c in ((4, 0), (7, 1))]
+    draws[1]["note"] = f"x{draw_char}y"
+    rows = [meta, *draws] + ([{"induced_edges": [[4, 7]]}] if kind == "log" else [])
+    return "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("char", RAW_IN_STRINGS)
+@pytest.mark.parametrize("kind", ["trace", "log"])
+def test_jsonl_lines_end_only_at_newlines(tmp_path, kind, char):
+    path = write(tmp_path / "f.jsonl", _jsonl_with(kind, char, char))
+    if kind == "trace":
+        back = load_trace(path)
+        assert back.sampler == f"rw{char}x" and back.nodes.tolist() == [4, 7]
+    else:
+        back = load_log(path)
+        assert back.category_names == (f"a{char}b", "c")
+        assert back.nodes.tolist() == [4, 7]
+        assert back.induced_edges.tolist() == [[4, 7]]
+
+
+@pytest.mark.parametrize("char", CONTROL)
+@pytest.mark.parametrize("kind", ["trace", "log"])
+def test_jsonl_control_characters_in_strings_name_their_line(tmp_path, kind,
+                                                             char):
+    loader = load_trace if kind == "trace" else load_log
+    escaped = json.dumps(char)[1:-1]   # json.dumps writes \u000b and so on
+    for lineno, chars in ((1, (char, "")), (3, ("", char))):
+        text = _jsonl_with(kind, *chars).replace(escaped, char)
+        path = write(tmp_path / "f.jsonl", text)
+        with pytest.raises(FileFormatError, match=fr"f.jsonl:{lineno}: invalid "
+                           r"JSON \(Invalid control character"):
+            loader(path)
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(alphabet='{}[]," :1.e-\\\ufeff\t\r\n\x0ctrunl', max_size=40))
 def test_read_jsonl_matches_per_line_json_loads(tmp_path_factory, text):

@@ -1,10 +1,17 @@
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     CategoryPartition,
     DEFAULT_CATEGORY_SIZES,
+    GenerationFailed,
     InfeasibleRegularGraph,
+    InvalidParameter,
     SyntheticParams,
     TooManyEdgesRequested,
     add_inter_edges,
@@ -14,6 +21,9 @@ from categraph import (
     permute_labels,
     synthetic_graph,
 )
+from categraph import generate
+
+from _reference import naive_add_inter_edges, naive_regular_edges_once
 
 
 def test_intra_regular_cycle_degrees():
@@ -173,3 +183,149 @@ def test_synthetic_benchmark_scale_edge_count():
     assert g.edge_count == int(0.6 * 88850 * 5)
     assert g.edge_count == 266550
     assert part.sizes.tolist() == sorted(DEFAULT_CATEGORY_SIZES)
+
+
+# ---------------------------------------------------------------------------
+# the array-op pairing rounds and inter-edge draws against per-pair loops
+
+
+def _next_draws(rng):
+    return rng.integers(0, 2**62, size=8).tolist()
+
+
+def _oracle_intra(sizes, k, rng, attempts):
+    """The intra-category edges as gen_intra_regular builds them, or
+    None where a category fails ``attempts`` times."""
+    edges, offset = [], 0
+    for size in sizes:
+        for _ in range(attempts):
+            block = naive_regular_edges_once(size, k, rng)
+            if block is not None:
+                break
+        else:
+            return None
+        edges += [(u + offset, v + offset) for u, v in block]
+        offset += size
+    return edges
+
+
+def _sizes(k, raw):
+    """Category sizes above k with size*k even; raw 0 and 1 give k+1
+    and k+2, where retries and GenerationFailed happen."""
+    sizes = [k + 1 + r if r < 2 else max(k + 1, r) for r in raw]
+    return [s + (s * k) % 2 for s in sizes]
+
+
+def _inter_count(cross, regime, pick):
+    """An inter-edge count in the sparse regime (at most a quarter of
+    the free pairs), the dense regime (more), or beyond the free pairs."""
+    lo, hi = {"sparse": (0, cross // 4), "dense": (cross // 4 + 1, cross),
+              "refused": (cross + 1, cross + 3)}[regime]
+    return lo + pick % (hi - lo + 1) if hi >= lo else cross + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(0, 6),
+       raw=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       attempts=st.sampled_from([1, 3, 100]),
+       seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(["sparse", "dense", "refused"]),
+       again=st.sampled_from(["sparse", "dense", "refused"]),
+       pick=st.integers(0, 2**20))
+@example(k=6, raw=[1, 1, 1], attempts=1, seed=0, regime="dense",
+         again="dense", pick=0)
+@example(k=4, raw=[1, 0, 40], attempts=100, seed=5, regime="sparse",
+         again="sparse", pick=2**20)
+@example(k=0, raw=[3, 0], attempts=1, seed=7, regime="dense",
+         again="sparse", pick=1)
+def test_generator_matches_per_pair_oracles(k, raw, attempts, seed, regime,
+                                            again, pick):
+    """Edge sets, exceptions and the generator's next draws agree with
+    the per-pair loops, across retries, GenerationFailed, both
+    inter-edge regimes and TooManyEdgesRequested. A second
+    add_inter_edges call meets inter-category edges already present."""
+    sizes = _sizes(k, raw)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _oracle_intra(sizes, k, twin, attempts)
+    with mock.patch.object(generate, "_MAX_REGULAR_ATTEMPTS", attempts):
+        if expected is None:
+            with pytest.raises(GenerationFailed):
+                gen_intra_regular(sizes, k, rng)
+            assert _next_draws(rng) == _next_draws(twin)
+            return
+        g, part = gen_intra_regular(sizes, k, rng)
+    assert list(map(tuple, g.edge_array.tolist())) == expected
+
+    n = sum(sizes)
+    free = (n * n - sum(s * s for s in sizes)) // 2
+    for round_regime in (regime, again):
+        m = _inter_count(free, round_regime, pick)
+        try:
+            new = naive_add_inter_edges(n, expected, part.labels, m, twin)
+        except ValueError:
+            with pytest.raises(TooManyEdgesRequested):
+                add_inter_edges(g, part, m, rng)
+            break
+        g = add_inter_edges(g, part, m, rng)
+        expected = sorted(expected + new)
+        assert list(map(tuple, g.edge_array.tolist())) == expected
+        free -= m
+    assert _next_draws(rng) == _next_draws(twin)
+
+
+def test_suitable_tests_keys_before_any_edge_is_accepted():
+    none = np.empty(0, dtype=np.int64)
+    assert not generate._suitable(none, np.array([3, 3]), 5)
+    assert generate._suitable(none, np.array([3, 4, 3, 3]), 5)
+    three = np.array([0 * 5 + 1, 0 * 5 + 2, 1 * 5 + 2])   # a triangle
+    assert not generate._suitable(three, np.array([2, 1, 0, 1]), 5)
+    assert generate._suitable(three, np.array([2, 3]), 5)
+
+
+def test_c4_graph_is_pinned():
+    # sha256 of the arrays as the per-pair set loops built them
+    g, part = synthetic_graph(SyntheticParams(
+        category_sizes=(100, 200, 200, 300, 400, 500, 600, 700, 1000, 1000),
+        k=10, alpha=0.5, seed=42))
+    digests = {name: hashlib.sha256(arr.astype(np.int64).tobytes()).hexdigest()
+               for name, arr in (("indptr", g.indptr), ("indices", g.indices),
+                                 ("labels", part.labels))}
+    assert digests == {
+        "indptr": "76d01e67b5a83ccf11b4997964cb9c852c3e7508dee00b237a477bb1fdae7571",
+        "indices": "2d27342882781e35a0a07daf1b853d3900f234d703aa4b03cbbb8035a8d55488",
+        "labels": "9d662d406dc23d7402d96df15fe8ceedbbcc42460db5c6de19480af2172f318f",
+    }
+
+
+BAD_PARAMS = [
+    (dict(category_sizes=(10,), k=2, inter_edge_count=-3), InvalidParameter,
+     "inter-category edge count must be >= 0, got -3"),
+    (dict(category_sizes=(10,), k=-2), InvalidParameter,
+     "degree k must be >= 0, got -2"),
+    (dict(category_sizes=(0,), k=-1), InvalidParameter,
+     "degree k must be >= 0, got -1"),
+    (dict(category_sizes=(5, 0), k=0), InvalidParameter,
+     "category size must be >= 1, got 0"),
+    (dict(category_sizes=(-4,), k=2), InvalidParameter,
+     "category size must be >= 1, got -4"),
+    (dict(category_sizes=(3,), k=3), InfeasibleRegularGraph,
+     "category size 3 must exceed degree k=3"),
+    (dict(category_sizes=(5,), k=3), InfeasibleRegularGraph,
+     "size\\*k must be even"),
+]
+
+
+@pytest.mark.parametrize("kwargs,error,message", BAD_PARAMS)
+def test_bad_parameters_raise_typed_errors(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        SyntheticParams(**kwargs)
+    if "inter_edge_count" not in kwargs:
+        with pytest.raises(error, match=message):
+            gen_intra_regular(kwargs["category_sizes"], kwargs["k"],
+                              np.random.default_rng(0))
+
+
+def test_add_inter_edges_refuses_a_negative_count():
+    g, part = gen_intra_regular([10, 10], 2, np.random.default_rng(3))
+    with pytest.raises(InvalidParameter, match="got -3"):
+        add_inter_edges(g, part, -3, np.random.default_rng(0))
