@@ -186,6 +186,13 @@ def _config_from_file(path) -> ExperimentConfig:
                 raise CategraphError(f"{path}: {where}{key}: expected {kind}")
         return obj
 
+    def build(kind, **kwargs):
+        """``kind(**kwargs)``; a refused value names the config file."""
+        try:
+            return kind(**kwargs)
+        except (ValueError, CategraphError) as exc:
+            raise CategraphError(f"{path}: {exc}") from None
+
     source = checked(checked(raw, "").get("graph", {}), "graph.")
     if "synthetic" in source and len(source) > 1:
         raise CategraphError(f"{path}: graph takes graph.synthetic or "
@@ -193,7 +200,7 @@ def _config_from_file(path) -> ExperimentConfig:
     if "synthetic" in source:
         model = checked(source["synthetic"], "graph.synthetic.",
                         needs=("category_sizes", "k"))
-        g, part = synthetic_graph(SyntheticParams(**model))
+        g, part = synthetic_graph(build(SyntheticParams, **model))
     elif "edge_file" in source:
         checked(source, "graph.", needs=("category_file",))
         g, part = fileio.load_graph(source["edge_file"],
@@ -205,10 +212,7 @@ def _config_from_file(path) -> ExperimentConfig:
     kwargs = {("thin_interval" if key == "thin" else key): value
               for key, value in raw.items()
               if key != "graph" and value != "equal"}
-    try:
-        return ExperimentConfig(graph=g, partition=part, **kwargs)
-    except (ValueError, CategraphError) as exc:
-        raise CategraphError(f"{path}: {exc}") from None
+    return build(ExperimentConfig, graph=g, partition=part, **kwargs)
 
 
 def _cmd_evaluate(args) -> int:

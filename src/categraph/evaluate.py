@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ValueError("burn_in must be >= 0")
         if self.thin_interval < 1:
             raise ValueError("thin interval must be >= 1")
+        if not all(0 <= p <= 100 for p in self.probe_percentiles):
+            raise ValueError("probe percentiles must lie in [0, 100]")
         if self.wrw_category_weights is not None:
             _weight_vector(self.wrw_category_weights,
                            self.partition.num_categories, "category")

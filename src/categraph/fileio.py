@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -30,10 +30,8 @@ from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-# a node id, as loadtxt reads the edge file: ASCII digits, optional sign
+# a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
-# node ids without surrounding spaces, one per line
-_PLAIN_IDS = re.compile(r"[+-]?[0-9]+(?:\n[+-]?[0-9]+)*")
 
 
 # ---------------------------------------------------------------------------
@@ -43,28 +41,19 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     """Load a graph and its category partition from TSV files.
 
     Every edge endpoint must appear in the category file; nodes that
-    appear only there are isolated nodes. The edge file is parsed in
-    bulk and checked with array operations; the earliest refused line
-    is named, counting blank and comment lines.
+    appear only there are isolated nodes. Both files are parsed in bulk
+    and checked with array operations; the earliest refused line is
+    named, counting blank and comment lines.
     """
     ext_ids, labels, names = _read_categories(category_path)
-    with open(edge_path) as fh:
-        text = fh.read()
-    rows = _data_rows(text)
-    ext, unreadable = _int_pairs(rows)
+    lines, rows = _numbered_lines(edge_path, comments=True)
+    ext, unreadable = _int_rows(rows, 2)
 
     n = len(ext_ids)
     dense, labeled = _dense_ids(ext_ids, ext)
     self_loop = ext[:, 0] == ext[:, 1]
-    keys = (np.minimum(dense[:, 0], dense[:, 1]) * n
-            + np.maximum(dense[:, 0], dense[:, 1]))
-    duplicate = np.zeros(len(keys), dtype=bool)
-    ordered = np.sort(keys)
-    if np.any(ordered[1:] == ordered[:-1]):
-        # flag every later copy of a key; a row refused for another
-        # reason may share a key with a later row, but it comes first
-        order = np.argsort(keys, kind="stable")
-        duplicate[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    duplicate = _later_copies(np.minimum(dense[:, 0], dense[:, 1]) * n
+                              + np.maximum(dense[:, 0], dense[:, 1]))
     refused = self_loop | ~(labeled[:, 0] & labeled[:, 1]) | duplicate
     if refused.any():
         row = int(np.argmax(refused))
@@ -80,12 +69,9 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         rule = ("expected 'u<TAB>v'" if rows[row].count("\t") != 1
                 else "node ids must be 64-bit decimal integers")
     else:
-        g = Graph.from_edges(n, dense, validate=False)
-        return g, CategoryPartition(labels=labels, names=names)
-    lineno = next(islice(
-        (i for i, ln in enumerate(text.split("\n"), 1)
-         if ln and ln[0] != "#"), row, None))
-    raise FileFormatError(f"{edge_path}:{lineno}: {rule}")
+        return Graph.from_edges(n, dense), CategoryPartition(labels=labels,
+                                                             names=names)
+    raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
 def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
@@ -108,96 +94,100 @@ def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
     return dense, labeled
 
 
-def _data_rows(text: str) -> list[str]:
-    """The lines of ``text`` that are neither blank nor comments; only a
-    whole line starting with '#' is a comment."""
+def _later_copies(keys: np.ndarray) -> np.ndarray:
+    """Whether each key repeats an earlier one: every copy but the first
+    is marked, so the earliest refused row is the one named."""
+    later = np.zeros(len(keys), dtype=bool)
+    ordered = np.sort(keys)
+    if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(keys, kind="stable")
+        later[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    return later
+
+
+def _numbered_lines(path, comments: bool = False) -> tuple[np.ndarray, list]:
+    """The 1-based numbers and the text of a file's non-blank lines, and
+    with ``comments`` of those not starting with '#'. Lines end at ``\n``
+    only, as text mode reads ``\r\n`` and ``\r``; ``str.splitlines`` would
+    also split at U+2028, ``\x0c`` and others that JSON strings and TSV
+    fields may hold."""
+    with open(path) as fh:
+        text = fh.read()
     rows = list(filter(None, text.split("\n")))
-    if text.startswith("#") or "\n#" in text:
+    # the first UTF-8 byte of each line, a blank line's being its own
+    # '\n'; a byte below 128 always stands for that ASCII character
+    chars = np.frombuffer((text + "\n").encode(), np.uint8)
+    firsts = chars[np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)]
+    keep = firsts != ord("\n")
+    if comments and (firsts == ord("#")).any():
+        keep &= firsts != ord("#")
         rows = [ln for ln in rows if ln[0] != "#"]
-    return rows
+    return np.flatnonzero(keep) + 1, rows
 
 
 def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The category file as (sorted external ids, the category id of
     each, category names interned in that order).
 
-    Plain ids are checked in bulk; when a check fails, the lines are
-    read one by one, which accepts ids with surrounding spaces and names
-    the first refused line.
+    Ids are read by the edge file's parser; the earliest line with a
+    field count other than two, an unreadable id or an id labeled
+    before is named.
     """
-    with open(path) as fh:
-        text = fh.read()
-    rows = _data_rows(text)
-    fields = "\t".join(rows).split("\t")
+    lines, rows = _numbered_lines(path, comments=True)
+    tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
+    two_fields = len(rows) if (tabs == 1).all() else int(np.argmax(tabs != 1))
+    fields = "\t".join(rows[:two_fields]).split("\t") if two_fields else []
     ids, names = fields[0::2], fields[1::2]
-    plain = (set(map(str.count, rows, repeat("\t"))) == {1}
-             and _PLAIN_IDS.fullmatch("\n".join(ids)))
-    ext = list(map(int, ids)) if plain else []
-    if not (plain and _INT64_MIN <= min(ext) and max(ext) <= _INT64_MAX
-            and len(set(ext)) == len(ext)):
-        ext = _category_ids(path, text.split("\n"))
-    ext = np.array(ext, dtype=np.int64)
-    order = np.argsort(ext)
-    names = list(map(names.__getitem__, order.tolist()))
-    name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
-    labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
-    return ext[order], labels, tuple(name_id)
+    ext, unreadable = _int_rows(ids, 1)
+    ext = ext[:, 0]
+    twice = _later_copies(ext)
+    if twice.any():
+        row = int(np.argmax(twice))
+        rule = f"node {ext[row]} labeled twice"
+    elif unreadable is not None:
+        row = unreadable
+        rule = f"node id {ids[row]!r} " + (
+            "does not fit 64 bits" if _NODE_ID.fullmatch(ids[row].strip())
+            else "is not an integer")
+    elif two_fields < len(rows):
+        row, rule = two_fields, "expected 'node<TAB>category'"
+    else:
+        order = np.argsort(ext)
+        names = list(map(names.__getitem__, order.tolist()))
+        name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
+        labels = np.fromiter(map(name_id.__getitem__, names), np.int64)
+        return ext[order], labels, tuple(name_id)
+    raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
 
-def _category_ids(path, lines: list[str]) -> list[int]:
-    """The node id of each category line, read line by line; the first
-    refused line raises FileFormatError."""
-    ids, seen = [], set()
-    for lineno, line in enumerate(lines, 1):
-        if not line or line[0] == "#":
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FileFormatError(
-                f"{path}:{lineno}: expected 'node<TAB>category'")
-        if not _NODE_ID.fullmatch(parts[0].strip()):
-            raise FileFormatError(
-                f"{path}:{lineno}: node id {parts[0]!r} "
-                "is not an integer")
-        ext = int(parts[0])
-        if not _INT64_MIN <= ext <= _INT64_MAX:
-            raise FileFormatError(
-                f"{path}:{lineno}: node id {parts[0]!r} "
-                "does not fit 64 bits")
-        if ext in seen:
-            raise FileFormatError(
-                f"{path}:{lineno}: node {ext} labeled twice")
-        seen.add(ext)
-        ids.append(ext)
-    return ids
-
-
-def _int_pairs(rows: list[str]) -> tuple[np.ndarray, int | None]:
-    """Parse TSV rows of two int64 fields: (the pairs, None), or, when
-    a row cannot be read, (the pairs of the rows before it, its index),
-    found by bisection."""
-    pairs = _parse_pairs(rows)
-    if pairs is not None:
-        return pairs, None
+def _int_rows(rows: list[str], width: int) -> tuple[np.ndarray, int | None]:
+    """Parse rows of ``width`` tab-separated int64 fields: (the values,
+    None), or, when a row cannot be read, (the values of the rows before
+    it, its index), found by bisection."""
+    values = _parse_ints(rows, width)
+    if values is not None:
+        return values, None
     lo, hi = 0, len(rows)   # rows[lo:hi] holds the first unreadable row
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _parse_pairs(rows[lo:mid]) is None:
+        if _parse_ints(rows[lo:mid], width) is None:
             hi = mid
         else:
             lo = mid
-    return _parse_pairs(rows[:lo]), lo
+    return _parse_ints(rows[:lo], width), lo
 
 
-def _parse_pairs(rows: list[str]) -> np.ndarray | None:
-    if not rows:   # np.loadtxt warns on empty input
-        return np.empty((0, 2), dtype=np.int64)
+def _parse_ints(rows: list[str], width: int) -> np.ndarray | None:
+    """Each field is read as ``np.loadtxt`` reads an int64: ASCII digits
+    with an optional sign and surrounding whitespace."""
+    if not any(rows):   # loadtxt skips empty rows, and warns if all are
+        return None if rows else np.empty((0, width), dtype=np.int64)
     try:
-        pairs = np.loadtxt(rows, dtype=np.int64, delimiter="\t",
-                           comments=None, ndmin=2)
+        values = np.loadtxt(rows, dtype=np.int64, delimiter="\t",
+                            comments=None, ndmin=2)
     except ValueError:
         return None
-    return pairs if pairs.shape == (len(rows), 2) else None
+    return values if values.shape == (len(rows), width) else None
 
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
@@ -275,14 +265,9 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     it cannot start raises StopIteration, which ends ``map`` early, so
     the count catches it. Otherwise (invalid JSON, surrounding spaces, a
     BOM) each line goes through ``json.loads``, which names the line.
-    Lines end at ``\n`` only, as text mode reads ``\r\n`` and ``\r``:
-    ``str.splitlines`` would also split at U+2028, ``\x0c`` and others
-    that a JSON string may hold raw.
+    Lines end at ``\n`` only (see :func:`_numbered_lines`).
     """
-    with open(path) as fh:
-        text = fh.read().split("\n")
-    lines = np.flatnonzero(np.fromiter(map(bool, text), bool, len(text))) + 1
-    nonblank = list(filter(None, text))
+    lines, nonblank = _numbered_lines(path)
     try:
         scanned = list(map(_scan_once, nonblank, repeat(0)))
     except (ValueError, RecursionError):   # invalid past a value's start
@@ -530,10 +515,8 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
     if isinstance(est, CategoryGraph):
         est = _exact_as_estimate(est, names)
     # a non-finite value raises ValueError here, before the file opens
-    text = json.dumps(_estimate_payload(est), indent=1, sort_keys=True,
-                      allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    _write(path, json.dumps(_estimate_payload(est), indent=1, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 _STRING = (lambda v: type(v) is str, "a string")
@@ -613,13 +596,11 @@ def save_dot(est: CategoryGraphEstimate | CategoryGraph, path,
         name = est.category_names[c] if c < len(est.category_names) else str(c)
         name = name.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {c} [label="{name}", size={est.sizes[c]!r}];')
-    for (a, b) in sorted(est.weights):
-        w = est.weights[(a, b)]
+    for (a, b), w in sorted(est.weights.items()):
         if w > 0:
             lines.append(f"  {a} -- {b} [weight={w!r}];")
     lines.append("}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def export_category_graph(est: CategoryGraphEstimate | CategoryGraph,

@@ -158,7 +158,7 @@ def gen_intra_regular(sizes: Sequence[int], k: int,
                 f"{_MAX_REGULAR_ATTEMPTS} attempts")
         all_edges.append(edges + offset)
         offset += size
-    g = Graph.from_edges(offset, np.concatenate(all_edges), validate=False)
+    g = Graph.from_edges(offset, np.concatenate(all_edges))
     names = tuple(f"C{i}" for i in range(len(sizes)))
     return g, CategoryPartition(labels=labels, names=names)
 
@@ -185,10 +185,16 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
 
     taken = np.sort(ea[:, 0] * n + ea[:, 1])
     if cross_total <= 2_000_000 and m * 4 > available:
-        # dense regime: enumerate candidates and sample without replacement
-        iu, iv = np.triu_indices(n, k=1)
-        keys = iu * n + iv    # ascending
-        cands = keys[(labels[iu] != labels[iv]) & ~_member(keys, taken)]
+        # dense regime: enumerate the cross-category pairs, each once as
+        # (a member of c) x (a node labeled above c), in ascending key
+        # order, and sample the absent ones without replacement
+        keys = []
+        for c in range(part.num_categories):
+            mine, above = np.flatnonzero(labels == c), np.flatnonzero(labels > c)
+            keys.append((np.minimum.outer(mine, above) * n
+                         + np.maximum.outer(mine, above)).ravel())
+        keys = np.sort(np.concatenate(keys))
+        cands = keys[~_member(keys, taken)]
         chosen = cands[rng.choice(len(cands), size=m, replace=False)]
     else:
         # sparse regime: batches of uniform pairs; the first m new
@@ -205,7 +211,7 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
                 taken = _merge(taken, np.sort(new))
 
     new = np.column_stack(np.divmod(chosen, n))
-    return Graph.from_edges(n, np.concatenate([ea, new]), validate=False)
+    return Graph.from_edges(n, np.concatenate([ea, new]))
 
 
 def permute_labels(part: CategoryPartition, alpha: float,

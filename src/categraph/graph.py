@@ -33,11 +33,11 @@ class Graph:
     indices: np.ndarray
 
     @staticmethod
-    def from_edges(node_count: int, edges, validate: bool = True) -> "Graph":
+    def from_edges(node_count: int, edges) -> "Graph":
         """Build a graph from an iterable/array of (u, v) pairs.
 
         Raises InvalidNode on out-of-range ids and ValueError on
-        self-loops or duplicate edges when ``validate`` is on.
+        self-loops or duplicate edges.
         """
         edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
                            dtype=np.int64)
@@ -45,23 +45,19 @@ class Graph:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must be (m, 2) pairs")
-        if validate and edges.size:
-            if edges.min() < 0 or edges.max() >= node_count:
-                raise InvalidNode(
-                    f"edge endpoint outside 0..{node_count - 1}")
-            if np.any(edges[:, 0] == edges[:, 1]):
-                raise ValueError("self-loops are not allowed")
-            canon = np.sort(edges, axis=1)
-            keys = canon[:, 0] * node_count + canon[:, 1]
-            if len(np.unique(keys)) != len(keys):
-                raise ValueError("duplicate edges are not allowed")
+        if edges.size and (edges.min() < 0 or edges.max() >= node_count):
+            raise InvalidNode(f"edge endpoint outside 0..{node_count - 1}")
         # symmetrize: each undirected edge appears in both endpoint rows,
-        # ordered by one head * N + tail key
+        # ordered by one head * N + tail key, which a second copy repeats
         keys = np.concatenate([edges[:, 0], edges[:, 1]])
         keys *= node_count
         keys += np.concatenate([edges[:, 1], edges[:, 0]])
         keys.sort()
         heads, tails = np.divmod(keys, node_count)
+        if np.any(heads == tails):
+            raise ValueError("self-loops are not allowed")
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("duplicate edges are not allowed")
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(heads, minlength=node_count))
         return Graph(indptr=indptr, indices=tails)
@@ -245,9 +241,7 @@ def volume(g: Graph, nodes: Iterable[int]) -> int:
     """Sum of degrees over a set of nodes."""
     arr = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
                      dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    if arr.min() < 0 or arr.max() >= g.node_count:
+    if arr.size and (arr.min() < 0 or arr.max() >= g.node_count):
         raise InvalidNode("node id out of range")
     return int(g.degrees[arr].sum())
 

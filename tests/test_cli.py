@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -285,6 +286,14 @@ BAD_CONFIGS = {
                         "category weights must be positive and finite"),
     "wrw weights too short": (_set("wrw_category_weights", [1]),
                               "one weight per category"),
+    "negative k": (_set("graph", "synthetic", "k", -2),
+                   "degree k must be >= 0, got -2"),
+    "NaN alpha": (_set("graph", "synthetic", "alpha", math.nan),
+                  "alpha must lie in [0, 1]"),
+    "percentile above 100": (_set("probe_percentiles", [25, 150]),
+                             "probe percentiles must lie in [0, 100]"),
+    "NaN percentile": (_set("probe_percentiles", [math.nan]),
+                       "probe percentiles must lie in [0, 100]"),
 }
 
 

@@ -150,6 +150,20 @@ MALFORMED_GRAPHS = {
     "three category fields": ("", "0\ta\tb\n",
                               "c.tsv:1: expected 'node<TAB>category'"),
     "node labeled twice": ("", "0\ta\n\n0\tb\n", "c.tsv:3: node 0 labeled twice"),
+    "empty category id": ("", "0\ta\n\tb\n", "c.tsv:2: node id '' is not an"),
+    "padded category id beyond 64 bits": (
+        "", "0\ta\n 9223372036854775808\tb\n",
+        "c.tsv:2: node id ' 9223372036854775808' does not fit 64 bits"),
+    "category id refused before a field count": (
+        "", "0\ta\n# c\nx\tb\n1\n", "c.tsv:3: node id 'x' is not"),
+    "field count before a refused category id": (
+        "", "0\ta\n1\nx\tb\n", "c.tsv:2: expected 'node<TAB>category'"),
+    "node labeled twice before a refused id": (
+        "", "0\ta\n0\tb\nx\tc\n", "c.tsv:2: node 0 labeled twice"),
+    "node labeled twice before a field count": (
+        "", "0\ta\n0\tb\n1\n", "c.tsv:2: node 0 labeled twice"),
+    "refused id before a node labeled twice": (
+        "", "0\ta\n1_0\tb\n0\tc\n", "c.tsv:2: node id '1_0' is not"),
 }
 
 
@@ -503,7 +517,8 @@ def test_save_estimate_refuses_non_finite_values(tmp_path, three_color_graph):
 
 @pytest.mark.parametrize("first_line", ["5\ta", "+5\ta", " 5 \ta"])
 def test_load_graph_reads_signed_and_padded_category_ids(tmp_path, first_line):
-    """Plain ids are read in bulk, padded ones line by line."""
+    """Signed ids and ids padded with spaces are read by the parser that
+    reads the edge file, with the values ``int()`` gives them."""
     edges = write(tmp_path / "e.tsv", "5\t-2\n1\t 5\n# c\n-2\t1\n")
     cats = write(tmp_path / "c.tsv", f"{first_line}\n\n+1\tb\n-2\ta b\n")
     g, part = load_graph(edges, cats)
@@ -511,6 +526,42 @@ def test_load_graph_reads_signed_and_padded_category_ids(tmp_path, first_line):
     assert g.edge_array.tolist() == [list(e) for e in want_edges]
     assert part.labels.tolist() == want_labels == [0, 1, 2]
     assert part.names == want_names == ("a b", "b", "a")
+
+
+# every whitespace character but tab and the line ends, as padding; a
+# sign, a digit separator, non-ASCII digits, 2**63 and the empty string
+PADDING = [c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\t\n\r"]
+ID_SPELLINGS = ([f"{c}5" for c in PADDING] + [f"5{c}" for c in PADDING]
+                + [f"{c}+5{c}" for c in PADDING[:2]]
+                + ["+5", "-5", "1_0", "\u0661\u0660", str(2**63), ""])
+
+
+@pytest.mark.parametrize("spelling", ID_SPELLINGS)
+def test_both_graph_files_read_an_id_the_same_way(tmp_path, spelling):
+    """An id either loads from both files with one value, shown by an
+    edge that joins it to a plain id, or is refused in both, naming its
+    line; padded and signed fives load."""
+    assert len(PADDING) == 26
+    readable = spelling.strip() in ("5", "+5", "-5")
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    labeled = write(cats, f"# c\n{spelling}\ta\n7\tb\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            load_graph(write(edges, ""), labeled)
+        except FileFormatError as exc:
+            assert not readable
+            assert str(exc).startswith(f"{cats}:2: node id {spelling!r} ")
+            with pytest.raises(FileFormatError) as refused:
+                load_graph(write(edges, f"# c\n7\t{spelling}\n"),
+                           write(cats, "7\tb\n"))
+            assert str(refused.value) == (
+                f"{edges}:2: node ids must be 64-bit decimal integers")
+        else:
+            g, part = load_graph(write(edges, f"# c\n{spelling}\t7\n"),
+                                 labeled)
+            assert readable and g.edge_count == 1
+            assert sorted(part.names) == ["a", "b"]
 
 
 def test_load_graph_refuses_unlabeled_id_in_a_gap(tmp_path):

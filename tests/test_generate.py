@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -329,3 +330,38 @@ def test_add_inter_edges_refuses_a_negative_count():
     g, part = gen_intra_regular([10, 10], 2, np.random.default_rng(3))
     with pytest.raises(InvalidParameter, match="got -3"):
         add_inter_edges(g, part, -3, np.random.default_rng(0))
+
+
+def test_dense_inter_edges_enumerate_cross_pairs_only():
+    """Half of the 6,000 cross pairs of a 3,000-node and a 2-node category:
+    the dense regime holds those pairs, not all 4.5 million node pairs."""
+    rng = np.random.default_rng(5)
+    g, part = gen_intra_regular([3000, 2], 1, rng)
+    tracemalloc.start()
+    try:
+        g = add_inter_edges(g, part, 3000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert g.edge_count == 1501 + 3000
+    assert edge_cut(g, part, 0, 1) == 3000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dense_inter_edges_match_the_oracle_on_interleaved_labels(seed):
+    """After permute_labels the categories no longer hold blocks of node
+    ids; the dense regime still takes its candidates in ascending pair
+    order, as the per-pair loop does."""
+    rng = np.random.default_rng(seed)
+    g, part = gen_intra_regular([8, 10, 12], 2, rng)
+    part = permute_labels(part, 1.0, rng)
+    edges, labels = list(map(tuple, g.edge_array.tolist())), part.labels
+    free = ((30 * 30 - 8 * 8 - 10 * 10 - 12 * 12) // 2
+            - sum(labels[u] != labels[v] for u, v in edges))
+    m = free // 2   # dense: more than a quarter of the free pairs
+    rng, twin = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    new = naive_add_inter_edges(30, edges, labels, m, twin)
+    g = add_inter_edges(g, part, m, rng)
+    assert list(map(tuple, g.edge_array.tolist())) == sorted(edges + new)
+    assert _next_draws(rng) == _next_draws(twin)

@@ -40,6 +40,17 @@ def test_from_edges_rejects_out_of_range():
         Graph.from_edges(3, [(0, 5)])
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "self-loops are not allowed"),
+    ([(1, 2), (2, 1), (0, 0)], "self-loops are not allowed"),
+    ([(0, 1), (1, 2), (1, 0)], "duplicate edges are not allowed"),
+    ([(0, 2), (0, 2)], "duplicate edges are not allowed"),
+])
+def test_from_edges_always_checks_its_edges(edges, message):
+    with pytest.raises(ValueError, match=message):
+        Graph.from_edges(3, np.array(edges))
+
+
 def test_structural_invariants_random_graphs():
     rng = np.random.default_rng(1)
     for _ in range(5):
