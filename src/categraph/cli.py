@@ -15,7 +15,12 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import CategraphError, InvalidParameter, InvalidThinning
+from .errors import (
+    CategraphError,
+    FileFormatError,
+    InvalidParameter,
+    InvalidThinning,
+)
 from .estimate import PROPORTIONAL, bootstrap_variance, estimate_category_graph
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
@@ -64,22 +69,25 @@ def _cmd_exact(args) -> int:
 
 
 def _parse_category_weights(text: str, part):
-    if text == "equal":
-        return np.ones(part.num_categories)
     weights = np.ones(part.num_categories)
+    if text == "equal":
+        return weights
     for tok in text.split(","):
         name, _, value = tok.partition("=")
-        if name not in part.names:
-            raise CategraphError(f"unknown category name {name!r}")
-        weights[part.names.index(name)] = float(value)
+        try:
+            weights[part.names.index(name)] = float(value)
+        except ValueError:
+            raise CategraphError(f"--wrw-weights: {tok!r} is not <name>=<number> "
+                                 "for a category of the graph") from None
     return weights
 
 
 def _cmd_sample(args) -> int:
     if args.thin < 1:
         raise InvalidThinning("thinning interval must be an integer >= 1")
-    if args.walks < 1:
-        raise CategraphError(f"--walks must be at least 1; got {args.walks}")
+    for flag, value in (("--n", args.n), ("--walks", args.walks)):
+        if value < 1:
+            raise CategraphError(f"{flag} must be at least 1; got {value}")
     g, part = fileio.load_graph(args.edges, args.categories)
     cw = (_parse_category_weights(args.wrw_weights, part)
           if args.sampler == "wrw" else None)
@@ -108,14 +116,14 @@ def _parse_population(text: str):
         return PROPORTIONAL
     if text == "auto":
         return None
-    if text.startswith("exact:"):
-        population = int(text.split(":", 1)[1])
-        if population <= 0:
-            raise CategraphError(
-                f"population must be a positive integer; got {text!r}")
-        return population
-    raise CategraphError(
-        f"population must be exact:<N>, proportional, or auto; got {text!r}")
+    try:
+        population = int(text[6:]) if text.startswith("exact:") else 0
+    except ValueError:
+        population = 0
+    if population < 1:
+        raise CategraphError("--population must be exact:<N> with N >= 1, "
+                             f"proportional, or auto; got {text!r}")
+    return population
 
 
 def _cmd_estimate(args) -> int:
@@ -172,51 +180,51 @@ def _config_from_file(path) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
     if type(raw) is not dict:
-        raise CategraphError(f"{path}: the config must be a JSON object")
+        raise CategraphError("the config must be a JSON object")
 
     def checked(obj: dict, where: str, needs=()) -> dict:
         for key in needs:
             if key not in obj:
-                raise CategraphError(f"{path}: {where[:-1]} needs {key!r}")
+                raise CategraphError(f"{where[:-1]} needs {key!r}")
         for key, value in obj.items():
             kind = _CONFIG_KEYS[where].get(key)
             if kind is None:
-                raise CategraphError(f"{path}: unknown key '{where}{key}'")
+                raise CategraphError(f"unknown key '{where}{key}'")
             if not _has_type(value, kind):
-                raise CategraphError(f"{path}: {where}{key}: expected {kind}")
+                raise CategraphError(f"{where}{key}: expected {kind}")
         return obj
-
-    def build(kind, **kwargs):
-        """``kind(**kwargs)``; a refused value names the config file."""
-        try:
-            return kind(**kwargs)
-        except (ValueError, CategraphError) as exc:
-            raise CategraphError(f"{path}: {exc}") from None
 
     source = checked(checked(raw, "").get("graph", {}), "graph.")
     if "synthetic" in source and len(source) > 1:
-        raise CategraphError(f"{path}: graph takes graph.synthetic or "
+        raise CategraphError("graph takes graph.synthetic or "
                              "graph.edge_file/category_file, not both")
     if "synthetic" in source:
         model = checked(source["synthetic"], "graph.synthetic.",
                         needs=("category_sizes", "k"))
-        g, part = synthetic_graph(build(SyntheticParams, **model))
+        g, part = synthetic_graph(SyntheticParams(**model))
     elif "edge_file" in source:
         checked(source, "graph.", needs=("category_file",))
         g, part = fileio.load_graph(source["edge_file"],
                                     source["category_file"])
     else:
-        raise CategraphError(f"{path}: config needs graph.synthetic or "
+        raise CategraphError("config needs graph.synthetic or "
                              "graph.edge_file/category_file")
     # only wrw_category_weights may be "equal", its default
     kwargs = {("thin_interval" if key == "thin" else key): value
               for key, value in raw.items()
               if key != "graph" and value != "equal"}
-    return build(ExperimentConfig, graph=g, partition=part, **kwargs)
+    return ExperimentConfig(graph=g, partition=part, **kwargs)
 
 
 def _cmd_evaluate(args) -> int:
-    cfg = _config_from_file(args.config)
+    # a refused config names its file; a graph file's FileFormatError
+    # already names the graph file
+    try:
+        cfg = _config_from_file(args.config)
+    except FileFormatError:
+        raise
+    except (ValueError, CategraphError) as exc:
+        raise CategraphError(f"{args.config}: {exc}") from None
     report = run_experiment(cfg)
     if args.csv:
         report.write_csv(args.csv)

@@ -45,6 +45,21 @@ ESTIMATOR_PAIRS = {
 }
 
 
+def _require(log: ObservationLog, size: str | None = None,
+             weight: str | None = None) -> None:
+    """Every estimator's preconditions, in order: the log's mode must
+    pair the given size and weight estimators in ESTIMATOR_PAIRS (None
+    matches any), then the log must hold draws."""
+    pairs = ESTIMATOR_PAIRS.get(log.mode, ())
+    if not any(size in (None, s) and weight in (None, w) for s, w in pairs):
+        asked = tuple(e or "any" for e in (size, weight))
+        raise WrongObservationMode(
+            f"a {log.mode} log supports the (size, weight) estimator pairs "
+            f"{list(pairs)}, not {asked}")
+    if log.n == 0:
+        raise EmptySample("no draws to estimate from")
+
+
 def reweighted_size(weights) -> float:
     """Inverse-weight mass of a draw multiset: sum of 1/w(v).
 
@@ -62,8 +77,7 @@ def hh_total(values, log: ObservationLog) -> float:
     (1/n) * sum of x(v)/w(v). When weights are known only up to a
     constant, use :func:`hh_ratio` instead, where the constant cancels.
     """
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log)
     values = np.asarray(values, dtype=float)
     if values.shape != (log.n,):
         raise ValueError("need exactly one value per draw")
@@ -73,8 +87,7 @@ def hh_total(values, log: ObservationLog) -> float:
 def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     """Ratio of two estimated totals; any constant factor shared by all
     sampling weights cancels out."""
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log)
     numer = np.asarray(numer_values, dtype=float)
     denom = np.asarray(denom_values, dtype=float)
     if numer.shape != (log.n,) or denom.shape != (log.n,):
@@ -93,8 +106,7 @@ def est_size_induced(log: ObservationLog, population: float) -> dict[int, float]
     size(A) = population * winv(S_A) / winv(S), where winv is the
     inverse-weight mass of the draws. Categories never drawn get 0.
     """
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log, size=INDUCED)
     mass = log.totals.mass
     return dict(enumerate((population * mass / mass.sum()).tolist()))
 
@@ -105,8 +117,7 @@ def est_mean_degrees(log: ObservationLog) -> tuple[float, dict[int, float]]:
     Returns (k_all, {category: k_cat}); categories without draws are
     absent from the map since their mean is undefined.
     """
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log)
     t = log.totals
     k_all = float(t.degree_mass.sum() / t.mass.sum())
     seen = np.flatnonzero(t.mass > 0)
@@ -121,10 +132,7 @@ def est_volume_fraction_star(log: ObservationLog) -> dict[int, float]:
     Far more information per draw than counting draw categories: every
     neighbor of every drawn node contributes. Values sum to 1.
     """
-    if log.mode != STAR:
-        raise WrongObservationMode("volume fractions need a star log")
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log, size=STAR)
     t = log.totals
     denom = float(t.degree_mass.sum())
     if denom == 0.0:
@@ -142,8 +150,7 @@ def est_size_star(log: ObservationLog, population: float,
     (and coverage-) friendly shortcut that trades away some accuracy
     when categories differ in density.
     """
-    if log.mode != STAR:
-        raise WrongObservationMode("star size estimation needs a star log")
+    _require(log, size=STAR)
     fvol = est_volume_fraction_star(log)
     if assume_homogeneous_degree:
         return {c: float(population * f) for c, f in fvol.items()}
@@ -162,11 +169,7 @@ def est_weight_induced(log: ObservationLog) -> dict[tuple[int, int], float]:
     pair had been checked for an edge (the sum is grouped per distinct
     node for speed).
     """
-    if log.mode != INDUCED:
-        raise WrongObservationMode("induced weight estimation needs "
-                                   "an induced log")
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log, weight=INDUCED)
     t = log.totals
     a, b = np.triu_indices(log.num_categories, 1)
     keep = (t.mass[a] > 0) & (t.mass[b] > 0)
@@ -186,10 +189,7 @@ def est_weight_star(log: ObservationLog,
     side, or whose required far-side size is unavailable or zero, are
     skipped.
     """
-    if log.mode != STAR:
-        raise WrongObservationMode("star weight estimation needs a star log")
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
+    _require(log, weight=STAR)
     if size_estimates is None:
         raise MissingSizeEstimate("size estimates are required")
     t = log.totals
@@ -244,18 +244,12 @@ def estimate_category_graph(log: ObservationLog,
     "proportional" (sizes and weights then correct up to one shared
     constant), or None to use the log's population hint when present.
     """
-    if log.n == 0:
-        raise EmptySample("no draws to estimate from")
     if weight_estimator is None:
         weight_estimator = INDUCED if log.mode == INDUCED else STAR
     for kind, name in (("size", size_estimator), ("weight", weight_estimator)):
         if name not in (INDUCED, STAR):
             raise ValueError(f"unknown {kind} estimator {name!r}")
-    pairs = ESTIMATOR_PAIRS.get(log.mode, ())
-    if (size_estimator, weight_estimator) not in pairs:
-        raise WrongObservationMode(
-            f"a {log.mode} log supports the (size, weight) estimator pairs "
-            f"{list(pairs)}, not {(size_estimator, weight_estimator)}")
+    _require(log, size_estimator, weight_estimator)
 
     if population is None:
         population = (log.population_hint if log.population_hint is not None

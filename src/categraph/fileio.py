@@ -426,7 +426,7 @@ def load_log(path) -> ObservationLog:
         _require(path, lines, counts.sum(axis=1) == degrees,
                  "nbr_cats must sum to deg", counts.sum(axis=1))
     else:
-        drawn = np.isin(induced, nodes).all(axis=1)
+        drawn = np.logical_and(*np.isin(induced, nodes).T)
         _require(path, np.full(len(induced), induced_line), drawn,
                  "induced edge has an undrawn endpoint", induced)
     return ObservationLog(

@@ -266,15 +266,7 @@ def edge_cut(g: Graph, part: CategoryPartition, a: int, b: int) -> int:
         raise SelfPairNotSupported("edge cut is defined for distinct categories")
     part._check_category(a)
     part._check_category(b)
-    members = part.members(a)
-    if members.size == 0:
-        return 0
-    count = 0
-    labels = part.labels
-    for u in members:
-        nbrs = g.indices[g.indptr[u]:g.indptr[u + 1]]
-        count += int(np.count_nonzero(labels[nbrs] == b))
-    return count
+    return exact_category_graph(g, part).cut_counts.get((min(a, b), max(a, b)), 0)
 
 
 def mean_degree(g: Graph, part: CategoryPartition | None = None,

@@ -121,9 +121,9 @@ class ObservationLog:
         indices = np.asarray(indices, dtype=np.int64)
         nodes = self.nodes[indices]
         induced = self.induced_edges
-        if self.mode == INDUCED and induced is not None and len(induced):
-            kept = np.isin(induced[:, 0], nodes) & np.isin(induced[:, 1], nodes)
-            induced = induced[kept]
+        if self.mode == INDUCED and induced is not None:
+            # load_log's test; .all(axis=1) on the two columns is 20x slower
+            induced = induced[np.logical_and(*np.isin(induced, nodes).T)]
         counts = self.neighbor_counts
         if counts is not None:
             counts = counts[indices]

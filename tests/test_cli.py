@@ -294,6 +294,9 @@ BAD_CONFIGS = {
                              "probe percentiles must lie in [0, 100]"),
     "NaN percentile": (_set("probe_percentiles", [math.nan]),
                        "probe percentiles must lie in [0, 100]"),
+    "inter edges above the free pairs": (
+        _set("graph", "synthetic", "inter_edge_count", 1000),
+        "requested 1000 inter-category edges, only 120 free pairs"),
 }
 
 
@@ -311,6 +314,80 @@ def test_config_is_checked_key_by_key(tmp_path, capsys, case):
     assert run(["evaluate", "--config", cfg_path]) == 1
     line = _one_error_line(capsys, "CategraphError")
     assert f"{cfg_path}: " in line and message in line
+
+
+def test_invalid_config_json_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"replicates": 2,')
+    assert run(["evaluate", "--config", cfg_path]) == 1
+    assert _one_error_line(capsys, "CategraphError") == (
+        f"error: CategraphError: {cfg_path}: Expecting property name "
+        "enclosed in double quotes: line 1 column 18 (char 17)")
+
+
+def test_config_passes_a_graph_file_error_through(tmp_path, capsys):
+    edges = tmp_path / "e.tsv"
+    cats = tmp_path / "c.tsv"
+    edges.write_text("0\t1\n1\t0\n")
+    cats.write_text("0\ta\n1\tb\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"replicates": 2, "graph": {
+        "edge_file": str(edges), "category_file": str(cats)}}))
+    assert run(["evaluate", "--config", cfg_path]) == 1
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {edges}:2: duplicate edge 1-0")
+
+
+@pytest.fixture(scope="module")
+def small_graph(tmp_path_factory):
+    """Edge and category files of a 100-node graph, categories C0..C2."""
+    d = tmp_path_factory.mktemp("graph")
+    assert run(["generate", "--sizes", "30,30,40", "--k", "4", "--seed", "5",
+                "--out-edges", d / "edges.tsv",
+                "--out-categories", d / "cats.tsv"]) == 0
+    return d / "edges.tsv", d / "cats.tsv"
+
+
+@pytest.mark.parametrize("token", ["C0", "C0=x", "C9=2", "C0=1,=2"])
+def test_a_bad_wrw_weight_names_the_flag(tmp_path, capsys, small_graph, token):
+    edges, cats = small_graph
+    capsys.readouterr()
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "10", "--wrw-weights", token,
+                "--out", tmp_path / "t.jsonl"]) == 1
+    bad = token.split(",")[-1]
+    assert _one_error_line(capsys, "CategraphError") == (
+        f"error: CategraphError: --wrw-weights: {bad!r} is not "
+        "<name>=<number> for a category of the graph")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("spec", ["exact:abc", "exact:", "exact:1.5", "exact"])
+def test_a_bad_population_names_the_flag(tmp_path, capsys, small_graph, spec):
+    edges, cats = small_graph
+    log = tmp_path / "log.jsonl"
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "uis", "--n", "10", "--out", tmp_path / "t.jsonl"]) == 0
+    assert run(["observe", "--edges", edges, "--categories", cats,
+                "--trace", tmp_path / "t.jsonl", "--mode", "star",
+                "--out", log]) == 0
+    capsys.readouterr()
+    assert run(["estimate", "--log", log, "--population", spec,
+                "--out", tmp_path / "x.json"]) == 1
+    assert _one_error_line(capsys, "CategraphError") == (
+        "error: CategraphError: --population must be exact:<N> with N >= 1, "
+        f"proportional, or auto; got {spec!r}")
+
+
+@pytest.mark.parametrize("n", ["0", "-4"])
+def test_n_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys, n):
+    assert run(["sample", "--edges", tmp_path / "missing.tsv",
+                "--categories", tmp_path / "missing.tsv",
+                "--sampler", "uis", "--n", n,
+                "--out", tmp_path / "t.jsonl"]) == 1
+    assert _one_error_line(capsys, "CategraphError") == (
+        f"error: CategraphError: --n must be at least 1; got {n}")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("sizes,flags,message", [

@@ -3,12 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     PROPORTIONAL,
     CategoryPartition,
     EmptySample,
     Graph,
+    InsufficientSample,
     ObservationLog,
     SampleTrace,
     WrongObservationMode,
@@ -441,6 +444,69 @@ def test_weighted_estimators_match_literal_formulas(seed):
                       ref.naive_weight_star_weighted(star_log, feed))
 
 
+@st.composite
+def observed_logs(draw):
+    """The induced and the star log of one draw multiset on a random
+    graph and partition, and whether every weight is 1."""
+    n = draw(st.integers(1, 10))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    g = Graph.from_edges(n, np.column_stack([iu, iv])[np.array(keep, dtype=bool)])
+    c = draw(st.integers(1, 4))
+    part = CategoryPartition(
+        labels=np.array(draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                      max_size=n)), dtype=np.int64),
+        names=tuple(f"C{i}" for i in range(c)))
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=25))
+    unit = draw(st.booleans())
+    weights = (np.ones(len(nodes)) if unit else draw(st.lists(
+        st.floats(2**-10, 2**10), min_size=len(nodes), max_size=len(nodes))))
+    trace = make_trace(nodes, weights)
+    return observe_induced(g, part, trace), observe_star(g, part, trace), unit
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs=observed_logs(), population=st.integers(1, 10**6), data=st.data())
+def test_every_estimator_matches_its_oracle(logs, population, data):
+    """Unit weights give the counting forms bit for bit; other weights
+    give the per-draw division forms within rel 1e-12."""
+    ind, star, unit = logs
+    oracle = {name: getattr(ref, f"naive_{name}_{'uniform' if unit else 'weighted'}")
+              for name in ("size_induced", "mean_degrees", "volume_fraction_star",
+                           "size_star", "weight_induced", "weight_star")}
+
+    def same(got, want):
+        if unit:
+            assert got == want
+        else:
+            assert set(got) == set(want)
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0)
+
+    sizes = est_size_induced(ind, population)
+    same(sizes, oracle["size_induced"](ind, population))
+    k_all, per = est_mean_degrees(star)
+    want_k_all, want_per = oracle["mean_degrees"](star)
+    same({-1: k_all, **per}, {-1: want_k_all, **want_per})
+    same(est_weight_induced(ind), oracle["weight_induced"](ind))
+    feeds = [sizes, data.draw(st.dictionaries(
+        st.integers(0, star.num_categories - 1),
+        st.one_of(st.just(0.0), st.floats(0.5, 1e6))), label="sizes")]
+    if star.degrees.sum() == 0:
+        with pytest.raises(InsufficientSample):
+            est_size_star(star, population)
+    else:
+        fvol = oracle["volume_fraction_star"](star)
+        same(est_volume_fraction_star(star), fvol)
+        same(est_size_star(star, population, assume_homogeneous_degree=True),
+             {c: population * f for c, f in fvol.items()})
+        star_sizes = est_size_star(star, population)
+        same(star_sizes, oracle["size_star"](star, population))
+        feeds.append(star_sizes)
+    for feed in feeds:
+        same(est_weight_star(star, feed), oracle["weight_star"](star, feed))
+
+
 # ---------------------------------------------------------------------------
 # scale invariance of the Hansen-Hurwitz ratios
 
@@ -601,6 +667,46 @@ def test_estimate_on_empty_log_raises(three_color_graph):
     empty = log.resampled(np.empty(0, dtype=np.int64))
     with pytest.raises(EmptySample):
         estimate_category_graph(empty, 8)
+
+
+# every estimator: the modes whose logs it takes, and one call of it
+REFUSALS = {
+    "hh_total": (("induced", "star"), lambda log: hh_total(np.ones(log.n), log)),
+    "hh_ratio": (("induced", "star"),
+                 lambda log: hh_ratio(np.ones(log.n), np.ones(log.n), log)),
+    "est_size_induced": (("induced", "star"), lambda log: est_size_induced(log, 8)),
+    "est_mean_degrees": (("induced", "star"), est_mean_degrees),
+    "est_volume_fraction_star": (("star",), est_volume_fraction_star),
+    "est_size_star": (("star",), lambda log: est_size_star(log, 8)),
+    "est_weight_induced": (("induced",), est_weight_induced),
+    "est_weight_star": (("star",),
+                        lambda log: est_weight_star(log, {0: 3.0, 1: 2.0, 2: 3.0})),
+    **{f"estimate_category_graph {se}/{we}": (
+        tuple(m for m, pairs in ESTIMATOR_PAIRS.items() if (se, we) in pairs),
+        lambda log, se=se, we=we: estimate_category_graph(
+            log, 8, size_estimator=se, weight_estimator=we))
+       for se, we in itertools.product(("induced", "star"), repeat=2)},
+}
+
+
+@pytest.mark.parametrize("mode", ["induced", "star"])
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_estimator_refusals_in_order(three_color_graph, name, mode):
+    """A log of a mode the estimator does not take is refused first,
+    even when it is empty; then an empty log is refused."""
+    takes, call = REFUSALS[name]
+    g, part = three_color_graph
+    observe = observe_induced if mode == "induced" else observe_star
+    full = observe(g, part, make_trace([0, 3, 5]))
+    empty = observe(g, part, make_trace([]))
+    if mode in takes:
+        call(full)
+        with pytest.raises(EmptySample):
+            call(empty)
+    else:
+        for log in (full, empty):
+            with pytest.raises(WrongObservationMode):
+                call(log)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,42 @@ def test_load_graph_matches_per_line_reader(tmp_path, seed):
         _check_against_naive_load_graph(tmp_path, rng, ext)
 
 
+@settings(max_examples=80, deadline=None)
+@given(ext=st.lists(st.one_of(st.integers(-20, 20), st.integers(-2**63, 2**63 - 1)),
+                    min_size=1, max_size=12, unique=True),
+       data=st.data())
+def test_load_graph_matches_the_per_line_reader_on_random_files(
+        tmp_path_factory, ext, data):
+    """Both files shuffled, with blank and comment lines anywhere; the
+    ids run with gaps and signs."""
+    n = len(ext)
+    names = data.draw(st.lists(st.text(alphabet="ab #é", min_size=1, max_size=3),
+                               min_size=n, max_size=n))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    flip = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    pairs = [(v, u) if f else (u, v)
+             for u, v, k, f in zip(iu.tolist(), iv.tolist(), keep, flip) if k]
+
+    def text(lines):
+        lines = data.draw(st.permutations(lines))
+        for at, filler in data.draw(st.lists(st.tuples(
+                st.integers(0, len(lines)), st.sampled_from(["", "#", "# 1\t2"])),
+                max_size=4)):
+            lines.insert(at, filler)
+        return "".join(line + "\n" for line in lines)
+
+    d = tmp_path_factory.mktemp("graph")
+    edges = write(d / "e.tsv", text([f"{ext[u]}\t{ext[v]}" for u, v in pairs]))
+    cats = write(d / "c.tsv", text([f"{x}\t{name}" for x, name in zip(ext, names)]))
+    g, part = load_graph(edges, cats)
+    want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+    assert g.node_count == n
+    assert g.edge_array.tolist() == [list(e) for e in want_edges]
+    assert part.labels.tolist() == want_labels
+    assert part.names == want_names
+
+
 def _check_against_naive_load_graph(tmp_path, rng, ext):
     n = len(ext)
     names = [f"cat {c}" for c in rng.integers(0, 6, size=n)]

@@ -183,6 +183,19 @@ def test_edge_cut_self_pair_rejected(path3):
         edge_cut(g, part, 0, 0)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_edge_cut_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 30))
+    g = random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
+    part = random_partition(n, int(rng.integers(2, 5)), rng)
+    _, cuts, _ = brute_force_category_graph(g, part)
+    for a in range(part.num_categories):
+        for b in range(part.num_categories):
+            if a != b:
+                assert edge_cut(g, part, a, b) == cuts.get((min(a, b), max(a, b)), 0)
+
+
 def test_edge_cut_three_color(three_color_graph):
     g, part = three_color_graph
     assert edge_cut(g, part, 0, 2) == 3
