@@ -21,10 +21,11 @@ from .errors import (
     InvalidParameter,
     InvalidThinning,
 )
-from .estimate import PROPORTIONAL, bootstrap_variance, estimate_category_graph
+from .estimate import (MODES, PROPORTIONAL, SIZE_ESTIMATORS, WEIGHT_ESTIMATORS,
+                       bootstrap_variance, estimate_category_graph)
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
-from .observe import INDUCED, STAR, observe_induced, observe_star
+from .observe import INDUCED, observe_induced, observe_star
 from .sampling import SAMPLERS, draw_traces
 # bench/spans.py wraps the samplers under these names
 from .sampling import (  # noqa: F401
@@ -83,11 +84,6 @@ def _parse_category_weights(text: str, part):
 
 
 def _cmd_sample(args) -> int:
-    if args.thin < 1:
-        raise InvalidThinning("thinning interval must be an integer >= 1")
-    for flag, value in (("--n", args.n), ("--walks", args.walks)):
-        if value < 1:
-            raise CategraphError(f"{flag} must be at least 1; got {value}")
     g, part = fileio.load_graph(args.edges, args.categories)
     cw = (_parse_category_weights(args.wrw_weights, part)
           if args.sampler == "wrw" else None)
@@ -127,18 +123,15 @@ def _parse_population(text: str):
 
 
 def _cmd_estimate(args) -> int:
-    log = fileio.load_log(args.log)
     population = _parse_population(args.population)
-    est = estimate_category_graph(
-        log, population=population,
-        size_estimator=args.size_est,
-        weight_estimator=args.weight_est,
-        assume_homogeneous_degree=args.homogeneous_degree)
+    log = fileio.load_log(args.log)
+    options = dict(population=population, size_estimator=args.size_est,
+                   weight_estimator=args.weight_est,
+                   assume_homogeneous_degree=args.homogeneous_degree)
+    est = estimate_category_graph(log, **options)
     if args.bootstrap:
         size_var, weight_var = bootstrap_variance(
-            log, args.bootstrap, seed=args.seed, population=population,
-            size_estimator=args.size_est, weight_estimator=args.weight_est,
-            assume_homogeneous_degree=args.homogeneous_degree)
+            log, args.bootstrap, seed=args.seed, **options)
         from dataclasses import replace
         est = replace(est, size_variances=size_var,
                       weight_variances=weight_var)
@@ -290,15 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", required=True)
     p.add_argument("--categories", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--mode", choices=(INDUCED, STAR), required=True)
+    p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_observe)
 
     p = sub.add_parser("estimate", help="estimate the category graph "
                                         "from an observation log")
     p.add_argument("--log", required=True)
-    p.add_argument("--size-est", choices=(INDUCED, STAR), default=INDUCED)
-    p.add_argument("--weight-est", choices=(INDUCED, STAR), default=None)
+    p.add_argument("--size-est", choices=SIZE_ESTIMATORS, default=INDUCED)
+    p.add_argument("--weight-est", choices=WEIGHT_ESTIMATORS, default=None)
     p.add_argument("--population", default="auto",
                    help="exact:<N>, proportional, or auto (log hint)")
     p.add_argument("--homogeneous-degree", action="store_true",
@@ -319,10 +312,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command's integer flags and the least value each takes; 0 also
+# stands for no bootstrap
+_LEAST = {"sample": {"thin": 1, "n": 1, "walks": 1, "burn_in": 0},
+          "estimate": {"bootstrap": 2}}
+
+
+def _check_int_flags(args) -> None:
+    """Refuse an integer flag out of its bounds, before any file is read."""
+    for dest, least in _LEAST.get(args.command, {}).items():
+        value = getattr(args, dest)
+        if value >= least or dest == "bootstrap" and value == 0:
+            continue
+        if dest == "thin":
+            raise InvalidThinning("thinning interval must be an integer >= 1")
+        either = "0 or " if dest == "bootstrap" else ""
+        raise CategraphError(f"--{dest.replace('_', '-')} must be {either}"
+                             f"at least {least}; got {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_int_flags(args)
         return args.func(args)
     except (CategraphError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ bootstrap resamples may run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -43,6 +44,10 @@ ESTIMATOR_PAIRS = {
     INDUCED: ((INDUCED, INDUCED),),
     STAR: ((INDUCED, STAR), (STAR, STAR)),
 }
+# the names the table spells, in table order
+MODES = tuple(ESTIMATOR_PAIRS)
+SIZE_ESTIMATORS, WEIGHT_ESTIMATORS = (tuple(dict.fromkeys(names)) for names
+                                      in zip(*sum(ESTIMATOR_PAIRS.values(), ())))
 
 
 def _require(log: ObservationLog, size: str | None = None,
@@ -244,12 +249,13 @@ def estimate_category_graph(log: ObservationLog,
     "proportional" (sizes and weights then correct up to one shared
     constant), or None to use the log's population hint when present.
     """
-    if weight_estimator is None:
-        weight_estimator = INDUCED if log.mode == INDUCED else STAR
-    for kind, name in (("size", size_estimator), ("weight", weight_estimator)):
-        if name not in (INDUCED, STAR):
-            raise ValueError(f"unknown {kind} estimator {name!r}")
+    if size_estimator not in SIZE_ESTIMATORS:
+        raise ValueError(f"unknown size estimator {size_estimator!r}")
+    if weight_estimator not in (None, *WEIGHT_ESTIMATORS):
+        raise ValueError(f"unknown weight estimator {weight_estimator!r}")
     _require(log, size_estimator, weight_estimator)
+    if weight_estimator is None:   # the one the mode pairs with the size
+        weight_estimator = dict(ESTIMATOR_PAIRS[log.mode])[size_estimator]
 
     if population is None:
         population = (log.population_hint if log.population_hint is not None
@@ -259,31 +265,27 @@ def estimate_category_graph(log: ObservationLog,
     else:
         pop_value, pop_mode = float(population), "exact"
 
-    all_cats = set(range(log.num_categories))
     if size_estimator == INDUCED:
         sizes = est_size_induced(log, pop_value)
     else:
         sizes = est_size_star(log, pop_value,
                               assume_homogeneous_degree=assume_homogeneous_degree)
-    skipped_sizes = frozenset(all_cats - set(sizes))
-
     if weight_estimator == INDUCED:
         weights = est_weight_induced(log)
     else:
         weights = est_weight_star(log, sizes)
-    all_pairs = {(a, b) for a in range(log.num_categories)
-                 for b in range(a + 1, log.num_categories)}
-    skipped_weights = frozenset(all_pairs - set(weights))
-    zero_draw = frozenset(np.flatnonzero(log.totals.mass == 0).tolist())
 
+    c = log.num_categories
+    pairs = frozenset(combinations(range(c), 2))
+    zero_draw = frozenset(np.flatnonzero(log.totals.mass == 0).tolist())
     return CategoryGraphEstimate(
         sizes=sizes, weights=weights,
         size_estimator=size_estimator, weight_estimator=weight_estimator,
         population=pop_value, population_mode=pop_mode,
         category_names=log.category_names,
         zero_draw_categories=zero_draw,
-        skipped_size_categories=skipped_sizes,
-        skipped_weight_pairs=skipped_weights)
+        skipped_size_categories=frozenset(range(c)).difference(sizes),
+        skipped_weight_pairs=pairs.difference(weights))
 
 
 def bootstrap_variance(log: ObservationLog, B: int, seed=None,

@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UndefinedNRMSE
-from .estimate import ESTIMATOR_PAIRS, estimate_category_graph
+from .estimate import (ESTIMATOR_PAIRS, MODES, SIZE_ESTIMATORS,
+                       WEIGHT_ESTIMATORS, estimate_category_graph)
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
 from .observe import INDUCED, STAR, observe_induced, observe_star
 from .sampling import SAMPLERS, _weight_vector, draw_traces
@@ -59,9 +60,9 @@ class ExperimentConfig:
     sample_sizes: tuple[int, ...] = (500, 5000, 50000)
     replicates: int = 30
     seed: int = 0
-    modes: tuple[str, ...] = (INDUCED, STAR)
-    size_estimators: tuple[str, ...] = (INDUCED, STAR)
-    weight_estimators: tuple[str, ...] = (INDUCED, STAR)
+    modes: tuple[str, ...] = MODES
+    size_estimators: tuple[str, ...] = SIZE_ESTIMATORS
+    weight_estimators: tuple[str, ...] = WEIGHT_ESTIMATORS
     burn_in: int = 0
     thin_interval: int = 1
     probe_percentiles: tuple[float, ...] = (25.0, 75.0)
@@ -74,15 +75,14 @@ class ExperimentConfig:
         self.size_estimators = tuple(self.size_estimators)
         self.weight_estimators = tuple(self.weight_estimators)
         self.probe_percentiles = tuple(float(p) for p in self.probe_percentiles)
-        for s in self.samplers:
-            if s not in SAMPLERS:
-                raise ValueError(f"unknown sampler {s!r}")
-        for m in self.modes:
-            if m not in ESTIMATOR_PAIRS:
-                raise ValueError(f"unknown observation mode {m!r}")
-        for e in self.size_estimators + self.weight_estimators:
-            if e not in (INDUCED, STAR):
-                raise ValueError(f"unknown estimator {e!r}")
+        for what, names, known in (
+                ("sampler", self.samplers, SAMPLERS),
+                ("observation mode", self.modes, ESTIMATOR_PAIRS),
+                ("estimator", self.size_estimators, SIZE_ESTIMATORS),
+                ("estimator", self.weight_estimators, WEIGHT_ESTIMATORS)):
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {what} {name!r}")
         if self.replicates < 2:
             raise ValueError("NRMSE needs at least two replicates")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
@@ -124,7 +124,7 @@ class CellResult:
         if self.quantity_kind == "size":
             return self.size_estimator
         if self.weight_estimator == STAR:
-            return f"star[sizes={self.size_estimator}]"
+            return f"{STAR}[sizes={self.size_estimator}]"
         return self.weight_estimator
 
     @property

@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import FileFormatError
-from .estimate import CategoryGraphEstimate
+from .estimate import MODES, CategoryGraphEstimate
 from .graph import CategoryGraph, CategoryPartition, Graph
 from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
@@ -386,13 +386,15 @@ def load_log(path) -> ObservationLog:
     """Read a log written by :func:`save_log`.
 
     Every record must hold an integer node id >= 0, a category id in
-    0..C-1, a degree >= 0 and a positive finite weight; star records'
+    0..C-1, a degree >= 0 and a positive finite weight, and every
+    record of a node the same category and degree; star records'
     neighbor counts must sum to their degree, and induced edges must
-    join drawn nodes. A record that breaks a rule is named by its line.
+    join two distinct drawn nodes, each pair once in either order. A
+    record that breaks a rule is named by its line.
     """
     meta_line, meta, lines, rows = _read_jsonl(path, "log")
     mode = _meta(path, meta_line, meta, "mode", None,
-                 lambda v: v in (INDUCED, STAR), "must be induced or star")
+                 lambda v: v in MODES, f"must be {' or '.join(MODES)}")
     names = _meta(path, meta_line, meta, "categories", [],
                   lambda v: type(v) is list and all(type(x) is str for x in v),
                   "must be a list of names")
@@ -419,6 +421,12 @@ def load_log(path) -> ObservationLog:
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
     _require(path, lines, np.isfinite(weights) & (weights > 0),
              "weight must be positive and finite", weights)
+    # each record of a node repeats the category and degree of its first
+    _, first, inverse = np.unique(nodes, return_index=True,
+                                  return_inverse=True)
+    for what, values in (("category", cats), ("degree", degrees)):
+        _require(path, lines, values == values[first[inverse]],
+                 f"{what} differs from an earlier record of the node", values)
 
     counts = None
     if mode == STAR:
@@ -426,9 +434,19 @@ def load_log(path) -> ObservationLog:
         _require(path, lines, counts.sum(axis=1) == degrees,
                  "nbr_cats must sum to deg", counts.sum(axis=1))
     else:
+        edge_lines = np.full(len(induced), induced_line)
         drawn = np.logical_and(*np.isin(induced, nodes).T)
-        _require(path, np.full(len(induced), induced_line), drawn,
+        _require(path, edge_lines, drawn,
                  "induced edge has an undrawn endpoint", induced)
+        # key each edge by its endpoints' ranks among the drawn ids the
+        # edges hold, as u * N + v on ids up to 2**63 - 1 would overflow
+        ends, rank = np.unique(induced, return_inverse=True)
+        u, v = rank.reshape(induced.shape).T
+        _require(path, edge_lines, u != v, "induced edge is a self-loop",
+                 induced)
+        _require(path, edge_lines, ~_later_copies(
+            np.minimum(u, v) * len(ends) + np.maximum(u, v)),
+            "induced edge repeats an earlier one", induced)
     return ObservationLog(
         mode=mode, nodes=nodes, categories=cats, degrees=degrees,
         weights=weights, num_categories=num_categories,

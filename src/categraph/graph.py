@@ -198,6 +198,11 @@ class CategoryPartition:
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_categories)
 
+    def labels_for(self, g: Graph) -> np.ndarray:
+        if self.node_count != g.node_count:
+            raise ValueError("partition and graph disagree on node count")
+        return self.labels
+
     def label_of(self, v: int) -> int:
         if not 0 <= v < len(self.labels):
             raise InvalidNode(f"node {v} outside 0..{len(self.labels) - 1}")
@@ -291,15 +296,13 @@ def exact_category_graph(g: Graph, part: CategoryPartition) -> CategoryGraph:
 
     Serves as the oracle all estimators are evaluated against.
     """
-    if part.node_count != g.node_count:
-        raise ValueError("partition and graph disagree on node count")
+    labels = part.labels_for(g)
     c = part.num_categories
     sizes = {cid: int(s) for cid, s in enumerate(part.sizes)}
     cuts: dict[tuple[int, int], int] = {}
     if g.edge_count:
         ea = g.edge_array
-        la = part.labels[ea[:, 0]]
-        lb = part.labels[ea[:, 1]]
+        la, lb = labels[ea].T
         cross = la != lb
         lo = np.minimum(la[cross], lb[cross])
         hi = np.maximum(la[cross], lb[cross])

@@ -127,22 +127,19 @@ class ObservationLog:
         counts = self.neighbor_counts
         if counts is not None:
             counts = counts[indices]
-        new = replace(self, nodes=nodes,
-                      categories=self.categories[indices],
-                      degrees=self.degrees[indices],
-                      weights=self.weights[indices],
-                      induced_edges=induced,
-                      neighbor_counts=counts)
-        return new
+        return replace(self, nodes=nodes,
+                       categories=self.categories[indices],
+                       degrees=self.degrees[indices],
+                       weights=self.weights[indices],
+                       induced_edges=induced,
+                       neighbor_counts=counts)
 
 
 def _record_arrays(g: Graph, part: CategoryPartition, trace: SampleTrace):
     nodes = np.asarray(trace.nodes, dtype=np.int64)
     if nodes.size and (nodes.min() < 0 or nodes.max() >= g.node_count):
         raise ValueError("trace contains nodes outside the graph")
-    if part.node_count != g.node_count:
-        raise ValueError("partition and graph disagree on node count")
-    return (nodes, part.labels[nodes], g.degrees[nodes].astype(np.int64),
+    return (nodes, part.labels_for(g)[nodes], g.degrees[nodes].astype(np.int64),
             np.asarray(trace.weights, dtype=float))
 
 

@@ -139,11 +139,10 @@ def _step_rule(rule: str, g: Graph, part, category_weights):
             np.copyto(cur, v, where=accept * deg[v] < d)
             return cur
         return step, 2, np.ones(g.node_count)
-    if part.node_count != g.node_count:
-        raise ValueError("partition and graph disagree on node count")
+    labels = part.labels_for(g)
     node_cw = _weight_vector(
         np.ones(part.num_categories) if category_weights is None
-        else category_weights, part.num_categories, "category")[part.labels]
+        else category_weights, part.num_categories, "category")[labels]
     # wrw: per-row running sums of the edge weights, added in row order:
     # one numpy step per degree position j, over the reaching[j] rows
     # longer than j, whose starts lead by_degree

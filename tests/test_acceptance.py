@@ -139,6 +139,7 @@ def test_c05_star_beats_induced_for_weights(consistency_run):
     ok("C5", "star-weight-estimator-dominates")
 
 
+@pytest.mark.slow
 def test_c06_stationary_distributions(eight_node_graph):
     g = eight_node_graph
     n = g.node_count

@@ -406,3 +406,49 @@ def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message)
     assert _one_error_line(capsys, "InvalidParameter") == (
         f"error: InvalidParameter: {message}")
     assert not (tmp_path / "e.tsv").exists()
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("sample", ("--sampler", "uis", "--burn-in", "-1"),
+     "CategraphError: --burn-in must be at least 0; got -1"),
+    ("sample", ("--sampler", "rw", "--burn-in", "-1"),
+     "CategraphError: --burn-in must be at least 0; got -1"),
+    ("sample", ("--sampler", "rw", "--thin", "0"),
+     "InvalidThinning: thinning interval must be an integer >= 1"),
+    ("estimate", ("--bootstrap", "1"),
+     "CategraphError: --bootstrap must be 0 or at least 2; got 1"),
+    ("estimate", ("--bootstrap", "-2"),
+     "CategraphError: --bootstrap must be 0 or at least 2; got -2"),
+    ("estimate", ("--population", "bogus"),
+     "CategraphError: --population must be exact:<N> with N >= 1, "
+     "proportional, or auto; got 'bogus'"),
+])
+def test_a_bad_flag_is_named_before_any_file_is_read(tmp_path, capsys,
+                                                     command, flags, message):
+    missing = tmp_path / "missing"
+    files = (("--edges", missing, "--categories", missing, "--n", "10")
+             if command == "sample" else ("--log", missing))
+    assert run([command, *files, *flags, "--out", tmp_path / "out"]) == 1
+    assert _one_error_line(capsys, message.split(":")[0]) == f"error: {message}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_choices_and_config_defaults_come_from_the_pairs_table(capsys):
+    from categraph.estimate import ESTIMATOR_PAIRS
+    from categraph.evaluate import ExperimentConfig
+
+    pairs = [pair for mode_pairs in ESTIMATOR_PAIRS.values()
+             for pair in mode_pairs]
+    names = {"modes": tuple(ESTIMATOR_PAIRS),
+             "size_estimators": tuple(dict.fromkeys(s for s, _ in pairs)),
+             "weight_estimators": tuple(dict.fromkeys(w for _, w in pairs))}
+    assert names["size_estimators"] == names["weight_estimators"] == (
+        "induced", "star")
+    fields = ExperimentConfig.__dataclass_fields__
+    assert {key: fields[key].default for key in names} == names
+    for command, flag, key in (("observe", "--mode", "modes"),
+                               ("estimate", "--size-est", "size_estimators"),
+                               ("estimate", "--weight-est", "weight_estimators")):
+        with pytest.raises(SystemExit):
+            run([command, "--help"])
+        assert f"{flag} {{{','.join(names[key])}}}" in capsys.readouterr().out

@@ -589,6 +589,20 @@ def test_pipeline_mode_mismatches_raise(three_color_graph):
                                         weight_estimator=we)
 
 
+def test_default_weight_estimator_is_the_one_the_table_pairs(three_color_graph):
+    g, part = three_color_graph
+    logs = {"induced": observe_induced(g, part, _full_trace(g)),
+            "star": observe_star(g, part, _full_trace(g))}
+    for mode, pairs in ESTIMATOR_PAIRS.items():
+        for se, we in pairs:
+            est = estimate_category_graph(logs[mode], 8, size_estimator=se)
+            assert est.weight_estimator == we
+    # a mode the table does not name has no default; _require refuses it
+    for log in logs.values():
+        with pytest.raises(WrongObservationMode):
+            estimate_category_graph(dataclasses.replace(log, mode="bogus"), 8)
+
+
 def test_pipeline_rejects_unknown_estimator(three_color_graph):
     g, part = three_color_graph
     log = observe_star(g, part, _full_trace(g))

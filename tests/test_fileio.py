@@ -482,6 +482,19 @@ MALFORMED_LOGS = {
                               r"induced edge has an undrawn endpoint, got \[0, 99\]"),
     "edge of three nodes": ("induced", _add_edge([0, 1, 2]), 8,
                             r"induced_edges must be a list of \[u, v\] integer"),
+    "self-loop induced edge": ("induced", _add_edge([0, 0]), 8,
+                               r"induced edge is a self-loop, got \[0, 0\]"),
+    "induced edge twice, reversed": (
+        "induced", _add_edge([4, 0]), 8,
+        r"induced edge repeats an earlier one, got \[4, 0\]"),
+    "node with two categories": (
+        "induced", _set("c", 1, index=6), 7,
+        "category differs from an earlier record of the node, got 1"),
+    "node with two degrees": (
+        "star", _set("deg", 3, index=6), 7,
+        "degree differs from an earlier record of the node, got 3"),
+    "mode a list": ("star", _set("mode", [], index=0), 1,
+                    r"meta 'mode' must be induced or star, got \[\]"),
     "zero population": ("star", _set("N", 0, index=0), 1, "meta 'N'"),
     "categories not a list": ("induced", _set("categories", "abc", index=0),
                               1, "meta 'categories'"),
@@ -495,6 +508,22 @@ def test_load_log_rejects_malformed_record(tmp_path, three_color_graph, case):
     mutate(records)
     path = _write_records(tmp_path / "bad.jsonl", records)
     with pytest.raises(FileFormatError, match=f"bad.jsonl:{line}: {message}"):
+        load_log(path)
+
+
+def test_load_log_keys_induced_edges_by_rank_not_by_raw_id(tmp_path):
+    # u * N + v on raw ids near 2**63 - 1 would overflow int64
+    big = 2**63 - 1
+    records = [{"mode": "induced", "N": None, "categories": ["a", "b"]},
+               {"v": big, "c": 0, "deg": 1, "w": 1.0},
+               {"v": big - 1, "c": 1, "deg": 1, "w": 1.0},
+               {"induced_edges": [[big, big - 1]]}]
+    path = _write_records(tmp_path / "log.jsonl", records)
+    assert load_log(path).induced_edges.tolist() == [[big, big - 1]]
+    records[-1]["induced_edges"].append([big - 1, big])
+    path = _write_records(tmp_path / "bad.jsonl", records)
+    with pytest.raises(FileFormatError, match="bad.jsonl:4: induced edge "
+                       "repeats an earlier one"):
         load_log(path)
 
 

@@ -89,12 +89,14 @@ def test_rw_isolated_start():
         sample_rw(g, 5, start=2, seed=0)
 
 
+@pytest.mark.slow
 def test_rw_cycle_visits_uniform():
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     t = sample_rw(g, LONG_RUN, start=0, seed=5)
     assert np.all(np.abs(frequencies(t, 5) * 5 - 1) < 0.02)
 
 
+@pytest.mark.slow
 def test_rw_star_center_half():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     t = sample_rw(g, LONG_RUN, start=0, seed=6)
@@ -117,6 +119,7 @@ def test_rw_consecutive_draws_adjacent():
         assert g.has_edge(int(u), int(v))
 
 
+@pytest.mark.slow
 def test_mhrw_star_visits_uniform():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     t = sample_mhrw(g, LONG_RUN, start=0, seed=9)
@@ -162,6 +165,7 @@ def test_wrw_transition_bias_toward_heavy_category():
     assert abs(toward_heavy - 11 / 13) < 0.01
 
 
+@pytest.mark.slow
 def test_wrw_equal_weights_matches_rw_law():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
     t = sample_wrw(g, CategoryPartition(labels=np.zeros(4, dtype=int),
@@ -252,6 +256,7 @@ def test_wrw_matches_per_row_cumsum_reference(three_color_graph):
             assert t.start == first
 
 
+@pytest.mark.slow
 def test_stationary_laws_all_samplers(eight_node_graph):
     """Every sampler's 1e6-draw visit frequencies match its analytic
     stationary law within 2% relative error per node."""
