@@ -81,7 +81,7 @@ class ExperimentConfig:
                 ("estimator", self.size_estimators, SIZE_ESTIMATORS),
                 ("estimator", self.weight_estimators, WEIGHT_ESTIMATORS)):
             for name in names:
-                if name not in known:
+                if not isinstance(name, str) or name not in known:
                     raise ValueError(f"unknown {what} {name!r}")
         if self.replicates < 2:
             raise ValueError("NRMSE needs at least two replicates")

@@ -291,30 +291,18 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     return lines[0], values[0], lines[1:], values[1:]
 
 
-# The checks below first pass over all values in C (``set(map(type,
-# ...))``, ``min``, ``max``, ``all(map(...))``) and return True when
-# every value passes; only then is a failure scanned for value by value.
-
-def _typed(values, kind: type) -> bool | list[bool]:
-    """True when every value is a JSON integer that fits 64 bits
-    (``int``) or a JSON number (``float``), else which values are;
-    booleans are neither."""
-    types = set(map(type, values))
+def _typed(values, kind: type) -> list[bool]:
+    """Which values are JSON integers that fit 64 bits (``int``) or JSON
+    numbers (``float``); booleans are neither."""
     if kind is int:
-        if types <= {int} and (not values or _INT64_MIN <= min(values)
-                               and max(values) <= _INT64_MAX):
-            return True
         return [type(v) is int and _INT64_MIN <= v <= _INT64_MAX
                 for v in values]
-    return types <= {int, float} or [type(v) in (int, float) for v in values]
+    return [type(v) in (int, float) for v in values]
 
 
 def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
     """``key`` of every record as an int64 or float array."""
-    _require(path, lines,
-             set(map(type, records)) <= {dict}
-             and all(map(dict.__contains__, records, repeat(key)))
-             or [type(r) is dict and key in r for r in records],
+    _require(path, lines, [type(r) is dict and key in r for r in records],
              f"record has no {key!r}", records)
     values = list(map(itemgetter(key), records))
     _require(path, lines, _typed(values, kind),
@@ -324,10 +312,7 @@ def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
 
 
 def _require(path, lines, ok, rule: str, values) -> None:
-    """Name the line of the first value for which ``ok`` is False;
-    ``ok`` is True when every value passed."""
-    if ok is True:
-        return
+    """Name the line of the first value the mask ``ok`` refuses."""
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if len(bad):
         got = values[bad[0]]
@@ -387,10 +372,11 @@ def load_log(path) -> ObservationLog:
 
     Every record must hold an integer node id >= 0, a category id in
     0..C-1, a degree >= 0 and a positive finite weight, and every
-    record of a node the same category and degree; star records'
-    neighbor counts must sum to their degree, and induced edges must
-    join two distinct drawn nodes, each pair once in either order. A
-    record that breaks a rule is named by its line.
+    record of a node the same category, degree and weight; star records'
+    neighbor counts must sum to their degree and repeat the node's
+    first, and induced edges must join two distinct drawn nodes, each
+    pair once in either order. A record that breaks a rule is named by
+    its line.
     """
     meta_line, meta, lines, rows = _read_jsonl(path, "log")
     mode = _meta(path, meta_line, meta, "mode", None,
@@ -406,7 +392,8 @@ def load_log(path) -> ObservationLog:
         if not rows or type(rows[-1]) is not dict \
                 or "induced_edges" not in rows[-1]:
             raise FileFormatError(
-                f"{path}: induced log missing trailing induced_edges block")
+                f"{path}:{lines[-1] if rows else meta_line}: induced log "
+                "missing trailing induced_edges block")
         induced = _edge_block(path, lines[-1], rows[-1]["induced_edges"])
         induced_line, lines, rows = lines[-1], lines[:-1], rows[:-1]
 
@@ -421,11 +408,13 @@ def load_log(path) -> ObservationLog:
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
     _require(path, lines, np.isfinite(weights) & (weights > 0),
              "weight must be positive and finite", weights)
-    # each record of a node repeats the category and degree of its first
+    # each record of a node repeats its first's category, degree, weight
     _, first, inverse = np.unique(nodes, return_index=True,
                                   return_inverse=True)
-    for what, values in (("category", cats), ("degree", degrees)):
-        _require(path, lines, values == values[first[inverse]],
+    first = first[inverse]
+    for what, values in (("category", cats), ("degree", degrees),
+                         ("weight", weights)):
+        _require(path, lines, values == values[first],
                  f"{what} differs from an earlier record of the node", values)
 
     counts = None
@@ -433,6 +422,8 @@ def load_log(path) -> ObservationLog:
         counts = _neighbor_counts(path, lines, rows, num_categories)
         _require(path, lines, counts.sum(axis=1) == degrees,
                  "nbr_cats must sum to deg", counts.sum(axis=1))
+        _require(path, lines, (counts == counts[first]).all(axis=1),
+                 "nbr_cats differs from an earlier record of the node", counts)
     else:
         edge_lines = np.full(len(induced), induced_line)
         drawn = np.logical_and(*np.isin(induced, nodes).T)
@@ -459,7 +450,7 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
     if (type(block) is list and set(map(type, block)) <= {list}
             and set(map(len, block)) <= {2}):
         flat = list(chain.from_iterable(block))
-        if _typed(flat, int) is True:
+        if all(_typed(flat, int)):
             return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     raise FileFormatError(
         f"{path}:{lineno}: induced_edges must be a list of [u, v] "
@@ -469,8 +460,7 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
     """The star records' ``nbr_cats`` objects as an (n, C) count matrix."""
     nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
-    _require(path, lines, set(map(type, nbrs)) <= {dict}
-             or [type(x) is dict for x in nbrs],
+    _require(path, lines, [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
     rows = np.repeat(np.arange(len(nbrs)), list(map(len, nbrs)))
     entry_lines = lines[rows]

@@ -299,16 +299,13 @@ def exact_category_graph(g: Graph, part: CategoryPartition) -> CategoryGraph:
     labels = part.labels_for(g)
     c = part.num_categories
     sizes = {cid: int(s) for cid, s in enumerate(part.sizes)}
-    cuts: dict[tuple[int, int], int] = {}
-    if g.edge_count:
-        ea = g.edge_array
-        la, lb = labels[ea].T
-        cross = la != lb
-        lo = np.minimum(la[cross], lb[cross])
-        hi = np.maximum(la[cross], lb[cross])
-        flat = np.bincount(lo * c + hi, minlength=c * c)
-        for key in np.flatnonzero(flat):
-            cuts[(int(key) // c, int(key) % c)] = int(flat[key])
+    la, lb = labels[g.edge_array].T
+    cross = la != lb
+    lo = np.minimum(la[cross], lb[cross])
+    hi = np.maximum(la[cross], lb[cross])
+    flat = np.bincount(lo * c + hi, minlength=c * c)
+    cuts = {(int(key) // c, int(key) % c): int(flat[key])
+            for key in np.flatnonzero(flat)}
     weights = {(a, b): cut / (sizes[a] * sizes[b])
                for (a, b), cut in cuts.items()}
     return CategoryGraph(sizes=sizes, cut_counts=cuts, weights=weights)

@@ -147,13 +147,10 @@ def observe_induced(g: Graph, part: CategoryPartition,
                     trace: SampleTrace) -> ObservationLog:
     """Observe categories of drawn nodes and the edges among them."""
     nodes, cats, degs, weights = _record_arrays(g, part, trace)
-    if g.edge_count:
-        drawn = np.zeros(g.node_count, dtype=bool)
-        drawn[nodes] = True
-        ea = g.edge_array
-        induced = ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]]
-    else:
-        induced = np.empty((0, 2), dtype=np.int64)
+    drawn = np.zeros(g.node_count, dtype=bool)
+    drawn[nodes] = True
+    ea = g.edge_array
+    induced = ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]]
     return ObservationLog(mode=INDUCED, nodes=nodes, categories=cats,
                           degrees=degs, weights=weights,
                           num_categories=part.num_categories,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -314,6 +315,21 @@ def test_config_is_checked_key_by_key(tmp_path, capsys, case):
     assert run(["evaluate", "--config", cfg_path]) == 1
     line = _one_error_line(capsys, "CategraphError")
     assert f"{cfg_path}: " in line and message in line
+
+
+def test_evaluate_without_report_files_prints_one_line_per_cell(
+        tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_every_key_config()))
+    assert run(["evaluate", "--config", cfg_path,
+                "--csv", tmp_path / "report.csv"]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg_path]) == 0
+    printed = [ln.split("\t") for ln in capsys.readouterr().out.splitlines()]
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # every column but p25 and p75, in the CSV's order
+    assert rows and printed == [row[:6] + row[8:] for row in rows]
 
 
 def test_invalid_config_json_names_the_file(tmp_path, capsys):

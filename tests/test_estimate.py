@@ -12,6 +12,7 @@ from categraph import (
     EmptySample,
     Graph,
     InsufficientSample,
+    MissingSizeEstimate,
     ObservationLog,
     SampleTrace,
     WrongObservationMode,
@@ -118,6 +119,17 @@ def test_hh_ratio_estimates_mean_degree_on_path():
     log = manual_log(draws[0] % 1, weights=w[0])
     assert hh_ratio(degrees[draws[0]], np.ones(n), log) == pytest.approx(
         ratios[0])
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda log: hh_total(np.ones(2), log),
+    lambda log: hh_ratio(np.ones(3), np.ones(2), log),
+    lambda log: hh_ratio(np.ones(2), np.ones(3), log),
+], ids=["total", "ratio denominator", "ratio numerator"])
+def test_hh_helpers_need_one_value_per_draw(estimate):
+    log = manual_log([0, 0, 1], weights=[1, 1, 1])
+    with pytest.raises(ValueError, match="need exactly one value per draw"):
+        estimate(log)
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +349,14 @@ def test_weight_star_rejects_induced_log(two_pair_graph):
     log = observe_induced(g, part, make_trace([0, 2]))
     with pytest.raises(WrongObservationMode):
         est_weight_star(log, {0: 2.0, 1: 2.0})
+
+
+def test_weight_star_needs_size_estimates(two_pair_graph):
+    g, part = two_pair_graph
+    log = observe_star(g, part, make_trace([0, 2]))
+    with pytest.raises(MissingSizeEstimate,
+                       match="size estimates are required"):
+        est_weight_star(log, None)
 
 
 def test_weight_estimates_symmetric_under_relabeling(three_color_graph):

@@ -93,7 +93,7 @@ def test_config_validation(small_graph):
 def test_config_checks_value_ranges_before_any_cell_runs(small_graph):
     g, part = small_graph
     for bad in ({"sample_sizes": (0, 100)}, {"sample_sizes": (-5,)},
-                {"burn_in": -1}):
+                {"burn_in": -1}, {"thin_interval": 0}):
         with pytest.raises(ValueError, match=">= "):
             _small_config(g, part, **bad)
     for weights in ([1.0] * (part.num_categories - 1),
@@ -112,6 +112,14 @@ def test_config_rejects_unknown_mode_and_estimator(small_graph):
         _small_config(g, part, size_estimators=("bogus",))
     with pytest.raises(ValueError, match="estimator"):
         _small_config(g, part, weight_estimators=("star", "bogus"))
+
+
+@pytest.mark.parametrize("field, name", [
+    ("samplers", "uis"), ("modes", "star"), ("weight_estimators", "star")])
+def test_config_refuses_a_name_that_is_not_a_string(small_graph, field, name):
+    g, part = small_graph
+    with pytest.raises(ValueError, match=rf"unknown .*\['{name}'\]"):
+        _small_config(g, part, **{field: [[name]]})
 
 
 def test_cells_cover_exactly_the_supported_pairs(small_graph):

@@ -441,6 +441,12 @@ def _nbr(update):
     return mutate
 
 
+def _replace_line(index, value):
+    def mutate(records):
+        records[index] = value
+    return mutate
+
+
 def _add_edge(edge):
     def mutate(records):
         records[-1]["induced_edges"].append(edge)
@@ -493,6 +499,17 @@ MALFORMED_LOGS = {
     "node with two degrees": (
         "star", _set("deg", 3, index=6), 7,
         "degree differs from an earlier record of the node, got 3"),
+    "node with two weights": (
+        "induced", _set("w", 0.5, index=6), 7,
+        "weight differs from an earlier record of the node, got 0.5"),
+    "node with two neighbor rows": (
+        "star", _set("nbr_cats", {"0": 2}, index=6), 7,
+        r"nbr_cats differs from an earlier record of the node, got \[2, 0, 0\]"),
+    "no induced_edges line": (
+        "induced", lambda records: records.pop(), 7,
+        "induced log missing trailing induced_edges block"),
+    "meta line a list": ("star", _replace_line(0, [1]), 1,
+                         "log meta line is not a JSON object"),
     "mode a list": ("star", _set("mode", [], index=0), 1,
                     r"meta 'mode' must be induced or star, got \[\]"),
     "zero population": ("star", _set("N", 0, index=0), 1, "meta 'N'"),
@@ -567,6 +584,14 @@ def test_load_trace_rejects_malformed_record(tmp_path, three_color_graph):
         path = _write_records(tmp_path / "bad.jsonl", records)
         with pytest.raises(FileFormatError, match=f"bad.jsonl:{line}: {message}"):
             load_trace(path)
+
+
+def test_load_trace_refuses_an_empty_file(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("")
+    with pytest.raises(FileFormatError,
+                       match="empty.jsonl:1: missing trace meta line"):
+        load_trace(path)
 
 
 def test_save_estimate_refuses_non_finite_values(tmp_path, three_color_graph):

@@ -217,6 +217,23 @@ def test_exact_category_graph_single_category():
     assert cg.weights == {} and cg.cut_counts == {}
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_exact_category_graph_edgeless(n):
+    g = Graph.from_edges(n, [])
+    part = CategoryPartition(labels=np.arange(n) % 2, names=("a", "b"))
+    cg = exact_category_graph(g, part)
+    assert cg.sizes == {0: (n + 1) // 2, 1: n // 2}
+    assert cg.cut_counts == {} and cg.weights == {}
+
+
+def test_exact_category_graph_refuses_a_partition_of_another_size(path3):
+    g, _ = path3
+    part = CategoryPartition(labels=np.zeros(4, dtype=int), names=("all",))
+    with pytest.raises(ValueError,
+                       match="partition and graph disagree on node count"):
+        exact_category_graph(g, part)
+
+
 def test_exact_category_graph_matches_brute_force_small():
     rng = np.random.default_rng(7)
     g = random_graph(20, 0.2, rng)

@@ -106,6 +106,25 @@ def test_trace_outside_graph_rejected(labeled_graph):
         observe_induced(g, part, make_trace([0, 99]))
 
 
+@pytest.mark.parametrize("n", [0, 3])
+def test_induced_on_an_edgeless_graph_sees_no_edges(n):
+    g = Graph.from_edges(n, [])
+    part = CategoryPartition(labels=np.zeros(n, dtype=int), names=("A",))
+    log = observe_induced(g, part, make_trace(np.arange(n)))
+    assert log.induced_edges.shape == (0, 2)
+    assert log.induced_edges.dtype == np.int64
+    assert log.totals.edge_mass.tolist() == [[0]]
+
+
+@pytest.mark.parametrize("observe", [observe_induced, observe_star])
+def test_observers_refuse_a_partition_of_another_size(labeled_graph, observe):
+    g, _ = labeled_graph
+    part = CategoryPartition(labels=np.zeros(4, dtype=int), names=("A",))
+    with pytest.raises(ValueError,
+                       match="partition and graph disagree on node count"):
+        observe(g, part, make_trace([0]))
+
+
 def test_resample_restricts_induced_edges(labeled_graph):
     g, part = labeled_graph
     log = observe_induced(g, part, make_trace([0, 1, 2, 3]))
