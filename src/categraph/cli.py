@@ -15,18 +15,13 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import (
-    CategraphError,
-    FileFormatError,
-    InvalidParameter,
-    InvalidThinning,
-)
+from .errors import CategraphError, FileFormatError, InvalidParameter
 from .estimate import (MODES, PROPORTIONAL, SIZE_ESTIMATORS, WEIGHT_ESTIMATORS,
                        bootstrap_variance, estimate_category_graph)
 from .evaluate import ExperimentConfig, run_experiment
 from .generate import SyntheticParams, synthetic_graph
 from .observe import INDUCED, observe_induced, observe_star
-from .sampling import SAMPLERS, draw_traces
+from .sampling import SAMPLERS, _check_interval, draw_traces
 # bench/spans.py wraps the samplers under these names
 from .sampling import (  # noqa: F401
     sample_mhrw,
@@ -325,7 +320,7 @@ def _check_int_flags(args) -> None:
         if value >= least or dest == "bootstrap" and value == 0:
             continue
         if dest == "thin":
-            raise InvalidThinning("thinning interval must be an integer >= 1")
+            _check_interval(value)   # raises, as value < 1
         either = "0 or " if dest == "bootstrap" else ""
         raise CategraphError(f"--{dest.replace('_', '-')} must be {either}"
                              f"at least {least}; got {value}")

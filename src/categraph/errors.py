@@ -6,7 +6,7 @@ class CategraphError(Exception):
 
 
 # graph model
-class InvalidNode(CategraphError):
+class InvalidNode(CategraphError, ValueError):
     """A node id is outside the graph's 0..N-1 range."""
 
 

@@ -264,6 +264,9 @@ def estimate_category_graph(log: ObservationLog,
         pop_value, pop_mode = 1.0, PROPORTIONAL
     else:
         pop_value, pop_mode = float(population), "exact"
+        if not 0 < pop_value < np.inf:
+            raise ValueError("population must be a positive finite number, "
+                             f"got {population!r}")
 
     if size_estimator == INDUCED:
         sizes = est_size_induced(log, pop_value)

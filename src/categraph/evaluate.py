@@ -70,7 +70,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.samplers = tuple(self.samplers)
-        self.sample_sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(self.sample_sizes)
+        counts = [("sample_sizes", n) for n in sizes] + [
+            (name, getattr(self, name))
+            for name in ("replicates", "burn_in", "thin_interval")]
+        for name, value in counts:
+            if type(value) is bool or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name}: {value!r} is not an integer")
+        self.sample_sizes = tuple(map(int, sizes))
         self.modes = tuple(self.modes)
         self.size_estimators = tuple(self.size_estimators)
         self.weight_estimators = tuple(self.weight_estimators)

@@ -97,11 +97,9 @@ def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
 def _later_copies(keys: np.ndarray) -> np.ndarray:
     """Whether each key repeats an earlier one: every copy but the first
     is marked, so the earliest refused row is the one named."""
+    order = np.argsort(keys, kind="stable")
     later = np.zeros(len(keys), dtype=bool)
-    ordered = np.sort(keys)
-    if np.any(ordered[1:] == ordered[:-1]):
-        order = np.argsort(keys, kind="stable")
-        later[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    later[order[1:]] = keys[order[1:]] == keys[order[:-1]]
     return later
 
 
@@ -254,35 +252,34 @@ def load_trace(path) -> SampleTrace:
 _scan_once = json.JSONDecoder().scan_once
 
 
+def _decode(line: str):
+    """A line's value as ``json.loads`` reads it; the scanner's
+    StopIteration must not reach ``map``, which it would end early."""
+    try:
+        value, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = None
+    return value if end == len(line) else json.loads(line)
+
+
 def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     """Parse a JSON Lines file whose first non-blank line holds a meta
     object: (meta line number, meta, line numbers of the other
     non-blank lines, their values).
 
-    Each non-blank line is one JSON value, read exactly as ``json.loads``
-    reads it. The C scanner reads every line from its first character,
-    and its values are kept when it read all lines to their ends; a line
-    it cannot start raises StopIteration, which ends ``map`` early, so
-    the count catches it. Otherwise (invalid JSON, surrounding spaces, a
-    BOM) each line goes through ``json.loads``, which names the line.
-    Lines end at ``\n`` only (see :func:`_numbered_lines`).
+    Each non-blank line is decoded once by :func:`_decode`, so its value
+    is that of ``json.loads``, and a line ``json.loads`` refuses (invalid
+    JSON, a BOM) is named with its error. Lines end at ``\n`` only (see
+    :func:`_numbered_lines`).
     """
     lines, nonblank = _numbered_lines(path)
     try:
-        scanned = list(map(_scan_once, nonblank, repeat(0)))
-    except (ValueError, RecursionError):   # invalid past a value's start
-        scanned = []
-    if (len(scanned) == len(nonblank)
-            and list(map(itemgetter(1), scanned)) == list(map(len, nonblank))):
-        values = list(map(itemgetter(0), scanned))
-    else:
-        try:
-            values = list(map(json.loads, nonblank))
-        except json.JSONDecodeError as exc:
-            # every earlier copy of the failing line parsed, so this finds it
-            lineno = lines[nonblank.index(exc.doc)]
-            raise FileFormatError(
-                f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+        values = list(map(_decode, nonblank))
+    except json.JSONDecodeError as exc:
+        # every earlier copy of the failing line parsed, so this finds it
+        lineno = lines[nonblank.index(exc.doc)]
+        raise FileFormatError(
+            f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
     if not values:
         raise FileFormatError(f"{path}:1: missing {kind} meta line")
     if type(values[0]) is not dict:

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InvalidNode
 from .graph import CategoryPartition, Graph
 from .sampling import SampleTrace
 
@@ -135,43 +136,41 @@ class ObservationLog:
                        neighbor_counts=counts)
 
 
-def _record_arrays(g: Graph, part: CategoryPartition, trace: SampleTrace):
+def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
+    """The fields every log holds, read off the graph for the trace's
+    draws; the first draw outside the graph raises InvalidNode."""
     nodes = np.asarray(trace.nodes, dtype=np.int64)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= g.node_count):
-        raise ValueError("trace contains nodes outside the graph")
-    return (nodes, part.labels_for(g)[nodes], g.degrees[nodes].astype(np.int64),
-            np.asarray(trace.weights, dtype=float))
+    outside = np.flatnonzero((nodes < 0) | (nodes >= g.node_count))
+    if len(outside):
+        raise InvalidNode(f"draw {outside[0]}: node {nodes[outside[0]]} is "
+                          f"outside 0..{g.node_count - 1}")
+    return dict(nodes=nodes, categories=part.labels_for(g)[nodes],
+                degrees=g.degrees[nodes].astype(np.int64),
+                weights=np.asarray(trace.weights, dtype=float),
+                num_categories=part.num_categories,
+                category_names=part.names, population_hint=g.node_count)
 
 
 def observe_induced(g: Graph, part: CategoryPartition,
                     trace: SampleTrace) -> ObservationLog:
     """Observe categories of drawn nodes and the edges among them."""
-    nodes, cats, degs, weights = _record_arrays(g, part, trace)
+    draws = _draws(g, part, trace)
     drawn = np.zeros(g.node_count, dtype=bool)
-    drawn[nodes] = True
+    drawn[draws["nodes"]] = True
     ea = g.edge_array
-    induced = ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]]
-    return ObservationLog(mode=INDUCED, nodes=nodes, categories=cats,
-                          degrees=degs, weights=weights,
-                          num_categories=part.num_categories,
-                          category_names=part.names,
-                          population_hint=g.node_count,
-                          induced_edges=induced)
+    return ObservationLog(mode=INDUCED, **draws,
+                          induced_edges=ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]])
 
 
 def observe_star(g: Graph, part: CategoryPartition,
                  trace: SampleTrace) -> ObservationLog:
     """Observe, per drawn node, the category histogram of all its
     neighbors. Neighbor identities are not retained."""
-    nodes, cats, degs, weights = _record_arrays(g, part, trace)
+    draws = _draws(g, part, trace)
     c = part.num_categories
     rows = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
     flat = rows * c + part.labels[g.indices]
     per_node = np.bincount(flat, minlength=g.node_count * c)
     per_node = per_node.reshape(g.node_count, c)
-    return ObservationLog(mode=STAR, nodes=nodes, categories=cats,
-                          degrees=degs, weights=weights,
-                          num_categories=c,
-                          category_names=part.names,
-                          population_hint=g.node_count,
-                          neighbor_counts=per_node[nodes])
+    return ObservationLog(mode=STAR, **draws,
+                          neighbor_counts=per_node[draws["nodes"]])

@@ -260,14 +260,18 @@ def sample_wrw(g: Graph, part: CategoryPartition,
                                category_weights))
 
 
+def _check_interval(interval) -> None:
+    if not isinstance(interval, (int, np.integer)) or interval < 1:
+        raise InvalidThinning("thinning interval must be an integer >= 1")
+
+
 def thin(trace: SampleTrace, interval: int) -> SampleTrace:
     """Keep every interval-th draw (positions 0, T, 2T, ...).
 
     Weights ride along unchanged; they are properties of the drawn
     nodes, not of the positions.
     """
-    if not isinstance(interval, (int, np.integer)) or interval < 1:
-        raise InvalidThinning("thinning interval must be an integer >= 1")
+    _check_interval(interval)
     if interval == 1:
         return trace
     return replace(trace,
@@ -291,5 +295,6 @@ def draw_traces(sampler: str, g: Graph, n: int, seeds: Sequence,
                 thin_interval: int = 1, **options) -> Iterator[SampleTrace]:
     """One trace of n draws per seed from the named sampler, each kept
     from n * thin_interval by ``thin``; ``options`` as in SAMPLERS."""
+    _check_interval(thin_interval)
     traces = SAMPLERS[sampler](g, n * thin_interval, seeds, **options)
     return (thin(trace, thin_interval) for trace in traces)

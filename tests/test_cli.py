@@ -5,6 +5,7 @@ import math
 import pytest
 
 from categraph.cli import main
+from categraph.fileio import load_graph
 
 
 def run(args):
@@ -341,6 +342,19 @@ def test_invalid_config_json_names_the_file(tmp_path, capsys):
         "enclosed in double quotes: line 1 column 18 (char 17)")
 
 
+@pytest.mark.parametrize("config,message", [
+    ([1], "the config must be a JSON object"),
+    ({}, "config needs graph.synthetic or graph.edge_file/category_file"),
+])
+def test_a_config_without_a_graph_is_refused(tmp_path, capsys, config,
+                                              message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run(["evaluate", "--config", cfg_path]) == 1
+    assert _one_error_line(capsys, "CategraphError") == (
+        f"error: CategraphError: {cfg_path}: {message}")
+
+
 def test_config_passes_a_graph_file_error_through(tmp_path, capsys):
     edges = tmp_path / "e.tsv"
     cats = tmp_path / "c.tsv"
@@ -468,3 +482,40 @@ def test_choices_and_config_defaults_come_from_the_pairs_table(capsys):
         with pytest.raises(SystemExit):
             run([command, "--help"])
         assert f"{flag} {{{','.join(names[key])}}}" in capsys.readouterr().out
+
+
+def test_proportional_population_gives_shares(tmp_path):
+    chain(tmp_path)
+    assert run(["estimate", "--log", tmp_path / "log.jsonl",
+                "--population", "proportional",
+                "--out", tmp_path / "shares.json"]) == 0
+    est = json.loads((tmp_path / "shares.json").read_text())
+    assert est["N_mode"] == "proportional" and est["N"] == 1.0
+    assert est["size_estimator"] == "induced"
+    assert math.isclose(sum(c["size"] for c in est["categories"]), 1.0)
+
+
+def test_wrw_without_weights_weighs_categories_equally(tmp_path, small_graph):
+    edges, cats = small_graph
+    out = tmp_path / "wrw.jsonl"
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "50", "--seed", "3",
+                "--out", out]) == 0
+    g, _ = load_graph(edges, cats)
+    _, *rows = [json.loads(ln) for ln in out.read_text().splitlines()]
+    assert [r["w"] for r in rows] == [2.0 * g.degree(r["v"]) for r in rows]
+
+
+def test_observe_names_the_first_draw_outside_the_graph(tmp_path, capsys,
+                                                        small_graph):
+    edges, cats = small_graph
+    trace = tmp_path / "t.jsonl"
+    trace.write_text('{"sampler": "uis"}\n{"i": 0, "v": 3, "w": 1.0}\n'
+                     '{"i": 1, "v": 100, "w": 1.0}\n')
+    capsys.readouterr()
+    assert run(["observe", "--edges", edges, "--categories", cats,
+                "--trace", trace, "--mode", "induced",
+                "--out", tmp_path / "log.jsonl"]) == 1
+    assert _one_error_line(capsys, "InvalidNode") == (
+        "error: InvalidNode: draw 1: node 100 is outside 0..99")
+    assert not (tmp_path / "log.jsonl").exists()

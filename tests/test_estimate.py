@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -640,6 +641,17 @@ def test_pipeline_default_weight_estimator_follows_mode(three_color_graph):
     est = estimate_category_graph(
         observe_induced(g, part, _full_trace(g)), 8)
     assert est.weight_estimator == "induced"
+
+
+@pytest.mark.parametrize("population", [-10, 0, float("nan"), float("inf")])
+def test_population_must_be_positive_and_finite(population):
+    log = manual_log([0, 1, 1, 0], [1.0, 2.0, 1.0, 4.0])
+    message = re.escape("population must be a positive finite number, "
+                        f"got {population!r}")
+    with pytest.raises(ValueError, match=message):
+        estimate_category_graph(log, population)
+    with pytest.raises(ValueError, match=message):
+        bootstrap_variance(log, 2, seed=0, population=population)
 
 
 def test_pipeline_population_from_hint(three_color_graph):

@@ -104,6 +104,30 @@ def test_config_checks_value_ranges_before_any_cell_runs(small_graph):
                           wrw_category_weights=weights)
 
 
+@pytest.mark.parametrize("name,value,bad", [
+    ("sample_sizes", (10.7, 20), 10.7),
+    ("sample_sizes", (10, True), True),
+    ("replicates", 2.5, 2.5),
+    ("replicates", True, True),
+    ("burn_in", 1.5, 1.5),
+    ("burn_in", False, False),
+    ("thin_interval", 2.0, 2.0),
+])
+def test_config_counts_must_be_integers(small_graph, name, value, bad):
+    g, part = small_graph
+    with pytest.raises(ValueError, match=f"^{name}: {bad!r} is not an integer$"):
+        _small_config(g, part, **{name: value})
+
+
+def test_config_takes_numpy_integer_counts(small_graph):
+    g, part = small_graph
+    cfg = _small_config(g, part, sample_sizes=np.array([50, 120]),
+                        replicates=np.int64(3), burn_in=np.int32(0),
+                        thin_interval=np.uint8(1))
+    assert cfg.sample_sizes == (50, 120)
+    assert all(type(n) is int for n in cfg.sample_sizes)
+
+
 def test_config_rejects_unknown_mode_and_estimator(small_graph):
     g, part = small_graph
     with pytest.raises(ValueError, match="mode"):

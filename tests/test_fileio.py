@@ -893,8 +893,15 @@ def test_jsonl_control_characters_in_strings_name_their_line(tmp_path, kind,
             loader(path)
 
 
+COMPACT_LINES = "".join(f'{{"i": {i}, "v": [{i}, "x"]}}\n' for i in range(1000))
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=st.text(alphabet='{}[]," :1.e-\\\ufeff\t\r\n\x0ctrunl', max_size=40))
+# compact lines the C scanner reads whole, then one it reads only in part
+# and, in the second, an invalid line after it
+@example(text=COMPACT_LINES + ' {"w": 1.5} \n')
+@example(text=COMPACT_LINES + ' {"w": 1.5} \n\n{"w": 1.5,}\n')
 def test_read_jsonl_matches_per_line_json_loads(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
     path.write_text('{"m": 0}\n' + text)

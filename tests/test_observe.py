@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from categraph import (
     CategoryPartition,
     Graph,
+    InvalidNode,
     SampleTrace,
     observe_induced,
     observe_star,
@@ -104,6 +107,18 @@ def test_trace_outside_graph_rejected(labeled_graph):
     g, part = labeled_graph
     with pytest.raises(ValueError):
         observe_induced(g, part, make_trace([0, 99]))
+
+
+@pytest.mark.parametrize("nodes,message", [
+    ([0, 99, -1], "draw 1: node 99 is outside 0..4"),
+    ([-1, 5], "draw 0: node -1 is outside 0..4"),
+])
+@pytest.mark.parametrize("observe", [observe_induced, observe_star])
+def test_observers_name_the_first_draw_outside_the_graph(labeled_graph, observe,
+                                                        nodes, message):
+    g, part = labeled_graph
+    with pytest.raises(InvalidNode, match=f"^{re.escape(message)}$"):
+        observe(g, part, make_trace(nodes))
 
 
 @pytest.mark.parametrize("n", [0, 3])

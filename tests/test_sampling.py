@@ -21,7 +21,7 @@ from categraph import (
 )
 
 from categraph import sampling
-from categraph.sampling import lockstep_walks
+from categraph.sampling import draw_traces, lockstep_walks
 
 from _reference import naive_mhrw, naive_rw, naive_wrw, random_partition
 
@@ -215,6 +215,17 @@ BAD_REQUESTS = {
     "wrw weight negative": (lambda: sample_wrw(PATH, PARTITION, [1, -1], 5),
                             InvalidWeight,
                             "category weights must be positive"),
+    "rw with a negative burn-in": (lambda: sample_rw(PATH, 5, burn_in=-1),
+                                   ValueError, "burn_in must be >= 0"),
+    "rw on an edgeless graph": (lambda: sample_rw(Graph.from_edges(3, []), 5),
+                                IsolatedStartNode,
+                                "graph has no edges to walk on"),
+    "uis traces thinned by 0": (
+        lambda: draw_traces("uis", PATH, 5, [0], thin_interval=0),
+        InvalidThinning, "thinning interval must be an integer >= 1"),
+    "rw traces thinned by -1": (
+        lambda: draw_traces("rw", PATH, 5, [0], thin_interval=-1),
+        InvalidThinning, "thinning interval must be an integer >= 1"),
 }
 
 
