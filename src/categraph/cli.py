@@ -9,19 +9,18 @@ outputs. On failure the process exits nonzero after printing a single
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
 from . import fileio
-from .errors import CategraphError, FileFormatError, InvalidParameter
+from .errors import CategraphError, InvalidParameter, check_count
 from .estimate import (MODES, PROPORTIONAL, SIZE_ESTIMATORS, WEIGHT_ESTIMATORS,
                        bootstrap_variance, estimate_category_graph)
-from .evaluate import ExperimentConfig, run_experiment
+from .evaluate import run_experiment
 from .generate import SyntheticParams, synthetic_graph
 from .observe import INDUCED, observe_induced, observe_star
-from .sampling import SAMPLERS, _check_interval, draw_traces
+from .sampling import SAMPLERS, draw_traces
 # bench/spans.py wraps the samplers under these names
 from .sampling import (  # noqa: F401
     sample_mhrw,
@@ -134,86 +133,8 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-# the JSON type of each key the experiment config takes, per object
-_CONFIG_KEYS = {
-    "": {"graph": "object", "seed": "integer", "replicates": "integer",
-         "sample_sizes": "list of integers", "samplers": "list of strings",
-         "modes": "list of strings", "size_estimators": "list of strings",
-         "weight_estimators": "list of strings", "burn_in": "integer",
-         "thin": "integer", "probe_percentiles": "list of numbers",
-         "wrw_category_weights": '"equal" or list of numbers'},
-    "graph.": {"synthetic": "object", "edge_file": "string",
-               "category_file": "string"},
-    "graph.synthetic.": {"category_sizes": "list of integers", "k": "integer",
-                         "inter_edge_count": "integer or null",
-                         "alpha": "number", "seed": "integer or null"},
-}
-_JSON_TYPES = {"object": (dict,), "string": (str,), "integer": (int,),
-               "number": (int, float), "null": (type(None),)}
-
-
-def _has_type(value, kind: str) -> bool:
-    """Whether a JSON value is of a kind in _CONFIG_KEYS (no booleans)."""
-    if " or " in kind:
-        return any(_has_type(value, k) for k in kind.split(" or "))
-    if kind.startswith("list of "):
-        return (type(value) is list
-                and all(_has_type(v, kind[8:-1]) for v in value))
-    if kind.startswith('"'):
-        return value == kind[1:-1]
-    return type(value) in _JSON_TYPES[kind]
-
-
-def _config_from_file(path) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if type(raw) is not dict:
-        raise CategraphError("the config must be a JSON object")
-
-    def checked(obj: dict, where: str, needs=()) -> dict:
-        for key in needs:
-            if key not in obj:
-                raise CategraphError(f"{where[:-1]} needs {key!r}")
-        for key, value in obj.items():
-            kind = _CONFIG_KEYS[where].get(key)
-            if kind is None:
-                raise CategraphError(f"unknown key '{where}{key}'")
-            if not _has_type(value, kind):
-                raise CategraphError(f"{where}{key}: expected {kind}")
-        return obj
-
-    source = checked(checked(raw, "").get("graph", {}), "graph.")
-    if "synthetic" in source and len(source) > 1:
-        raise CategraphError("graph takes graph.synthetic or "
-                             "graph.edge_file/category_file, not both")
-    if "synthetic" in source:
-        model = checked(source["synthetic"], "graph.synthetic.",
-                        needs=("category_sizes", "k"))
-        g, part = synthetic_graph(SyntheticParams(**model))
-    elif "edge_file" in source:
-        checked(source, "graph.", needs=("category_file",))
-        g, part = fileio.load_graph(source["edge_file"],
-                                    source["category_file"])
-    else:
-        raise CategraphError("config needs graph.synthetic or "
-                             "graph.edge_file/category_file")
-    # only wrw_category_weights may be "equal", its default
-    kwargs = {("thin_interval" if key == "thin" else key): value
-              for key, value in raw.items()
-              if key != "graph" and value != "equal"}
-    return ExperimentConfig(graph=g, partition=part, **kwargs)
-
-
 def _cmd_evaluate(args) -> int:
-    # a refused config names its file; a graph file's FileFormatError
-    # already names the graph file
-    try:
-        cfg = _config_from_file(args.config)
-    except FileFormatError:
-        raise
-    except (ValueError, CategraphError) as exc:
-        raise CategraphError(f"{args.config}: {exc}") from None
-    report = run_experiment(cfg)
+    report = run_experiment(fileio.load_config(args.config))
     if args.csv:
         report.write_csv(args.csv)
     if args.json:
@@ -307,30 +228,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# each command's integer flags and the least value each takes; 0 also
-# stands for no bootstrap
-_LEAST = {"sample": {"thin": 1, "n": 1, "walks": 1, "burn_in": 0},
-          "estimate": {"bootstrap": 2}}
+# the count row of each count flag of the commands that read files
+# (generate's SyntheticParams checks its own before anything is
+# written); --bootstrap 0 stands for no bootstrap
+_COUNT_FLAGS = {
+    "sample": {"n": "n", "walks": "walks", "burn_in": "burn_in",
+               "thin": "thin_interval", "seed": "seed"},
+    "estimate": {"bootstrap": "B", "seed": "seed"},
+}
 
 
-def _check_int_flags(args) -> None:
-    """Refuse an integer flag out of its bounds, before any file is read."""
-    for dest, least in _LEAST.get(args.command, {}).items():
+def _check_count_flags(args) -> None:
+    """Refuse a count flag out of its bounds, before any file is read."""
+    for dest, row in _COUNT_FLAGS.get(args.command, {}).items():
         value = getattr(args, dest)
-        if value >= least or dest == "bootstrap" and value == 0:
+        if dest == "bootstrap" and value == 0:
             continue
-        if dest == "thin":
-            _check_interval(value)   # raises, as value < 1
-        either = "0 or " if dest == "bootstrap" else ""
-        raise CategraphError(f"--{dest.replace('_', '-')} must be {either}"
-                             f"at least {least}; got {value}")
+        check_count(value, row, f"--{dest.replace('_', '-')}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_int_flags(args)
+        _check_count_flags(args)
         return args.func(args)
     except (CategraphError, OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

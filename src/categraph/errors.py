@@ -1,8 +1,41 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the one rule for the
+counts a caller passes in."""
+from numbers import Integral
 
 
 class CategraphError(Exception):
     """Base class for all package errors."""
+
+
+# input rules
+class InvalidParameter(CategraphError, ValueError):
+    """A count or generator parameter is outside its range or of the
+    wrong type."""
+
+
+class InvalidThinning(InvalidParameter):
+    """Thinning interval must be a positive integer."""
+
+
+# the least value of each count every layer, flag and file takes
+COUNT_FLOORS = {"n": 1, "walks": 1, "burn_in": 0, "thin_interval": 1,
+                "B": 2, "replicates": 2, "seed": 0, "k": 0,
+                "category_sizes": 1, "inter_edge_count": 0}
+
+
+def check_count(value, row: str, name: str | None = None) -> int:
+    """``value`` as an int once it is an integer (numpy's too, not a bool)
+    at least the floor of ``row``; else InvalidParameter, InvalidThinning
+    for the thinning row, naming it ``name`` or the row."""
+    name = name or row
+    if not isinstance(value, Integral) or type(value) is bool:
+        message = f"{name}: {value!r} is not an integer"
+    elif value < COUNT_FLOORS[row]:
+        message = f"{name} must be >= {COUNT_FLOORS[row]}, got {int(value)}"
+    else:
+        return int(value)
+    error = InvalidThinning if row == "thin_interval" else InvalidParameter
+    raise error(message)
 
 
 # graph model
@@ -27,11 +60,6 @@ class EmptyGraph(CategraphError):
 
 
 # generators
-class InvalidParameter(CategraphError):
-    """A generator parameter is outside its range (negative degree or
-    edge count, empty category)."""
-
-
 class InfeasibleRegularGraph(CategraphError):
     """No simple k-regular graph exists for the requested size/degree."""
 
@@ -51,10 +79,6 @@ class InvalidWeight(CategraphError):
 
 class IsolatedStartNode(CategraphError):
     """Walks cannot start from a degree-zero node."""
-
-
-class InvalidThinning(CategraphError):
-    """Thinning interval must be a positive integer."""
 
 
 # estimators

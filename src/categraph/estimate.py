@@ -31,8 +31,10 @@ from .errors import (
     InsufficientSample,
     MissingSizeEstimate,
     WrongObservationMode,
+    check_count,
 )
 from .observe import INDUCED, STAR, ObservationLog
+from .sampling import _as_rng
 
 PROPORTIONAL = "proportional"
 
@@ -305,9 +307,8 @@ def bootstrap_variance(log: ObservationLog, B: int, seed=None,
     resamples in which the quantity was estimable; quantities seen
     fewer than twice are dropped).
     """
-    if B < 2:
-        raise ValueError("need at least two bootstrap replicates")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    check_count(B, "B")
+    rng, _ = _as_rng(seed)
     size_samples: dict[int, list[float]] = {}
     weight_samples: dict[tuple[int, int], list[float]] = {}
     for _ in range(B):

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UndefinedNRMSE
+from .errors import UndefinedNRMSE, check_count
 from .estimate import (ESTIMATOR_PAIRS, MODES, SIZE_ESTIMATORS,
                        WEIGHT_ESTIMATORS, estimate_category_graph)
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
@@ -69,15 +69,11 @@ class ExperimentConfig:
     wrw_category_weights: Sequence[float] | None = None  # default: all equal
 
     def __post_init__(self):
+        self.sample_sizes = tuple(check_count(n, "n", "sample_sizes")
+                                  for n in self.sample_sizes)
+        for name in ("replicates", "seed", "burn_in", "thin_interval"):
+            setattr(self, name, check_count(getattr(self, name), name))
         self.samplers = tuple(self.samplers)
-        sizes = tuple(self.sample_sizes)
-        counts = [("sample_sizes", n) for n in sizes] + [
-            (name, getattr(self, name))
-            for name in ("replicates", "burn_in", "thin_interval")]
-        for name, value in counts:
-            if type(value) is bool or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name}: {value!r} is not an integer")
-        self.sample_sizes = tuple(map(int, sizes))
         self.modes = tuple(self.modes)
         self.size_estimators = tuple(self.size_estimators)
         self.weight_estimators = tuple(self.weight_estimators)
@@ -90,16 +86,8 @@ class ExperimentConfig:
             for name in names:
                 if not isinstance(name, str) or name not in known:
                     raise ValueError(f"unknown {what} {name!r}")
-        if self.replicates < 2:
-            raise ValueError("NRMSE needs at least two replicates")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise ValueError("sample sizes must be strictly increasing")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ValueError("sample sizes must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.thin_interval < 1:
-            raise ValueError("thin interval must be >= 1")
         if not all(0 <= p <= 100 for p in self.probe_percentiles):
             raise ValueError("probe percentiles must lie in [0, 100]")
         if self.wrw_category_weights is not None:

@@ -16,20 +16,24 @@ and writes it once.
 from __future__ import annotations
 
 import json
-import math
 import re
+import sys
 from itertools import chain, repeat
 from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import FileFormatError
+from .errors import COUNT_FLOORS, CategraphError, FileFormatError
 from .estimate import MODES, CategoryGraphEstimate
+from .evaluate import ExperimentConfig
+from .generate import SyntheticParams, synthetic_graph
 from .graph import CategoryGraph, CategoryPartition, Graph
 from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_FLOAT_MAX = sys.float_info.max
 # a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
@@ -213,6 +217,83 @@ def _check_weights(weights: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON values
+
+# every JSON value read, in meta lines, records, estimates and configs,
+# is checked against a table of its key's kind
+class _Kind(NamedTuple):
+    what: str                       # what a value must be, for messages
+    ok: Callable[[object], bool]
+
+
+def _either(*kinds: _Kind) -> _Kind:
+    return _Kind(" or ".join(k.what for k in kinds),
+                 lambda v: any(k.ok(v) for k in kinds))
+
+
+def _list_of(kind: _Kind) -> _Kind:
+    return _Kind(f"a list, each {kind.what}",
+                 lambda v: type(v) is list and all(map(kind.ok, v)))
+
+
+def _count(row: str) -> _Kind:
+    least = COUNT_FLOORS[row]
+    return _Kind(f"an integer >= {least}",
+                 lambda v: _INTEGER.ok(v) and v >= least)
+
+
+# booleans are neither integers nor numbers
+_NULL = _Kind("null", lambda v: v is None)
+_STRING = _Kind("a string", lambda v: type(v) is str)
+_INTEGER = _Kind("an integer", lambda v: type(v) is int)
+_INT64 = _Kind("an integer", lambda v: type(v) is int
+               and _INT64_MIN <= v <= _INT64_MAX)
+_NUMBER = _Kind("a number", lambda v: type(v) in (int, float))
+# an integer beyond the largest float does not convert to a finite one
+_FINITE = _Kind("a finite number",
+                lambda v: _NUMBER.ok(v) and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+_WEIGHT = _Kind("a positive finite number", lambda v: (
+    type(v) is float or type(v) is int) and 0 < v <= _FLOAT_MAX)
+_LIST = _Kind("a list", lambda v: type(v) is list)
+_OBJECT = _Kind("a JSON object", lambda v: type(v) is dict)
+_SEED = _count("seed")
+
+
+def _checked(at: str, obj, keys: dict, where: str = "", needs=(),
+             closed: bool = False) -> dict:
+    """``obj``, once it is a JSON object holding ``needs``, each key in
+    ``keys`` holding a value of its kind and, if ``closed``, no other
+    key. Messages start with ``at``; ``where`` prefixes key names."""
+    if type(obj) is not dict:
+        raise FileFormatError(f"{at} {where.rstrip('.')} must be a JSON object")
+    for key in needs:
+        if key not in obj:
+            raise FileFormatError(f"{at} missing key {where + key!r}")
+    for key, value in obj.items():
+        kind = keys.get(key)
+        if kind is None and closed:
+            raise FileFormatError(f"{at} unknown key {where + key!r}")
+        if kind is not None and not kind.ok(value):
+            raise FileFormatError(
+                f"{at} {where + key!r} must be {kind.what}, got {value!r}")
+    return obj
+
+
+def _read_json(path, name: str) -> dict:
+    """A JSON file's object; invalid JSON is named by its line, and a
+    value that is not an object by ``name``."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(
+                f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    if type(value) is not dict:
+        raise FileFormatError(f"{path}: {name} must be a JSON object")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # sample traces
 
 def save_trace(trace: SampleTrace, path) -> None:
@@ -229,24 +310,23 @@ def save_trace(trace: SampleTrace, path) -> None:
         [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in draws]))
 
 
+_TRACE_META = {"sampler": _STRING,
+               "seed": _either(_NULL, _SEED, _list_of(_SEED)),
+               "start": _either(_NULL, _INTEGER),
+               "burn_in": _INTEGER, "thin": _INTEGER}
+_TRACE_RECORD = {"i": _INT64, "v": _INT64, "w": _WEIGHT}
+
+
 def load_trace(path) -> SampleTrace:
     meta_line, meta, lines, rows = _read_jsonl(path, "trace")
-    weights = _column(path, lines, rows, "w", float)
-    _require(path, lines, np.isfinite(weights) & (weights > 0),
-             "weight must be positive and finite", weights)
-    start = _meta(path, meta_line, meta, "start", None,
-                  lambda v: v is None or type(v) is int,
-                  "must be an integer or null")
-    burn_in, thin = (_meta(path, meta_line, meta, key, default,
-                           lambda v: type(v) is int, "must be an integer")
-                     for key, default in (("burn_in", 0), ("thin", 1)))
-    return SampleTrace(
-        nodes=_column(path, lines, rows, "v", int),
-        steps=_column(path, lines, rows, "i", int),
-        weights=weights,
-        sampler=meta.get("sampler", "unknown"),
-        seed=meta.get("seed"), start=start, burn_in=burn_in,
-        thin_interval=thin)
+    meta = _checked(f"{path}:{meta_line}: meta",
+                    {"sampler": "unknown", "seed": None, "start": None,
+                     "burn_in": 0, "thin": 1, **meta}, _TRACE_META)
+    steps, nodes, weights = _columns(path, lines, rows, _TRACE_RECORD)
+    return SampleTrace(nodes=nodes, steps=steps, weights=weights,
+                       sampler=meta["sampler"], seed=meta["seed"],
+                       start=meta["start"], burn_in=meta["burn_in"],
+                       thin_interval=meta["thin"])
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -288,24 +368,18 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     return lines[0], values[0], lines[1:], values[1:]
 
 
-def _typed(values, kind: type) -> list[bool]:
-    """Which values are JSON integers that fit 64 bits (``int``) or JSON
-    numbers (``float``); booleans are neither."""
-    if kind is int:
-        return [type(v) is int and _INT64_MIN <= v <= _INT64_MAX
-                for v in values]
-    return [type(v) in (int, float) for v in values]
-
-
-def _column(path, lines, records, key: str, kind: type) -> np.ndarray:
-    """``key`` of every record as an int64 or float array."""
-    _require(path, lines, [type(r) is dict and key in r for r in records],
-             f"record has no {key!r}", records)
-    values = list(map(itemgetter(key), records))
-    _require(path, lines, _typed(values, kind),
-             f"{key!r} must be {'an integer' if kind is int else 'a number'}",
-             values)
-    return np.asarray(values, dtype=np.int64 if kind is int else float)
+def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
+    """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
+    as an int64 or float array; one pass over the records per key."""
+    columns = []
+    for key, kind in keys.items():
+        _require(path, lines, [type(r) is dict and key in r for r in records],
+                 f"record has no {key!r}", records)
+        values = list(map(itemgetter(key), records))
+        _require(path, lines, list(map(kind.ok, values)),
+                 f"{key!r} must be {kind.what}", values)
+        columns.append(np.asarray(values, np.int64 if kind is _INT64 else float))
+    return columns
 
 
 def _require(path, lines, ok, rule: str, values) -> None:
@@ -316,14 +390,6 @@ def _require(path, lines, ok, rule: str, values) -> None:
         if isinstance(got, (np.generic, np.ndarray)):
             got = got.tolist()
         raise FileFormatError(f"{path}:{lines[bad[0]]}: {rule}, got {got!r}")
-
-
-def _meta(path, lineno, meta: dict, key: str, default, ok, rule: str):
-    value = meta.get(key, default)
-    if not ok(value):
-        raise FileFormatError(
-            f"{path}:{lineno}: meta {key!r} {rule}, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +430,13 @@ def _nbr_cats(log: ObservationLog) -> list[str]:
     return [", ".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
+_LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),
+             "categories": _list_of(_STRING),
+             "N": _Kind("a positive integer or null",
+                        lambda v: v is None or _INTEGER.ok(v) and v > 0)}
+_LOG_RECORD = {"v": _INT64, "c": _INT64, "deg": _INT64, "w": _WEIGHT}
+
+
 def load_log(path) -> ObservationLog:
     """Read a log written by :func:`save_log`.
 
@@ -376,14 +449,10 @@ def load_log(path) -> ObservationLog:
     its line.
     """
     meta_line, meta, lines, rows = _read_jsonl(path, "log")
-    mode = _meta(path, meta_line, meta, "mode", None,
-                 lambda v: v in MODES, f"must be {' or '.join(MODES)}")
-    names = _meta(path, meta_line, meta, "categories", [],
-                  lambda v: type(v) is list and all(type(x) is str for x in v),
-                  "must be a list of names")
-    population = _meta(path, meta_line, meta, "N", None,
-                       lambda v: v is None or type(v) is int and v > 0,
-                       "must be a positive integer or null")
+    meta = _checked(f"{path}:{meta_line}: meta",
+                    {"mode": None, "categories": [], "N": None, **meta},
+                    _LOG_META)
+    mode, names = meta["mode"], meta["categories"]
     induced = None
     if mode == INDUCED:
         if not rows or type(rows[-1]) is not dict \
@@ -394,17 +463,12 @@ def load_log(path) -> ObservationLog:
         induced = _edge_block(path, lines[-1], rows[-1]["induced_edges"])
         induced_line, lines, rows = lines[-1], lines[:-1], rows[:-1]
 
-    nodes = _column(path, lines, rows, "v", int)
-    cats = _column(path, lines, rows, "c", int)
-    degrees = _column(path, lines, rows, "deg", int)
-    weights = _column(path, lines, rows, "w", float)
+    nodes, cats, degrees, weights = _columns(path, lines, rows, _LOG_RECORD)
     num_categories = len(names) or (int(cats.max()) + 1 if len(cats) else 0)
     _require(path, lines, nodes >= 0, "node id must be >= 0", nodes)
     _require(path, lines, (cats >= 0) & (cats < num_categories),
              f"category must be in 0..{num_categories - 1}", cats)
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
-    _require(path, lines, np.isfinite(weights) & (weights > 0),
-             "weight must be positive and finite", weights)
     # each record of a node repeats its first's category, degree, weight
     _, first, inverse = np.unique(nodes, return_index=True,
                                   return_inverse=True)
@@ -439,7 +503,7 @@ def load_log(path) -> ObservationLog:
         mode=mode, nodes=nodes, categories=cats, degrees=degrees,
         weights=weights, num_categories=num_categories,
         category_names=tuple(names or map(str, range(num_categories))),
-        population_hint=population,
+        population_hint=meta["N"],
         induced_edges=induced, neighbor_counts=counts)
 
 
@@ -447,7 +511,7 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
     if (type(block) is list and set(map(type, block)) <= {list}
             and set(map(len, block)) <= {2}):
         flat = list(chain.from_iterable(block))
-        if all(_typed(flat, int)):
+        if all(map(_INT64.ok, flat)):
             return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
     raise FileFormatError(
         f"{path}:{lineno}: induced_edges must be a list of [u, v] "
@@ -468,7 +532,7 @@ def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
              f"nbr_cats key must be a category in 0..{num_categories - 1}",
              keys)
     values = list(chain.from_iterable(map(dict.values, nbrs)))
-    _require(path, entry_lines, _typed(values, int),
+    _require(path, entry_lines, list(map(_INT64.ok, values)),
              "nbr_cats count must be an integer", values)
     _require(path, entry_lines, np.asarray(values, dtype=np.int64) >= 0,
              "nbr_cats count must be >= 0", values)
@@ -524,52 +588,27 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
                             allow_nan=False) + "\n")
 
 
-_STRING = (lambda v: type(v) is str, "a string")
-_INTEGER = (lambda v: type(v) is int, "an integer")
-_NUMBER = (lambda v: type(v) in (int, float) and math.isfinite(v),
-           "a finite number")
-_LIST = (lambda v: type(v) is list, "a list")
-# key: (required, (check, what the value must be))
-_ESTIMATE_KEYS = {"N_mode": (True, _STRING), "N": (False, _NUMBER),
-                  "size_estimator": (True, _STRING),
-                  "weight_estimator": (True, _STRING),
-                  "categories": (True, _LIST), "edges": (True, _LIST)}
-_CATEGORY_KEYS = {"id": (True, _INTEGER), "name": (True, _STRING),
-                  "size": (True, _NUMBER), "size_var": (False, _NUMBER)}
-_EDGE_KEYS = {"a": (True, _INTEGER), "b": (True, _INTEGER),
-              "weight": (True, _NUMBER), "weight_var": (False, _NUMBER)}
-
-
-def _checked(path, where: str, obj, keys: dict) -> dict:
-    """``obj``, once it is a JSON object whose ``keys`` are present when
-    required and of the right JSON type; ``where`` prefixes key names."""
-    if type(obj) is not dict:
-        raise FileFormatError(
-            f"{path}: {where.rstrip('.') or 'estimate'} must be a JSON object")
-    for key, (required, (ok, what)) in keys.items():
-        if key not in obj:
-            if required:
-                raise FileFormatError(f"{path}: missing key {where + key!r}")
-        elif not ok(obj[key]):
-            raise FileFormatError(
-                f"{path}: {where + key!r} must be {what}, got {obj[key]!r}")
-    return obj
+_ESTIMATE_KEYS = {"N_mode": _STRING, "N": _FINITE,
+                  "size_estimator": _STRING, "weight_estimator": _STRING,
+                  "categories": _LIST, "edges": _LIST}
+_CATEGORY_KEYS = {"id": _INTEGER, "name": _STRING, "size": _FINITE,
+                  "size_var": _FINITE}
+_EDGE_KEYS = {"a": _INTEGER, "b": _INTEGER, "weight": _FINITE,
+              "weight_var": _FINITE}
 
 
 def load_estimate(path) -> CategoryGraphEstimate:
     """Read an estimate written by :func:`save_estimate`. Invalid JSON, a
     missing key, a value of the wrong JSON type or a non-finite number
     raises FileFormatError naming the file and the key."""
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(
-                f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
-    payload = _checked(path, "", payload, _ESTIMATE_KEYS)
-    cats = [_checked(path, f"categories[{i}].", c, _CATEGORY_KEYS)
+    at = f"{path}:"
+    payload = _checked(at, _read_json(path, "estimate"), _ESTIMATE_KEYS, needs=(
+        "N_mode", "size_estimator", "weight_estimator", "categories", "edges"))
+    cats = [_checked(at, c, _CATEGORY_KEYS, f"categories[{i}].",
+                     needs=("id", "name", "size"))
             for i, c in enumerate(payload["categories"])]
-    edges = [_checked(path, f"edges[{i}].", e, _EDGE_KEYS)
+    edges = [_checked(at, e, _EDGE_KEYS, f"edges[{i}].",
+                      needs=("a", "b", "weight"))
              for i, e in enumerate(payload["edges"])]
     names_by_id = {c["id"]: c["name"] for c in cats}
     max_id = max(names_by_id) if names_by_id else -1
@@ -618,3 +657,59 @@ def export_category_graph(est: CategoryGraphEstimate | CategoryGraph,
         save_dot(est, path, names=names)
     else:
         raise ValueError(f"unknown export format {fmt!r}")
+
+
+# ---------------------------------------------------------------------------
+# experiment configs
+
+_SWEEP_KEYS = {"graph": _OBJECT, "seed": _SEED,
+               "replicates": _count("replicates"),
+               "sample_sizes": _list_of(_count("n")),
+               **dict.fromkeys(("samplers", "modes", "size_estimators",
+                                "weight_estimators"), _list_of(_STRING)),
+               "burn_in": _count("burn_in"), "thin": _count("thin_interval"),
+               "probe_percentiles": _list_of(_NUMBER),
+               "wrw_category_weights": _either(
+                   _Kind('"equal"', lambda v: v == "equal"),
+                   _list_of(_NUMBER))}
+_GRAPH_KEYS = {"synthetic": _OBJECT, "edge_file": _STRING,
+               "category_file": _STRING}
+_SYNTHETIC_KEYS = {"category_sizes": _list_of(_count("category_sizes")),
+                   "k": _count("k"),
+                   "inter_edge_count": _either(_NULL,
+                                               _count("inter_edge_count")),
+                   "alpha": _NUMBER, "seed": _either(_NULL, _SEED)}
+
+
+def load_config(path) -> ExperimentConfig:
+    """Build the graph and sweep of an experiment config. A key outside
+    the tables above or a value they, the model or the sweep refuse
+    raises FileFormatError naming the file; a graph file's names that."""
+    at = f"{path}:"
+    raw = _checked(at, _read_json(path, "the config"), _SWEEP_KEYS,
+                   closed=True)
+    source = _checked(at, raw.get("graph", {}), _GRAPH_KEYS, "graph.",
+                      closed=True)
+    if "synthetic" in source and len(source) > 1:
+        raise FileFormatError(f"{at} graph takes graph.synthetic or "
+                              "graph.edge_file/category_file, not both")
+    if "synthetic" in source:
+        model = _checked(at, source["synthetic"], _SYNTHETIC_KEYS,
+                         "graph.synthetic.", needs=("category_sizes", "k"),
+                         closed=True)
+    elif "edge_file" in source:
+        _checked(at, source, _GRAPH_KEYS, "graph.", needs=("category_file",))
+        graph = load_graph(source["edge_file"], source["category_file"])
+    else:
+        raise FileFormatError(f"{at} config needs graph.synthetic or "
+                              "graph.edge_file/category_file")
+    # only wrw_category_weights may be "equal", its default
+    kwargs = {("thin_interval" if key == "thin" else key): value
+              for key, value in raw.items()
+              if key != "graph" and value != "equal"}
+    try:
+        if "synthetic" in source:
+            graph = synthetic_graph(SyntheticParams(**model))
+        return ExperimentConfig(*graph, **kwargs)
+    except (ValueError, CategraphError) as exc:
+        raise FileFormatError(f"{at} {exc}") from None

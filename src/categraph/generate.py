@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (
     GenerationFailed,
     InfeasibleRegularGraph,
-    InvalidParameter,
     TooManyEdgesRequested,
+    check_count,
 )
 from .graph import CategoryPartition, Graph
 
@@ -34,16 +34,15 @@ _MAX_REGULAR_ATTEMPTS = 100
 
 
 def _check_model(sizes, k: int, inter_edge_count: int | None = None) -> None:
-    """The model's one parameter check: InvalidParameter for k < 0, a size
-    below 1 or a negative edge count, else InfeasibleRegularGraph."""
-    if k < 0:
-        raise InvalidParameter(f"degree k must be >= 0, got {k}")
-    if (inter_edge_count or 0) < 0:
-        raise InvalidParameter(
-            f"inter-category edge count must be >= 0, got {inter_edge_count}")
+    """The model's one parameter check: InvalidParameter for k, a size or
+    an edge count that breaks its count rule, else
+    InfeasibleRegularGraph."""
+    check_count(k, "k", "degree k")
+    if inter_edge_count is not None:
+        check_count(inter_edge_count, "inter_edge_count",
+                    "inter-category edge count")
     for s in sizes:
-        if s < 1:
-            raise InvalidParameter(f"category size must be >= 1, got {s}")
+        check_count(s, "category_sizes", "category size")
         if s <= k:
             raise InfeasibleRegularGraph(
                 f"category size {s} must exceed degree k={k}")
@@ -67,11 +66,13 @@ class SyntheticParams:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "category_sizes",
-                           tuple(int(s) for s in self.category_sizes))
-        if not self.category_sizes:
+        sizes = tuple(self.category_sizes)
+        if not sizes:
             raise InfeasibleRegularGraph("need at least one category")
-        _check_model(self.category_sizes, self.k, self.inter_edge_count)
+        _check_model(sizes, self.k, self.inter_edge_count)
+        object.__setattr__(self, "category_sizes", tuple(map(int, sizes)))
+        if self.seed is not None:
+            check_count(self.seed, "seed")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
 
@@ -142,8 +143,8 @@ def gen_intra_regular(sizes: Sequence[int], k: int,
 
     Node ids are assigned in contiguous blocks, category by category.
     """
-    sizes = [int(s) for s in sizes]
     _check_model(sizes, k)
+    sizes = list(map(int, sizes))
     labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     all_edges = [np.empty((0, 2), dtype=np.int64)]
     offset = 0

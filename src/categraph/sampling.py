@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraph, InvalidThinning, InvalidWeight, IsolatedStartNode
+from .errors import EmptyGraph, InvalidWeight, IsolatedStartNode, check_count
 from .graph import CategoryPartition, Graph
 
 
@@ -61,19 +61,21 @@ class SampleTrace:
 
 
 def _as_rng(seed) -> tuple[np.random.Generator, int | list[int] | None]:
+    """A generator and the seed a trace records: a Generator or None
+    records None; an integer >= 0 or a list of them, itself."""
     if isinstance(seed, np.random.Generator):
         return seed, None
     if seed is None:
         return np.random.default_rng(), None
-    recorded = list(seed) if isinstance(seed, (list, tuple)) else int(seed)
+    recorded = ([check_count(s, "seed") for s in seed]
+                if isinstance(seed, (list, tuple)) else check_count(seed, "seed"))
     return np.random.default_rng(seed), recorded
 
 
 def _check_request(g: Graph, n: int, verb: str) -> None:
     if g.node_count == 0:
         raise EmptyGraph(f"cannot {verb} an empty graph")
-    if n < 1:
-        raise ValueError("need at least one draw")
+    check_count(n, "n")
 
 
 def _weight_vector(weights, count: int, item: str) -> np.ndarray:
@@ -181,8 +183,7 @@ def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
     step, stream_count, node_weights = _step_rule(rule, g, part,
                                                   category_weights)
     _check_request(g, n, "walk on")
-    if burn_in < 0:
-        raise ValueError("burn_in must be >= 0")
+    check_count(burn_in, "burn_in")
     rngs, recorded = zip(*map(_as_rng, seeds))
     if start is not None and g.degree(int(start)) == 0:
         raise IsolatedStartNode(f"start node {start} has no neighbors")
@@ -260,18 +261,13 @@ def sample_wrw(g: Graph, part: CategoryPartition,
                                category_weights))
 
 
-def _check_interval(interval) -> None:
-    if not isinstance(interval, (int, np.integer)) or interval < 1:
-        raise InvalidThinning("thinning interval must be an integer >= 1")
-
-
 def thin(trace: SampleTrace, interval: int) -> SampleTrace:
     """Keep every interval-th draw (positions 0, T, 2T, ...).
 
     Weights ride along unchanged; they are properties of the drawn
     nodes, not of the positions.
     """
-    _check_interval(interval)
+    check_count(interval, "thin_interval", "interval")
     if interval == 1:
         return trace
     return replace(trace,
@@ -295,6 +291,8 @@ def draw_traces(sampler: str, g: Graph, n: int, seeds: Sequence,
                 thin_interval: int = 1, **options) -> Iterator[SampleTrace]:
     """One trace of n draws per seed from the named sampler, each kept
     from n * thin_interval by ``thin``; ``options`` as in SAMPLERS."""
-    _check_interval(thin_interval)
+    check_count(n, "n")
+    check_count(len(seeds), "walks", "len(seeds)")
+    check_count(thin_interval, "thin_interval")
     traces = SAMPLERS[sampler](g, n * thin_interval, seeds, **options)
     return (thin(trace, thin_interval) for trace in traces)

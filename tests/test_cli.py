@@ -166,7 +166,7 @@ def test_walks_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys):
                     "--sampler", "rw", "--n", "20", "--walks", k,
                     "--out", tmp_path / "walks.jsonl"])
         assert code == 1
-        assert f"got {k}" in _one_error_line(capsys, "CategraphError")
+        assert f"got {k}" in _one_error_line(capsys, "InvalidParameter")
         assert list(tmp_path.iterdir()) == []
 
 
@@ -204,14 +204,16 @@ def test_population_must_be_positive(tmp_path, capsys):
 
 
 def test_config_without_a_required_key_gives_one_error_line(tmp_path, capsys):
-    for graph, key in (({"synthetic": {"category_sizes": [10, 10]}}, "'k'"),
-                       ({"synthetic": {"k": 3}}, "'category_sizes'"),
-                       ({"edge_file": "e.tsv"}, "'category_file'")):
+    for graph, key in (({"synthetic": {"category_sizes": [10, 10]}},
+                        "'graph.synthetic.k'"),
+                       ({"synthetic": {"k": 3}},
+                        "'graph.synthetic.category_sizes'"),
+                       ({"edge_file": "e.tsv"}, "'graph.category_file'")):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"replicates": 2, "graph": graph}))
         capsys.readouterr()
         assert run(["evaluate", "--config", cfg_path]) == 1
-        line = _one_error_line(capsys, "CategraphError")
+        line = _one_error_line(capsys, "FileFormatError")
         assert "cfg.json" in line and key in line
 
 
@@ -262,19 +264,21 @@ BAD_CONFIGS = {
     "unknown synthetic key": (_set("graph", "synthetic", "sizes", [10]),
                               "unknown key 'graph.synthetic.sizes'"),
     "replicates as a string": (_set("replicates", "3"),
-                               "replicates: expected integer"),
+                               "'replicates' must be an integer >= 2"),
     "replicates as a boolean": (_set("replicates", True),
-                                "replicates: expected integer"),
-    "fractional seed": (_set("seed", 1.5), "seed: expected integer"),
+                                "'replicates' must be an integer >= 2"),
+    "fractional seed": (_set("seed", 1.5), "'seed' must be an integer >= 0"),
     "k as a string": (_set("graph", "synthetic", "k", "4"),
-                      "graph.synthetic.k: expected integer"),
+                      "'graph.synthetic.k' must be an integer >= 0"),
     "samplers as a string": (_set("samplers", "uis"),
-                             "samplers: expected list of strings"),
+                             "'samplers' must be a list, each a string"),
     "percentile as a string": (_set("probe_percentiles", [25, "75"]),
-                               "probe_percentiles: expected list of numbers"),
+                               "'probe_percentiles' must be a list, each a "
+                               "number"),
     "wrw weights as a word": (_set("wrw_category_weights", "heavy"),
-                              "wrw_category_weights: expected"),
-    "graph as a list": (_set("graph", []), "graph: expected object"),
+                              "'wrw_category_weights' must be"),
+    "graph as a list": (_set("graph", []),
+                        "'graph' must be a JSON object"),
     "unknown sampler": (_set("samplers", ["uis", "bogus"]),
                         "unknown sampler 'bogus'"),
     "synthetic and an edge file": (_set("graph", "edge_file", "e.tsv"),
@@ -282,14 +286,21 @@ BAD_CONFIGS = {
     "synthetic and a category file": (_set("graph", "category_file", "c.tsv"),
                                       "not both"),
     "sample size zero": (_set("sample_sizes", [0, 40]),
-                         "sample sizes must be >= 1"),
-    "negative burn-in": (_set("burn_in", -1), "burn_in must be >= 0"),
+                         "'sample_sizes' must be a list, each an integer "
+                         ">= 1, got [0, 40]"),
+    "negative burn-in": (_set("burn_in", -1),
+                         "'burn_in' must be an integer >= 0, got -1"),
     "wrw weight zero": (_set("wrw_category_weights", [1, 0]),
                         "category weights must be positive and finite"),
     "wrw weights too short": (_set("wrw_category_weights", [1]),
                               "one weight per category"),
+    "negative seed": (_set("seed", -1),
+                      "'seed' must be an integer >= 0, got -1"),
+    "negative synthetic seed": (
+        _set("graph", "synthetic", "seed", -1),
+        "'graph.synthetic.seed' must be null or an integer >= 0, got -1"),
     "negative k": (_set("graph", "synthetic", "k", -2),
-                   "degree k must be >= 0, got -2"),
+                   "'graph.synthetic.k' must be an integer >= 0, got -2"),
     "NaN alpha": (_set("graph", "synthetic", "alpha", math.nan),
                   "alpha must lie in [0, 1]"),
     "percentile above 100": (_set("probe_percentiles", [25, 150]),
@@ -314,8 +325,32 @@ def test_config_is_checked_key_by_key(tmp_path, capsys, case):
     cfg_path.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert run(["evaluate", "--config", cfg_path]) == 1
-    line = _one_error_line(capsys, "CategraphError")
+    line = _one_error_line(capsys, "FileFormatError")
     assert f"{cfg_path}: " in line and message in line
+
+
+def test_large_seeds_stay_accepted(tmp_path):
+    big = str(2**70)
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    assert run(["generate", "--sizes", "30,30", "--k", "4", "--seed", big,
+                "--out-edges", edges, "--out-categories", cats]) == 0
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "rw", "--n", "20", "--seed", big,
+                "--out", tmp_path / "t.jsonl"]) == 0
+    assert json.loads(
+        (tmp_path / "t.jsonl").read_text().split("\n")[0])["seed"] == 2**70
+    assert run(["observe", "--edges", edges, "--categories", cats,
+                "--trace", tmp_path / "t.jsonl", "--mode", "induced",
+                "--out", tmp_path / "log.jsonl"]) == 0
+    assert run(["estimate", "--log", tmp_path / "log.jsonl", "--bootstrap",
+                "2", "--seed", big, "--out", tmp_path / "est.json"]) == 0
+    cfg = _every_key_config()
+    cfg["seed"] = 2**70
+    cfg["graph"]["synthetic"].update(category_sizes=[30, 30], k=4, seed=2**70)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["evaluate", "--config", cfg_path,
+                "--csv", tmp_path / "report.csv"]) == 0
 
 
 def test_evaluate_without_report_files_prints_one_line_per_cell(
@@ -337,9 +372,9 @@ def test_invalid_config_json_names_the_file(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text('{"replicates": 2,')
     assert run(["evaluate", "--config", cfg_path]) == 1
-    assert _one_error_line(capsys, "CategraphError") == (
-        f"error: CategraphError: {cfg_path}: Expecting property name "
-        "enclosed in double quotes: line 1 column 18 (char 17)")
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {cfg_path}:1: invalid JSON (Expecting "
+        "property name enclosed in double quotes)")
 
 
 @pytest.mark.parametrize("config,message", [
@@ -351,8 +386,8 @@ def test_a_config_without_a_graph_is_refused(tmp_path, capsys, config,
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     assert run(["evaluate", "--config", cfg_path]) == 1
-    assert _one_error_line(capsys, "CategraphError") == (
-        f"error: CategraphError: {cfg_path}: {message}")
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {cfg_path}: {message}")
 
 
 def test_config_passes_a_graph_file_error_through(tmp_path, capsys):
@@ -415,8 +450,8 @@ def test_n_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys, n):
                 "--categories", tmp_path / "missing.tsv",
                 "--sampler", "uis", "--n", n,
                 "--out", tmp_path / "t.jsonl"]) == 1
-    assert _one_error_line(capsys, "CategraphError") == (
-        f"error: CategraphError: --n must be at least 1; got {n}")
+    assert _one_error_line(capsys, "InvalidParameter") == (
+        f"error: InvalidParameter: --n must be >= 1, got {n}")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -427,6 +462,7 @@ def test_n_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys, n):
     ("10,0", (), "category size must be >= 1, got 0"),
     ("10,12", ("--k", "-2"), "degree k must be >= 0, got -2"),
     ("10,12", ("--inter", "-3"), "inter-category edge count must be >= 0, got -3"),
+    ("10,12", ("--seed", "-3"), "seed must be >= 0, got -3"),
 ])
 def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message):
     code = run(["generate", "--sizes", sizes, "--k", "2", *flags,
@@ -440,18 +476,22 @@ def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message)
 
 @pytest.mark.parametrize("command,flags,message", [
     ("sample", ("--sampler", "uis", "--burn-in", "-1"),
-     "CategraphError: --burn-in must be at least 0; got -1"),
+     "InvalidParameter: --burn-in must be >= 0, got -1"),
     ("sample", ("--sampler", "rw", "--burn-in", "-1"),
-     "CategraphError: --burn-in must be at least 0; got -1"),
+     "InvalidParameter: --burn-in must be >= 0, got -1"),
     ("sample", ("--sampler", "rw", "--thin", "0"),
-     "InvalidThinning: thinning interval must be an integer >= 1"),
+     "InvalidThinning: --thin must be >= 1, got 0"),
     ("estimate", ("--bootstrap", "1"),
-     "CategraphError: --bootstrap must be 0 or at least 2; got 1"),
+     "InvalidParameter: --bootstrap must be >= 2, got 1"),
     ("estimate", ("--bootstrap", "-2"),
-     "CategraphError: --bootstrap must be 0 or at least 2; got -2"),
+     "InvalidParameter: --bootstrap must be >= 2, got -2"),
     ("estimate", ("--population", "bogus"),
      "CategraphError: --population must be exact:<N> with N >= 1, "
      "proportional, or auto; got 'bogus'"),
+    ("sample", ("--sampler", "uis", "--seed", "-1"),
+     "InvalidParameter: --seed must be >= 0, got -1"),
+    ("estimate", ("--seed", "-2"),
+     "InvalidParameter: --seed must be >= 0, got -2"),
 ])
 def test_a_bad_flag_is_named_before_any_file_is_read(tmp_path, capsys,
                                                      command, flags, message):

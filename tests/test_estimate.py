@@ -13,6 +13,7 @@ from categraph import (
     EmptySample,
     Graph,
     InsufficientSample,
+    InvalidParameter,
     MissingSizeEstimate,
     ObservationLog,
     SampleTrace,
@@ -793,3 +794,15 @@ def test_bootstrap_rejects_tiny_b(three_color_graph):
     log = observe_induced(g, part, make_trace([0, 1]))
     with pytest.raises(ValueError):
         bootstrap_variance(log, 1, seed=0, population=8)
+
+
+@pytest.mark.parametrize("b,message", [
+    (1, "B must be >= 2, got 1"),
+    (2.5, "B: 2.5 is not an integer"),
+    (True, "B: True is not an integer"),
+])
+def test_bootstrap_size_follows_the_count_rule(three_color_graph, b, message):
+    g, part = three_color_graph
+    log = observe_induced(g, part, make_trace([0, 1]))
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        bootstrap_variance(log, b, seed=0, population=8)

@@ -93,7 +93,7 @@ def test_config_validation(small_graph):
 def test_config_checks_value_ranges_before_any_cell_runs(small_graph):
     g, part = small_graph
     for bad in ({"sample_sizes": (0, 100)}, {"sample_sizes": (-5,)},
-                {"burn_in": -1}, {"thin_interval": 0}):
+                {"burn_in": -1}, {"thin_interval": 0}, {"seed": -1}):
         with pytest.raises(ValueError, match=">= "):
             _small_config(g, part, **bad)
     for weights in ([1.0] * (part.num_categories - 1),
@@ -112,6 +112,7 @@ def test_config_checks_value_ranges_before_any_cell_runs(small_graph):
     ("burn_in", 1.5, 1.5),
     ("burn_in", False, False),
     ("thin_interval", 2.0, 2.0),
+    ("seed", 1.5, 1.5),
 ])
 def test_config_counts_must_be_integers(small_graph, name, value, bad):
     g, part = small_graph

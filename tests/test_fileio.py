@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -459,8 +460,9 @@ MALFORMED_LOGS = {
     "category not an integer": ("induced", _set("c", "x"), 3,
                                 "'c' must be an integer"),
     "weight not a number": ("star", _set("w", "1.0"), 3,
-                            "'w' must be a number"),
-    "boolean weight": ("induced", _set("w", True), 3, "'w' must be a number"),
+                            "'w' must be a positive finite number"),
+    "boolean weight": ("induced", _set("w", True), 3,
+                       "'w' must be a positive finite number"),
     "fractional degree": ("star", _set("deg", 1.5), 3,
                           "'deg' must be an integer"),
     "nbr_cats key beyond C": ("star", _nbr({"3": 0}), 3, "nbr_cats key"),
@@ -473,13 +475,15 @@ MALFORMED_LOGS = {
                           r"category must be in 0\.\.2"),
     "negative category": ("star", _set("c", -1), 3, "category must be"),
     "zero weight": ("induced", _set("w", 0), 3,
-                    "weight must be positive and finite"),
+                    "'w' must be a positive finite number"),
     "negative weight": ("star", _set("w", -2.0), 3,
-                        "weight must be positive and finite"),
+                        "'w' must be a positive finite number"),
     "NaN weight": ("induced", _set("w", float("nan")), 3,
-                   "weight must be positive and finite"),
+                   "'w' must be a positive finite number"),
     "infinite weight": ("star", _set("w", float("inf")), 3,
-                        "weight must be positive and finite"),
+                        "'w' must be a positive finite number"),
+    "weight beyond the largest float": ("induced", _set("w", 10**400), 3,
+                                        "'w' must be a positive finite number"),
     "negative degree": ("induced", _set("deg", -1), 3, "degree must be >= 0"),
     "negative node id": ("induced", _set("v", -1), 3, "node id must be"),
     "nbr_cats not summing to deg": ("star", _nbr({"0": 99}), 3,
@@ -576,8 +580,14 @@ def test_load_trace_rejects_malformed_record(tmp_path, three_color_graph):
             for ln in (tmp_path / "t.jsonl").read_text().splitlines()]
     cases = [(_drop("v"), 3, "record has no 'v'"),
              (_set("i", "x"), 3, "'i' must be an integer"),
-             (_set("w", 0.0), 3, "weight must be positive and finite"),
-             (_set("burn_in", "5", index=0), 1, "meta 'burn_in' must be an integer")]
+             (_set("w", 0.0), 3, "'w' must be a positive finite number, got 0.0"),
+             (_set("burn_in", "5", index=0), 1, "meta 'burn_in' must be an integer"),
+             (_set("sampler", [1], index=0), 1,
+              r"meta 'sampler' must be a string, got \[1\]"),
+             *((_set("seed", seed, index=0), 1,
+                "meta 'seed' must be null or an integer >= 0 or a list, each "
+                f"an integer >= 0, got {re.escape(repr(seed))}$")
+               for seed in ({"x": 1}, -1, [7, -1], True, 2.0, "7"))]
     for mutate, line, message in cases:
         records = json.loads(json.dumps(good))
         mutate(records)
@@ -984,6 +994,8 @@ MALFORMED_ESTIMATES = {
     "edge not an object": (_put([0, 1], "edges", 0),
                            r"edges\[0\] must be a JSON object"),
     "infinite N": (_put(math.inf, "N"), "'N' must be a finite number"),
+    "N beyond the largest float": (_put(10**400, "N"),
+                                   "'N' must be a finite number"),
 }
 
 

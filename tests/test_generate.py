@@ -313,6 +313,12 @@ BAD_PARAMS = [
      "category size 3 must exceed degree k=3"),
     (dict(category_sizes=(5,), k=3), InfeasibleRegularGraph,
      "size\\*k must be even"),
+    (dict(category_sizes=(10,), k=True), InvalidParameter,
+     "degree k: True is not an integer"),
+    (dict(category_sizes=(10,), k=2, inter_edge_count=3.5), InvalidParameter,
+     "inter-category edge count: 3.5 is not an integer"),
+    (dict(category_sizes=(10.0,), k=2), InvalidParameter,
+     "category size: 10.0 is not an integer"),
 ]
 
 
@@ -324,6 +330,17 @@ def test_bad_parameters_raise_typed_errors(kwargs, error, message):
         with pytest.raises(error, match=message):
             gen_intra_regular(kwargs["category_sizes"], kwargs["k"],
                               np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed: True is not an integer"),
+    (1.5, "seed: 1.5 is not an integer"),
+])
+def test_synthetic_seed_follows_the_count_rule(seed, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        SyntheticParams(category_sizes=(10,), k=2, seed=seed)
+    assert SyntheticParams(category_sizes=(10,), k=2, seed=2**70).seed == 2**70
 
 
 def test_add_inter_edges_refuses_a_negative_count():

@@ -9,6 +9,7 @@ from categraph import (
     CategoryPartition,
     EmptyGraph,
     Graph,
+    InvalidParameter,
     InvalidThinning,
     InvalidWeight,
     IsolatedStartNode,
@@ -197,11 +198,11 @@ BAD_REQUESTS = {
     "rw on an empty graph": (lambda: sample_rw(EMPTY, 5), EmptyGraph,
                              "cannot walk on an empty graph"),
     "uis with no draws": (lambda: sample_uis(PATH, 0), ValueError,
-                          "at least one draw"),
+                          "n must be >= 1, got 0"),
     "wis with no draws": (lambda: sample_wis(PATH, [1, 1, 1], 0), ValueError,
-                          "at least one draw"),
+                          "n must be >= 1, got 0"),
     "mhrw with no draws": (lambda: sample_mhrw(PATH, 0), ValueError,
-                           "at least one draw"),
+                           "n must be >= 1, got 0"),
     "wis weight missing": (lambda: sample_wis(PATH, {0: 1.0, 2: 1.0}, 5),
                            InvalidWeight, "no weight for node 1"),
     "wis weights too short": (lambda: sample_wis(PATH, [1.0, 1.0], 5),
@@ -217,15 +218,32 @@ BAD_REQUESTS = {
                             "category weights must be positive"),
     "rw with a negative burn-in": (lambda: sample_rw(PATH, 5, burn_in=-1),
                                    ValueError, "burn_in must be >= 0"),
+    "rw with a fractional n": (lambda: sample_rw(PATH, 2.5), InvalidParameter,
+                               "n: 2.5 is not an integer"),
+    "rw with a fractional burn-in": (
+        lambda: sample_rw(PATH, 5, burn_in=1.5), InvalidParameter,
+        "burn_in: 1.5 is not an integer"),
+    "rw traces for no seeds": (
+        lambda: draw_traces("rw", PATH, 5, []), InvalidParameter,
+        r"len\(seeds\) must be >= 1, got 0"),
+    "uis traces for no seeds": (
+        lambda: draw_traces("uis", PATH, 5, []), InvalidParameter,
+        r"len\(seeds\) must be >= 1, got 0"),
+    "uis with a negative seed": (
+        lambda: sample_uis(PATH, 5, seed=-1), InvalidParameter,
+        "seed must be >= 0, got -1"),
+    "rw traces with a negative seed entry": (
+        lambda: draw_traces("rw", PATH, 5, [[7, -1]]), InvalidParameter,
+        "seed must be >= 0, got -1"),
     "rw on an edgeless graph": (lambda: sample_rw(Graph.from_edges(3, []), 5),
                                 IsolatedStartNode,
                                 "graph has no edges to walk on"),
     "uis traces thinned by 0": (
         lambda: draw_traces("uis", PATH, 5, [0], thin_interval=0),
-        InvalidThinning, "thinning interval must be an integer >= 1"),
+        InvalidThinning, "thin_interval must be >= 1, got 0"),
     "rw traces thinned by -1": (
         lambda: draw_traces("rw", PATH, 5, [0], thin_interval=-1),
-        InvalidThinning, "thinning interval must be an integer >= 1"),
+        InvalidThinning, "thin_interval must be >= 1, got -1"),
 }
 
 
