@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -247,7 +248,8 @@ def estimate_category_graph(log: ObservationLog,
                             ) -> CategoryGraphEstimate:
     """Full pipeline: size estimates feeding edge-weight estimates.
 
-    ``population`` may be the known node count, the string
+    ``population`` may be the known node count, a positive finite real
+    number (a boolean or a string such as "12" is refused), the string
     "proportional" (sizes and weights then correct up to one shared
     constant), or None to use the log's population hint when present.
     """
@@ -265,7 +267,9 @@ def estimate_category_graph(log: ObservationLog,
     if population == PROPORTIONAL:
         pop_value, pop_mode = 1.0, PROPORTIONAL
     else:
-        pop_value, pop_mode = float(population), "exact"
+        # a string or a boolean is not a population, though float() reads it
+        real = isinstance(population, Real) and not isinstance(population, bool)
+        pop_value, pop_mode = float(population) if real else np.nan, "exact"
         if not 0 < pop_value < np.inf:
             raise ValueError("population must be a positive finite number, "
                              f"got {population!r}")

@@ -16,8 +16,10 @@ and writes it once.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
+from contextlib import suppress
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -41,19 +43,34 @@ _NODE_ID = re.compile(r"[+-]?[0-9]+")
 # ---------------------------------------------------------------------------
 # graphs and partitions
 
+# every kept line of a graph file is one record of two tab-separated fields
+_EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
+_LABEL = np.dtype([("node", np.int64), ("category", object)])
+
+
 def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     """Load a graph and its category partition from TSV files.
 
     Every edge endpoint must appear in the category file; nodes that
-    appear only there are isolated nodes. Both files are parsed in bulk
-    and checked with array operations; the earliest refused line is
-    named, counting blank and comment lines.
+    appear only there are isolated nodes. Each file is parsed once, by
+    :func:`_read_records`. Only a file that parse does not confirm, such
+    as one with a refused line, is read again and split into lines, to
+    name the earliest refused line, counting blank and comment lines.
     """
     ext_ids, labels, names = _read_categories(category_path)
+    part = CategoryPartition(labels=labels, names=names)
+    n = len(ext_ids)
+    edges = _read_records(edge_path, _EDGE)
+    if edges is not None:
+        ext = edges.view(np.int64).reshape(-1, 2)
+        dense, labeled = _dense_ids(ext_ids, ext)
+        if labeled.all():
+            # from_edges refuses self-loops and repeated edges
+            with suppress(ValueError):
+                return Graph.from_edges(n, dense), part
+
     lines, rows = _numbered_lines(edge_path, comments=True)
     ext, unreadable = _int_rows(rows, 2)
-
-    n = len(ext_ids)
     dense, labeled = _dense_ids(ext_ids, ext)
     self_loop = ext[:, 0] == ext[:, 1]
     duplicate = _later_copies(np.minimum(dense[:, 0], dense[:, 1]) * n
@@ -73,8 +90,7 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         rule = ("expected 'u<TAB>v'" if rows[row].count("\t") != 1
                 else "node ids must be 64-bit decimal integers")
     else:
-        return Graph.from_edges(n, dense), CategoryPartition(labels=labels,
-                                                             names=names)
+        return Graph.from_edges(n, dense), part
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
@@ -85,11 +101,17 @@ def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
     Each id is first guessed as ``ext - ext_ids[0]``, which is right
     wherever the labeled ids run densely from the first; the difference
     may overflow, and a wrong guess never passes the equality check, so
-    only the misses are searched.
+    only the misses are searched. Where all labeled ids run densely, an
+    id is labeled if its guess lies in range.
     """
     if not len(ext_ids):
         return np.zeros_like(ext), np.zeros(ext.shape, dtype=bool)
-    dense = np.clip(ext - ext_ids[0], 0, len(ext_ids) - 1)
+    guess = ext - ext_ids[0]
+    if int(ext_ids[-1]) - int(ext_ids[0]) == len(ext_ids) - 1:
+        # read unsigned, the wrapped difference is below N exactly for
+        # the ids ext_ids[0]..ext_ids[-1]
+        return guess, guess.view(np.uint64) < len(ext_ids)
+    dense = np.clip(guess, 0, len(ext_ids) - 1)
     labeled = ext_ids[dense] == ext
     miss = ~labeled
     found = np.minimum(np.searchsorted(ext_ids, ext[miss]), len(ext_ids) - 1)
@@ -127,6 +149,45 @@ def _numbered_lines(path, comments: bool = False) -> tuple[np.ndarray, list]:
     return np.flatnonzero(keep) + 1, rows
 
 
+# np.loadtxt opens a path with these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_records(path, dtype: np.dtype) -> np.ndarray | None:
+    """A graph file's kept lines as records of ``dtype``, read by one
+    ``np.loadtxt`` call on the path; an id is read as :func:`_parse_ints`
+    reads it. None where the file has no kept line, where that call
+    refuses a line, or where a count of the file's lines from its bytes
+    does not confirm that it read each kept line as one record.
+
+    The count reads line ends and '#' as their ASCII bytes, as UTF-8
+    and the other ASCII-based encodings write them.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:   # text mode, as loadtxt reads, ends lines there too
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    # a line is kept unless it starts with its own '\n' or with '#'
+    newline = np.frombuffer(data, np.uint8) == ord("\n")
+    blank = int(newline[0]) + np.count_nonzero(newline[1:] & newline[:-1])
+    comments = (data.startswith(b"#") + data.count(b"\n#")
+                if b"#" in data else 0)
+    rows = np.count_nonzero(newline) - blank - comments
+    path = os.fsdecode(path)   # loadtxt opens only a str path itself
+    if not rows or os.path.splitext(path)[1] in _COMPRESSED:
+        return None
+    # loadtxt cuts a line at '#', which is right when each starts a line
+    cut = "#" if comments and data.count(b"#") == comments else None
+    try:
+        records = np.loadtxt(path, dtype=dtype, delimiter="\t",
+                             comments=cut, ndmin=1)
+    except ValueError:
+        return None
+    return records if len(records) == rows else None
+
+
 def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The category file as (sorted external ids, the category id of
     each, category names interned in that order).
@@ -135,6 +196,13 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     field count other than two, an unreadable id or an id labeled
     before is named.
     """
+    records = _read_records(path, _LABEL)
+    if records is not None:
+        order = np.argsort(records["node"], kind="stable")
+        ext = records["node"][order]
+        if not (ext[1:] == ext[:-1]).any():
+            return ext, *_interned(records["category"][order].tolist())
+
     lines, rows = _numbered_lines(path, comments=True)
     tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
     two_fields = len(rows) if (tabs == 1).all() else int(np.argmax(tabs != 1))
@@ -154,12 +222,17 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     elif two_fields < len(rows):
         row, rule = two_fields, "expected 'node<TAB>category'"
     else:
-        order = np.argsort(ext)
-        names = list(map(names.__getitem__, order.tolist()))
-        name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
-        labels = np.fromiter(map(name_id.__getitem__, names), np.int64)
-        return ext[order], labels, tuple(name_id)
+        order = np.argsort(ext, kind="stable")
+        return ext[order], *_interned(list(map(names.__getitem__,
+                                               order.tolist())))
     raise FileFormatError(f"{path}:{lines[row]}: {rule}")
+
+
+def _interned(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The category id of each name and the names, interned in order."""
+    name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
+    labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
+    return labels, tuple(name_id)
 
 
 def _int_rows(rows: list[str], width: int) -> tuple[np.ndarray, int | None]:
@@ -348,18 +421,21 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     non-blank lines, their values).
 
     Each non-blank line is decoded once by :func:`_decode`, so its value
-    is that of ``json.loads``, and a line ``json.loads`` refuses (invalid
-    JSON, a BOM) is named with its error. Lines end at ``\n`` only (see
-    :func:`_numbered_lines`).
+    is that of ``json.loads``, and the first line ``json.loads`` refuses
+    (invalid JSON, a BOM, an integer of too many digits) is named with
+    its error. Lines end at ``\n`` only (see :func:`_numbered_lines`).
     """
     lines, nonblank = _numbered_lines(path)
     try:
         values = list(map(_decode, nonblank))
-    except json.JSONDecodeError as exc:
-        # every earlier copy of the failing line parsed, so this finds it
-        lineno = lines[nonblank.index(exc.doc)]
-        raise FileFormatError(
-            f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+    except ValueError:
+        for lineno, line in zip(lines, nonblank):
+            try:
+                json.loads(line)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: invalid JSON "
+                                      f"({getattr(exc, 'msg', exc)})") from None
+        raise
     if not values:
         raise FileFormatError(f"{path}:1: missing {kind} meta line")
     if type(values[0]) is not dict:
@@ -591,8 +667,9 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
 _ESTIMATE_KEYS = {"N_mode": _STRING, "N": _FINITE,
                   "size_estimator": _STRING, "weight_estimator": _STRING,
                   "categories": _LIST, "edges": _LIST}
-_CATEGORY_KEYS = {"id": _INTEGER, "name": _STRING, "size": _FINITE,
-                  "size_var": _FINITE}
+_CATEGORY_KEYS = {"id": _Kind("an integer >= 0",
+                               lambda v: _INTEGER.ok(v) and v >= 0),
+                  "name": _STRING, "size": _FINITE, "size_var": _FINITE}
 _EDGE_KEYS = {"a": _INTEGER, "b": _INTEGER, "weight": _FINITE,
               "weight_var": _FINITE}
 
@@ -600,13 +677,19 @@ _EDGE_KEYS = {"a": _INTEGER, "b": _INTEGER, "weight": _FINITE,
 def load_estimate(path) -> CategoryGraphEstimate:
     """Read an estimate written by :func:`save_estimate`. Invalid JSON, a
     missing key, a value of the wrong JSON type or a non-finite number
-    raises FileFormatError naming the file and the key."""
+    raises FileFormatError naming the file and the key, and so does a
+    category id that is negative or repeats an earlier one."""
     at = f"{path}:"
     payload = _checked(at, _read_json(path, "estimate"), _ESTIMATE_KEYS, needs=(
         "N_mode", "size_estimator", "weight_estimator", "categories", "edges"))
     cats = [_checked(at, c, _CATEGORY_KEYS, f"categories[{i}].",
                      needs=("id", "name", "size"))
             for i, c in enumerate(payload["categories"])]
+    first = {}
+    for i, c in enumerate(cats):
+        if first.setdefault(c["id"], i) != i:
+            raise FileFormatError(f"{at} 'categories[{i}].id' repeats an "
+                                  f"earlier category, got {c['id']!r}")
     edges = [_checked(at, e, _EDGE_KEYS, f"edges[{i}].",
                       needs=("a", "b", "weight"))
              for i, e in enumerate(payload["edges"])]

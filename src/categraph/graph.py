@@ -47,20 +47,26 @@ class Graph:
             raise ValueError("edges must be (m, 2) pairs")
         if edges.size and (edges.min() < 0 or edges.max() >= node_count):
             raise InvalidNode(f"edge endpoint outside 0..{node_count - 1}")
+        if np.any(edges[:, 0] == edges[:, 1]):
+            raise ValueError("self-loops are not allowed")
         # symmetrize: each undirected edge appears in both endpoint rows,
         # ordered by one head * N + tail key, which a second copy repeats
-        keys = np.concatenate([edges[:, 0], edges[:, 1]])
-        keys *= node_count
-        keys += np.concatenate([edges[:, 1], edges[:, 0]])
+        m = len(edges)
+        keys = np.empty(2 * m, dtype=np.int64)
+        np.multiply(edges[:, 0], node_count, out=keys[:m])
+        np.multiply(edges[:, 1], node_count, out=keys[m:])
+        keys[:m] += edges[:, 1]
+        keys[m:] += edges[:, 0]
         keys.sort()
-        heads, tails = np.divmod(keys, node_count)
-        if np.any(heads == tails):
-            raise ValueError("self-loops are not allowed")
+        degrees = np.bincount(edges.ravel(), minlength=node_count)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
+        # the sorted keys run through the heads in order, degree by degree
+        keys -= np.repeat(np.arange(node_count, dtype=np.int64) * node_count,
+                          degrees)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(heads, minlength=node_count))
-        return Graph(indptr=indptr, indices=tails)
+        indptr[1:] = np.cumsum(degrees)
+        return Graph(indptr=indptr, indices=keys)
 
     @property
     def node_count(self) -> int:

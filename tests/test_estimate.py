@@ -644,7 +644,8 @@ def test_pipeline_default_weight_estimator_follows_mode(three_color_graph):
     assert est.weight_estimator == "induced"
 
 
-@pytest.mark.parametrize("population", [-10, 0, float("nan"), float("inf")])
+@pytest.mark.parametrize("population", [-10, 0, float("nan"), float("inf"),
+                                        "12", True, "foo"])
 def test_population_must_be_positive_and_finite(population):
     log = manual_log([0, 1, 1, 0], [1.0, 2.0, 1.0, 4.0])
     message = re.escape("population must be a positive finite number, "

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import re
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,13 +15,16 @@ from categraph import (
     CategoryPartition,
     FileFormatError,
     Graph,
+    SyntheticParams,
     bootstrap_variance,
     estimate_category_graph,
     exact_category_graph,
     observe_induced,
     observe_star,
     sample_rw,
+    synthetic_graph,
 )
+from categraph import fileio
 from categraph.fileio import (
     _read_jsonl,
     export_category_graph,
@@ -420,7 +425,13 @@ def _saved_records(tmp_path, three_color_graph, mode):
 
 
 def _write_records(path, records):
-    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    # integers of any length are written, as a file may hold one
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return path
 
 
@@ -581,6 +592,8 @@ def test_load_trace_rejects_malformed_record(tmp_path, three_color_graph):
     cases = [(_drop("v"), 3, "record has no 'v'"),
              (_set("i", "x"), 3, "'i' must be an integer"),
              (_set("w", 0.0), 3, "'w' must be a positive finite number, got 0.0"),
+             (_set("v", 10**5000), 3,
+              r"invalid JSON \(Exceeds the limit \(4300 digits\)"),
              (_set("burn_in", "5", index=0), 1, "meta 'burn_in' must be an integer"),
              (_set("sampler", [1], index=0), 1,
               r"meta 'sampler' must be a string, got \[1\]"),
@@ -680,6 +693,117 @@ def test_load_graph_refuses_unlabeled_id_in_a_gap(tmp_path):
                          cats)
     assert g.edge_array.tolist() == [[0, 3]]
     assert part.labels.tolist() == [0, 0, 1, 1]
+
+
+def _graph_outcome(edges, cats):
+    """What ``load_graph`` gives: the edges, labels and names, or the
+    message of its FileFormatError."""
+    try:
+        g, part = load_graph(edges, cats)
+    except FileFormatError as exc:
+        return str(exc)
+    return g.edge_array.tolist(), part.labels.tolist(), part.names
+
+
+# edits that a valid graph file may meet and that the one parse of
+# load_graph must either read as the line-by-line reader does or hand to it
+GRAPH_EDITS = {
+    "'#' inside a line": lambda text, at: text[:at] + "#" + text[at:],
+    "'#' starting a line": lambda text, at: _at_line_start(text, at, "#"),
+    "whitespace-only line": lambda text, at: _at_line_start(text, at, " \n"),
+    "form-feed line": lambda text, at: _at_line_start(text, at, "\x0c\n"),
+    "CRLF line end": lambda text, at: _at_line_end(text, at, "\r\n"),
+    "CR line end": lambda text, at: _at_line_end(text, at, "\r"),
+    "CR inside a line": lambda text, at: text[:at] + "\r" + text[at:],
+    "U+2028 inside a line": lambda text, at: text[:at] + "\u2028" + text[at:],
+    "U+3000 padding": lambda text, at: text[:at] + "\u3000" + text[at:],
+    "BOM": lambda text, at: "\ufeff" + text,
+    "no final newline": lambda text, at: text.rstrip("\n"),
+    "blank line": lambda text, at: _at_line_start(text, at, "\n"),
+    "empty file": lambda text, at: "",
+    "comment-only file": lambda text, at: "# none\n\n# here\tat all\n",
+}
+
+
+def _at_line_start(text, at, insert):
+    at = text.rfind("\n", 0, at) + 1
+    return text[:at] + insert + text[at:]
+
+
+def _at_line_end(text, at, end):
+    at = text.find("\n", at)
+    return text if at < 0 else text[:at] + end + text[at + 1:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ext=st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True),
+       data=st.data())
+def test_load_graph_reads_edited_files_as_the_line_reader_does(
+        tmp_path_factory, ext, data):
+    """Valid files with up to three edits each: the result, or the
+    FileFormatError naming a line, is what the line-by-line reader
+    gives, and a loaded graph is what ``naive_load_graph`` loads."""
+    n = len(ext)
+    names = data.draw(st.lists(st.text(alphabet="ab #", min_size=1, max_size=3),
+                               min_size=n, max_size=n))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    texts = {"e.tsv": "".join(f"{ext[u]}\t{ext[v]}\n"
+                              for u, v, k in zip(iu, iv, keep) if k),
+             "c.tsv": "".join(f"{x}\t{name}\n" for x, name in zip(ext, names))}
+    for _ in range(data.draw(st.integers(1, 3))):
+        name = data.draw(st.sampled_from(sorted(texts)))
+        edit = data.draw(st.sampled_from(sorted(GRAPH_EDITS)))
+        at = data.draw(st.integers(0, len(texts[name])))
+        texts[name] = GRAPH_EDITS[edit](texts[name], at)
+    d = tmp_path_factory.mktemp("graph")
+    for name, text in texts.items():
+        (d / name).write_bytes(text.encode())
+    edges, cats = str(d / "e.tsv"), str(d / "c.tsv")
+
+    got = _graph_outcome(edges, cats)
+    with mock.patch.object(fileio, "_read_records", lambda path, dtype: None):
+        assert _graph_outcome(edges, cats) == got
+    if isinstance(got, str):
+        assert re.match(rf"({re.escape(edges)}|{re.escape(cats)}):\d+: ", got)
+    else:
+        want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+        assert got == ([list(e) for e in want_edges], want_labels, want_names)
+
+
+def test_load_graph_reads_text_files_named_like_archives(tmp_path):
+    """``np.loadtxt`` would open these names through a decompressor, and
+    it reads a path given as bytes as lines of bytes."""
+    edges = write(tmp_path / "e.tsv.gz", "0\t1\n")
+    cats = write(tmp_path / "c.tsv.xz", "0\ta\n1\tb\n")
+    assert _graph_outcome(edges, cats) == ([[0, 1]], [0, 1], ("a", "b"))
+    edges = write(tmp_path / "e.tsv", "0\t1\n").encode()
+    cats = write(tmp_path / "c.tsv", "0\ta\n1\tb\n").encode()
+    assert _graph_outcome(edges, cats) == ([[0, 1]], [0, 1], ("a", "b"))
+
+
+def test_valid_graph_files_are_not_split_into_lines(tmp_path, monkeypatch):
+    """A valid file is parsed once, and the line splitter, which only
+    names a refused line, never runs."""
+    splits = []
+    split = fileio._numbered_lines
+    monkeypatch.setattr(fileio, "_numbered_lines",
+                        lambda *args, **kw: splits.append(args) or split(*args, **kw))
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    g, part = synthetic_graph(SyntheticParams(category_sizes=(40, 300, 700), k=4,
+                                              seed=3))
+    save_graph(g, part, edges, cats)
+    for edge_text, cat_text in [
+            (edges.read_text(), cats.read_text()),
+            ("# header\r\n\r\n5\t-2\r\n\n+1\t\u30005\n-2\t+1",
+             "# header\n 5 \ta\n\n+1\tb\n-2\tb"),
+            ("5\t1\n", "5\tcity # 2\n1\tNew York \n")]:
+        edges.write_bytes(edge_text.encode())
+        cats.write_bytes(cat_text.encode())
+        want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+        assert _graph_outcome(edges, cats) == (
+            [list(e) for e in want_edges], want_labels, want_names)
+    assert splits == []
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +1111,12 @@ MALFORMED_ESTIMATES = {
         r"'edges\[1\]\.weight_var' must be a finite number, got inf"),
     "boolean category id": (_put(True, "categories", 0, "id"),
                             r"'categories\[0\]\.id' must be an integer"),
+    "negative category id": (
+        _put(-5, "categories", 0, "id"),
+        r"'categories\[0\]\.id' must be an integer >= 0, got -5"),
+    "repeated category id": (
+        _put(0, "categories", 2, "id"),
+        r"'categories\[2\]\.id' repeats an earlier category, got 0"),
     "name not a string": (_put(7, "categories", 0, "name"),
                           r"'categories\[0\]\.name' must be a string"),
     "categories not a list": (_put({}, "categories"),
