@@ -1,12 +1,16 @@
 """Category-size and edge-weight estimators over an ObservationLog.
 
 All estimators are inverse-probability-weighted (Hansen-Hurwitz style)
-ratios of the per-category totals in ``ObservationLog.totals``: each
-draw contributes through 1/w(v), where w(v) is its unnormalized
-sampling weight, so the unknown normalization of the sampling design
-cancels. With all weights equal to 1 they reduce
-exactly to the plain sample-proportion forms, which is what a uniform
-independence sample calls for.
+ratios of per-category totals (``CategoryTotals``): each draw
+contributes through 1/w(v), where w(v) is its unnormalized sampling
+weight, so the unknown normalization of the sampling design cancels.
+With all weights equal to 1 they reduce exactly to the plain
+sample-proportion forms, which is what a uniform independence sample
+calls for.
+
+Every formula lives in ``_sizes`` and ``_weights``, which read one
+log's totals or stacked ones (resamples, replicates) and return values
+and a mask of which are defined; the estimators below are views of them.
 
 Estimates are deliberately not clamped to [0, 1] or rounded: the raw
 ratio forms are the consistent ones, and clamping would bias them.
@@ -16,13 +20,11 @@ mean degree is undefined there. Edge-weight estimators emit one-sided
 values when only one endpoint category was sampled and skip a pair when
 neither was.
 
-Everything here is a pure function of (log, options); replicates and
-bootstrap resamples may run concurrently.
+Everything here is a pure function of (log, options).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 from numbers import Real
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (
     WrongObservationMode,
     check_count,
 )
-from .observe import INDUCED, STAR, ObservationLog
+from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
 from .sampling import _as_rng
 
 PROPORTIONAL = "proportional"
@@ -104,8 +106,63 @@ def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     return float(np.sum(numer * winv) / np.sum(denom * winv))
 
 
-def _pair_dict(a, b, values) -> dict[tuple[int, int], float]:
-    return dict(zip(zip(a.tolist(), b.tolist()), values.tolist()))
+def _sizes(t: CategoryTotals, estimator: str, population: float,
+           homogeneous: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Sizes from totals with or without a leading group axis, and
+    which are defined; an undefined size holds 0.0. Every induced size
+    is defined; a star size needs k_c > 0, or with ``homogeneous`` a
+    group whose draws have edges."""
+    mass = t.mass
+    if estimator == INDUCED:
+        return (population * mass / mass.sum(axis=-1, keepdims=True),
+                np.ones(mass.shape, dtype=bool))
+    volume = t.degree_mass.sum(axis=-1, keepdims=True)
+    k_all = volume / mass.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a homogeneous degree is every category's k_all, so k_all / k = 1
+        k = np.broadcast_to(k_all, mass.shape) if homogeneous else t.degree_mass / mass
+        sizes = population * (t.towards.sum(axis=-2) / volume) * (k_all / k)
+    return np.where(k > 0, sizes, 0.0), k > 0
+
+
+def _weights(t: CategoryTotals, estimator: str, sizes: np.ndarray | None = None,
+             known: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Weights [..., a, b], a < b, from totals with or without a leading
+    group axis, and which are defined; an undefined weight holds 0.0.
+    Star weights read ``sizes`` where ``known``."""
+    mass = t.mass
+    drawn = mass > 0
+    if estimator == INDUCED:
+        numer, denom = t.edge_mass, mass[..., :, None] * mass[..., None, :]
+        defined = drawn[..., :, None] & drawn[..., None, :]
+    else:
+        numer = t.towards + np.swapaxes(t.towards, -1, -2)
+        half = mass[..., :, None] * sizes[..., None, :]
+        denom = half + np.swapaxes(half, -1, -2)
+        # a side with draws needs the far side's size; with no draws on
+        # either side the denominator is 0
+        needs = known[..., None, :] | ~drawn[..., :, None]
+        defined = needs & np.swapaxes(needs, -1, -2) & (denom != 0.0)
+    defined = np.triu(defined, 1)
+    return np.divide(numer, denom, out=np.zeros(denom.shape), where=defined), defined
+
+
+def _keys(mask: np.ndarray) -> list:
+    """The categories, or the (a, b) pairs, that a mask marks, in order."""
+    return [k[0] if len(k) == 1 else tuple(k) for k in np.argwhere(mask).tolist()]
+
+
+def _defined(values: np.ndarray, defined: np.ndarray) -> dict:
+    return dict(zip(_keys(defined), values[defined].tolist()))
+
+
+def _log_sizes(log: ObservationLog, estimator: str, population: float,
+               homogeneous: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``_sizes`` of a log; a star log whose draws have no edges is refused."""
+    sizes, defined = _sizes(log.totals, estimator, population, homogeneous)
+    if not defined.any():
+        raise InsufficientSample("no edges observed from any draw")
+    return sizes, defined
 
 
 def est_size_induced(log: ObservationLog, population: float) -> dict[int, float]:
@@ -115,8 +172,7 @@ def est_size_induced(log: ObservationLog, population: float) -> dict[int, float]
     inverse-weight mass of the draws. Categories never drawn get 0.
     """
     _require(log, size=INDUCED)
-    mass = log.totals.mass
-    return dict(enumerate((population * mass / mass.sum()).tolist()))
+    return _defined(*_log_sizes(log, INDUCED, population))
 
 
 def est_mean_degrees(log: ObservationLog) -> tuple[float, dict[int, float]]:
@@ -140,12 +196,7 @@ def est_volume_fraction_star(log: ObservationLog) -> dict[int, float]:
     Far more information per draw than counting draw categories: every
     neighbor of every drawn node contributes. Values sum to 1.
     """
-    _require(log, size=STAR)
-    t = log.totals
-    denom = float(t.degree_mass.sum())
-    if denom == 0.0:
-        raise InsufficientSample("no edges observed from any draw")
-    return dict(enumerate((t.towards.sum(axis=0) / denom).tolist()))
+    return est_size_star(log, 1.0, assume_homogeneous_degree=True)
 
 
 def est_size_star(log: ObservationLog, population: float,
@@ -159,12 +210,8 @@ def est_size_star(log: ObservationLog, population: float,
     when categories differ in density.
     """
     _require(log, size=STAR)
-    fvol = est_volume_fraction_star(log)
-    if assume_homogeneous_degree:
-        return {c: float(population * f) for c, f in fvol.items()}
-    k_all, k_cat = est_mean_degrees(log)
-    return {c: float(population * fvol[c] * (k_all / k))
-            for c, k in k_cat.items() if k > 0}
+    return _defined(*_log_sizes(log, STAR, population,
+                                assume_homogeneous_degree))
 
 
 def est_weight_induced(log: ObservationLog) -> dict[tuple[int, int], float]:
@@ -178,11 +225,7 @@ def est_weight_induced(log: ObservationLog) -> dict[tuple[int, int], float]:
     node for speed).
     """
     _require(log, weight=INDUCED)
-    t = log.totals
-    a, b = np.triu_indices(log.num_categories, 1)
-    keep = (t.mass[a] > 0) & (t.mass[b] > 0)
-    a, b = a[keep], b[keep]
-    return _pair_dict(a, b, t.edge_mass[a, b] / (t.mass[a] * t.mass[b]))
+    return _defined(*_weights(log.totals, INDUCED))
 
 
 def est_weight_star(log: ObservationLog,
@@ -200,19 +243,10 @@ def est_weight_star(log: ObservationLog,
     _require(log, weight=STAR)
     if size_estimates is None:
         raise MissingSizeEstimate("size estimates are required")
-    t = log.totals
-    c = log.num_categories
-    known = np.array([k in size_estimates for k in range(c)], dtype=bool)
-    size = np.array([size_estimates.get(k, 0.0) for k in range(c)], dtype=float)
-    drawn = t.mass > 0
-    a, b = np.triu_indices(c, 1)
-    # a side without draws adds exactly 0 to both sums
-    numer = t.towards[a, b] + t.towards[b, a]
-    denom = t.mass[a] * size[b] + t.mass[b] * size[a]
-    # a side with draws needs the far side's size; with no draws on
-    # either side the denominator is 0
-    keep = (known[b] | ~drawn[a]) & (known[a] | ~drawn[b]) & (denom != 0.0)
-    return _pair_dict(a[keep], b[keep], numer[keep] / denom[keep])
+    cats = range(log.num_categories)
+    known = np.array([k in size_estimates for k in cats], dtype=bool)
+    sizes = np.array([size_estimates.get(k, 0.0) for k in cats], dtype=float)
+    return _defined(*_weights(log.totals, STAR, sizes, known))
 
 
 @dataclass(frozen=True)
@@ -274,27 +308,26 @@ def estimate_category_graph(log: ObservationLog,
             raise ValueError("population must be a positive finite number, "
                              f"got {population!r}")
 
-    if size_estimator == INDUCED:
-        sizes = est_size_induced(log, pop_value)
-    else:
-        sizes = est_size_star(log, pop_value,
-                              assume_homogeneous_degree=assume_homogeneous_degree)
-    if weight_estimator == INDUCED:
-        weights = est_weight_induced(log)
-    else:
-        weights = est_weight_star(log, sizes)
-
-    c = log.num_categories
-    pairs = frozenset(combinations(range(c), 2))
-    zero_draw = frozenset(np.flatnonzero(log.totals.mass == 0).tolist())
+    sizes, sized = _log_sizes(log, size_estimator, pop_value,
+                              assume_homogeneous_degree)
+    weights, weighed = _weights(log.totals, weight_estimator, sizes, sized)
     return CategoryGraphEstimate(
-        sizes=sizes, weights=weights,
+        sizes=_defined(sizes, sized), weights=_defined(weights, weighed),
         size_estimator=size_estimator, weight_estimator=weight_estimator,
         population=pop_value, population_mode=pop_mode,
         category_names=log.category_names,
-        zero_draw_categories=zero_draw,
-        skipped_size_categories=frozenset(range(c)).difference(sizes),
-        skipped_weight_pairs=pairs.difference(weights))
+        zero_draw_categories=frozenset(_keys(log.totals.mass == 0)),
+        skipped_size_categories=frozenset(_keys(~sized)),
+        skipped_weight_pairs=frozenset(_keys(np.triu(~weighed, 1))))
+
+
+def _variances(values: np.ndarray, defined: np.ndarray) -> dict:
+    """Per quantity, the sample variance of its defined values across
+    groups; quantities defined fewer than twice are dropped."""
+    enough = defined.sum(axis=0) >= 2
+    values, defined = (np.moveaxis(x, 0, -1)[enough] for x in (values, defined))
+    return dict(zip(_keys(enough), (float(np.var(v[d], ddof=1))
+                                    for v, d in zip(values, defined))))
 
 
 def bootstrap_variance(log: ObservationLog, B: int, seed=None,
@@ -306,28 +339,22 @@ def bootstrap_variance(log: ObservationLog, B: int, seed=None,
                        ) -> tuple[dict[int, float], dict[tuple[int, int], float]]:
     """Bootstrap variances of the size and weight estimates.
 
-    Resamples the draws with replacement B times, re-runs the full
-    estimate, and returns the sample variance per quantity (over the
-    resamples in which the quantity was estimable; quantities seen
-    fewer than twice are dropped).
+    Resamples the draws with replacement B times, reducing each to its
+    totals (``totals_of``) as it is drawn, and returns the sample variance
+    per quantity over the resamples in which it was estimable; those seen
+    fewer than twice are dropped. A log ``estimate_category_graph``
+    refuses is refused.
     """
     check_count(B, "B")
     rng, _ = _as_rng(seed)
-    size_samples: dict[int, list[float]] = {}
-    weight_samples: dict[tuple[int, int], list[float]] = {}
-    for _ in range(B):
-        idx = rng.integers(0, log.n, size=log.n)
-        est = estimate_category_graph(
-            log.resampled(idx), population,
-            size_estimator=size_estimator,
-            weight_estimator=weight_estimator,
-            assume_homogeneous_degree=assume_homogeneous_degree)
-        for cat, value in est.sizes.items():
-            size_samples.setdefault(cat, []).append(value)
-        for pair, value in est.weights.items():
-            weight_samples.setdefault(pair, []).append(value)
-    size_var = {cat: float(np.var(vals, ddof=1))
-                for cat, vals in size_samples.items() if len(vals) >= 2}
-    weight_var = {pair: float(np.var(vals, ddof=1))
-                  for pair, vals in weight_samples.items() if len(vals) >= 2}
-    return size_var, weight_var
+    # the whole log's estimate makes every refusal a resample would
+    est = estimate_category_graph(
+        log, population, size_estimator=size_estimator,
+        weight_estimator=weight_estimator,
+        assume_homogeneous_degree=assume_homogeneous_degree)
+    t = CategoryTotals.stacked(
+        log.totals_of(rng.integers(0, log.n, size=log.n)) for _ in range(B))
+    sizes, sized = _sizes(t, size_estimator, est.population,
+                          assume_homogeneous_degree)
+    weights, weighed = _weights(t, est.weight_estimator, sizes, sized)
+    return _variances(sizes, sized), _variances(weights, weighed)

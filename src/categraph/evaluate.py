@@ -25,11 +25,12 @@ import numpy as np
 
 from .errors import UndefinedNRMSE, check_count
 from .estimate import (ESTIMATOR_PAIRS, MODES, SIZE_ESTIMATORS,
-                       WEIGHT_ESTIMATORS, estimate_category_graph)
+                       WEIGHT_ESTIMATORS, _sizes, _weights)
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
-from .observe import INDUCED, STAR, observe_induced, observe_star
+from .observe import INDUCED, STAR, CategoryTotals, observe_induced, observe_star
 from .sampling import SAMPLERS, _weight_vector, draw_traces
-# bench/spans.py wraps the samplers under these names
+# bench/spans.py wraps the estimator and the samplers under these names
+from .estimate import estimate_category_graph  # noqa: F401
 from .sampling import (  # noqa: F401
     sample_mhrw,
     sample_rw,
@@ -245,13 +246,15 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     lockstep batch. Within one (sampler, n, replicate) triple, a single
     trace is drawn and shared by both observation modes and all
     estimator choices, so comparisons across modes and estimators are
-    paired.
+    paired. A cell's replicate totals are stacked per mode, and each
+    estimator pair reads them in one pass.
     """
     g, part = cfg.graph, cfg.partition
     truth = exact_category_graph(g, part)
     names = part.names
     probes = _probe_pairs(truth, cfg.probe_percentiles)
-    combos = {mode: _combos_for_mode(cfg, mode) for mode in cfg.modes}
+    combos = {mode: pairs for mode in cfg.modes
+              if (pairs := _combos_for_mode(cfg, mode))}
     # per kind: the true values and the name of each quantity
     quantities = {
         "size": (truth.sizes, lambda c: names[c]),
@@ -261,48 +264,42 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     cells: list[CellResult] = []
     for (si, sampler), (ni, n) in product(enumerate(cfg.samplers),
                                           enumerate(cfg.sample_sizes)):
-        # tables[cell key][replicate] -> {quantity: estimate}; a size cell
-        # keeps the first of its mode's pairs with that size estimator
-        tables: dict[tuple, dict[int, dict]] = {}
         traces = draw_traces(
             sampler, g, n,
             [[cfg.seed, si, ni, rep] for rep in range(cfg.replicates)],
             thin_interval=cfg.thin_interval, burn_in=cfg.burn_in,
             part=part, category_weights=cfg.wrw_category_weights)
-        for rep, trace in enumerate(traces):
-            for mode in cfg.modes:
-                if not combos[mode]:
-                    continue
-                log = (observe_induced(g, part, trace) if mode == INDUCED
-                       else observe_star(g, part, trace))
-                for se, we in combos[mode]:
-                    est = estimate_category_graph(
-                        log, population=g.node_count,
-                        size_estimator=se, weight_estimator=we)
-                    for kind, cell_we, values in (
-                            ("size", None, est.sizes),
-                            ("weight", we, est.weights)):
-                        key = (kind, mode, se, cell_we)
-                        tables.setdefault(key, {}).setdefault(rep, values)
-                # drop this log before the next is built, as the cell's
-                # walks stay in memory until its last replicate
-                del log, est
-        for (kind, mode, se, we), table in tables.items():
-            true_values, name_of = quantities[kind]
-            # a quantity missing from any replicate is excluded
-            scores = {}
-            for q, true_value in sorted(true_values.items()):
-                vals = [row.get(q) for row in table.values()]
-                if all(v is not None for v in vals):
-                    scores[q] = nrmse(vals, true_value)
-            cells.append(CellResult(
-                quantity_kind=kind, sampler=sampler, mode=mode,
-                size_estimator=se, weight_estimator=we, n=n,
-                nrmse_by_quantity={name_of(q): s for q, s in scores.items()},
-                excluded=len(true_values) - len(scores),
-                probe_nrmse={label: scores[pair]
-                             for label, pair in probes.items()
-                             if kind == "weight" and pair in scores}))
+        # per mode, each replicate's totals; a trace and its logs go once
+        # reduced, as uis and wis draw each trace only when it is reached
+        totals = {mode: [] for mode in combos}
+        for trace in traces:
+            for mode, rows in totals.items():
+                observe = observe_induced if mode == INDUCED else observe_star
+                rows.append(observe(g, part, trace).totals)
+        for mode, rows in totals.items():
+            t = CategoryTotals.stacked(rows)
+            for se, we in combos[mode]:
+                sizes, sized = _sizes(t, se, float(g.node_count))
+                weights, weighed = _weights(t, we, sizes, sized)
+                for kind, cell_we, values, defined in (
+                        ("size", None, sizes, sized),
+                        ("weight", we, weights, weighed)):
+                    true_values, name_of = quantities[kind]
+                    # [quantity][replicate]; one undefined value excludes
+                    values, defined = (np.moveaxis(x, 0, -1)
+                                       for x in (values, defined))
+                    scores = {q: nrmse(values[q], true_value)
+                              for q, true_value in sorted(true_values.items())
+                              if defined[q].all()}
+                    cells.append(CellResult(
+                        quantity_kind=kind, sampler=sampler, mode=mode,
+                        size_estimator=se, weight_estimator=cell_we, n=n,
+                        nrmse_by_quantity={name_of(q): s
+                                           for q, s in scores.items()},
+                        excluded=len(true_values) - len(scores),
+                        probe_nrmse={label: scores[pair]
+                                     for label, pair in probes.items()
+                                     if kind == "weight" and pair in scores}))
     cells.sort(key=lambda c: (c.quantity_kind, c.sampler, c.mode,
                               c.size_estimator, c.weight_estimator or "",
                               c.n))

@@ -26,7 +26,7 @@ STAR = "star"
 
 @dataclass(frozen=True, eq=False)
 class CategoryTotals:
-    """Per-category inverse-weight totals of one log.
+    """Per-category inverse-weight totals of a group of draws.
 
     Every size and edge-weight estimator is a ratio of these. Over the
     draws in category c, ``mass[c]`` sums 1/w and ``degree_mass[c]``
@@ -34,12 +34,19 @@ class CategoryTotals:
     the sum of (neighbors in b)/w. Induced logs add ``edge_mass[a, b]``
     (a < b): over every ordered pair of draws, one in a and one in b,
     whose nodes share an observed edge, the sum of 1/(w_a * w_b).
+    ``stacked`` puts several groups' totals on a leading group axis.
     """
 
     mass: np.ndarray
     degree_mass: np.ndarray
     towards: np.ndarray | None = None
     edge_mass: np.ndarray | None = None
+
+    @classmethod
+    def stacked(cls, groups) -> "CategoryTotals":
+        """The totals of several groups, row g of each array from group g."""
+        parts = zip(*(vars(t).values() for t in groups))
+        return cls(*(None if p[0] is None else np.stack(p) for p in parts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,40 +85,54 @@ class ObservationLog:
 
     @cached_property
     def totals(self) -> CategoryTotals:
-        """The per-category inverse-weight totals every estimator reads,
-        reduced once per log."""
+        """The totals of all draws, which every estimator of this log
+        reads, reduced once per log."""
+        return self.totals_of(slice(None))
+
+    def totals_of(self, rows) -> CategoryTotals:
+        """The totals of the draws ``rows`` picks, repeats counted, as for
+        a log of just those draws. An induced edge of the log with an
+        endpoint no picked draw holds adds an exact 0.0."""
         c = self.num_categories
-        cats = self.categories
-        winv = 1.0 / self.weights
+        cats = self.categories[rows]
+        winv = 1.0 / self.weights[rows]
         mass = np.bincount(cats, weights=winv, minlength=c)
-        degree_mass = np.bincount(cats, weights=self.degrees * winv, minlength=c)
+        degree_mass = np.bincount(cats, weights=self.degrees[rows] * winv,
+                                  minlength=c)
         if self.mode == STAR:
             towards = np.column_stack([
                 np.bincount(cats, weights=col * winv, minlength=c)
-                for col in self.neighbor_counts.T])
+                for col in self.neighbor_counts[rows].T])
             return CategoryTotals(mass, degree_mass, towards=towards)
+        keys, size, u, v, pair = self._cross_edges
+        # inverse-weight mass per distinct node, 0.0 where none is picked
+        node_mass = np.bincount(keys[rows], weights=winv, minlength=size)
+        edge_mass = np.bincount(pair, weights=node_mass[u] * node_mass[v],
+                                minlength=c * c).reshape(c, c)
+        return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
+
+    @cached_property
+    def _cross_edges(self) -> tuple:
+        """Each draw's node key, the key count, and the induced edges
+        across categories as key pairs (u, v) and bins a * C + b, a < b."""
+        c = self.num_categories
         nodes, edges = self.nodes, self.induced_edges
         if edges is None:
             edges = np.empty((0, 2), dtype=np.int64)
         if nodes.size and nodes.max() > 64 * nodes.size:
-            # sparse ids (past 64 per draw): index nodes by their rank
+            # sparse ids (past 64 per draw): key nodes by their rank
             # among the distinct drawn ids instead. Below that the rank
             # sort costs more than the id-indexed arrays (7-14x at 50,000
             # draws and up to 4 ids per draw); they cross at 24-96.
             ids, nodes = np.unique(nodes, return_inverse=True)
             edges = np.searchsorted(ids, edges)
-        # inverse-weight mass per distinct drawn node, indexed by node id
-        node_mass = np.bincount(nodes, weights=winv)
-        cat_of = np.zeros(len(node_mass), dtype=np.int64)
-        cat_of[nodes] = cats
+        cat_of = np.zeros(nodes.max(initial=-1) + 1, dtype=np.int64)
+        cat_of[nodes] = self.categories
         u, v = edges[:, 0], edges[:, 1]
         cu, cv = cat_of[u], cat_of[v]
         cross = cu != cv
         pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
-        edge_mass = np.bincount(pair[cross],
-                                weights=(node_mass[u] * node_mass[v])[cross],
-                                minlength=c * c).reshape(c, c)
-        return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
+        return nodes, len(cat_of), u[cross], v[cross], pair[cross]
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.

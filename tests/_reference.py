@@ -4,7 +4,8 @@ Everything here is written the slow, obvious way on purpose: O(N^2)
 pair enumeration for the exact category graph, and literal loop
 transcriptions of the estimator formulas (counting forms for unit
 weights, per-draw division forms for general weights). None of it
-shares code with the package internals.
+shares code with the package internals, save the bootstrap loop, which
+estimates each resampled log with the public per-log pipeline.
 """
 from __future__ import annotations
 
@@ -239,6 +240,36 @@ def naive_weight_star_weighted(log, sizes):
                 continue
             out[(a, b)] = numer / denom
     return out
+
+
+def naive_bootstrap_variance(log, B, seed, population=None, *,
+                             size_estimator="induced", weight_estimator=None,
+                             assume_homogeneous_degree=False):
+    """Bootstrap variances the slow way: B resampled logs, each
+    estimated in full, the values filed per quantity in Python dicts.
+    A resample that estimates nothing raises as the estimator does."""
+    from categraph import estimate_category_graph
+
+    rng = np.random.default_rng(seed)
+    size_samples: dict[int, list[float]] = {}
+    weight_samples: dict[tuple[int, int], list[float]] = {}
+    for _ in range(B):
+        idx = rng.integers(0, log.n, size=log.n)
+        est = estimate_category_graph(
+            log.resampled(idx), population,
+            size_estimator=size_estimator,
+            weight_estimator=weight_estimator,
+            assume_homogeneous_degree=assume_homogeneous_degree)
+        for cat, value in est.sizes.items():
+            size_samples.setdefault(cat, []).append(value)
+        for pair, value in est.weights.items():
+            weight_samples.setdefault(pair, []).append(value)
+    size_var = {cat: float(np.var(vals, ddof=1))
+                for cat, vals in size_samples.items() if len(vals) >= 2}
+    weight_var = {pair: float(np.var(vals, ddof=1))
+                  for pair, vals in weight_samples.items() if len(vals) >= 2}
+    return size_var, weight_var
+
 
 def random_graph(n, p, rng, min_degree_one=False):
     """Simple G(n, p) helper for randomized property tests."""

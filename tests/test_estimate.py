@@ -807,3 +807,52 @@ def test_bootstrap_size_follows_the_count_rule(three_color_graph, b, message):
     log = observe_induced(g, part, make_trace([0, 1]))
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         bootstrap_variance(log, b, seed=0, population=8)
+
+
+def test_bootstrap_skips_resamples_that_estimate_nothing():
+    """Nodes 0-3 with edges 1-2 and 2-3, so node 0 is isolated: a
+    resample of draw 0 alone has no edges and adds no star size, while
+    the log as a whole still estimates. A log whose draws have no edges
+    at all is refused."""
+    g = Graph.from_edges(4, [(1, 2), (2, 3)])
+    part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
+    log = observe_star(g, part, make_trace([0, 2]))
+    size_var, weight_var = bootstrap_variance(log, 50, seed=1,
+                                              size_estimator="star")
+    assert list(size_var) == [1] and size_var[1] > 0
+    assert weight_var == {}
+    edgeless = observe_star(g, part, make_trace([0, 0]))
+    with pytest.raises(InsufficientSample, match="no edges observed"):
+        bootstrap_variance(edgeless, 50, seed=1, size_estimator="star")
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs=observed_logs(), pair=st.sampled_from(
+           [(mode, pair) for mode, pairs in ESTIMATOR_PAIRS.items()
+            for pair in pairs]),
+       homogeneous=st.booleans(), sparse=st.booleans(),
+       population=st.one_of(st.none(), st.just(PROPORTIONAL),
+                            st.integers(1, 10**6), st.floats(0.5, 1e6)),
+       B=st.integers(2, 6), seed=st.integers(0, 2**32))
+def test_bootstrap_matches_the_per_resample_loop(logs, pair, homogeneous,
+                                                 sparse, population, B, seed):
+    """Grouped totals and one estimator pass give exactly the variances
+    of estimating every resampled log in full, wherever that loop runs
+    through; where one of its resamples estimates nothing, the grouped
+    pass still returns unless the whole log estimates nothing."""
+    ind, star, _ = logs
+    (mode, (se, we)) = pair
+    log = star if mode == "star" else sparse_ids(ind) if sparse else ind
+    options = dict(population=population, size_estimator=se,
+                   weight_estimator=we,
+                   assume_homogeneous_degree=homogeneous)
+    try:
+        want = ref.naive_bootstrap_variance(log, B, seed, **options)
+    except InsufficientSample:
+        if log.degrees.sum() == 0:
+            with pytest.raises(InsufficientSample):
+                bootstrap_variance(log, B, seed, **options)
+        else:
+            bootstrap_variance(log, B, seed, **options)
+        return
+    assert bootstrap_variance(log, B, seed, **options) == want
