@@ -36,6 +36,8 @@ from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 _FLOAT_MAX = sys.float_info.max
+# the largest float whose inverse overflows: a weight must exceed it
+_WEIGHT_FLOOR = 2.0 ** -1024
 # a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
@@ -283,7 +285,7 @@ def _write(path, text: str) -> None:
 def _check_weights(weights: np.ndarray) -> None:
     """Refuse, before any file opens, a weight the readers would refuse."""
     weights = np.asarray(weights)
-    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+    bad = np.flatnonzero(~((weights > _WEIGHT_FLOOR) & (weights <= _FLOAT_MAX)))
     if len(bad):
         raise ValueError(f"draw {bad[0]}: weight must be positive and "
                          f"finite, got {weights[bad[0]].item()!r}")
@@ -325,8 +327,9 @@ _NUMBER = _Kind("a number", lambda v: type(v) in (int, float))
 # an integer beyond the largest float does not convert to a finite one
 _FINITE = _Kind("a finite number",
                 lambda v: _NUMBER.ok(v) and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+# and a weight's inverse must be finite too, for the estimators
 _WEIGHT = _Kind("a positive finite number", lambda v: (
-    type(v) is float or type(v) is int) and 0 < v <= _FLOAT_MAX)
+    type(v) is float or type(v) is int) and _WEIGHT_FLOOR < v <= _FLOAT_MAX)
 _LIST = _Kind("a list", lambda v: type(v) is list)
 _OBJECT = _Kind("a JSON object", lambda v: type(v) is dict)
 _SEED = _count("seed")
@@ -422,17 +425,18 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
 
     Each non-blank line is decoded once by :func:`_decode`, so its value
     is that of ``json.loads``, and the first line ``json.loads`` refuses
-    (invalid JSON, a BOM, an integer of too many digits) is named with
-    its error. Lines end at ``\n`` only (see :func:`_numbered_lines`).
+    (invalid JSON, a BOM, an integer of too many digits, nesting beyond
+    the recursion limit) is named with its error. Lines end at ``\n``
+    only (see :func:`_numbered_lines`).
     """
     lines, nonblank = _numbered_lines(path)
     try:
         values = list(map(_decode, nonblank))
-    except ValueError:
+    except (ValueError, RecursionError):
         for lineno, line in zip(lines, nonblank):
             try:
                 json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise FileFormatError(f"{path}:{lineno}: invalid JSON "
                                       f"({getattr(exc, 'msg', exc)})") from None
         raise
@@ -446,16 +450,42 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
 
 def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
     """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
-    as an int64 or float array; one pass over the records per key."""
+    as an int64 or float array. A column is checked whole, by the set of
+    its value types and numpy range checks; only a refused one is
+    checked value by value, to name the first refused line."""
     columns = []
     for key, kind in keys.items():
-        _require(path, lines, [type(r) is dict and key in r for r in records],
-                 f"record has no {key!r}", records)
-        values = list(map(itemgetter(key), records))
-        _require(path, lines, list(map(kind.ok, values)),
-                 f"{key!r} must be {kind.what}", values)
-        columns.append(np.asarray(values, np.int64 if kind is _INT64 else float))
+        column = _whole_column(records, key, kind)
+        if column is None:
+            _require(path, lines,
+                     [type(r) is dict and key in r for r in records],
+                     f"record has no {key!r}", records)
+            values = list(map(itemgetter(key), records))
+            _require(path, lines, list(map(kind.ok, values)),
+                     f"{key!r} must be {kind.what}", values)
+            column = np.asarray(values, np.int64 if kind is _INT64 else float)
+        columns.append(column)
     return columns
+
+
+def _whole_column(records, key: str, kind: _Kind) -> np.ndarray | None:
+    """The records' ``key`` values as one array if each record holds one
+    of ``kind``, else None. Integer weights are left to the exact
+    per-value check: numpy rounds one just above the largest float down
+    to it."""
+    try:
+        values = list(map(itemgetter(key), records))
+    except (KeyError, TypeError):
+        return None
+    types = set(map(type, values))
+    if kind is _INT64 and types <= {int}:
+        with suppress(OverflowError):
+            return np.asarray(values, np.int64)
+    if kind is _WEIGHT and types <= {float}:
+        column = np.asarray(values, float)
+        if np.all((column > _WEIGHT_FLOOR) & (column <= _FLOAT_MAX)):
+            return column
+    return None
 
 
 def _require(path, lines, ok, rule: str, values) -> None:

@@ -14,7 +14,9 @@ probability correction:
 
 The walks are step rules of one engine, ``lockstep_walks``: a batch
 of walks, one per seed, advances together, each walker drawing exactly
-what a lone walk draws. ``SAMPLERS`` is the one table of samplers.
+what a lone walk draws: a small batch steps walker by walker in Python,
+a large one all walkers at once in numpy. ``SAMPLERS`` is the one table
+of samplers.
 Burn-in defaults to 0: the estimators are consistent regardless, so
 discarding a prefix is an experiment knob, not a correctness
 requirement.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import product
@@ -125,22 +128,40 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
                        sampler="wis", seed=recorded, start=None, burn_in=0)
 
 
-def _step_rule(rule: str, g: Graph, part, category_weights):
-    """A walk's step, mapping every walker's current node and one uniform
-    per stream to its next node (perhaps updating the current nodes in
-    place), its number of uniform streams and its per-node draw weight."""
+def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
+    """A walk's step, its number of uniform streams and its per-node draw
+    weight. The array step maps every walker's current node and one
+    uniform array per stream to the next nodes (perhaps updating the
+    current nodes in place). The scalar step maps one walker's node and
+    one list of uniforms per stream to the list of nodes it visits; it
+    reads the same arrays through memoryviews, in Python floats, so it
+    takes the array step's path."""
     indptr, indices, deg = g.indptr, g.indices, g.degrees.astype(float)
+    ip, ix, dg = map(memoryview, (indptr, indices, deg))
     if rule == "rw":
         def step(cur, r):
             return indices[indptr[cur] + (r * deg[cur]).astype(np.int64)]
-        return step, 1, deg
+
+        def walk(u, rs):
+            return [u := ix[ip[u] + int(r * dg[u])] for r in rs]
+        return walk if scalar else step, 1, deg
     if rule == "mhrw":
         def step(cur, r, accept):
             d = deg[cur]
             v = indices[indptr[cur] + (r * d).astype(np.int64)]
             np.copyto(cur, v, where=accept * deg[v] < d)
             return cur
-        return step, 2, np.ones(g.node_count)
+
+        def walk(u, rs, accepts):
+            path = []
+            for r, a in zip(rs, accepts):
+                d = dg[u]
+                v = ix[ip[u] + int(r * d)]
+                if a * dg[v] < d:
+                    u = v
+                path.append(u)
+            return path
+        return walk if scalar else step, 2, np.ones(g.node_count)
     labels = part.labels_for(g)
     node_cw = _weight_vector(
         np.ones(part.num_categories) if category_weights is None
@@ -157,6 +178,13 @@ def _step_rule(rule: str, g: Graph, part, category_weights):
         cum[at] += cum[at - 1]
     node_totals = np.zeros(g.node_count)
     node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
+    if scalar:
+        sums, totals = memoryview(cum), memoryview(node_totals)
+
+        def walk(u, rs):
+            return [u := ix[bisect_right(sums, r * totals[u], ip[u], ip[u + 1])]
+                    for r in rs]
+        return walk, 1, node_totals
     # complex numbers order by real, then imaginary part, so one search
     # for u + (r * total(u))j over the row + (running sum)j keys is a
     # bisect_right inside row u; the complex products are exact
@@ -168,6 +196,11 @@ def _step_rule(rule: str, g: Graph, part, category_weights):
 
 # Uniforms held at once over all walkers and streams: 2**16 doubles, 512 KiB.
 _CHUNK_DOUBLES = 1 << 16
+# Batches of fewer walkers than this take the scalar step: below it a
+# Python step per walker costs less than numpy's per-call overhead per
+# batch step (measured crossovers: about 9-12 walkers for rw and mhrw,
+# 12-16 for wrw, on 5,000- and 88,850-node graphs).
+_SCALAR_BELOW = 10
 
 
 def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
@@ -178,10 +211,14 @@ def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
     advancing together; wrw reads ``part`` and ``category_weights``
     (equal if None). Each walker draws from its seed as a lone walk
     would: its start unless given, then one uniform per step, mhrw's
-    acceptance uniforms after all of its proposals. Visits are held in
-    the smallest unsigned dtype that fits a node id until used."""
+    acceptance uniforms after all of its proposals. A batch of fewer
+    than ``_SCALAR_BELOW`` walkers takes the rule's scalar step, one
+    walker at a time over each chunk of uniforms, a larger one its array
+    step; both visit the same nodes. Visits are held in the smallest
+    unsigned dtype that fits a node id until used."""
+    scalar = len(seeds) < _SCALAR_BELOW
     step, stream_count, node_weights = _step_rule(rule, g, part,
-                                                  category_weights)
+                                                  category_weights, scalar)
     _check_request(g, n, "walk on")
     check_count(burn_in, "burn_in")
     rngs, recorded = zip(*map(_as_rng, seeds))
@@ -212,6 +249,12 @@ def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
         for s, stream in enumerate(streams):
             for w, rng in enumerate(stream):
                 draws[s, :size, w] = rng.random(size)
+        if scalar:
+            for w in range(walkers):
+                visits[lo:lo + size, w] = path = step(
+                    int(cur[w]), *draws[:, :size, w].tolist())
+                cur[w] = path[-1]
+            continue
         for i, uniforms in enumerate(zip(*draws[:, :size]), lo):
             visits[i] = cur = step(cur, *uniforms)
     columns = (visits[burn_in:, w].astype(np.int64) for w in range(walkers))

@@ -559,3 +559,20 @@ def test_observe_names_the_first_draw_outside_the_graph(tmp_path, capsys,
     assert _one_error_line(capsys, "InvalidNode") == (
         "error: InvalidNode: draw 1: node 100 is outside 0..99")
     assert not (tmp_path / "log.jsonl").exists()
+
+
+def test_weight_with_an_overflowing_inverse_is_named_by_its_line(tmp_path,
+                                                                 capsys):
+    """A subnormal weight, whose inverse is infinite, is refused at its
+    line instead of ending the estimate in a NaN."""
+    records = [{"mode": "induced", "N": None, "categories": ["a", "b"]},
+               {"v": 0, "c": 0, "deg": 1, "w": 1e-320},
+               {"v": 1, "c": 1, "deg": 1, "w": 1.0},
+               {"induced_edges": [[0, 1]]}]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    assert run(["estimate", "--log", log, "--out", tmp_path / "est.json"]) == 1
+    assert ("log.jsonl:2: 'w' must be a positive finite number, got 1e-320"
+            in _one_error_line(capsys, "FileFormatError"))
+    assert not (tmp_path / "est.json").exists()

@@ -495,6 +495,14 @@ MALFORMED_LOGS = {
                         "'w' must be a positive finite number"),
     "weight beyond the largest float": ("induced", _set("w", 10**400), 3,
                                         "'w' must be a positive finite number"),
+    "integer weight one above the largest float": (
+        "star", _set("w", int(sys.float_info.max) + 1), 3,
+        "'w' must be a positive finite number, got 17976931348623157"),
+    "subnormal weight with an infinite inverse": (
+        "induced", _set("w", 1e-320), 3,
+        "'w' must be a positive finite number, got 1e-320"),
+    "weight 2**-1024": ("star", _set("w", 2.0 ** -1024), 3,
+                        "'w' must be a positive finite number, got 5.56"),
     "negative degree": ("induced", _set("deg", -1), 3, "degree must be >= 0"),
     "negative node id": ("induced", _set("v", -1), 3, "node id must be"),
     "nbr_cats not summing to deg": ("star", _nbr({"0": 99}), 3,
@@ -810,9 +818,12 @@ def test_valid_graph_files_are_not_split_into_lines(tmp_path, monkeypatch):
 # writers: the same bytes as the per-line writers of tests/_reference.py,
 # and no file for a weight the readers would refuse
 
-SPECIAL_WEIGHTS = (5e-324, 1e308, 0.1 + 0.2, 1e16, 1.0)
+# the least weight the readers take, a subnormal: at 2**-1024 and below
+# a weight's inverse overflows
+LEAST_WEIGHT = math.nextafter(2.0 ** -1024, 1)
+SPECIAL_WEIGHTS = (LEAST_WEIGHT, 1e308, 0.1 + 0.2, 1e16, 1.0)
 weights_st = st.one_of(st.sampled_from(SPECIAL_WEIGHTS),
-                       st.floats(min_value=5e-324, max_value=1e308))
+                       st.floats(min_value=LEAST_WEIGHT, max_value=1e308))
 ids_st = st.integers(0, 2**63 - 1)
 names_st = st.text(alphabet='aZ é中ß#"\\-', max_size=6)
 seeds_st = st.one_of(st.none(), st.integers(0, 2**63),
@@ -912,7 +923,8 @@ def test_save_graph_matches_per_line_writer(tmp_path_factory, n, data):
                 lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
 
 
-@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0,
+                                 1e-320, 2.0 ** -1024])
 def test_writers_refuse_weights_the_readers_refuse(tmp_path, three_color_graph,
                                                    bad):
     g, part = three_color_graph
@@ -1147,3 +1159,80 @@ def test_load_estimate_names_file_and_key(tmp_path, three_color_graph, case):
 def test_load_estimate_refuses_other_documents(tmp_path, text, message):
     with pytest.raises(FileFormatError, match=message):
         load_estimate(write(tmp_path / "bad.json", text))
+
+
+def test_readers_take_the_least_weight_and_integer_weights(tmp_path):
+    records = [{"sampler": "rw"},
+               {"i": 0, "v": 3, "w": LEAST_WEIGHT},
+               {"i": 1, "v": 4, "w": 2},
+               {"i": 2, "v": 5, "w": int(sys.float_info.max)}]
+    trace = load_trace(_write_records(tmp_path / "t.jsonl", records))
+    assert trace.weights.tolist() == [LEAST_WEIGHT, 2.0, sys.float_info.max]
+
+
+@pytest.mark.parametrize("load, meta", [(load_trace, {"sampler": "rw"}),
+                                        (load_log, {"mode": "star"})])
+def test_readers_name_a_line_nested_beyond_the_recursion_limit(tmp_path, load,
+                                                               meta):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(json.dumps(meta) + "\n" + "[" * 100_000 + "]" * 100_000
+                    + "\n")
+    with pytest.raises(FileFormatError, match=r"deep.jsonl:2: invalid JSON "
+                       r"\(maximum recursion depth exceeded"):
+        load(path)
+
+
+# values at the edges of the int64 and weight rules, or of any JSON type
+column_values = st.one_of(
+    st.sampled_from([int(sys.float_info.max), int(sys.float_info.max) + 1,
+                     1e-320, 2.0 ** -1024, LEAST_WEIGHT, 2**63 - 1, 2**63,
+                     -2**63, -2**63 - 1, float("inf"), float("nan"), 0.0]),
+    st.one_of(st.integers(-2**64, 2**64), st.floats(), st.booleans(),
+              st.none(), st.text(max_size=2),
+              st.lists(st.integers(), max_size=1)))
+
+
+@st.composite
+def column_records(draw):
+    """Records of valid "v" and "w" values, all float or all integer
+    weights or a mix, with up to two entries made an edge value or one of
+    any JSON type, dropped, or the whole record not an object."""
+    weights = draw(st.sampled_from([
+        st.floats(LEAST_WEIGHT, 1e308), st.integers(1, 10**20),
+        st.one_of(st.floats(LEAST_WEIGHT, 1e308), st.integers(1, 10**20))]))
+    records = draw(st.lists(st.fixed_dictionaries({
+        "v": st.integers(-2**63, 2**63 - 1), "w": weights}), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if records else 0):
+        i = draw(st.integers(0, len(records) - 1))
+        key = draw(st.sampled_from(["v", "w"]))
+        change = draw(st.sampled_from(["value", "value", "drop", "record"]))
+        if change == "record":
+            records[i] = draw(st.sampled_from([[1], "v", 7, None]))
+        elif type(records[i]) is dict and change == "drop":
+            records[i].pop(key, None)
+        elif type(records[i]) is dict:
+            records[i][key] = draw(column_values)
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=column_records())
+@example(records=[{"v": 0, "w": 1.5}, {"v": 1, "w": 1e-320}])
+@example(records=[{"v": 0, "w": 2}, {"v": 1, "w": int(sys.float_info.max) + 1}])
+@example(records=[{"v": 2**63 - 1, "w": 1.0}, {"v": 2**63, "w": 1.0}])
+def test_whole_columns_are_taken_or_refused_as_value_by_value(records):
+    """A column checked whole gives the array, or names the line with the
+    message, that checking each value gives."""
+    keys = {"v": fileio._INT64, "w": fileio._WEIGHT}
+    lines = list(range(2, len(records) + 2))
+
+    def outcome():
+        try:
+            return [(c.dtype, c.tolist())
+                    for c in fileio._columns("f", lines, records, keys)]
+        except FileFormatError as exc:
+            return str(exc)
+
+    with mock.patch.object(fileio, "_whole_column", return_value=None):
+        expected = outcome()
+    assert outcome() == expected

@@ -1,3 +1,4 @@
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -467,3 +468,55 @@ def test_generator_seeds_walk_and_end_as_the_per_walker_oracles(chunk):
             for trace, ours, theirs in zip(traces, batch, twins, strict=True):
                 assert trace.nodes.tolist() == oracle(theirs)[0]
                 assert ours.random() == theirs.random()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(graph_seed=st.integers(0, 2**32 - 1), hub=st.booleans(),
+       walkers=st.integers(1, 12), seed=st.integers(0, 2**63),
+       n=st.integers(1, 50), burn_in=st.integers(0, 10),
+       given_start=st.booleans(), chunk=st.integers(1, 40),
+       generator=st.booleans(),
+       cw=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+def test_scalar_and_array_steps_match_per_walker_oracles(
+        graph_seed, hub, walkers, seed, n, burn_in, given_start, chunk,
+        generator, cw):
+    """With the crossover just above the batch (scalar step) and at it
+    (array step), every walker equals its own literal per-step walk,
+    across uniform chunk boundaries of both mhrw streams; a Generator
+    seed is left where the oracle leaves its twin."""
+    g, part = _random_walk_graph(graph_seed, hub)
+    cw = cw[:part.num_categories]
+    keys = [[seed, w] for w in range(walkers)]
+    start = None
+    if given_start:
+        walkable = np.flatnonzero(g.degrees)
+        start = int(walkable[graph_seed % len(walkable)])
+    oracles = {
+        "rw": lambda s: naive_rw(g, n, start, burn_in, s),
+        "mhrw": lambda s: naive_mhrw(g, n, start, burn_in, s),
+        "wrw": lambda s: naive_wrw(g, part.labels.tolist(), cw, n, start,
+                                   burn_in, s),
+    }
+    for (rule, oracle), crossover in product(oracles.items(),
+                                             (walkers + 1, walkers)):
+        seeds = [np.random.default_rng(k) if generator and w == 0 else k
+                 for w, k in enumerate(keys)]
+        twin = np.random.default_rng(keys[0])
+        expected = [oracle(twin)] + [oracle(k) for k in keys[1:]]
+        with mock.patch.object(sampling, "_CHUNK_DOUBLES", chunk), \
+                mock.patch.object(sampling, "_SCALAR_BELOW", crossover), \
+                mock.patch.object(sampling, "_step_rule",
+                                  wraps=sampling._step_rule) as rule_of:
+            traces = list(lockstep_walks(rule, g, n, seeds, start=start,
+                                         burn_in=burn_in, part=part,
+                                         category_weights=cw))
+        assert rule_of.call_args.args[-1] is (crossover > walkers)
+        for trace, (nodes, weights, first) in zip(traces, expected,
+                                                  strict=True):
+            assert trace.nodes.tolist() == nodes
+            assert trace.weights.tolist() == weights
+            assert trace.start == first
+        if generator:
+            assert traces[0].seed is None
+            assert seeds[0].random() == twin.random()
