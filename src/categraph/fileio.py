@@ -1,12 +1,20 @@
 """File formats: edge lists, category files, trace/log JSONL, estimate
 JSON, and DOT export.
 
+Text files share one line model, read from their bytes: ``\r\n`` and
+``\r`` end a line as ``\n`` does, as in text mode, and nothing else
+does (not U+2028 nor ``\x0c``, which JSON strings and TSV fields may
+hold); line ends and '#' are the ASCII bytes of UTF-8 and other
+ASCII-based encodings.
+
 Edge files are TSV, one "u<TAB>v" pair per line with integer node ids;
 lines starting with '#' are comments. Category files are TSV
 "node<TAB>category_name" with exactly one line per node. External node
 ids may be any integers that fit 64 bits; they are mapped to dense
 0..N-1 ids (in ascending order of the external id) at load time.
-Category names are interned to ids in order of first appearance.
+Category names are interned to ids in order of first appearance. Each
+graph file has one reader: one ``np.loadtxt`` parse, and a bisection
+with that parse over the lines only to find a refused one.
 
 Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
@@ -20,7 +28,7 @@ import os
 import re
 import sys
 from contextlib import suppress
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
@@ -43,56 +51,73 @@ _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
 
 # ---------------------------------------------------------------------------
+# text lines
+
+def _file_bytes(path) -> bytes:
+    """A file's bytes, with ``\n`` ending every line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data if data.endswith(b"\n") else data + b"\n"
+
+
+def _kept_lines(data: bytes, skip: bytes) -> tuple[np.ndarray, list[str]]:
+    """The 1-based numbers and the text of the lines of ``data`` whose
+    first byte is not in ``skip``, a blank line's being its own ``\n``."""
+    chars = np.frombuffer(data, np.uint8)
+    firsts = chars[np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)]
+    kept = ~np.isin(firsts, np.frombuffer(skip, np.uint8))
+    return (np.flatnonzero(kept) + 1,
+            list(compress(data.decode().split("\n"), kept.tolist())))
+
+
+# ---------------------------------------------------------------------------
 # graphs and partitions
 
 # every kept line of a graph file is one record of two tab-separated fields
+_SKIPPED = b"\n#"   # blank lines and comments
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _LABEL = np.dtype([("node", np.int64), ("category", object)])
+# np.loadtxt opens a path with these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     """Load a graph and its category partition from TSV files.
 
     Every edge endpoint must appear in the category file; nodes that
-    appear only there are isolated nodes. Each file is parsed once, by
-    :func:`_read_records`. Only a file that parse does not confirm, such
-    as one with a refused line, is read again and split into lines, to
-    name the earliest refused line, counting blank and comment lines.
+    appear only there are isolated nodes. Each file is read once, by
+    :func:`_read_table`, and its rules are checked once over the records
+    read; the earliest refused line is named, counting blank and comment
+    lines.
     """
     ext_ids, labels, names = _read_categories(category_path)
     part = CategoryPartition(labels=labels, names=names)
     n = len(ext_ids)
-    edges = _read_records(edge_path, _EDGE)
-    if edges is not None:
-        ext = edges.view(np.int64).reshape(-1, 2)
-        dense, labeled = _dense_ids(ext_ids, ext)
-        if labeled.all():
-            # from_edges refuses self-loops and repeated edges
-            with suppress(ValueError):
-                return Graph.from_edges(n, dense), part
-
-    lines, rows = _numbered_lines(edge_path, comments=True)
-    ext, unreadable = _int_rows(rows, 2)
+    records, bad, data = _read_table(edge_path, _EDGE)
+    ext = records.view(np.int64).reshape(-1, 2)
     dense, labeled = _dense_ids(ext_ids, ext)
+    if bad is None and labeled.all():
+        # from_edges refuses self-loops and repeated edges
+        with suppress(ValueError):
+            return Graph.from_edges(n, dense), part
     self_loop = ext[:, 0] == ext[:, 1]
     duplicate = _later_copies(np.minimum(dense[:, 0], dense[:, 1]) * n
                               + np.maximum(dense[:, 0], dense[:, 1]))
     refused = self_loop | ~(labeled[:, 0] & labeled[:, 1]) | duplicate
-    if refused.any():
-        row = int(np.argmax(refused))
-        u_ext, v_ext = ext[row].tolist()
-        if self_loop[row]:
-            rule = f"self-loop at node {u_ext}"
-        elif not labeled[row].all():
-            rule = f"node {ext[row][~labeled[row]][0]} has no category label"
-        else:
-            rule = f"duplicate edge {u_ext}-{v_ext}"
-    elif unreadable is not None:
-        row = unreadable
-        rule = ("expected 'u<TAB>v'" if rows[row].count("\t") != 1
+    # where the records pass every rule, the parse refused the next line
+    row = int(np.argmax(refused)) if refused.any() else len(ext)
+    if row == len(ext):
+        rule = ("expected 'u<TAB>v'" if bad.count("\t") != 1
                 else "node ids must be 64-bit decimal integers")
+    elif self_loop[row]:
+        rule = f"self-loop at node {ext[row, 0]}"
+    elif not labeled[row].all():
+        rule = f"node {ext[row][~labeled[row]][0]} has no category label"
     else:
-        return Graph.from_edges(n, dense), part
+        rule = f"duplicate edge {ext[row, 0]}-{ext[row, 1]}"
+    lines = _kept_lines(data, _SKIPPED)[0]
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
@@ -131,140 +156,84 @@ def _later_copies(keys: np.ndarray) -> np.ndarray:
     return later
 
 
-def _numbered_lines(path, comments: bool = False) -> tuple[np.ndarray, list]:
-    """The 1-based numbers and the text of a file's non-blank lines, and
-    with ``comments`` of those not starting with '#'. Lines end at ``\n``
-    only, as text mode reads ``\r\n`` and ``\r``; ``str.splitlines`` would
-    also split at U+2028, ``\x0c`` and others that JSON strings and TSV
-    fields may hold."""
-    with open(path) as fh:
-        text = fh.read()
-    rows = list(filter(None, text.split("\n")))
-    # the first UTF-8 byte of each line, a blank line's being its own
-    # '\n'; a byte below 128 always stands for that ASCII character
-    chars = np.frombuffer((text + "\n").encode(), np.uint8)
-    firsts = chars[np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)]
-    keep = firsts != ord("\n")
-    if comments and (firsts == ord("#")).any():
-        keep &= firsts != ord("#")
-        rows = [ln for ln in rows if ln[0] != "#"]
-    return np.flatnonzero(keep) + 1, rows
+def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The category file as (sorted external ids, the category id of
+    each, category names interned in that order). Ids are read by the
+    edge file's rule; the earliest line with a field count other than
+    two, an unreadable id or an id labeled before is named."""
+    records, bad, data = _read_table(path, _LABEL)
+    nodes = records["node"]
+    order = np.argsort(nodes, kind="stable")
+    ext = nodes[order]
+    # in the stable order a node's later labels follow its first
+    twice = order[1:][ext[1:] == ext[:-1]]
+    if len(twice):
+        row = int(twice.min())
+        rule = f"node {nodes[row]} labeled twice"
+    elif bad is not None:
+        row, fields = len(nodes), bad.split("\t")
+        rule = ("expected 'node<TAB>category'" if len(fields) != 2
+                else f"node id {fields[0]!r} " + (
+                    "does not fit 64 bits" if _NODE_ID.fullmatch(fields[0].strip())
+                    else "is not an integer"))
+    else:
+        names = records["category"][order].tolist()
+        name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
+        labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
+        return ext, labels, tuple(name_id)
+    lines = _kept_lines(data, _SKIPPED)[0]
+    raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
 
-# np.loadtxt opens a path with these suffixes through a decompressor
-_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _read_records(path, dtype: np.dtype) -> np.ndarray | None:
-    """A graph file's kept lines as records of ``dtype``, read by one
-    ``np.loadtxt`` call on the path; an id is read as :func:`_parse_ints`
-    reads it. None where the file has no kept line, where that call
-    refuses a line, or where a count of the file's lines from its bytes
-    does not confirm that it read each kept line as one record.
-
-    The count reads line ends and '#' as their ASCII bytes, as UTF-8
-    and the other ASCII-based encodings write them.
+def _read_table(path, dtype: np.dtype):
+    """A graph file's kept lines, neither blank nor starting with '#', as
+    (records of ``dtype`` of those before the first line the parse
+    refuses, that line's text or None, the file's bytes). One
+    :func:`_parse` call reads the path where ``np.loadtxt`` reads the kept
+    lines as they are (each '#' starts a comment line, and the name is
+    not one it would decompress), else the kept lines' text. Where it
+    refuses a line, or does not read one record per kept line, a
+    bisection over the kept lines with the same call finds that line.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if b"\r" in data:   # text mode, as loadtxt reads, ends lines there too
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    # a line is kept unless it starts with its own '\n' or with '#'
+    data = _file_bytes(path)
+    # the lines that do not start with their own '\n' or with '#'
     newline = np.frombuffer(data, np.uint8) == ord("\n")
     blank = int(newline[0]) + np.count_nonzero(newline[1:] & newline[:-1])
     comments = (data.startswith(b"#") + data.count(b"\n#")
                 if b"#" in data else 0)
-    rows = np.count_nonzero(newline) - blank - comments
-    path = os.fsdecode(path)   # loadtxt opens only a str path itself
-    if not rows or os.path.splitext(path)[1] in _COMPRESSED:
-        return None
-    # loadtxt cuts a line at '#', which is right when each starts a line
-    cut = "#" if comments and data.count(b"#") == comments else None
-    try:
-        records = np.loadtxt(path, dtype=dtype, delimiter="\t",
-                             comments=cut, ndmin=1)
-    except ValueError:
-        return None
-    return records if len(records) == rows else None
-
-
-def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The category file as (sorted external ids, the category id of
-    each, category names interned in that order).
-
-    Ids are read by the edge file's parser; the earliest line with a
-    field count other than two, an unreadable id or an id labeled
-    before is named.
-    """
-    records = _read_records(path, _LABEL)
-    if records is not None:
-        order = np.argsort(records["node"], kind="stable")
-        ext = records["node"][order]
-        if not (ext[1:] == ext[:-1]).any():
-            return ext, *_interned(records["category"][order].tolist())
-
-    lines, rows = _numbered_lines(path, comments=True)
-    tabs = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows))
-    two_fields = len(rows) if (tabs == 1).all() else int(np.argmax(tabs != 1))
-    fields = "\t".join(rows[:two_fields]).split("\t") if two_fields else []
-    ids, names = fields[0::2], fields[1::2]
-    ext, unreadable = _int_rows(ids, 1)
-    ext = ext[:, 0]
-    twice = _later_copies(ext)
-    if twice.any():
-        row = int(np.argmax(twice))
-        rule = f"node {ext[row]} labeled twice"
-    elif unreadable is not None:
-        row = unreadable
-        rule = f"node id {ids[row]!r} " + (
-            "does not fit 64 bits" if _NODE_ID.fullmatch(ids[row].strip())
-            else "is not an integer")
-    elif two_fields < len(rows):
-        row, rule = two_fields, "expected 'node<TAB>category'"
+    count = int(np.count_nonzero(newline)) - blank - comments
+    name = os.fsdecode(path)   # loadtxt opens only a str path itself
+    if ((not comments or data.count(b"#") == comments)
+            and os.path.splitext(name)[1] not in _COMPRESSED):
+        records = _parse(name, dtype, count, "#" if comments else None)
     else:
-        order = np.argsort(ext, kind="stable")
-        return ext[order], *_interned(list(map(names.__getitem__,
-                                               order.tolist())))
-    raise FileFormatError(f"{path}:{lines[row]}: {rule}")
-
-
-def _interned(names: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The category id of each name and the names, interned in order."""
-    name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
-    labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
-    return labels, tuple(name_id)
-
-
-def _int_rows(rows: list[str], width: int) -> tuple[np.ndarray, int | None]:
-    """Parse rows of ``width`` tab-separated int64 fields: (the values,
-    None), or, when a row cannot be read, (the values of the rows before
-    it, its index), found by bisection."""
-    values = _parse_ints(rows, width)
-    if values is not None:
-        return values, None
-    lo, hi = 0, len(rows)   # rows[lo:hi] holds the first unreadable row
+        records = _parse(_kept_lines(data, _SKIPPED)[1], dtype, count)
+    if records is not None:
+        return records, None, data
+    rows = _kept_lines(data, _SKIPPED)[1]
+    lo, hi = 0, len(rows)   # rows[lo:hi] holds the first refused line
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _parse_ints(rows[lo:mid], width) is None:
+        if _parse(rows[lo:mid], dtype, mid - lo) is None:
             hi = mid
         else:
             lo = mid
-    return _parse_ints(rows[:lo], width), lo
+    return _parse(rows[:lo], dtype, lo), rows[lo], data
 
 
-def _parse_ints(rows: list[str], width: int) -> np.ndarray | None:
-    """Each field is read as ``np.loadtxt`` reads an int64: ASCII digits
-    with an optional sign and surrounding whitespace."""
-    if not any(rows):   # loadtxt skips empty rows, and warns if all are
-        return None if rows else np.empty((0, width), dtype=np.int64)
+def _parse(source, dtype: np.dtype, count: int, comments=None):
+    """``count`` records of ``dtype``, two tab-separated fields a line,
+    read by one ``np.loadtxt`` call from ``source``, a str path or a list
+    of lines; None where it refuses a line or reads another count. An id
+    is ASCII digits with an optional sign and surrounding whitespace."""
+    if not count:   # loadtxt warns on input without data
+        return np.empty(0, dtype)
     try:
-        values = np.loadtxt(rows, dtype=np.int64, delimiter="\t",
-                            comments=None, ndmin=2)
+        records = np.loadtxt(source, dtype=dtype, delimiter="\t",
+                             comments=comments, ndmin=1)
     except ValueError:
         return None
-    return values if values.shape == (len(rows), width) else None
+    return records if len(records) == count else None
 
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
@@ -356,17 +325,37 @@ def _checked(at: str, obj, keys: dict, where: str = "", needs=(),
 
 
 def _read_json(path, name: str) -> dict:
-    """A JSON file's object; invalid JSON is named by its line, and a
-    value that is not an object by ``name``."""
+    """A JSON file's object, read by :func:`_decode`; a value that is not
+    an object is named by ``name``."""
     with open(path) as fh:
-        try:
-            value = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(
-                f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+        value = _decode(path, 1, fh.read())
     if type(value) is not dict:
         raise FileFormatError(f"{path}: {name} must be a JSON object")
     return value
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode(path, line: int, text: str):
+    """``json.loads(text)``, where ``text`` starts at ``line`` of the
+    file; what it refuses (invalid JSON, a BOM, an integer of too many
+    digits, nesting beyond the recursion limit) is named by the file and
+    the line the error points at. The C scanner reads most JSON Lines
+    lines whole; its StopIteration must not reach ``map``, which it would
+    end early."""
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = None
+    if end == len(text):
+        return value
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(
+            f"{path}:{line + getattr(exc, 'lineno', 1) - 1}: invalid JSON "
+            f"({getattr(exc, 'msg', exc)})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -405,41 +394,17 @@ def load_trace(path) -> SampleTrace:
                        thin_interval=meta["thin"])
 
 
-_scan_once = json.JSONDecoder().scan_once
-
-
-def _decode(line: str):
-    """A line's value as ``json.loads`` reads it; the scanner's
-    StopIteration must not reach ``map``, which it would end early."""
-    try:
-        value, end = _scan_once(line, 0)
-    except (StopIteration, ValueError, RecursionError):
-        end = None
-    return value if end == len(line) else json.loads(line)
-
-
 def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     """Parse a JSON Lines file whose first non-blank line holds a meta
     object: (meta line number, meta, line numbers of the other
     non-blank lines, their values).
 
     Each non-blank line is decoded once by :func:`_decode`, so its value
-    is that of ``json.loads``, and the first line ``json.loads`` refuses
-    (invalid JSON, a BOM, an integer of too many digits, nesting beyond
-    the recursion limit) is named with its error. Lines end at ``\n``
-    only (see :func:`_numbered_lines`).
+    is that of ``json.loads``, and the first line it refuses is named
+    with its error. Lines end at ``\n`` only (see the module docstring).
     """
-    lines, nonblank = _numbered_lines(path)
-    try:
-        values = list(map(_decode, nonblank))
-    except (ValueError, RecursionError):
-        for lineno, line in zip(lines, nonblank):
-            try:
-                json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON "
-                                      f"({getattr(exc, 'msg', exc)})") from None
-        raise
+    lines, nonblank = _kept_lines(_file_bytes(path), b"\n")
+    values = list(map(_decode, repeat(path), lines.tolist(), nonblank))
     if not values:
         raise FileFormatError(f"{path}:1: missing {kind} meta line")
     if type(values[0]) is not dict:
@@ -700,15 +665,15 @@ _ESTIMATE_KEYS = {"N_mode": _STRING, "N": _FINITE,
 _CATEGORY_KEYS = {"id": _Kind("an integer >= 0",
                                lambda v: _INTEGER.ok(v) and v >= 0),
                   "name": _STRING, "size": _FINITE, "size_var": _FINITE}
-_EDGE_KEYS = {"a": _INTEGER, "b": _INTEGER, "weight": _FINITE,
-              "weight_var": _FINITE}
+_EDGE_KEYS = {"weight": _FINITE, "weight_var": _FINITE}
 
 
 def load_estimate(path) -> CategoryGraphEstimate:
     """Read an estimate written by :func:`save_estimate`. Invalid JSON, a
     missing key, a value of the wrong JSON type or a non-finite number
     raises FileFormatError naming the file and the key, and so does a
-    category id that is negative or repeats an earlier one."""
+    category id that is negative or repeats an earlier one, and an edge
+    whose ends are not two listed categories, the lower id first."""
     at = f"{path}:"
     payload = _checked(at, _read_json(path, "estimate"), _ESTIMATE_KEYS, needs=(
         "N_mode", "size_estimator", "weight_estimator", "categories", "edges"))
@@ -720,9 +685,15 @@ def load_estimate(path) -> CategoryGraphEstimate:
         if first.setdefault(c["id"], i) != i:
             raise FileFormatError(f"{at} 'categories[{i}].id' repeats an "
                                   f"earlier category, got {c['id']!r}")
-    edges = [_checked(at, e, _EDGE_KEYS, f"edges[{i}].",
-                      needs=("a", "b", "weight"))
+    listed = _Kind("a listed category id",
+                   lambda v: _INTEGER.ok(v) and v in first)
+    edges = [_checked(at, e, {"a": listed, "b": listed, **_EDGE_KEYS},
+                      f"edges[{i}].", needs=("a", "b", "weight"))
              for i, e in enumerate(payload["edges"])]
+    for i, e in enumerate(edges):
+        if e["a"] >= e["b"]:
+            raise FileFormatError(f"{at} 'edges[{i}].b' must be greater "
+                                  f"than 'edges[{i}].a', got {e['b']!r}")
     names_by_id = {c["id"]: c["name"] for c in cats}
     max_id = max(names_by_id) if names_by_id else -1
     names = tuple(names_by_id.get(i, str(i)) for i in range(max_id + 1))

@@ -377,6 +377,16 @@ def test_invalid_config_json_names_the_file(tmp_path, capsys):
         "property name enclosed in double quotes)")
 
 
+def test_config_nested_beyond_the_recursion_limit_names_the_file(tmp_path,
+                                                                 capsys):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["evaluate", "--config", cfg_path]) == 1
+    assert _one_error_line(capsys, "FileFormatError").startswith(
+        f"error: FileFormatError: {cfg_path}:1: invalid JSON (maximum "
+        "recursion depth exceeded")
+
+
 @pytest.mark.parametrize("config,message", [
     ([1], "the config must be a JSON object"),
     ({}, "config needs graph.synthetic or graph.edge_file/category_file"),

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from categraph import (
+    CategoryGraph,
     CategoryPartition,
     FileFormatError,
     Graph,
@@ -37,6 +39,7 @@ from categraph.fileio import (
     save_log,
     save_trace,
 )
+from categraph.estimate import ESTIMATOR_PAIRS
 from categraph.observe import ObservationLog
 from categraph.sampling import SampleTrace
 
@@ -180,6 +183,52 @@ def test_load_graph_names_first_refused_line(tmp_path, case):
     cats = write(tmp_path / "c.tsv", cat_text)
     with pytest.raises(FileFormatError, match=message):
         load_graph(edges, cats)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_archive_named_graph_files_name_the_same_line(tmp_path, case, suffix):
+    """Names that ``np.loadtxt`` would decompress are parsed from the kept
+    lines' text, and name the same line with the same message."""
+    edge_text, cat_text, message = MALFORMED_GRAPHS[case]
+    edges = write(tmp_path / f"e.tsv{suffix}", edge_text)
+    cats = write(tmp_path / f"c.tsv{suffix}", cat_text)
+    message = message.replace(".tsv:", f".tsv{suffix}:")
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        load_graph(edges, cats)
+
+
+# (number of valid lines before the refused one, valid lines after it)
+BISECTION_CASES = [(1000, 0), (512, 40), (0, 0), (0, 700), (1, 0), (255, 1)]
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("before, after", BISECTION_CASES)
+def test_bisection_names_the_refused_line_at_any_row(tmp_path, before, after,
+                                                     suffix):
+    """The refused line is found wherever the halving splits fall: last
+    after 1,000 valid lines, at row 513, alone, first, and next to the
+    boundaries of a power of two; blank and comment lines count."""
+    ids = range(before + after + 2)
+    cats = write(tmp_path / f"c.tsv{suffix}",
+                 "# c\n" + "".join(f"{i}\tx\n" for i in ids))
+    valid = [f"{i}\t{i + 1}\n" for i in ids[:-1]]
+    edges = tmp_path / f"e.tsv{suffix}"
+    for refused, message in [("0\tx\n", "node ids must be"),
+                             ("0\t1\t2\n", "expected 'u<TAB>v'")]:
+        write(edges, "\n" + "".join(valid[:before]) + refused
+              + "".join(valid[before:before + after]))
+        with pytest.raises(FileFormatError,
+                           match=re.escape(f"{edges}:{before + 2}: {message}")):
+            load_graph(str(edges), cats)
+    labels = [f"{i}\tx\n" for i in ids]
+    for refused, message in [("x\ty\n", "node id 'x' is not an integer"),
+                             ("7\n", "expected 'node<TAB>category'")]:
+        write(tmp_path / f"c.tsv{suffix}", "# c\n" + "".join(labels[:before])
+              + refused + "".join(labels[before:before + after]))
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"c.tsv{suffix}:{before + 2}: {message}")):
+            load_graph(str(edges), cats)
 
 
 def test_load_graph_reads_crlf_files(tmp_path):
@@ -749,8 +798,9 @@ def _at_line_end(text, at, end):
 def test_load_graph_reads_edited_files_as_the_line_reader_does(
         tmp_path_factory, ext, data):
     """Valid files with up to three edits each: the result, or the
-    FileFormatError naming a line, is what the line-by-line reader
-    gives, and a loaded graph is what ``naive_load_graph`` loads."""
+    FileFormatError naming a line, is what the same texts give under
+    ``.gz`` names, which are parsed from the kept lines' text, and a
+    loaded graph is what ``naive_load_graph`` loads."""
     n = len(ext)
     names = data.draw(st.lists(st.text(alphabet="ab #", min_size=1, max_size=3),
                                min_size=n, max_size=n))
@@ -767,11 +817,14 @@ def test_load_graph_reads_edited_files_as_the_line_reader_does(
     d = tmp_path_factory.mktemp("graph")
     for name, text in texts.items():
         (d / name).write_bytes(text.encode())
+        (d / f"{name}.gz").write_bytes(text.encode())
     edges, cats = str(d / "e.tsv"), str(d / "c.tsv")
 
     got = _graph_outcome(edges, cats)
-    with mock.patch.object(fileio, "_read_records", lambda path, dtype: None):
-        assert _graph_outcome(edges, cats) == got
+    from_text = _graph_outcome(f"{edges}.gz", f"{cats}.gz")
+    if isinstance(from_text, str):
+        from_text = from_text.replace(".tsv.gz:", ".tsv:", 1)
+    assert from_text == got
     if isinstance(got, str):
         assert re.match(rf"({re.escape(edges)}|{re.escape(cats)}):\d+: ", got)
     else:
@@ -794,9 +847,9 @@ def test_valid_graph_files_are_not_split_into_lines(tmp_path, monkeypatch):
     """A valid file is parsed once, and the line splitter, which only
     names a refused line, never runs."""
     splits = []
-    split = fileio._numbered_lines
-    monkeypatch.setattr(fileio, "_numbered_lines",
-                        lambda *args, **kw: splits.append(args) or split(*args, **kw))
+    split = fileio._kept_lines
+    monkeypatch.setattr(fileio, "_kept_lines",
+                        lambda *args: splits.append(args) or split(*args))
     edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
     g, part = synthetic_graph(SyntheticParams(category_sizes=(40, 300, 700), k=4,
                                               seed=3))
@@ -1138,6 +1191,21 @@ MALFORMED_ESTIMATES = {
     "infinite N": (_put(math.inf, "N"), "'N' must be a finite number"),
     "N beyond the largest float": (_put(10**400, "N"),
                                    "'N' must be a finite number"),
+    "edge end not a listed category": (
+        _put(5, "edges", 0, "a"),
+        r"'edges\[0\]\.a' must be a listed category id, got 5"),
+    "edge end of a dropped category": (
+        _put(_DROP, "categories", 2),
+        r"'edges\[1\]\.b' must be a listed category id, got 2"),
+    "boolean edge end": (
+        _put(True, "edges", 0, "b"),
+        r"'edges\[0\]\.b' must be a listed category id, got True"),
+    "edge from a category to itself": (
+        _put(0, "edges", 0, "b"),
+        r"'edges\[0\]\.b' must be greater than 'edges\[0\]\.a', got 0"),
+    "edge with the higher id first": (
+        _put(0, "edges", 2, "b"),
+        r"'edges\[2\]\.b' must be greater than 'edges\[2\]\.a', got 0"),
 }
 
 
@@ -1149,6 +1217,46 @@ def test_load_estimate_names_file_and_key(tmp_path, three_color_graph, case):
     path = write(tmp_path / "bad.json", json.dumps(payload))
     with pytest.raises(FileFormatError, match=f"bad.json: {message}"):
         load_estimate(path)
+
+
+def _written_estimates(g, part):
+    """Estimates as the writers produce them: every estimator pair with
+    and without homogeneous degree, with bootstrap variances; an exact
+    graph; and star estimates that skip a category."""
+    trace = sample_rw(g, 40, start=0, seed=11)
+    for mode, pairs in ESTIMATOR_PAIRS.items():
+        log = (observe_star if mode == "star" else observe_induced)(g, part,
+                                                                   trace)
+        for (size, weight), homogeneous in itertools.product(pairs,
+                                                             [False, True]):
+            kw = dict(population=8, size_estimator=size,
+                      weight_estimator=weight,
+                      assume_homogeneous_degree=homogeneous)
+            size_var, weight_var = bootstrap_variance(log, 5, seed=12, **kw)
+            yield dataclasses.replace(estimate_category_graph(log, **kw),
+                                      size_variances=size_var,
+                                      weight_variances=weight_var)
+    yield exact_category_graph(g, part)
+    for nodes in ([0, 3], [5, 6]):
+        log = observe_star(g, part, dataclasses.replace(
+            trace, nodes=np.array(nodes), steps=np.arange(2),
+            weights=np.ones(2)))
+        yield estimate_category_graph(log, population=8, size_estimator="star")
+
+
+def test_every_written_estimate_loads(tmp_path, three_color_graph):
+    g, part = three_color_graph
+    estimates = list(_written_estimates(g, part))
+    assert len(estimates) == 2 * 3 + 3
+    assert all(len(est.sizes) < 3 for est in estimates[-2:])
+    for est in estimates:
+        save_estimate(est, tmp_path / "est.json", names=part.names)
+        got = load_estimate(tmp_path / "est.json")
+        if not isinstance(est, CategoryGraph):
+            assert (got.size_variances, got.weight_variances) == (
+                est.size_variances, est.weight_variances)
+        assert (got.sizes, got.weights) == (
+            {c: float(s) for c, s in est.sizes.items()}, est.weights)
 
 
 @pytest.mark.parametrize("text, message", [
