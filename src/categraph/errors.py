@@ -1,5 +1,6 @@
-"""Exception types raised across the package, and the one rule for the
-counts a caller passes in."""
+"""Exception types raised across the package, and the one rule each for
+the counts and the draw weights a caller passes in."""
+import sys
 from numbers import Integral
 
 
@@ -74,7 +75,13 @@ class TooManyEdgesRequested(CategraphError):
 
 # samplers
 class InvalidWeight(CategraphError):
-    """Sampling or category weights must be positive and finite."""
+    """Sampling or category weights must pass ``weights_ok``."""
+
+
+def weights_ok(weights):
+    """Which draw weights (numbers or arrays) the samplers, writers and
+    readers take: finite, above 2**-1024, so that the inverse is finite."""
+    return (weights > 2.0 ** -1024) & (weights <= sys.float_info.max)
 
 
 class IsolatedStartNode(CategraphError):

@@ -1,17 +1,16 @@
 """File formats: edge lists, category files, trace/log JSONL, estimate
 JSON, and DOT export.
 
-Text files share one line model, read from their bytes: ``\r\n`` and
-``\r`` end a line as ``\n`` does, as in text mode, and nothing else
-does (not U+2028 nor ``\x0c``, which JSON strings and TSV fields may
-hold); line ends and '#' are the ASCII bytes of UTF-8 and other
-ASCII-based encodings.
+Text files are UTF-8, and share one line model, read from their bytes:
+``\r\n`` and ``\r`` end a line as ``\n`` does, as in text mode, and
+nothing else does (not U+2028 nor ``\x0c``, which JSON strings and TSV
+fields may hold). The first byte that is not UTF-8 is named by its line.
 
 Edge files are TSV, one "u<TAB>v" pair per line with integer node ids;
 lines starting with '#' are comments. Category files are TSV
 "node<TAB>category_name" with exactly one line per node. External node
 ids may be any integers that fit 64 bits; they are mapped to dense
-0..N-1 ids (in ascending order of the external id) at load time.
+0..N-1 ids, in ascending order, by a range check or one search.
 Category names are interned to ids in order of first appearance. Each
 graph file has one reader: one ``np.loadtxt`` parse, and a bisection
 with that parse over the lines only to find a refused one.
@@ -34,18 +33,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import COUNT_FLOORS, CategraphError, FileFormatError
+from .errors import COUNT_FLOORS, CategraphError, FileFormatError, weights_ok
 from .estimate import MODES, CategoryGraphEstimate
 from .evaluate import ExperimentConfig
 from .generate import SyntheticParams, synthetic_graph
-from .graph import CategoryGraph, CategoryPartition, Graph
+from .graph import CategoryGraph, CategoryPartition, Graph, _lookup
 from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 _FLOAT_MAX = sys.float_info.max
-# the largest float whose inverse overflows: a weight must exceed it
-_WEIGHT_FLOOR = 2.0 ** -1024
 # a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
@@ -53,23 +50,34 @@ _NODE_ID = re.compile(r"[+-]?[0-9]+")
 # ---------------------------------------------------------------------------
 # text lines
 
-def _file_bytes(path) -> bytes:
-    """A file's bytes, with ``\n`` ending every line."""
+def _file_bytes(path, end: bytes = b"\n") -> bytes:
+    """A file's bytes, ``\n`` ending each line, and ending in ``end``: by
+    default ``\n``, so that the last line of a line file ends too."""
     with open(path, "rb") as fh:
         data = fh.read()
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data if data.endswith(b"\n") else data + b"\n"
+    return data if data.endswith(end) else data + end
 
 
-def _kept_lines(data: bytes, skip: bytes) -> tuple[np.ndarray, list[str]]:
-    """The 1-based numbers and the text of the lines of ``data`` whose
-    first byte is not in ``skip``, a blank line's being its own ``\n``."""
+def _text(path, data: bytes) -> str:
+    """A file's bytes as UTF-8; the first other byte names its line."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FileFormatError(f"{path}:{line}: byte 0x{data[exc.start]:02x} "
+                              f"is not UTF-8 ({exc.reason})") from None
+
+
+def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
+    """The 1-based numbers and the text of the lines of ``data`` (from
+    ``path``) whose first byte, a blank line's ``\n``, is not in ``skip``."""
     chars = np.frombuffer(data, np.uint8)
     firsts = chars[np.append(0, np.flatnonzero(chars == ord("\n"))[:-1] + 1)]
     kept = ~np.isin(firsts, np.frombuffer(skip, np.uint8))
     return (np.flatnonzero(kept) + 1,
-            list(compress(data.decode().split("\n"), kept.tolist())))
+            list(compress(_text(path, data).split("\n"), kept.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +105,7 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     n = len(ext_ids)
     records, bad, data = _read_table(edge_path, _EDGE)
     ext = records.view(np.int64).reshape(-1, 2)
-    dense, labeled = _dense_ids(ext_ids, ext)
+    dense, labeled = _lookup(ext_ids, ext)
     if bad is None and labeled.all():
         # from_edges refuses self-loops and repeated edges
         with suppress(ValueError):
@@ -117,34 +125,8 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         rule = f"node {ext[row][~labeled[row]][0]} has no category label"
     else:
         rule = f"duplicate edge {ext[row, 0]}-{ext[row, 1]}"
-    lines = _kept_lines(data, _SKIPPED)[0]
+    lines = _kept_lines(edge_path, data, _SKIPPED)[0]
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
-
-
-def _dense_ids(ext_ids: np.ndarray, ext: np.ndarray):
-    """The dense id of each external id in ``ext`` and whether the
-    category file labels it.
-
-    Each id is first guessed as ``ext - ext_ids[0]``, which is right
-    wherever the labeled ids run densely from the first; the difference
-    may overflow, and a wrong guess never passes the equality check, so
-    only the misses are searched. Where all labeled ids run densely, an
-    id is labeled if its guess lies in range.
-    """
-    if not len(ext_ids):
-        return np.zeros_like(ext), np.zeros(ext.shape, dtype=bool)
-    guess = ext - ext_ids[0]
-    if int(ext_ids[-1]) - int(ext_ids[0]) == len(ext_ids) - 1:
-        # read unsigned, the wrapped difference is below N exactly for
-        # the ids ext_ids[0]..ext_ids[-1]
-        return guess, guess.view(np.uint64) < len(ext_ids)
-    dense = np.clip(guess, 0, len(ext_ids) - 1)
-    labeled = ext_ids[dense] == ext
-    miss = ~labeled
-    found = np.minimum(np.searchsorted(ext_ids, ext[miss]), len(ext_ids) - 1)
-    dense[miss] = found
-    labeled[miss] = ext_ids[found] == ext[miss]
-    return dense, labeled
 
 
 def _later_copies(keys: np.ndarray) -> np.ndarray:
@@ -181,7 +163,7 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
         labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
         return ext, labels, tuple(name_id)
-    lines = _kept_lines(data, _SKIPPED)[0]
+    lines = _kept_lines(path, data, _SKIPPED)[0]
     raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
 
@@ -207,10 +189,10 @@ def _read_table(path, dtype: np.dtype):
             and os.path.splitext(name)[1] not in _COMPRESSED):
         records = _parse(name, dtype, count, "#" if comments else None)
     else:
-        records = _parse(_kept_lines(data, _SKIPPED)[1], dtype, count)
+        records = _parse(_kept_lines(path, data, _SKIPPED)[1], dtype, count)
     if records is not None:
         return records, None, data
-    rows = _kept_lines(data, _SKIPPED)[1]
+    rows = _kept_lines(path, data, _SKIPPED)[1]
     lo, hi = 0, len(rows)   # rows[lo:hi] holds the first refused line
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -230,7 +212,7 @@ def _parse(source, dtype: np.dtype, count: int, comments=None):
         return np.empty(0, dtype)
     try:
         records = np.loadtxt(source, dtype=dtype, delimiter="\t",
-                             comments=comments, ndmin=1)
+                             comments=comments, ndmin=1, encoding="utf-8")
     except ValueError:
         return None
     return records if len(records) == count else None
@@ -254,7 +236,7 @@ def _write(path, text: str) -> None:
 def _check_weights(weights: np.ndarray) -> None:
     """Refuse, before any file opens, a weight the readers would refuse."""
     weights = np.asarray(weights)
-    bad = np.flatnonzero(~((weights > _WEIGHT_FLOOR) & (weights <= _FLOAT_MAX)))
+    bad = np.flatnonzero(~weights_ok(weights))
     if len(bad):
         raise ValueError(f"draw {bad[0]}: weight must be positive and "
                          f"finite, got {weights[bad[0]].item()!r}")
@@ -296,9 +278,8 @@ _NUMBER = _Kind("a number", lambda v: type(v) in (int, float))
 # an integer beyond the largest float does not convert to a finite one
 _FINITE = _Kind("a finite number",
                 lambda v: _NUMBER.ok(v) and -_FLOAT_MAX <= v <= _FLOAT_MAX)
-# and a weight's inverse must be finite too, for the estimators
-_WEIGHT = _Kind("a positive finite number", lambda v: (
-    type(v) is float or type(v) is int) and _WEIGHT_FLOOR < v <= _FLOAT_MAX)
+_WEIGHT = _Kind("a positive finite number",
+                lambda v: type(v) in (int, float) and weights_ok(v))
 _LIST = _Kind("a list", lambda v: type(v) is list)
 _OBJECT = _Kind("a JSON object", lambda v: type(v) is dict)
 _SEED = _count("seed")
@@ -327,8 +308,7 @@ def _checked(at: str, obj, keys: dict, where: str = "", needs=(),
 def _read_json(path, name: str) -> dict:
     """A JSON file's object, read by :func:`_decode`; a value that is not
     an object is named by ``name``."""
-    with open(path) as fh:
-        value = _decode(path, 1, fh.read())
+    value = _decode(path, 1, _text(path, _file_bytes(path, b"")))
     if type(value) is not dict:
         raise FileFormatError(f"{path}: {name} must be a JSON object")
     return value
@@ -403,7 +383,7 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     is that of ``json.loads``, and the first line it refuses is named
     with its error. Lines end at ``\n`` only (see the module docstring).
     """
-    lines, nonblank = _kept_lines(_file_bytes(path), b"\n")
+    lines, nonblank = _kept_lines(path, _file_bytes(path), b"\n")
     values = list(map(_decode, repeat(path), lines.tolist(), nonblank))
     if not values:
         raise FileFormatError(f"{path}:1: missing {kind} meta line")
@@ -448,7 +428,7 @@ def _whole_column(records, key: str, kind: _Kind) -> np.ndarray | None:
             return np.asarray(values, np.int64)
     if kind is _WEIGHT and types <= {float}:
         column = np.asarray(values, float)
-        if np.all((column > _WEIGHT_FLOOR) & (column <= _FLOAT_MAX)):
+        if np.all(weights_ok(column)):
             return column
     return None
 
@@ -541,8 +521,8 @@ def load_log(path) -> ObservationLog:
              f"category must be in 0..{num_categories - 1}", cats)
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
     # each record of a node repeats its first's category, degree, weight
-    _, first, inverse = np.unique(nodes, return_index=True,
-                                  return_inverse=True)
+    ids, first, inverse = np.unique(nodes, return_index=True,
+                                    return_inverse=True)
     first = first[inverse]
     for what, values in (("category", cats), ("degree", degrees),
                          ("weight", weights)):
@@ -558,17 +538,16 @@ def load_log(path) -> ObservationLog:
                  "nbr_cats differs from an earlier record of the node", counts)
     else:
         edge_lines = np.full(len(induced), induced_line)
-        drawn = np.logical_and(*np.isin(induced, nodes).T)
-        _require(path, edge_lines, drawn,
+        # key each edge by its endpoints' ranks among the drawn ids, as
+        # u * N + v on ids up to 2**63 - 1 would overflow
+        rank, drawn = _lookup(ids, induced)
+        _require(path, edge_lines, np.logical_and(*drawn.T),
                  "induced edge has an undrawn endpoint", induced)
-        # key each edge by its endpoints' ranks among the drawn ids the
-        # edges hold, as u * N + v on ids up to 2**63 - 1 would overflow
-        ends, rank = np.unique(induced, return_inverse=True)
-        u, v = rank.reshape(induced.shape).T
+        u, v = rank.T
         _require(path, edge_lines, u != v, "induced edge is a self-loop",
                  induced)
         _require(path, edge_lines, ~_later_copies(
-            np.minimum(u, v) * len(ends) + np.maximum(u, v)),
+            np.minimum(u, v) * len(ids) + np.maximum(u, v)),
             "induced edge repeats an earlier one", induced)
     return ObservationLog(
         mode=mode, nodes=nodes, categories=cats, degrees=degrees,
@@ -672,8 +651,9 @@ def load_estimate(path) -> CategoryGraphEstimate:
     """Read an estimate written by :func:`save_estimate`. Invalid JSON, a
     missing key, a value of the wrong JSON type or a non-finite number
     raises FileFormatError naming the file and the key, and so does a
-    category id that is negative or repeats an earlier one, and an edge
-    whose ends are not two listed categories, the lower id first."""
+    category id that is negative or repeats an earlier one, an edge whose
+    ends are not two listed categories, the lower id first, and an edge
+    that repeats an earlier one."""
     at = f"{path}:"
     payload = _checked(at, _read_json(path, "estimate"), _ESTIMATE_KEYS, needs=(
         "N_mode", "size_estimator", "weight_estimator", "categories", "edges"))
@@ -690,10 +670,14 @@ def load_estimate(path) -> CategoryGraphEstimate:
     edges = [_checked(at, e, {"a": listed, "b": listed, **_EDGE_KEYS},
                       f"edges[{i}].", needs=("a", "b", "weight"))
              for i, e in enumerate(payload["edges"])]
+    pairs = {}
     for i, e in enumerate(edges):
         if e["a"] >= e["b"]:
             raise FileFormatError(f"{at} 'edges[{i}].b' must be greater "
                                   f"than 'edges[{i}].a', got {e['b']!r}")
+        if pairs.setdefault((e["a"], e["b"]), i) != i:
+            raise FileFormatError(f"{at} 'edges[{i}]' repeats an earlier "
+                                  f"edge, got {[e['a'], e['b']]!r}")
     names_by_id = {c["id"]: c["name"] for c in cats}
     max_id = max(names_by_id) if names_by_id else -1
     names = tuple(names_by_id.get(i, str(i)) for i in range(max_id + 1))

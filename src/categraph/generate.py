@@ -23,7 +23,7 @@ from .errors import (
     TooManyEdgesRequested,
     check_count,
 )
-from .graph import CategoryPartition, Graph
+from .graph import CategoryPartition, Graph, _lookup
 
 # Benchmark default: ten categories on the 1-2-5 decade ladder, 88,850
 # nodes in total.
@@ -86,13 +86,6 @@ class SyntheticParams:
         return self.node_count * self.k // 10
 
 
-def _member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Which of ``keys`` occur in the ascending ``sorted_keys``. An edge
-    (u < v) is keyed u*n + v, so sorted keys are sorted edges, all >= 0."""
-    pos = np.searchsorted(sorted_keys, keys)
-    return np.append(sorted_keys, -1)[pos] == keys
-
-
 def _merge(sorted_keys: np.ndarray, new_sorted: np.ndarray) -> np.ndarray:
     return np.insert(sorted_keys, np.searchsorted(sorted_keys, new_sorted),
                      new_sorted)
@@ -111,7 +104,7 @@ def _suitable(accepted: np.ndarray, stub_nodes: np.ndarray, size: int) -> bool:
     if (d := len(distinct)) * (d - 1) // 2 > len(accepted):
         return True
     iu, iv = np.triu_indices(d, k=1)
-    return not _member(distinct[iu] * size + distinct[iv], accepted).all()
+    return not _lookup(accepted, distinct[iu] * size + distinct[iv])[1].all()
 
 
 def _regular_edges_once(size: int, k: int, rng: np.random.Generator):
@@ -129,7 +122,7 @@ def _regular_edges_once(size: int, k: int, rng: np.random.Generator):
         u, v = stubs[0::2], stubs[1::2]
         a, b = np.minimum(u, v), np.maximum(u, v)
         keys = a * size + b
-        firsts = _first_occurrences(keys, (a != b) & ~_member(keys, accepted))
+        firsts = _first_occurrences(keys, (a != b) & ~_lookup(accepted, keys)[1])
         accepted = _merge(accepted, keys[firsts])
         stubs = np.delete(np.column_stack([a, b]), firsts, axis=0).ravel()
         if stubs.size and not _suitable(accepted, stubs, size):
@@ -195,7 +188,7 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
             keys.append((np.minimum.outer(mine, above) * n
                          + np.maximum.outer(mine, above)).ravel())
         keys = np.sort(np.concatenate(keys))
-        cands = keys[~_member(keys, taken)]
+        cands = keys[~_lookup(taken, keys)[1]]
         chosen = cands[rng.choice(len(cands), size=m, replace=False)]
     else:
         # sparse regime: batches of uniform pairs; the first m new
@@ -205,7 +198,7 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
             us = rng.integers(0, n, size=max(64, 2 * need))
             vs = rng.integers(0, n, size=max(64, 2 * need))
             keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-            ok = (labels[us] != labels[vs]) & ~_member(keys, taken)
+            ok = (labels[us] != labels[vs]) & ~_lookup(taken, keys)[1]
             new = keys[np.sort(_first_occurrences(keys, ok))[:need]]
             chosen = np.concatenate([chosen, new])
             if len(new) < need:

@@ -21,6 +21,20 @@ from .errors import (
 )
 
 
+def _lookup(table: np.ndarray, keys: np.ndarray):
+    """Where each of the int64 ``keys`` sits in the ascending, distinct
+    ``table``, and whether it is there: by a range check where the table
+    runs densely, as the ids save_graph writes do, else by one search."""
+    if len(table) and int(table[-1]) - int(table[0]) == len(table) - 1:
+        # read unsigned, the wrapped difference is in range exactly for
+        # the keys table[0]..table[-1]
+        at = keys - table[0]
+        return at, at.view(np.uint64) < len(table)
+    # by column, as numpy searches rising keys (a sorted edge list's u) faster
+    at = np.searchsorted(table, keys.T).T
+    return at, (at < len(table)) & (np.append(table, 0)[at] == keys)
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph on dense node ids 0..N-1.
@@ -158,8 +172,7 @@ class Graph:
         fwd = heads * n + self.indices
         rev = self.indices * n + heads
         if not np.array_equal(fwd, np.sort(rev)):
-            at = np.minimum(np.searchsorted(fwd, rev), len(fwd) - 1)
-            tail, head = divmod(int(rev[np.argmax(fwd[at] != rev)]), n)
+            tail, head = divmod(int(rev[np.argmin(_lookup(fwd, rev)[1])]), n)
             raise ValueError(f"missing reverse adjacency for ({head}, {tail})")
 
     def _check_node(self, v: int) -> None:

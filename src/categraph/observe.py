@@ -144,7 +144,7 @@ class ObservationLog:
         nodes = self.nodes[indices]
         induced = self.induced_edges
         if self.mode == INDUCED and induced is not None:
-            # load_log's test; .all(axis=1) on the two columns is 20x slower
+            # both ends drawn; .all(axis=1) on the two columns is 20x slower
             induced = induced[np.logical_and(*np.isin(induced, nodes).T)]
         counts = self.neighbor_counts
         if counts is not None:

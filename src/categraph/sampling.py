@@ -33,7 +33,8 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraph, InvalidWeight, IsolatedStartNode, check_count
+from .errors import (EmptyGraph, InvalidWeight, IsolatedStartNode, check_count,
+                     weights_ok)
 from .graph import CategoryPartition, Graph
 
 
@@ -82,20 +83,19 @@ def _check_request(g: Graph, n: int, verb: str) -> None:
 
 
 def _weight_vector(weights, count: int, item: str) -> np.ndarray:
-    """One positive finite weight per id 0..count-1, from a mapping or
-    an array of length count."""
+    """One weight per id 0..count-1, each as ``weights_ok`` asks, from a
+    mapping or an array of length count."""
     if isinstance(weights, Mapping):
-        arr = np.empty(count)
         for i in range(count):
             if i not in weights:
                 raise InvalidWeight(f"no weight for {item} {i}")
-            arr[i] = weights[i]
-    else:
-        arr = np.asarray(weights, dtype=float)
-        if arr.shape != (count,):
-            raise InvalidWeight(f"need one weight per {item}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise InvalidWeight(f"{item} weights must be positive and finite")
+        weights = list(map(weights.__getitem__, range(count)))
+    arr = np.asarray(weights, dtype=float)
+    if arr.shape != (count,):
+        raise InvalidWeight(f"need one weight per {item}")
+    if not np.all(weights_ok(arr)):
+        raise InvalidWeight(f"{item} weights must be positive and finite, "
+                            "with a finite inverse")
     return arr
 
 
@@ -116,7 +116,7 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
 
     ``weights`` is either a node-id -> weight mapping covering every
     node or an array of length N. All weights must be positive and
-    finite.
+    finite, with a finite inverse.
     """
     _check_request(g, n, "sample from")
     arr = _weight_vector(weights, g.node_count, "node")
@@ -170,14 +170,16 @@ def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
     # one numpy step per degree position j, over the reaching[j] rows
     # longer than j, whose starts lead by_degree
     deg = g.degrees
-    cum = node_cw[indices] + np.repeat(node_cw, deg)
-    by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
-    reaching = len(deg) - np.cumsum(np.bincount(deg))
-    for j in range(1, len(reaching)):
-        at = by_degree[:reaching[j]] + j
-        cum[at] += cum[at - 1]
+    with np.errstate(over="ignore"):   # an overflow shows in a node total
+        cum = node_cw[indices] + np.repeat(node_cw, deg)
+        by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
+        reaching = len(deg) - np.cumsum(np.bincount(deg))
+        for j in range(1, len(reaching)):
+            at = by_degree[:reaching[j]] + j
+            cum[at] += cum[at - 1]
     node_totals = np.zeros(g.node_count)
     node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
+    _weight_vector(node_totals[deg > 0], np.count_nonzero(deg), "wrw draw")
     if scalar:
         sums, totals = memoryview(cum), memoryview(node_totals)
 

@@ -586,3 +586,42 @@ def test_weight_with_an_overflowing_inverse_is_named_by_its_line(tmp_path,
     assert ("log.jsonl:2: 'w' must be a positive finite number, got 1e-320"
             in _one_error_line(capsys, "FileFormatError"))
     assert not (tmp_path / "est.json").exists()
+
+
+def _with_ff(path, text, line):
+    """Write ``text`` with byte 0xff put at the start of line ``line``."""
+    lines = text.encode().split(b"\n")
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
+                                                             small_graph):
+    edges, cats = small_graph
+    bad_cats = _with_ff(tmp_path / "cats.tsv", cats.read_text(), 2)
+    assert run(["exact", "--edges", edges, "--categories", bad_cats,
+                "--out", tmp_path / "truth.json"]) == 1
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {bad_cats}:2: byte 0xff is not UTF-8 "
+        "(invalid start byte)")
+
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "uis", "--n", "5", "--out",
+                tmp_path / "trace.jsonl"]) == 0
+    trace = _with_ff(tmp_path / "bad.jsonl",
+                     (tmp_path / "trace.jsonl").read_text(), 3)
+    capsys.readouterr()
+    assert run(["observe", "--edges", edges, "--categories", cats,
+                "--trace", trace, "--mode", "star",
+                "--out", tmp_path / "log.jsonl"]) == 1
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {trace}:3: byte 0xff is not UTF-8 "
+        "(invalid start byte)")
+
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"replicates": 2,\n "seed": "\xff"}\n')
+    assert run(["evaluate", "--config", config]) == 1
+    assert _one_error_line(capsys, "FileFormatError") == (
+        f"error: FileFormatError: {config}:2: byte 0xff is not UTF-8 "
+        "(invalid start byte)")

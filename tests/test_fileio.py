@@ -263,20 +263,25 @@ def test_load_graph_without_edges_gives_isolated_nodes(tmp_path, edge_text):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_load_graph_matches_per_line_reader(tmp_path, seed):
-    """External ids of every shape the dense-id guess meets: sparse,
-    unsorted and partly negative; dense 0..N-1 in shuffled order; dense
-    and shifted by an offset; dense with gaps; and sparse with both
-    int64 extremes, so that ``ext - ext_ids[0]`` overflows. Comments and
-    blank lines are scattered through both files."""
+    """External ids of every shape the id lookup meets: sparse, unsorted
+    and partly negative; dense 0..N-1 in shuffled order; dense and
+    shifted by an offset, which the range check maps; dense with gaps,
+    with one gap among the last ids and with one gap mid-way, which the
+    search maps; and sparse with both int64 extremes, so that a
+    difference of ids overflows. Comments and blank lines are scattered
+    through both files."""
     rng = np.random.default_rng(seed)
     n = 300
     sparse = rng.choice(np.arange(-10**12, 10**12, 7919), size=n, replace=False)
     extremes = sparse.copy()
     extremes[rng.choice(n, size=2, replace=False)] = [-2**63, 2**63 - 1]
     gaps = rng.permutation(n + 40)[:n]
+    last_gap = np.delete(np.arange(n + 1), n - int(rng.integers(1, 10)))
+    mid_gap = np.delete(np.arange(n + 1), n // 2)
     for ext in (sparse, rng.permutation(n),
                 rng.permutation(n) + int(rng.integers(-10**15, 10**15)),
-                gaps, extremes):
+                gaps, rng.permutation(last_gap), rng.permutation(mid_gap),
+                extremes):
         _check_against_naive_load_graph(tmp_path, rng, ext)
 
 
@@ -514,6 +519,12 @@ def _add_edge(edge):
     return mutate
 
 
+def _only_edges(edges):
+    def mutate(records):
+        records[1:] = [{"induced_edges": edges}]
+    return mutate
+
+
 # (mode, mutation, line named, message fragment); record 2 is on line 3
 MALFORMED_LOGS = {
     "missing key": ("star", _drop("w"), 3, "record has no 'w'"),
@@ -558,6 +569,12 @@ MALFORMED_LOGS = {
                                     "nbr_cats must sum to deg"),
     "undrawn edge endpoint": ("induced", _add_edge([0, 99]), 8,
                               r"induced edge has an undrawn endpoint, got \[0, 99\]"),
+    "edge endpoint below every drawn id": (
+        "induced", _add_edge([-1, 0]), 8,
+        r"induced edge has an undrawn endpoint, got \[-1, 0\]"),
+    "no records and one edge": (
+        "induced", _only_edges([[0, 1]]), 2,
+        r"induced edge has an undrawn endpoint, got \[0, 1\]"),
     "edge of three nodes": ("induced", _add_edge([0, 1, 2]), 8,
                             r"induced_edges must be a list of \[u, v\] integer"),
     "self-loop induced edge": ("induced", _add_edge([0, 0]), 8,
@@ -735,8 +752,8 @@ def test_both_graph_files_read_an_id_the_same_way(tmp_path, spelling):
 
 
 def test_load_graph_refuses_unlabeled_id_in_a_gap(tmp_path):
-    """A guessed dense id that lands on another node's label is a miss,
-    also where ``ext - ext_ids[0]`` overflows."""
+    """An id between two labeled ids is not labeled, also next to the
+    int64 extremes, where a difference of ids would overflow."""
     cats = write(tmp_path / "c.tsv",
                  f"{-2**63}\ta\n0\ta\n2\tb\n{2**63 - 1}\tb\n")
     for edge_text, node in [("0\t2\n0\t1\n", 1),
@@ -750,6 +767,21 @@ def test_load_graph_refuses_unlabeled_id_in_a_gap(tmp_path):
                          cats)
     assert g.edge_array.tolist() == [[0, 3]]
     assert part.labels.tolist() == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("cat_text, edge_text, node", [
+    ("12\tb\n10\ta\n20\ta\n", "10\t12\n20\t21\n", 21),
+    ("12\tb\n10\ta\n20\ta\n", "10\t12\n12\t9\n", 9),
+    ("-12\tb\n-10\ta\n-20\ta\n", "-10\t-12\n-20\t0\n", 0),
+])
+def test_load_graph_refuses_ids_beyond_a_non_contiguous_file(
+        tmp_path, cat_text, edge_text, node):
+    """The search of a file whose ids have gaps finds no label above the
+    largest id, 0 included, or below the smallest."""
+    cats = write(tmp_path / "c.tsv", cat_text)
+    with pytest.raises(FileFormatError,
+                       match=f"e.tsv:2: node {node} has no category label"):
+        load_graph(write(tmp_path / "e.tsv", edge_text), cats)
 
 
 def _graph_outcome(edges, cats):
@@ -1206,6 +1238,9 @@ MALFORMED_ESTIMATES = {
     "edge with the higher id first": (
         _put(0, "edges", 2, "b"),
         r"'edges\[2\]\.b' must be greater than 'edges\[2\]\.a', got 0"),
+    "edge pair listed twice": (
+        lambda payload: payload["edges"].append(dict(payload["edges"][0])),
+        r"'edges\[3\]' repeats an earlier edge, got \[0, 1\]"),
 }
 
 
@@ -1344,3 +1379,46 @@ def test_whole_columns_are_taken_or_refused_as_value_by_value(records):
     with mock.patch.object(fileio, "_whole_column", return_value=None):
         expected = outcome()
     assert outcome() == expected
+
+
+def _put_bytes(path, line, raw):
+    """Put ``raw`` at the start of line ``line``."""
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = raw + lines[line - 1]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_graph_readers_name_the_line_of_a_byte_that_is_not_utf8(tmp_path,
+                                                                suffix):
+    """Also in a comment line, in a truncated sequence and after a CRLF
+    line end; names like archives are read from the kept lines' text."""
+    edges, cats = tmp_path / f"e.tsv{suffix}", tmp_path / f"c.tsv{suffix}"
+    edges.write_bytes(b"0\t1\n# \xff\n")
+    cats.write_bytes(b"0\ta\n1\tb\n")
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{edges}:2: byte 0xff is not UTF-8 (invalid start byte)")):
+        load_graph(str(edges), str(cats))
+    edges.write_bytes(b"0\t1\n")
+    cats.write_bytes(b"0\ta\r\n\r\n1\tb\xc3\n")
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{cats}:3: byte 0xc3 is not UTF-8 (invalid continuation byte)")):
+        load_graph(str(edges), str(cats))
+
+
+def test_json_readers_name_the_line_of_a_byte_that_is_not_utf8(
+        tmp_path, three_color_graph):
+    for mode in ("star", "induced"):
+        path = _write_records(tmp_path / f"{mode}.jsonl",
+                              _saved_records(tmp_path, three_color_graph, mode))
+        _put_bytes(path, 4, b"\x80")
+        with pytest.raises(FileFormatError, match=re.escape(
+                f"{path}:4: byte 0x80 is not UTF-8 (invalid start byte)")):
+            load_log(path)
+    path = tmp_path / "est.json"
+    path.write_text(json.dumps(_saved_estimate(tmp_path, three_color_graph),
+                               indent=1))
+    _put_bytes(path, 5, b"\xe2\x82")
+    with pytest.raises(FileFormatError, match=re.escape(
+            f"{path}:5: byte 0xe2 is not UTF-8 (invalid continuation byte)")):
+        load_estimate(path)

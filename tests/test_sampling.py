@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 from unittest import mock
 
@@ -23,6 +24,7 @@ from categraph import (
 )
 
 from categraph import sampling
+from categraph.fileio import load_trace, save_trace
 from categraph.sampling import draw_traces, lockstep_walks
 
 from _reference import naive_mhrw, naive_rw, naive_wrw, random_partition
@@ -253,6 +255,47 @@ def test_bad_requests_name_what_is_wrong(case):
     draw, error, message = BAD_REQUESTS[case]
     with pytest.raises(error, match=message):
         draw()
+
+
+# the 4-cycle 0-1-2-3 labeled A, A, B, B
+CYCLE = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+CYCLE_PARTITION = CategoryPartition(labels=np.array([0, 0, 1, 1]),
+                                    names=("A", "B"))
+# draw weights the writers and readers refuse: a subnormal whose inverse
+# overflows, and wrw edge weights whose sums overflow
+UNWRITABLE_DRAW_WEIGHTS = {
+    "wis node weights 1e-320": (
+        lambda: sample_wis(CYCLE, [1e-320] * 4, 20, seed=1),
+        "node weights must be positive and finite, with a finite inverse"),
+    "wrw category weights 1e308": (
+        lambda: sample_wrw(CYCLE, CYCLE_PARTITION, [1e308, 1e308], 20, seed=1),
+        "wrw draw weights must be positive and finite, with a finite inverse"),
+    "wrw category weights 1e-320": (
+        lambda: sample_wrw(CYCLE, CYCLE_PARTITION, [1e-320, 1e-320], 20,
+                           seed=1),
+        "category weights must be positive and finite, with a finite inverse"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_DRAW_WEIGHTS))
+def test_samplers_refuse_draw_weights_the_writers_refuse(case):
+    """Refused before any draw, with no numpy warning on the way."""
+    draw, message = UNWRITABLE_DRAW_WEIGHTS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidWeight, match=message):
+            draw()
+
+
+def test_samplers_take_the_least_weight_the_readers_take(tmp_path):
+    least = np.nextafter(2.0 ** -1024, 1)
+    trace = sample_wis(CYCLE, [least] * 4, 20, seed=1)
+    assert set(trace.weights.tolist()) == {least}
+    save_trace(trace, tmp_path / "t.jsonl")
+    assert load_trace(tmp_path / "t.jsonl").weights.tolist() == [least] * 20
+    # equal wrw weights up to half the largest float, over two edges a node
+    trace = sample_wrw(CYCLE, CYCLE_PARTITION, [2.0 ** 1021] * 2, 20, seed=1)
+    assert set(trace.weights.tolist()) == {2.0 ** 1023}
 
 
 def _hub_graph():
