@@ -27,10 +27,11 @@ from .errors import UndefinedNRMSE, check_count
 from .estimate import (ESTIMATOR_PAIRS, MODES, SIZE_ESTIMATORS,
                        WEIGHT_ESTIMATORS, _sizes, _weights)
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
-from .observe import INDUCED, STAR, CategoryTotals, observe_induced, observe_star
-from .sampling import SAMPLERS, _weight_vector, draw_traces
-# bench/spans.py wraps the estimator and the samplers under these names
+from .observe import STAR, CategoryTotals, ObservationTable
+from .sampling import SAMPLERS, _wrw_sums, draw_traces
+# bench/spans.py wraps the estimator, observers and samplers by name
 from .estimate import estimate_category_graph  # noqa: F401
+from .observe import observe_induced, observe_star  # noqa: F401
 from .sampling import (  # noqa: F401
     sample_mhrw,
     sample_rw,
@@ -91,9 +92,8 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be strictly increasing")
         if not all(0 <= p <= 100 for p in self.probe_percentiles):
             raise ValueError("probe percentiles must lie in [0, 100]")
-        if self.wrw_category_weights is not None:
-            _weight_vector(self.wrw_category_weights,
-                           self.partition.num_categories, "category")
+        if self.wrw_category_weights is not None:   # and the draw weights
+            _wrw_sums(self.graph, self.partition, self.wrw_category_weights)
 
 
 @dataclass
@@ -246,10 +246,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     lockstep batch. Within one (sampler, n, replicate) triple, a single
     trace is drawn and shared by both observation modes and all
     estimator choices, so comparisons across modes and estimators are
-    paired. A cell's replicate totals are stacked per mode, and each
-    estimator pair reads them in one pass.
+    paired. One ``ObservationTable`` reduces each trace straight to its
+    totals per mode, with no log or per-draw star rows; the replicate
+    totals are stacked per mode and read by each estimator pair at once.
     """
     g, part = cfg.graph, cfg.partition
+    table = ObservationTable(g, part)
     truth = exact_category_graph(g, part)
     names = part.names
     probes = _probe_pairs(truth, cfg.probe_percentiles)
@@ -269,13 +271,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             [[cfg.seed, si, ni, rep] for rep in range(cfg.replicates)],
             thin_interval=cfg.thin_interval, burn_in=cfg.burn_in,
             part=part, category_weights=cfg.wrw_category_weights)
-        # per mode, each replicate's totals; a trace and its logs go once
-        # reduced, as uis and wis draw each trace only when it is reached
+        # per mode, each replicate's totals, reduced as its trace is drawn
         totals = {mode: [] for mode in combos}
         for trace in traces:
             for mode, rows in totals.items():
-                observe = observe_induced if mode == INDUCED else observe_star
-                rows.append(observe(g, part, trace).totals)
+                rows.append(table.totals(mode, trace))
         for mode, rows in totals.items():
             t = CategoryTotals.stacked(rows)
             for se, we in combos[mode]:

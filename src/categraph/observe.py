@@ -7,7 +7,9 @@ many of its neighbors fall in each category -- but not the neighbors'
 identities, and no edges between neighbors.
 
 The resulting ObservationLog is the only input the estimators may read;
-they never touch the graph itself.
+they never touch the graph itself. An ObservationTable reduces a trace
+straight to the log's totals, for callers that observe many traces of
+one graph and need nothing else of the log.
 """
 from __future__ import annotations
 
@@ -47,6 +49,49 @@ class CategoryTotals:
         """The totals of several groups, row g of each array from group g."""
         parts = zip(*(vars(t).values() for t in groups))
         return cls(*(None if p[0] is None else np.stack(p) for p in parts))
+
+
+def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
+            star: tuple | None = None,
+            induced: tuple | None = None) -> CategoryTotals:
+    """The totals of draws with categories ``cats``, inverse weights
+    ``winv`` and ``degrees``, summed in draw order.
+
+    A star group passes ``star`` = (columns, at): one float row of
+    neighbor counts per category, each draw's entry at ``at``. An induced
+    group passes ``induced`` = (keys, size, cross): each draw's node key
+    below ``size`` and ``_cross`` of the observed edges between keys.
+    An edge with an undrawn end (mass 0.0) adds exactly 0.0, as in a log
+    of just the draws, also where the other end's mass overflowed to inf
+    and the product is NaN. ``edge_mass`` holds floats also when no edge
+    is given, where numpy's bincount returns integers.
+    """
+    mass = np.bincount(cats, weights=winv, minlength=c)
+    degree_mass = np.bincount(cats, weights=degrees * winv, minlength=c)
+    if star is not None:
+        columns, at = star
+        towards = np.column_stack([
+            np.bincount(cats, weights=col[at] * winv, minlength=c)
+            for col in columns])
+        return CategoryTotals(mass, degree_mass, towards=towards)
+    keys, size, (u, v, pair) = induced
+    node_mass = np.bincount(keys, weights=winv, minlength=size)
+    with np.errstate(invalid="ignore"):
+        products = node_mass[u] * node_mass[v]
+    products[np.isnan(products)] = 0.0
+    edge_mass = np.bincount(pair, weights=products, minlength=c * c)
+    edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
+    return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
+
+
+def _cross(cat_of: np.ndarray, edges: np.ndarray, c: int) -> tuple:
+    """The edges (u, v) whose ends ``cat_of`` puts in two categories, in
+    order, as (u, v, a * C + b) with a < b their categories."""
+    u, v = edges[:, 0], edges[:, 1]
+    cu, cv = cat_of[u], cat_of[v]
+    cross = cu != cv
+    pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
+    return u[cross], v[cross], pair[cross]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,31 +136,23 @@ class ObservationLog:
 
     def totals_of(self, rows) -> CategoryTotals:
         """The totals of the draws ``rows`` picks, repeats counted, as for
-        a log of just those draws. An induced edge of the log with an
-        endpoint no picked draw holds adds an exact 0.0."""
-        c = self.num_categories
-        cats = self.categories[rows]
-        winv = 1.0 / self.weights[rows]
-        mass = np.bincount(cats, weights=winv, minlength=c)
-        degree_mass = np.bincount(cats, weights=self.degrees[rows] * winv,
-                                  minlength=c)
+        a log of just those draws."""
+        draws = (self.num_categories, self.categories[rows],
+                 1.0 / self.weights[rows], self.degrees[rows])
         if self.mode == STAR:
-            towards = np.column_stack([
-                np.bincount(cats, weights=col * winv, minlength=c)
-                for col in self.neighbor_counts[rows].T])
-            return CategoryTotals(mass, degree_mass, towards=towards)
-        keys, size, u, v, pair = self._cross_edges
-        # inverse-weight mass per distinct node, 0.0 where none is picked
-        node_mass = np.bincount(keys[rows], weights=winv, minlength=size)
-        edge_mass = np.bincount(pair, weights=node_mass[u] * node_mass[v],
-                                minlength=c * c).reshape(c, c)
-        return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
+            return _totals(*draws, star=(self._star_columns, rows))
+        keys, size, cross = self._cross_edges
+        return _totals(*draws, induced=(keys[rows], size, cross))
+
+    @cached_property
+    def _star_columns(self) -> np.ndarray:
+        """The neighbor counts as floats, one contiguous row per category."""
+        return np.ascontiguousarray(self.neighbor_counts.T, dtype=float)
 
     @cached_property
     def _cross_edges(self) -> tuple:
         """Each draw's node key, the key count, and the induced edges
-        across categories as key pairs (u, v) and bins a * C + b, a < b."""
-        c = self.num_categories
+        across categories (``_cross``) between those keys."""
         nodes, edges = self.nodes, self.induced_edges
         if edges is None:
             edges = np.empty((0, 2), dtype=np.int64)
@@ -128,11 +165,7 @@ class ObservationLog:
             edges = np.searchsorted(ids, edges)
         cat_of = np.zeros(nodes.max(initial=-1) + 1, dtype=np.int64)
         cat_of[nodes] = self.categories
-        u, v = edges[:, 0], edges[:, 1]
-        cu, cv = cat_of[u], cat_of[v]
-        cross = cu != cv
-        pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
-        return nodes, len(cat_of), u[cross], v[cross], pair[cross]
+        return nodes, len(cat_of), _cross(cat_of, edges, self.num_categories)
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.
@@ -188,10 +221,42 @@ def observe_star(g: Graph, part: CategoryPartition,
     """Observe, per drawn node, the category histogram of all its
     neighbors. Neighbor identities are not retained."""
     draws = _draws(g, part, trace)
-    c = part.num_categories
-    rows = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
-    flat = rows * c + part.labels[g.indices]
-    per_node = np.bincount(flat, minlength=g.node_count * c)
-    per_node = per_node.reshape(g.node_count, c)
-    return ObservationLog(mode=STAR, **draws,
-                          neighbor_counts=per_node[draws["nodes"]])
+    counts = ObservationTable(g, part).neighbor_columns[:, draws["nodes"]]
+    counts = np.ascontiguousarray(counts.T, dtype=np.int64)
+    return ObservationLog(mode=STAR, **draws, neighbor_counts=counts)
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationTable:
+    """What observing any node of one graph under one partition reveals,
+    each part built on first use. ``totals`` reduces a trace straight to
+    its log's totals, bit for bit, without building the log."""
+
+    graph: Graph
+    partition: CategoryPartition
+
+    @cached_property
+    def neighbor_columns(self) -> np.ndarray:
+        """``[c, v]``: how many neighbors of node v lie in category c, as
+        floats, one contiguous row per category."""
+        g, c = self.graph, self.partition.num_categories
+        heads = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
+        flat = self.partition.labels_for(g)[g.indices] * g.node_count + heads
+        counts = np.bincount(flat, minlength=c * g.node_count)
+        return counts.reshape(c, g.node_count).astype(float)
+
+    @cached_property
+    def cross_edges(self) -> tuple:
+        """``_cross`` of the graph's edges, in ``edge_array`` order."""
+        return _cross(self.partition.labels_for(self.graph),
+                      self.graph.edge_array, self.partition.num_categories)
+
+    def totals(self, mode: str, trace: SampleTrace) -> CategoryTotals:
+        """``observe_<mode>(graph, partition, trace).totals``."""
+        d = _draws(self.graph, self.partition, trace)
+        draws = (d["num_categories"], d["categories"], 1.0 / d["weights"],
+                 d["degrees"])
+        if mode == STAR:
+            return _totals(*draws, star=(self.neighbor_columns, d["nodes"]))
+        return _totals(*draws, induced=(d["nodes"], self.graph.node_count,
+                                        self.cross_edges))

@@ -128,6 +128,31 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
                        sampler="wis", seed=recorded, start=None, burn_in=0)
 
 
+def _wrw_sums(g: Graph, part: CategoryPartition,
+              category_weights) -> tuple[np.ndarray, np.ndarray]:
+    """wrw's per-row running sums of the edge weights, added in row
+    order, and each node's total, its draw weight; category weights
+    (equal if None) and draw weights must pass ``weights_ok``."""
+    labels = part.labels_for(g)
+    node_cw = _weight_vector(
+        np.ones(part.num_categories) if category_weights is None
+        else category_weights, part.num_categories, "category")[labels]
+    # one numpy step per degree position j, over the reaching[j] rows
+    # longer than j, whose starts lead by_degree
+    indptr, deg = g.indptr, g.degrees
+    with np.errstate(over="ignore"):   # an overflow shows in a node total
+        cum = node_cw[g.indices] + np.repeat(node_cw, deg)
+        by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
+        reaching = len(deg) - np.cumsum(np.bincount(deg))
+        for j in range(1, len(reaching)):
+            at = by_degree[:reaching[j]] + j
+            cum[at] += cum[at - 1]
+    node_totals = np.zeros(g.node_count)
+    node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
+    _weight_vector(node_totals[deg > 0], np.count_nonzero(deg), "wrw draw")
+    return cum, node_totals
+
+
 def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
     """A walk's step, its number of uniform streams and its per-node draw
     weight. The array step maps every walker's current node and one
@@ -162,24 +187,7 @@ def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
                 path.append(u)
             return path
         return walk if scalar else step, 2, np.ones(g.node_count)
-    labels = part.labels_for(g)
-    node_cw = _weight_vector(
-        np.ones(part.num_categories) if category_weights is None
-        else category_weights, part.num_categories, "category")[labels]
-    # wrw: per-row running sums of the edge weights, added in row order:
-    # one numpy step per degree position j, over the reaching[j] rows
-    # longer than j, whose starts lead by_degree
-    deg = g.degrees
-    with np.errstate(over="ignore"):   # an overflow shows in a node total
-        cum = node_cw[indices] + np.repeat(node_cw, deg)
-        by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
-        reaching = len(deg) - np.cumsum(np.bincount(deg))
-        for j in range(1, len(reaching)):
-            at = by_degree[:reaching[j]] + j
-            cum[at] += cum[at - 1]
-    node_totals = np.zeros(g.node_count)
-    node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
-    _weight_vector(node_totals[deg > 0], np.count_nonzero(deg), "wrw draw")
+    cum, node_totals = _wrw_sums(g, part, category_weights)
     if scalar:
         sums, totals = memoryview(cum), memoryview(node_totals)
 
@@ -190,7 +198,8 @@ def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
     # complex numbers order by real, then imaginary part, so one search
     # for u + (r * total(u))j over the row + (running sum)j keys is a
     # bisect_right inside row u; the complex products are exact
-    search = (np.repeat(np.arange(g.node_count), deg) + 1j * cum).searchsorted
+    search = (np.repeat(np.arange(g.node_count), g.degrees)
+              + 1j * cum).searchsorted
     totals_j = 1j * node_totals
     return (lambda cur, r: indices[search(cur + r * totals_j[cur], "right")],
             1, node_totals)

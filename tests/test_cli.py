@@ -292,6 +292,9 @@ BAD_CONFIGS = {
                          "'burn_in' must be an integer >= 0, got -1"),
     "wrw weight zero": (_set("wrw_category_weights", [1, 0]),
                         "category weights must be positive and finite"),
+    "wrw draw weights overflow": (
+        _set("wrw_category_weights", [1e308, 1e308]),
+        "wrw draw weights must be positive and finite"),
     "wrw weights too short": (_set("wrw_category_weights", [1]),
                               "one weight per category"),
     "negative seed": (_set("seed", -1),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from categraph import (
     CategoryPartition,
     EmptyGraph,
+    ExperimentConfig,
     Graph,
     InvalidParameter,
     InvalidThinning,
@@ -269,6 +270,11 @@ UNWRITABLE_DRAW_WEIGHTS = {
         "node weights must be positive and finite, with a finite inverse"),
     "wrw category weights 1e308": (
         lambda: sample_wrw(CYCLE, CYCLE_PARTITION, [1e308, 1e308], 20, seed=1),
+        "wrw draw weights must be positive and finite, with a finite inverse"),
+    "sweep config wrw category weights 1e308": (
+        lambda: ExperimentConfig(graph=CYCLE, partition=CYCLE_PARTITION,
+                                 samplers=("uis", "wrw"),
+                                 wrw_category_weights=[1e308, 1e308]),
         "wrw draw weights must be positive and finite, with a finite inverse"),
     "wrw category weights 1e-320": (
         lambda: sample_wrw(CYCLE, CYCLE_PARTITION, [1e-320, 1e-320], 20,
