@@ -144,7 +144,11 @@ def _weights(t: CategoryTotals, estimator: str, sizes: np.ndarray | None = None,
         needs = known[..., None, :] | ~drawn[..., :, None]
         defined = needs & np.swapaxes(needs, -1, -2) & (denom != 0.0)
     defined = np.triu(defined, 1)
-    return np.divide(numer, denom, out=np.zeros(denom.shape), where=defined), defined
+    # a total beyond the float range can make a weight NaN or inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = np.divide(numer, denom, out=np.zeros(denom.shape), where=defined)
+    defined &= np.isfinite(weights)
+    return np.where(defined, weights, 0.0), defined
 
 
 def _keys(mask: np.ndarray) -> list:
@@ -158,8 +162,14 @@ def _defined(values: np.ndarray, defined: np.ndarray) -> dict:
 
 def _log_sizes(log: ObservationLog, estimator: str, population: float,
                homogeneous: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``_sizes`` of a log; a star log whose draws have no edges is refused."""
-    sizes, defined = _sizes(log.totals, estimator, population, homogeneous)
+    """``_sizes`` of a log; refuses a population that is not a positive
+    finite real (booleans and strings are not) and a star log with no edges."""
+    if not (isinstance(population, Real) and not isinstance(population, bool)
+            and 0 < float(population) < np.inf):
+        raise ValueError("population must be a positive finite number, "
+                         f"got {population!r}")
+    sizes, defined = _sizes(log.totals, estimator, float(population),
+                            homogeneous)
     if not defined.any():
         raise InsufficientSample("no edges observed from any draw")
     return sizes, defined
@@ -295,26 +305,16 @@ def estimate_category_graph(log: ObservationLog,
     if weight_estimator is None:   # the one the mode pairs with the size
         weight_estimator = dict(ESTIMATOR_PAIRS[log.mode])[size_estimator]
 
-    if population is None:
-        population = (log.population_hint if log.population_hint is not None
-                      else PROPORTIONAL)
-    if population == PROPORTIONAL:
-        pop_value, pop_mode = 1.0, PROPORTIONAL
-    else:
-        # a string or a boolean is not a population, though float() reads it
-        real = isinstance(population, Real) and not isinstance(population, bool)
-        pop_value, pop_mode = float(population) if real else np.nan, "exact"
-        if not 0 < pop_value < np.inf:
-            raise ValueError("population must be a positive finite number, "
-                             f"got {population!r}")
-
-    sizes, sized = _log_sizes(log, size_estimator, pop_value,
+    population = log.population_hint if population is None else population
+    pop_mode = PROPORTIONAL if population in (None, PROPORTIONAL) else "exact"
+    population = 1.0 if pop_mode == PROPORTIONAL else population
+    sizes, sized = _log_sizes(log, size_estimator, population,
                               assume_homogeneous_degree)
     weights, weighed = _weights(log.totals, weight_estimator, sizes, sized)
     return CategoryGraphEstimate(
         sizes=_defined(sizes, sized), weights=_defined(weights, weighed),
         size_estimator=size_estimator, weight_estimator=weight_estimator,
-        population=pop_value, population_mode=pop_mode,
+        population=float(population), population_mode=pop_mode,
         category_names=log.category_names,
         zero_draw_categories=frozenset(_keys(log.totals.mass == 0)),
         skipped_size_categories=frozenset(_keys(~sized)),

@@ -247,16 +247,18 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     trace is drawn and shared by both observation modes and all
     estimator choices, so comparisons across modes and estimators are
     paired. One ``ObservationTable`` reduces each trace straight to its
-    totals per mode, with no log or per-draw star rows; the replicate
-    totals are stacked per mode and read by each estimator pair at once.
+    totals, with no log or per-draw star rows: one pass per trace, both
+    modes. The replicate totals are stacked once per (sampler, n), and
+    every mode's estimator pairs read that one stack at once.
     """
     g, part = cfg.graph, cfg.partition
     table = ObservationTable(g, part)
     truth = exact_category_graph(g, part)
     names = part.names
     probes = _probe_pairs(truth, cfg.probe_percentiles)
-    combos = {mode: pairs for mode in cfg.modes
-              if (pairs := _combos_for_mode(cfg, mode))}
+    combos = [(mode, se, we) for mode in cfg.modes
+              for se, we in _combos_for_mode(cfg, mode)]
+    modes = {mode for mode, _, _ in combos}
     # per kind: the true values and the name of each quantity
     quantities = {
         "size": (truth.sizes, lambda c: names[c]),
@@ -271,35 +273,30 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             [[cfg.seed, si, ni, rep] for rep in range(cfg.replicates)],
             thin_interval=cfg.thin_interval, burn_in=cfg.burn_in,
             part=part, category_weights=cfg.wrw_category_weights)
-        # per mode, each replicate's totals, reduced as its trace is drawn
-        totals = {mode: [] for mode in combos}
-        for trace in traces:
-            for mode, rows in totals.items():
-                rows.append(table.totals(mode, trace))
-        for mode, rows in totals.items():
-            t = CategoryTotals.stacked(rows)
-            for se, we in combos[mode]:
-                sizes, sized = _sizes(t, se, float(g.node_count))
-                weights, weighed = _weights(t, we, sizes, sized)
-                for kind, cell_we, values, defined in (
-                        ("size", None, sizes, sized),
-                        ("weight", we, weights, weighed)):
-                    true_values, name_of = quantities[kind]
-                    # [quantity][replicate]; one undefined value excludes
-                    values, defined = (np.moveaxis(x, 0, -1)
-                                       for x in (values, defined))
-                    scores = {q: nrmse(values[q], true_value)
-                              for q, true_value in sorted(true_values.items())
-                              if defined[q].all()}
-                    cells.append(CellResult(
-                        quantity_kind=kind, sampler=sampler, mode=mode,
-                        size_estimator=se, weight_estimator=cell_we, n=n,
-                        nrmse_by_quantity={name_of(q): s
-                                           for q, s in scores.items()},
-                        excluded=len(true_values) - len(scores),
-                        probe_nrmse={label: scores[pair]
-                                     for label, pair in probes.items()
-                                     if kind == "weight" and pair in scores}))
+        # each replicate's totals, reduced as its trace is drawn
+        t = CategoryTotals.stacked([table.totals(trace, modes)
+                                    for trace in traces])
+        for mode, se, we in combos:
+            sizes, sized = _sizes(t, se, float(g.node_count))
+            weights, weighed = _weights(t, we, sizes, sized)
+            for kind, cell_we, values, defined in (
+                    ("size", None, sizes, sized),
+                    ("weight", we, weights, weighed)):
+                true_values, name_of = quantities[kind]
+                # [quantity][replicate]; one undefined value excludes
+                values, defined = (np.moveaxis(x, 0, -1)
+                                   for x in (values, defined))
+                scores = {q: nrmse(values[q], true_value)
+                          for q, true_value in sorted(true_values.items())
+                          if defined[q].all()}
+                cells.append(CellResult(
+                    quantity_kind=kind, sampler=sampler, mode=mode,
+                    size_estimator=se, weight_estimator=cell_we, n=n,
+                    nrmse_by_quantity={name_of(q): s for q, s in scores.items()},
+                    excluded=len(true_values) - len(scores),
+                    probe_nrmse={label: scores[pair]
+                                 for label, pair in probes.items()
+                                 if kind == "weight" and pair in scores}))
     cells.sort(key=lambda c: (c.quantity_kind, c.sampler, c.mode,
                               c.size_estimator, c.weight_estimator or "",
                               c.n))

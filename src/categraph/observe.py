@@ -32,11 +32,12 @@ class CategoryTotals:
 
     Every size and edge-weight estimator is a ratio of these. Over the
     draws in category c, ``mass[c]`` sums 1/w and ``degree_mass[c]``
-    sums deg/w. Star logs add ``towards[a, b]``: over the draws in a,
-    the sum of (neighbors in b)/w. Induced logs add ``edge_mass[a, b]``
+    sums deg/w. Star mode adds ``towards[a, b]``: over the draws in a,
+    the sum of (neighbors in b)/w. Induced mode adds ``edge_mass[a, b]``
     (a < b): over every ordered pair of draws, one in a and one in b,
-    whose nodes share an observed edge, the sum of 1/(w_a * w_b).
-    ``stacked`` puts several groups' totals on a leading group axis.
+    whose nodes share an observed edge, the sum of 1/(w_a * w_b). A
+    table gives one pass per trace, both modes; a mode not observed
+    leaves its part None. ``stacked`` stacks groups on a leading axis.
     """
 
     mass: np.ndarray
@@ -55,33 +56,34 @@ def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
             star: tuple | None = None,
             induced: tuple | None = None) -> CategoryTotals:
     """The totals of draws with categories ``cats``, inverse weights
-    ``winv`` and ``degrees``, summed in draw order.
+    ``winv`` and ``degrees``, summed in draw order, and each mode's part.
 
-    A star group passes ``star`` = (columns, at): one float row of
-    neighbor counts per category, each draw's entry at ``at``. An induced
-    group passes ``induced`` = (keys, size, cross): each draw's node key
-    below ``size`` and ``_cross`` of the observed edges between keys.
-    An edge with an undrawn end (mass 0.0) adds exactly 0.0, as in a log
-    of just the draws, also where the other end's mass overflowed to inf
-    and the product is NaN. ``edge_mass`` holds floats also when no edge
-    is given, where numpy's bincount returns integers.
+    The star part reads ``star`` = (columns, at): one float row of
+    neighbor counts per category, each draw's entry at ``at``. The
+    induced part reads ``induced`` = (keys, size, cross): each draw's
+    node key below ``size`` and ``_cross`` of the observed edges between
+    keys. An edge with an undrawn end (mass 0.0) adds exactly 0.0, as in
+    a log of just the draws, also where the other end's mass overflowed
+    to inf and the product is NaN. ``edge_mass`` holds floats also when
+    no edge is given, where numpy's bincount returns integers.
     """
     mass = np.bincount(cats, weights=winv, minlength=c)
     degree_mass = np.bincount(cats, weights=degrees * winv, minlength=c)
+    towards = edge_mass = None
     if star is not None:
         columns, at = star
         towards = np.column_stack([
             np.bincount(cats, weights=col[at] * winv, minlength=c)
             for col in columns])
-        return CategoryTotals(mass, degree_mass, towards=towards)
-    keys, size, (u, v, pair) = induced
-    node_mass = np.bincount(keys, weights=winv, minlength=size)
-    with np.errstate(invalid="ignore"):
-        products = node_mass[u] * node_mass[v]
-    products[np.isnan(products)] = 0.0
-    edge_mass = np.bincount(pair, weights=products, minlength=c * c)
-    edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
-    return CategoryTotals(mass, degree_mass, edge_mass=edge_mass)
+    if induced is not None:
+        keys, size, (u, v, pair) = induced
+        node_mass = np.bincount(keys, weights=winv, minlength=size)
+        with np.errstate(invalid="ignore"):
+            products = node_mass[u] * node_mass[v]
+        products[np.isnan(products)] = 0.0
+        edge_mass = np.bincount(pair, weights=products, minlength=c * c)
+        edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
+    return CategoryTotals(mass, degree_mass, towards, edge_mass)
 
 
 def _cross(cat_of: np.ndarray, edges: np.ndarray, c: int) -> tuple:
@@ -230,7 +232,7 @@ def observe_star(g: Graph, part: CategoryPartition,
 class ObservationTable:
     """What observing any node of one graph under one partition reveals,
     each part built on first use. ``totals`` reduces a trace straight to
-    its log's totals, bit for bit, without building the log."""
+    its logs' totals, bit for bit, without building a log."""
 
     graph: Graph
     partition: CategoryPartition
@@ -251,12 +253,10 @@ class ObservationTable:
         return _cross(self.partition.labels_for(self.graph),
                       self.graph.edge_array, self.partition.num_categories)
 
-    def totals(self, mode: str, trace: SampleTrace) -> CategoryTotals:
-        """``observe_<mode>(graph, partition, trace).totals``."""
-        d = _draws(self.graph, self.partition, trace)
-        draws = (d["num_categories"], d["categories"], 1.0 / d["weights"],
-                 d["degrees"])
-        if mode == STAR:
-            return _totals(*draws, star=(self.neighbor_columns, d["nodes"]))
-        return _totals(*draws, induced=(d["nodes"], self.graph.node_count,
-                                        self.cross_edges))
+    def totals(self, trace: SampleTrace, modes) -> CategoryTotals:
+        """The log totals of ``trace`` for all ``modes``, in one pass."""
+        d, size = _draws(self.graph, self.partition, trace), self.graph.node_count
+        return _totals(
+            d["num_categories"], d["categories"], 1.0 / d["weights"], d["degrees"],
+            (self.neighbor_columns, d["nodes"]) if STAR in modes else None,
+            (d["nodes"], size, self.cross_edges) if INDUCED in modes else None)

@@ -121,7 +121,9 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
     _check_request(g, n, "sample from")
     arr = _weight_vector(weights, g.node_count, "node")
     rng, recorded = _as_rng(seed)
-    nodes = rng.choice(g.node_count, size=n, p=arr / arr.sum())
+    # a power-of-two scale, exact above subnormals, keeps the sum finite
+    p = np.ldexp(arr, -np.frexp(arr.max())[1])
+    nodes = rng.choice(g.node_count, size=n, p=p / p.sum())
     return SampleTrace(nodes=nodes.astype(np.int64),
                        steps=np.arange(n, dtype=np.int64),
                        weights=arr[nodes],

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import re
@@ -654,6 +655,44 @@ def test_population_must_be_positive_and_finite(population):
         estimate_category_graph(log, population)
     with pytest.raises(ValueError, match=message):
         bootstrap_variance(log, 2, seed=0, population=population)
+
+
+# the 4-cycle 0-1-2-3 labeled A, A, B, B
+CYCLE = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+CYCLE_PARTITION = CategoryPartition(labels=np.array([0, 0, 1, 1]),
+                                    names=("A", "B"))
+
+
+@pytest.mark.parametrize("estimator", [est_size_induced, est_size_star])
+@pytest.mark.parametrize("population", [-5, 0, float("nan"), float("inf"),
+                                        True, "12"])
+def test_size_estimators_refuse_what_the_pipeline_refuses(estimator,
+                                                          population):
+    log = observe_star(CYCLE, CYCLE_PARTITION, sample_uis(CYCLE, 20, seed=1))
+    message = re.escape("population must be a positive finite number, "
+                        f"got {population!r}")
+    with pytest.raises(ValueError, match=message):
+        estimator(log, population)
+
+
+@pytest.mark.parametrize("weight", [1e200, 1e-200])
+def test_an_induced_weight_beyond_the_float_range_is_skipped(weight):
+    """Each node drawn once at ``weight``: the (A, B) masses multiply to
+    0.0 or inf, so the induced weight would be NaN; it is skipped, not
+    reported. Star mode, which multiplies no two masses, gets the true
+    0.5."""
+    trace = make_trace(range(4), np.full(4, weight))
+    star = estimate_category_graph(observe_star(CYCLE, CYCLE_PARTITION, trace))
+    assert star.weights == {(0, 1): 0.5}
+    log = observe_induced(CYCLE, CYCLE_PARTITION, trace)
+    # until the totals are scaled, products of inverse weights 1e200 overflow
+    overflow = (pytest.warns(RuntimeWarning, match="overflow encountered")
+                if weight < 1 else contextlib.nullcontext())
+    with overflow:
+        est = estimate_category_graph(log)
+    assert est.sizes == {0: 2.0, 1: 2.0}
+    assert est.weights == {}
+    assert est.skipped_weight_pairs == {(0, 1)}
 
 
 def test_pipeline_population_from_hint(three_color_graph):

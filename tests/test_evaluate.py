@@ -15,6 +15,7 @@ from categraph import (
     run_experiment,
     synthetic_graph,
 )
+from categraph import observe
 from categraph.estimate import ESTIMATOR_PAIRS
 from categraph.sampling import sample_rw, sample_uis
 
@@ -174,6 +175,45 @@ def test_run_experiment_deterministic(small_graph):
         assert c1.nrmse_by_quantity == c2.nrmse_by_quantity
         assert c1.excluded == c2.excluded
         assert c1.probe_nrmse == c2.probe_nrmse
+
+
+@pytest.mark.parametrize("modes", [("induced", "star"), ("star",), ("induced",)])
+def test_each_trace_is_observed_in_one_pass(monkeypatch, small_graph, modes):
+    """Every mode of a cell reads one pass over each replicate trace: one
+    ``_draws`` call per (sampler, n, replicate), however many modes."""
+    calls = []
+    draws = observe._draws
+    monkeypatch.setattr(observe, "_draws",
+                        lambda *args: calls.append(args) or draws(*args))
+    g, part = small_graph
+    cfg = _small_config(g, part, modes=modes)
+    report = run_experiment(cfg)
+    assert {c.mode for c in report.cells} == set(modes)
+    assert len(calls) == (len(cfg.samplers) * len(cfg.sample_sizes)
+                          * cfg.replicates)
+
+
+def test_a_sweep_counts_the_weights_its_totals_could_not_hold():
+    """wrw category weights 2^-1000 ... 2^-600 on the C4 graph: induced
+    node masses overflow, and the weights they would make NaN are
+    excluded and counted, never scored as NaN."""
+    g, part = synthetic_graph(SyntheticParams(
+        category_sizes=(100, 200, 200, 300, 400, 500, 600, 700, 1000, 1000),
+        k=10, alpha=0.5, seed=42))
+    cfg = ExperimentConfig(
+        graph=g, partition=part, samplers=("wrw",), sample_sizes=(700,),
+        replicates=4, wrw_category_weights=[2.0 ** -1000, 2.0 ** -800,
+                                            2.0 ** -600] * 3 + [2.0 ** -1000])
+    # until the totals are scaled, the inverse weights overflow
+    with pytest.warns(RuntimeWarning, match="overflow encountered"):
+        report = run_experiment(cfg)
+    weights = len(exact_category_graph(g, part).weights)
+    induced = report.find("weight", "wrw", "induced", 700)
+    assert 0 < induced.excluded < weights
+    for cell in report.cells:
+        assert np.isfinite(list(cell.nrmse_by_quantity.values())).all()
+        if cell.quantity_kind == "weight":
+            assert cell.excluded + len(cell.nrmse_by_quantity) == weights
 
 
 def test_report_cell_structure(small_graph):

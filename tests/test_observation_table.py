@@ -13,16 +13,34 @@ from categraph.observe import CategoryTotals, ObservationTable
 from categraph.sampling import SAMPLERS, draw_traces
 
 OBSERVERS = {"induced": observe_induced, "star": observe_star}
+# each mode's own part of the totals
+OWN_PART = {"induced": "edge_mass", "star": "towards"}
+MODE_SETS = [("induced",), ("star",), ("induced", "star"), ("star", "induced")]
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray, name: str):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+    assert got.tobytes() == want.tobytes(), name
 
 
 def assert_same_bytes(got: CategoryTotals, want: CategoryTotals):
     for name, value in vars(want).items():
-        other = getattr(got, name)
         if value is None:
-            assert other is None, name
+            assert getattr(got, name) is None, name
         else:
-            assert (other.dtype, other.shape) == (value.dtype, value.shape), name
-            assert other.tobytes() == value.tobytes(), name
+            assert_same_array(getattr(got, name), value, name)
+
+
+def assert_parts_of_the_logs(got: CategoryTotals, logs_totals: dict):
+    """The shared parts of ``got`` and each mode's own part are, byte for
+    byte, those of the totals of that mode's log in ``logs_totals``; the
+    own part of a mode not given is None."""
+    for mode, want in logs_totals.items():
+        for name in ("mass", "degree_mass", OWN_PART[mode]):
+            assert_same_array(getattr(got, name), getattr(want, name), name)
+    for mode, name in OWN_PART.items():
+        if mode not in logs_totals:
+            assert getattr(got, name) is None, name
 
 
 @st.composite
@@ -53,29 +71,30 @@ CATEGORY_WEIGHTS = st.one_of(st.floats(2.0 ** -1024, 2.0 ** -1021,
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(graph=connected_graphs(), sampler=st.sampled_from(sorted(SAMPLERS)),
-       mode=st.sampled_from(sorted(OBSERVERS)), replicates=st.integers(1, 6),
+       modes=st.sampled_from(MODE_SETS), replicates=st.integers(1, 6),
        n=st.integers(1, 60), seed=st.integers(0, 2**32),
        cw=st.lists(CATEGORY_WEIGHTS, min_size=4, max_size=4))
 # node 1 overflows to inf and its cross neighbor 0 is never drawn
 @example(graph=(Graph.from_edges(3, [(0, 1), (1, 2)]),
                 CategoryPartition(labels=np.array([1, 0, 0]),
                                   names=("C0", "C1"))),
-         sampler="wrw", mode="induced", replicates=1, n=12, seed=61,
-         cw=[6e-309] * 4)
-def test_table_totals_equal_the_observed_logs_totals(graph, sampler, mode,
+         sampler="wrw", modes=("induced", "star"), replicates=1, n=12,
+         seed=61, cw=[6e-309] * 4)
+def test_table_totals_equal_the_observed_logs_totals(graph, sampler, modes,
                                                      replicates, n, seed, cw):
-    """Stacked over a cell's traces, the table's totals are the observed
-    logs' totals byte for byte, overflowed masses included."""
+    """Stacked over a cell's traces, one table call per trace gives the
+    totals of each mode's observed logs part by part, byte for byte,
+    overflowed masses included, and no part of a mode not asked for."""
     g, part = graph
     traces = list(draw_traces(sampler, g, n,
                               [[seed, rep] for rep in range(replicates)],
                               part=part,
                               category_weights=cw[:part.num_categories]))
     table = ObservationTable(g, part)
-    assert_same_bytes(
-        CategoryTotals.stacked([table.totals(mode, t) for t in traces]),
-        CategoryTotals.stacked([OBSERVERS[mode](g, part, t).totals
-                                for t in traces]))
+    assert_parts_of_the_logs(
+        CategoryTotals.stacked([table.totals(t, modes) for t in traces]),
+        {mode: CategoryTotals.stacked([OBSERVERS[mode](g, part, t).totals
+                                       for t in traces]) for mode in modes})
 
 
 def literal_neighbor_counts(g, part, nodes):
@@ -106,9 +125,11 @@ def test_tables_of_two_graphs_and_two_partitions_never_mix():
         assert log.neighbor_counts.tolist() == literal_neighbor_counts(
             g, part, nodes)
         table = ObservationTable(g, part)
-        for mode, observe in OBSERVERS.items():
-            assert_same_bytes(table.totals(mode, trace),
-                              observe(g, part, trace).totals)
+        for modes in MODE_SETS:
+            assert_parts_of_the_logs(
+                table.totals(trace, modes),
+                {mode: OBSERVERS[mode](g, part, trace).totals
+                 for mode in modes})
 
 
 def test_a_resample_beside_an_overflowed_mass_adds_no_nan():

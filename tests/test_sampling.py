@@ -293,6 +293,20 @@ def test_samplers_refuse_draw_weights_the_writers_refuse(case):
             draw()
 
 
+@pytest.mark.parametrize("scale", [1e308, 2.0 ** 1021, 2.0 ** -1000])
+def test_wis_draws_alike_at_any_scale_of_its_weights(scale):
+    """Weights whose sum overflows, or that are all tiny, draw the nodes
+    that the same weights unscaled draw, with no warning, and are
+    recorded as given."""
+    weights = [1.0] * 4 if scale == 1e308 else [1.0, 2.0, 3.0, 4.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = sample_wis(CYCLE, np.multiply(weights, scale), 50, seed=1)
+    trace = sample_wis(CYCLE, weights, 50, seed=1)
+    assert scaled.nodes.tolist() == trace.nodes.tolist()
+    assert scaled.weights.tolist() == (trace.weights * scale).tolist()
+
+
 def test_samplers_take_the_least_weight_the_readers_take(tmp_path):
     least = np.nextafter(2.0 ** -1024, 1)
     trace = sample_wis(CYCLE, [least] * 4, 20, seed=1)
