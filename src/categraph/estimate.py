@@ -25,7 +25,7 @@ Everything here is a pure function of (log, options).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
     WrongObservationMode,
     check_count,
 )
+from .graph import _scaled
 from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
 from .sampling import _as_rng
 
@@ -102,7 +103,7 @@ def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     denom = np.asarray(denom_values, dtype=float)
     if numer.shape != (log.n,) or denom.shape != (log.n,):
         raise ValueError("need exactly one value per draw")
-    winv = 1.0 / log.weights
+    winv = _scaled(1.0 / log.weights)
     return float(np.sum(numer * winv) / np.sum(denom * winv))
 
 
@@ -144,7 +145,7 @@ def _weights(t: CategoryTotals, estimator: str, sizes: np.ndarray | None = None,
         needs = known[..., None, :] | ~drawn[..., :, None]
         defined = needs & np.swapaxes(needs, -1, -2) & (denom != 0.0)
     defined = np.triu(defined, 1)
-    # a total beyond the float range can make a weight NaN or inf
+    # masses over about 2**1022 apart can underflow a denominator to 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         weights = np.divide(numer, denom, out=np.zeros(denom.shape), where=defined)
     defined &= np.isfinite(weights)
@@ -160,12 +161,16 @@ def _defined(values: np.ndarray, defined: np.ndarray) -> dict:
     return dict(zip(_keys(defined), values[defined].tolist()))
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a real number; booleans and strings are not."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def _log_sizes(log: ObservationLog, estimator: str, population: float,
                homogeneous: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``_sizes`` of a log; refuses a population that is not a positive
     finite real (booleans and strings are not) and a star log with no edges."""
-    if not (isinstance(population, Real) and not isinstance(population, bool)
-            and 0 < float(population) < np.inf):
+    if not (_real(population) and 0 < float(population) < np.inf):
         raise ValueError("population must be a positive finite number, "
                          f"got {population!r}")
     sizes, defined = _sizes(log.totals, estimator, float(population),
@@ -248,12 +253,18 @@ def est_weight_star(log: ObservationLog,
     can be plugged in. One-sided pairs (draws in only one of the two
     categories) are still estimable; pairs with no draws on either
     side, or whose required far-side size is unavailable or zero, are
-    skipped.
+    skipped. A key that is not a category, or a size that is not a
+    finite real >= 0, raises ValueError.
     """
     _require(log, weight=STAR)
     if size_estimates is None:
         raise MissingSizeEstimate("size estimates are required")
     cats = range(log.num_categories)
+    for k, s in size_estimates.items():
+        if not (_real(k) and isinstance(k, Integral) and k in cats
+                and _real(s) and 0 <= float(s) < np.inf):
+            raise ValueError(f"size estimates need a category in 0..{len(cats) - 1} "
+                             f"and a finite size >= 0, got {k!r}: {s!r}")
     known = np.array([k in size_estimates for k in cats], dtype=bool)
     sizes = np.array([size_estimates.get(k, 0.0) for k in cats], dtype=float)
     return _defined(*_weights(log.totals, STAR, sizes, known))

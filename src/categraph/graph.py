@@ -35,6 +35,23 @@ def _lookup(table: np.ndarray, keys: np.ndarray):
     return at, (at < len(table)) & (np.append(table, 0)[at] == keys)
 
 
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest value in
+    [0.5, 1): exact above subnormals, so a ratio of sums of the scaled
+    values is that of ``x``, and no such sum overflows."""
+    return np.ldexp(x, -np.frexp(x.max(initial=0.0))[1])
+
+
+def _cross(cat_of: np.ndarray, edges: np.ndarray, c: int) -> tuple:
+    """The edges (u, v) whose ends ``cat_of`` puts in two categories, in
+    order, as (u, v, a * C + b) with a < b their categories."""
+    u, v = edges[:, 0], edges[:, 1]
+    cu, cv = cat_of[u], cat_of[v]
+    cross = cu != cv
+    pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
+    return u[cross], v[cross], pair[cross]
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple undirected graph on dense node ids 0..N-1.
@@ -315,14 +332,9 @@ def exact_category_graph(g: Graph, part: CategoryPartition) -> CategoryGraph:
 
     Serves as the oracle all estimators are evaluated against.
     """
-    labels = part.labels_for(g)
     c = part.num_categories
     sizes = {cid: int(s) for cid, s in enumerate(part.sizes)}
-    la, lb = labels[g.edge_array].T
-    cross = la != lb
-    lo = np.minimum(la[cross], lb[cross])
-    hi = np.maximum(la[cross], lb[cross])
-    flat = np.bincount(lo * c + hi, minlength=c * c)
+    flat = np.bincount(_cross(part.labels_for(g), g.edge_array, c)[2], minlength=c * c)
     cuts = {(int(key) // c, int(key) % c): int(flat[key])
             for key in np.flatnonzero(flat)}
     weights = {(a, b): cut / (sizes[a] * sizes[b])

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidNode
-from .graph import CategoryPartition, Graph
+from .errors import InvalidNode, InvalidWeight, weights_ok
+from .graph import CategoryPartition, Graph, _cross, _lookup, _scaled
 from .sampling import SampleTrace
 
 INDUCED = "induced"
@@ -63,9 +63,9 @@ def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
     induced part reads ``induced`` = (keys, size, cross): each draw's
     node key below ``size`` and ``_cross`` of the observed edges between
     keys. An edge with an undrawn end (mass 0.0) adds exactly 0.0, as in
-    a log of just the draws, also where the other end's mass overflowed
-    to inf and the product is NaN. ``edge_mass`` holds floats also when
-    no edge is given, where numpy's bincount returns integers.
+    a log of just the draws; ``winv`` arrives ``_scaled``, so no mass or
+    product of two overflows. ``edge_mass`` holds floats also when no
+    edge is given, where numpy's bincount returns integers.
     """
     mass = np.bincount(cats, weights=winv, minlength=c)
     degree_mass = np.bincount(cats, weights=degrees * winv, minlength=c)
@@ -78,22 +78,10 @@ def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
     if induced is not None:
         keys, size, (u, v, pair) = induced
         node_mass = np.bincount(keys, weights=winv, minlength=size)
-        with np.errstate(invalid="ignore"):
-            products = node_mass[u] * node_mass[v]
-        products[np.isnan(products)] = 0.0
-        edge_mass = np.bincount(pair, weights=products, minlength=c * c)
+        edge_mass = np.bincount(pair, weights=node_mass[u] * node_mass[v],
+                                minlength=c * c)
         edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
     return CategoryTotals(mass, degree_mass, towards, edge_mass)
-
-
-def _cross(cat_of: np.ndarray, edges: np.ndarray, c: int) -> tuple:
-    """The edges (u, v) whose ends ``cat_of`` puts in two categories, in
-    order, as (u, v, a * C + b) with a < b their categories."""
-    u, v = edges[:, 0], edges[:, 1]
-    cu, cv = cat_of[u], cat_of[v]
-    cross = cu != cv
-    pair = np.minimum(cu, cv) * c + np.maximum(cu, cv)
-    return u[cross], v[cross], pair[cross]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +128,16 @@ class ObservationLog:
         """The totals of the draws ``rows`` picks, repeats counted, as for
         a log of just those draws."""
         draws = (self.num_categories, self.categories[rows],
-                 1.0 / self.weights[rows], self.degrees[rows])
+                 self._inverse_weights[rows], self.degrees[rows])
         if self.mode == STAR:
             return _totals(*draws, star=(self._star_columns, rows))
         keys, size, cross = self._cross_edges
         return _totals(*draws, induced=(keys[rows], size, cross))
+
+    @cached_property
+    def _inverse_weights(self) -> np.ndarray:
+        """1/w of each draw, ``_scaled`` once: all groups of draws share it."""
+        return _scaled(1.0 / self.weights)
 
     @cached_property
     def _star_columns(self) -> np.ndarray:
@@ -153,21 +146,16 @@ class ObservationLog:
 
     @cached_property
     def _cross_edges(self) -> tuple:
-        """Each draw's node key, the key count, and the induced edges
-        across categories (``_cross``) between those keys."""
-        nodes, edges = self.nodes, self.induced_edges
+        """Each draw's key (its node's rank among the drawn ids), the key
+        count, and ``_cross`` of the induced edges between drawn ids."""
+        ids, first, keys = np.unique(self.nodes, return_index=True,
+                                     return_inverse=True)
+        edges = self.induced_edges
         if edges is None:
             edges = np.empty((0, 2), dtype=np.int64)
-        if nodes.size and nodes.max() > 64 * nodes.size:
-            # sparse ids (past 64 per draw): key nodes by their rank
-            # among the distinct drawn ids instead. Below that the rank
-            # sort costs more than the id-indexed arrays (7-14x at 50,000
-            # draws and up to 4 ids per draw); they cross at 24-96.
-            ids, nodes = np.unique(nodes, return_inverse=True)
-            edges = np.searchsorted(ids, edges)
-        cat_of = np.zeros(nodes.max(initial=-1) + 1, dtype=np.int64)
-        cat_of[nodes] = self.categories
-        return nodes, len(cat_of), _cross(cat_of, edges, self.num_categories)
+        at, drawn = _lookup(ids, edges)
+        return keys, len(ids), _cross(self.categories[first],
+                                      at[drawn.all(axis=1)], self.num_categories)
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.
@@ -194,15 +182,23 @@ class ObservationLog:
 
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
     """The fields every log holds, read off the graph for the trace's
-    draws; the first draw outside the graph raises InvalidNode."""
-    nodes = np.asarray(trace.nodes, dtype=np.int64)
-    outside = np.flatnonzero((nodes < 0) | (nodes >= g.node_count))
-    if len(outside):
-        raise InvalidNode(f"draw {outside[0]}: node {nodes[outside[0]]} is "
-                          f"outside 0..{g.node_count - 1}")
+    draws. The first draw whose node is not a whole number in the graph
+    raises InvalidNode; then the first whose weight ``weights_ok``
+    refuses raises InvalidWeight."""
+    nodes = np.asarray(trace.nodes)
+    weights = np.asarray(trace.weights, dtype=float)
+    whole = nodes == np.trunc(nodes)
+    bad = np.flatnonzero(~whole | (nodes < 0) | (nodes >= g.node_count))
+    if len(bad):
+        raise InvalidNode(f"draw {bad[0]}: node {nodes[bad[0]]} is " + (
+            f"outside 0..{g.node_count - 1}" if whole[bad[0]] else "not a whole number"))
+    bad = np.flatnonzero(~weights_ok(weights))
+    if len(bad):
+        raise InvalidWeight(f"draw {bad[0]}: weight must be positive and finite, "
+                            f"with a finite inverse, got {weights[bad[0]].item()!r}")
+    nodes = nodes.astype(np.int64)
     return dict(nodes=nodes, categories=part.labels_for(g)[nodes],
-                degrees=g.degrees[nodes].astype(np.int64),
-                weights=np.asarray(trace.weights, dtype=float),
+                degrees=g.degrees[nodes].astype(np.int64), weights=weights,
                 num_categories=part.num_categories,
                 category_names=part.names, population_hint=g.node_count)
 
@@ -257,6 +253,6 @@ class ObservationTable:
         """The log totals of ``trace`` for all ``modes``, in one pass."""
         d, size = _draws(self.graph, self.partition, trace), self.graph.node_count
         return _totals(
-            d["num_categories"], d["categories"], 1.0 / d["weights"], d["degrees"],
-            (self.neighbor_columns, d["nodes"]) if STAR in modes else None,
+            d["num_categories"], d["categories"], _scaled(1.0 / d["weights"]),
+            d["degrees"], (self.neighbor_columns, d["nodes"]) if STAR in modes else None,
             (d["nodes"], size, self.cross_edges) if INDUCED in modes else None)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import (EmptyGraph, InvalidWeight, IsolatedStartNode, check_count,
                      weights_ok)
-from .graph import CategoryPartition, Graph
+from .graph import CategoryPartition, Graph, _scaled
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,7 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
     _check_request(g, n, "sample from")
     arr = _weight_vector(weights, g.node_count, "node")
     rng, recorded = _as_rng(seed)
-    # a power-of-two scale, exact above subnormals, keeps the sum finite
-    p = np.ldexp(arr, -np.frexp(arr.max())[1])
+    p = _scaled(arr)   # so that the sum stays finite
     nodes = rng.choice(g.node_count, size=n, p=p / p.sum())
     return SampleTrace(nodes=nodes.astype(np.int64),
                        steps=np.arange(n, dtype=np.int64),

@@ -1,7 +1,7 @@
-import contextlib
 import dataclasses
 import itertools
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from categraph import (
     PROPORTIONAL,
     CategoryPartition,
+    CategraphError,
     EmptySample,
     Graph,
     InsufficientSample,
@@ -37,6 +38,7 @@ from categraph import (
     sample_uis,
 )
 
+from categraph.errors import weights_ok
 from categraph.estimate import ESTIMATOR_PAIRS
 
 import _reference as ref
@@ -675,24 +677,72 @@ def test_size_estimators_refuse_what_the_pipeline_refuses(estimator,
         estimator(log, population)
 
 
-@pytest.mark.parametrize("weight", [1e200, 1e-200])
-def test_an_induced_weight_beyond_the_float_range_is_skipped(weight):
-    """Each node drawn once at ``weight``: the (A, B) masses multiply to
-    0.0 or inf, so the induced weight would be NaN; it is skipped, not
-    reported. Star mode, which multiplies no two masses, gets the true
-    0.5."""
+@pytest.mark.parametrize("weight", [1e308, 1e200, 1e-200, 1e-308])
+def test_an_induced_weight_beyond_the_float_range_is_estimated(weight):
+    """Each node drawn once at ``weight``: 1/w, its sums and their
+    products would leave the float range, but the log's one power-of-two
+    scale keeps them in it, so every estimator gets the truth, with no
+    warning."""
     trace = make_trace(range(4), np.full(4, weight))
-    star = estimate_category_graph(observe_star(CYCLE, CYCLE_PARTITION, trace))
-    assert star.weights == {(0, 1): 0.5}
+    star = observe_star(CYCLE, CYCLE_PARTITION, trace)
+    assert estimate_category_graph(star).weights == {(0, 1): 0.5}
+    assert estimate_category_graph(star, size_estimator="star").sizes == {
+        0: 2.0, 1: 2.0}
     log = observe_induced(CYCLE, CYCLE_PARTITION, trace)
-    # until the totals are scaled, products of inverse weights 1e200 overflow
-    overflow = (pytest.warns(RuntimeWarning, match="overflow encountered")
-                if weight < 1 else contextlib.nullcontext())
-    with overflow:
-        est = estimate_category_graph(log)
+    est = estimate_category_graph(log)
     assert est.sizes == {0: 2.0, 1: 2.0}
-    assert est.weights == {}
-    assert est.skipped_weight_pairs == {(0, 1)}
+    assert est.weights == {(0, 1): 0.5}
+    assert est.skipped_weight_pairs == frozenset()
+    assert est_mean_degrees(log) == (2.0, {0: 2.0, 1: 2.0})
+    assert hh_ratio(log.degrees, np.ones(4), log) == 2.0
+
+
+@pytest.mark.parametrize("key,value", [
+    (0, -2.0), (0, float("inf")), (0, float("nan")), (0, "2"), (0, True),
+    (7, 1.0), (-1, 1.0), (True, 2.0), (1.0, 2.0), ("0", 2.0),
+])
+def test_est_weight_star_refuses_a_size_map_it_cannot_use(key, value):
+    """A key that is not a category in 0..C-1 or a size that is not a
+    finite real >= 0 is named, alone or after a usable entry."""
+    log = observe_star(CYCLE, CYCLE_PARTITION, sample_uis(CYCLE, 20, seed=1))
+    message = re.escape("size estimates need a category in 0..1 and a "
+                        f"finite size >= 0, got {key!r}: {value!r}")
+    for sizes in ({key: value}, {0: 2.0, key: value}):
+        with pytest.raises(ValueError, match=message):
+            est_weight_star(log, sizes)
+
+
+def every_estimate(log, seed) -> list:
+    """Every estimate of ``log``, a refusal as its error, each in repr."""
+    calls = [(est_mean_degrees, log), (hh_ratio, log.degrees, np.ones(log.n), log)]
+    for size, weight in ESTIMATOR_PAIRS[log.mode]:
+        for homogeneous in (False, True):
+            options = dict(size_estimator=size, weight_estimator=weight,
+                           assume_homogeneous_degree=homogeneous)
+            calls += [(partial(estimate_category_graph, **options), log),
+                      (partial(bootstrap_variance, **options), log, 4, seed)]
+    if log.mode == "star":
+        calls.append((est_volume_fraction_star, log))
+    outcomes = []
+    for fn, *args in calls:
+        try:
+            outcomes.append(repr(fn(*args)))
+        except CategraphError as error:
+            outcomes.append(repr(error))
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(logs=observed_logs(), k=st.integers(-1000, 1000),
+       seed=st.integers(0, 2**32))
+def test_every_estimate_is_the_same_at_any_power_of_two_scale(logs, k, seed):
+    """Scaling every weight by 2^k leaves every estimate, in both modes
+    and every estimator pair, the seeded bootstrap variances and
+    ``hh_ratio`` bit for bit as they were, with no warning."""
+    for log in logs[:2]:
+        scaled = dataclasses.replace(log, weights=log.weights * 2.0 ** k)
+        assert weights_ok(scaled.weights).all()
+        assert every_estimate(scaled, seed) == every_estimate(log, seed)
 
 
 def test_pipeline_population_from_hint(three_color_graph):
@@ -733,6 +783,59 @@ def sparse_ids(log):
         return 2**62 + ids * 1_000_003
     return dataclasses.replace(log, nodes=move(log.nodes),
                                induced_edges=move(log.induced_edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(logs=observed_logs(), data=st.data())
+def test_induced_totals_take_sparse_node_ids(logs, data):
+    """The totals of any group of draws of an induced log with dense ids
+    are, byte for byte, those of its relabeling to ids near 2**62."""
+    log = logs[0]
+    sparse = sparse_ids(log)
+    rows = data.draw(st.lists(st.integers(0, log.n - 1), max_size=3 * log.n))
+    for group in (slice(None), np.array(rows, dtype=np.int64)):
+        dense_totals, sparse_totals = log.totals_of(group), sparse.totals_of(group)
+        for name, value in vars(dense_totals).items():
+            got = getattr(sparse_totals, name)
+            if value is None:
+                assert got is None
+            else:
+                assert (got.dtype, got.shape, got.tobytes()) == (
+                    value.dtype, value.shape, value.tobytes()), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(logs=observed_logs(), k=st.integers(-1000, 1000), data=st.data())
+def test_the_groups_of_a_log_share_its_scale(logs, k, data):
+    """The masses of two groups that split a log's draws add up to the
+    log's own, whichever group holds the largest 1/w."""
+    for log in logs[:2]:
+        log = dataclasses.replace(log, weights=log.weights * 2.0 ** k)
+        cut = data.draw(st.integers(0, log.n))
+        halves = log.totals_of(slice(0, cut)), log.totals_of(slice(cut, None))
+        for name in ("mass", "degree_mass"):
+            assert sum(getattr(t, name) for t in halves) == pytest.approx(
+                getattr(log.totals, name), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("nodes,undrawn", [
+    ([0, 1, 2], [[0, 3], [-1, 2]]),
+    ([0, 1, 3], [[0, 2], [1, 4], [-1, 3]]),
+    ([0, 5, 9], [[0, 3], [5, 12], [-4, 9]]),
+    ([2**62, 2**62 + 5, 2**63 - 1], [[2**62, 2**62 + 3], [0, 2**63 - 1]]),
+])
+def test_an_induced_edge_with_an_undrawn_end_adds_nothing(nodes, undrawn):
+    """A log built by hand with edges to undrawn ids, inside and outside
+    the range of the drawn ones, has the totals of the log without
+    those edges."""
+    log = ObservationLog(
+        mode="induced", nodes=np.array(nodes), categories=np.array([0, 1, 1]),
+        degrees=np.ones(3, dtype=np.int64), weights=np.array([1.0, 2.0, 4.0]),
+        num_categories=2, category_names=("A", "B"),
+        induced_edges=np.array([nodes[:2], *undrawn]))
+    drawn = dataclasses.replace(log, induced_edges=np.array([nodes[:2]]))
+    assert log.totals.edge_mass.tobytes() == drawn.totals.edge_mass.tobytes()
+    assert est_weight_induced(log) == est_weight_induced(drawn)
 
 
 def test_induced_estimates_take_sparse_node_ids(three_color_graph):

@@ -193,27 +193,30 @@ def test_each_trace_is_observed_in_one_pass(monkeypatch, small_graph, modes):
                           * cfg.replicates)
 
 
-def test_a_sweep_counts_the_weights_its_totals_could_not_hold():
-    """wrw category weights 2^-1000 ... 2^-600 on the C4 graph: induced
-    node masses overflow, and the weights they would make NaN are
-    excluded and counted, never scored as NaN."""
+def test_a_sweep_scores_every_weight_at_any_scale_of_its_weights():
+    """wrw category weights 2^-1000 ... 2^-600 on the C4 graph: every
+    cell, scored with nothing excluded and no warning, is bit for bit the
+    cell of the same weights scaled by 2^800, since no total leaves the
+    float range."""
     g, part = synthetic_graph(SyntheticParams(
         category_sizes=(100, 200, 200, 300, 400, 500, 600, 700, 1000, 1000),
         k=10, alpha=0.5, seed=42))
-    cfg = ExperimentConfig(
-        graph=g, partition=part, samplers=("wrw",), sample_sizes=(700,),
-        replicates=4, wrw_category_weights=[2.0 ** -1000, 2.0 ** -800,
-                                            2.0 ** -600] * 3 + [2.0 ** -1000])
-    # until the totals are scaled, the inverse weights overflow
-    with pytest.warns(RuntimeWarning, match="overflow encountered"):
-        report = run_experiment(cfg)
+
+    def cells(scale):
+        return run_experiment(ExperimentConfig(
+            graph=g, partition=part, samplers=("wrw",), sample_sizes=(700,),
+            replicates=4, wrw_category_weights=[
+                scale * w for w in [2.0 ** -1000, 2.0 ** -800, 2.0 ** -600]
+                * 3 + [2.0 ** -1000]])).cells
+
+    tiny, scaled = cells(1.0), cells(2.0 ** 800)
     weights = len(exact_category_graph(g, part).weights)
-    induced = report.find("weight", "wrw", "induced", 700)
-    assert 0 < induced.excluded < weights
-    for cell in report.cells:
+    assert [repr(cell) for cell in tiny] == [repr(cell) for cell in scaled]
+    for cell in tiny:
+        assert cell.excluded == 0
         assert np.isfinite(list(cell.nrmse_by_quantity.values())).all()
         if cell.quantity_kind == "weight":
-            assert cell.excluded + len(cell.nrmse_by_quantity) == weights
+            assert len(cell.nrmse_by_quantity) == weights
 
 
 def test_report_cell_structure(small_graph):

@@ -60,21 +60,21 @@ def connected_graphs(draw):
 
 
 # wrw category weights: near the low end of weights_ok, a node drawn a
-# few times has an inverse-weight mass that overflows to inf; near the
-# high end, the product of two masses underflows to 0
+# few times has an inverse-weight mass beyond the float range; near the
+# high end, the product of two masses is below it, unless scaled
 CATEGORY_WEIGHTS = st.one_of(st.floats(2.0 ** -1024, 2.0 ** -1021,
                                        exclude_min=True),
                              st.floats(0.25, 4.0),
                              st.floats(2.0 ** 1000, 2.0 ** 1010))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(graph=connected_graphs(), sampler=st.sampled_from(sorted(SAMPLERS)),
        modes=st.sampled_from(MODE_SETS), replicates=st.integers(1, 6),
        n=st.integers(1, 60), seed=st.integers(0, 2**32),
        cw=st.lists(CATEGORY_WEIGHTS, min_size=4, max_size=4))
-# node 1 overflows to inf and its cross neighbor 0 is never drawn
+# node 1's unscaled mass is beyond the float range and its cross
+# neighbor 0 is never drawn
 @example(graph=(Graph.from_edges(3, [(0, 1), (1, 2)]),
                 CategoryPartition(labels=np.array([1, 0, 0]),
                                   names=("C0", "C1"))),
@@ -84,7 +84,8 @@ def test_table_totals_equal_the_observed_logs_totals(graph, sampler, modes,
                                                      replicates, n, seed, cw):
     """Stacked over a cell's traces, one table call per trace gives the
     totals of each mode's observed logs part by part, byte for byte,
-    overflowed masses included, and no part of a mode not asked for."""
+    masses at the ends of the float range included, and no part of a
+    mode not asked for."""
     g, part = graph
     traces = list(draw_traces(sampler, g, n,
                               [[seed, rep] for rep in range(replicates)],
@@ -133,9 +134,9 @@ def test_tables_of_two_graphs_and_two_partitions_never_mix():
 
 
 def test_a_resample_beside_an_overflowed_mass_adds_no_nan():
-    """Node 0, drawn three times at weight 2**-1023, has mass inf; the
-    edge to undrawn node 1 adds 0.0 to the resample's totals, as in the
-    resampled log, which drops that edge, not inf * 0.0."""
+    """Node 0, drawn three times at weight 2**-1023, has an unscaled mass
+    of inf; the edge to undrawn node 1 adds 0.0 to the resample's totals,
+    as in the resampled log, which drops that edge, not inf * 0.0."""
     g = Graph.from_edges(2, [(0, 1)])
     part = CategoryPartition(labels=np.array([0, 1]), names=("A", "B"))
     trace = SampleTrace(nodes=np.array([0, 1]), steps=np.arange(2),

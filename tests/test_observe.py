@@ -7,11 +7,13 @@ from categraph import (
     CategoryPartition,
     Graph,
     InvalidNode,
+    InvalidWeight,
     SampleTrace,
     observe_induced,
     observe_star,
     sample_uis,
 )
+from categraph.observe import ObservationTable
 
 
 def make_trace(nodes, weights=None):
@@ -119,6 +121,34 @@ def test_observers_name_the_first_draw_outside_the_graph(labeled_graph, observe,
     g, part = labeled_graph
     with pytest.raises(InvalidNode, match=f"^{re.escape(message)}$"):
         observe(g, part, make_trace(nodes))
+
+
+def observe_with_a_table(g, part, trace):
+    return ObservationTable(g, part).totals(trace, ("induced", "star"))
+
+
+@pytest.mark.parametrize("nodes,weights,error,message", [
+    ([0, 1.7, 2], None, InvalidNode, "draw 1: node 1.7 is not a whole number"),
+    ([0, 1, float("nan")], None, InvalidNode, "draw 2: node nan is not a whole number"),
+    ([0, 1.5, 9], None, InvalidNode, "draw 1: node 1.5 is not a whole number"),
+    ([0, 9, 1.5], None, InvalidNode, "draw 1: node 9.0 is outside 0..4"),
+    *[([0, 1, 2], [1.0, w, 1.0], InvalidWeight,
+       f"draw 1: weight must be positive and finite, with a finite inverse, got {w!r}")
+      for w in (0.0, -1.0, float("nan"), float("inf"), 1e-320)],
+])
+@pytest.mark.parametrize("observe", [observe_induced, observe_star,
+                                     observe_with_a_table])
+def test_observers_refuse_what_the_readers_refuse(labeled_graph, observe, nodes,
+                                                  weights, error, message):
+    """A node that is not a whole number or a weight ``weights_ok``
+    refuses is named by its draw, never read as another node or weight."""
+    g, part = labeled_graph
+    trace = SampleTrace(nodes=np.array(nodes), steps=np.arange(len(nodes)),
+                        weights=np.ones(len(nodes)) if weights is None
+                        else np.array(weights), sampler="uis", seed=None,
+                        start=None, burn_in=0)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        observe(g, part, trace)
 
 
 @pytest.mark.parametrize("n", [0, 3])
