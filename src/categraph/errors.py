@@ -1,7 +1,9 @@
 """Exception types raised across the package, and the one rule each for
-the counts and the draw weights a caller passes in."""
+the counts, the finite numbers and the draw weights a caller passes in."""
 import sys
-from numbers import Integral
+from numbers import Integral, Real
+
+import numpy as np
 
 
 class CategraphError(Exception):
@@ -74,14 +76,31 @@ class TooManyEdgesRequested(CategraphError):
 
 
 # samplers
-class InvalidWeight(CategraphError):
+class InvalidWeight(CategraphError, ValueError):
     """Sampling or category weights must pass ``weights_ok``."""
+
+
+def finite(x) -> bool:
+    """Whether ``x`` is a real number (not a bool) in the float range, found
+    by comparing, as ``float()`` of an int beyond the range overflows."""
+    return (isinstance(x, Real) and not isinstance(x, bool)
+            and -sys.float_info.max <= x <= sys.float_info.max)
 
 
 def weights_ok(weights):
     """Which draw weights (numbers or arrays) the samplers, writers and
     readers take: finite, above 2**-1024, so that the inverse is finite."""
     return (weights > 2.0 ** -1024) & (weights <= sys.float_info.max)
+
+
+def check_weights(weights) -> None:
+    """Refuse the first of an array of draw weights that ``weights_ok``
+    refuses, as InvalidWeight naming its draw."""
+    weights = np.asarray(weights)
+    bad = np.flatnonzero(~weights_ok(weights))
+    if len(bad):
+        raise InvalidWeight(f"draw {bad[0]}: weight must be positive and finite, "
+                            f"with a finite inverse, got {weights[bad[0]].item()!r}")
 
 
 class IsolatedStartNode(CategraphError):

@@ -25,7 +25,7 @@ Everything here is a pure function of (log, options).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .errors import (
     MissingSizeEstimate,
     WrongObservationMode,
     check_count,
+    finite,
 )
 from .graph import _scaled
 from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
@@ -161,16 +162,11 @@ def _defined(values: np.ndarray, defined: np.ndarray) -> dict:
     return dict(zip(_keys(defined), values[defined].tolist()))
 
 
-def _real(x) -> bool:
-    """Whether ``x`` is a real number; booleans and strings are not."""
-    return isinstance(x, Real) and not isinstance(x, bool)
-
-
 def _log_sizes(log: ObservationLog, estimator: str, population: float,
                homogeneous: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``_sizes`` of a log; refuses a population that is not a positive
     finite real (booleans and strings are not) and a star log with no edges."""
-    if not (_real(population) and 0 < float(population) < np.inf):
+    if not (finite(population) and population > 0):
         raise ValueError("population must be a positive finite number, "
                          f"got {population!r}")
     sizes, defined = _sizes(log.totals, estimator, float(population),
@@ -261,8 +257,8 @@ def est_weight_star(log: ObservationLog,
         raise MissingSizeEstimate("size estimates are required")
     cats = range(log.num_categories)
     for k, s in size_estimates.items():
-        if not (_real(k) and isinstance(k, Integral) and k in cats
-                and _real(s) and 0 <= float(s) < np.inf):
+        if not (isinstance(k, Integral) and finite(k) and k in cats
+                and finite(s) and s >= 0):
             raise ValueError(f"size estimates need a category in 0..{len(cats) - 1} "
                              f"and a finite size >= 0, got {k!r}: {s!r}")
     known = np.array([k in size_estimates for k in cats], dtype=bool)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UndefinedNRMSE, check_count
+from .errors import UndefinedNRMSE, check_count, finite
 from .estimate import (ESTIMATOR_PAIRS, MODES, SIZE_ESTIMATORS,
                        WEIGHT_ESTIMATORS, _sizes, _weights)
 from .graph import CategoryGraph, CategoryPartition, Graph, exact_category_graph
@@ -79,7 +79,7 @@ class ExperimentConfig:
         self.modes = tuple(self.modes)
         self.size_estimators = tuple(self.size_estimators)
         self.weight_estimators = tuple(self.weight_estimators)
-        self.probe_percentiles = tuple(float(p) for p in self.probe_percentiles)
+        self.probe_percentiles = tuple(self.probe_percentiles)
         for what, names, known in (
                 ("sampler", self.samplers, SAMPLERS),
                 ("observation mode", self.modes, ESTIMATOR_PAIRS),
@@ -90,8 +90,9 @@ class ExperimentConfig:
                     raise ValueError(f"unknown {what} {name!r}")
         if any(a >= b for a, b in zip(self.sample_sizes, self.sample_sizes[1:])):
             raise ValueError("sample sizes must be strictly increasing")
-        if not all(0 <= p <= 100 for p in self.probe_percentiles):
+        if not all(finite(p) and 0 <= p <= 100 for p in self.probe_percentiles):
             raise ValueError("probe percentiles must lie in [0, 100]")
+        self.probe_percentiles = tuple(map(float, self.probe_percentiles))
         if self.wrw_category_weights is not None:   # and the draw weights
             _wrw_sums(self.graph, self.partition, self.wrw_category_weights)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -33,7 +32,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import COUNT_FLOORS, CategraphError, FileFormatError, weights_ok
+from .errors import (COUNT_FLOORS, CategraphError, FileFormatError,
+                     check_weights, finite, weights_ok)
 from .estimate import MODES, CategoryGraphEstimate
 from .evaluate import ExperimentConfig
 from .generate import SyntheticParams, synthetic_graph
@@ -42,7 +42,6 @@ from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-_FLOAT_MAX = sys.float_info.max
 # a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
@@ -233,15 +232,6 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    """Refuse, before any file opens, a weight the readers would refuse."""
-    weights = np.asarray(weights)
-    bad = np.flatnonzero(~weights_ok(weights))
-    if len(bad):
-        raise ValueError(f"draw {bad[0]}: weight must be positive and "
-                         f"finite, got {weights[bad[0]].item()!r}")
-
-
 # ---------------------------------------------------------------------------
 # JSON values
 
@@ -275,9 +265,7 @@ _INTEGER = _Kind("an integer", lambda v: type(v) is int)
 _INT64 = _Kind("an integer", lambda v: type(v) is int
                and _INT64_MIN <= v <= _INT64_MAX)
 _NUMBER = _Kind("a number", lambda v: type(v) in (int, float))
-# an integer beyond the largest float does not convert to a finite one
-_FINITE = _Kind("a finite number",
-                lambda v: _NUMBER.ok(v) and -_FLOAT_MAX <= v <= _FLOAT_MAX)
+_FINITE = _Kind("a finite number", finite)
 _WEIGHT = _Kind("a positive finite number",
                 lambda v: type(v) in (int, float) and weights_ok(v))
 _LIST = _Kind("a list", lambda v: type(v) is list)
@@ -342,10 +330,10 @@ def _decode(path, line: int, text: str):
 # sample traces
 
 def save_trace(trace: SampleTrace, path) -> None:
-    """Write a trace; a weight that is not positive and finite raises
-    ValueError and no file is written. Floats are written with the
+    """Write a trace; a weight the readers refuse raises InvalidWeight (a
+    ValueError) and no file is written. Floats are written with the
     ``repr`` that ``json.dumps`` uses."""
-    _check_weights(trace.weights)
+    check_weights(trace.weights)
     meta = {"sampler": trace.sampler, "seed": trace.seed,
             "start": trace.start, "burn_in": trace.burn_in,
             "thin": trace.thin_interval}
@@ -395,17 +383,17 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
 
 def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
     """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
-    as an int64 or float array. A column is checked whole, by the set of
-    its value types and numpy range checks; only a refused one is
-    checked value by value, to name the first refused line."""
+    as an int64 or float array; only a column :func:`_whole_column` does
+    not take is checked value by value, to name the first refused line."""
     columns = []
     for key, kind in keys.items():
-        column = _whole_column(records, key, kind)
-        if column is None:
-            _require(path, lines,
-                     [type(r) is dict and key in r for r in records],
-                     f"record has no {key!r}", records)
+        try:
             values = list(map(itemgetter(key), records))
+        except (KeyError, TypeError):   # a record without the key
+            _require(path, lines, [type(r) is dict and key in r for r in records],
+                     f"record has no {key!r}", records)
+        column = _whole_column(values, kind)
+        if column is None:
             _require(path, lines, list(map(kind.ok, values)),
                      f"{key!r} must be {kind.what}", values)
             column = np.asarray(values, np.int64 if kind is _INT64 else float)
@@ -413,15 +401,10 @@ def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
     return columns
 
 
-def _whole_column(records, key: str, kind: _Kind) -> np.ndarray | None:
-    """The records' ``key`` values as one array if each record holds one
-    of ``kind``, else None. Integer weights are left to the exact
-    per-value check: numpy rounds one just above the largest float down
-    to it."""
-    try:
-        values = list(map(itemgetter(key), records))
-    except (KeyError, TypeError):
-        return None
+def _whole_column(values: list, kind: _Kind) -> np.ndarray | None:
+    """``values`` as one array if their types and numpy range checks show
+    each is of ``kind`` (_INT64 or _WEIGHT), else None. Integer weights are
+    checked value by value: numpy rounds one just above the float range down."""
     types = set(map(type, values))
     if kind is _INT64 and types <= {int}:
         with suppress(OverflowError):
@@ -447,9 +430,9 @@ def _require(path, lines, ok, rule: str, values) -> None:
 # observation logs
 
 def save_log(log: ObservationLog, path) -> None:
-    """Write a log; a weight that is not positive and finite raises
-    ValueError and no file is written."""
-    _check_weights(log.weights)
+    """Write a log; a weight the readers refuse raises InvalidWeight (a
+    ValueError) and no file is written."""
+    check_weights(log.weights)
     meta = {"mode": log.mode, "N": log.population_hint,
             "categories": list(log.category_names)}
     nodes, cats, degrees = (np.asarray(x).astype(np.int64).tolist()
@@ -483,8 +466,8 @@ def _nbr_cats(log: ObservationLog) -> list[str]:
 
 _LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),
              "categories": _list_of(_STRING),
-             "N": _Kind("a positive integer or null",
-                        lambda v: v is None or _INTEGER.ok(v) and v > 0)}
+             "N": _Kind("a positive integer or null", lambda v: v is None
+                        or _INTEGER.ok(v) and finite(v) and v > 0)}
 _LOG_RECORD = {"v": _INT64, "c": _INT64, "deg": _INT64, "w": _WEIGHT}
 
 
@@ -512,7 +495,8 @@ def load_log(path) -> ObservationLog:
                 f"{path}:{lines[-1] if rows else meta_line}: induced log "
                 "missing trailing induced_edges block")
         induced = _edge_block(path, lines[-1], rows[-1]["induced_edges"])
-        induced_line, lines, rows = lines[-1], lines[:-1], rows[:-1]
+        edge_lines = np.full(len(induced), lines[-1])
+        lines, rows = lines[:-1], rows[:-1]
 
     nodes, cats, degrees, weights = _columns(path, lines, rows, _LOG_RECORD)
     num_categories = len(names) or (int(cats.max()) + 1 if len(cats) else 0)
@@ -520,56 +504,54 @@ def load_log(path) -> ObservationLog:
     _require(path, lines, (cats >= 0) & (cats < num_categories),
              f"category must be in 0..{num_categories - 1}", cats)
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
-    # each record of a node repeats its first's category, degree, weight
-    ids, first, inverse = np.unique(nodes, return_index=True,
-                                    return_inverse=True)
-    first = first[inverse]
+    counts = (_neighbor_counts(path, lines, rows, num_categories)
+              if mode == STAR else None)
+    log = ObservationLog(
+        mode=mode, nodes=nodes, categories=cats, degrees=degrees,
+        weights=weights, num_categories=num_categories,
+        category_names=tuple(names or map(str, range(num_categories))),
+        population_hint=meta["N"], induced_edges=induced, neighbor_counts=counts)
+    # each record of a node repeats its first's, read off the log's index
+    ids, first, keys, rank, drawn = log._index
     for what, values in (("category", cats), ("degree", degrees),
                          ("weight", weights)):
-        _require(path, lines, values == values[first],
+        _require(path, lines, values == values[first[keys]],
                  f"{what} differs from an earlier record of the node", values)
-
-    counts = None
     if mode == STAR:
-        counts = _neighbor_counts(path, lines, rows, num_categories)
         _require(path, lines, counts.sum(axis=1) == degrees,
                  "nbr_cats must sum to deg", counts.sum(axis=1))
-        _require(path, lines, (counts == counts[first]).all(axis=1),
+        _require(path, lines, (counts == counts[first[keys]]).all(axis=1),
                  "nbr_cats differs from an earlier record of the node", counts)
     else:
-        edge_lines = np.full(len(induced), induced_line)
-        # key each edge by its endpoints' ranks among the drawn ids, as
-        # u * N + v on ids up to 2**63 - 1 would overflow
-        rank, drawn = _lookup(ids, induced)
         _require(path, edge_lines, np.logical_and(*drawn.T),
                  "induced edge has an undrawn endpoint", induced)
+        # edges are keyed by their ends' ranks among the drawn ids, as
+        # u * N + v on ids up to 2**63 - 1 would overflow
         u, v = rank.T
         _require(path, edge_lines, u != v, "induced edge is a self-loop",
                  induced)
         _require(path, edge_lines, ~_later_copies(
             np.minimum(u, v) * len(ids) + np.maximum(u, v)),
             "induced edge repeats an earlier one", induced)
-    return ObservationLog(
-        mode=mode, nodes=nodes, categories=cats, degrees=degrees,
-        weights=weights, num_categories=num_categories,
-        category_names=tuple(names or map(str, range(num_categories))),
-        population_hint=meta["N"],
-        induced_edges=induced, neighbor_counts=counts)
+    return log
 
 
 def _edge_block(path, lineno: int, block) -> np.ndarray:
     if (type(block) is list and set(map(type, block)) <= {list}
             and set(map(len, block)) <= {2}):
         flat = list(chain.from_iterable(block))
-        if all(map(_INT64.ok, flat)):
-            return np.asarray(flat, dtype=np.int64).reshape(-1, 2)
+        ends = _whole_column(flat, _INT64)
+        if ends is None and all(map(_INT64.ok, flat)):
+            ends = np.asarray(flat, dtype=np.int64)
+        if ends is not None:
+            return ends.reshape(-1, 2)
     raise FileFormatError(
         f"{path}:{lineno}: induced_edges must be a list of [u, v] "
         "integer pairs")
 
 
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
-    """The star records' ``nbr_cats`` objects as an (n, C) count matrix."""
+    """The star records' ``nbr_cats`` objects as an (n, C) int64 matrix."""
     nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
     _require(path, lines, [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
@@ -582,12 +564,14 @@ def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
              f"nbr_cats key must be a category in 0..{num_categories - 1}",
              keys)
     values = list(chain.from_iterable(map(dict.values, nbrs)))
-    _require(path, entry_lines, list(map(_INT64.ok, values)),
-             "nbr_cats count must be an integer", values)
-    _require(path, entry_lines, np.asarray(values, dtype=np.int64) >= 0,
-             "nbr_cats count must be >= 0", values)
+    column = _whole_column(values, _INT64)
+    if column is None:
+        _require(path, entry_lines, list(map(_INT64.ok, values)),
+                 "nbr_cats count must be an integer", values)
+        column = np.asarray(values, dtype=np.int64)
+    _require(path, entry_lines, column >= 0, "nbr_cats count must be >= 0", values)
     counts = np.zeros((len(nbrs), num_categories), dtype=np.int64)
-    counts[rows, cols] = values
+    counts[rows, cols] = column
     return counts
 
 

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidNode, InvalidWeight, weights_ok
+from .errors import InvalidNode, check_weights
 from .graph import CategoryPartition, Graph, _cross, _lookup, _scaled
 from .sampling import SampleTrace
 
@@ -58,7 +58,7 @@ def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
     """The totals of draws with categories ``cats``, inverse weights
     ``winv`` and ``degrees``, summed in draw order, and each mode's part.
 
-    The star part reads ``star`` = (columns, at): one float row of
+    The star part reads ``star`` = (columns, at): one integer row of
     neighbor counts per category, each draw's entry at ``at``. The
     induced part reads ``induced`` = (keys, size, cross): each draw's
     node key below ``size`` and ``_cross`` of the observed edges between
@@ -131,8 +131,8 @@ class ObservationLog:
                  self._inverse_weights[rows], self.degrees[rows])
         if self.mode == STAR:
             return _totals(*draws, star=(self._star_columns, rows))
-        keys, size, cross = self._cross_edges
-        return _totals(*draws, induced=(keys[rows], size, cross))
+        ids, _, keys, *_ = self._index
+        return _totals(*draws, induced=(keys[rows], len(ids), self._cross_edges))
 
     @cached_property
     def _inverse_weights(self) -> np.ndarray:
@@ -141,21 +141,25 @@ class ObservationLog:
 
     @cached_property
     def _star_columns(self) -> np.ndarray:
-        """The neighbor counts as floats, one contiguous row per category."""
-        return np.ascontiguousarray(self.neighbor_counts.T, dtype=float)
+        """The neighbor counts, one contiguous row per category."""
+        return np.ascontiguousarray(self.neighbor_counts.T)
 
     @cached_property
-    def _cross_edges(self) -> tuple:
-        """Each draw's key (its node's rank among the drawn ids), the key
-        count, and ``_cross`` of the induced edges between drawn ids."""
+    def _index(self) -> tuple:
+        """The drawn ids, the first draw of each, each draw's key (its rank
+        among the ids) and ``_lookup`` of the induced edges' ends in them."""
         ids, first, keys = np.unique(self.nodes, return_index=True,
                                      return_inverse=True)
         edges = self.induced_edges
-        if edges is None:
-            edges = np.empty((0, 2), dtype=np.int64)
-        at, drawn = _lookup(ids, edges)
-        return keys, len(ids), _cross(self.categories[first],
-                                      at[drawn.all(axis=1)], self.num_categories)
+        edges = np.empty((0, 2), dtype=np.int64) if edges is None else edges
+        return ids, first, keys, *_lookup(ids, edges)
+
+    @cached_property
+    def _cross_edges(self) -> tuple:
+        """``_cross`` of the induced edges between drawn ids, by ``_index`` key."""
+        _, first, _, at, drawn = self._index
+        return _cross(self.categories[first], at[drawn.all(axis=1)],
+                      self.num_categories)
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.
@@ -183,8 +187,7 @@ class ObservationLog:
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
     """The fields every log holds, read off the graph for the trace's
     draws. The first draw whose node is not a whole number in the graph
-    raises InvalidNode; then the first whose weight ``weights_ok``
-    refuses raises InvalidWeight."""
+    raises InvalidNode; then ``check_weights`` refuses a weight."""
     nodes = np.asarray(trace.nodes)
     weights = np.asarray(trace.weights, dtype=float)
     whole = nodes == np.trunc(nodes)
@@ -192,10 +195,7 @@ def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
     if len(bad):
         raise InvalidNode(f"draw {bad[0]}: node {nodes[bad[0]]} is " + (
             f"outside 0..{g.node_count - 1}" if whole[bad[0]] else "not a whole number"))
-    bad = np.flatnonzero(~weights_ok(weights))
-    if len(bad):
-        raise InvalidWeight(f"draw {bad[0]}: weight must be positive and finite, "
-                            f"with a finite inverse, got {weights[bad[0]].item()!r}")
+    check_weights(weights)
     nodes = nodes.astype(np.int64)
     return dict(nodes=nodes, categories=part.labels_for(g)[nodes],
                 degrees=g.degrees[nodes].astype(np.int64), weights=weights,
@@ -219,9 +219,9 @@ def observe_star(g: Graph, part: CategoryPartition,
     """Observe, per drawn node, the category histogram of all its
     neighbors. Neighbor identities are not retained."""
     draws = _draws(g, part, trace)
-    counts = ObservationTable(g, part).neighbor_columns[:, draws["nodes"]]
-    counts = np.ascontiguousarray(counts.T, dtype=np.int64)
-    return ObservationLog(mode=STAR, **draws, neighbor_counts=counts)
+    # the transpose of contiguous rows, which _star_columns takes uncopied
+    rows = np.take(ObservationTable(g, part).neighbor_columns, draws["nodes"], 1)
+    return ObservationLog(mode=STAR, **draws, neighbor_counts=rows.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,12 +236,12 @@ class ObservationTable:
     @cached_property
     def neighbor_columns(self) -> np.ndarray:
         """``[c, v]``: how many neighbors of node v lie in category c, as
-        floats, one contiguous row per category."""
+        int64, one contiguous row per category."""
         g, c = self.graph, self.partition.num_categories
         heads = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
         flat = self.partition.labels_for(g)[g.indices] * g.node_count + heads
         counts = np.bincount(flat, minlength=c * g.node_count)
-        return counts.reshape(c, g.node_count).astype(float)
+        return counts.reshape(c, g.node_count)
 
     @cached_property
     def cross_edges(self) -> tuple:

@@ -83,20 +83,20 @@ def _check_request(g: Graph, n: int, verb: str) -> None:
 
 
 def _weight_vector(weights, count: int, item: str) -> np.ndarray:
-    """One weight per id 0..count-1, each as ``weights_ok`` asks, from a
-    mapping or an array of length count."""
+    """One weight per id 0..count-1, each as ``weights_ok`` asks (compared
+    before conversion), from a mapping or an array of length count."""
     if isinstance(weights, Mapping):
         for i in range(count):
             if i not in weights:
                 raise InvalidWeight(f"no weight for {item} {i}")
         weights = list(map(weights.__getitem__, range(count)))
-    arr = np.asarray(weights, dtype=float)
+    arr = np.asarray(weights)
     if arr.shape != (count,):
         raise InvalidWeight(f"need one weight per {item}")
     if not np.all(weights_ok(arr)):
         raise InvalidWeight(f"{item} weights must be positive and finite, "
                             "with a finite inverse")
-    return arr
+    return np.asarray(arr, dtype=float)
 
 
 def sample_uis(g: Graph, n: int, seed=None) -> SampleTrace:

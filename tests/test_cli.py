@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import re
 
 import pytest
 
+from categraph import (ExperimentConfig, InvalidWeight, est_size_induced,
+                       est_weight_star, estimate_category_graph, observe_star,
+                       sample_uis, sample_wis, sample_wrw)
 from categraph.cli import main
-from categraph.fileio import load_graph
+from categraph.fileio import load_graph, save_log
 
 
 def run(args):
@@ -628,3 +632,82 @@ def test_bytes_that_are_not_utf8_are_named_by_file_and_line(tmp_path, capsys,
     assert _one_error_line(capsys, "FileFormatError") == (
         f"error: FileFormatError: {config}:2: byte 0xff is not UTF-8 "
         "(invalid start byte)")
+
+
+HUGE = 10**400   # an integer beyond the float range: float(HUGE) overflows
+
+
+def _log_file(tmp_path, log, **meta):
+    """``log`` saved, with ``meta`` put into its meta line."""
+    path = tmp_path / "log.jsonl"
+    save_log(log, path)
+    first, rest = path.read_text().split("\n", 1)
+    path.write_text(json.dumps({**json.loads(first), **meta}) + "\n" + rest)
+    return path
+
+
+def _config_file(tmp_path, **keys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**_every_key_config(), **keys}))
+    return path
+
+
+# (what to run on tmp_path, a star log of the graph and the graph: a
+# command line or a call; the error it raises; a message fragment)
+BEYOND_THE_FLOAT_RANGE = {
+    "log meta N": (
+        lambda d, log, g, part: ["estimate", "--log", _log_file(d, log, N=HUGE),
+                                 "--out", d / "est.json"], "FileFormatError",
+        "log.jsonl:1: meta 'N' must be a positive integer or null, got 1000"),
+    "--population exact:N": (
+        lambda d, log, g, part: ["estimate", "--log", _log_file(d, log),
+                                 "--population", f"exact:{HUGE}",
+                                 "--out", d / "est.json"], "ValueError",
+        "population must be a positive finite number, got 1000"),
+    "config probe_percentiles": (
+        lambda d, log, g, part: ["evaluate", "--config", _config_file(
+            d, probe_percentiles=[25, HUGE])], "FileFormatError",
+        "cfg.json: probe percentiles must lie in [0, 100]"),
+    "config wrw_category_weights": (
+        lambda d, log, g, part: ["evaluate", "--config", _config_file(
+            d, wrw_category_weights=[HUGE, 1])], "FileFormatError",
+        "cfg.json: category weights must be positive and finite"),
+    "estimate_category_graph": (
+        lambda d, log, g, part: lambda: estimate_category_graph(log, HUGE),
+        ValueError, "population must be a positive finite number, got 1000"),
+    "est_size_induced": (
+        lambda d, log, g, part: lambda: est_size_induced(log, HUGE),
+        ValueError, "population must be a positive finite number, got 1000"),
+    "est_weight_star": (
+        lambda d, log, g, part: lambda: est_weight_star(log, {0: HUGE, 1: 2.0}),
+        ValueError, "size estimates need a category in 0..2 and a finite size"),
+    "ExperimentConfig probe_percentiles": (
+        lambda d, log, g, part: lambda: ExperimentConfig(
+            g, part, probe_percentiles=(HUGE,)),
+        ValueError, "probe percentiles must lie in [0, 100]"),
+    "sample_wis": (
+        lambda d, log, g, part: lambda: sample_wis(g, [HUGE] * g.node_count, 5),
+        InvalidWeight, "node weights must be positive and finite"),
+    "sample_wrw": (
+        lambda d, log, g, part: lambda: sample_wrw(g, part, [HUGE, 1, 1], 5),
+        InvalidWeight, "category weights must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_THE_FLOAT_RANGE))
+def test_numbers_beyond_the_float_range_give_typed_errors(
+        tmp_path, capsys, three_color_graph, case):
+    """Each is refused by the rule that refuses an in-range bad value,
+    never ended by an OverflowError: a file names its line or itself, the
+    CLI prints one error line, and a call raises that rule's class."""
+    make, error, message = BEYOND_THE_FLOAT_RANGE[case]
+    g, part = three_color_graph
+    log = observe_star(g, part, sample_uis(g, 40, seed=1))
+    action = make(tmp_path, log, g, part)
+    if isinstance(action, list):
+        capsys.readouterr()
+        assert run(action) == 1
+        assert message in _one_error_line(capsys, error)
+    else:
+        with pytest.raises(error, match=re.escape(message)):
+            action()

@@ -26,7 +26,7 @@ from categraph import (
     sample_rw,
     synthetic_graph,
 )
-from categraph import fileio
+from categraph import fileio, observe
 from categraph.fileio import (
     _read_jsonl,
     export_category_graph,
@@ -40,6 +40,7 @@ from categraph.fileio import (
     save_trace,
 )
 from categraph.estimate import ESTIMATOR_PAIRS
+from categraph.graph import _lookup
 from categraph.observe import ObservationLog
 from categraph.sampling import SampleTrace
 
@@ -1363,22 +1364,57 @@ def column_records(draw):
 @example(records=[{"v": 0, "w": 1.5}, {"v": 1, "w": 1e-320}])
 @example(records=[{"v": 0, "w": 2}, {"v": 1, "w": int(sys.float_info.max) + 1}])
 @example(records=[{"v": 2**63 - 1, "w": 1.0}, {"v": 2**63, "w": 1.0}])
+# a value the int64 rule refuses, also as an edge end and a neighbor count
+@example(records=[{"v": 0, "w": 1.0}, {"v": True, "w": 1.0}])
+@example(records=[{"v": 0, "w": 1.0}, {"v": 2**63, "w": 1.0}])
+@example(records=[{"v": 0, "w": 1.0}, {"v": -2**63 - 1, "w": 1.0}])
+@example(records=[{"v": 0, "w": 1.0}, {"v": 1.5, "w": 1.0}])
 def test_whole_columns_are_taken_or_refused_as_value_by_value(records):
     """A column checked whole gives the array, or names the line with the
-    message, that checking each value gives."""
+    message, that checking each value gives: the record columns, and the
+    "v" values read as the ends of an induced edge block and as
+    ``nbr_cats`` counts."""
     keys = {"v": fileio._INT64, "w": fileio._WEIGHT}
-    lines = list(range(2, len(records) + 2))
+    lines = np.arange(2, len(records) + 2)
+    ends = [r["v"] for r in records if type(r) is dict and "v" in r]
+    block = [ends[i:i + 2] for i in range(0, len(ends) - 1, 2)]
+    nbrs = [{"nbr_cats": {"0": v}} for v in ends]
+    reads = [lambda: fileio._columns("f", lines, records, keys),
+             lambda: [fileio._edge_block("f", 9, block)],
+             lambda: [fileio._neighbor_counts("f", lines[:len(ends)], nbrs, 1)]]
 
     def outcome():
-        try:
-            return [(c.dtype, c.tolist())
-                    for c in fileio._columns("f", lines, records, keys)]
-        except FileFormatError as exc:
-            return str(exc)
+        results = []
+        for read in reads:
+            try:
+                results.append([(c.dtype, c.tolist()) for c in read()])
+            except FileFormatError as exc:
+                results.append(str(exc))
+        return results
 
     with mock.patch.object(fileio, "_whole_column", return_value=None):
         expected = outcome()
     assert outcome() == expected
+
+
+def test_an_induced_log_looks_up_its_edges_once(tmp_path, three_color_graph):
+    """load_log's rules, the estimate and the bootstrap all read the log's
+    one distinct-node index: the induced edges' ends are looked up once."""
+    g, part = three_color_graph
+    path = tmp_path / "log.jsonl"
+    save_log(observe_induced(g, part, sample_rw(g, 40, start=0, seed=3)), path)
+    calls = []
+
+    def spy(table, keys):
+        calls.append(len(keys))
+        return _lookup(table, keys)
+
+    with mock.patch.object(fileio, "_lookup", spy), \
+            mock.patch.object(observe, "_lookup", spy):
+        log = load_log(path)
+        estimate_category_graph(log)
+        bootstrap_variance(log, 4, seed=0)
+    assert calls == [len(log.induced_edges)]
 
 
 def _put_bytes(path, line, raw):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from categraph import (CategoryPartition, Graph, SampleTrace,
                        observe_induced, observe_star)
+from categraph.fileio import load_log, save_log
 from categraph.observe import CategoryTotals, ObservationTable
 from categraph.sampling import SAMPLERS, draw_traces
 
@@ -131,6 +132,23 @@ def test_tables_of_two_graphs_and_two_partitions_never_mix():
                 table.totals(trace, modes),
                 {mode: OBSERVERS[mode](g, part, trace).totals
                  for mode in modes})
+
+
+def test_neighbor_counts_stay_int64_from_the_table_to_the_totals(tmp_path):
+    """The table's rows, a star log's counts and the columns its totals
+    read are int64, whether the log is observed, read back or resampled;
+    an observed log's columns are the table's gathered rows, not a copy."""
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
+    assert ObservationTable(g, part).neighbor_columns.dtype == np.int64
+    log = observe_star(g, part, SampleTrace(
+        nodes=np.array([0, 2, 2, 3]), steps=np.arange(4), weights=np.ones(4),
+        sampler="uis", seed=None, start=None, burn_in=0))
+    assert np.shares_memory(log._star_columns, log.neighbor_counts)
+    save_log(log, tmp_path / "star.jsonl")
+    for got in (log, load_log(tmp_path / "star.jsonl"), log.resampled([3, 0])):
+        assert got.neighbor_counts.dtype == np.int64
+        assert got._star_columns.dtype == np.int64
 
 
 def test_a_resample_beside_an_overflowed_mass_adds_no_nan():
