@@ -35,9 +35,11 @@ class CategoryTotals:
     sums deg/w. Star mode adds ``towards[a, b]``: over the draws in a,
     the sum of (neighbors in b)/w. Induced mode adds ``edge_mass[a, b]``
     (a < b): over every ordered pair of draws, one in a and one in b,
-    whose nodes share an observed edge, the sum of 1/(w_a * w_b). A
-    table gives one pass per trace, both modes; a mode not observed
-    leaves its part None. ``stacked`` stacks groups on a leading axis.
+    whose nodes share an observed edge, the sum of 1/(w_a * w_b). Sums
+    group the draws by node, then add the nodes in ascending id order:
+    unit-weight totals are exact, and weighted ones may differ from
+    draw-order sums in the last bits. A mode not observed leaves its
+    part None. ``stacked`` stacks groups on a leading axis.
     """
 
     mass: np.ndarray
@@ -52,33 +54,30 @@ class CategoryTotals:
         return cls(*(None if p[0] is None else np.stack(p) for p in parts))
 
 
-def _totals(c: int, cats: np.ndarray, winv: np.ndarray, degrees: np.ndarray,
-            star: tuple | None = None,
+def _totals(c: int, node_mass: np.ndarray, cats: np.ndarray,
+            degrees: np.ndarray, columns: np.ndarray | None = None,
             induced: tuple | None = None) -> CategoryTotals:
-    """The totals of draws with categories ``cats``, inverse weights
-    ``winv`` and ``degrees``, summed in draw order, and each mode's part.
-
-    The star part reads ``star`` = (columns, at): one integer row of
-    neighbor counts per category, each draw's entry at ``at``. The
-    induced part reads ``induced`` = (keys, size, cross): each draw's
-    node key below ``size`` and ``_cross`` of the observed edges between
-    keys. An edge with an undrawn end (mass 0.0) adds exactly 0.0, as in
-    a log of just the draws; ``winv`` arrives ``_scaled``, so no mass or
-    product of two overflows. ``edge_mass`` holds floats also when no
-    edge is given, where numpy's bincount returns integers.
+    """The totals of draws grouped by node: ``node_mass`` sums 1/w over
+    each drawn node's draws, and every per-category sum runs over those
+    nodes, in ascending id order, with their ``cats``, ``degrees`` and
+    star ``columns`` (one integer row of neighbor counts per category).
+    The induced part reads ``induced`` = (masses, cross): every node's
+    mass at the key ``_cross`` of the observed edges uses. An edge with
+    an undrawn end (mass 0.0) adds exactly 0.0, as in a log of just the
+    draws; masses are ``_scaled``, so no product of two overflows.
+    ``edge_mass`` is float also when no edge is given (bincount's int).
     """
-    mass = np.bincount(cats, weights=winv, minlength=c)
-    degree_mass = np.bincount(cats, weights=degrees * winv, minlength=c)
+    mass = np.bincount(cats, weights=node_mass, minlength=c)
+    degree_mass = np.bincount(cats, weights=degrees * node_mass, minlength=c)
     towards = edge_mass = None
-    if star is not None:
-        columns, at = star
-        towards = np.column_stack([
-            np.bincount(cats, weights=col[at] * winv, minlength=c)
-            for col in columns])
+    if columns is not None:
+        # one bincount: row b of the columns adds to bins [cats, b]
+        at = cats * c + np.arange(c)[:, None]
+        towards = np.bincount(at.ravel(), weights=(columns * node_mass).ravel(),
+                              minlength=c * c).reshape(c, c)
     if induced is not None:
-        keys, size, (u, v, pair) = induced
-        node_mass = np.bincount(keys, weights=winv, minlength=size)
-        edge_mass = np.bincount(pair, weights=node_mass[u] * node_mass[v],
+        masses, (u, v, pair) = induced
+        edge_mass = np.bincount(pair, weights=masses[u] * masses[v],
                                 minlength=c * c)
         edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
     return CategoryTotals(mass, degree_mass, towards, edge_mass)
@@ -126,13 +125,13 @@ class ObservationLog:
 
     def totals_of(self, rows) -> CategoryTotals:
         """The totals of the draws ``rows`` picks, repeats counted, as for
-        a log of just those draws."""
-        draws = (self.num_categories, self.categories[rows],
-                 self._inverse_weights[rows], self.degrees[rows])
-        if self.mode == STAR:
-            return _totals(*draws, star=(self._star_columns, rows))
+        a log of just those draws: one pass sums each drawn id's mass."""
         ids, _, keys, *_ = self._index
-        return _totals(*draws, induced=(keys[rows], len(ids), self._cross_edges))
+        mass = np.bincount(keys[rows], weights=self._inverse_weights[rows],
+                           minlength=len(ids))
+        cats, degrees, columns, cross = self._nodes
+        return _totals(self.num_categories, mass, cats, degrees, columns,
+                       None if cross is None else (mass, cross))
 
     @cached_property
     def _inverse_weights(self) -> np.ndarray:
@@ -155,11 +154,16 @@ class ObservationLog:
         return ids, first, keys, *_lookup(ids, edges)
 
     @cached_property
-    def _cross_edges(self) -> tuple:
-        """``_cross`` of the induced edges between drawn ids, by ``_index`` key."""
+    def _nodes(self) -> tuple:
+        """Each drawn id's category and degree, by ``_index`` key, and the
+        mode's own part: the star neighbor counts, one row per category,
+        or ``_cross`` of the induced edges between drawn ids."""
         _, first, _, at, drawn = self._index
-        return _cross(self.categories[first], at[drawn.all(axis=1)],
-                      self.num_categories)
+        cats, degrees = self.categories[first], self.degrees[first]
+        if self.mode == STAR:
+            return cats, degrees, np.take(self._star_columns, first, 1), None
+        return cats, degrees, None, _cross(cats, at[drawn.all(axis=1)],
+                                           self.num_categories)
 
     def resampled(self, indices: np.ndarray) -> "ObservationLog":
         """Log for a with-replacement resample of the draws.
@@ -184,10 +188,10 @@ class ObservationLog:
                        neighbor_counts=counts)
 
 
-def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
-    """The fields every log holds, read off the graph for the trace's
-    draws. The first draw whose node is not a whole number in the graph
-    raises InvalidNode; then ``check_weights`` refuses a weight."""
+def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:
+    """The trace's nodes, as int64, and weights. The first draw whose node
+    is not a whole number in the graph raises InvalidNode; then
+    ``check_weights`` refuses a weight, ``labels_for`` another partition."""
     nodes = np.asarray(trace.nodes)
     weights = np.asarray(trace.weights, dtype=float)
     whole = nodes == np.trunc(nodes)
@@ -196,39 +200,60 @@ def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> dict:
         raise InvalidNode(f"draw {bad[0]}: node {nodes[bad[0]]} is " + (
             f"outside 0..{g.node_count - 1}" if whole[bad[0]] else "not a whole number"))
     check_weights(weights)
-    nodes = nodes.astype(np.int64)
-    return dict(nodes=nodes, categories=part.labels_for(g)[nodes],
-                degrees=g.degrees[nodes].astype(np.int64), weights=weights,
-                num_categories=part.num_categories,
-                category_names=part.names, population_hint=g.node_count)
+    part.labels_for(g)
+    return nodes.astype(np.int64), weights
+
+
+def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
+              weights: np.ndarray, **own_part) -> ObservationLog:
+    """The log of the draws: every log's fields, and the mode's own part."""
+    return ObservationLog(
+        mode=mode, nodes=nodes, categories=part.labels[nodes],
+        degrees=g.degrees[nodes].astype(np.int64), weights=weights,
+        num_categories=part.num_categories, category_names=part.names,
+        population_hint=g.node_count, **own_part)
+
+
+def _neighbor_counts(g: Graph, part: CategoryPartition,
+                     nodes: np.ndarray) -> np.ndarray:
+    """``[c, i]``: how many neighbors of ``nodes[i]`` lie in category c,
+    as int64, one contiguous row per category."""
+    c, d, deg = part.num_categories, len(nodes), g.degrees[nodes]
+    # each node's run of indices, shifted from where its entries start
+    at = np.arange(deg.sum()) + np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
+    flat = part.labels[g.indices[at]] * d + np.repeat(np.arange(d), deg)
+    return np.bincount(flat, minlength=c * d).reshape(c, d)
 
 
 def observe_induced(g: Graph, part: CategoryPartition,
                     trace: SampleTrace) -> ObservationLog:
     """Observe categories of drawn nodes and the edges among them."""
-    draws = _draws(g, part, trace)
+    nodes, weights = _draws(g, part, trace)
     drawn = np.zeros(g.node_count, dtype=bool)
-    drawn[draws["nodes"]] = True
+    drawn[nodes] = True
     ea = g.edge_array
-    return ObservationLog(mode=INDUCED, **draws,
-                          induced_edges=ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]])
+    return _observed(INDUCED, g, part, nodes, weights,
+                     induced_edges=ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]])
 
 
 def observe_star(g: Graph, part: CategoryPartition,
                  trace: SampleTrace) -> ObservationLog:
     """Observe, per drawn node, the category histogram of all its
-    neighbors. Neighbor identities are not retained."""
-    draws = _draws(g, part, trace)
+    neighbors. Neighbor identities are not retained. Only the distinct
+    drawn nodes' histograms are counted; each draw takes its node's."""
+    nodes, weights = _draws(g, part, trace)
+    ids, keys = np.unique(nodes, return_inverse=True)
     # the transpose of contiguous rows, which _star_columns takes uncopied
-    rows = np.take(ObservationTable(g, part).neighbor_columns, draws["nodes"], 1)
-    return ObservationLog(mode=STAR, **draws, neighbor_counts=rows.T)
+    rows = np.take(_neighbor_counts(g, part, ids), keys, 1)
+    return _observed(STAR, g, part, nodes, weights, neighbor_counts=rows.T)
 
 
 @dataclass(frozen=True, eq=False)
 class ObservationTable:
     """What observing any node of one graph under one partition reveals,
     each part built on first use. ``totals`` reduces a trace straight to
-    its logs' totals, bit for bit, without building a log."""
+    its logs' totals, bit for bit, without building a log: it groups the
+    draws by node and sums over the drawn nodes in ascending id order."""
 
     graph: Graph
     partition: CategoryPartition
@@ -237,11 +262,8 @@ class ObservationTable:
     def neighbor_columns(self) -> np.ndarray:
         """``[c, v]``: how many neighbors of node v lie in category c, as
         int64, one contiguous row per category."""
-        g, c = self.graph, self.partition.num_categories
-        heads = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
-        flat = self.partition.labels_for(g)[g.indices] * g.node_count + heads
-        counts = np.bincount(flat, minlength=c * g.node_count)
-        return counts.reshape(c, g.node_count)
+        g = self.graph
+        return _neighbor_counts(g, self.partition, np.arange(g.node_count))
 
     @cached_property
     def cross_edges(self) -> tuple:
@@ -250,9 +272,22 @@ class ObservationTable:
                       self.graph.edge_array, self.partition.num_categories)
 
     def totals(self, trace: SampleTrace, modes) -> CategoryTotals:
-        """The log totals of ``trace`` for all ``modes``, in one pass."""
-        d, size = _draws(self.graph, self.partition, trace), self.graph.node_count
+        """The log totals of ``trace`` for all ``modes``, in one pass over
+        its draws."""
+        g, part, size = self.graph, self.partition, self.graph.node_count
+        nodes, weights = _draws(g, part, trace)
+        winv = _scaled(1.0 / weights)
+        if len(nodes) * 32 < size:   # few draws: sort them, not every node
+            drawn, keys = np.unique(nodes, return_inverse=True)
+            mass = np.bincount(keys, weights=winv, minlength=len(drawn))
+            if INDUCED in modes:   # every node's mass, read at edge ends
+                masses = np.zeros(size)
+                masses[drawn] = mass
+        else:   # a node whose scaled mass is 0.0 would add exactly 0.0
+            masses = np.bincount(nodes, weights=winv, minlength=size)
+            drawn = np.flatnonzero(masses > 0)
+            mass = masses[drawn]
         return _totals(
-            d["num_categories"], d["categories"], _scaled(1.0 / d["weights"]),
-            d["degrees"], (self.neighbor_columns, d["nodes"]) if STAR in modes else None,
-            (d["nodes"], size, self.cross_edges) if INDUCED in modes else None)
+            part.num_categories, mass, part.labels[drawn], g.degrees[drawn],
+            np.take(self.neighbor_columns, drawn, 1) if STAR in modes else None,
+            (masses, self.cross_edges) if INDUCED in modes else None)

@@ -242,6 +242,54 @@ def naive_weight_star_weighted(log, sizes):
     return out
 
 
+def naive_totals(log, rows):
+    """The per-category totals of the draws ``rows`` picks (a slice or a
+    list of draw indices, repeats counted), by literal per-draw loops in
+    exact rational arithmetic. Each 1/w is taken times the power of two
+    that puts the log's largest float 1/w in [0.5, 1), the one scale of
+    a log's groups. Returns {"mass", "degree_mass"} plus "towards" (star)
+    or "edge_mass" (induced) as nested lists, each value the exact sum
+    rounded once to a float:
+
+    * mass[c], degree_mass[c]: over the picked draws in c, 1/w and deg/w;
+    * towards[a][b]: over the picked draws in a, (neighbors in b)/w;
+    * edge_mass[a][b], a < b: over every ordered pair of picked draws,
+      one in a and one in b, whose nodes share an induced edge,
+      1/(w_a * w_b).
+    """
+    from fractions import Fraction
+    from math import frexp
+
+    c = log.num_categories
+    weights = log.weights.tolist()
+    scale = Fraction(2) ** -frexp(max(1.0 / w for w in weights))[1]
+    inverse = [scale / Fraction(w) for w in weights]
+    picked = (list(range(log.n))[rows] if isinstance(rows, slice)
+              else [int(i) for i in rows])
+    cats, degrees = log.categories.tolist(), log.degrees.tolist()
+    mass, degree_mass = [Fraction(0)] * c, [Fraction(0)] * c
+    square = [[Fraction(0)] * c for _ in range(c)]
+    for i in picked:
+        mass[cats[i]] += inverse[i]
+        degree_mass[cats[i]] += degrees[i] * inverse[i]
+    if log.mode == "star":
+        for i in picked:
+            for b in range(c):
+                square[cats[i]][b] += int(log.neighbor_counts[i][b]) * inverse[i]
+    else:
+        edge_set = {tuple(e) for e in log.induced_edges.tolist()}
+        nodes = log.nodes.tolist()
+        for i in picked:
+            for j in picked:
+                if cats[i] < cats[j] and ((nodes[i], nodes[j]) in edge_set
+                                          or (nodes[j], nodes[i]) in edge_set):
+                    square[cats[i]][cats[j]] += inverse[i] * inverse[j]
+    own = "towards" if log.mode == "star" else "edge_mass"
+    return {"mass": [float(x) for x in mass],
+            "degree_mass": [float(x) for x in degree_mass],
+            own: [[float(x) for x in row] for row in square]}
+
+
 def naive_bootstrap_variance(log, B, seed, population=None, *,
                              size_estimator="induced", weight_estimator=None,
                              assume_homogeneous_degree=False):

@@ -2,12 +2,15 @@
 traces with: it must give every trace exactly the totals of the log the
 observers build, and tables of different graphs or partitions must never
 mix."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from categraph import (CategoryPartition, Graph, SampleTrace,
+from _reference import naive_totals
+from categraph import (CategoryPartition, Graph, SampleTrace, observe,
                        observe_induced, observe_star)
 from categraph.fileio import load_log, save_log
 from categraph.observe import CategoryTotals, ObservationTable
@@ -69,6 +72,14 @@ CATEGORY_WEIGHTS = st.one_of(st.floats(2.0 ** -1024, 2.0 ** -1021,
                              st.floats(2.0 ** 1000, 2.0 ** 1010))
 
 
+def cycle_of_thirds(n: int):
+    """The cycle 0-1-...-(n-1)-0 with nodes in three runs of ids, so the
+    edge (n-1, 0) that closes it joins the first and the last."""
+    return (Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)]),
+            CategoryPartition(labels=np.arange(n) * 3 // n,
+                              names=("C0", "C1", "C2")))
+
+
 @settings(max_examples=300, deadline=None)
 @given(graph=connected_graphs(), sampler=st.sampled_from(sorted(SAMPLERS)),
        modes=st.sampled_from(MODE_SETS), replicates=st.integers(1, 6),
@@ -81,6 +92,11 @@ CATEGORY_WEIGHTS = st.one_of(st.floats(2.0 ** -1024, 2.0 ** -1021,
                                   names=("C0", "C1"))),
          sampler="wrw", modes=("induced", "star"), replicates=1, n=12,
          seed=61, cw=[6e-309] * 4)
+# six draws of a 1,000-node graph visit nodes 998, 999, 0 and 1: the
+# table sums over those four drawn ids, the first and the last included,
+# as the log sums over its own distinct ids
+@example(graph=cycle_of_thirds(1000), sampler="rw", modes=("induced", "star"),
+         replicates=1, n=6, seed=593, cw=[1.0] * 4)
 def test_table_totals_equal_the_observed_logs_totals(graph, sampler, modes,
                                                      replicates, n, seed, cw):
     """Stacked over a cell's traces, one table call per trace gives the
@@ -165,3 +181,102 @@ def test_a_resample_beside_an_overflowed_mass_adds_no_nan():
     got = log.totals_of(rows)
     assert_same_bytes(got, log.resampled(rows).totals)
     assert got.edge_mass.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+
+
+# every weight weights_ok accepts, its ends included
+WEIGHTS = st.floats(2.0 ** -1024, 1.7976931348623157e308, exclude_min=True)
+
+
+def assert_matches_the_oracle(got: CategoryTotals, want: dict, exact: bool):
+    """Each part of ``got`` equals the oracle's exactly or within rel
+    1e-12; below the smallest normal float, where a scaled mass is
+    subnormal and rounds by an absolute step, within 2**-1022."""
+    for name, values in want.items():
+        got_values = np.ravel(getattr(got, name)).tolist()
+        want_values = np.ravel(values).tolist()
+        assert len(got_values) == len(want_values), name
+        if exact:
+            assert got_values == want_values, name
+        else:
+            assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=2.0 ** -1022)
+                       for a, b in zip(got_values, want_values)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph=connected_graphs(), isolated=st.sampled_from([0, 1000]),
+       unit=st.booleans(), data=st.data())
+def test_totals_match_the_per_draw_oracle(graph, isolated, unit, data):
+    """A log's ``totals_of`` any rows and a table's totals of a trace
+    equal ``naive_totals``, the literal per-draw sums: bit for bit with
+    unit weights, within rel 1e-12 for any weights ``weights_ok``
+    accepts. With 1,000 isolated nodes added, a few draws are grouped by
+    a sort rather than a pass over every node; the table's totals stay
+    the logs', byte for byte."""
+    g, part = graph
+    if isolated:   # ids 0..N-1 of the graph, then isolated ones in C0
+        g = Graph.from_edges(g.node_count + isolated, g.edge_array)
+        part = CategoryPartition(
+            labels=np.append(part.labels, np.zeros(isolated, np.int64)),
+            names=part.names)
+    n = data.draw(st.integers(1, 30), label="n")
+    nodes = data.draw(st.lists(st.integers(0, g.node_count - 1),
+                               min_size=n, max_size=n), label="nodes")
+    weights = [1.0] * n if unit else data.draw(
+        st.lists(WEIGHTS, min_size=n, max_size=n), label="weights")
+    rows = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n),
+                              label="rows"), dtype=np.int64)
+    trace = SampleTrace(nodes=np.array(nodes), steps=np.arange(n),
+                        weights=np.array(weights), sampler="wis", seed=None,
+                        start=None, burn_in=0)
+    logs = {mode: observe_(g, part, trace) for mode, observe_ in OBSERVERS.items()}
+    table = ObservationTable(g, part).totals(trace, tuple(OBSERVERS))
+    assert_parts_of_the_logs(table, {mode: log.totals for mode, log in logs.items()})
+    for log in logs.values():
+        assert_matches_the_oracle(log.totals_of(rows), naive_totals(log, rows), unit)
+        assert_matches_the_oracle(table, naive_totals(log, slice(None)), unit)
+
+
+def test_a_short_star_observation_builds_no_table(monkeypatch):
+    """Observing a few draws of a 2,000-node graph builds no table: the
+    neighbor histograms are counted once, for the distinct drawn ids."""
+    g, part = cycle_of_thirds(2000)
+    nodes = np.array([1999, 0, 5, 5, 1999, 700])
+    counted = []
+    neighbor_counts = observe._neighbor_counts
+
+    def spy(g, part, ids):
+        counted.append(ids.tolist())
+        return neighbor_counts(g, part, ids)
+
+    def no_table(*args):
+        raise AssertionError("observe_star built an ObservationTable")
+
+    monkeypatch.setattr(observe, "_neighbor_counts", spy)
+    monkeypatch.setattr(observe, "ObservationTable", no_table)
+    log = observe_star(g, part, SampleTrace(
+        nodes=nodes, steps=np.arange(6), weights=np.ones(6), sampler="uis",
+        seed=None, start=None, burn_in=0))
+    assert counted == [[0, 5, 700, 1999]]
+    assert log.neighbor_counts.tolist() == literal_neighbor_counts(g, part, nodes)
+
+
+@pytest.mark.parametrize("isolated", [0, 1000])
+def test_draws_are_summed_by_node_in_ascending_id_order(isolated):
+    """Masses 0.3, 0.2 and 0.1 drawn in that order at nodes 2, 1 and 0
+    of one category sum per node in ascending id order, (0.1 + 0.2) +
+    0.3, which in floats is not the draw order's (0.3 + 0.2) + 0.1: in a
+    log, and in a table whether it groups the draws by a pass over every
+    node or, with 1,000 isolated nodes more, by a sort."""
+    g = Graph.from_edges(3 + isolated, [(0, 1), (1, 2)])
+    part = CategoryPartition(labels=np.zeros(3 + isolated, np.int64),
+                             names=("A",))
+    trace = SampleTrace(nodes=np.array([2, 1, 0]), steps=np.arange(3),
+                        weights=np.array([10 / 3, 5.0, 10.0]), sampler="wis",
+                        seed=None, start=None, burn_in=0)
+    assert (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+    # the largest 1/w, 0.3, is scaled by 2 into [0.5, 1)
+    want = [2 * ((0.1 + 0.2) + 0.3)]
+    table = ObservationTable(g, part)
+    for mode, observe_ in OBSERVERS.items():
+        assert observe_(g, part, trace).totals.mass.tolist() == want
+        assert table.totals(trace, (mode,)).mass.tolist() == want
