@@ -36,10 +36,9 @@ class CategoryTotals:
     the sum of (neighbors in b)/w. Induced mode adds ``edge_mass[a, b]``
     (a < b): over every ordered pair of draws, one in a and one in b,
     whose nodes share an observed edge, the sum of 1/(w_a * w_b). Sums
-    group the draws by node, then add the nodes in ascending id order:
-    unit-weight totals are exact, and weighted ones may differ from
-    draw-order sums in the last bits. A mode not observed leaves its
-    part None. ``stacked`` stacks groups on a leading axis.
+    run over the drawn nodes in ascending id order, each node's draws
+    grouped; a mode not observed leaves its part None. ``stacked``
+    stacks groups on a leading axis.
     """
 
     mass: np.ndarray
@@ -54,29 +53,26 @@ class CategoryTotals:
         return cls(*(None if p[0] is None else np.stack(p) for p in parts))
 
 
-def _totals(c: int, node_mass: np.ndarray, cats: np.ndarray,
+def _totals(c: int, masses: np.ndarray, drawn, cats: np.ndarray,
             degrees: np.ndarray, columns: np.ndarray | None = None,
-            induced: tuple | None = None) -> CategoryTotals:
-    """The totals of draws grouped by node: ``node_mass`` sums 1/w over
-    each drawn node's draws, and every per-category sum runs over those
-    nodes, in ascending id order, with their ``cats``, ``degrees`` and
-    star ``columns`` (one integer row of neighbor counts per category).
-    The induced part reads ``induced`` = (masses, cross): every node's
-    mass at the key ``_cross`` of the observed edges uses. An edge with
-    an undrawn end (mass 0.0) adds exactly 0.0, as in a log of just the
-    draws; masses are ``_scaled``, so no product of two overflows.
-    ``edge_mass`` is float also when no edge is given (bincount's int).
-    """
+            cross: tuple | None = None) -> CategoryTotals:
+    """The totals over the nodes ``drawn`` picks, in ascending id order:
+    ``masses`` sums each node's draws' ``_scaled`` 1/w, so no product of
+    two overflows, and ``cats``, ``degrees`` and star ``columns`` (an
+    integer row per category) are the picked nodes'. The induced part
+    reads ``masses`` at the ends of ``cross``, ``_cross`` of the observed
+    edges: an undrawn end's 0.0 adds exactly 0.0, as in a log of just the
+    draws. ``edge_mass`` is float also with no edge (bincount's int)."""
+    node_mass = masses[drawn]
     mass = np.bincount(cats, weights=node_mass, minlength=c)
     degree_mass = np.bincount(cats, weights=degrees * node_mass, minlength=c)
     towards = edge_mass = None
     if columns is not None:
-        # one bincount: row b of the columns adds to bins [cats, b]
-        at = cats * c + np.arange(c)[:, None]
-        towards = np.bincount(at.ravel(), weights=(columns * node_mass).ravel(),
-                              minlength=c * c).reshape(c, c)
-    if induced is not None:
-        masses, (u, v, pair) = induced
+        towards = np.column_stack([
+            np.bincount(cats, weights=col * node_mass, minlength=c)
+            for col in columns])
+    if cross is not None:
+        u, v, pair = cross
         edge_mass = np.bincount(pair, weights=masses[u] * masses[v],
                                 minlength=c * c)
         edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
@@ -96,7 +92,8 @@ class ObservationLog:
     drawn nodes (induced mode); estimators recover draw-pair
     multiplicity from the records. ``neighbor_counts[i, c]`` is how
     many neighbors of draw i lie in category c (star mode); each row
-    sums to the draw's degree.
+    sums to the draw's degree. Every draw of a node carries the node's
+    one category, degree and neighbor counts (the totals read the first).
     """
 
     mode: str
@@ -127,11 +124,9 @@ class ObservationLog:
         """The totals of the draws ``rows`` picks, repeats counted, as for
         a log of just those draws: one pass sums each drawn id's mass."""
         ids, _, keys, *_ = self._index
-        mass = np.bincount(keys[rows], weights=self._inverse_weights[rows],
-                           minlength=len(ids))
-        cats, degrees, columns, cross = self._nodes
-        return _totals(self.num_categories, mass, cats, degrees, columns,
-                       None if cross is None else (mass, cross))
+        return _totals(self.num_categories, np.bincount(
+            keys[rows], weights=self._inverse_weights[rows], minlength=len(ids)),
+            slice(None), *self._nodes)
 
     @cached_property
     def _inverse_weights(self) -> np.ndarray:
@@ -155,9 +150,8 @@ class ObservationLog:
 
     @cached_property
     def _nodes(self) -> tuple:
-        """Each drawn id's category and degree, by ``_index`` key, and the
-        mode's own part: the star neighbor counts, one row per category,
-        or ``_cross`` of the induced edges between drawn ids."""
+        """Each drawn id's category and degree, by ``_index`` key, and its
+        star neighbor counts, one row per category, or induced ``_cross``."""
         _, first, _, at, drawn = self._index
         cats, degrees = self.categories[first], self.degrees[first]
         if self.mode == STAR:
@@ -189,9 +183,9 @@ class ObservationLog:
 
 
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:
-    """The trace's nodes, as int64, and weights. The first draw whose node
-    is not a whole number in the graph raises InvalidNode; then
-    ``check_weights`` refuses a weight, ``labels_for`` another partition."""
+    """The trace's nodes, as int64, weights and the graph's labels. The
+    first draw whose node is not a whole number in the graph raises
+    InvalidNode; then ``check_weights`` and ``labels_for`` check the rest."""
     nodes = np.asarray(trace.nodes)
     weights = np.asarray(trace.weights, dtype=float)
     whole = nodes == np.trunc(nodes)
@@ -200,60 +194,57 @@ def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:
         raise InvalidNode(f"draw {bad[0]}: node {nodes[bad[0]]} is " + (
             f"outside 0..{g.node_count - 1}" if whole[bad[0]] else "not a whole number"))
     check_weights(weights)
-    part.labels_for(g)
-    return nodes.astype(np.int64), weights
+    return nodes.astype(np.int64), weights, part.labels_for(g)
 
 
 def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
-              weights: np.ndarray, **own_part) -> ObservationLog:
-    """The log of the draws: every log's fields, and the mode's own part."""
+              weights: np.ndarray, labels: np.ndarray, **own_part) -> ObservationLog:
+    """The log of ``_draws``: every log's fields, and the mode's own part."""
     return ObservationLog(
-        mode=mode, nodes=nodes, categories=part.labels[nodes],
+        mode=mode, nodes=nodes, categories=labels[nodes],
         degrees=g.degrees[nodes].astype(np.int64), weights=weights,
         num_categories=part.num_categories, category_names=part.names,
         population_hint=g.node_count, **own_part)
 
 
-def _neighbor_counts(g: Graph, part: CategoryPartition,
+def _neighbor_counts(g: Graph, labels: np.ndarray, c: int,
                      nodes: np.ndarray) -> np.ndarray:
     """``[c, i]``: how many neighbors of ``nodes[i]`` lie in category c,
     as int64, one contiguous row per category."""
-    c, d, deg = part.num_categories, len(nodes), g.degrees[nodes]
+    d, deg = len(nodes), g.degrees[nodes]
     # each node's run of indices, shifted from where its entries start
     at = np.arange(deg.sum()) + np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
-    flat = part.labels[g.indices[at]] * d + np.repeat(np.arange(d), deg)
+    flat = labels[g.indices[at]] * d + np.repeat(np.arange(d), deg)
     return np.bincount(flat, minlength=c * d).reshape(c, d)
 
 
 def observe_induced(g: Graph, part: CategoryPartition,
                     trace: SampleTrace) -> ObservationLog:
     """Observe categories of drawn nodes and the edges among them."""
-    nodes, weights = _draws(g, part, trace)
+    draws = _draws(g, part, trace)
     drawn = np.zeros(g.node_count, dtype=bool)
-    drawn[nodes] = True
+    drawn[draws[0]] = True
     ea = g.edge_array
-    return _observed(INDUCED, g, part, nodes, weights,
+    return _observed(INDUCED, g, part, *draws,
                      induced_edges=ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]])
 
 
 def observe_star(g: Graph, part: CategoryPartition,
                  trace: SampleTrace) -> ObservationLog:
     """Observe, per drawn node, the category histogram of all its
-    neighbors. Neighbor identities are not retained. Only the distinct
-    drawn nodes' histograms are counted; each draw takes its node's."""
-    nodes, weights = _draws(g, part, trace)
+    neighbors, counted once a node. Neighbor identities are not retained."""
+    nodes, _, labels = draws = _draws(g, part, trace)
     ids, keys = np.unique(nodes, return_inverse=True)
     # the transpose of contiguous rows, which _star_columns takes uncopied
-    rows = np.take(_neighbor_counts(g, part, ids), keys, 1)
-    return _observed(STAR, g, part, nodes, weights, neighbor_counts=rows.T)
+    rows = np.take(_neighbor_counts(g, labels, part.num_categories, ids), keys, 1)
+    return _observed(STAR, g, part, *draws, neighbor_counts=rows.T)
 
 
 @dataclass(frozen=True, eq=False)
 class ObservationTable:
     """What observing any node of one graph under one partition reveals,
     each part built on first use. ``totals`` reduces a trace straight to
-    its logs' totals, bit for bit, without building a log: it groups the
-    draws by node and sums over the drawn nodes in ascending id order."""
+    its logs' totals, bit for bit, without building a log."""
 
     graph: Graph
     partition: CategoryPartition
@@ -262,8 +253,9 @@ class ObservationTable:
     def neighbor_columns(self) -> np.ndarray:
         """``[c, v]``: how many neighbors of node v lie in category c, as
         int64, one contiguous row per category."""
-        g = self.graph
-        return _neighbor_counts(g, self.partition, np.arange(g.node_count))
+        g, part = self.graph, self.partition
+        return _neighbor_counts(g, part.labels_for(g), part.num_categories,
+                                np.arange(g.node_count))
 
     @cached_property
     def cross_edges(self) -> tuple:
@@ -272,22 +264,13 @@ class ObservationTable:
                       self.graph.edge_array, self.partition.num_categories)
 
     def totals(self, trace: SampleTrace, modes) -> CategoryTotals:
-        """The log totals of ``trace`` for all ``modes``, in one pass over
-        its draws."""
-        g, part, size = self.graph, self.partition, self.graph.node_count
-        nodes, weights = _draws(g, part, trace)
-        winv = _scaled(1.0 / weights)
-        if len(nodes) * 32 < size:   # few draws: sort them, not every node
-            drawn, keys = np.unique(nodes, return_inverse=True)
-            mass = np.bincount(keys, weights=winv, minlength=len(drawn))
-            if INDUCED in modes:   # every node's mass, read at edge ends
-                masses = np.zeros(size)
-                masses[drawn] = mass
-        else:   # a node whose scaled mass is 0.0 would add exactly 0.0
-            masses = np.bincount(nodes, weights=winv, minlength=size)
-            drawn = np.flatnonzero(masses > 0)
-            mass = masses[drawn]
+        """The log totals of ``trace`` for all ``modes``, in one pass."""
+        g, part = self.graph, self.partition
+        nodes, weights, labels = _draws(g, part, trace)
+        masses = np.bincount(nodes, weights=_scaled(1.0 / weights),
+                             minlength=g.node_count)
+        drawn = np.flatnonzero(masses > 0)   # a mass of 0.0 would add 0.0
         return _totals(
-            part.num_categories, mass, part.labels[drawn], g.degrees[drawn],
+            part.num_categories, masses, drawn, labels[drawn], g.degrees[drawn],
             np.take(self.neighbor_columns, drawn, 1) if STAR in modes else None,
-            (masses, self.cross_edges) if INDUCED in modes else None)
+            self.cross_edges if INDUCED in modes else None)
