@@ -487,6 +487,28 @@ def naive_wrw(g, labels, category_weights, n, start=None, burn_in=0,
     return nodes, [totals[v] for v in nodes], start
 
 
+def naive_wis(g, weights, n, seed):
+    """i.i.d. draws in proportion to node weights by the inverse CDF that
+    ``Generator.choice`` builds, one bisect per uniform; returns (nodes,
+    weights).
+
+    The weights are first scaled by the power of two that puts the
+    largest in [0.5, 1), so that their sum stays finite; then, as in
+    ``choice``: p = w / sum(w), cdf = cumsum(p) divided by its last
+    entry, and node i for a uniform r when cdf[i - 1] <= r < cdf[i].
+    """
+    from bisect import bisect_right
+
+    given = [float(weights[v]) for v in range(g.node_count)]
+    w = np.ldexp(given, -np.frexp(max(given))[1])
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    rng = np.random.default_rng(seed)
+    nodes = [bisect_right(cdf, r) for r in rng.random(n).tolist()]
+    return nodes, [given[v] for v in nodes]
+
+
 def _neighbor_lists(g):
     indptr, indices = g.indptr.tolist(), g.indices.tolist()
     return [indices[indptr[v]:indptr[v + 1]] for v in range(len(indptr) - 1)]

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from categraph import (
@@ -16,19 +16,23 @@ from categraph import (
     InvalidThinning,
     InvalidWeight,
     IsolatedStartNode,
+    SyntheticParams,
     sample_mhrw,
     sample_rw,
     sample_uis,
     sample_wis,
     sample_wrw,
+    synthetic_graph,
     thin,
 )
 
 from categraph import sampling
+from categraph.errors import weights_ok
 from categraph.fileio import load_trace, save_trace
 from categraph.sampling import draw_traces, lockstep_walks
 
-from _reference import naive_mhrw, naive_rw, naive_wrw, random_partition
+from _reference import (naive_mhrw, naive_rw, naive_wis, naive_wrw,
+                        random_partition)
 
 LONG_RUN = 1_000_000
 
@@ -209,12 +213,22 @@ BAD_REQUESTS = {
                            "n must be >= 1, got 0"),
     "wis weight missing": (lambda: sample_wis(PATH, {0: 1.0, 2: 1.0}, 5),
                            InvalidWeight, "no weight for node 1"),
+    "wis weight for an unknown node": (
+        lambda: sample_wis(PATH, {0: 1.0, 1: 1.0, 2: 1.0, 3: 5.0, -1: 2.0,
+                                  "x": 3.0}, 5),
+        InvalidWeight, "weight for unknown node 3"),
+    "wis weight for a node named by a string": (
+        lambda: sample_wis(PATH, {0: 1.0, "x": 3.0, 1: 1.0, 2: 1.0}, 5),
+        InvalidWeight, "weight for unknown node 'x'"),
     "wis weights too short": (lambda: sample_wis(PATH, [1.0, 1.0], 5),
                               InvalidWeight, "one weight per node"),
     "wis weight not finite": (lambda: sample_wis(PATH, [1, np.nan, 1], 5),
                               InvalidWeight, "node weights must be positive"),
     "wrw weight missing": (lambda: sample_wrw(PATH, PARTITION, {0: 1.0}, 5),
                            InvalidWeight, "no weight for category 1"),
+    "wrw weight for an unknown category": (
+        lambda: sample_wrw(PATH, PARTITION, {0: 1.0, 1: 2.0, 7: 9.0}, 5),
+        InvalidWeight, "weight for unknown category 7"),
     "wrw weights too long": (lambda: sample_wrw(PATH, PARTITION, [1, 1, 1], 5),
                              InvalidWeight, "one weight per category"),
     "wrw weight negative": (lambda: sample_wrw(PATH, PARTITION, [1, -1], 5),
@@ -305,6 +319,41 @@ def test_wis_draws_alike_at_any_scale_of_its_weights(scale):
     trace = sample_wis(CYCLE, weights, 50, seed=1)
     assert scaled.nodes.tolist() == trace.nodes.tolist()
     assert scaled.weights.tolist() == (trace.weights * scale).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.lists(st.tuples(st.floats(1.0, 2.0, exclude_max=True),
+                               st.booleans()), min_size=1, max_size=40),
+       k=st.integers(-1000, 1000), n=st.integers(1, 2000),
+       seed=st.integers(0, 2**63))
+@example(base=[(1.0, False), (1.5, True), (1.25, False)], k=3,
+         n=2**16 + 3, seed=5)
+def test_wis_draws_the_inverse_cdf_oracle_bit_for_bit(base, k, n, seed):
+    """Weights at any power-of-two scale, some 20 orders of magnitude
+    from the rest so that the CDF has steps of zero width, draw the
+    oracle's nodes and weights, across blocks of uniforms too."""
+    apart = 1e-20 if k >= 0 else 1e20   # so every weight passes weights_ok
+    weights = np.ldexp([m * (apart if far else 1.0) for m, far in base], k)
+    assert np.all(weights_ok(weights))
+    g = Graph.from_edges(len(weights), [])
+    trace = sample_wis(g, weights, n, seed=seed)
+    nodes, drawn = naive_wis(g, weights, n, seed)
+    assert trace.nodes.tolist() == nodes
+    assert trace.weights.tolist() == drawn
+
+
+def test_wis_draws_what_choice_draws_on_the_c4_degrees():
+    """The sweep's wis cells keep their numbers: the first n = 50,000
+    replicate on the C4 graph's degree weights is Generator.choice's."""
+    g, _ = synthetic_graph(SyntheticParams(
+        category_sizes=(100, 200, 200, 300, 400, 500, 600, 700, 1000, 1000),
+        k=10, alpha=0.5, seed=42))
+    degrees, seed = g.degrees.astype(float), [7, 1, 2, 0]
+    trace = sample_wis(g, degrees, 50_000, seed=seed)
+    expected = np.random.default_rng(seed).choice(
+        g.node_count, size=50_000, p=degrees / degrees.sum())
+    assert np.array_equal(trace.nodes, expected)
+    assert np.array_equal(trace.weights, degrees[expected])
 
 
 def test_samplers_take_the_least_weight_the_readers_take(tmp_path):
