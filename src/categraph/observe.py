@@ -208,13 +208,16 @@ def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
 
 
 def _neighbor_counts(g: Graph, labels: np.ndarray, c: int,
-                     nodes: np.ndarray) -> np.ndarray:
-    """``[c, i]``: how many neighbors of ``nodes[i]`` lie in category c,
-    as int64, one contiguous row per category."""
-    d, deg = len(nodes), g.degrees[nodes]
-    # each node's run of indices, shifted from where its entries start
-    at = np.arange(deg.sum()) + np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
-    flat = labels[g.indices[at]] * d + np.repeat(np.arange(d), deg)
+                     nodes: np.ndarray | None = None) -> np.ndarray:
+    """``[c, i]``: how many neighbors of ``nodes[i]`` (of node i if None)
+    lie in category c, as int64, one contiguous row per category."""
+    d, deg, nbrs = g.node_count, g.degrees, g.indices
+    if nodes is not None:
+        d, deg = len(nodes), deg[nodes]
+        # each node's run of indices, shifted from where its entries start
+        shift = np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
+        nbrs = nbrs[np.arange(deg.sum()) + shift]
+    flat = labels[nbrs] * d + np.repeat(np.arange(d), deg)
     return np.bincount(flat, minlength=c * d).reshape(c, d)
 
 
@@ -254,8 +257,7 @@ class ObservationTable:
         """``[c, v]``: how many neighbors of node v lie in category c, as
         int64, one contiguous row per category."""
         g, part = self.graph, self.partition
-        return _neighbor_counts(g, part.labels_for(g), part.num_categories,
-                                np.arange(g.node_count))
+        return _neighbor_counts(g, part.labels_for(g), part.num_categories)
 
     @cached_property
     def cross_edges(self) -> tuple:

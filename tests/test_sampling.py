@@ -41,6 +41,30 @@ def frequencies(trace, n_nodes):
     return np.bincount(trace.nodes, minlength=n_nodes) / len(trace)
 
 
+class _Uniforms(np.random.Generator):
+    """A Generator whose ``random(size)`` hands out chosen uniforms, in
+    order; every other draw comes from an unused PCG64."""
+
+    def __init__(self, uniforms):
+        super().__init__(np.random.PCG64(0))
+        self.left = list(uniforms)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert isinstance(size, int) and size <= len(self.left)
+        taken, self.left = self.left[:size], self.left[size:]
+        return np.array(taken, dtype=float)
+
+
+def _edge_uniforms(d):
+    """0, the largest double below 1, and each k/d with its two
+    neighboring doubles: every uniform in [0, 1) at or next to an edge
+    of a d-neighbor row's intervals."""
+    cuts = np.arange(d + 1) / d
+    near = np.concatenate([[0.0, 1 - 2.0**-53], cuts,
+                           np.nextafter(cuts, -1.0), np.nextafter(cuts, 2.0)])
+    return near[(near >= 0.0) & (near < 1.0)].tolist()
+
+
 def test_uis_single_node_graph():
     g = Graph.from_edges(1, [])
     t = sample_uis(g, 10, seed=0)
@@ -356,6 +380,22 @@ def test_wis_draws_what_choice_draws_on_the_c4_degrees():
     assert np.array_equal(trace.weights, degrees[expected])
 
 
+@pytest.mark.parametrize("weights, u, node", [
+    # an exact CDF value: bisect right of the step at 0.25, to node 1
+    ([1.0, 1.0, 2.0], 0.25, 1),
+    # ten 0.1 steps sum to 1 - 2**-53 before the CDF is normalised
+    ([1.0] * 10, 1 - 2.0**-53, 9),
+])
+def test_wis_draws_at_the_edges_of_its_cdf(weights, u, node):
+    """A uniform equal to a CDF value, or to the sum of unnormalised
+    steps, draws the node that choice and the oracle draw."""
+    g = Graph.from_edges(len(weights), [])
+    assert sample_wis(g, weights, 1, seed=_Uniforms([u])).nodes.tolist() == [node]
+    assert naive_wis(g, weights, 1, _Uniforms([u]))[0] == [node]
+    p = np.asarray(weights) / sum(weights)
+    assert _Uniforms([u]).choice(len(weights), 1, p=p).tolist() == [node]
+
+
 def test_samplers_take_the_least_weight_the_readers_take(tmp_path):
     least = np.nextafter(2.0 ** -1024, 1)
     trace = sample_wis(CYCLE, [least] * 4, 20, seed=1)
@@ -386,16 +426,47 @@ def _hub_graph():
 def test_wrw_matches_per_row_cumsum_reference(three_color_graph):
     hub, hub_part = _hub_graph()
     assert hub.degree(0) >= 2000
-    cw = [1.0, 3.7, 0.29]
-    for g, part in ((hub, hub_part), three_color_graph):
-        for seed, start, burn_in in ((0, None, 0), (1, None, 7), (2, 1, 3)):
-            t = sample_wrw(g, part, cw, 3000, start=start, burn_in=burn_in,
-                           seed=seed)
-            nodes, weights, first = naive_wrw(g, part.labels.tolist(), cw,
-                                              3000, start, burn_in, seed)
-            assert t.nodes.tolist() == nodes
-            assert t.weights.tolist() == weights
-            assert t.start == first
+    for cw, (g, part), (seed, start, burn_in) in product(
+            ([1.0, 3.7, 0.29], [1.0, 1.0, 1.0]),
+            ((hub, hub_part), three_color_graph),
+            ((0, None, 0), (1, None, 7), (2, 1, 3))):
+        t = sample_wrw(g, part, cw, 3000, start=start, burn_in=burn_in,
+                       seed=seed)
+        nodes, weights, first = naive_wrw(g, part.labels.tolist(), cw,
+                                          3000, start, burn_in, seed)
+        assert t.nodes.tolist() == nodes
+        assert t.weights.tolist() == weights
+        assert t.start == first
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10, 12, 49, 100, 2400])
+def test_unit_weight_wrw_steps_at_the_edges_of_a_row(d):
+    """At unit category weights wrw takes rw's step, which lands where the
+    per-row cumsum bisect lands for every uniform at or next to an edge
+    of the row's intervals: from the center of a d-leaf star, whose leaves
+    lead back, one lone walk (scalar step) and 12 walkers (array step)."""
+    g = Graph.from_edges(d + 1, [(0, v) for v in range(1, d + 1)])
+    part = CategoryPartition(labels=np.arange(d + 1) % 2, names=("a", "b"))
+    unit, labels = [1.0, 1.0], part.labels.tolist()
+    center = _edge_uniforms(d)
+    leaf = [0.0, 1 - 2.0**-53] * len(center)
+    walks = [[r for pair in zip(np.roll(center, w).tolist(), leaf) for r in pair]
+             for w in range(12)]
+    n = len(walks[0])
+    assert 12 >= sampling._SCALAR_BELOW
+    rw_step = sampling._step_rule("rw", g, part, None, False)[0]
+    assert sampling._step_rule("wrw", g, part, unit, False)[0].__code__ \
+        is rw_step.__code__
+    traces = [sample_wrw(g, part, unit, n, start=0, seed=_Uniforms(walks[0])),
+              *lockstep_walks("wrw", g, n, list(map(_Uniforms, walks)),
+                              start=0, part=part, category_weights=unit)]
+    for trace, uniforms in zip(traces, walks[:1] + walks, strict=True):
+        nodes, weights, _ = naive_wrw(g, labels, unit, n, 0, 0,
+                                      _Uniforms(uniforms))
+        assert trace.nodes.tolist() == nodes
+        assert trace.weights.tolist() == weights == [2.0 * g.degree(v)
+                                                     for v in nodes]
+        assert nodes == naive_rw(g, n, 0, 0, _Uniforms(uniforms))[0]
 
 
 @pytest.mark.slow
@@ -514,6 +585,8 @@ def _random_walk_graph(seed, hub):
        n=st.integers(1, 50), burn_in=st.integers(0, 10),
        given_start=st.booleans(), chunk=st.integers(1, 40),
        cw=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+@example(graph_seed=3, hub=True, walkers=6, seed=1, n=50, burn_in=2,
+         given_start=False, chunk=7, cw=[1.0, 1.0, 1.0])
 def test_lockstep_walks_match_per_walker_oracles(graph_seed, hub, walkers,
                                                  seed, n, burn_in,
                                                  given_start, chunk, cw):
@@ -590,6 +663,8 @@ def test_generator_seeds_walk_and_end_as_the_per_walker_oracles(chunk):
        given_start=st.booleans(), chunk=st.integers(1, 40),
        generator=st.booleans(),
        cw=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
+@example(graph_seed=3, hub=True, walkers=12, seed=1, n=50, burn_in=2,
+         given_start=False, chunk=7, generator=True, cw=[1.0, 1.0, 1.0])
 def test_scalar_and_array_steps_match_per_walker_oracles(
         graph_seed, hub, walkers, seed, n, burn_in, given_start, chunk,
         generator, cw):
