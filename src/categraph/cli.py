@@ -67,13 +67,17 @@ def _parse_category_weights(text: str, part):
     weights = np.ones(part.num_categories)
     if text == "equal":
         return weights
+    named = set()
     for tok in text.split(","):
-        name, _, value = tok.partition("=")
+        name, _, value = tok.rpartition("=")   # a number holds no "="
         try:
             weights[part.names.index(name)] = float(value)
         except ValueError:
             raise CategraphError(f"--wrw-weights: {tok!r} is not <name>=<number> "
                                  "for a category of the graph") from None
+        if name in named:
+            raise CategraphError(f"--wrw-weights: {tok!r} weighs {name!r} again")
+        named.add(name)
     return weights
 
 

@@ -114,18 +114,19 @@ def sample_uis(g: Graph, n: int, seed=None) -> SampleTrace:
 
 def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
     """n i.i.d. draws with probability proportional to known node
-    weights; each draw is annotated with its own weight.
-
-    ``weights`` maps each node id, and no other key, to its weight, or is
-    an array of length N; each must be positive and finite, with a finite
-    inverse. The draws are ``Generator.choice``'s: its inverse CDF at the
-    same uniforms, each block of them searched in ascending order (50,000
-    draws on 5,000 nodes, 2-vCPU Xeon: 2.5 ms, against choice's 6.7 ms).
-    """
+    weights, each annotated with its own weight: ``weights`` maps each
+    node id, and no other key, to its weight, or is an array of length N,
+    each positive and finite, with a finite inverse."""
     _check_request(g, n, "sample from")
-    arr = _weight_vector(weights, g.node_count, "node")
+    return _wis(_weight_vector(weights, g.node_count, "node"), n, seed)
+
+
+def _wis(weights: np.ndarray, n: int, seed) -> SampleTrace:
+    """``sample_wis``'s draws from checked weights, never one of weight 0:
+    ``Generator.choice``'s inverse CDF at the same uniforms, each block of
+    them searched in ascending order (timed in the README)."""
     rng, recorded = _as_rng(seed)
-    p = _scaled(arr)   # so that the sum stays finite
+    p = _scaled(weights)   # so that the sum stays finite
     cdf = (p / p.sum()).cumsum()
     cdf /= cdf[-1]
     u, nodes = rng.random(n), np.empty(n, dtype=np.int64)
@@ -134,18 +135,27 @@ def sample_wis(g: Graph, weights, n: int, seed=None) -> SampleTrace:
         nodes[lo + order] = cdf.searchsorted(u[lo + order], "right")
     return SampleTrace(nodes=nodes,
                        steps=np.arange(n, dtype=np.int64),
-                       weights=arr[nodes],
+                       weights=weights[nodes],
                        sampler="wis", seed=recorded, start=None, burn_in=0)
 
 
+def _wis_by_degree(g: Graph, n: int, seeds: Sequence, **_) -> Iterator[SampleTrace]:
+    """wis by degree, which never draws an isolated node, as no walk does."""
+    if g.edge_count == 0:
+        raise EmptyGraph("cannot sample by degree from a graph with no edges")
+    return map(partial(_wis, g.degrees.astype(float), n), seeds)
+
+
 def _wrw_sums(g: Graph, part: CategoryPartition,
-              category_weights) -> tuple[np.ndarray, np.ndarray, bool]:
-    """wrw's running edge-weight sums per row, added in row order, each
-    node's total (its draw weight) and whether every category weight (1.0
-    if None) is 1.0; category and draw weights must pass ``weights_ok``."""
+              category_weights) -> tuple[np.ndarray | None, np.ndarray]:
+    """wrw's running edge-weight sums per row, added in row order (None at
+    unit category weights: the walk is rw's), and each node's total, its
+    draw weight; category and draw weights must pass ``weights_ok``."""
     labels = part.labels_for(g)
     cw = _weight_vector(np.ones(part.num_categories) if category_weights is None
                         else category_weights, part.num_categories, "category")
+    if np.all(cw == 1.0):
+        return None, 2.0 * g.degrees
     node_cw = cw[labels]
     # one numpy step per degree position j, over the reaching[j] rows
     # longer than j, whose starts lead by_degree
@@ -160,34 +170,30 @@ def _wrw_sums(g: Graph, part: CategoryPartition,
     node_totals = np.zeros(g.node_count)
     node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
     _weight_vector(node_totals[deg > 0], np.count_nonzero(deg), "wrw draw")
-    return cum, node_totals, bool(np.all(cw == 1.0))
+    return cum, node_totals
 
 
 def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
-    """A walk's step, its number of uniform streams and its per-node draw
-    weight. The array step maps every walker's current node and one
-    uniform array per stream to the next nodes (perhaps updating the
-    current nodes in place). The scalar step maps one walker's node and
-    one list of uniforms per stream to the list of nodes it visits; it
-    reads the same arrays through memoryviews, in Python floats, so it
-    takes the array step's path. A wrw whose category weights are all
-    1.0 takes rw's steps and keeps its draw weights, 2·deg: every edge
-    weighs 2, so row u's running sums are 2, 4, ..., 2·deg(u) and
-    r·total(u) is exactly 2·(r·deg(u)), whose bisect_right is rw's
-    floor(r·deg(u)). A step then costs rw's: 30 walkers on the 5,000-node
-    graph take about 3.4 µs an array step, against 10 µs for the search."""
+    """A walk's step, whether it is scalar, its number of uniform streams
+    and its per-node draw weight. ``scalar`` asks for the scalar step: one
+    walker's node and one list of uniforms per stream to the nodes it
+    visits, read through memoryviews; else the array step maps all
+    walkers' nodes and one uniform array per stream to their next nodes
+    (perhaps in place). Both take the same path. wrw at unit category
+    weights takes rw's step, exactly: r·total(u) = 2·(r·deg(u)), whose
+    bisect_right in row u's running sums 2, 4, ... is floor(r·deg(u)).
+    Other wrw weights take that bisect_right, scalar at any batch size."""
     indptr, indices, deg = g.indptr, g.indices, g.degrees.astype(float)
     ip, ix, dg = map(memoryview, (indptr, indices, deg))
-    weights, unit = deg, rule == "rw"
-    if rule == "wrw":
-        cum, weights, unit = _wrw_sums(g, part, category_weights)
-    if unit:
-        def step(cur, r):
-            return indices[indptr[cur] + (r * deg[cur]).astype(np.int64)]
+    cum, weights = (_wrw_sums(g, part, category_weights) if rule == "wrw"
+                    else (None, deg))
+    if cum is not None:
+        sums, totals = memoryview(cum), memoryview(weights)
 
         def walk(u, rs):
-            return [u := ix[ip[u] + int(r * dg[u])] for r in rs]
-        return walk if scalar else step, 1, weights
+            return [u := ix[bisect_right(sums, r * totals[u], ip[u], ip[u + 1])]
+                    for r in rs]
+        return walk, True, 1, weights
     if rule == "mhrw":
         def step(cur, r, accept):
             d = deg[cur]
@@ -204,30 +210,21 @@ def _step_rule(rule: str, g: Graph, part, category_weights, scalar: bool):
                     u = v
                 path.append(u)
             return path
-        return walk if scalar else step, 2, np.ones(g.node_count)
-    if scalar:
-        sums, totals = memoryview(cum), memoryview(weights)
+        return walk if scalar else step, scalar, 2, np.ones(g.node_count)
 
-        def walk(u, rs):
-            return [u := ix[bisect_right(sums, r * totals[u], ip[u], ip[u + 1])]
-                    for r in rs]
-        return walk, 1, weights
-    # complex numbers order by real, then imaginary part, so one search
-    # for u + (r * total(u))j over the row + (running sum)j keys is a
-    # bisect_right inside row u; the complex products are exact
-    search = (np.repeat(np.arange(g.node_count), g.degrees)
-              + 1j * cum).searchsorted
-    totals_j = 1j * weights
-    return (lambda cur, r: indices[search(cur + r * totals_j[cur], "right")],
-            1, weights)
+    def step(cur, r):
+        return indices[indptr[cur] + (r * deg[cur]).astype(np.int64)]
+
+    def walk(u, rs):
+        return [u := ix[ip[u] + int(r * dg[u])] for r in rs]
+    return walk if scalar else step, scalar, 1, weights
 
 
 # Uniforms held at once by the walks, or sorted at once by wis: 2**16 doubles.
 _CHUNK_DOUBLES = 1 << 16
 # Batches of fewer walkers than this take the scalar step: below it a
 # Python step per walker costs less than numpy's per-call overhead per
-# batch step (measured crossovers: about 9-12 walkers for rw and mhrw,
-# 12-16 for wrw, on 5,000- and 88,850-node graphs).
+# batch step (measured: 9-12 walkers for rw and mhrw on both benchmark graphs).
 _SCALAR_BELOW = 10
 
 
@@ -240,13 +237,12 @@ def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
     (equal if None). Each walker draws from its seed as a lone walk
     would: its start unless given, then one uniform per step, mhrw's
     acceptance uniforms after all of its proposals. A batch of fewer
-    than ``_SCALAR_BELOW`` walkers takes the rule's scalar step, one
-    walker at a time over each chunk of uniforms, a larger one its array
-    step; both visit the same nodes. Visits are held in the smallest
-    unsigned dtype that fits a node id until used."""
-    scalar = len(seeds) < _SCALAR_BELOW
-    step, stream_count, node_weights = _step_rule(rule, g, part,
-                                                  category_weights, scalar)
+    than ``_SCALAR_BELOW`` walkers, or of a rule with only a scalar step,
+    takes the scalar step, one walker at a time over each chunk of
+    uniforms, a larger one the array step; both visit the same nodes.
+    Visits stay in the smallest unsigned dtype fitting a node id until used."""
+    step, scalar, stream_count, node_weights = _step_rule(
+        rule, g, part, category_weights, len(seeds) < _SCALAR_BELOW)
     _check_request(g, n, "walk on")
     check_count(burn_in, "burn_in")
     rngs, recorded = zip(*map(_as_rng, seeds))
@@ -326,8 +322,8 @@ def sample_wrw(g: Graph, part: CategoryPartition,
     categories with large weights are oversampled. The stationary
     weight of a node is the sum of its incident edge weights, recorded
     as the draw weight. Unit category weights (all 1.0) weigh every edge
-    2, which makes it the simple random walk: it takes rw's step, exactly
-    and at rw's cost (see ``_step_rule``), with draw weights 2·deg.
+    2: the walk takes rw's step, exactly, with draw weights 2·deg. Other
+    weights bisect the row's running edge-weight sums (``_step_rule``).
     """
     return next(lockstep_walks("wrw", g, n, [seed], start, burn_in, part,
                                category_weights))
@@ -353,8 +349,7 @@ def thin(trace: SampleTrace, interval: int) -> SampleTrace:
 # one trace per seed; wis weighs by degree, uis and wis ignore the rest
 SAMPLERS: dict[str, Callable[..., Iterator[SampleTrace]]] = {
     "uis": lambda g, n, seeds, **_: (sample_uis(g, n, seed=s) for s in seeds),
-    "wis": lambda g, n, seeds, **_: (
-        sample_wis(g, g.degrees.astype(float), n, seed=s) for s in seeds),
+    "wis": _wis_by_degree,
     **{rule: partial(lockstep_walks, rule) for rule in ("rw", "mhrw", "wrw")},
 }
 

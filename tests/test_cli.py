@@ -3,13 +3,14 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from categraph import (ExperimentConfig, InvalidWeight, est_size_induced,
                        est_weight_star, estimate_category_graph, observe_star,
                        sample_uis, sample_wis, sample_wrw)
 from categraph.cli import main
-from categraph.fileio import load_graph, save_log
+from categraph.fileio import load_graph, load_trace, save_log
 
 
 def run(args):
@@ -442,6 +443,58 @@ def test_a_bad_wrw_weight_names_the_flag(tmp_path, capsys, small_graph, token):
         f"error: CategraphError: --wrw-weights: {bad!r} is not "
         "<name>=<number> for a category of the graph")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_wrw_weights_split_each_token_at_its_last_equals_sign(tmp_path):
+    """A category named with "=" can be weighted: a number holds none."""
+    edges, cats = tmp_path / "edges.tsv", tmp_path / "cats.tsv"
+    edges.write_text("0\t1\n1\t2\n2\t3\n3\t0\n")
+    cats.write_text("0\ta=b\n1\ta=b\n2\tc\n3\tc\n")
+    out = tmp_path / "wrw.jsonl"
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "40", "--seed", "3",
+                "--wrw-weights", "a=b=2,c=1", "--out", out]) == 0
+    g, part = load_graph(edges, cats)
+    weights = {part.names.index("a=b"): 2.0, part.names.index("c"): 1.0}
+    expected = sample_wrw(g, part, weights, 40, seed=3)
+    trace = load_trace(out)
+    assert trace.nodes.tolist() == expected.nodes.tolist()
+    assert trace.weights.tolist() == expected.weights.tolist()
+    assert set(trace.weights.tolist()) == {7.0, 5.0}   # (2+2)+(2+1), (2+1)+(1+1)
+
+
+@pytest.mark.parametrize("flag, token", [("C0=1,C1=3,C0=2", "C0=2"),
+                                         ("C2=1,C2=1", "C2=1")])
+def test_a_repeated_wrw_weight_is_refused(tmp_path, capsys, small_graph,
+                                          flag, token):
+    edges, cats = small_graph
+    capsys.readouterr()
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "10", "--wrw-weights", flag,
+                "--out", tmp_path / "t.jsonl"]) == 1
+    assert _one_error_line(capsys, "CategraphError") == (
+        f"error: CategraphError: --wrw-weights: {token!r} weighs "
+        f"{token.split('=')[0]!r} again")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wis_draws_by_degree_beside_an_isolated_node(tmp_path):
+    """Node 3, listed only in the category file, has no edge: wis draws
+    in proportion to degree, so it never draws node 3, as no walk does."""
+    edges, cats = tmp_path / "edges.tsv", tmp_path / "cats.tsv"
+    edges.write_text("0\t1\n1\t2\n")
+    cats.write_text("0\ta\n1\ta\n2\tb\n3\tb\n")
+    out = tmp_path / "wis.jsonl"
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wis", "--n", "2000", "--seed", "4",
+                "--out", out]) == 0
+    trace = load_trace(out)
+    degrees = np.array([1, 2, 1, 0])
+    expected = np.random.default_rng(4).choice(4, size=2000,
+                                               p=degrees / degrees.sum())
+    assert trace.nodes.tolist() == expected.tolist()
+    assert trace.weights.tolist() == degrees[trace.nodes].tolist()
+    assert 3 not in trace.nodes
 
 
 @pytest.mark.parametrize("spec", ["exact:abc", "exact:", "exact:1.5", "exact"])

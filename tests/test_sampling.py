@@ -280,6 +280,9 @@ BAD_REQUESTS = {
     "rw on an edgeless graph": (lambda: sample_rw(Graph.from_edges(3, []), 5),
                                 IsolatedStartNode,
                                 "graph has no edges to walk on"),
+    "wis traces on an edgeless graph": (
+        lambda: draw_traces("wis", Graph.from_edges(3, []), 5, [0]),
+        EmptyGraph, "cannot sample by degree from a graph with no edges"),
     "uis traces thinned by 0": (
         lambda: draw_traces("uis", PATH, 5, [0], thin_interval=0),
         InvalidThinning, "thin_interval must be >= 1, got 0"),
@@ -396,6 +399,34 @@ def test_wis_draws_at_the_edges_of_its_cdf(weights, u, node):
     assert _Uniforms([u]).choice(len(weights), 1, p=p).tolist() == [node]
 
 
+# nodes 0, 4 and 7 are isolated: the first, one inside and the last
+ISOLATED = Graph.from_edges(8, [(1, 2), (1, 3), (2, 3), (3, 5), (5, 6)])
+
+
+def test_wis_by_degree_never_draws_an_isolated_node():
+    """The table's wis draws Generator.choice's nodes over p = deg/sum(deg),
+    where an isolated node, which no walk visits either, has no mass;
+    uniforms at and beside each CDF value, 0 and 1 - 2**-53 included,
+    draw the oracle's nodes. sample_wis still refuses a weight of 0."""
+    deg = ISOLATED.degrees
+    trace, = draw_traces("wis", ISOLATED, 5000, [3])
+    expected = np.random.default_rng(3).choice(8, size=5000, p=deg / deg.sum())
+    assert trace.nodes.tolist() == expected.tolist()
+    assert trace.weights.tolist() == deg[trace.nodes].tolist()
+    cdf = np.cumsum(deg) / deg.sum()
+    edges = [u for u in np.concatenate([[0.0, 1 - 2.0**-53], cdf,
+                                        np.nextafter(cdf, 0.0)]).tolist()
+             if u < 1.0]
+    trace, = draw_traces("wis", ISOLATED, len(edges), [_Uniforms(edges)])
+    nodes, weights = naive_wis(ISOLATED, deg, len(edges), _Uniforms(edges))
+    assert trace.nodes.tolist() == nodes
+    assert trace.weights.tolist() == weights
+    for t in (trace, *draw_traces("wis", ISOLATED, 2000, [1, 2])):
+        assert set(t.nodes.tolist()) == {1, 2, 3, 5, 6}
+    with pytest.raises(InvalidWeight, match="node weights must be positive"):
+        sample_wis(ISOLATED, deg.astype(float), 5, seed=0)
+
+
 def test_samplers_take_the_least_weight_the_readers_take(tmp_path):
     least = np.nextafter(2.0 ** -1024, 1)
     trace = sample_wis(CYCLE, [least] * 4, 20, seed=1)
@@ -437,6 +468,29 @@ def test_wrw_matches_per_row_cumsum_reference(three_color_graph):
         assert t.nodes.tolist() == nodes
         assert t.weights.tolist() == weights
         assert t.start == first
+
+
+def test_wrw_takes_one_step_per_category_weight_vector():
+    """Unit weights give no running sums and draw weights 2·deg, bit for
+    bit; any other weights give the row bisect, a scalar step that a
+    batch of any size takes (its visits: the examples of
+    test_scalar_and_array_steps_match_per_walker_oracles)."""
+    g, part = _hub_graph()
+    for unit in (None, [1.0, 1.0, 1.0], {0: 1, 1: 1, 2: 1}):
+        sums, weights = sampling._wrw_sums(g, part, unit)
+        assert sums is None
+        assert weights.dtype == np.float64
+        assert np.array_equal(weights, 2.0 * g.degrees)
+    cw = [1.0, 3.7, 0.29]
+    assert sampling._wrw_sums(g, part, cw)[0].shape == (2 * g.edge_count,)
+    rw_step = sampling._step_rule("rw", g, part, None, False)[0]
+    lone, is_scalar, streams, weights = sampling._step_rule("wrw", g, part,
+                                                            cw, True)
+    assert is_scalar and streams == 1
+    assert lone.__code__ is not rw_step.__code__
+    for scalar in (True, False):
+        step, is_scalar, _, _ = sampling._step_rule("wrw", g, part, cw, scalar)
+        assert is_scalar and step.__code__ is lone.__code__
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 10, 12, 49, 100, 2400])
@@ -665,6 +719,10 @@ def test_generator_seeds_walk_and_end_as_the_per_walker_oracles(chunk):
        cw=st.lists(st.floats(0.01, 100.0), min_size=3, max_size=3))
 @example(graph_seed=3, hub=True, walkers=12, seed=1, n=50, burn_in=2,
          given_start=False, chunk=7, generator=True, cw=[1.0, 1.0, 1.0])
+@example(graph_seed=3, hub=True, walkers=12, seed=2, n=50, burn_in=3,
+         given_start=False, chunk=40, generator=True, cw=[1.0, 3.7, 0.29])
+@example(graph_seed=3, hub=True, walkers=30, seed=3, n=40, burn_in=2,
+         given_start=True, chunk=64, generator=False, cw=[0.5, 2.0, 7.0])
 def test_scalar_and_array_steps_match_per_walker_oracles(
         graph_seed, hub, walkers, seed, n, burn_in, given_start, chunk,
         generator, cw):
