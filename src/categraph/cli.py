@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import fileio
-from .errors import CategraphError, InvalidParameter, check_count
+from .errors import (CategraphError, InvalidParameter, InvalidWeight,
+                     check_count, weights_ok)
 from .estimate import (MODES, PROPORTIONAL, SIZE_ESTIMATORS, WEIGHT_ESTIMATORS,
                        bootstrap_variance, estimate_category_graph)
 from .evaluate import run_experiment
@@ -71,12 +72,15 @@ def _parse_category_weights(text: str, part):
     for tok in text.split(","):
         name, _, value = tok.rpartition("=")   # a number holds no "="
         try:
-            weights[part.names.index(name)] = float(value)
+            weights[part.names.index(name)] = weight = float(value)
         except ValueError:
             raise CategraphError(f"--wrw-weights: {tok!r} is not <name>=<number> "
                                  "for a category of the graph") from None
         if name in named:
             raise CategraphError(f"--wrw-weights: {tok!r} weighs {name!r} again")
+        if not weights_ok(weight):
+            raise InvalidWeight(f"--wrw-weights: {tok!r}: category weights must "
+                                "be positive and finite, with a finite inverse")
         named.add(name)
     return weights
 
@@ -157,6 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Estimate the category graph of a partitioned graph "
                     "from probability samples of nodes.")
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)   # the graph file flags
+    for flag in ("--edges", "--categories"):
+        graph.add_argument(flag, required=True)
 
     p = sub.add_parser("generate", help="write a synthetic benchmark graph")
     p.add_argument("--sizes", required=True,
@@ -172,16 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-categories", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("exact", help="exact category graph from full files")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--categories", required=True)
+    p = sub.add_parser("exact", help="exact category graph from full files",
+                       parents=[graph])
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("sample", help="draw a sample trace")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--categories", required=True)
+    p = sub.add_parser("sample", help="draw a sample trace", parents=[graph])
     p.add_argument("--sampler", choices=tuple(SAMPLERS), required=True)
     p.add_argument("--n", type=int, required=True,
                    help="retained draws per trace")
@@ -199,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="trace path (suffix .<i> added when --walks > 1)")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("observe", help="replay a trace through an observer")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--categories", required=True)
+    p = sub.add_parser("observe", help="replay a trace through an observer",
+                       parents=[graph])
     p.add_argument("--trace", required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--out", required=True)

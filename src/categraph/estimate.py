@@ -37,7 +37,6 @@ from .errors import (
     check_count,
     finite,
 )
-from .graph import _scaled
 from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
 from .sampling import _as_rng
 
@@ -86,14 +85,16 @@ def hh_total(values, log: ObservationLog) -> float:
     """Estimate a population total from per-draw values.
 
     Treats the log's weights as exact sampling probabilities; returns
-    (1/n) * sum of x(v)/w(v). When weights are known only up to a
-    constant, use :func:`hh_ratio` instead, where the constant cancels.
+    (1/n) * sum of x(v)/w(v), summed at the log's power-of-two scale, so
+    only a total beyond the float range overflows. When weights are known
+    only up to a constant, use :func:`hh_ratio`, where the constant cancels.
     """
     _require(log)
     values = np.asarray(values, dtype=float)
     if values.shape != (log.n,):
         raise ValueError("need exactly one value per draw")
-    return float(np.sum(values / log.weights) / log.n)
+    scale = np.frexp(1.0 / np.min(log.weights))[1]   # _scaled's, of max 1/w
+    return float(np.ldexp(np.sum(values * log._inverse_weights) / log.n, scale))
 
 
 def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
@@ -104,7 +105,7 @@ def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     denom = np.asarray(denom_values, dtype=float)
     if numer.shape != (log.n,) or denom.shape != (log.n,):
         raise ValueError("need exactly one value per draw")
-    winv = _scaled(1.0 / log.weights)
+    winv = log._inverse_weights
     return float(np.sum(numer * winv) / np.sum(denom * winv))
 
 

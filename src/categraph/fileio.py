@@ -383,8 +383,7 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
 
 def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
     """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
-    as an int64 or float array; only a column :func:`_whole_column` does
-    not take is checked value by value, to name the first refused line."""
+    read by :func:`_column`; a record without the key is named."""
     columns = []
     for key, kind in keys.items():
         try:
@@ -392,13 +391,19 @@ def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
         except (KeyError, TypeError):   # a record without the key
             _require(path, lines, [type(r) is dict and key in r for r in records],
                      f"record has no {key!r}", records)
-        column = _whole_column(values, kind)
-        if column is None:
-            _require(path, lines, list(map(kind.ok, values)),
-                     f"{key!r} must be {kind.what}", values)
-            column = np.asarray(values, np.int64 if kind is _INT64 else float)
-        columns.append(column)
+        columns.append(_column(path, lines, values, kind,
+                               f"{key!r} must be {kind.what}"))
     return columns
+
+
+def _column(path, lines, values: list, kind: _Kind, rule: str) -> np.ndarray:
+    """``values`` of ``kind`` (_INT64 or _WEIGHT) as one array, taken whole by
+    :func:`_whole_column` or else value by value, ``rule`` naming a refusal."""
+    column = _whole_column(values, kind)
+    if column is None:
+        _require(path, lines, list(map(kind.ok, values)), rule, values)
+        column = np.asarray(values, np.int64 if kind is _INT64 else float)
+    return column
 
 
 def _whole_column(values: list, kind: _Kind) -> np.ndarray | None:
@@ -537,21 +542,16 @@ def load_log(path) -> ObservationLog:
 
 
 def _edge_block(path, lineno: int, block) -> np.ndarray:
-    if (type(block) is list and set(map(type, block)) <= {list}
-            and set(map(len, block)) <= {2}):
-        flat = list(chain.from_iterable(block))
-        ends = _whole_column(flat, _INT64)
-        if ends is None and all(map(_INT64.ok, flat)):
-            ends = np.asarray(flat, dtype=np.int64)
-        if ends is not None:
-            return ends.reshape(-1, 2)
-    raise FileFormatError(
-        f"{path}:{lineno}: induced_edges must be a list of [u, v] "
-        "integer pairs")
+    rule = "induced_edges must be a list of [u, v] integer pairs"
+    if (type(block) is not list or not set(map(type, block)) <= {list}
+            or not set(map(len, block)) <= {2}):
+        raise FileFormatError(f"{path}:{lineno}: {rule}")
+    flat = list(chain.from_iterable(block))
+    return _column(path, [lineno] * len(flat), flat, _INT64, rule).reshape(-1, 2)
 
 
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
-    """The star records' ``nbr_cats`` objects as an (n, C) int64 matrix."""
+    """The ``nbr_cats`` objects as (n, C) int64 counts, one row a category."""
     nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
     _require(path, lines, [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
@@ -564,15 +564,12 @@ def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
              f"nbr_cats key must be a category in 0..{num_categories - 1}",
              keys)
     values = list(chain.from_iterable(map(dict.values, nbrs)))
-    column = _whole_column(values, _INT64)
-    if column is None:
-        _require(path, entry_lines, list(map(_INT64.ok, values)),
-                 "nbr_cats count must be an integer", values)
-        column = np.asarray(values, dtype=np.int64)
+    column = _column(path, entry_lines, values, _INT64,
+                     "nbr_cats count must be an integer")
     _require(path, entry_lines, column >= 0, "nbr_cats count must be >= 0", values)
-    counts = np.zeros((len(nbrs), num_categories), dtype=np.int64)
-    counts[rows, cols] = column
-    return counts
+    counts = np.zeros((num_categories, len(nbrs)), dtype=np.int64)
+    counts[cols, rows] = column
+    return counts.T
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     GenerationFailed,
     InfeasibleRegularGraph,
+    InvalidParameter,
     TooManyEdgesRequested,
     check_count,
 )
@@ -35,20 +36,23 @@ _MAX_REGULAR_ATTEMPTS = 100
 
 def _check_model(sizes, k: int, inter_edge_count: int | None = None) -> None:
     """The model's one parameter check: InvalidParameter for k, a size or
-    an edge count that breaks its count rule, else
-    InfeasibleRegularGraph."""
-    check_count(k, "k", "degree k")
+    an edge count that breaks its count rule, or sizes whose total does
+    not fit int64, else InfeasibleRegularGraph."""
+    k = check_count(k, "k", "degree k")
     if inter_edge_count is not None:
         check_count(inter_edge_count, "inter_edge_count",
                     "inter-category edge count")
-    for s in sizes:
-        check_count(s, "category_sizes", "category size")
+    for size in sizes:
+        s = check_count(size, "category_sizes", "category size")
         if s <= k:
             raise InfeasibleRegularGraph(
                 f"category size {s} must exceed degree k={k}")
         if (s * k) % 2 != 0:
             raise InfeasibleRegularGraph(
                 f"size*k must be even (size={s}, k={k})")
+    if (total := sum(map(int, sizes))) > np.iinfo(np.int64).max:
+        raise InvalidParameter(
+            f"category sizes must total at most 2**63 - 1, got {total}")
 
 
 @dataclass(frozen=True)

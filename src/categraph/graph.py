@@ -35,6 +35,23 @@ def _lookup(table: np.ndarray, keys: np.ndarray):
     return at, (at < len(table)) & (np.append(table, 0)[at] == keys)
 
 
+def _ids(values, count: int, what: str, outside: str = "",
+         error: type = InvalidNode) -> np.ndarray:
+    """``values``, an id or an array of ids, as int64 once each is a whole
+    number in 0..count-1, and not a lone boolean; else ``error``, formatted
+    with the first other's value ``v`` and flat index ``i``: ``what`` "is not
+    a whole number", or ``outside`` (``what`` "outside 0..{last}" if "")."""
+    raw = np.asarray(values)
+    ids = raw if raw.dtype.kind in "iubf" else raw.astype(float)
+    whole = (ids == np.trunc(ids)) & (not isinstance(values, (bool, np.bool_)))
+    bad = np.flatnonzero(~whole | (ids < 0) | (ids >= count))
+    if len(bad):
+        rule = ((outside or what + " outside 0..{last}") if whole.flat[bad[0]]
+                else what + " is not a whole number")
+        raise error(rule.format(v=raw.flat[bad[0]], i=bad[0], last=count - 1))
+    return ids.astype(np.int64, copy=False)
+
+
 def _scaled(x: np.ndarray) -> np.ndarray:
     """``x`` times the power of two that puts its largest value in
     [0.5, 1): exact above subnormals, so a ratio of sums of the scaled
@@ -67,17 +84,16 @@ class Graph:
     def from_edges(node_count: int, edges) -> "Graph":
         """Build a graph from an iterable/array of (u, v) pairs.
 
-        Raises InvalidNode on out-of-range ids and ValueError on
+        Raises InvalidNode on ids ``_ids`` refuses and ValueError on
         self-loops or duplicate edges.
         """
-        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges,
-                           dtype=np.int64)
+        edges = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
         if edges.size == 0:
             edges = edges.reshape(0, 2)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError("edges must be (m, 2) pairs")
-        if edges.size and (edges.min() < 0 or edges.max() >= node_count):
-            raise InvalidNode(f"edge endpoint outside 0..{node_count - 1}")
+        edges = _ids(edges, node_count, "edge endpoint {v}",
+                     "edge endpoint outside 0..{last}")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
         # symmetrize: each undirected edge appears in both endpoint rows,
@@ -112,17 +128,16 @@ class Graph:
         return np.diff(self.indptr)
 
     def degree(self, v: int) -> int:
-        self._check_node(v)
+        v = self._check_node(v)
         return int(self.indptr[v + 1] - self.indptr[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        self._check_node(v)
+        v = self._check_node(v)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Edge-membership test by binary search in u's neighbor row."""
-        self._check_node(u)
-        self._check_node(v)
+        u, v = self._check_node(u), self._check_node(v)
         row = self.indices[self.indptr[u]:self.indptr[u + 1]]
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
@@ -192,9 +207,8 @@ class Graph:
             tail, head = divmod(int(rev[np.argmin(_lookup(fwd, rev)[1])]), n)
             raise ValueError(f"missing reverse adjacency for ({head}, {tail})")
 
-    def _check_node(self, v: int) -> None:
-        if not 0 <= v < self.node_count:
-            raise InvalidNode(f"node {v} outside 0..{self.node_count - 1}")
+    def _check_node(self, v) -> int:
+        return int(_ids(v, self.node_count, "node {v}"))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph)
@@ -217,10 +231,9 @@ class CategoryPartition:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
-        object.__setattr__(self, "labels", labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= len(self.names)):
-            raise UnknownCategory("label outside 0..C-1")
+        object.__setattr__(self, "labels", _ids(
+            self.labels, len(self.names), "label {v}", "label outside 0..C-1",
+            UnknownCategory))
 
     @property
     def node_count(self) -> int:
@@ -240,18 +253,14 @@ class CategoryPartition:
         return self.labels
 
     def label_of(self, v: int) -> int:
-        if not 0 <= v < len(self.labels):
-            raise InvalidNode(f"node {v} outside 0..{len(self.labels) - 1}")
-        return int(self.labels[v])
+        return int(self.labels[_ids(v, len(self.labels), "node {v}")])
 
     def members(self, category: int) -> np.ndarray:
-        self._check_category(category)
-        return np.flatnonzero(self.labels == category)
+        return np.flatnonzero(self.labels == self._check_category(category))
 
-    def _check_category(self, category: int) -> None:
-        if not 0 <= category < self.num_categories:
-            raise UnknownCategory(
-                f"category {category} outside 0..{self.num_categories - 1}")
+    def _check_category(self, category) -> int:
+        return int(_ids(category, self.num_categories, "category {v}",
+                        error=UnknownCategory))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CategoryPartition)
@@ -280,10 +289,8 @@ class CategoryGraph:
 
 def volume(g: Graph, nodes: Iterable[int]) -> int:
     """Sum of degrees over a set of nodes."""
-    arr = np.asarray(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-                     dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= g.node_count):
-        raise InvalidNode("node id out of range")
+    arr = _ids(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
+               g.node_count, "node id {v}", "node id out of range")
     return int(g.degrees[arr].sum())
 
 
@@ -293,7 +300,6 @@ def relative_fractions(g: Graph, part: CategoryPartition,
 
     Returns (|A|/N, vol(A)/vol(V)); both lie in [0, 1].
     """
-    part._check_category(category)
     members = part.members(category)
     f_count = len(members) / g.node_count
     total_vol = int(g.degrees.sum())
@@ -305,9 +311,8 @@ def edge_cut(g: Graph, part: CategoryPartition, a: int, b: int) -> int:
     """Number of edges with one endpoint in category a, the other in b."""
     if a == b:
         raise SelfPairNotSupported("edge cut is defined for distinct categories")
-    part._check_category(a)
-    part._check_category(b)
-    return exact_category_graph(g, part).cut_counts.get((min(a, b), max(a, b)), 0)
+    a, b = sorted((part._check_category(a), part._check_category(b)))
+    return exact_category_graph(g, part).cut_counts.get((a, b), 0)
 
 
 def mean_degree(g: Graph, part: CategoryPartition | None = None,
@@ -320,7 +325,6 @@ def mean_degree(g: Graph, part: CategoryPartition | None = None,
         return 2 * g.edge_count / g.node_count
     if part is None:
         raise ValueError("category given without a partition")
-    part._check_category(category)
     members = part.members(category)
     if members.size == 0:
         raise EmptyCategory(f"category {category} has no members")

@@ -18,8 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidNode, check_weights
-from .graph import CategoryPartition, Graph, _cross, _lookup, _scaled
+from .errors import check_weights
+from .graph import CategoryPartition, Graph, _cross, _ids, _lookup, _scaled
 from .sampling import SampleTrace
 
 INDUCED = "induced"
@@ -91,9 +91,9 @@ class ObservationLog:
     ``induced_edges`` holds the deduplicated edge set among distinct
     drawn nodes (induced mode); estimators recover draw-pair
     multiplicity from the records. ``neighbor_counts[i, c]`` is how
-    many neighbors of draw i lie in category c (star mode); each row
-    sums to the draw's degree. Every draw of a node carries the node's
-    one category, degree and neighbor counts (the totals read the first).
+    many neighbors of draw i lie in category c (star mode), stored as the
+    transpose of one row per category; row i sums to draw i's degree. Each
+    draw of a node carries its one category, degree and neighbor counts.
     """
 
     mode: str
@@ -134,11 +134,6 @@ class ObservationLog:
         return _scaled(1.0 / self.weights)
 
     @cached_property
-    def _star_columns(self) -> np.ndarray:
-        """The neighbor counts, one contiguous row per category."""
-        return np.ascontiguousarray(self.neighbor_counts.T)
-
-    @cached_property
     def _index(self) -> tuple:
         """The drawn ids, the first draw of each, each draw's key (its rank
         among the ids) and ``_lookup`` of the induced edges' ends in them."""
@@ -151,11 +146,11 @@ class ObservationLog:
     @cached_property
     def _nodes(self) -> tuple:
         """Each drawn id's category and degree, by ``_index`` key, and its
-        star neighbor counts, one row per category, or induced ``_cross``."""
+        star neighbor counts (rows of ``neighbor_counts.T``) or ``_cross``."""
         _, first, _, at, drawn = self._index
         cats, degrees = self.categories[first], self.degrees[first]
         if self.mode == STAR:
-            return cats, degrees, np.take(self._star_columns, first, 1), None
+            return cats, degrees, np.take(self.neighbor_counts.T, first, 1), None
         return cats, degrees, None, _cross(cats, at[drawn.all(axis=1)],
                                            self.num_categories)
 
@@ -173,7 +168,7 @@ class ObservationLog:
             induced = induced[np.logical_and(*np.isin(induced, nodes).T)]
         counts = self.neighbor_counts
         if counts is not None:
-            counts = counts[indices]
+            counts = np.take(counts.T, indices, 1).T
         return replace(self, nodes=nodes,
                        categories=self.categories[indices],
                        degrees=self.degrees[indices],
@@ -183,18 +178,13 @@ class ObservationLog:
 
 
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:
-    """The trace's nodes, as int64, weights and the graph's labels. The
-    first draw whose node is not a whole number in the graph raises
-    InvalidNode; then ``check_weights`` and ``labels_for`` check the rest."""
-    nodes = np.asarray(trace.nodes)
+    """The trace's nodes as int64, checked by ``_ids`` draw by draw, weights,
+    checked by ``check_weights``, and the graph's labels (``labels_for``)."""
+    nodes = _ids(trace.nodes, g.node_count, "draw {i}: node {v}",
+                 "draw {i}: node {v} is outside 0..{last}")
     weights = np.asarray(trace.weights, dtype=float)
-    whole = nodes == np.trunc(nodes)
-    bad = np.flatnonzero(~whole | (nodes < 0) | (nodes >= g.node_count))
-    if len(bad):
-        raise InvalidNode(f"draw {bad[0]}: node {nodes[bad[0]]} is " + (
-            f"outside 0..{g.node_count - 1}" if whole[bad[0]] else "not a whole number"))
     check_weights(weights)
-    return nodes.astype(np.int64), weights, part.labels_for(g)
+    return nodes, weights, part.labels_for(g)
 
 
 def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
@@ -238,7 +228,6 @@ def observe_star(g: Graph, part: CategoryPartition,
     neighbors, counted once a node. Neighbor identities are not retained."""
     nodes, _, labels = draws = _draws(g, part, trace)
     ids, keys = np.unique(nodes, return_inverse=True)
-    # the transpose of contiguous rows, which _star_columns takes uncopied
     rows = np.take(_neighbor_counts(g, labels, part.num_categories, ids), keys, 1)
     return _observed(STAR, g, part, *draws, neighbor_counts=rows.T)
 

@@ -246,7 +246,7 @@ def lockstep_walks(rule: str, g: Graph, n: int, seeds: Sequence,
     _check_request(g, n, "walk on")
     check_count(burn_in, "burn_in")
     rngs, recorded = zip(*map(_as_rng, seeds))
-    if start is not None and g.degree(int(start)) == 0:
+    if start is not None and g.degree(start) == 0:
         raise IsolatedStartNode(f"start node {start} has no neighbors")
     candidates = np.flatnonzero(g.degrees > 0)
     if candidates.size == 0:

@@ -318,6 +318,9 @@ BAD_CONFIGS = {
     "inter edges above the free pairs": (
         _set("graph", "synthetic", "inter_edge_count", 1000),
         "requested 1000 inter-category edges, only 120 free pairs"),
+    "sizes whose total does not fit int64": (
+        _set("graph", "synthetic", "category_sizes", [10, 2**63]),
+        "category sizes must total at most 2**63 - 1, got 9223372036854775818"),
 }
 
 
@@ -463,6 +466,21 @@ def test_wrw_weights_split_each_token_at_its_last_equals_sign(tmp_path):
     assert set(trace.weights.tolist()) == {7.0, 5.0}   # (2+2)+(2+1), (2+1)+(1+1)
 
 
+@pytest.mark.parametrize("flag", ["C0=nan", "C0=inf", "C0=0", "C0=-1",
+                                  "C0=1e-320", "C0=2,C1=nan"])
+def test_an_unusable_wrw_weight_names_the_flag_and_token(tmp_path, capsys,
+                                                        small_graph, flag):
+    edges, cats = small_graph
+    capsys.readouterr()
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "10", "--wrw-weights", flag,
+                "--out", tmp_path / "t.jsonl"]) == 1
+    assert _one_error_line(capsys, "InvalidWeight") == (
+        f"error: InvalidWeight: --wrw-weights: {flag.split(',')[-1]!r}: "
+        "category weights must be positive and finite, with a finite inverse")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flag, token", [("C0=1,C1=3,C0=2", "C0=2"),
                                          ("C2=1,C2=1", "C2=1")])
 def test_a_repeated_wrw_weight_is_refused(tmp_path, capsys, small_graph,
@@ -533,6 +551,8 @@ def test_n_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys, n):
     ("10,12", ("--k", "-2"), "degree k must be >= 0, got -2"),
     ("10,12", ("--inter", "-3"), "inter-category edge count must be >= 0, got -3"),
     ("10,12", ("--seed", "-3"), "seed must be >= 0, got -3"),
+    ("10,9223372036854775808", (),
+     "category sizes must total at most 2**63 - 1, got 9223372036854775818"),
 ])
 def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message):
     code = run(["generate", "--sizes", sizes, "--k", "2", *flags,

@@ -101,6 +101,16 @@ def test_hh_total_single_draw_enumeration_unbiased():
     assert np.mean(estimates) == 6.0
 
 
+@pytest.mark.parametrize("weight", [1e-308, 2.0 ** -1023, 1e308])
+def test_hh_total_sums_at_the_logs_scale(weight):
+    """1/w summed twice would overflow at w = 1e-308, yet the total, 1/w,
+    is a float: the sum runs at the log's power-of-two scale, with no
+    warning, and the scale is undone exactly."""
+    log = manual_log([0, 0], weights=[weight, weight])
+    assert hh_total(np.ones(2), log) == 1.0 / weight
+    assert hh_total(np.array([1.0, 0.0]), log) == 0.5 / weight
+
+
 def test_hh_total_empty():
     log = manual_log([0], weights=[1.0])
     empty = log.resampled(np.empty(0, dtype=np.int64))

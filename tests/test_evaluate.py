@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from categraph import (
+    CategoryGraph,
     ExperimentConfig,
+    ExperimentReport,
     InvalidWeight,
     SampleTrace,
     SyntheticParams,
@@ -15,7 +17,7 @@ from categraph import (
     run_experiment,
     synthetic_graph,
 )
-from categraph import observe
+from categraph import evaluate, observe
 from categraph.estimate import ESTIMATOR_PAIRS
 from categraph.sampling import sample_rw, sample_uis
 
@@ -343,3 +345,19 @@ def test_cells_match_literal_scoring_with_missed_categories():
                     probed += len(probe_scores)
     assert checked == len(report.cells)
     assert excluded and probed
+
+
+def test_an_empty_cell_a_missed_lookup_and_a_truth_without_edges():
+    """A cell with no scored quantity has NaN median and quartiles, a
+    lookup of a cell not in the report names it, and a truth without
+    edges has no probe pairs."""
+    cell = evaluate.CellResult("size", "uis", "induced", "induced", None, 10,
+                               nrmse_by_quantity={}, excluded=2)
+    assert np.isnan([cell.median_nrmse, cell.p25, cell.p75]).all()
+    edgeless = CategoryGraph(sizes={0: 2}, cut_counts={}, weights={})
+    report = ExperimentReport([cell], edgeless, {}, ("a",))
+    assert report.find("size", "uis", "induced", 10) is cell
+    with pytest.raises(KeyError, match=r"no cell \(size, uis, induced, n=20, "
+                       r"size=None, weight=None\)"):
+        report.find("size", "uis", "induced", 20)
+    assert evaluate._probe_pairs(edgeless, [25, 75]) == {}

@@ -578,6 +578,12 @@ MALFORMED_LOGS = {
         r"induced edge has an undrawn endpoint, got \[0, 1\]"),
     "edge of three nodes": ("induced", _add_edge([0, 1, 2]), 8,
                             r"induced_edges must be a list of \[u, v\] integer"),
+    "fractional edge end": (
+        "induced", _add_edge([0, 1.5]), 8,
+        r"induced_edges must be a list of \[u, v\] integer pairs, got 1.5$"),
+    "boolean edge end": (
+        "induced", _add_edge([True, 0]), 8,
+        r"induced_edges must be a list of \[u, v\] integer pairs, got True$"),
     "self-loop induced edge": ("induced", _add_edge([0, 0]), 8,
                                r"induced edge is a self-loop, got \[0, 0\]"),
     "induced edge twice, reversed": (

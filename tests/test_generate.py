@@ -84,6 +84,15 @@ def test_add_inter_edges_only_cross_and_exact_count():
     g2.validate()
 
 
+def test_a_model_needs_a_category_and_alpha_in_the_unit_interval():
+    with pytest.raises(InfeasibleRegularGraph, match="need at least one category"):
+        SyntheticParams(category_sizes=(), k=2)
+    part = CategoryPartition(labels=np.array([0, 1]), names=("a", "b"))
+    for alpha in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+            permute_labels(part, alpha, np.random.default_rng(0))
+
+
 def test_permute_labels_alpha_zero_identity():
     part = CategoryPartition(labels=np.array([0, 1, 1, 2]),
                              names=("a", "b", "c"))
@@ -319,6 +328,10 @@ BAD_PARAMS = [
      "inter-category edge count: 3.5 is not an integer"),
     (dict(category_sizes=(10.0,), k=2), InvalidParameter,
      "category size: 10.0 is not an integer"),
+    (dict(category_sizes=(10, 2**63), k=2), InvalidParameter,
+     r"category sizes must total at most 2\*\*63 - 1, got 9223372036854775818$"),
+    (dict(category_sizes=np.full(2, 2**62), k=2), InvalidParameter,
+     r"category sizes must total at most 2\*\*63 - 1, got 9223372036854775808$"),
 ]
 
 

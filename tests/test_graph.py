@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from categraph import (
     exact_category_graph,
     mean_degree,
     relative_fractions,
+    sample_rw,
     synthetic_graph,
     volume,
 )
@@ -293,3 +296,79 @@ def test_volume_and_fraction_partition_identities(three_color_graph):
     fracs = [relative_fractions(g, part, c)[0]
              for c in range(part.num_categories)]
     assert sum(fracs) == pytest.approx(1.0)
+
+
+# (call on the path3 graph and partition, error, message): a node,
+# category or label id is a whole number in range and never a lone boolean
+ID_RULE = {
+    "walk start 1.5": (lambda g, p: sample_rw(g, 3, start=1.5, seed=0),
+                       InvalidNode, "node 1.5 is not a whole number"),
+    "walk start True": (lambda g, p: sample_rw(g, 3, start=True, seed=0),
+                        InvalidNode, "node True is not a whole number"),
+    "degree of 1.5": (lambda g, p: g.degree(1.5), InvalidNode,
+                      "node 1.5 is not a whole number"),
+    "label of 1.5": (lambda g, p: p.label_of(1.5), InvalidNode,
+                     "node 1.5 is not a whole number"),
+    "neighbors of True": (lambda g, p: g.neighbors(True), InvalidNode,
+                          "node True is not a whole number"),
+    "edge end 1.5": (lambda g, p: Graph.from_edges(3, [(0, 1.5), (1, 2)]),
+                     InvalidNode, "edge endpoint 1.5 is not a whole number"),
+    "volume of 1.5": (lambda g, p: volume(g, [1.5]), InvalidNode,
+                      "node id 1.5 is not a whole number"),
+    "label 0.5": (lambda g, p: CategoryPartition(labels=[0.5, 1.2],
+                                                 names=p.names),
+                  UnknownCategory, "label 0.5 is not a whole number"),
+    "mean degree of 1.5": (lambda g, p: mean_degree(g, p, 1.5),
+                           UnknownCategory,
+                           "category 1.5 is not a whole number"),
+    # integers out of range keep their messages
+    "degree of 3": (lambda g, p: g.degree(3), InvalidNode,
+                    "node 3 outside 0..2"),
+    "has_edge to -1": (lambda g, p: g.has_edge(0, -1), InvalidNode,
+                       "node -1 outside 0..2"),
+    "label of 3": (lambda g, p: p.label_of(3), InvalidNode,
+                   "node 3 outside 0..2"),
+    "edge end 3": (lambda g, p: Graph.from_edges(3, [(0, 3)]), InvalidNode,
+                   "edge endpoint outside 0..2"),
+    "volume of 3": (lambda g, p: volume(g, [3]), InvalidNode,
+                    "node id out of range"),
+    "label 2": (lambda g, p: CategoryPartition(labels=[0, 2], names=p.names),
+                UnknownCategory, "label outside 0..C-1"),
+    "mean degree of 2": (lambda g, p: mean_degree(g, p, 2), UnknownCategory,
+                         "category 2 outside 0..1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ID_RULE))
+def test_one_id_rule_refuses_what_is_not_a_whole_id_in_range(path3, case):
+    call, error, message = ID_RULE[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(*path3)
+
+
+def test_whole_float_and_numpy_ids_are_their_integers(path3):
+    g, part = path3
+    assert g.degree(1.0) == g.degree(np.int32(1)) == 2
+    assert part.label_of(np.uint8(1)) == 1
+    assert sample_rw(g, 3, start=2.0, seed=0).start == 2
+    assert Graph.from_edges(3, np.array([[0.0, 1.0], [1.0, 2.0]])) == g
+    assert CategoryPartition(labels=[0.0, 1.0, 0.0], names=part.names) == part
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph.from_edges(3, [(0, 1, 2)]), r"edges must be \(m, 2\) pairs"),
+    (lambda: Graph(indptr=np.array([0, 1, 2]), indices=np.array([1, 2])
+                   ).validate(), "neighbor id out of range"),
+    (lambda: Graph(indptr=np.array([0, 1, 1]), indices=np.array([1])
+                   ).validate(), "degree sum must equal twice the edge count"),
+    (lambda: mean_degree(Graph.from_edges(2, [(0, 1)]), None, 0),
+     "category given without a partition"),
+])
+def test_malformed_graph_input_is_named(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_mean_degree_of_a_graph_without_nodes():
+    with pytest.raises(EmptyCategory, match="graph has no nodes"):
+        mean_degree(Graph.from_edges(0, []))
