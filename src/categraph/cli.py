@@ -3,8 +3,9 @@ plus exact ground truth and the evaluation sweep.
 
 Each stage reads and writes plain files so any step can be scripted or
 swapped out. Runs with identical flags and seed produce byte-identical
-outputs. On failure the process exits nonzero after printing a single
-"error: <Type>: <message>" line to stderr.
+outputs. On failure, also where the machine refuses an allocation, the
+process exits nonzero after printing a single "error: <Type>: <message>"
+line to stderr.
 """
 from __future__ import annotations
 
@@ -68,8 +69,13 @@ def _parse_category_weights(text: str, part):
     weights = np.ones(part.num_categories)
     if text == "equal":
         return weights
-    named = set()
-    for tok in text.split(","):
+    named, tokens = set(), []
+    for tok in text.split(","):   # a name may hold ",": it joins the next token
+        if tokens and "=" not in tokens[-1]:
+            tokens[-1] += "," + tok
+        else:
+            tokens.append(tok)
+    for tok in tokens:
         name, _, value = tok.rpartition("=")   # a number holds no "="
         try:
             weights[part.names.index(name)] = weight = float(value)
@@ -260,7 +266,7 @@ def main(argv=None) -> int:
     try:
         _check_count_flags(args)
         return args.func(args)
-    except (CategraphError, OSError, ValueError) as exc:
+    except (CategraphError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,7 @@ from .errors import (
     MissingSizeEstimate,
     WrongObservationMode,
     check_count,
+    check_weights,
     finite,
 )
 from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
@@ -76,8 +77,10 @@ def reweighted_size(weights) -> float:
 
     This is the quantity that plays the role of a sample count once
     sampling bias is corrected for; with unit weights it IS the count.
+    Weights ``check_weights`` refuses raise InvalidWeight.
     """
     w = np.asarray(weights, dtype=float)
+    check_weights(w)
     return float(np.sum(1.0 / w))
 
 

@@ -75,16 +75,13 @@ class ExperimentConfig:
                                   for n in self.sample_sizes)
         for name in ("replicates", "seed", "burn_in", "thin_interval"):
             setattr(self, name, check_count(getattr(self, name), name))
-        self.samplers = tuple(self.samplers)
-        self.modes = tuple(self.modes)
-        self.size_estimators = tuple(self.size_estimators)
-        self.weight_estimators = tuple(self.weight_estimators)
         self.probe_percentiles = tuple(self.probe_percentiles)
-        for what, names, known in (
-                ("sampler", self.samplers, SAMPLERS),
-                ("observation mode", self.modes, ESTIMATOR_PAIRS),
-                ("estimator", self.size_estimators, SIZE_ESTIMATORS),
-                ("estimator", self.weight_estimators, WEIGHT_ESTIMATORS)):
+        for what, key, known in (
+                ("sampler", "samplers", SAMPLERS),
+                ("observation mode", "modes", ESTIMATOR_PAIRS),
+                ("estimator", "size_estimators", SIZE_ESTIMATORS),
+                ("estimator", "weight_estimators", WEIGHT_ESTIMATORS)):
+            setattr(self, key, names := tuple(getattr(self, key)))
             for name in names:
                 if not isinstance(name, str) or name not in known:
                     raise ValueError(f"unknown {what} {name!r}")

@@ -111,7 +111,7 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
             return Graph.from_edges(n, dense), part
     self_loop = ext[:, 0] == ext[:, 1]
     duplicate = _later_copies(np.minimum(dense[:, 0], dense[:, 1]) * n
-                              + np.maximum(dense[:, 0], dense[:, 1]))
+                              + np.maximum(dense[:, 0], dense[:, 1]))[0]
     refused = self_loop | ~(labeled[:, 0] & labeled[:, 1]) | duplicate
     # where the records pass every rule, the parse refused the next line
     row = int(np.argmax(refused)) if refused.any() else len(ext)
@@ -128,13 +128,14 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
-def _later_copies(keys: np.ndarray) -> np.ndarray:
-    """Whether each key repeats an earlier one: every copy but the first
-    is marked, so the earliest refused row is the one named."""
+def _later_copies(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key repeats an earlier one, and the stable order that
+    sorts the keys: every copy but the first is marked, so the earliest
+    refused row is the one named."""
     order = np.argsort(keys, kind="stable")
     later = np.zeros(len(keys), dtype=bool)
     later[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return later
+    return later, order
 
 
 def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
@@ -144,12 +145,9 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     two, an unreadable id or an id labeled before is named."""
     records, bad, data = _read_table(path, _LABEL)
     nodes = records["node"]
-    order = np.argsort(nodes, kind="stable")
-    ext = nodes[order]
-    # in the stable order a node's later labels follow its first
-    twice = order[1:][ext[1:] == ext[:-1]]
-    if len(twice):
-        row = int(twice.min())
+    twice, order = _later_copies(nodes)
+    if twice.any():
+        row = int(np.argmax(twice))
         rule = f"node {nodes[row]} labeled twice"
     elif bad is not None:
         row, fields = len(nodes), bad.split("\t")
@@ -161,7 +159,7 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         names = records["category"][order].tolist()
         name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
         labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
-        return ext, labels, tuple(name_id)
+        return nodes[order], labels, tuple(name_id)
     lines = _kept_lines(path, data, _SKIPPED)[0]
     raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
@@ -443,15 +441,10 @@ def save_log(log: ObservationLog, path) -> None:
     nodes, cats, degrees = (np.asarray(x).astype(np.int64).tolist()
                             for x in (log.nodes, log.categories, log.degrees))
     weights = np.asarray(log.weights).astype(float).tolist()
-    records = zip(nodes, cats, degrees, weights)
-    if log.mode == STAR:
-        records = [
-            f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}, '
-            f'"nbr_cats": {{{nbrs}}}}}\n'
-            for (v, c, d, w), nbrs in zip(records, _nbr_cats(log))]
-    else:
-        records = [f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}}}\n'
-                   for v, c, d, w in records]
+    tails = ((f', "nbr_cats": {{{nbrs}}}' for nbrs in _nbr_cats(log))
+             if log.mode == STAR else repeat(""))
+    records = [f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}{tail}}}\n'
+               for v, c, d, w, tail in zip(nodes, cats, degrees, weights, tails)]
     if log.mode == INDUCED:
         edges = np.asarray(log.induced_edges).astype(np.int64).tolist()
         records.append(json.dumps({"induced_edges": edges}) + "\n")
@@ -536,7 +529,7 @@ def load_log(path) -> ObservationLog:
         _require(path, edge_lines, u != v, "induced edge is a self-loop",
                  induced)
         _require(path, edge_lines, ~_later_copies(
-            np.minimum(u, v) * len(ids) + np.maximum(u, v)),
+            np.minimum(u, v) * len(ids) + np.maximum(u, v))[0],
             "induced edge repeats an earlier one", induced)
     return log
 
@@ -576,47 +569,47 @@ def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
 # category graphs and estimates
 
 def _estimate_payload(est: CategoryGraphEstimate) -> dict:
-    cats = []
-    for c in sorted(est.sizes):
-        entry = {"id": c, "name": est.category_names[c],
-                 "size": est.sizes[c]}
-        if est.size_variances and c in est.size_variances:
-            entry["size_var"] = est.size_variances[c]
-        cats.append(entry)
-    edges = []
-    for a, b in sorted(est.weights):
-        entry = {"a": a, "b": b, "weight": est.weights[(a, b)]}
-        if est.weight_variances and (a, b) in est.weight_variances:
-            entry["weight_var"] = est.weight_variances[(a, b)]
-        edges.append(entry)
     return {"N_mode": est.population_mode,
             "N": est.population,
             "size_estimator": est.size_estimator,
             "weight_estimator": est.weight_estimator,
-            "categories": cats,
-            "edges": edges}
+            "categories": _entries(est.sizes, est.size_variances, "size",
+                                   lambda c: {"id": c,
+                                              "name": est.category_names[c]}),
+            "edges": _entries(est.weights, est.weight_variances, "weight",
+                              lambda pair: {"a": pair[0], "b": pair[1]})}
 
 
-def _exact_as_estimate(cg: CategoryGraph,
-                       names: tuple[str, ...] | None) -> CategoryGraphEstimate:
-    n = sum(cg.sizes.values())
-    if names is None:
-        names = tuple(str(c) for c in sorted(cg.sizes))
+def _entries(values: dict, variances: dict | None, name: str,
+             fields: Callable[[object], dict]) -> list[dict]:
+    """One entry per key of ``values``, in key order: the key's ``fields``,
+    its value as ``name`` and its variance, if any, as ``name + "_var"``."""
+    variances = variances or {}
+    return [{**fields(key), name: values[key],
+             **({f"{name}_var": variances[key]} if key in variances else {})}
+            for key in sorted(values)]
+
+
+def _as_estimate(est: CategoryGraphEstimate | CategoryGraph,
+                 names: tuple[str, ...] | None) -> CategoryGraphEstimate:
+    """``est`` as an estimate: an exact category graph gives its sizes and
+    weights as they are, named ``names`` or else by their ids."""
+    if not isinstance(est, CategoryGraph):
+        return est
     return CategoryGraphEstimate(
-        sizes={c: float(s) for c, s in cg.sizes.items()},
-        weights=dict(cg.weights),
+        sizes={c: float(s) for c, s in est.sizes.items()},
+        weights=dict(est.weights),
         size_estimator="exact", weight_estimator="exact",
-        population=float(n), population_mode="exact",
-        category_names=names)
+        population=float(sum(est.sizes.values())), population_mode="exact",
+        category_names=(tuple(str(c) for c in sorted(est.sizes))
+                        if names is None else names))
 
 
 def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
                   names: tuple[str, ...] | None = None) -> None:
-    if isinstance(est, CategoryGraph):
-        est = _exact_as_estimate(est, names)
     # a non-finite value raises ValueError here, before the file opens
-    _write(path, json.dumps(_estimate_payload(est), indent=1, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _write(path, json.dumps(_estimate_payload(_as_estimate(est, names)),
+                            indent=1, sort_keys=True, allow_nan=False) + "\n")
 
 
 _ESTIMATE_KEYS = {"N_mode": _STRING, "N": _FINITE,
@@ -682,8 +675,7 @@ def save_dot(est: CategoryGraphEstimate | CategoryGraph, path,
              names: tuple[str, ...] | None = None) -> None:
     """DOT rendering: one node per category (label=name, size attr),
     one edge per positive-weight pair (weight attr)."""
-    if isinstance(est, CategoryGraph):
-        est = _exact_as_estimate(est, names)
+    est = _as_estimate(est, names)
     lines = ["graph category_graph {"]
     for c in sorted(est.sizes):
         name = est.category_names[c] if c < len(est.category_names) else str(c)

@@ -36,8 +36,8 @@ _MAX_REGULAR_ATTEMPTS = 100
 
 def _check_model(sizes, k: int, inter_edge_count: int | None = None) -> None:
     """The model's one parameter check: InvalidParameter for k, a size or
-    an edge count that breaks its count rule, or sizes whose total does
-    not fit int64, else InfeasibleRegularGraph."""
+    an edge count that breaks its count rule, or sizes whose int64 labels
+    numpy could not address, else InfeasibleRegularGraph."""
     k = check_count(k, "k", "degree k")
     if inter_edge_count is not None:
         check_count(inter_edge_count, "inter_edge_count",
@@ -50,9 +50,9 @@ def _check_model(sizes, k: int, inter_edge_count: int | None = None) -> None:
         if (s * k) % 2 != 0:
             raise InfeasibleRegularGraph(
                 f"size*k must be even (size={s}, k={k})")
-    if (total := sum(map(int, sizes))) > np.iinfo(np.int64).max:
+    if (total := sum(map(int, sizes))) > np.iinfo(np.intp).max // 8:
         raise InvalidParameter(
-            f"category sizes must total at most 2**63 - 1, got {total}")
+            f"category sizes must total at most 2**60 - 1, got {total}")
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,7 @@ class ObservationLog:
         indices = np.asarray(indices, dtype=np.int64)
         nodes = self.nodes[indices]
         induced = self.induced_edges
-        if self.mode == INDUCED and induced is not None:
+        if induced is not None:
             # both ends drawn; .all(axis=1) on the two columns is 20x slower
             induced = induced[np.logical_and(*np.isin(induced, nodes).T)]
         counts = self.neighbor_counts

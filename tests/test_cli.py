@@ -320,7 +320,7 @@ BAD_CONFIGS = {
         "requested 1000 inter-category edges, only 120 free pairs"),
     "sizes whose total does not fit int64": (
         _set("graph", "synthetic", "category_sizes", [10, 2**63]),
-        "category sizes must total at most 2**63 - 1, got 9223372036854775818"),
+        "category sizes must total at most 2**60 - 1, got 9223372036854775818"),
 }
 
 
@@ -448,6 +448,22 @@ def test_a_bad_wrw_weight_names_the_flag(tmp_path, capsys, small_graph, token):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_wrw_weights_join_a_token_without_equals_sign_to_the_next(tmp_path):
+    """A category named with "," can be weighted: "a,b=2,c=1" weighs "a,b"."""
+    edges, cats = tmp_path / "edges.tsv", tmp_path / "cats.tsv"
+    edges.write_text("0\t1\n1\t2\n2\t3\n3\t0\n")
+    cats.write_text("0\ta,b\n1\ta,b\n2\tc\n3\tc\n")
+    out = tmp_path / "wrw.jsonl"
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "wrw", "--n", "40", "--seed", "3",
+                "--wrw-weights", "a,b=2,c=1", "--out", out]) == 0
+    g, part = load_graph(edges, cats)
+    weights = {part.names.index("a,b"): 2.0, part.names.index("c"): 1.0}
+    expected = sample_wrw(g, part, weights, 40, seed=3)
+    assert load_trace(out).weights.tolist() == expected.weights.tolist()
+    assert set(expected.weights.tolist()) == {7.0, 5.0}
+
+
 def test_wrw_weights_split_each_token_at_its_last_equals_sign(tmp_path):
     """A category named with "=" can be weighted: a number holds none."""
     edges, cats = tmp_path / "edges.tsv", tmp_path / "cats.tsv"
@@ -552,7 +568,9 @@ def test_n_below_one_is_an_error_before_the_graph_loads(tmp_path, capsys, n):
     ("10,12", ("--inter", "-3"), "inter-category edge count must be >= 0, got -3"),
     ("10,12", ("--seed", "-3"), "seed must be >= 0, got -3"),
     ("10,9223372036854775808", (),
-     "category sizes must total at most 2**63 - 1, got 9223372036854775818"),
+     "category sizes must total at most 2**60 - 1, got 9223372036854775818"),
+    ("4,4611686018427387904", (),
+     "category sizes must total at most 2**60 - 1, got 4611686018427387908"),
 ])
 def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message):
     code = run(["generate", "--sizes", sizes, "--k", "2", *flags,
@@ -562,6 +580,20 @@ def test_generate_names_a_bad_parameter(tmp_path, capsys, sizes, flags, message)
     assert _one_error_line(capsys, "InvalidParameter") == (
         f"error: InvalidParameter: {message}")
     assert not (tmp_path / "e.tsv").exists()
+
+
+def test_an_allocation_the_machine_refuses_is_one_error_line(tmp_path, capsys):
+    """2**59 int64 draws need 4 EiB, more than a 64-bit address space
+    maps, so the allocation fails at once, before any file is written."""
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\n1\t2\n")
+    cats.write_text("0\ta\n1\ta\n2\tb\n")
+    capsys.readouterr()
+    assert run(["sample", "--edges", edges, "--categories", cats,
+                "--sampler", "uis", "--n", str(2**59),
+                "--out", tmp_path / "t.jsonl"]) == 1
+    _one_error_line(capsys, "MemoryError")
+    assert not (tmp_path / "t.jsonl").exists()
 
 
 @pytest.mark.parametrize("command,flags,message", [

@@ -16,6 +16,7 @@ from categraph import (
     Graph,
     InsufficientSample,
     InvalidParameter,
+    InvalidWeight,
     MissingSizeEstimate,
     ObservationLog,
     SampleTrace,
@@ -84,6 +85,12 @@ def two_pair_graph():
 def test_reweighted_size_is_inverse_weight_mass():
     assert reweighted_size([1.0, 2.0, 4.0]) == 1.0 + 0.5 + 0.25
     assert reweighted_size(np.ones(7)) == 7.0
+
+
+@pytest.mark.parametrize("weight", [0.0, -2.0, float("nan"), 1e-320])
+def test_reweighted_size_refuses_what_check_weights_refuses(weight):
+    with pytest.raises(InvalidWeight, match=f"draw 1: .*got {weight!r}"):
+        reweighted_size([1.0, weight])
 
 
 def test_hh_total_uniform_recovers_population_size():

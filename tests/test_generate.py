@@ -329,9 +329,12 @@ BAD_PARAMS = [
     (dict(category_sizes=(10.0,), k=2), InvalidParameter,
      "category size: 10.0 is not an integer"),
     (dict(category_sizes=(10, 2**63), k=2), InvalidParameter,
-     r"category sizes must total at most 2\*\*63 - 1, got 9223372036854775818$"),
+     r"category sizes must total at most 2\*\*60 - 1, got 9223372036854775818$"),
     (dict(category_sizes=np.full(2, 2**62), k=2), InvalidParameter,
-     r"category sizes must total at most 2\*\*63 - 1, got 9223372036854775808$"),
+     r"category sizes must total at most 2\*\*60 - 1, got 9223372036854775808$"),
+    # fits int64, but its int64 labels would not fit the address space
+    (dict(category_sizes=(4, 2**62), k=2), InvalidParameter,
+     r"category sizes must total at most 2\*\*60 - 1, got 4611686018427387908$"),
 ]
 
 
