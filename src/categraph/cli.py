@@ -19,7 +19,7 @@ from .errors import (CategraphError, InvalidParameter, InvalidWeight,
                      check_count, weights_ok)
 from .estimate import (MODES, PROPORTIONAL, SIZE_ESTIMATORS, WEIGHT_ESTIMATORS,
                        bootstrap_variance, estimate_category_graph)
-from .evaluate import run_experiment
+from .evaluate import CSV_COLUMNS, run_experiment
 from .generate import SyntheticParams, synthetic_graph
 from .observe import INDUCED, observe_induced, observe_star
 from .sampling import SAMPLERS, draw_traces
@@ -154,10 +154,9 @@ def _cmd_evaluate(args) -> int:
     if args.json:
         report.write_json(args.json)
     if not args.csv and not args.json:
-        for cell in report.cells:
-            print(f"{cell.quantity_kind}\t{cell.sampler}\t{cell.mode}\t"
-                  f"{cell.estimator_label}\t{cell.n}\t"
-                  f"{cell.median_nrmse!r}\t{cell.excluded}")
+        for row in (cell.row for cell in report.cells):
+            print(*(row[k] for k in CSV_COLUMNS if k not in ("p25", "p75")),
+                  sep="\t")
     return 0
 
 

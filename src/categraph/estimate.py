@@ -66,8 +66,8 @@ def _require(log: ObservationLog, size: str | None = None,
     if not any(size in (None, s) and weight in (None, w) for s, w in pairs):
         asked = tuple(e or "any" for e in (size, weight))
         raise WrongObservationMode(
-            f"a {log.mode} log supports the (size, weight) estimator pairs "
-            f"{list(pairs)}, not {asked}")
+            f"{'an' if log.mode == INDUCED else 'a'} {log.mode} log supports "
+            f"the (size, weight) estimator pairs {list(pairs)}, not {asked}")
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
 
@@ -102,14 +102,17 @@ def hh_total(values, log: ObservationLog) -> float:
 
 def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
     """Ratio of two estimated totals; any constant factor shared by all
-    sampling weights cancels out."""
+    sampling weights cancels out. A zero denominator raises
+    InsufficientSample."""
     _require(log)
     numer = np.asarray(numer_values, dtype=float)
     denom = np.asarray(denom_values, dtype=float)
     if numer.shape != (log.n,) or denom.shape != (log.n,):
         raise ValueError("need exactly one value per draw")
     winv = log._inverse_weights
-    return float(np.sum(numer * winv) / np.sum(denom * winv))
+    if not (denom_total := np.sum(denom * winv)):
+        raise InsufficientSample("the denominator's estimated total is zero")
+    return float(np.sum(numer * winv) / denom_total)
 
 
 def _sizes(t: CategoryTotals, estimator: str, population: float,

@@ -100,7 +100,9 @@ class CellResult:
 
     ``nrmse_by_quantity`` maps category name (sizes) or "A|B" pair name
     (weights) to its NRMSE over replicates; quantities the estimator
-    could not produce in every replicate are excluded and counted.
+    could not produce in every replicate, or whose true value is zero,
+    are excluded and counted. ``median_nrmse``, ``p25`` and ``p75`` are
+    a snapshot of its values at construction (NaN when it is empty).
     """
 
     quantity_kind: str          # "size" | "weight"
@@ -112,6 +114,15 @@ class CellResult:
     nrmse_by_quantity: dict[str, float]
     excluded: int
     probe_nrmse: dict[str, float] = field(default_factory=dict)
+    median_nrmse: float = field(init=False, compare=False)
+    p25: float = field(init=False, compare=False)
+    p75: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        values = list(self.nrmse_by_quantity.values())
+        self.median_nrmse, self.p25, self.p75 = (
+            (float(np.median(values)), float(np.percentile(values, 25)),
+             float(np.percentile(values, 75))) if values else (float("nan"),) * 3)
 
     @property
     def estimator_label(self) -> str:
@@ -122,28 +133,23 @@ class CellResult:
         return self.weight_estimator
 
     @property
-    def median_nrmse(self) -> float:
-        if not self.nrmse_by_quantity:
-            return float("nan")
-        return float(np.median(list(self.nrmse_by_quantity.values())))
-
-    @property
-    def p25(self) -> float:
-        return self._percentile(25)
-
-    @property
-    def p75(self) -> float:
-        return self._percentile(75)
-
-    def _percentile(self, q: float) -> float:
-        if not self.nrmse_by_quantity:
-            return float("nan")
-        return float(np.percentile(list(self.nrmse_by_quantity.values()), q))
+    def row(self) -> dict:
+        """The cell as the JSON report writes it; its ``CSV_COLUMNS`` are
+        the CSV row."""
+        row = dict(vars(self), estimator=self.estimator_label)
+        row["excluded_count"] = row.pop("excluded")
+        return row
 
     def nrmse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted NRMSE values and their cumulative fractions."""
         vals = np.sort(np.asarray(list(self.nrmse_by_quantity.values())))
         return vals, np.arange(1, len(vals) + 1) / len(vals)
+
+
+# the CSV columns of a cell's row; all but the quartiles are the
+# columns `categraph evaluate` prints
+CSV_COLUMNS = ("quantity_kind", "sampler", "mode", "estimator", "n",
+               "median_nrmse", "p25", "p75", "excluded_count")
 
 
 @dataclass
@@ -170,14 +176,8 @@ class ExperimentReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["quantity_kind", "sampler", "mode", "estimator",
-                             "n", "median_nrmse", "p25", "p75",
-                             "excluded_count"])
-            for cell in self.cells:
-                writer.writerow([cell.quantity_kind, cell.sampler, cell.mode,
-                                 cell.estimator_label, cell.n,
-                                 repr(cell.median_nrmse), repr(cell.p25),
-                                 repr(cell.p75), cell.excluded])
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(map(cell.row.get, CSV_COLUMNS) for cell in self.cells)
 
     def write_json(self, path) -> None:
         payload = {
@@ -189,21 +189,7 @@ class ExperimentReport:
             },
             "probe_pairs": {label: f"{self.category_names[a]}|{self.category_names[b]}"
                             for label, (a, b) in sorted(self.probe_pairs.items())},
-            "cells": [{
-                "quantity_kind": cell.quantity_kind,
-                "sampler": cell.sampler,
-                "mode": cell.mode,
-                "size_estimator": cell.size_estimator,
-                "weight_estimator": cell.weight_estimator,
-                "estimator": cell.estimator_label,
-                "n": cell.n,
-                "median_nrmse": cell.median_nrmse,
-                "p25": cell.p25,
-                "p75": cell.p75,
-                "excluded_count": cell.excluded,
-                "probe_nrmse": cell.probe_nrmse,
-                "nrmse_by_quantity": cell.nrmse_by_quantity,
-            } for cell in self.cells],
+            "cells": [cell.row for cell in self.cells],
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
@@ -286,7 +272,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                                    for x in (values, defined))
                 scores = {q: nrmse(values[q], true_value)
                           for q, true_value in sorted(true_values.items())
-                          if defined[q].all()}
+                          if true_value and defined[q].all()}
                 cells.append(CellResult(
                     quantity_kind=kind, sampler=sampler, mode=mode,
                     size_estimator=se, weight_estimator=cell_we, n=n,

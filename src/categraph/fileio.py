@@ -217,7 +217,14 @@ def _parse(source, dtype: np.dtype, count: int, comments=None):
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
-    """Write the edge list (u < v, sorted) and the category file."""
+    """Write the edge list (u < v, sorted) and the category file. A name
+    the reader would refuse or merge raises ValueError; nothing is written."""
+    last = {name: c for c, name in enumerate(part.names)}
+    for c, name in enumerate(part.names):
+        if {"\t", "\n", "\r"} & set(name):
+            raise ValueError(f"category name {name!r} holds a tab or a line break")
+        if last[name] != c:
+            raise ValueError(f"category name {name!r} repeats another category's")
     flat = g.edge_array.ravel().tolist()
     _write(edge_path, ("%d\t%d\n" * (len(flat) // 2)) % tuple(flat))
     names = map(part.names.__getitem__, part.labels.tolist())
@@ -226,7 +233,7 @@ def save_graph(g: Graph, part: CategoryPartition, edge_path,
 
 
 def _write(path, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

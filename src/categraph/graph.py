@@ -300,6 +300,8 @@ def relative_fractions(g: Graph, part: CategoryPartition,
 
     Returns (|A|/N, vol(A)/vol(V)); both lie in [0, 1].
     """
+    if g.node_count == 0:
+        raise EmptyCategory("graph has no nodes")
     members = part.members(category)
     f_count = len(members) / g.node_count
     total_vol = int(g.degrees.sum())

@@ -89,7 +89,9 @@ def _weight_vector(weights, count: int, item: str) -> np.ndarray:
         ids = set(range(count))
         if missing := ids.difference(weights):
             raise InvalidWeight(f"no weight for {item} {min(missing)}")
-        if unknown := [k for k in weights if k not in ids]:
+        # True == 1, but no boolean is an id (as in graph._ids)
+        if unknown := [k for k in weights
+                       if k not in ids or isinstance(k, (bool, np.bool_))]:
             raise InvalidWeight(f"weight for unknown {item} {unknown[0]!r}")
         weights = list(map(weights.__getitem__, range(count)))
     arr = np.asarray(weights)

@@ -1,16 +1,22 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from categraph import (ExperimentConfig, InvalidWeight, est_size_induced,
                        est_weight_star, estimate_category_graph, observe_star,
-                       sample_uis, sample_wis, sample_wrw)
+                       run_experiment, sample_uis, sample_wis, sample_wrw)
+import categraph
 from categraph.cli import main
-from categraph.fileio import load_graph, load_trace, save_log
+from categraph.evaluate import CSV_COLUMNS
+from categraph.fileio import load_config, load_graph, load_trace, save_log
 
 
 def run(args):
@@ -377,6 +383,63 @@ def test_evaluate_without_report_files_prints_one_line_per_cell(
         rows = list(csv.reader(fh))[1:]
     # every column but p25 and p75, in the CSV's order
     assert rows and printed == [row[:6] + row[8:] for row in rows]
+
+
+def test_the_json_the_csv_and_the_printed_table_read_one_row(tmp_path,
+                                                             capsys):
+    """Each cell's JSON object is its row; the row's CSV_COLUMNS are its
+    CSV row and, but for p25 and p75, its printed line; its statistics
+    are those of its scores. One-draw samples leave cells unscored."""
+    cfg = {"graph": {"synthetic": {"category_sizes": [10, 10, 20], "k": 4,
+                                   "alpha": 0.3, "seed": 5}},
+           "samplers": ["uis", "rw"], "sample_sizes": [1, 40],
+           "replicates": 2, "seed": 3}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run(["evaluate", "--config", cfg_path, "--csv", tmp_path / "r.csv",
+                "--json", tmp_path / "r.json"]) == 0
+    capsys.readouterr()
+    assert run(["evaluate", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "r.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == list(CSV_COLUMNS)
+    objects = json.loads((tmp_path / "r.json").read_text())["cells"]
+    cells = run_experiment(load_config(cfg_path)).cells
+    assert len(cells) == len(objects) == len(rows) == len(printed)
+    assert any(not cell.nrmse_by_quantity for cell in cells)
+    for cell, obj, row, line in zip(cells, objects, rows, printed):
+        np.testing.assert_equal(obj, json.loads(json.dumps(cell.row)))
+        assert row == [str(cell.row[k]) for k in CSV_COLUMNS]
+        assert line == "\t".join(str(cell.row[k]) for k in CSV_COLUMNS
+                                 if k not in ("p25", "p75"))
+        values = list(cell.nrmse_by_quantity.values())
+        np.testing.assert_equal(
+            [cell.median_nrmse, cell.p25, cell.p75],
+            [np.median(values), np.percentile(values, 25),
+             np.percentile(values, 75)] if values else [np.nan] * 3)
+
+
+def test_writers_write_utf8_under_an_ascii_locale(tmp_path):
+    """The DOT and graph writers write UTF-8 whatever the locale."""
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    edges.write_text("0\t1\n")
+    cats.write_bytes("0\t\u00e9\n1\tb\n".encode("utf-8"))
+    src = str(Path(categraph.__file__).parents[1])
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    save = ("import sys; from categraph import fileio; "
+            "fileio.save_graph(*fileio.load_graph(*sys.argv[1:3]), *sys.argv[3:])")
+    dot = tmp_path / "g.dot"
+    for argv in (["-m", "categraph.cli", "exact", "--edges", edges,
+                  "--categories", cats, "--format", "dot", "--out", dot],
+                 ["-c", save, edges, cats, tmp_path / "e2.tsv", tmp_path / "c2.tsv"]):
+        done = subprocess.run([sys.executable, *map(str, argv)], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert '[label="\u00e9"' in dot.read_text(encoding="utf-8")
+    assert (tmp_path / "c2.tsv").read_bytes() == cats.read_bytes()
+    assert (tmp_path / "e2.tsv").read_bytes() == edges.read_bytes()
 
 
 def test_invalid_config_json_names_the_file(tmp_path, capsys):

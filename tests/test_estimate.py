@@ -143,6 +143,13 @@ def test_hh_ratio_estimates_mean_degree_on_path():
         ratios[0])
 
 
+@pytest.mark.parametrize("numer", [1.0, 0.0], ids=["1/0", "0/0"])
+def test_hh_ratio_refuses_a_zero_denominator_total(numer):
+    log = manual_log([0, 1], weights=[1.0, 2.0])
+    with pytest.raises(InsufficientSample, match="denominator"):
+        hh_ratio(np.full(2, numer), np.zeros(2), log)
+
+
 @pytest.mark.parametrize("estimate", [
     lambda log: hh_total(np.ones(2), log),
     lambda log: hh_ratio(np.ones(3), np.ones(2), log),
@@ -228,7 +235,7 @@ def test_volume_fraction_star_single_draw_all_neighbors_one_category(path3):
 def test_volume_fraction_star_rejects_induced_log(path3):
     g, part = path3
     log = observe_induced(g, part, make_trace([0, 1]))
-    with pytest.raises(WrongObservationMode):
+    with pytest.raises(WrongObservationMode, match="^an induced log supports"):
         est_volume_fraction_star(log)
 
 

@@ -3,8 +3,10 @@ import pytest
 
 from categraph import (
     CategoryGraph,
+    CategoryPartition,
     ExperimentConfig,
     ExperimentReport,
+    Graph,
     InvalidWeight,
     SampleTrace,
     SyntheticParams,
@@ -361,3 +363,19 @@ def test_an_empty_cell_a_missed_lookup_and_a_truth_without_edges():
                        r"size=None, weight=None\)"):
         report.find("size", "uis", "induced", 20)
     assert evaluate._probe_pairs(edgeless, [25, 75]) == {}
+
+
+def test_a_sweep_counts_an_empty_category_as_excluded():
+    """A category with no members has true size 0, so no NRMSE: each
+    size cell counts it as excluded, and the sweep scores the rest."""
+    edges = [(v, (v + 1) % 6) for v in range(6)] + [(0, 3)]
+    part = CategoryPartition(labels=np.array([0, 0, 0, 1, 1, 1]),
+                             names=("a", "b", "c"))
+    report = run_experiment(ExperimentConfig(
+        graph=Graph.from_edges(6, edges), partition=part, samplers=("uis",),
+        sample_sizes=(50,), replicates=2))
+    assert len(report.cells) == 6
+    for cell in report.cells:
+        scored = {"size": {"a", "b"}, "weight": {"a|b"}}[cell.quantity_kind]
+        assert set(cell.nrmse_by_quantity) == scored
+        assert cell.excluded == (cell.quantity_kind == "size")

@@ -1010,9 +1010,31 @@ def test_save_graph_matches_per_line_writer(tmp_path_factory, n, data):
         labels=np.array(data.draw(st.lists(st.integers(0, len(names) - 1),
                                            min_size=n, max_size=n)), dtype=np.int64),
         names=names)
-    _same_bytes(tmp_path_factory.mktemp("graph"),
-                lambda e, c: save_graph(g, part, e, c),
+    tmp = tmp_path_factory.mktemp("graph")
+    if len(set(names)) < len(names):   # the reader would merge them
+        with pytest.raises(ValueError, match="repeats another category's"):
+            save_graph(g, part, tmp / "e.tsv", tmp / "c.tsv")
+        assert not any(tmp.iterdir())
+        return
+    _same_bytes(tmp, lambda e, c: save_graph(g, part, e, c),
                 lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
+
+
+@pytest.mark.parametrize("names, bad, rule", [
+    (("a\tb", "c"), "a\tb", "holds a tab or a line break"),
+    (("a", "b\nc"), "b\nc", "holds a tab or a line break"),
+    (("a\r", "b"), "a\r", "holds a tab or a line break"),
+    (("a", "b", "a"), "a", "repeats another category's"),
+], ids=["tab", "newline", "carriage return", "repeat"])
+def test_save_graph_refuses_a_name_the_reader_would_refuse_or_merge(
+        tmp_path, names, bad, rule):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    part = CategoryPartition(labels=np.array([0, 1, 1]), names=names)
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    with pytest.raises(ValueError,
+                       match=re.escape(f"category name {bad!r} {rule}")):
+        save_graph(g, part, edges, cats)
+    assert not edges.exists() and not cats.exists()
 
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0,

@@ -372,3 +372,9 @@ def test_malformed_graph_input_is_named(build, message):
 def test_mean_degree_of_a_graph_without_nodes():
     with pytest.raises(EmptyCategory, match="graph has no nodes"):
         mean_degree(Graph.from_edges(0, []))
+
+
+def test_relative_fractions_of_a_graph_without_nodes():
+    part = CategoryPartition(labels=np.empty(0, dtype=np.int64), names=("a",))
+    with pytest.raises(EmptyCategory, match="graph has no nodes"):
+        relative_fractions(Graph.from_edges(0, []), part, 0)

@@ -253,6 +253,9 @@ BAD_REQUESTS = {
     "wrw weight for an unknown category": (
         lambda: sample_wrw(PATH, PARTITION, {0: 1.0, 1: 2.0, 7: 9.0}, 5),
         InvalidWeight, "weight for unknown category 7"),
+    "wrw weight keyed by a boolean": (
+        lambda: sample_wrw(PATH, PARTITION, {True: 1.0, 0: 2.0}, 5),
+        InvalidWeight, "weight for unknown category True"),
     "wrw weights too long": (lambda: sample_wrw(PATH, PARTITION, [1, 1, 1], 5),
                              InvalidWeight, "one weight per category"),
     "wrw weight negative": (lambda: sample_wrw(PATH, PARTITION, [1, -1], 5),
