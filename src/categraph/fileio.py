@@ -17,8 +17,8 @@ with that parse over the lines only to find a refused one.
 
 Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
-inputs produce byte-identical files; each builds its file as one string
-and writes it once.
+inputs produce byte-identical files; each writes its rows in blocks of
+``_BLOCK``, so its transient memory is one block's, not its file's.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+_BLOCK = 2**14   # rows (edges, nodes, draws or records) formatted per write
 # a refused node id that reads as this once stripped is out of range
 _NODE_ID = re.compile(r"[+-]?[0-9]+")
 
@@ -84,6 +85,7 @@ def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
 
 # every kept line of a graph file is one record of two tab-separated fields
 _SKIPPED = b"\n#"   # blank lines and comments
+_BLANK_LINE = re.compile(rb"\n(?=\n)")   # a line end followed by a blank line
 _EDGE = np.dtype([("u", np.int64), ("v", np.int64)])
 _LABEL = np.dtype([("node", np.int64), ("category", object)])
 # np.loadtxt opens a path with these suffixes through a decompressor
@@ -176,11 +178,11 @@ def _read_table(path, dtype: np.dtype):
     """
     data = _file_bytes(path)
     # the lines that do not start with their own '\n' or with '#'
-    newline = np.frombuffer(data, np.uint8) == ord("\n")
-    blank = int(newline[0]) + np.count_nonzero(newline[1:] & newline[:-1])
+    blank = data.startswith(b"\n") + (len(_BLANK_LINE.findall(data))
+                                      if b"\n\n" in data else 0)
     comments = (data.startswith(b"#") + data.count(b"\n#")
                 if b"#" in data else 0)
-    count = int(np.count_nonzero(newline)) - blank - comments
+    count = data.count(b"\n") - blank - comments
     name = os.fsdecode(path)   # loadtxt opens only a str path itself
     if ((not comments or data.count(b"#") == comments)
             and os.path.splitext(name)[1] not in _COMPRESSED):
@@ -218,23 +220,34 @@ def _parse(source, dtype: np.dtype, count: int, comments=None):
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
     """Write the edge list (u < v, sorted) and the category file. A name
-    the reader would refuse or merge raises ValueError; nothing is written."""
+    the reader would refuse or merge, or a category without members, which
+    the category file cannot hold, raises ValueError; nothing is written."""
     last = {name: c for c, name in enumerate(part.names)}
     for c, name in enumerate(part.names):
         if {"\t", "\n", "\r"} & set(name):
             raise ValueError(f"category name {name!r} holds a tab or a line break")
         if last[name] != c:
             raise ValueError(f"category name {name!r} repeats another category's")
-    flat = g.edge_array.ravel().tolist()
-    _write(edge_path, ("%d\t%d\n" * (len(flat) // 2)) % tuple(flat))
-    names = map(part.names.__getitem__, part.labels.tolist())
-    _write(category_path,
-           "".join([f"{v}\t{name}\n" for v, name in enumerate(names)]))
+    empty = np.flatnonzero(part.sizes == 0)
+    if len(empty):
+        raise ValueError(f"category {part.names[empty[0]]!r} has no members, "
+                         "and a category file lists only labeled nodes")
+    _write(edge_path, (g.edge_count, lambda lo, hi: ("%d\t%d\n" * (hi - lo))
+                       % tuple(g.edge_array[lo:hi].ravel().tolist())))
+    _write(category_path, (part.node_count, lambda lo, hi: "".join(
+        [f"{v}\t{part.names[c]}\n"
+         for v, c in enumerate(part.labels[lo:hi].tolist(), lo)])))
 
 
-def _write(path, text: str) -> None:
+def _write(path, *parts) -> None:
+    """Write ``parts`` in order: a string as it is, and a (count, block)
+    pair as ``block(lo, hi)``, the text of rows lo..hi-1, for each run of
+    ``_BLOCK`` of its ``count`` rows."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        for part in parts:
+            count, block = (1, lambda lo, hi: part) if isinstance(part, str) else part
+            for lo in range(0, count, _BLOCK):
+                fh.write(block(lo, min(lo + _BLOCK, count)))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +355,10 @@ def save_trace(trace: SampleTrace, path) -> None:
     meta = {"sampler": trace.sampler, "seed": trace.seed,
             "start": trace.start, "burn_in": trace.burn_in,
             "thin": trace.thin_interval}
-    draws = zip(trace.steps.tolist(), trace.nodes.tolist(),
-                trace.weights.tolist())
-    _write(path, json.dumps(meta) + "\n" + "".join(
-        [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in draws]))
+    _write(path, json.dumps(meta) + "\n", (len(trace.nodes), lambda lo, hi: "".join(
+        [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in zip(
+            trace.steps[lo:hi].tolist(), trace.nodes[lo:hi].tolist(),
+            trace.weights[lo:hi].tolist())])))
 
 
 _TRACE_META = {"sampler": _STRING,
@@ -445,23 +458,32 @@ def save_log(log: ObservationLog, path) -> None:
     check_weights(log.weights)
     meta = {"mode": log.mode, "N": log.population_hint,
             "categories": list(log.category_names)}
-    nodes, cats, degrees = (np.asarray(x).astype(np.int64).tolist()
-                            for x in (log.nodes, log.categories, log.degrees))
-    weights = np.asarray(log.weights).astype(float).tolist()
-    tails = ((f', "nbr_cats": {{{nbrs}}}' for nbrs in _nbr_cats(log))
-             if log.mode == STAR else repeat(""))
-    records = [f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}{tail}}}\n'
-               for v, c, d, w, tail in zip(nodes, cats, degrees, weights, tails)]
+    columns = [np.asarray(x).astype(t, copy=False) for x, t in (
+        (log.nodes, np.int64), (log.categories, np.int64),
+        (log.degrees, np.int64), (log.weights, float))]
+
+    def records(lo: int, hi: int) -> str:
+        tails = ((f', "nbr_cats": {{{nbrs}}}'
+                  for nbrs in _nbr_cats(log.neighbor_counts[lo:hi]))
+                 if log.mode == STAR else repeat(""))
+        return "".join([f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}{tail}}}\n'
+                        for v, c, d, w, tail in zip(
+                            *(x[lo:hi].tolist() for x in columns), tails)])
+
+    induced = ()
     if log.mode == INDUCED:
-        edges = np.asarray(log.induced_edges).astype(np.int64).tolist()
-        records.append(json.dumps({"induced_edges": edges}) + "\n")
-    _write(path, json.dumps(meta) + "\n" + "".join(records))
+        # json.dumps({"induced_edges": edges}), a block of pairs at a time
+        edges = np.asarray(log.induced_edges).astype(np.int64, copy=False)
+        induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: (
+            ", [%d, %d]" * (hi - lo))[2 if lo == 0 else 0:]
+            % tuple(edges[lo:hi].ravel().tolist())), "]}\n")
+    _write(path, json.dumps(meta) + "\n", (len(columns[0]), records), *induced)
 
 
-def _nbr_cats(log: ObservationLog) -> list[str]:
+def _nbr_cats(counts: np.ndarray) -> list[str]:
     """Each star record's ``nbr_cats`` entries, as the text between the
-    braces: its nonzero counts in category order."""
-    counts = log.neighbor_counts
+    braces, from its row of ``counts``: its nonzero counts in category
+    order."""
     rows, cols = np.nonzero(counts)
     entries = [f'"{c}": {k}' for c, k in
                zip(cols.tolist(), counts[rows, cols].astype(np.int64).tolist())]

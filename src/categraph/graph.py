@@ -43,7 +43,9 @@ def _ids(values, count: int, what: str, outside: str = "",
     a whole number", or ``outside`` (``what`` "outside 0..{last}" if "")."""
     raw = np.asarray(values)
     ids = raw if raw.dtype.kind in "iubf" else raw.astype(float)
-    whole = (ids == np.trunc(ids)) & (not isinstance(values, (bool, np.bool_)))
+    # integer and boolean ids are whole, bar a lone boolean, with no float copy
+    whole = (ids == np.trunc(ids) if ids.dtype.kind == "f" else
+             np.full(ids.shape, not isinstance(values, (bool, np.bool_))))
     bad = np.flatnonzero(~whole | (ids < 0) | (ids >= count))
     if len(bad):
         rule = ((outside or what + " outside 0..{last}") if whole.flat[bad[0]]
@@ -108,9 +110,8 @@ class Graph:
         degrees = np.bincount(edges.ravel(), minlength=node_count)
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate edges are not allowed")
-        # the sorted keys run through the heads in order, degree by degree
-        keys -= np.repeat(np.arange(node_count, dtype=np.int64) * node_count,
-                          degrees)
+        # each sorted key's tail, in place
+        np.remainder(keys, node_count, out=keys)
         indptr = np.zeros(node_count + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(degrees)
         return Graph(indptr=indptr, indices=keys)
@@ -161,14 +162,19 @@ class Graph:
     @cached_property
     def is_connected(self) -> bool:
         """Hook-and-shortcut over the u < v edges: each root takes the
-        smallest root across its edges, then pointers jump to roots."""
-        u, v = self.edge_array.T
-        parent = np.arange(self.node_count, dtype=np.int64)
+        smallest root across its edges, then pointers jump to roots. Ids are
+        ``np.min_scalar_type(N - 1)``; only the answer is cached."""
+        ids = np.min_scalar_type(self.node_count - 1)
+        heads = np.repeat(np.arange(self.node_count, dtype=ids), self.degrees)
+        upper = heads < self.indices
+        u, v = heads[upper], self.indices.astype(ids)[upper]
+        del heads, upper
+        parent = np.arange(self.node_count, dtype=ids)
         while u.size:
-            pu, pv = parent[u], parent[v]
             # an edge inside one tree stays inside it
-            cross = pu != pv
-            u, v, pu, pv = u[cross], v[cross], pu[cross], pv[cross]
+            cross = parent[u] != parent[v]
+            u, v = u[cross], v[cross]
+            pu, pv = parent[u], parent[v]
             np.minimum.at(parent, pu, pv)
             np.minimum.at(parent, pv, pu)
             while True:

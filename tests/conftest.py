@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,3 +41,28 @@ def eight_node_graph():
     g = Graph.from_edges(8, edges)
     assert g.is_connected
     return g
+
+
+@pytest.fixture(scope="session")
+def circulant():
+    """Builds the n-node graph joining each node to the next d < n / 2
+    around a cycle, n * d edges and connected, from numpy arrays."""
+    def build(n, d):
+        u = np.tile(np.arange(n), d)
+        return Graph.from_edges(n, np.column_stack(
+            [u, (u + np.repeat(np.arange(1, d + 1), n)) % n]))
+    return build
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """Calls ``fn()`` and returns the peak of the memory tracemalloc traced
+    meanwhile, in bytes."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -923,10 +923,16 @@ seeds_st = st.one_of(st.none(), st.integers(0, 2**63),
 
 
 def _same_bytes(tmp, write_new, write_naive, *files):
-    write_new(*(tmp / f"new_{f}" for f in files))
+    """The writer's files equal the per-line writer's, with the writers'
+    block as it is and shrunk to 3 rows, so that small files span blocks."""
     write_naive(*(tmp / f"naive_{f}" for f in files))
-    for f in files:
-        assert (tmp / f"new_{f}").read_bytes() == (tmp / f"naive_{f}").read_bytes()
+    for block in (fileio._BLOCK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fileio, "_BLOCK", block)
+            write_new(*(tmp / f"new_{f}" for f in files))
+        for f in files:
+            assert ((tmp / f"new_{f}").read_bytes()
+                    == (tmp / f"naive_{f}").read_bytes()), (block, f)
 
 
 @settings(max_examples=60, deadline=None)
@@ -936,6 +942,10 @@ def _same_bytes(tmp, write_new, write_naive, *files):
 @example(draws=[(0, 2**63 - 1, w) for w in SPECIAL_WEIGHTS], sampler="中é",
          seed=[3, 2**32], start=2**63 - 1, burn_in=0, thin=1)
 @example(draws=[], sampler="rw", seed=None, start=None, burn_in=0, thin=1)
+@example(draws=[(i, i, 1.5) for i in range(3)], sampler="rw", seed=None,
+         start=None, burn_in=0, thin=1)
+@example(draws=[(i, 2**63 - 1 - i, 0.1 * i + 0.1) for i in range(7)],
+         sampler="wrw", seed=1, start=0, burn_in=2, thin=3)
 def test_save_trace_matches_per_line_writer(tmp_path_factory, draws, sampler,
                                             seed, start, burn_in, thin):
     steps, nodes, weights = (list(col) for col in zip(*draws)) if draws \
@@ -993,31 +1003,83 @@ def _log(mode, n, **fields):
                   induced_edges=np.zeros((0, 2), dtype=np.int64)))
 @example(log=_log("star", 0, population_hint=7,
                   neighbor_counts=np.zeros((0, 2), dtype=np.int64)))
+@example(log=_log("star", 3, neighbor_counts=np.array([[0, 2], [1, 0], [3, 4]])))
+@example(log=_log("induced", 5, population_hint=9, induced_edges=np.array(
+    [[2**63 - 1 - u, 2**63 - 1 - v] for u, v in itertools.combinations(range(5), 2)]
+    [:7])))
+@example(log=_log("induced", 3, population_hint=None, induced_edges=np.array(
+    [[2**63 - 1, 2**63 - 2], [2**63 - 2, 2**63 - 3], [2**63 - 1, 2**63 - 3]])))
 def test_save_log_matches_per_line_writer(tmp_path_factory, log):
     _same_bytes(tmp_path_factory.mktemp("log"),
                 lambda p: save_log(log, p),
                 lambda p: naive_save_log(log, p), "log.jsonl")
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(0, 12), data=st.data())
-def test_save_graph_matches_per_line_writer(tmp_path_factory, n, data):
+@st.composite
+def partitioned_graphs(draw):
+    n = draw(st.integers(0, 12))
     iu, iv = np.triu_indices(n, k=1)
-    keep = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
-    g = Graph.from_edges(n, np.column_stack([iu, iv])[np.array(keep, dtype=bool)])
-    names = tuple(data.draw(st.lists(names_st, min_size=1, max_size=4)))
-    part = CategoryPartition(
-        labels=np.array(data.draw(st.lists(st.integers(0, len(names) - 1),
-                                           min_size=n, max_size=n)), dtype=np.int64),
-        names=names)
+    keep = draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    names = tuple(draw(st.lists(names_st, min_size=1, max_size=4)))
+    labels = draw(st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n))
+    return (Graph.from_edges(n, np.column_stack([iu, iv])[np.array(keep, dtype=bool)]),
+            CategoryPartition(labels=np.array(labels, dtype=np.int64), names=names))
+
+
+def _path(n, names=("a",)):
+    """An n-node path, the nodes labeled 0, 1, ... in turn."""
+    return (Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)]),
+            CategoryPartition(labels=np.arange(n) % len(names), names=names))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=partitioned_graphs())
+@example(graph=_path(0, names=()))
+@example(graph=_path(1))                      # no edges
+@example(graph=_path(3, names=("é", "b")))    # one block of nodes
+@example(graph=_path(4))                      # one block of edges
+@example(graph=_path(8, names=("a", "中 x", "#")))   # several blocks
+def test_save_graph_matches_per_line_writer(tmp_path_factory, graph):
+    g, part = graph
     tmp = tmp_path_factory.mktemp("graph")
-    if len(set(names)) < len(names):   # the reader would merge them
-        with pytest.raises(ValueError, match="repeats another category's"):
+    # the reader would merge repeated names, and a category file cannot
+    # hold a category without members
+    refusal = ("repeats another category's" if len(set(part.names)) < len(part.names)
+               else "has no members" if np.any(part.sizes == 0) else None)
+    if refusal:
+        with pytest.raises(ValueError, match=refusal):
             save_graph(g, part, tmp / "e.tsv", tmp / "c.tsv")
         assert not any(tmp.iterdir())
         return
     _same_bytes(tmp, lambda e, c: save_graph(g, part, e, c),
                 lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
+
+
+def test_save_graph_refuses_an_empty_category(tmp_path):
+    """The category file lists labeled nodes only, so a category with no
+    members would be dropped on reading and later ids would shift."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    part = CategoryPartition(labels=np.array([0, 2, 2]), names=("a", "b", "c"))
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    with pytest.raises(ValueError, match="^category 'b' has no members"):
+        save_graph(g, part, edges, cats)
+    assert not edges.exists() and not cats.exists()
+
+
+def test_save_graph_transient_memory_does_not_grow_with_the_edges(
+        tmp_path, circulant, traced_peak):
+    """The writer's traced peak on 248,000 and on 1,000,000 edges over the
+    same 4,000 nodes, ``edge_array`` built beforehand: written in blocks,
+    the two peaks differ by less than 4 MiB (one string per file made
+    them differ by 79 MiB)."""
+    peaks = []
+    for d in (62, 250):
+        g = circulant(4000, d)
+        part = CategoryPartition(labels=np.zeros(4000, np.int64), names=("a",))
+        g.edge_array
+        peaks.append(traced_peak(
+            lambda: save_graph(g, part, tmp_path / "e.tsv", tmp_path / "c.tsv")))
+    assert peaks[1] - peaks[0] < 4 * 2**20
 
 
 @pytest.mark.parametrize("names, bad, rule", [

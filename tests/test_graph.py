@@ -110,6 +110,18 @@ def test_is_connected_on_a_long_path():
     assert not Graph.from_edges(n, cut).is_connected
 
 
+@pytest.mark.parametrize("d", [60, 240])
+def test_is_connected_transient_memory_per_edge(circulant, traced_peak, d):
+    """240,000 and 960,000 edges over 4,000 nodes: with ids in the
+    smallest dtype and no ``edge_array``, the traced peak stays below 32
+    bytes an edge (about 14 measured; int64 pairs through ``edge_array``
+    took 65), and nothing but the answer is cached."""
+    g = circulant(4000, d)
+    peak = traced_peak(lambda: g.is_connected)
+    assert g.is_connected and "edge_array" not in vars(g)
+    assert peak < 32 * g.edge_count
+
+
 def test_neighbor_rows_sorted_and_has_edge():
     g = Graph.from_edges(5, [(3, 1), (0, 3), (2, 3), (4, 0)])
     assert g.neighbors(3).tolist() == [0, 1, 2]
