@@ -9,7 +9,6 @@ graph.
 
 from .errors import (
     CategraphError,
-    EmptyCategory,
     EmptyGraph,
     EmptySample,
     FileFormatError,
@@ -22,7 +21,6 @@ from .errors import (
     InvalidWeight,
     IsolatedStartNode,
     MissingSizeEstimate,
-    SelfPairNotSupported,
     TooManyEdgesRequested,
     UndefinedNRMSE,
     UnknownCategory,
@@ -39,9 +37,6 @@ from .estimate import (
     est_weight_induced,
     est_weight_star,
     estimate_category_graph,
-    hh_ratio,
-    hh_total,
-    reweighted_size,
 )
 from .evaluate import (
     ExperimentConfig,
@@ -61,11 +56,7 @@ from .graph import (
     CategoryGraph,
     CategoryPartition,
     Graph,
-    edge_cut,
     exact_category_graph,
-    mean_degree,
-    relative_fractions,
-    volume,
 )
 from .observe import INDUCED, STAR, ObservationLog, observe_induced, observe_star
 from .sampling import (
@@ -81,22 +72,19 @@ from .sampling import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CategraphError", "EmptyCategory", "EmptyGraph", "EmptySample",
-    "FileFormatError", "GenerationFailed", "InfeasibleRegularGraph",
-    "InsufficientSample", "InvalidNode", "InvalidParameter",
-    "InvalidThinning", "InvalidWeight",
-    "IsolatedStartNode", "MissingSizeEstimate", "SelfPairNotSupported",
-    "TooManyEdgesRequested", "UndefinedNRMSE", "UnknownCategory",
-    "WrongObservationMode",
+    "CategraphError", "EmptyGraph", "EmptySample", "FileFormatError",
+    "GenerationFailed", "InfeasibleRegularGraph", "InsufficientSample",
+    "InvalidNode", "InvalidParameter", "InvalidThinning", "InvalidWeight",
+    "IsolatedStartNode", "MissingSizeEstimate", "TooManyEdgesRequested",
+    "UndefinedNRMSE", "UnknownCategory", "WrongObservationMode",
     "PROPORTIONAL", "CategoryGraphEstimate", "bootstrap_variance",
     "est_mean_degrees", "est_size_induced", "est_size_star",
     "est_volume_fraction_star", "est_weight_induced", "est_weight_star",
-    "estimate_category_graph", "hh_ratio", "hh_total", "reweighted_size",
+    "estimate_category_graph",
     "ExperimentConfig", "ExperimentReport", "nrmse", "run_experiment",
     "DEFAULT_CATEGORY_SIZES", "SyntheticParams", "add_inter_edges",
     "gen_intra_regular", "permute_labels", "synthetic_graph",
-    "CategoryGraph", "CategoryPartition", "Graph", "edge_cut",
-    "exact_category_graph", "mean_degree", "relative_fractions", "volume",
+    "CategoryGraph", "CategoryPartition", "Graph", "exact_category_graph",
     "INDUCED", "STAR", "ObservationLog", "observe_induced", "observe_star",
     "SampleTrace", "sample_mhrw", "sample_rw", "sample_uis", "sample_wis",
     "sample_wrw", "thin",

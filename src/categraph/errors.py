@@ -50,14 +50,6 @@ class UnknownCategory(CategraphError):
     """A category id is not part of the partition."""
 
 
-class SelfPairNotSupported(CategraphError):
-    """Intra-category pairs (A, A) have no defined edge weight."""
-
-
-class EmptyCategory(CategraphError):
-    """Mean degree requested for a category with no members."""
-
-
 class EmptyGraph(CategraphError):
     """Operation needs at least one node."""
 

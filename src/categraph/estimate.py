@@ -35,7 +35,6 @@ from .errors import (
     MissingSizeEstimate,
     WrongObservationMode,
     check_count,
-    check_weights,
     finite,
 )
 from .observe import INDUCED, STAR, CategoryTotals, ObservationLog
@@ -70,49 +69,6 @@ def _require(log: ObservationLog, size: str | None = None,
             f"the (size, weight) estimator pairs {list(pairs)}, not {asked}")
     if log.n == 0:
         raise EmptySample("no draws to estimate from")
-
-
-def reweighted_size(weights) -> float:
-    """Inverse-weight mass of a draw multiset: sum of 1/w(v).
-
-    This is the quantity that plays the role of a sample count once
-    sampling bias is corrected for; with unit weights it IS the count.
-    Weights ``check_weights`` refuses raise InvalidWeight.
-    """
-    w = np.asarray(weights, dtype=float)
-    check_weights(w)
-    return float(np.sum(1.0 / w))
-
-
-def hh_total(values, log: ObservationLog) -> float:
-    """Estimate a population total from per-draw values.
-
-    Treats the log's weights as exact sampling probabilities; returns
-    (1/n) * sum of x(v)/w(v), summed at the log's power-of-two scale, so
-    only a total beyond the float range overflows. When weights are known
-    only up to a constant, use :func:`hh_ratio`, where the constant cancels.
-    """
-    _require(log)
-    values = np.asarray(values, dtype=float)
-    if values.shape != (log.n,):
-        raise ValueError("need exactly one value per draw")
-    scale = np.frexp(1.0 / np.min(log.weights))[1]   # _scaled's, of max 1/w
-    return float(np.ldexp(np.sum(values * log._inverse_weights) / log.n, scale))
-
-
-def hh_ratio(numer_values, denom_values, log: ObservationLog) -> float:
-    """Ratio of two estimated totals; any constant factor shared by all
-    sampling weights cancels out. A zero denominator raises
-    InsufficientSample."""
-    _require(log)
-    numer = np.asarray(numer_values, dtype=float)
-    denom = np.asarray(denom_values, dtype=float)
-    if numer.shape != (log.n,) or denom.shape != (log.n,):
-        raise ValueError("need exactly one value per draw")
-    winv = log._inverse_weights
-    if not (denom_total := np.sum(denom * winv)):
-        raise InsufficientSample("the denominator's estimated total is zero")
-    return float(np.sum(numer * winv) / denom_total)
 
 
 def _sizes(t: CategoryTotals, estimator: str, population: float,

@@ -140,11 +140,6 @@ class CellResult:
         row["excluded_count"] = row.pop("excluded")
         return row
 
-    def nrmse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted NRMSE values and their cumulative fractions."""
-        vals = np.sort(np.asarray(list(self.nrmse_by_quantity.values())))
-        return vals, np.arange(1, len(vals) + 1) / len(vals)
-
 
 # the CSV columns of a cell's row; all but the quartiles are the
 # columns `categraph evaluate` prints

@@ -104,7 +104,7 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     ext_ids, labels, names = _read_categories(category_path)
     part = CategoryPartition(labels=labels, names=names)
     n = len(ext_ids)
-    records, bad, data = _read_table(edge_path, _EDGE)
+    records, bad = _read_table(edge_path, _EDGE)
     ext = records.view(np.int64).reshape(-1, 2)
     dense, labeled = _lookup(ext_ids, ext)
     if bad is None and labeled.all():
@@ -126,7 +126,7 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         rule = f"node {ext[row][~labeled[row]][0]} has no category label"
     else:
         rule = f"duplicate edge {ext[row, 0]}-{ext[row, 1]}"
-    lines = _kept_lines(edge_path, data, _SKIPPED)[0]
+    lines = _kept_lines(edge_path, _file_bytes(edge_path), _SKIPPED)[0]
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
@@ -145,7 +145,7 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     each, category names interned in that order). Ids are read by the
     edge file's rule; the earliest line with a field count other than
     two, an unreadable id or an id labeled before is named."""
-    records, bad, data = _read_table(path, _LABEL)
+    records, bad = _read_table(path, _LABEL)
     nodes = records["node"]
     twice, order = _later_copies(nodes)
     if twice.any():
@@ -162,19 +162,20 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
         name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
         labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
         return nodes[order], labels, tuple(name_id)
-    lines = _kept_lines(path, data, _SKIPPED)[0]
+    lines = _kept_lines(path, _file_bytes(path), _SKIPPED)[0]
     raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
 
 def _read_table(path, dtype: np.dtype):
     """A graph file's kept lines, neither blank nor starting with '#', as
     (records of ``dtype`` of those before the first line the parse
-    refuses, that line's text or None, the file's bytes). One
-    :func:`_parse` call reads the path where ``np.loadtxt`` reads the kept
-    lines as they are (each '#' starts a comment line, and the name is
-    not one it would decompress), else the kept lines' text. Where it
-    refuses a line, or does not read one record per kept line, a
-    bisection over the kept lines with the same call finds that line.
+    refuses, that line's text or None). One :func:`_parse` call reads the
+    path where ``np.loadtxt`` reads the kept lines as they are (each '#'
+    starts a comment line, and the name is not one it would decompress),
+    else the kept lines' text; the file's bytes are let go before it, so
+    they are never held beside the records. Where it refuses a line, or
+    does not read one record per kept line, a bisection over the kept
+    lines, read again, with the same call finds that line.
     """
     data = _file_bytes(path)
     # the lines that do not start with their own '\n' or with '#'
@@ -186,12 +187,14 @@ def _read_table(path, dtype: np.dtype):
     name = os.fsdecode(path)   # loadtxt opens only a str path itself
     if ((not comments or data.count(b"#") == comments)
             and os.path.splitext(name)[1] not in _COMPRESSED):
-        records = _parse(name, dtype, count, "#" if comments else None)
+        source, comment = name, "#" if comments else None
     else:
-        records = _parse(_kept_lines(path, data, _SKIPPED)[1], dtype, count)
+        source, comment = _kept_lines(path, data, _SKIPPED)[1], None
+    del data
+    records = _parse(source, dtype, count, comment)
     if records is not None:
-        return records, None, data
-    rows = _kept_lines(path, data, _SKIPPED)[1]
+        return records, None
+    rows = _kept_lines(path, _file_bytes(path), _SKIPPED)[1]
     lo, hi = 0, len(rows)   # rows[lo:hi] holds the first refused line
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -199,7 +202,7 @@ def _read_table(path, dtype: np.dtype):
             hi = mid
         else:
             lo = mid
-    return _parse(rows[:lo], dtype, lo), rows[lo], data
+    return _parse(rows[:lo], dtype, lo), rows[lo]
 
 
 def _parse(source, dtype: np.dtype, count: int, comments=None):

@@ -9,16 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    EmptyCategory,
-    InvalidNode,
-    SelfPairNotSupported,
-    UnknownCategory,
-)
+from .errors import InvalidNode, UnknownCategory
 
 
 def _lookup(table: np.ndarray, keys: np.ndarray):
@@ -261,13 +255,6 @@ class CategoryPartition:
     def label_of(self, v: int) -> int:
         return int(self.labels[_ids(v, len(self.labels), "node {v}")])
 
-    def members(self, category: int) -> np.ndarray:
-        return np.flatnonzero(self.labels == self._check_category(category))
-
-    def _check_category(self, category) -> int:
-        return int(_ids(category, self.num_categories, "category {v}",
-                        error=UnknownCategory))
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CategoryPartition)
                 and self.names == other.names
@@ -291,52 +278,6 @@ class CategoryGraph:
     sizes: dict[int, int]
     cut_counts: dict[tuple[int, int], int]
     weights: dict[tuple[int, int], float]
-
-
-def volume(g: Graph, nodes: Iterable[int]) -> int:
-    """Sum of degrees over a set of nodes."""
-    arr = _ids(list(nodes) if not isinstance(nodes, np.ndarray) else nodes,
-               g.node_count, "node id {v}", "node id out of range")
-    return int(g.degrees[arr].sum())
-
-
-def relative_fractions(g: Graph, part: CategoryPartition,
-                       category: int) -> tuple[float, float]:
-    """Relative size of a category by node count and by volume.
-
-    Returns (|A|/N, vol(A)/vol(V)); both lie in [0, 1].
-    """
-    if g.node_count == 0:
-        raise EmptyCategory("graph has no nodes")
-    members = part.members(category)
-    f_count = len(members) / g.node_count
-    total_vol = int(g.degrees.sum())
-    f_vol = (volume(g, members) / total_vol) if total_vol else 0.0
-    return f_count, f_vol
-
-
-def edge_cut(g: Graph, part: CategoryPartition, a: int, b: int) -> int:
-    """Number of edges with one endpoint in category a, the other in b."""
-    if a == b:
-        raise SelfPairNotSupported("edge cut is defined for distinct categories")
-    a, b = sorted((part._check_category(a), part._check_category(b)))
-    return exact_category_graph(g, part).cut_counts.get((a, b), 0)
-
-
-def mean_degree(g: Graph, part: CategoryPartition | None = None,
-                category: int | None = None) -> float:
-    """Average node degree in one category, or over the whole graph
-    when ``category`` is None."""
-    if category is None:
-        if g.node_count == 0:
-            raise EmptyCategory("graph has no nodes")
-        return 2 * g.edge_count / g.node_count
-    if part is None:
-        raise ValueError("category given without a partition")
-    members = part.members(category)
-    if members.size == 0:
-        raise EmptyCategory(f"category {category} has no members")
-    return int(g.degrees[members].sum()) / len(members)
 
 
 def exact_category_graph(g: Graph, part: CategoryPartition) -> CategoryGraph:

@@ -16,7 +16,6 @@ from categraph import (
     Graph,
     InsufficientSample,
     InvalidParameter,
-    InvalidWeight,
     MissingSizeEstimate,
     ObservationLog,
     SampleTrace,
@@ -30,11 +29,8 @@ from categraph import (
     est_weight_star,
     estimate_category_graph,
     exact_category_graph,
-    hh_ratio,
-    hh_total,
     observe_induced,
     observe_star,
-    reweighted_size,
     sample_rw,
     sample_uis,
 )
@@ -80,52 +76,26 @@ def two_pair_graph():
 
 
 # ---------------------------------------------------------------------------
-# reweighted size and Hansen-Hurwitz helpers
+# Hansen-Hurwitz masses and ratios
 
-def test_reweighted_size_is_inverse_weight_mass():
-    assert reweighted_size([1.0, 2.0, 4.0]) == 1.0 + 0.5 + 0.25
-    assert reweighted_size(np.ones(7)) == 7.0
-
-
-@pytest.mark.parametrize("weight", [0.0, -2.0, float("nan"), 1e-320])
-def test_reweighted_size_refuses_what_check_weights_refuses(weight):
-    with pytest.raises(InvalidWeight, match=f"draw 1: .*got {weight!r}"):
-        reweighted_size([1.0, weight])
+def test_induced_sizes_are_shares_of_the_inverse_weight_mass():
+    """winv(S_A), the sum of 1/w over A's draws, is A's share of the
+    population; with unit weights it is the count of A's draws."""
+    log = manual_log([0, 0, 1], weights=[1.0, 2.0, 4.0])
+    assert est_size_induced(log, 1.0 + 0.5 + 0.25) == {0: 1.5, 1: 0.25}
+    log = manual_log([0] * 3 + [1] * 4, weights=np.ones(7))
+    assert est_size_induced(log, 7) == {0: 3.0, 1: 4.0}
 
 
-def test_hh_total_uniform_recovers_population_size():
-    log = manual_log([0, 0, 0], weights=[1 / 5, 1 / 5, 1 / 5])
-    assert hh_total(np.ones(3), log) == pytest.approx(5.0)
+def test_size_induced_single_draw_enumeration_unbiased():
+    # nodes in categories [0, 1, 1]; averaging the single-draw estimate
+    # over all three equally likely draws gives each category's size
+    estimates = [est_size_induced(manual_log([c], [1 / 3], num_categories=2), 3)
+                 for c in (0, 1, 1)]
+    assert [np.mean([e[c] for e in estimates]) for c in (0, 1)] == [1.0, 2.0]
 
 
-def test_hh_total_single_draw_enumeration_unbiased():
-    # population values x = [1, 2, 3]; averaging the single-draw
-    # estimate over all three equally likely draws gives the total, 6
-    estimates = []
-    for v, x in enumerate([1.0, 2.0, 3.0]):
-        log = manual_log([0], weights=[1 / 3])
-        estimates.append(hh_total(np.array([x]), log))
-    assert np.mean(estimates) == 6.0
-
-
-@pytest.mark.parametrize("weight", [1e-308, 2.0 ** -1023, 1e308])
-def test_hh_total_sums_at_the_logs_scale(weight):
-    """1/w summed twice would overflow at w = 1e-308, yet the total, 1/w,
-    is a float: the sum runs at the log's power-of-two scale, with no
-    warning, and the scale is undone exactly."""
-    log = manual_log([0, 0], weights=[weight, weight])
-    assert hh_total(np.ones(2), log) == 1.0 / weight
-    assert hh_total(np.array([1.0, 0.0]), log) == 0.5 / weight
-
-
-def test_hh_total_empty():
-    log = manual_log([0], weights=[1.0])
-    empty = log.resampled(np.empty(0, dtype=np.int64))
-    with pytest.raises(EmptySample):
-        hh_total(np.empty(0), empty)
-
-
-def test_hh_ratio_estimates_mean_degree_on_path():
+def test_mean_degrees_estimate_mean_degree_on_path():
     # degree-weighted draws on the path 0-1-2; the ratio of the degree
     # total to the node-count total targets the mean degree 4/3.
     # Monte Carlo mean over 1e5 independent 25-draw replicates.
@@ -137,28 +107,9 @@ def test_hh_ratio_estimates_mean_degree_on_path():
     w = degrees[draws]
     ratios = np.sum(degrees[draws] / w, axis=1) / np.sum(1.0 / w, axis=1)
     assert abs(np.mean(ratios) / (4 / 3) - 1) < 0.01
-    # spot check that hh_ratio computes the same ratio on one replicate
-    log = manual_log(draws[0] % 1, weights=w[0])
-    assert hh_ratio(degrees[draws[0]], np.ones(n), log) == pytest.approx(
-        ratios[0])
-
-
-@pytest.mark.parametrize("numer", [1.0, 0.0], ids=["1/0", "0/0"])
-def test_hh_ratio_refuses_a_zero_denominator_total(numer):
-    log = manual_log([0, 1], weights=[1.0, 2.0])
-    with pytest.raises(InsufficientSample, match="denominator"):
-        hh_ratio(np.full(2, numer), np.zeros(2), log)
-
-
-@pytest.mark.parametrize("estimate", [
-    lambda log: hh_total(np.ones(2), log),
-    lambda log: hh_ratio(np.ones(3), np.ones(2), log),
-    lambda log: hh_ratio(np.ones(2), np.ones(3), log),
-], ids=["total", "ratio denominator", "ratio numerator"])
-def test_hh_helpers_need_one_value_per_draw(estimate):
-    log = manual_log([0, 0, 1], weights=[1, 1, 1])
-    with pytest.raises(ValueError, match="need exactly one value per draw"):
-        estimate(log)
+    # spot check that est_mean_degrees computes the same ratio on one replicate
+    log = manual_log(np.zeros(n), weights=w[0], degrees=degrees[draws[0]])
+    assert est_mean_degrees(log)[0] == pytest.approx(ratios[0])
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +230,12 @@ def test_size_star_homogeneous_degree_covers_unseen(three_color_graph):
 def test_volume_fraction_star_uis_nrmse_small():
     """30 replicates of a 10^4-draw uniform sample pin every category's
     volume fraction to within NRMSE 0.05."""
-    from categraph import SyntheticParams, relative_fractions, synthetic_graph
+    from categraph import SyntheticParams, synthetic_graph
 
     g, part = synthetic_graph(SyntheticParams(
         category_sizes=(100,) * 5, k=8, alpha=0.5, seed=77))
-    truth = {c: relative_fractions(g, part, c)[1]
-             for c in range(part.num_categories)}
+    # every node drawn once: the exact volume fractions
+    truth = est_volume_fraction_star(observe_star(g, part, _full_trace(g)))
     estimates = {c: [] for c in truth}
     for rep in range(30):
         log = observe_star(g, part, sample_uis(g, 10_000, seed=[770, rep]))
@@ -701,7 +652,7 @@ def test_size_estimators_refuse_what_the_pipeline_refuses(estimator,
         estimator(log, population)
 
 
-@pytest.mark.parametrize("weight", [1e308, 1e200, 1e-200, 1e-308])
+@pytest.mark.parametrize("weight", [1e308, 1e200, 1e-200, 1e-308, 2.0 ** -1023])
 def test_an_induced_weight_beyond_the_float_range_is_estimated(weight):
     """Each node drawn once at ``weight``: 1/w, its sums and their
     products would leave the float range, but the log's one power-of-two
@@ -718,7 +669,6 @@ def test_an_induced_weight_beyond_the_float_range_is_estimated(weight):
     assert est.weights == {(0, 1): 0.5}
     assert est.skipped_weight_pairs == frozenset()
     assert est_mean_degrees(log) == (2.0, {0: 2.0, 1: 2.0})
-    assert hh_ratio(log.degrees, np.ones(4), log) == 2.0
 
 
 @pytest.mark.parametrize("key,value", [
@@ -738,7 +688,7 @@ def test_est_weight_star_refuses_a_size_map_it_cannot_use(key, value):
 
 def every_estimate(log, seed) -> list:
     """Every estimate of ``log``, a refusal as its error, each in repr."""
-    calls = [(est_mean_degrees, log), (hh_ratio, log.degrees, np.ones(log.n), log)]
+    calls = [(est_mean_degrees, log)]
     for size, weight in ESTIMATOR_PAIRS[log.mode]:
         for homogeneous in (False, True):
             options = dict(size_estimator=size, weight_estimator=weight,
@@ -761,8 +711,8 @@ def every_estimate(log, seed) -> list:
        seed=st.integers(0, 2**32))
 def test_every_estimate_is_the_same_at_any_power_of_two_scale(logs, k, seed):
     """Scaling every weight by 2^k leaves every estimate, in both modes
-    and every estimator pair, the seeded bootstrap variances and
-    ``hh_ratio`` bit for bit as they were, with no warning."""
+    and every estimator pair, and the seeded bootstrap variances bit for
+    bit as they were, with no warning."""
     for log in logs[:2]:
         scaled = dataclasses.replace(log, weights=log.weights * 2.0 ** k)
         assert weights_ok(scaled.weights).all()
@@ -885,9 +835,6 @@ def test_estimate_on_empty_log_raises(three_color_graph):
 
 # every estimator: the modes whose logs it takes, and one call of it
 REFUSALS = {
-    "hh_total": (("induced", "star"), lambda log: hh_total(np.ones(log.n), log)),
-    "hh_ratio": (("induced", "star"),
-                 lambda log: hh_ratio(np.ones(log.n), np.ones(log.n), log)),
     "est_size_induced": (("induced", "star"), lambda log: est_size_induced(log, 8)),
     "est_mean_degrees": (("induced", "star"), est_mean_degrees),
     "est_volume_fraction_star": (("star",), est_volume_fraction_star),

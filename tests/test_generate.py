@@ -16,7 +16,6 @@ from categraph import (
     SyntheticParams,
     TooManyEdgesRequested,
     add_inter_edges,
-    edge_cut,
     exact_category_graph,
     gen_intra_regular,
     permute_labels,
@@ -35,7 +34,7 @@ def test_intra_regular_cycle_degrees():
 def test_intra_regular_two_blocks_no_cross_edges():
     g, part = gen_intra_regular([50, 100], 5, np.random.default_rng(1))
     assert np.all(g.degrees == 5)
-    assert edge_cut(g, part, 0, 1) == 0
+    assert exact_category_graph(g, part).cut_counts == {}
     g.validate()
 
 
@@ -64,7 +63,8 @@ def test_add_inter_edges_zero_is_identity():
 def test_add_inter_edges_saturates_tiny_cut():
     g, part = gen_intra_regular([2, 2], 1, np.random.default_rng(4))
     g2 = add_inter_edges(g, part, 4, np.random.default_rng(5))
-    assert edge_cut(g2, part, 0, 1) == 4  # all four cross pairs used
+    # all four cross pairs used
+    assert exact_category_graph(g2, part).cut_counts == {(0, 1): 4}
     assert exact_category_graph(g2, part).weights[(0, 1)] == 1.0
 
 
@@ -378,7 +378,7 @@ def test_dense_inter_edges_enumerate_cross_pairs_only():
         tracemalloc.stop()
     assert peak < 4 * 2**20
     assert g.edge_count == 1501 + 3000
-    assert edge_cut(g, part, 0, 1) == 3000
+    assert exact_category_graph(g, part).cut_counts == {(0, 1): 3000}
 
 
 @pytest.mark.parametrize("seed", range(4))

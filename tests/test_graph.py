@@ -5,19 +5,17 @@ import pytest
 
 from categraph import (
     CategoryPartition,
-    EmptyCategory,
     Graph,
     InvalidNode,
-    SelfPairNotSupported,
+    SampleTrace,
     SyntheticParams,
     UnknownCategory,
-    edge_cut,
+    est_mean_degrees,
+    est_volume_fraction_star,
     exact_category_graph,
-    mean_degree,
-    relative_fractions,
+    observe_star,
     sample_rw,
     synthetic_graph,
-    volume,
 )
 
 from _reference import (
@@ -129,92 +127,72 @@ def test_neighbor_rows_sorted_and_has_edge():
     assert not g.has_edge(1, 2)
 
 
-def test_volume_triangle():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert volume(g, [0, 1, 2]) == 6
+@pytest.mark.parametrize("edges, nodes, total", [
+    ([(0, 1), (1, 2), (0, 2)], [0, 1, 2], 6),   # triangle
+    ([(0, 1), (1, 2), (0, 2)], [], 0),          # empty set
+    ([(0, 1), (1, 2)], [0, 2], 2),              # path endpoints
+])
+def test_degrees_sum_to_the_volume_of_a_node_set(edges, nodes, total):
+    g = Graph.from_edges(3, edges)
+    assert sum(g.degree(v) for v in nodes) == g.degrees[nodes].sum() == total
 
 
-def test_volume_empty_set():
-    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert volume(g, []) == 0
+def every_node_once(g):
+    """A unit-weight trace drawing each node once: its estimates are the
+    graph's exact values."""
+    nodes = np.arange(g.node_count)
+    return SampleTrace(nodes=nodes, steps=nodes, weights=np.ones(len(nodes)),
+                       sampler="test", seed=None, start=None, burn_in=0)
 
 
-def test_volume_path_endpoints():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    assert volume(g, [0, 2]) == 2
-
-
-def test_volume_invalid_node():
-    g = Graph.from_edges(3, [(0, 1)])
-    with pytest.raises(InvalidNode):
-        volume(g, [0, 7])
-
-
-def test_relative_fractions_path_middle(path3):
-    g, part = path3
-    assert relative_fractions(g, part, 1) == (1 / 3, 1 / 2)
-
-
-def test_relative_fractions_single_category():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    part = CategoryPartition(labels=np.zeros(4, dtype=int), names=("all",))
-    assert relative_fractions(g, part, 0) == (1.0, 1.0)
-
-
-def test_relative_fractions_unknown_category(path3):
-    g, part = path3
-    with pytest.raises(UnknownCategory):
-        relative_fractions(g, part, 9)
-
-
-def test_relative_fractions_match_direct_count_on_synthetic():
-    g, part = synthetic_graph(SyntheticParams(
-        category_sizes=(40, 60, 100), k=4, alpha=0.3, seed=5))
-    largest = int(np.argmax(part.sizes))
+@pytest.mark.parametrize("build", [
+    lambda: (Graph.from_edges(3, [(0, 1), (1, 2)]),
+             CategoryPartition(labels=np.array([0, 1, 0]), names=("end", "mid"))),
+    lambda: (Graph.from_edges(4, [(0, 1), (2, 3)]),
+             CategoryPartition(labels=np.zeros(4, dtype=int), names=("all",))),
+    lambda: synthetic_graph(SyntheticParams(category_sizes=(40, 60, 100), k=4,
+                                            alpha=0.3, seed=5)),
+], ids=["path middle", "single category", "synthetic"])
+def test_size_and_volume_fractions_match_direct_count(build):
+    """Each category's size (exact) and share of the degree sum (a star
+    log of every node once) are the direct count's, exactly."""
+    g, part = build()
+    sizes = exact_category_graph(g, part).sizes
+    fvol = est_volume_fraction_star(observe_star(g, part, every_node_once(g)))
     # direct counts, no shared code with the library internals
-    members = [v for v in range(g.node_count) if part.label_of(v) == largest]
-    vol_a = sum(len(g.neighbors(v)) for v in members)
     vol_all = sum(len(g.neighbors(v)) for v in range(g.node_count))
-    f, f_vol = relative_fractions(g, part, largest)
-    assert f == len(members) / g.node_count
-    assert f_vol == vol_a / vol_all
+    for c in range(part.num_categories):
+        members = [v for v in range(g.node_count) if part.label_of(v) == c]
+        vol_c = sum(len(g.neighbors(v)) for v in members)
+        assert sizes[c] == len(members)
+        assert fvol[c] == vol_c / vol_all
 
 
-def test_edge_cut_basic():
-    g = Graph.from_edges(4, [(0, 2)])
+@pytest.mark.parametrize("edges, cuts", [
+    ([(0, 2)], {(0, 1): 1}),
+    ([(0, 1), (2, 3)], {}),      # no edge between the categories
+    ([(0, 1), (0, 2), (1, 3)], {(0, 1): 2}),   # intra edges carry no cut
+])
+def test_cut_counts_of_two_categories(edges, cuts):
+    g = Graph.from_edges(4, edges)
     part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
-    assert edge_cut(g, part, 0, 1) == 1
-
-
-def test_edge_cut_disconnected_categories():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
-    assert edge_cut(g, part, 0, 1) == 0
-
-
-def test_edge_cut_self_pair_rejected(path3):
-    g, part = path3
-    with pytest.raises(SelfPairNotSupported):
-        edge_cut(g, part, 0, 0)
+    assert exact_category_graph(g, part).cut_counts == cuts
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_edge_cut_matches_brute_force(seed):
+def test_cut_counts_match_brute_force_on_small_dense_graphs(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(5, 30))
     g = random_graph(n, float(rng.uniform(0.05, 0.5)), rng)
     part = random_partition(n, int(rng.integers(2, 5)), rng)
     _, cuts, _ = brute_force_category_graph(g, part)
-    for a in range(part.num_categories):
-        for b in range(part.num_categories):
-            if a != b:
-                assert edge_cut(g, part, a, b) == cuts.get((min(a, b), max(a, b)), 0)
+    assert exact_category_graph(g, part).cut_counts == cuts
 
 
-def test_edge_cut_three_color(three_color_graph):
+def test_cut_counts_three_color(three_color_graph):
     g, part = three_color_graph
-    assert edge_cut(g, part, 0, 2) == 3
     cg = exact_category_graph(g, part)
+    assert cg.cut_counts == {(0, 2): 3, (1, 2): 1, (0, 1): 4}
     assert cg.weights[(0, 2)] == 3 / 9
 
 
@@ -282,32 +260,24 @@ def test_weight_one_iff_complete_bipartite():
     assert exact_category_graph(g2, part).weights[(0, 1)] < 1.0
 
 
-def test_mean_degree_regular_block():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    part = CategoryPartition(labels=np.zeros(4, dtype=int), names=("all",))
-    assert mean_degree(g, part, 0) == 2.0
+@pytest.mark.parametrize("edges, labels, means", [
+    ([(0, 1), (1, 2), (2, 3), (3, 0)], [0, 0, 0, 0], (2.0, {0: 2.0})),
+    ([(0, 1), (1, 2)], [0, 1, 0], (4 / 3, {0: 1.0, 1: 2.0})),
+], ids=["regular block", "path"])
+def test_mean_degrees_of_every_node_once_are_exact(edges, labels, means):
+    """The whole graph's mean degree, 2E/N, and each category's."""
+    g = Graph.from_edges(len(labels), edges)
+    part = CategoryPartition(labels=np.array(labels), names=("a", "b"))
+    log = observe_star(g, part, every_node_once(g))
+    assert est_mean_degrees(log) == means
+    assert means[0] == 2 * g.edge_count / g.node_count
 
 
-def test_mean_degree_whole_graph(path3):
-    g, _ = path3
-    assert mean_degree(g) == 4 / 3
-    assert mean_degree(g) == 2 * g.edge_count / g.node_count
-
-
-def test_mean_degree_empty_category():
-    g = Graph.from_edges(2, [(0, 1)])
-    part = CategoryPartition(labels=np.zeros(2, dtype=int), names=("a", "ghost"))
-    with pytest.raises(EmptyCategory):
-        mean_degree(g, part, 1)
-
-
-def test_volume_and_fraction_partition_identities(three_color_graph):
+def test_sizes_and_volume_fractions_partition_the_graph(three_color_graph):
     g, part = three_color_graph
-    vols = [volume(g, part.members(c)) for c in range(part.num_categories)]
-    assert sum(vols) == volume(g, range(g.node_count))
-    fracs = [relative_fractions(g, part, c)[0]
-             for c in range(part.num_categories)]
-    assert sum(fracs) == pytest.approx(1.0)
+    assert sum(exact_category_graph(g, part).sizes.values()) == g.node_count
+    fvol = est_volume_fraction_star(observe_star(g, part, every_node_once(g)))
+    assert sum(fvol.values()) == pytest.approx(1.0)
 
 
 # (call on the path3 graph and partition, error, message): a node,
@@ -325,14 +295,11 @@ ID_RULE = {
                           "node True is not a whole number"),
     "edge end 1.5": (lambda g, p: Graph.from_edges(3, [(0, 1.5), (1, 2)]),
                      InvalidNode, "edge endpoint 1.5 is not a whole number"),
-    "volume of 1.5": (lambda g, p: volume(g, [1.5]), InvalidNode,
-                      "node id 1.5 is not a whole number"),
+    "has_edge to 1.5": (lambda g, p: g.has_edge(0, 1.5), InvalidNode,
+                        "node 1.5 is not a whole number"),
     "label 0.5": (lambda g, p: CategoryPartition(labels=[0.5, 1.2],
                                                  names=p.names),
                   UnknownCategory, "label 0.5 is not a whole number"),
-    "mean degree of 1.5": (lambda g, p: mean_degree(g, p, 1.5),
-                           UnknownCategory,
-                           "category 1.5 is not a whole number"),
     # integers out of range keep their messages
     "degree of 3": (lambda g, p: g.degree(3), InvalidNode,
                     "node 3 outside 0..2"),
@@ -342,12 +309,10 @@ ID_RULE = {
                    "node 3 outside 0..2"),
     "edge end 3": (lambda g, p: Graph.from_edges(3, [(0, 3)]), InvalidNode,
                    "edge endpoint outside 0..2"),
-    "volume of 3": (lambda g, p: volume(g, [3]), InvalidNode,
-                    "node id out of range"),
+    "neighbors of 3": (lambda g, p: g.neighbors(3), InvalidNode,
+                       "node 3 outside 0..2"),
     "label 2": (lambda g, p: CategoryPartition(labels=[0, 2], names=p.names),
                 UnknownCategory, "label outside 0..C-1"),
-    "mean degree of 2": (lambda g, p: mean_degree(g, p, 2), UnknownCategory,
-                         "category 2 outside 0..1"),
 }
 
 
@@ -373,20 +338,8 @@ def test_whole_float_and_numpy_ids_are_their_integers(path3):
                    ).validate(), "neighbor id out of range"),
     (lambda: Graph(indptr=np.array([0, 1, 1]), indices=np.array([1])
                    ).validate(), "degree sum must equal twice the edge count"),
-    (lambda: mean_degree(Graph.from_edges(2, [(0, 1)]), None, 0),
-     "category given without a partition"),
 ])
 def test_malformed_graph_input_is_named(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
-
-def test_mean_degree_of_a_graph_without_nodes():
-    with pytest.raises(EmptyCategory, match="graph has no nodes"):
-        mean_degree(Graph.from_edges(0, []))
-
-
-def test_relative_fractions_of_a_graph_without_nodes():
-    part = CategoryPartition(labels=np.empty(0, dtype=np.int64), names=("a",))
-    with pytest.raises(EmptyCategory, match="graph has no nodes"):
-        relative_fractions(Graph.from_edges(0, []), part, 0)
