@@ -95,6 +95,16 @@ def test_size_induced_single_draw_enumeration_unbiased():
     assert [np.mean([e[c] for e in estimates]) for c in (0, 1)] == [1.0, 2.0]
 
 
+@pytest.mark.parametrize("weight", [1e-308, 2.0 ** -1023, 1e308])
+def test_induced_sizes_sum_at_the_logs_scale(weight):
+    """1/w summed twice would overflow at w = 1e-308, yet each size is a
+    share of the population: the masses sum at the log's power-of-two
+    scale, with no warning, and the shares come out exact."""
+    log = manual_log([0, 0, 1], weights=[weight] * 3)
+    assert est_size_induced(log, 3) == {0: 2.0, 1: 1.0}
+    assert est_mean_degrees(log) == (1.0, {0: 1.0, 1: 1.0})
+
+
 def test_mean_degrees_estimate_mean_degree_on_path():
     # degree-weighted draws on the path 0-1-2; the ratio of the degree
     # total to the node-count total targets the mean degree 4/3.
@@ -671,6 +681,37 @@ def test_an_induced_weight_beyond_the_float_range_is_estimated(weight):
     assert est_mean_degrees(log) == (2.0, {0: 2.0, 1: 2.0})
 
 
+def test_an_induced_pair_whose_denominator_underflows_is_skipped():
+    """Draws on the path 0-1-2, one per category, at weights 2^-1000, 1
+    and 2^60: both ends of (1, 2) are drawn, but at the log's scale the
+    product of their masses underflows to 0.0, so the pair is skipped,
+    not estimated as 0/0, with no warning."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    part = CategoryPartition(labels=np.arange(3), names=("a", "b", "c"))
+    log = observe_induced(g, part, make_trace([0, 1, 2],
+                                              [2.0 ** -1000, 1.0, 2.0 ** 60]))
+    assert est_weight_induced(log) == {(0, 1): 1.0, (0, 2): 0.0}
+    est = estimate_category_graph(log)
+    assert est.weights == {(0, 1): 1.0, (0, 2): 0.0}
+    assert est.skipped_weight_pairs == frozenset({(1, 2)})
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda log: est_size_star(log, 4),
+    lambda log: est_size_star(log, 4, assume_homogeneous_degree=True),
+    est_volume_fraction_star,
+    lambda log: estimate_category_graph(log, 4, size_estimator="star"),
+], ids=["size", "homogeneous size", "volume fraction", "pipeline"])
+def test_star_sizes_refuse_a_log_whose_draws_have_no_edges(estimate):
+    """A star size divides by the drawn degree mass: with no edge from
+    any draw that total is 0, and the log is refused, not estimated."""
+    g = Graph.from_edges(4, [(1, 2)])
+    part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
+    edgeless = observe_star(g, part, make_trace([0, 3, 0]))
+    with pytest.raises(InsufficientSample, match="^no edges observed from any draw$"):
+        estimate(edgeless)
+
+
 @pytest.mark.parametrize("key,value", [
     (0, -2.0), (0, float("inf")), (0, float("nan")), (0, "2"), (0, True),
     (7, 1.0), (-1, 1.0), (True, 2.0), (1.0, 2.0), ("0", 2.0),
@@ -835,6 +876,9 @@ def test_estimate_on_empty_log_raises(three_color_graph):
 
 # every estimator: the modes whose logs it takes, and one call of it
 REFUSALS = {
+    "bootstrap_variance": (("induced", "star"),
+                           lambda log: bootstrap_variance(log, 2, seed=0,
+                                                          population=8)),
     "est_size_induced": (("induced", "star"), lambda log: est_size_induced(log, 8)),
     "est_mean_degrees": (("induced", "star"), est_mean_degrees),
     "est_volume_fraction_star": (("star",), est_volume_fraction_star),

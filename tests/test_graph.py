@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from categraph import (
+    CategoryGraph,
     CategoryPartition,
+    EmptySample,
     Graph,
     InvalidNode,
     SampleTrace,
     SyntheticParams,
     UnknownCategory,
     est_mean_degrees,
+    est_size_star,
     est_volume_fraction_star,
     exact_category_graph,
     observe_star,
@@ -273,6 +276,25 @@ def test_mean_degrees_of_every_node_once_are_exact(edges, labels, means):
     assert means[0] == 2 * g.edge_count / g.node_count
 
 
+def test_a_category_without_members_has_size_zero_and_no_mean_degree():
+    g = Graph.from_edges(2, [(0, 1)])
+    part = CategoryPartition(labels=np.zeros(2, dtype=int), names=("a", "ghost"))
+    assert exact_category_graph(g, part) == CategoryGraph(
+        sizes={0: 2, 1: 0}, cut_counts={}, weights={})
+    log = observe_star(g, part, every_node_once(g))
+    assert est_mean_degrees(log) == (1.0, {0: 1.0})
+    assert est_size_star(log, 2) == {0: 2.0}
+
+
+def test_a_graph_without_nodes_has_an_empty_category_graph_and_no_estimates():
+    g = Graph.from_edges(0, [])
+    part = CategoryPartition(labels=np.empty(0, dtype=np.int64), names=("a",))
+    assert exact_category_graph(g, part) == CategoryGraph(
+        sizes={0: 0}, cut_counts={}, weights={})
+    with pytest.raises(EmptySample, match="no draws to estimate from"):
+        est_mean_degrees(observe_star(g, part, every_node_once(g)))
+
+
 def test_sizes_and_volume_fractions_partition_the_graph(three_color_graph):
     g, part = three_color_graph
     assert sum(exact_category_graph(g, part).sizes.values()) == g.node_count
@@ -297,22 +319,38 @@ ID_RULE = {
                      InvalidNode, "edge endpoint 1.5 is not a whole number"),
     "has_edge to 1.5": (lambda g, p: g.has_edge(0, 1.5), InvalidNode,
                         "node 1.5 is not a whole number"),
+    "has_edge from 1.5": (lambda g, p: g.has_edge(1.5, 0), InvalidNode,
+                          "node 1.5 is not a whole number"),
+    "neighbors of 1.5": (lambda g, p: g.neighbors(1.5), InvalidNode,
+                         "node 1.5 is not a whole number"),
+    "degree of True": (lambda g, p: g.degree(True), InvalidNode,
+                       "node True is not a whole number"),
+    "label of True": (lambda g, p: p.label_of(True), InvalidNode,
+                      "node True is not a whole number"),
     "label 0.5": (lambda g, p: CategoryPartition(labels=[0.5, 1.2],
                                                  names=p.names),
                   UnknownCategory, "label 0.5 is not a whole number"),
     # integers out of range keep their messages
     "degree of 3": (lambda g, p: g.degree(3), InvalidNode,
                     "node 3 outside 0..2"),
+    "degree of -1": (lambda g, p: g.degree(-1), InvalidNode,
+                     "node -1 outside 0..2"),
+    "walk start 3": (lambda g, p: sample_rw(g, 3, start=3, seed=0),
+                     InvalidNode, "node 3 outside 0..2"),
     "has_edge to -1": (lambda g, p: g.has_edge(0, -1), InvalidNode,
                        "node -1 outside 0..2"),
     "label of 3": (lambda g, p: p.label_of(3), InvalidNode,
                    "node 3 outside 0..2"),
     "edge end 3": (lambda g, p: Graph.from_edges(3, [(0, 3)]), InvalidNode,
                    "edge endpoint outside 0..2"),
+    "edge end -1": (lambda g, p: Graph.from_edges(3, [(0, -1)]), InvalidNode,
+                    "edge endpoint outside 0..2"),
     "neighbors of 3": (lambda g, p: g.neighbors(3), InvalidNode,
                        "node 3 outside 0..2"),
     "label 2": (lambda g, p: CategoryPartition(labels=[0, 2], names=p.names),
                 UnknownCategory, "label outside 0..C-1"),
+    "label -1": (lambda g, p: CategoryPartition(labels=[0, -1], names=p.names),
+                 UnknownCategory, "label outside 0..C-1"),
 }
 
 

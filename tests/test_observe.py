@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from categraph import (
     observe_star,
     sample_uis,
 )
+from categraph.errors import check_weights
 from categraph.observe import ObservationTable
 
 
@@ -149,6 +151,17 @@ def test_observers_refuse_what_the_readers_refuse(labeled_graph, observe, nodes,
                         start=None, burn_in=0)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         observe(g, part, trace)
+
+
+@pytest.mark.parametrize("weight", [0.0, -2.0, float("nan"), 1e-320])
+def test_check_weights_names_the_first_draw_it_refuses(weight):
+    """The one weight rule of the observers, samplers and readers: a
+    weight of 2^-1023, whose inverse is finite, and the largest float pass."""
+    check_weights([2.0 ** -1023, 1.0, sys.float_info.max])
+    message = ("draw 1: weight must be positive and finite, with a finite "
+               f"inverse, got {weight!r}")
+    with pytest.raises(InvalidWeight, match=f"^{re.escape(message)}$"):
+        check_weights([1.0, weight, float("inf"), 0.0])
 
 
 @pytest.mark.parametrize("n", [0, 3])
