@@ -22,9 +22,11 @@ inputs produce byte-identical files; each writes its rows in blocks of
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
+import tempfile
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -99,8 +101,66 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     appear only there are isolated nodes. Each file is read once, by
     :func:`_read_table`, and its rules are checked once over the records
     read; the earliest refused line is named, counting blank and comment
-    lines.
+    lines. A pair that passes is kept in a sidecar beside the edge file,
+    ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
+    key = _graph_key(category_path, edge_path)
+    sidecar = os.fsdecode(edge_path) + ".categraph.npz"
+    if key and (loaded := _read_sidecar(sidecar, key)):
+        return loaded
+    g, part = _parse_graph(edge_path, category_path)
+    if key and _graph_key(category_path, edge_path) == key:
+        # to a temporary file beside it, moved into place if the directory allows
+        with suppress(OSError):
+            fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(sidecar) + ".",
+                                       os.path.dirname(sidecar) or ".")
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.savez(fh, key=key, names=json.dumps(part.names).encode(),
+                             indptr=g.indptr, labels=part.labels,
+                             indices=g.indices.astype(np.min_scalar_type(g.node_count)))
+                os.replace(tmp, sidecar)
+            except BaseException:
+                os.remove(tmp)
+                raise
+    return g, part
+
+
+def _graph_key(*paths) -> bytes | None:
+    """SHA-256 over a format version, numpy's (the records are np.loadtxt's)
+    and each file's bytes and length; None where a file cannot be opened."""
+    key = hashlib.sha256(f"categraph graph 1, numpy {np.__version__}".encode())
+    with suppress(OSError):
+        for path in paths:
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(2**16), b""):
+                    key.update(block)
+                key.update(fh.tell().to_bytes(8, "little"))
+        return key.digest()
+    return None
+
+
+def _read_sidecar(path: str, key: bytes):
+    """The sidecar's pair, in int64, where it holds ``key`` and passes O(N+E)
+    checks in place of ``Graph.validate``: indptr rises from 0 to len(indices)
+    and indices, read unsigned, lie below N; else None."""
+    with suppress(Exception):   # a sidecar failing in any way is parsed past
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            stored, names = npz["key"].tobytes(), json.loads(npz["names"].tobytes())
+            arrays = [npz[a] for a in ("indptr", "indices", "labels")]
+        indptr, indices, labels = (a.astype(np.int64, copy=False) for a in arrays)
+        if (stored == key and type(names) is list and set(map(type, names)) <= {str}
+                and all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays)
+                and len(indptr) == len(labels) + 1 and indptr[0] == 0
+                and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
+                and np.all(indices.view(np.uint64) < len(labels))):
+            return (Graph(indptr=indptr, indices=indices),
+                    CategoryPartition(labels=labels, names=tuple(names)))
+    return None
+
+
+def _parse_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
+    """The graph files' parse, their earliest refused line named."""
     ext_ids, labels, names = _read_categories(category_path)
     part = CategoryPartition(labels=labels, names=names)
     n = len(ext_ids)
