@@ -19,6 +19,11 @@ Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
 inputs produce byte-identical files; each writes its rows in blocks of
 ``_BLOCK``, so its transient memory is one block's, not its file's.
+
+A parse is kept beside its file, keyed by the file's bytes: the pair
+``load_graph`` parsed, and the arrays ``save_trace`` and ``save_log``
+wrote. A reader of those bytes takes them, parses no text and runs its
+checks; a sidecar that fails in any way is parsed past.
 """
 from __future__ import annotations
 
@@ -83,6 +88,59 @@ def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
 
 
 # ---------------------------------------------------------------------------
+# sidecars: a file's parse kept beside it, as ``<file>.categraph.npz``
+
+_SIDECAR = ".categraph.npz"
+_VERSIONS = {"graph": 1, "trace": 1, "log": 1}   # of what each kind holds
+
+
+def _key(kind: str, *paths) -> bytes | None:
+    """SHA-256 over ``kind``'s format version, numpy's and each file's bytes
+    and length; None where one is not a regular file, as a pipe, which a
+    hash would drain, or cannot be opened."""
+    if not all(map(os.path.isfile, paths)):
+        return None
+    key = hashlib.sha256(f"categraph {kind} {_VERSIONS[kind]}, "
+                         f"numpy {np.__version__}".encode())
+    with suppress(OSError):
+        for path in paths:
+            with open(path, "rb") as fh:
+                for block in iter(lambda: fh.read(2**16), b""):
+                    key.update(block)
+                key.update(fh.tell().to_bytes(8, "little"))
+        return key.digest()
+    return None
+
+
+def _sidecar(path, key: bytes | None) -> dict:
+    """The arrays of the sidecar beside ``path``, read without unpickling,
+    where it holds ``key``; else an exception, which readers parse past."""
+    with open(os.fsdecode(path) + _SIDECAR, "rb") as fh, \
+            np.load(fh, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    if arrays.pop("key").tobytes() != key:
+        raise KeyError(f"{path} holds another key")
+    return arrays
+
+
+def _keep(path, key: bytes, arrays: dict) -> None:
+    """Write ``key`` and ``arrays`` as the sidecar beside ``path``, through a
+    temporary file moved into place; an OSError leaves no file. np.savez
+    dates no entry by the clock, so the bytes are the arrays'."""
+    path = os.fsdecode(path) + _SIDECAR
+    with suppress(OSError):
+        fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".",
+                                   os.path.dirname(path) or ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, key=key, **arrays)
+            os.replace(tmp, path)
+        except BaseException:
+            os.remove(tmp)
+            raise
+
+
+# ---------------------------------------------------------------------------
 # graphs and partitions
 
 # every kept line of a graph file is one record of two tab-separated fields
@@ -104,59 +162,28 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     lines. A pair that passes is kept in a sidecar beside the edge file,
     ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
-    key = _graph_key(category_path, edge_path)
-    sidecar = os.fsdecode(edge_path) + ".categraph.npz"
-    if key and (loaded := _read_sidecar(sidecar, key)):
-        return loaded
-    g, part = _parse_graph(edge_path, category_path)
-    if key and _graph_key(category_path, edge_path) == key:
-        # to a temporary file beside it, moved into place if the directory allows
-        with suppress(OSError):
-            fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(sidecar) + ".",
-                                       os.path.dirname(sidecar) or ".")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    np.savez(fh, key=key, names=json.dumps(part.names).encode(),
-                             indptr=g.indptr, labels=part.labels,
-                             indices=g.indices.astype(np.min_scalar_type(g.node_count)))
-                os.replace(tmp, sidecar)
-            except BaseException:
-                os.remove(tmp)
-                raise
-    return g, part
-
-
-def _graph_key(*paths) -> bytes | None:
-    """SHA-256 over a format version, numpy's (the records are np.loadtxt's)
-    and each file's bytes and length; None where a file cannot be opened."""
-    key = hashlib.sha256(f"categraph graph 1, numpy {np.__version__}".encode())
-    with suppress(OSError):
-        for path in paths:
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(2**16), b""):
-                    key.update(block)
-                key.update(fh.tell().to_bytes(8, "little"))
-        return key.digest()
-    return None
-
-
-def _read_sidecar(path: str, key: bytes):
-    """The sidecar's pair, in int64, where it holds ``key`` and passes O(N+E)
-    checks in place of ``Graph.validate``: indptr rises from 0 to len(indices)
-    and indices, read unsigned, lie below N; else None."""
+    key = _key("graph", category_path, edge_path)
     with suppress(Exception):   # a sidecar failing in any way is parsed past
-        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
-            stored, names = npz["key"].tobytes(), json.loads(npz["names"].tobytes())
-            arrays = [npz[a] for a in ("indptr", "indices", "labels")]
-        indptr, indices, labels = (a.astype(np.int64, copy=False) for a in arrays)
-        if (stored == key and type(names) is list and set(map(type, names)) <= {str}
-                and all(a.ndim == 1 and a.dtype.kind in "iu" for a in arrays)
+        arrays = _sidecar(edge_path, key)
+        names = json.loads(arrays["names"].tobytes())
+        stored = [arrays[a] for a in ("indptr", "indices", "labels")]
+        indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
+        # O(N+E) checks in place of Graph.validate: indptr rises from 0 to
+        # len(indices), and indices, read unsigned, lie below N
+        if (type(names) is list and set(map(type, names)) <= {str}
+                and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
                 and len(indptr) == len(labels) + 1 and indptr[0] == 0
                 and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
                 and np.all(indices.view(np.uint64) < len(labels))):
             return (Graph(indptr=indptr, indices=indices),
                     CategoryPartition(labels=labels, names=tuple(names)))
-    return None
+    g, part = _parse_graph(edge_path, category_path)
+    if key and _key("graph", category_path, edge_path) == key:
+        _keep(edge_path, key, {
+            "names": json.dumps(part.names).encode(), "indptr": g.indptr,
+            "labels": part.labels,
+            "indices": g.indices.astype(np.min_scalar_type(g.node_count))})
+    return g, part
 
 
 def _parse_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
@@ -351,6 +378,7 @@ _WEIGHT = _Kind("a positive finite number",
                 lambda v: type(v) in (int, float) and weights_ok(v))
 _LIST = _Kind("a list", lambda v: type(v) is list)
 _OBJECT = _Kind("a JSON object", lambda v: type(v) is dict)
+_NATURAL = _Kind("an integer >= 0", lambda v: _INTEGER.ok(v) and v >= 0)
 _SEED = _count("seed")
 
 
@@ -415,24 +443,29 @@ def save_trace(trace: SampleTrace, path) -> None:
     ValueError) and no file is written. Floats are written with the
     ``repr`` that ``json.dumps`` uses."""
     check_weights(trace.weights)
-    meta = {"sampler": trace.sampler, "seed": trace.seed,
-            "start": trace.start, "burn_in": trace.burn_in,
-            "thin": trace.thin_interval}
-    _write(path, json.dumps(meta) + "\n", (len(trace.nodes), lambda lo, hi: "".join(
+    meta = json.dumps({"sampler": trace.sampler, "seed": trace.seed,
+                       "start": trace.start, "burn_in": trace.burn_in,
+                       "thin": trace.thin_interval})
+    _write(path, meta + "\n", (len(trace.nodes), lambda lo, hi: "".join(
         [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in zip(
             trace.steps[lo:hi].tolist(), trace.nodes[lo:hi].tolist(),
             trace.weights[lo:hi].tolist())])))
+    _leave(path, "trace", meta, dict(zip(_TRACE_RECORD, (
+        trace.steps, trace.nodes, trace.weights))))
 
 
 _TRACE_META = {"sampler": _STRING,
                "seed": _either(_NULL, _SEED, _list_of(_SEED)),
-               "start": _either(_NULL, _INTEGER),
-               "burn_in": _INTEGER, "thin": _INTEGER}
+               "start": _either(_NULL, _NATURAL),
+               "burn_in": _count("burn_in"), "thin": _count("thin_interval")}
 _TRACE_RECORD = {"i": _INT64, "v": _INT64, "w": _WEIGHT}
 
 
 def load_trace(path) -> SampleTrace:
-    meta_line, meta, lines, rows = _read_jsonl(path, "trace")
+    return _read_records(path, "trace", _trace)
+
+
+def _trace(path, meta_line: int, meta, lines, rows) -> SampleTrace:
     meta = _checked(f"{path}:{meta_line}: meta",
                     {"sampler": "unknown", "seed": None, "start": None,
                      "burn_in": 0, "thin": 1, **meta}, _TRACE_META)
@@ -441,6 +474,29 @@ def load_trace(path) -> SampleTrace:
                        sampler=meta["sampler"], seed=meta["seed"],
                        start=meta["start"], burn_in=meta["burn_in"],
                        thin_interval=meta["thin"])
+
+
+def _leave(path, kind: str, meta: str, arrays: dict) -> None:
+    """Keep the meta line and ``arrays`` a JSON Lines writer just wrote to
+    ``path`` beside it, each flat in C order: only int64 arrays and float64
+    weights "w", as another dtype's text may not read back as its values."""
+    if (key := _key(kind, path)) and all(np.asarray(a).dtype == (
+            float if name == "w" else np.int64) for name, a in arrays.items()):
+        _keep(path, key, {"meta": meta.encode(),
+                          **{name: np.ravel(a) for name, a in arrays.items()}})
+
+
+def _read_records(path, kind: str, build: Callable):
+    """``build(path, meta line, meta, record lines, records)`` of a JSON
+    Lines file: of its sidecar's flat arrays, where their dtypes and weights
+    and ``build`` pass them, else of the records :func:`_read_jsonl` parses."""
+    with suppress(Exception):   # a sidecar failing in any way is parsed past
+        arrays = _sidecar(path, _key(kind, path))
+        meta = json.loads(arrays.pop("meta").tobytes())
+        if np.all(weights_ok(arrays["w"])) and all(a.ndim == 1 and a.dtype == (
+                float if name == "w" else np.int64) for name, a in arrays.items()):
+            return build(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
+    return build(path, *_read_jsonl(path, kind))
 
 
 def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
@@ -464,7 +520,12 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
 
 def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
     """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
-    read by :func:`_column`; a record without the key is named."""
+    read by :func:`_column`; a record without the key is named. Records
+    that are a sidecar's arrays give theirs, one value a line."""
+    if type(records) is dict:
+        if any(len(records[key]) != len(lines) for key in keys):
+            raise FileFormatError("a sidecar column is not one value a record")
+        return [records[key] for key in keys]
     columns = []
     for key, kind in keys.items():
         try:
@@ -519,8 +580,8 @@ def save_log(log: ObservationLog, path) -> None:
     """Write a log; a weight the readers refuse raises InvalidWeight (a
     ValueError) and no file is written."""
     check_weights(log.weights)
-    meta = {"mode": log.mode, "N": log.population_hint,
-            "categories": list(log.category_names)}
+    meta = json.dumps({"mode": log.mode, "N": log.population_hint,
+                       "categories": list(log.category_names)})
     columns = [np.asarray(x).astype(t, copy=False) for x, t in (
         (log.nodes, np.int64), (log.categories, np.int64),
         (log.degrees, np.int64), (log.weights, float))]
@@ -540,7 +601,10 @@ def save_log(log: ObservationLog, path) -> None:
         induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: (
             ", [%d, %d]" * (hi - lo))[2 if lo == 0 else 0:]
             % tuple(edges[lo:hi].ravel().tolist())), "]}\n")
-    _write(path, json.dumps(meta) + "\n", (len(columns[0]), records), *induced)
+    _write(path, meta + "\n", (len(columns[0]), records), *induced)
+    _leave(path, "log", meta, dict(zip(_LOG_RECORD, columns), **(
+        {"induced_edges": edges} if log.mode == INDUCED
+        else {"nbr_cats": np.asarray(log.neighbor_counts).T})))   # a row a category
 
 
 def _nbr_cats(counts: np.ndarray) -> list[str]:
@@ -572,13 +636,19 @@ def load_log(path) -> ObservationLog:
     pair once in either order. A record that breaks a rule is named by
     its line.
     """
-    meta_line, meta, lines, rows = _read_jsonl(path, "log")
+    return _read_records(path, "log", _log)
+
+
+def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
     meta = _checked(f"{path}:{meta_line}: meta",
                     {"mode": None, "categories": [], "N": None, **meta},
                     _LOG_META)
     mode, names = meta["mode"], meta["categories"]
     induced = None
-    if mode == INDUCED:
+    if mode == INDUCED and type(rows) is dict:   # a sidecar's arrays
+        induced = rows["induced_edges"].reshape(-1, 2)
+        edge_lines = np.full(len(induced), len(lines) + 2)
+    elif mode == INDUCED:
         if not rows or type(rows[-1]) is not dict \
                 or "induced_edges" not in rows[-1]:
             raise FileFormatError(
@@ -636,7 +706,13 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
 
 
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
-    """The ``nbr_cats`` objects as (n, C) int64 counts, one row a category."""
+    """The ``nbr_cats`` objects, or a sidecar's counts, as (n, C) int64
+    counts, the transpose of one row a category."""
+    if type(records) is dict:
+        counts = records["nbr_cats"].reshape(num_categories, len(lines))
+        if (counts < 0).any():
+            raise FileFormatError("a sidecar count is below 0")
+        return counts.T
     nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
     _require(path, lines, [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
@@ -707,9 +783,8 @@ def save_estimate(est: CategoryGraphEstimate | CategoryGraph, path,
 _ESTIMATE_KEYS = {"N_mode": _STRING, "N": _FINITE,
                   "size_estimator": _STRING, "weight_estimator": _STRING,
                   "categories": _LIST, "edges": _LIST}
-_CATEGORY_KEYS = {"id": _Kind("an integer >= 0",
-                               lambda v: _INTEGER.ok(v) and v >= 0),
-                  "name": _STRING, "size": _FINITE, "size_var": _FINITE}
+_CATEGORY_KEYS = {"id": _NATURAL, "name": _STRING, "size": _FINITE,
+                  "size_var": _FINITE}
 _EDGE_KEYS = {"weight": _FINITE, "weight_var": _FINITE}
 
 

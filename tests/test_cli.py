@@ -74,10 +74,16 @@ def test_chain_byte_identical_across_runs(tmp_path):
     d2 = tmp_path / "run2"
     d1.mkdir()
     d2.mkdir()
-    files1 = chain(d1)
-    files2 = chain(d2)
-    for f1, f2 in zip(files1, files2):
-        assert f1.read_bytes() == f2.read_bytes(), f1.name
+    chain(d1)
+    chain(d2)
+    # every file, the sidecars beside the graph, trace and log included,
+    # but the config, which names its own directory
+    files = sorted(p.name for p in d1.iterdir())
+    assert files == sorted(p.name for p in d2.iterdir())
+    assert {"edges.tsv.categraph.npz", "trace.jsonl.categraph.npz",
+            "log.jsonl.categraph.npz", "cfg.json"} <= set(files)
+    for name in set(files) - {"cfg.json"}:
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
 def test_multiple_walks_write_derived_traces(tmp_path):

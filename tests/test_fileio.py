@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 import sys
+import threading
 import warnings
 from unittest import mock
 
@@ -993,6 +994,11 @@ def _rewrite_sidecar(path, drop=(), **changes):
         np.savez(fh, **arrays)
 
 
+def _stored_array(path, name):
+    with np.load(path) as npz:
+        return npz[name]
+
+
 class _Unpickled:
     """Unpickled, it makes the directory ``path``, which the tests below
     find: no sidecar is ever unpickled."""
@@ -1028,24 +1034,108 @@ BROKEN_SIDECARS = {
     "names not strings": lambda path: _rewrite_sidecar(path, names=b"[0, 1]"),
     "names not JSON": lambda path: _rewrite_sidecar(path, names=b"[x"),
     "labels missing": lambda path: _rewrite_sidecar(path, drop=("labels",)),
+    # a trace's or a log's sidecar: its key, meta and record columns, and
+    # a star log's counts, one row a category, or an induced log's edges
+    "trace: wrong key": lambda path: _rewrite_sidecar(
+        path, key=b"\x00" * 32, v=np.array([9, 9, 9, 9, 9])),
+    "trace: weights missing": lambda path: _rewrite_sidecar(path, drop=("w",)),
+    "trace: meta missing": lambda path: _rewrite_sidecar(path, drop=("meta",)),
+    "trace: int32 nodes": lambda path: _rewrite_sidecar(
+        path, v=np.array([0, 1, 0, 1, 0], np.int32)),
+    "trace: big-endian steps": lambda path: _rewrite_sidecar(
+        path, i=np.arange(5, dtype=">i8")),
+    "trace: a weight short": lambda path: _rewrite_sidecar(path, w=np.ones(4)),
+    "trace: weights in a column": lambda path: _rewrite_sidecar(
+        path, w=np.ones((5, 1))),
+    "trace: a zero weight": lambda path: _rewrite_sidecar(path, w=np.zeros(5)),
+    "trace: object nodes": lambda path: _rewrite_sidecar(path, v=np.array(
+        [_Unpickled(path.parent / "unpickled")] * 5, dtype=object)),
+    "star log: wrong key": lambda path: _rewrite_sidecar(path, key=b"\x01" * 32),
+    "star log: counts missing": lambda path: _rewrite_sidecar(path, drop=("nbr_cats",)),
+    "star log: counts in two dimensions": lambda path: _rewrite_sidecar(
+        path, nbr_cats=np.zeros((3, 5), np.int64)),
+    "star log: float counts": lambda path: _rewrite_sidecar(
+        path, nbr_cats=np.zeros((3, 5))),
+    "star log: a negative count": lambda path: _rewrite_sidecar(
+        path, nbr_cats=np.full((3, 5), -1)),
+    "star log: a count below 0, each sum kept": lambda path: _rewrite_sidecar(
+        path, nbr_cats=_stored_array(path, "nbr_cats") + np.repeat([-9, 9, 0], 5)),
+    "star log: meta not JSON": lambda path: _rewrite_sidecar(path, meta=b"{x"),
+    "induced log: edges missing": lambda path: _rewrite_sidecar(
+        path, drop=("induced_edges",)),
+    "induced log: an odd count of edge ends": lambda path: _rewrite_sidecar(
+        path, induced_edges=np.zeros(3, np.int64)),
+    "induced log: uint64 degrees": lambda path: _rewrite_sidecar(
+        path, deg=np.zeros(5, np.uint64)),
+    "induced log: object edges": lambda path: _rewrite_sidecar(
+        path, induced_edges=np.array([[None, None]], dtype=object)),
 }
+
+
+def _graph_files(d):
+    write(d / "e.tsv", "0\t1\n1\t2\n2\t3\n3\t0\n")
+    write(d / "c.tsv", "0\ta\n1\tb\n2\ta\n3\tb\n4\tb\n")
+    load_graph(d / "e.tsv", d / "c.tsv")
+
+
+def _trace_files(d):
+    save_trace(SampleTrace(nodes=np.array([0, 2, 0, 3, 4]), steps=np.arange(5),
+                           weights=np.array([1.0, 0.5, 1.0, 2.0, 3.0]),
+                           sampler="rw", seed=1, start=0, burn_in=0), d / "t.jsonl")
+
+
+def _log_files(mode):
+    def save(d):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        part = CategoryPartition(labels=np.array([0, 0, 1, 2, 2]),
+                                 names=("a", "b", "c"))
+        observer = observe_induced if mode == "induced" else observe_star
+        save_log(observer(g, part, sample_rw(g, 5, start=0, seed=2)), d / "log.jsonl")
+    return save
+
+
+# each kind of sidecar: (write the files and the sidecar, the file it is
+# kept beside, a load as plain values, the parse a hit does not call)
+SIDECAR_KINDS = {
+    "graph": (_graph_files, "e.tsv", lambda d: _loaded(d / "e.tsv", d / "c.tsv"),
+              "_parse_graph"),
+    "trace": (_trace_files, "t.jsonl",
+              lambda d: _fields(load_trace(d / "t.jsonl")), "_read_jsonl"),
+    **{f"{mode} log": (_log_files(mode), "log.jsonl",
+                       lambda d: _fields(load_log(d / "log.jsonl")), "_read_jsonl")
+       for mode in ("star", "induced")},
+}
+
+
+def _fields(item):
+    """A trace's or log's fields, each array as its bytes, dtype, shape and
+    order, so that equal values are equal bit for bit and laid out alike."""
+    return {f.name: (v.tobytes(), v.dtype, v.shape, v.flags.c_contiguous,
+                     v.flags.f_contiguous)
+            if isinstance(v, np.ndarray) else v
+            for f in dataclasses.fields(item) for v in [getattr(item, f.name)]}
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_SIDECARS))
 def test_a_broken_sidecar_is_ignored_and_replaced(tmp_path, case):
     """A sidecar that does not hold the key, cannot be read without a
-    pickle, or fails a check is parsed past and written again."""
-    edges = write(tmp_path / "e.tsv", "0\t1\n1\t2\n2\t3\n3\t0\n")
-    cats = write(tmp_path / "c.tsv", "0\ta\n1\tb\n2\ta\n3\tb\n4\tb\n")
-    want = _loaded(edges, cats)
-    sidecar = tmp_path / "e.tsv.categraph.npz"
-    BROKEN_SIDECARS[case](sidecar)
-    assert fileio._read_sidecar(str(sidecar), fileio._graph_key(cats, edges)) is None
-    assert _loaded(edges, cats) == want
-    with mock.patch.object(fileio, "_parse_graph", side_effect=AssertionError):
-        assert _loaded(edges, cats) == want
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "c.tsv", "e.tsv", "e.tsv.categraph.npz"]
+    pickle, or fails a check is parsed past, and written again: by the
+    next graph load, or by the next write of the trace or log."""
+    kind = case.split(": ")[0] if ": " in case else "graph"
+    write_files, name, load, parse = SIDECAR_KINDS[kind]
+    write_files(tmp_path)
+    want = load(tmp_path)
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert f"{name}.categraph.npz" in files
+    BROKEN_SIDECARS[case](tmp_path / f"{name}.categraph.npz")
+    with mock.patch.object(fileio, parse, wraps=getattr(fileio, parse)) as parsed:
+        assert load(tmp_path) == want
+    assert parsed.called
+    if kind != "graph":
+        write_files(tmp_path)
+    with mock.patch.object(fileio, parse, side_effect=AssertionError):
+        assert load(tmp_path) == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
 def test_a_pair_rewritten_during_its_parse_is_not_kept(tmp_path, monkeypatch):
@@ -1127,6 +1217,160 @@ def test_a_sidecar_load_never_holds_the_file(tmp_path, circulant, traced_peak):
         peak = traced_peak(lambda: loaded.append(load_graph(edges, cats)))
     assert loaded[0][0] == g
     assert peak < 2 * 2**16 + 32 * g.edge_count
+
+
+# ---------------------------------------------------------------------------
+# trace and log sidecars: what the writer left equals the parse, checks
+# and refusals included
+
+@st.composite
+def written(draw):
+    """A trace or a star or induced log for the writers, with repeated
+    nodes, categories without draws and node arrays of several dtypes; one
+    in two has one flaw, which the readers refuse or the writer's cast
+    hides."""
+    kind = draw(st.sampled_from(["trace", "star", "induced"]))
+    flaw = draw(st.sampled_from([None] * 8 + ["big id", "negative id", "float ids"] + (
+        ["burn_in", "thin", "start"] if kind == "trace"
+        else ["category", "degree", "negative count", "edge"])))
+    n = draw(st.integers(0, 7))
+    ids = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    dtype = draw(st.sampled_from([np.int64, np.int32, np.uint16]))
+    if flaw == "big id":   # written as it is, beyond what the readers take
+        ids[0], dtype = 2**63, np.uint64
+    elif flaw in ("negative id", "float ids"):
+        ids[0], dtype = -1, {"negative id": np.int64, "float ids": np.float64}[flaw]
+    picks = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n))
+    nodes = np.array([ids[i] for i in picks], dtype=dtype)
+    node_weights = draw(st.lists(st.one_of(weights_st, st.integers(1, 2**62)),
+                                 min_size=len(ids), max_size=len(ids)))
+    if {type(w) for w in node_weights} != {int}:   # else integer weights
+        node_weights = list(map(float, node_weights))
+    weights = np.array([node_weights[i] for i in picks])
+    if kind == "trace":
+        meta = {"burn_in": 0, "thin_interval": 1,
+                "start": draw(st.one_of(st.none(), st.integers(0, 5))),
+                **{"burn_in": {"burn_in": -3}, "thin": {"thin_interval": 0},
+                   "start": {"start": -5}}.get(flaw, {})}
+        return save_trace, load_trace, SampleTrace(
+            nodes=nodes, steps=np.arange(n) * draw(st.integers(1, 3)),
+            weights=weights, sampler="rw", seed=draw(seeds_st), **meta)
+    c = draw(st.integers(1, 3))
+    node_cats = draw(st.lists(st.integers(0, c - 1), min_size=len(ids),
+                              max_size=len(ids)))
+    node_cats[0] += c * (flaw == "category")
+    counts = np.array(draw(st.lists(st.lists(
+        st.integers(0, 3), min_size=c, max_size=c), min_size=len(ids),
+        max_size=len(ids))), dtype=np.int64)[picks].reshape(n, c)
+    if flaw == "negative count" and n and c > 1:   # the row's sum kept
+        row = draw(st.integers(0, n - 1))
+        counts[row] += [-1 - counts[row, 0], 1 + counts[row, 0]] + [0] * (c - 2)
+    degrees = counts.sum(axis=1)
+    if flaw == "degree" and n:
+        degrees[draw(st.integers(0, n - 1))] += 1
+    drawn = sorted({ids[i] for i in picks} - {2**63})
+    pairs = list(itertools.combinations(drawn, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if flaw == "edge":   # a self-loop, an undrawn end or a repeat
+        edges.append(draw(st.sampled_from([(ids[0], ids[0]), (10, ids[0]), *edges[:1]])))
+    return save_log, load_log, ObservationLog(
+        mode=kind, nodes=nodes, categories=np.array(node_cats)[picks],
+        degrees=degrees, weights=weights, num_categories=c,
+        category_names=tuple("abc"[:c]),
+        population_hint=draw(st.one_of(st.none(), st.integers(1, 100))),
+        induced_edges=np.array(edges, np.int64).reshape(-1, 2),
+        neighbor_counts=counts.T.copy().T if draw(st.booleans()) else counts)
+
+
+def _outcome(load, path):
+    try:
+        return _fields(load(path))
+    except FileFormatError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=written())
+def test_a_sidecar_hit_equals_the_parse(tmp_path_factory, case):
+    """A load with the writer's sidecar equals one with it deleted, arrays
+    bit for bit, and a refused file raises the same message either way; a
+    hit parses no text."""
+    save, load, item = case
+    path = tmp_path_factory.mktemp("sidecar") / "f.jsonl"
+    save(item, path)
+    sidecar = path.parent / "f.jsonl.categraph.npz"
+    hit = _outcome(load, path)
+    if sidecar.exists() and not isinstance(hit, str):
+        with mock.patch.object(fileio, "_read_jsonl", side_effect=AssertionError):
+            assert _outcome(load, path) == hit
+    # the writer leaves a sidecar where its columns are int64 and its
+    # weights float64, as a log's are cast, and a sidecar depends on the
+    # file's bytes alone
+    exact = save is save_log or (item.nodes.dtype == np.int64
+                                 and item.weights.dtype == np.float64)
+    assert sidecar.exists() == exact
+    if exact:
+        stored = sidecar.read_bytes()
+        save(dataclasses.replace(item, nodes=item.nodes.astype(np.int64)), path)
+        assert sidecar.read_bytes() == stored
+    sidecar.unlink(missing_ok=True)
+    assert _outcome(load, path) == hit
+
+
+def _in_time(call, seconds=20):
+    """``call()``, run in a thread that must end within ``seconds``: a pipe
+    opened a second time would block it."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(call()), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert out, f"{call} did not end within {seconds} s"
+    return out[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipes_are_read_and_written_once_and_keep_no_sidecar(tmp_path,
+                                                             three_color_graph):
+    """A pipe (as ``<(cat trace.jsonl)`` passes one) is neither hashed,
+    which would drain it, nor given a sidecar: each is read or written once."""
+    g, part = three_color_graph
+    trace = sample_rw(g, 6, start=0, seed=8)
+    save_trace(trace, tmp_path / "t.jsonl")
+    text = (tmp_path / "t.jsonl").read_bytes()
+    for path in (tmp_path / "in", tmp_path / "out"):
+        os.mkfifo(path)
+    threading.Thread(target=(tmp_path / "in").write_bytes, args=(text,),
+                     daemon=True).start()
+    assert _fields(_in_time(lambda: load_trace(tmp_path / "in"))) == _fields(trace)
+    written = []
+    drain = threading.Thread(daemon=True, target=lambda: written.append(
+        (tmp_path / "out").read_bytes()))
+    drain.start()
+    _in_time(lambda: save_trace(trace, tmp_path / "out"))
+    drain.join(20)
+    assert written == [text]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "in", "out", "t.jsonl", "t.jsonl.categraph.npz"]
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"burn_in": -3}, "meta 'burn_in' must be an integer >= 0, got -3"),
+    ({"thin_interval": 0}, "meta 'thin' must be an integer >= 1, got 0"),
+    ({"start": -5}, "meta 'start' must be null or an integer >= 0, got -5"),
+])
+def test_load_trace_refuses_counts_below_their_floors(tmp_path, meta, message):
+    """A burn-in, thinning interval or start the samplers would refuse is
+    refused on reading, naming the meta line, with the writer's sidecar and
+    without it."""
+    trace = SampleTrace(nodes=np.array([0, 1]), steps=np.array([0, 1]),
+                        weights=np.ones(2), sampler="rw", seed=None, start=0,
+                        burn_in=0)
+    save_trace(dataclasses.replace(trace, **meta), tmp_path / "t.jsonl")
+    for sidecar in (True, False):
+        assert (tmp_path / "t.jsonl.categraph.npz").exists() == sidecar
+        with pytest.raises(FileFormatError, match=f"t.jsonl:1: {re.escape(message)}$"):
+            load_trace(tmp_path / "t.jsonl")
+        (tmp_path / "t.jsonl.categraph.npz").unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
