@@ -22,8 +22,9 @@ inputs produce byte-identical files; each writes its rows in blocks of
 
 A parse is kept beside its file, keyed by the file's bytes: the pair
 ``load_graph`` parsed, and the arrays ``save_trace`` and ``save_log``
-wrote. A reader of those bytes takes them, parses no text and runs its
-checks; a sidecar that fails in any way is parsed past.
+wrote, keyed by hashing each block as it is written. A reader of those
+bytes takes them, parses no text and runs its checks; a sidecar that
+fails in any way is parsed past.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (COUNT_FLOORS, CategraphError, FileFormatError,
-                     check_weights, finite, weights_ok)
+                     InvalidParameter, check_weights, finite, weights_ok)
 from .estimate import MODES, CategoryGraphEstimate
 from .evaluate import ExperimentConfig
 from .generate import SyntheticParams, synthetic_graph
@@ -100,8 +101,7 @@ def _key(kind: str, *paths) -> bytes | None:
     hash would drain, or cannot be opened."""
     if not all(map(os.path.isfile, paths)):
         return None
-    key = hashlib.sha256(f"categraph {kind} {_VERSIONS[kind]}, "
-                         f"numpy {np.__version__}".encode())
+    key = _seeded(kind)
     with suppress(OSError):
         for path in paths:
             with open(path, "rb") as fh:
@@ -110,6 +110,13 @@ def _key(kind: str, *paths) -> bytes | None:
                 key.update(fh.tell().to_bytes(8, "little"))
         return key.digest()
     return None
+
+
+def _seeded(kind: str):
+    """SHA-256 of ``kind``'s format version and numpy's, which ``_key`` and
+    ``_write`` go on to feed a file's bytes and length."""
+    return hashlib.sha256(f"categraph {kind} {_VERSIONS[kind]}, "
+                          f"numpy {np.__version__}".encode())
 
 
 def _sidecar(path, key: bytes | None) -> dict:
@@ -322,22 +329,39 @@ def save_graph(g: Graph, part: CategoryPartition, edge_path,
     if len(empty):
         raise ValueError(f"category {part.names[empty[0]]!r} has no members, "
                          "and a category file lists only labeled nodes")
-    _write(edge_path, (g.edge_count, lambda lo, hi: ("%d\t%d\n" * (hi - lo))
-                       % tuple(g.edge_array[lo:hi].ravel().tolist())))
+    _write(edge_path, (g.edge_count, lambda lo, hi: _rows(
+        "%d\t%d\n", *g.edge_array[lo:hi].T)))
     _write(category_path, (part.node_count, lambda lo, hi: "".join(
         [f"{v}\t{part.names[c]}\n"
          for v, c in enumerate(part.labels[lo:hi].tolist(), lo)])))
 
 
-def _write(path, *parts) -> None:
-    """Write ``parts`` in order: a string as it is, and a (count, block)
-    pair as ``block(lo, hi)``, the text of rows lo..hi-1, for each run of
-    ``_BLOCK`` of its ``count`` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
+def _write(path, *parts, kind: str | None = None) -> bytes | None:
+    """Write ``parts`` in order, as UTF-8: a string as it is, and a (count,
+    block) pair as ``block(lo, hi)``, the text of rows lo..hi-1, for each
+    run of ``_BLOCK`` of its ``count`` rows. With ``kind``, return the
+    ``_key`` of the bytes written, hashed as they are written, or None where
+    ``path`` is not a regular file."""
+    key, size = _seeded(kind) if kind else None, 0
+    with open(path, "wb") as fh:
         for part in parts:
             count, block = (1, lambda lo, hi: part) if isinstance(part, str) else part
             for lo in range(0, count, _BLOCK):
-                fh.write(block(lo, min(lo + _BLOCK, count)))
+                data = block(lo, min(lo + _BLOCK, count)).encode()
+                size += fh.write(data)
+                if key:
+                    key.update(data)
+    if key and os.path.isfile(path):
+        key.update(size.to_bytes(8, "little"))
+        return key.digest()
+    return None
+
+
+def _rows(template: str, *columns) -> str:
+    """A block of rows, ``template`` holding one ``%`` field a column,
+    filled row by row from the columns (arrays, by ``tolist``, or lists)."""
+    values = [c if type(c) is list else c.tolist() for c in columns]
+    return (template * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +407,10 @@ _SEED = _count("seed")
 
 
 def _checked(at: str, obj, keys: dict, where: str = "", needs=(),
-             closed: bool = False) -> dict:
+             closed: bool = False, error: type = FileFormatError) -> dict:
     """``obj``, once it is a JSON object holding ``needs``, each key in
-    ``keys`` holding a value of its kind and, if ``closed``, no other
-    key. Messages start with ``at``; ``where`` prefixes key names."""
+    ``keys`` holding a value of its kind and, if ``closed``, no other key;
+    else ``error``. Messages start with ``at``; ``where`` prefixes keys."""
     if type(obj) is not dict:
         raise FileFormatError(f"{at} {where.rstrip('.')} must be a JSON object")
     for key in needs:
@@ -397,7 +421,7 @@ def _checked(at: str, obj, keys: dict, where: str = "", needs=(),
         if kind is None and closed:
             raise FileFormatError(f"{at} unknown key {where + key!r}")
         if kind is not None and not kind.ok(value):
-            raise FileFormatError(
+            raise error(
                 f"{at} {where + key!r} must be {kind.what}, got {value!r}")
     return obj
 
@@ -439,19 +463,20 @@ def _decode(path, line: int, text: str):
 # sample traces
 
 def save_trace(trace: SampleTrace, path) -> None:
-    """Write a trace; a weight the readers refuse raises InvalidWeight (a
-    ValueError) and no file is written. Floats are written with the
-    ``repr`` that ``json.dumps`` uses."""
+    """Write a trace; a weight the readers refuse raises InvalidWeight, and
+    meta they refuse InvalidParameter (both ValueErrors), with the reader's
+    rule, and no file is written. Floats are written with the ``repr`` that
+    ``json.dumps`` uses."""
     check_weights(trace.weights)
-    meta = json.dumps({"sampler": trace.sampler, "seed": trace.seed,
-                       "start": trace.start, "burn_in": trace.burn_in,
-                       "thin": trace.thin_interval})
-    _write(path, meta + "\n", (len(trace.nodes), lambda lo, hi: "".join(
-        [f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n' for i, v, w in zip(
-            trace.steps[lo:hi].tolist(), trace.nodes[lo:hi].tolist(),
-            trace.weights[lo:hi].tolist())])))
-    _leave(path, "trace", meta, dict(zip(_TRACE_RECORD, (
-        trace.steps, trace.nodes, trace.weights))))
+    meta = json.dumps(_checked("trace meta", {
+        "sampler": trace.sampler, "seed": trace.seed, "start": trace.start,
+        "burn_in": trace.burn_in, "thin": trace.thin_interval}, _TRACE_META,
+        error=InvalidParameter))
+    columns = trace.steps, trace.nodes, trace.weights
+    key = _write(path, meta + "\n", (len(trace.nodes), lambda lo, hi: _rows(
+        '{"i": %s, "v": %s, "w": %r}\n', *(x[lo:hi] for x in columns))),
+        kind="trace")
+    _leave(path, key, meta, dict(zip(_TRACE_RECORD, columns)))
 
 
 _TRACE_META = {"sampler": _STRING,
@@ -476,11 +501,12 @@ def _trace(path, meta_line: int, meta, lines, rows) -> SampleTrace:
                        thin_interval=meta["thin"])
 
 
-def _leave(path, kind: str, meta: str, arrays: dict) -> None:
+def _leave(path, key: bytes | None, meta: str, arrays: dict) -> None:
     """Keep the meta line and ``arrays`` a JSON Lines writer just wrote to
-    ``path`` beside it, each flat in C order: only int64 arrays and float64
-    weights "w", as another dtype's text may not read back as its values."""
-    if (key := _key(kind, path)) and all(np.asarray(a).dtype == (
+    ``path`` beside it, under the ``key`` ``_write`` gave, each flat in C
+    order: only int64 arrays and float64 weights "w", as another dtype's
+    text may not read back as its values."""
+    if key and all(np.asarray(a).dtype == (
             float if name == "w" else np.int64) for name, a in arrays.items()):
         _keep(path, key, {"meta": meta.encode(),
                           **{name: np.ravel(a) for name, a in arrays.items()}})
@@ -587,35 +613,42 @@ def save_log(log: ObservationLog, path) -> None:
         (log.degrees, np.int64), (log.weights, float))]
 
     def records(lo: int, hi: int) -> str:
-        tails = ((f', "nbr_cats": {{{nbrs}}}'
-                  for nbrs in _nbr_cats(log.neighbor_counts[lo:hi]))
-                 if log.mode == STAR else repeat(""))
-        return "".join([f'{{"v": {v}, "c": {c}, "deg": {d}, "w": {w!r}{tail}}}\n'
-                        for v, c, d, w, tail in zip(
-                            *(x[lo:hi].tolist() for x in columns), tails)])
+        rows = [x[lo:hi] for x in columns]
+        if log.mode != STAR:
+            return _rows('{"v": %s, "c": %s, "deg": %s, "w": %r}\n', *rows)
+        return _rows('{"v": %s, "c": %s, "deg": %s, "w": %r, "nbr_cats": {%s}}\n',
+                     *rows, _count_text(log.neighbor_counts[lo:hi]))
 
     induced = ()
     if log.mode == INDUCED:
         # json.dumps({"induced_edges": edges}), a block of pairs at a time
         edges = np.asarray(log.induced_edges).astype(np.int64, copy=False)
-        induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: (
-            ", [%d, %d]" * (hi - lo))[2 if lo == 0 else 0:]
-            % tuple(edges[lo:hi].ravel().tolist())), "]}\n")
-    _write(path, meta + "\n", (len(columns[0]), records), *induced)
-    _leave(path, "log", meta, dict(zip(_LOG_RECORD, columns), **(
+        induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: _rows(
+            ", [%d, %d]", *edges[lo:hi].T)[2 if lo == 0 else 0:]), "]}\n")
+    key = _write(path, meta + "\n", (len(columns[0]), records), *induced,
+                 kind="log")
+    _leave(path, key, meta, dict(zip(_LOG_RECORD, columns), **(
         {"induced_edges": edges} if log.mode == INDUCED
         else {"nbr_cats": np.asarray(log.neighbor_counts).T})))   # a row a category
 
 
-def _nbr_cats(counts: np.ndarray) -> list[str]:
-    """Each star record's ``nbr_cats`` entries, as the text between the
-    braces, from its row of ``counts``: its nonzero counts in category
-    order."""
-    rows, cols = np.nonzero(counts)
-    entries = [f'"{c}": {k}' for c, k in
-               zip(cols.tolist(), counts[rows, cols].astype(np.int64).tolist())]
-    bounds = np.searchsorted(rows, np.arange(len(counts) + 1)).tolist()
-    return [", ".join(entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+def _count_text(counts: np.ndarray) -> list[str]:
+    """Each star record's ``nbr_cats`` text between the braces, from its row
+    of ``counts``: its nonzero counts in category order, each a looked-up
+    prefix (``'"b": '`` first in its row, ``', "b": '`` later) and the text
+    of its count, made once for each distinct count."""
+    rows, cats = np.nonzero(counts)
+    c = counts.shape[1]
+    prefixes = np.array([f'"{b}": ' for b in range(c)]
+                        + [f', "{b}": ' for b in range(c)], dtype=object)
+    distinct, which = np.unique(counts[rows, cats].astype(np.int64),
+                                return_inverse=True)
+    # the slots no entry fills end each record's text, in record order
+    pieces = np.full(2 * len(rows) + len(counts), "\n", dtype=object)
+    at = 2 * np.arange(len(rows)) + rows
+    pieces[at] = prefixes[cats + c * (np.diff(rows, prepend=-1) == 0)]
+    pieces[at + 1] = np.array(list(map(str, distinct.tolist())), object)[which]
+    return "".join(pieces.tolist()).split("\n")[:-1]
 
 
 _LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),

@@ -54,29 +54,42 @@ class CategoryTotals:
 
 
 def _totals(c: int, masses: np.ndarray, drawn, cats: np.ndarray,
-            degrees: np.ndarray, columns: np.ndarray | None = None,
+            degrees: np.ndarray, entries: np.ndarray | None = None,
             cross: tuple | None = None) -> CategoryTotals:
     """The totals over the nodes ``drawn`` picks, in ascending id order:
     ``masses`` sums each node's draws' ``_scaled`` 1/w, so no product of
-    two overflows, and ``cats``, ``degrees`` and star ``columns`` (an
-    integer row per category) are the picked nodes'. The induced part
-    reads ``masses`` at the ends of ``cross``, ``_cross`` of the observed
-    edges: an undrawn end's 0.0 adds exactly 0.0, as in a log of just the
-    draws. ``edge_mass`` is float also with no edge (bincount's int)."""
+    two overflows, and ``cats`` and ``degrees`` are the picked nodes'. The
+    star part reads ``masses`` at the nodes of ``_entries``, the induced
+    part at the ends of ``cross``, ``_cross`` of the observed edges: an
+    undrawn node's 0.0, like a zero count left out, adds exactly 0.0, as
+    in a log of just the draws."""
     node_mass = masses[drawn]
     mass = np.bincount(cats, weights=node_mass, minlength=c)
     degree_mass = np.bincount(cats, weights=degrees * node_mass, minlength=c)
     towards = edge_mass = None
-    if columns is not None:
-        towards = np.column_stack([
-            np.bincount(cats, weights=col * node_mass, minlength=c)
-            for col in columns])
+    if entries is not None:
+        at, pair, count = entries
+        towards = _square(c, pair, count * masses[at])
     if cross is not None:
         u, v, pair = cross
-        edge_mass = np.bincount(pair, weights=masses[u] * masses[v],
-                                minlength=c * c)
-        edge_mass = edge_mass.reshape(c, c).astype(float, copy=False)
+        edge_mass = _square(c, pair, masses[u] * masses[v])
     return CategoryTotals(mass, degree_mass, towards, edge_mass)
+
+
+def _square(c: int, pair: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights`` summed by ``pair`` (a * C + b) as (C, C) floats."""
+    square = np.bincount(pair, weights=weights, minlength=c * c)
+    return square.reshape(c, c).astype(float, copy=False)   # int if no pair
+
+
+def _entries(counts: np.ndarray, cats: np.ndarray) -> np.ndarray:
+    """The nonzero ``counts`` (a row per node, a column per category) node
+    by node, as int64 rows of (row, the row's ``cats`` * C + column, count),
+    so each (a, b) cell's in ascending node order."""
+    counts = np.ascontiguousarray(counts)
+    flat = np.flatnonzero(counts)
+    at, b = np.divmod(flat, counts.shape[1])
+    return np.stack([at, cats[at] * counts.shape[1] + b, counts.ravel()[flat]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +158,12 @@ class ObservationLog:
 
     @cached_property
     def _nodes(self) -> tuple:
-        """Each drawn id's category and degree, by ``_index`` key, and its
-        star neighbor counts (rows of ``neighbor_counts.T``) or ``_cross``."""
+        """Each drawn id's category and degree, by ``_index`` key, and the
+        ``_entries`` of its star neighbor counts or ``_cross``."""
         _, first, _, at, drawn = self._index
         cats, degrees = self.categories[first], self.degrees[first]
         if self.mode == STAR:
-            return cats, degrees, np.take(self.neighbor_counts.T, first, 1), None
+            return cats, degrees, _entries(self.neighbor_counts[first], cats), None
         return cats, degrees, None, _cross(cats, at[drawn.all(axis=1)],
                                            self.num_categories)
 
@@ -242,11 +255,12 @@ class ObservationTable:
     partition: CategoryPartition
 
     @cached_property
-    def neighbor_columns(self) -> np.ndarray:
-        """``[c, v]``: how many neighbors of node v lie in category c, as
-        int64, one contiguous row per category."""
+    def neighbor_entries(self) -> np.ndarray:
+        """``_entries`` of how many neighbors of each node lie in each
+        category, by node id."""
         g, part = self.graph, self.partition
-        return _neighbor_counts(g, part.labels_for(g), part.num_categories)
+        labels = part.labels_for(g)
+        return _entries(_neighbor_counts(g, labels, part.num_categories).T, labels)
 
     @cached_property
     def cross_edges(self) -> tuple:
@@ -263,5 +277,5 @@ class ObservationTable:
         drawn = np.flatnonzero(masses > 0)   # a mass of 0.0 would add 0.0
         return _totals(
             part.num_categories, masses, drawn, labels[drawn], g.degrees[drawn],
-            np.take(self.neighbor_columns, drawn, 1) if STAR in modes else None,
+            self.neighbor_entries if STAR in modes else None,
             self.cross_edges if INDUCED in modes else None)

@@ -290,6 +290,24 @@ def naive_totals(log, rows):
             own: [[float(x) for x in row] for row in square]}
 
 
+def naive_towards(log, rows):
+    """Star ``towards`` of the draws ``rows`` picks (a slice or an index
+    array, repeats counted) by the per-column route: each drawn id's mass,
+    its picked draws' 1/w summed with the log's one power-of-two scale, then
+    for each category b one ``np.bincount`` of the ids' categories, in
+    ascending id order, weighted by (neighbors in b) times the mass, zero
+    counts included."""
+    inverse = 1.0 / log.weights
+    inverse = np.ldexp(inverse, -np.frexp(inverse.max(initial=0.0))[1])
+    ids, first, keys = np.unique(log.nodes, return_index=True,
+                                 return_inverse=True)
+    masses = np.bincount(keys[rows], weights=inverse[rows], minlength=len(ids))
+    cats = log.categories[first]
+    return np.column_stack([
+        np.bincount(cats, weights=column * masses, minlength=log.num_categories)
+        for column in np.take(log.neighbor_counts.T, first, 1)])
+
+
 def naive_bootstrap_variance(log, B, seed, population=None, *,
                              size_estimator="induced", weight_estimator=None,
                              assume_homogeneous_degree=False):

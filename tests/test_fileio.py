@@ -1252,7 +1252,10 @@ def written(draw):
                 "start": draw(st.one_of(st.none(), st.integers(0, 5))),
                 **{"burn_in": {"burn_in": -3}, "thin": {"thin_interval": 0},
                    "start": {"start": -5}}.get(flaw, {})}
-        return save_trace, load_trace, SampleTrace(
+        # save_trace refuses the meta flaws, so those files are written raw
+        save = (save_unchecked_trace if flaw in ("burn_in", "thin", "start")
+                else save_trace)
+        return save, load_trace, SampleTrace(
             nodes=nodes, steps=np.arange(n) * draw(st.integers(1, 3)),
             weights=weights, sampler="rw", seed=draw(seeds_st), **meta)
     c = draw(st.integers(1, 3))
@@ -1365,12 +1368,62 @@ def test_load_trace_refuses_counts_below_their_floors(tmp_path, meta, message):
     trace = SampleTrace(nodes=np.array([0, 1]), steps=np.array([0, 1]),
                         weights=np.ones(2), sampler="rw", seed=None, start=0,
                         burn_in=0)
-    save_trace(dataclasses.replace(trace, **meta), tmp_path / "t.jsonl")
+    save_unchecked_trace(dataclasses.replace(trace, **meta), tmp_path / "t.jsonl")
     for sidecar in (True, False):
         assert (tmp_path / "t.jsonl.categraph.npz").exists() == sidecar
         with pytest.raises(FileFormatError, match=f"t.jsonl:1: {re.escape(message)}$"):
             load_trace(tmp_path / "t.jsonl")
         (tmp_path / "t.jsonl.categraph.npz").unlink(missing_ok=True)
+
+
+@pytest.mark.parametrize("meta, message", [
+    ({"burn_in": -3}, "trace meta 'burn_in' must be an integer >= 0, got -3"),
+    ({"thin_interval": 0}, "trace meta 'thin' must be an integer >= 1, got 0"),
+    ({"start": -5}, "trace meta 'start' must be null or an integer >= 0, got -5"),
+    ({"start": 1.0}, "trace meta 'start' must be null or an integer >= 0, got 1.0"),
+])
+def test_save_trace_refuses_meta_the_reader_refuses(tmp_path, meta, message):
+    """The writer checks the meta line by the reader's rules, and names the
+    refusal in the reader's words, before it writes any file."""
+    trace = SampleTrace(nodes=np.array([0, 1]), steps=np.array([0, 1]),
+                        weights=np.ones(2), sampler="rw", seed=None, start=0,
+                        burn_in=0)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        save_trace(dataclasses.replace(trace, **meta), tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def save_unchecked_trace(trace, path):
+    """What ``save_trace`` leaves for ``trace`` but without its meta check,
+    through the writer's own ``_write`` and ``_leave``: a file, and where
+    its columns are int64 and float64 a sidecar, that a reader may refuse."""
+    meta = json.dumps({"sampler": trace.sampler, "seed": trace.seed,
+                       "start": trace.start, "burn_in": trace.burn_in,
+                       "thin": trace.thin_interval})
+    columns = trace.steps, trace.nodes, trace.weights
+    key = fileio._write(path, meta + "\n", "".join(
+        f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n'
+        for i, v, w in zip(*(x.tolist() for x in columns))), kind="trace")
+    fileio._leave(path, key, meta, dict(zip("ivw", columns)))
+
+
+@pytest.mark.parametrize("kind", ["trace", "star", "induced"])
+def test_a_writer_keys_its_sidecar_by_the_bytes_it_wrote(tmp_path, monkeypatch,
+                                                         three_color_graph, kind):
+    """The key a writer hashes block by block as it writes, blocks of 3
+    rows here, is the key a reader computes from the file, so the writer
+    reads nothing back."""
+    g, part = three_color_graph
+    trace = sample_rw(g, 10, start=0, seed=8)
+    item = trace if kind == "trace" else {
+        "star": observe_star, "induced": observe_induced}[kind](g, part, trace)
+    path, key = tmp_path / "f.jsonl", fileio._key
+    with monkeypatch.context() as mp:
+        mp.setattr(fileio, "_BLOCK", 3)
+        mp.setattr(fileio, "_key", mock.Mock(side_effect=AssertionError))
+        (save_trace if kind == "trace" else save_log)(item, path)
+    with np.load(tmp_path / "f.jsonl.categraph.npz") as npz:
+        assert npz["key"].tobytes() == key("trace" if kind == "trace" else "log", path)
 
 
 # ---------------------------------------------------------------------------
@@ -1430,7 +1483,7 @@ def test_save_trace_matches_per_line_writer(tmp_path_factory, draws, sampler,
 @st.composite
 def logs(draw):
     mode = draw(st.sampled_from(["induced", "star"]))
-    c = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 12))   # category ids of one and two digits
     n = draw(st.integers(0, 10))
     nodes = draw(st.lists(ids_st, min_size=n, max_size=n))
     counts = np.array(draw(st.lists(
@@ -1471,6 +1524,13 @@ def _log(mode, n, **fields):
 @example(log=_log("star", 0, population_hint=7,
                   neighbor_counts=np.zeros((0, 2), dtype=np.int64)))
 @example(log=_log("star", 3, neighbor_counts=np.array([[0, 2], [1, 0], [3, 4]])))
+# counts of many digits, and of few distinct values, in one block
+@example(log=_log("star", 4, neighbor_counts=np.array(
+    [[10**6, 2**40], [0, 0], [2**40, 10**6], [0, 10**6]])))
+@example(log=dataclasses.replace(
+    _log("star", 3, neighbor_counts=np.array(
+        [[10**6] + [0] * 9 + [2**40, 1], [0] * 12, [0] * 10 + [10**6, 2**40]])),
+    num_categories=12, category_names=tuple("abcdefghijkl")))
 @example(log=_log("induced", 5, population_hint=9, induced_edges=np.array(
     [[2**63 - 1 - u, 2**63 - 1 - v] for u, v in itertools.combinations(range(5), 2)]
     [:7])))

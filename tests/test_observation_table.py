@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _reference import naive_totals
+from _reference import naive_totals, naive_towards
 from categraph import (CategoryPartition, Graph, SampleTrace, observe,
                        observe_induced, observe_star)
 from categraph.fileio import load_log, save_log
@@ -159,7 +159,7 @@ def test_a_table_refuses_a_partition_of_another_size():
     trace = SampleTrace(nodes=np.array([0, 9]), steps=np.arange(2),
                         weights=np.ones(2), sampler="uis", seed=None,
                         start=None, burn_in=0)
-    for read in (lambda: table.neighbor_columns, lambda: table.cross_edges,
+    for read in (lambda: table.neighbor_entries, lambda: table.cross_edges,
                  lambda: table.totals(trace, ("star",))):
         with pytest.raises(ValueError, match="partition and graph disagree"):
             read()
@@ -172,7 +172,7 @@ def test_neighbor_counts_stay_int64_from_the_table_to_the_totals(tmp_path):
     back or resampled."""
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
-    assert ObservationTable(g, part).neighbor_columns.dtype == np.int64
+    assert ObservationTable(g, part).neighbor_entries.dtype == np.int64
     log = observe_star(g, part, SampleTrace(
         nodes=np.array([0, 2, 2, 3]), steps=np.arange(4), weights=np.ones(4),
         sampler="uis", seed=None, start=None, burn_in=0))
@@ -242,6 +242,54 @@ def test_totals_match_the_per_draw_oracle(graph, unit, data):
     for log in logs.values():
         assert_matches_the_oracle(log.totals_of(rows), naive_totals(log, rows), unit)
         assert_matches_the_oracle(table, naive_totals(log, slice(None)), unit)
+
+
+@st.composite
+def star_traces(draw):
+    """A graph of 1 to 14 nodes in 1 to 12 categories, isolated nodes'
+    rows all zero, a trace whose draws repeat nodes, and rows of it."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    c = draw(st.integers(1, 12))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    nodes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=30))
+    # unit weights, weights whose sums round, and any weights
+    weights = draw(st.one_of(st.just([1.0] * len(nodes)), *(st.lists(
+        w, min_size=len(nodes), max_size=len(nodes))
+        for w in (st.floats(0.1, 10), WEIGHTS))))
+    rows = draw(st.lists(st.integers(0, len(nodes) - 1), max_size=40))
+    return (Graph.from_edges(n, edges),
+            CategoryPartition(labels=np.array(labels, np.int64),
+                              names=tuple(map(str, range(c)))),
+            nodes, weights, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=star_traces())
+# nodes 2 and 3 are isolated, and no drawn node neighbours categories 0 or 2
+@example(case=(Graph.from_edges(4, [(0, 1)]),
+               CategoryPartition(labels=np.array([0, 1, 2, 2]), names=("a", "b", "c")),
+               [3, 0, 0, 2, 3], [1.0, 0.5, 0.5, 3.0, 1.0], [4, 1, 1, 0]))
+# towards[0][1] sums 0.1, 0.2 and 0.3 in ascending id order, which in
+# floats is not (0.3 + 0.2) + 0.1
+@example(case=(Graph.from_edges(4, [(0, 3), (1, 3), (2, 3)]),
+               CategoryPartition(labels=np.array([0, 0, 0, 1]), names=("a", "b")),
+               [2, 1, 0], [10 / 3, 5.0, 10.0], [0, 1, 2]))
+def test_star_towards_equal_the_per_column_route(case):
+    """A star log's ``totals_of`` any rows, and a table's totals of the
+    trace, reduced by nonzero entries, equal the per-column bincounts of
+    ``naive_towards`` exactly: a zero count left out would add 0.0."""
+    g, part, nodes, weights, rows = case
+    trace = SampleTrace(nodes=np.array(nodes), steps=np.arange(len(nodes)),
+                        weights=np.array(weights), sampler="wis", seed=None,
+                        start=None, burn_in=0)
+    log = observe_star(g, part, trace)
+    for picked in (slice(None), np.array(rows, dtype=np.int64)):
+        assert np.array_equal(log.totals_of(picked).towards,
+                              naive_towards(log, picked))
+    assert np.array_equal(ObservationTable(g, part).totals(trace, ("star",)).towards,
+                          naive_towards(log, slice(None)))
 
 
 def test_a_short_star_observation_builds_no_table(monkeypatch):
