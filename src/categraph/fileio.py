@@ -18,13 +18,16 @@ with that parse over the lines only to find a refused one.
 Traces and observation logs are JSON Lines: one meta object, then one
 object per draw. All writers emit keys in a fixed order so identical
 inputs produce byte-identical files; each writes its rows in blocks of
-``_BLOCK``, so its transient memory is one block's, not its file's.
+``_BLOCK``, so its transient memory is one block's, not its file's. A
+block is a numpy byte array, a row a line or a segment of one: literal
+bytes and each field's text right-aligned, kept by a mask read off each
+field's length.
 
 A parse is kept beside its file, keyed by the file's bytes: the pair
-``load_graph`` parsed, and the arrays ``save_trace`` and ``save_log``
-wrote, keyed by hashing each block as it is written. A reader of those
-bytes takes them, parses no text and runs its checks; a sidecar that
-fails in any way is parsed past.
+``load_graph`` parsed and whether it is connected, and the arrays
+``save_trace`` and ``save_log`` wrote, keyed by hashing each block as it
+is written. A reader of those bytes takes them, parses no text and runs
+its checks; a sidecar that fails in any way is parsed past.
 """
 from __future__ import annotations
 
@@ -92,7 +95,7 @@ def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
 # sidecars: a file's parse kept beside it, as ``<file>.categraph.npz``
 
 _SIDECAR = ".categraph.npz"
-_VERSIONS = {"graph": 1, "trace": 1, "log": 1}   # of what each kind holds
+_VERSIONS = {"graph": 2, "trace": 1, "log": 1}   # of what each kind holds
 
 
 def _key(kind: str, *paths) -> bytes | None:
@@ -175,20 +178,23 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         names = json.loads(arrays["names"].tobytes())
         stored = [arrays[a] for a in ("indptr", "indices", "labels")]
         indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
+        connected = arrays["connected"]
         # O(N+E) checks in place of Graph.validate: indptr rises from 0 to
         # len(indices), and indices, read unsigned, lie below N
         if (type(names) is list and set(map(type, names)) <= {str}
+                and connected.shape == () and connected.dtype == bool
                 and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
                 and len(indptr) == len(labels) + 1 and indptr[0] == 0
                 and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
                 and np.all(indices.view(np.uint64) < len(labels))):
-            return (Graph(indptr=indptr, indices=indices),
-                    CategoryPartition(labels=labels, names=tuple(names)))
+            g = Graph(indptr=indptr, indices=indices)
+            vars(g)["is_connected"] = bool(connected)   # the cached property
+            return g, CategoryPartition(labels=labels, names=tuple(names))
     g, part = _parse_graph(edge_path, category_path)
     if key and _key("graph", category_path, edge_path) == key:
         _keep(edge_path, key, {
             "names": json.dumps(part.names).encode(), "indptr": g.indptr,
-            "labels": part.labels,
+            "labels": part.labels, "connected": np.array(g.is_connected),
             "indices": g.indices.astype(np.min_scalar_type(g.node_count))})
     return g, part
 
@@ -329,25 +335,27 @@ def save_graph(g: Graph, part: CategoryPartition, edge_path,
     if len(empty):
         raise ValueError(f"category {part.names[empty[0]]!r} has no members, "
                          "and a category file lists only labeled nodes")
+    u, v = g.edge_array.T
     _write(edge_path, (g.edge_count, lambda lo, hi: _rows(
-        "%d\t%d\n", *g.edge_array[lo:hi].T)))
-    _write(category_path, (part.node_count, lambda lo, hi: "".join(
-        [f"{v}\t{part.names[c]}\n"
-         for v, c in enumerate(part.labels[lo:hi].tolist(), lo)])))
+        u[lo:hi], b"\t", v[lo:hi], b"\n")))
+    names = [name.encode() for name in part.names]
+    _write(category_path, (part.node_count, lambda lo, hi: _rows(
+        np.arange(lo, hi), b"\t", _table(names, part.labels[lo:hi]), b"\n")))
 
 
 def _write(path, *parts, kind: str | None = None) -> bytes | None:
-    """Write ``parts`` in order, as UTF-8: a string as it is, and a (count,
-    block) pair as ``block(lo, hi)``, the text of rows lo..hi-1, for each
-    run of ``_BLOCK`` of its ``count`` rows. With ``kind``, return the
+    """Write ``parts`` in order: a string as UTF-8, and a (count, block)
+    pair as ``block(lo, hi)``, the bytes of rows lo..hi-1, for each run of
+    ``_BLOCK`` of its ``count`` rows. With ``kind``, return the
     ``_key`` of the bytes written, hashed as they are written, or None where
     ``path`` is not a regular file."""
     key, size = _seeded(kind) if kind else None, 0
     with open(path, "wb") as fh:
         for part in parts:
-            count, block = (1, lambda lo, hi: part) if isinstance(part, str) else part
+            count, block = ((1, lambda lo, hi: part.encode())
+                            if isinstance(part, str) else part)
             for lo in range(0, count, _BLOCK):
-                data = block(lo, min(lo + _BLOCK, count)).encode()
+                data = block(lo, min(lo + _BLOCK, count))
                 size += fh.write(data)
                 if key:
                     key.update(data)
@@ -357,11 +365,68 @@ def _write(path, *parts, kind: str | None = None) -> bytes | None:
     return None
 
 
-def _rows(template: str, *columns) -> str:
-    """A block of rows, ``template`` holding one ``%`` field a column,
-    filled row by row from the columns (arrays, by ``tolist``, or lists)."""
-    values = [c if type(c) is list else c.tolist() for c in columns]
-    return (template * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
+def _rows(*parts) -> bytes:
+    """A block of rows: the bytes :func:`_block` keeps."""
+    text, keep = _block(*parts)
+    return text[keep].tobytes()
+
+
+def _block(*parts, multiple: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """A block of rows as (rows, width) uint8 bytes and the mask of those
+    kept: ``parts`` side by side, each a literal (bytes), a column (of
+    :func:`_field`) or a field (text, lengths), whose text is right-aligned,
+    its last ``length`` bytes kept. A width rounded up to a ``multiple``
+    adds bytes not kept."""
+    parts = [(np.frombuffer(p, np.uint8), len(p)) if type(p) is bytes
+             else p if type(p) is tuple else _field(p) for p in parts]
+    ends = np.cumsum([t.shape[-1] for t, _ in parts])
+    rows = next(len(n) for _, n in parts if np.ndim(n))
+    text = np.empty((rows, -(-ends[-1] // multiple) * multiple), np.uint8)
+    keep = np.zeros(text.shape, bool)
+    for (t, n), end in zip(parts, ends):
+        w = t.shape[-1]
+        _items(text[:, end - w:end])[:] = _items(t)
+        kept = np.arange(w) >= w - np.arange(w + 1)[:, None]   # by length
+        _items(keep[:, end - w:end])[:] = _items(kept)[n]
+    return text, keep
+
+
+def _items(a: np.ndarray) -> np.ndarray:
+    """``a``'s rows along its last axis as items, which numpy copies whole."""
+    return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
+
+
+def _field(column) -> tuple[np.ndarray, np.ndarray]:
+    """A column's text and each row's length: integers in decimal, the
+    digits of their unsigned magnitudes by division by 10; other values as
+    their float's ``repr``, as ``json.dumps`` writes it, made once for each
+    distinct value."""
+    column = np.asarray(column)
+    if column.dtype.kind not in "iu":
+        bits, which = np.unique(column.astype(float).view(np.int64),
+                                return_inverse=True)
+        return _table([repr(x).encode() for x in bits.view(float).tolist()], which)
+    neg = column < 0
+    mag = column.astype(np.uint64)   # modulo 2**64, so that negating it gives
+    np.negative(mag, out=mag, where=neg)   # the magnitude of any int, -2**63 too
+    digits = len(str(mag.max(initial=0)))
+    length = sum((mag >= np.uint64(10 ** k) for k in range(1, digits)), 1 + neg)
+    text = np.empty((len(mag), digits + neg.any()), np.uint8)
+    for k in range(text.shape[1] - 1, -1, -1):
+        tens = mag // 10
+        text[:, k] = mag - tens * 10
+        mag = tens
+    text += ord("0")
+    text[neg, text.shape[1] - length[neg]] = ord("-")
+    return text, length
+
+
+def _table(texts: list[bytes], which) -> tuple[np.ndarray, np.ndarray]:
+    """The field of each ``texts[which]``, from a table of the texts."""
+    lengths = np.array(list(map(len, texts)), np.int64)
+    width = int(lengths.max(initial=1))
+    table = np.frombuffer(b"".join(t.rjust(width) for t in texts), np.uint8)
+    return np.take(table.reshape(len(texts), width), which, 0), lengths[which]
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +537,10 @@ def save_trace(trace: SampleTrace, path) -> None:
         "sampler": trace.sampler, "seed": trace.seed, "start": trace.start,
         "burn_in": trace.burn_in, "thin": trace.thin_interval}, _TRACE_META,
         error=InvalidParameter))
-    columns = trace.steps, trace.nodes, trace.weights
-    key = _write(path, meta + "\n", (len(trace.nodes), lambda lo, hi: _rows(
-        '{"i": %s, "v": %s, "w": %r}\n', *(x[lo:hi] for x in columns))),
-        kind="trace")
+    steps, nodes, weights = columns = trace.steps, trace.nodes, trace.weights
+    key = _write(path, meta + "\n", (len(nodes), lambda lo, hi: _rows(
+        b'{"i": ', steps[lo:hi], b', "v": ', nodes[lo:hi], b', "w": ',
+        weights[lo:hi], b"}\n")), kind="trace")
     _leave(path, key, meta, dict(zip(_TRACE_RECORD, columns)))
 
 
@@ -612,19 +677,20 @@ def save_log(log: ObservationLog, path) -> None:
         (log.nodes, np.int64), (log.categories, np.int64),
         (log.degrees, np.int64), (log.weights, float))]
 
-    def records(lo: int, hi: int) -> str:
-        rows = [x[lo:hi] for x in columns]
+    def records(lo: int, hi: int) -> bytes:
+        v, c, deg, w = (x[lo:hi] for x in columns)
+        head = [b'{"v": ', v, b', "c": ', c, b', "deg": ', deg, b', "w": ', w]
         if log.mode != STAR:
-            return _rows('{"v": %s, "c": %s, "deg": %s, "w": %r}\n', *rows)
-        return _rows('{"v": %s, "c": %s, "deg": %s, "w": %r, "nbr_cats": {%s}}\n',
-                     *rows, _count_text(log.neighbor_counts[lo:hi]))
+            return _rows(*head, b"}\n")
+        return _star_rows(head, log.neighbor_counts[lo:hi])
 
     induced = ()
     if log.mode == INDUCED:
         # json.dumps({"induced_edges": edges}), a block of pairs at a time
         edges = np.asarray(log.induced_edges).astype(np.int64, copy=False)
+        u, v = edges.T
         induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: _rows(
-            ", [%d, %d]", *edges[lo:hi].T)[2 if lo == 0 else 0:]), "]}\n")
+            b", [", u[lo:hi], b", ", v[lo:hi], b"]")[2 if lo == 0 else 0:]), "]}\n")
     key = _write(path, meta + "\n", (len(columns[0]), records), *induced,
                  kind="log")
     _leave(path, key, meta, dict(zip(_LOG_RECORD, columns), **(
@@ -632,23 +698,28 @@ def save_log(log: ObservationLog, path) -> None:
         else {"nbr_cats": np.asarray(log.neighbor_counts).T})))   # a row a category
 
 
-def _count_text(counts: np.ndarray) -> list[str]:
-    """Each star record's ``nbr_cats`` text between the braces, from its row
-    of ``counts``: its nonzero counts in category order, each a looked-up
-    prefix (``'"b": '`` first in its row, ``', "b": '`` later) and the text
-    of its count, made once for each distinct count."""
-    rows, cats = np.nonzero(counts)
-    c = counts.shape[1]
-    prefixes = np.array([f'"{b}": ' for b in range(c)]
-                        + [f', "{b}": ' for b in range(c)], dtype=object)
-    distinct, which = np.unique(counts[rows, cats].astype(np.int64),
-                                return_inverse=True)
-    # the slots no entry fills end each record's text, in record order
-    pieces = np.full(2 * len(rows) + len(counts), "\n", dtype=object)
-    at = 2 * np.arange(len(rows)) + rows
-    pieces[at] = prefixes[cats + c * (np.diff(rows, prepend=-1) == 0)]
-    pieces[at + 1] = np.array(list(map(str, distinct.tolist())), object)[which]
-    return "".join(pieces.tolist()).split("\n")[:-1]
+def _star_rows(head: list, counts: np.ndarray) -> bytes:
+    """Star records: ``head``'s parts, then ``"nbr_cats": {...}}`` holding
+    the nonzero entries ``"b": n`` of the record's row of ``counts``. Each
+    entry is one row of a block as wide as the widest entry, and each head
+    is split across rows of that width, placed before its record's entries:
+    a block holds its entries and heads, never rows times its widest record."""
+    (n, c), (at, cats) = counts.shape, np.nonzero(counts)
+    close = np.frombuffer(b"}}\n", np.uint8)
+    prefixes = [f'{sep}"{b}": '.encode() for sep in ("", ", ") for b in range(c)]
+    entries = _block(_table(prefixes, cats + c * (np.diff(at, prepend=-1) == 0)),
+                     counts[at, cats], (close, 3 * (np.diff(at, append=n) != 0)))
+    size = np.bincount(at, minlength=n)   # each record's entries
+    width = entries[0].shape[1]
+    heads = _block(*head, b', "nbr_cats": {', (close, 3 * (size == 0)),
+                   multiple=width)
+    tall = heads[0].shape[1] // width   # rows a head takes
+    first = tall * np.arange(n) + np.cumsum(size) - size   # each head's first row
+    text, keep = (np.empty((n * tall + len(at), width), a.dtype) for a in entries)
+    for out, h, e in zip((text, keep), heads, entries):
+        _items(out)[first[:, None] + np.arange(tall)] = _items(h.reshape(n, tall, -1))
+        _items(out)[tall * (at + 1) + np.arange(len(at))] = _items(e)
+    return text[keep].tobytes()
 
 
 _LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),

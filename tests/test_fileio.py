@@ -1034,6 +1034,10 @@ BROKEN_SIDECARS = {
     "names not strings": lambda path: _rewrite_sidecar(path, names=b"[0, 1]"),
     "names not JSON": lambda path: _rewrite_sidecar(path, names=b"[x"),
     "labels missing": lambda path: _rewrite_sidecar(path, drop=("labels",)),
+    "connectivity missing": lambda path: _rewrite_sidecar(path, drop=("connected",)),
+    "connectivity an integer": lambda path: _rewrite_sidecar(path, connected=np.array(0)),
+    "connectivity in an array": lambda path: _rewrite_sidecar(
+        path, connected=np.array([False])),
     # a trace's or a log's sidecar: its key, meta and record columns, and
     # a star log's counts, one row a category, or an induced log's edges
     "trace: wrong key": lambda path: _rewrite_sidecar(
@@ -1217,6 +1221,32 @@ def test_a_sidecar_load_never_holds_the_file(tmp_path, circulant, traced_peak):
         peak = traced_peak(lambda: loaded.append(load_graph(edges, cats)))
     assert loaded[0][0] == g
     assert peak < 2 * 2**16 + 32 * g.edge_count
+
+
+@pytest.mark.parametrize("edges, connected", [
+    ("0\t1\n1\t2\n2\t3\n", True), ("0\t1\n2\t3\n", False)])
+def test_a_graph_sidecar_hit_computes_no_connectivity(tmp_path, edges, connected):
+    """The parse keeps the graph's connectivity in its sidecar, and a hit
+    sets the cached property from it, so no walk on it computes it again."""
+    edges = write(tmp_path / "e.tsv", edges)
+    cats = write(tmp_path / "c.tsv", "0\ta\n1\tb\n2\ta\n3\tb\n")
+    assert load_graph(edges, cats)[0].is_connected is connected
+    assert _stored_array(tmp_path / "e.tsv.categraph.npz", "connected") == connected
+    with mock.patch.object(fileio, "_parse_graph", side_effect=AssertionError), \
+            mock.patch.object(Graph.__dict__["is_connected"], "func",
+                              side_effect=AssertionError):
+        assert load_graph(edges, cats)[0].is_connected is connected
+
+
+def test_a_walk_on_a_disconnected_graph_from_its_sidecar_warns(tmp_path):
+    edges = write(tmp_path / "e.tsv", "0\t1\n1\t2\n3\t4\n4\t5\n")
+    cats = write(tmp_path / "c.tsv", "".join(f"{v}\ta\n" for v in range(6)))
+    load_graph(edges, cats)
+    with mock.patch.object(fileio, "_parse_graph", side_effect=AssertionError):
+        g = load_graph(edges, cats)[0]
+    with pytest.warns(RuntimeWarning, match="disconnected graph"):
+        trace = sample_rw(g, 50, start=0, seed=41)
+    assert set(trace.nodes.tolist()) <= {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -1580,6 +1610,69 @@ def test_save_graph_matches_per_line_writer(tmp_path_factory, graph):
         return
     _same_bytes(tmp, lambda e, c: save_graph(g, part, e, c),
                 lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
+
+
+EXTREME_IDS = (-2**63, -1, 0, 9, 10, 2**32, 2**63 - 1)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32])
+def test_save_trace_writes_extreme_ids_as_the_per_line_writer(tmp_path, dtype):
+    """Every pair of steps and node ids from the extremes of the dtype and
+    the lengths between, at the writers' block and at 3 rows."""
+    info = np.iinfo(dtype)
+    ids = [max(min(x, info.max), info.min) for x in EXTREME_IDS]
+    steps, nodes = np.array(list(itertools.product(ids, repeat=2)), dtype).T
+    trace = SampleTrace(nodes=nodes, steps=steps, sampler="rw", seed=None,
+                        weights=np.resize(SPECIAL_WEIGHTS, len(nodes)),
+                        start=None, burn_in=0, thin_interval=1)
+    _same_bytes(tmp_path, lambda p: save_trace(trace, p),
+                lambda p: naive_save_trace(trace, p), "t.jsonl")
+
+
+def test_save_graph_writes_names_holding_nul_as_the_per_line_writer(tmp_path):
+    """A category name may hold U+0000, first, last or inside, and the
+    writer keeps a name's bytes by its length, not up to a NUL."""
+    names = ("\x00", "\x00a", "b\x00", "中\x00é", "\x00\x00", "")
+    g = Graph.from_edges(9, [(v, v + 1) for v in range(8)])
+    part = CategoryPartition(labels=np.arange(9) % len(names), names=names)
+    _same_bytes(tmp_path, lambda e, c: save_graph(g, part, e, c),
+                lambda e, c: naive_save_graph(g, part, e, c), "e.tsv", "c.tsv")
+
+
+def test_save_log_writes_a_wide_star_record_among_empty_ones(tmp_path):
+    """A star block of empty records around one with 120 nonzero counts,
+    and one with a single count, so its entries are far more than its rows."""
+    counts = np.zeros((7, 130), np.int64)
+    counts[2, 5:125] = np.arange(1, 121) ** 3
+    counts[5, 129] = 1
+    log = dataclasses.replace(_log("star", 7, neighbor_counts=counts),
+                              degrees=counts.sum(axis=1), num_categories=130,
+                              category_names=tuple(map(str, range(130))),
+                              weights=np.resize(SPECIAL_WEIGHTS, 7))
+    _same_bytes(tmp_path, lambda p: save_log(log, p),
+                lambda p: naive_save_log(log, p), "log.jsonl")
+
+
+def test_save_log_transient_memory_does_not_grow_with_the_widest_record(
+        tmp_path, traced_peak):
+    """The writer's traced peak on 50,000 star records over 2,000
+    categories, a count each, and on the same log with one record of 2,000
+    counts: each entry is a row of its own, so the one wide record adds its
+    entries, not 2**14 rows as wide as it (hundreds of MiB). The counts are
+    one row a category, as logs keep them, and uint8, so that no sidecar
+    is kept."""
+    counts = np.zeros((2000, 50_000), np.uint8).T
+    counts[:, 0] = 1
+    peaks = []
+    for nonzero in (1, 2000):   # record 7's
+        counts[7, :nonzero] = 1
+        log = ObservationLog(
+            mode="star", nodes=np.arange(50_000), categories=np.zeros(50_000, np.int64),
+            degrees=counts.sum(axis=1, dtype=np.int64), weights=np.ones(50_000),
+            num_categories=2000, category_names=tuple(map(str, range(2000))),
+            neighbor_counts=counts)
+        peaks.append(traced_peak(lambda: save_log(log, tmp_path / "log.jsonl")))
+    assert peaks[1] - peaks[0] < 4 * 2**20
 
 
 def test_save_graph_refuses_an_empty_category(tmp_path):
