@@ -10,7 +10,7 @@ Edge files are TSV, one "u<TAB>v" pair per line with integer node ids;
 lines starting with '#' are comments. Category files are TSV
 "node<TAB>category_name" with exactly one line per node. External node
 ids may be any integers that fit 64 bits; they are mapped to dense
-0..N-1 ids, in ascending order, by a range check or one search.
+0..N-1 ids, in ascending order, by a rank table or one search.
 Category names are interned to ids in order of first appearance. Each
 graph file has one reader: one ``np.loadtxt`` parse, and a bisection
 with that parse over the lines only to find a refused one.
@@ -26,8 +26,9 @@ field's length.
 A parse is kept beside its file, keyed by the file's bytes: the pair
 ``load_graph`` parsed and whether it is connected, and the arrays
 ``save_trace`` and ``save_log`` wrote, keyed by hashing each block as it
-is written. A reader of those bytes takes them, parses no text and runs
-its checks; a sidecar that fails in any way is parsed past.
+is written. A reader takes them where its file, hashed on a helper thread
+meanwhile, holds their key: it parses no text and runs its checks; a
+sidecar that fails in any way is parsed past.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -101,18 +103,26 @@ _VERSIONS = {"graph": 2, "trace": 1, "log": 1}   # of what each kind holds
 def _key(kind: str, *paths) -> bytes | None:
     """SHA-256 over ``kind``'s format version, numpy's and each file's bytes
     and length; None where one is not a regular file, as a pipe, which a
-    hash would drain, or cannot be opened."""
-    if not all(map(os.path.isfile, paths)):
-        return None
+    hash would drain, cannot be opened or is no path, which a parse names."""
     key = _seeded(kind)
-    with suppress(OSError):
-        for path in paths:
-            with open(path, "rb") as fh:
-                for block in iter(lambda: fh.read(2**16), b""):
-                    key.update(block)
-                key.update(fh.tell().to_bytes(8, "little"))
-        return key.digest()
+    with suppress(OSError, TypeError):
+        if all(map(os.path.isfile, paths)):
+            for path in paths:
+                with open(path, "rb") as fh:
+                    for block in iter(lambda: fh.read(2**16), b""):
+                        key.update(block)
+                    key.update(fh.tell().to_bytes(8, "little"))
+            return key.digest()
     return None
+
+
+def _hashing(kind: str, *paths) -> Callable[[], bytes | None]:
+    """A call that joins a helper thread, begun now, as hashlib lets go of
+    the GIL, and returns its ``_key(kind, *paths)``; every reader calls it."""
+    keys = []
+    thread = threading.Thread(target=lambda: keys.append(_key(kind, *paths)))
+    thread.start()
+    return lambda: thread.join() or keys[0]
 
 
 def _seeded(kind: str):
@@ -122,15 +132,13 @@ def _seeded(kind: str):
                           f"numpy {np.__version__}".encode())
 
 
-def _sidecar(path, key: bytes | None) -> dict:
-    """The arrays of the sidecar beside ``path``, read without unpickling,
-    where it holds ``key``; else an exception, which readers parse past."""
+def _sidecar(path) -> tuple[bytes, dict]:
+    """The key and the arrays of the sidecar beside ``path``, read without
+    unpickling; an exception where there is none, which readers parse past."""
     with open(os.fsdecode(path) + _SIDECAR, "rb") as fh, \
             np.load(fh, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    if arrays.pop("key").tobytes() != key:
-        raise KeyError(f"{path} holds another key")
-    return arrays
+    return arrays.pop("key").tobytes(), arrays
 
 
 def _keep(path, key: bytes, arrays: dict) -> None:
@@ -172,9 +180,9 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     lines. A pair that passes is kept in a sidecar beside the edge file,
     ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
-    key = _key("graph", category_path, edge_path)
+    key = _hashing("graph", category_path, edge_path)
     with suppress(Exception):   # a sidecar failing in any way is parsed past
-        arrays = _sidecar(edge_path, key)
+        stored_key, arrays = _sidecar(edge_path)
         names = json.loads(arrays["names"].tobytes())
         stored = [arrays[a] for a in ("indptr", "indices", "labels")]
         indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
@@ -186,10 +194,11 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
                 and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
                 and len(indptr) == len(labels) + 1 and indptr[0] == 0
                 and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
-                and np.all(indices.view(np.uint64) < len(labels))):
+                and np.all(indices.view(np.uint64) < len(labels)) and stored_key == key()):
             g = Graph(indptr=indptr, indices=indices)
             vars(g)["is_connected"] = bool(connected)   # the cached property
             return g, CategoryPartition(labels=labels, names=tuple(names))
+    key = key()
     g, part = _parse_graph(edge_path, category_path)
     if key and _key("graph", category_path, edge_path) == key:
         _keep(edge_path, key, {
@@ -581,12 +590,16 @@ def _read_records(path, kind: str, build: Callable):
     """``build(path, meta line, meta, record lines, records)`` of a JSON
     Lines file: of its sidecar's flat arrays, where their dtypes and weights
     and ``build`` pass them, else of the records :func:`_read_jsonl` parses."""
+    key = _hashing(kind, path)
     with suppress(Exception):   # a sidecar failing in any way is parsed past
-        arrays = _sidecar(path, _key(kind, path))
+        stored_key, arrays = _sidecar(path)
         meta = json.loads(arrays.pop("meta").tobytes())
         if np.all(weights_ok(arrays["w"])) and all(a.ndim == 1 and a.dtype == (
                 float if name == "w" else np.int64) for name, a in arrays.items()):
-            return build(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
+            built = build(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
+            if stored_key == key():
+                return built
+    key()   # joined, so that no thread outlives the read
     return build(path, *_read_jsonl(path, kind))
 
 

@@ -17,16 +17,38 @@ from .errors import InvalidNode, UnknownCategory
 
 def _lookup(table: np.ndarray, keys: np.ndarray):
     """Where each of the int64 ``keys`` sits in the ascending, distinct
-    ``table``, and whether it is there: by a range check where the table
-    runs densely, as the ids save_graph writes do, else by one search."""
-    if len(table) and int(table[-1]) - int(table[0]) == len(table) - 1:
-        # read unsigned, the wrapped difference is in range exactly for
-        # the keys table[0]..table[-1]
-        at = keys - table[0]
-        return at, at.view(np.uint64) < len(table)
+    ``table``, and whether it is there: through a rank table over the
+    table's span where that is no longer than table and keys together."""
+    lo, hi = (table[0], int(table[-1])) if len(table) else (0, -1)
+    span = hi - int(lo) + 1
+    if span <= len(table) + keys.size:
+        # read unsigned, the wrapped offset is in range exactly for the
+        # keys lo..hi; where the ids run densely, it is the rank
+        at = keys - lo
+        if span == len(table):
+            return at, at.view(np.uint64) < span
+        rank = np.full(span + 1, -1)   # the last slot: every key outside
+        rank[table - lo] = np.arange(len(table))
+        np.minimum(at.view(np.uint64), span, out=at.view(np.uint64))
+        at = rank[at]   # at int64 indices, which numpy gathers faster
+        return at, at >= 0
     # by column, as numpy searches rising keys (a sorted edge list's u) faster
     at = np.searchsorted(table, keys.T).T
     return at, (at < len(table)) & (np.append(table, 0)[at] == keys)
+
+
+def _distinct(nodes: np.ndarray) -> tuple:
+    """``np.unique(nodes, return_index=True, return_inverse=True)``, through
+    a table over the integer ids' span where it is at most twice their count."""
+    n = len(nodes)
+    if (not n or nodes.dtype.kind not in "iu"
+            or int(nodes.max()) - int(nodes.min()) >= 2 * n):
+        return np.unique(nodes, return_index=True, return_inverse=True)
+    at = nodes - nodes.min()
+    first = np.full(int(at.max()) + 1, n)
+    np.minimum.at(first, at, np.arange(n))
+    seen = first < n
+    return nodes[first[seen]], first[seen], (np.cumsum(seen) - 1)[at]
 
 
 def _ids(values, count: int, what: str, outside: str = "",
@@ -285,11 +307,12 @@ def exact_category_graph(g: Graph, part: CategoryPartition) -> CategoryGraph:
 
     Serves as the oracle all estimators are evaluated against.
     """
-    c = part.num_categories
+    c, labels = part.num_categories, part.labels_for(g)
     sizes = {cid: int(s) for cid, s in enumerate(part.sizes)}
-    flat = np.bincount(_cross(part.labels_for(g), g.edge_array, c)[2], minlength=c * c)
+    # each edge twice over the CSR entries, once in its a < b cell
+    flat = np.bincount(np.repeat(labels * c, g.degrees) + labels[g.indices], minlength=c * c)
     cuts = {(int(key) // c, int(key) % c): int(flat[key])
-            for key in np.flatnonzero(flat)}
+            for key in np.flatnonzero(np.triu(flat.reshape(c, c), 1))}
     weights = {(a, b): cut / (sizes[a] * sizes[b])
                for (a, b), cut in cuts.items()}
     return CategoryGraph(sizes=sizes, cut_counts=cuts, weights=weights)

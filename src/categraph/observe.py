@@ -19,7 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import check_weights
-from .graph import CategoryPartition, Graph, _cross, _ids, _lookup, _scaled
+from .graph import (CategoryPartition, Graph, _cross, _distinct, _ids,
+                    _lookup, _scaled)
 from .sampling import SampleTrace
 
 INDUCED = "induced"
@@ -150,8 +151,7 @@ class ObservationLog:
     def _index(self) -> tuple:
         """The drawn ids, the first draw of each, each draw's key (its rank
         among the ids) and ``_lookup`` of the induced edges' ends in them."""
-        ids, first, keys = np.unique(self.nodes, return_index=True,
-                                     return_inverse=True)
+        ids, first, keys = _distinct(self.nodes)
         edges = self.induced_edges
         edges = np.empty((0, 2), dtype=np.int64) if edges is None else edges
         return ids, first, keys, *_lookup(ids, edges)
@@ -211,28 +211,36 @@ def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
 
 
 def _neighbor_counts(g: Graph, labels: np.ndarray, c: int,
-                     nodes: np.ndarray | None = None) -> np.ndarray:
-    """``[c, i]``: how many neighbors of ``nodes[i]`` (of node i if None)
-    lie in category c, as int64, one contiguous row per category."""
-    d, deg, nbrs = g.node_count, g.degrees, g.indices
-    if nodes is not None:
-        d, deg = len(nodes), deg[nodes]
-        # each node's run of indices, shifted from where its entries start
-        shift = np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
-        nbrs = nbrs[np.arange(deg.sum()) + shift]
-    flat = labels[nbrs] * d + np.repeat(np.arange(d), deg)
-    return np.bincount(flat, minlength=c * d).reshape(c, d)
+                     nodes: np.ndarray) -> np.ndarray:
+    """``[c, i]``: how many neighbors of ``nodes[i]`` lie in category c, as
+    int64, one contiguous row per category."""
+    rows, nbrs = _adjacent(g, nodes)
+    d = len(nodes)
+    return np.bincount(labels[nbrs] * d + rows, minlength=c * d).reshape(c, d)
+
+
+def _adjacent(g: Graph, nodes: np.ndarray) -> tuple:
+    """The CSR entries of the rows of ``nodes``, in order: each entry's
+    index in ``nodes`` and its neighbor."""
+    deg = g.degrees[nodes]
+    # each node's run of indices, shifted from where its entries start
+    at = np.arange(deg.sum()) + np.repeat(g.indptr[nodes] + deg - np.cumsum(deg), deg)
+    return np.repeat(np.arange(len(nodes)), deg), g.indices[at]
 
 
 def observe_induced(g: Graph, part: CategoryPartition,
                     trace: SampleTrace) -> ObservationLog:
-    """Observe categories of drawn nodes and the edges among them."""
+    """Observe categories of drawn nodes and the edges among them, the rows
+    of ``edge_array`` with both ends drawn, read off the drawn rows' CSR."""
     draws = _draws(g, part, trace)
     drawn = np.zeros(g.node_count, dtype=bool)
     drawn[draws[0]] = True
-    ea = g.edge_array
-    return _observed(INDUCED, g, part, *draws,
-                     induced_edges=ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]])
+    ids = np.flatnonzero(drawn)
+    rows, tails = _adjacent(g, ids)
+    heads = ids[rows]
+    kept = drawn[tails] & (heads < tails)
+    return _observed(INDUCED, g, part, *draws, induced_edges=np.column_stack(
+        [heads[kept], tails[kept]]))
 
 
 def observe_star(g: Graph, part: CategoryPartition,
@@ -240,7 +248,7 @@ def observe_star(g: Graph, part: CategoryPartition,
     """Observe, per drawn node, the category histogram of all its
     neighbors, counted once a node. Neighbor identities are not retained."""
     nodes, _, labels = draws = _draws(g, part, trace)
-    ids, keys = np.unique(nodes, return_inverse=True)
+    ids, _, keys = _distinct(nodes)
     rows = np.take(_neighbor_counts(g, labels, part.num_categories, ids), keys, 1)
     return _observed(STAR, g, part, *draws, neighbor_counts=rows.T)
 
@@ -260,7 +268,8 @@ class ObservationTable:
         category, by node id."""
         g, part = self.graph, self.partition
         labels = part.labels_for(g)
-        return _entries(_neighbor_counts(g, labels, part.num_categories).T, labels)
+        return _entries(_neighbor_counts(g, labels, part.num_categories,
+                                         np.arange(g.node_count)).T, labels)
 
     @cached_property
     def cross_edges(self) -> tuple:

@@ -159,16 +159,16 @@ def _wrw_sums(g: Graph, part: CategoryPartition,
     if np.all(cw == 1.0):
         return None, 2.0 * g.degrees
     node_cw = cw[labels]
-    # one numpy step per degree position j, over the reaching[j] rows
-    # longer than j, whose starts lead by_degree
+    # one sequential accumulate per degree d, over the rows of degree d,
+    # whose starts run from ends[d - 1] to ends[d] in by_degree
     indptr, deg = g.indptr, g.degrees
     with np.errstate(over="ignore"):   # an overflow shows in a node total
         cum = node_cw[g.indices] + np.repeat(node_cw, deg)
-        by_degree = indptr[:-1][np.argsort(-deg, kind="stable")]
-        reaching = len(deg) - np.cumsum(np.bincount(deg))
-        for j in range(1, len(reaching)):
-            at = by_degree[:reaching[j]] + j
-            cum[at] += cum[at - 1]
+        by_degree = indptr[:-1][np.argsort(deg, kind="stable")]
+        ends = np.cumsum(np.bincount(deg))
+        for d in np.flatnonzero(np.diff(ends)) + 1:
+            at = by_degree[ends[d - 1]:ends[d], None] + np.arange(d)
+            cum[at] = np.add.accumulate(cum[at], axis=1)
     node_totals = np.zeros(g.node_count)
     node_totals[deg > 0] = cum[indptr[1:][deg > 0] - 1]
     _weight_vector(node_totals[deg > 0], np.count_nonzero(deg), "wrw draw")

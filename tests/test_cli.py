@@ -10,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from categraph import (ExperimentConfig, InvalidWeight, est_size_induced,
+from categraph import (ExperimentConfig, Graph, InvalidWeight, est_size_induced,
                        est_weight_star, estimate_category_graph, observe_star,
                        run_experiment, sample_uis, sample_wis, sample_wrw)
 import categraph
+from categraph import fileio
 from categraph.cli import main
 from categraph.evaluate import CSV_COLUMNS
 from categraph.fileio import load_config, load_graph, load_trace, save_log
@@ -501,6 +502,30 @@ def small_graph(tmp_path_factory):
                 "--out-edges", d / "edges.tsv",
                 "--out-categories", d / "cats.tsv"]) == 0
     return d / "edges.tsv", d / "cats.tsv"
+
+
+def test_exact_observe_and_estimate_build_no_edge_list(tmp_path, small_graph,
+                                                       monkeypatch):
+    """exact and induced observation read the CSR entries, and estimate no
+    graph: no graph these commands load builds ``edge_array``."""
+    edges, cats = small_graph
+    graph = ["--edges", edges, "--categories", cats]
+    assert run(["sample", *graph, "--sampler", "uis", "--n", "60", "--seed", "1",
+                "--out", tmp_path / "t.jsonl"]) == 0
+    loaded, built = [], []
+    load = fileio.load_graph
+    monkeypatch.setattr(fileio, "load_graph",
+                        lambda *paths: loaded.append(load(*paths)) or loaded[-1])
+    monkeypatch.setattr(Graph.__dict__["edge_array"], "func", built.append)
+    for argv in (["exact", *graph, "--format", "json", "--out", tmp_path / "x.json"],
+                 ["observe", *graph, "--trace", tmp_path / "t.jsonl",
+                  "--mode", "induced", "--out", tmp_path / "log.jsonl"],
+                 ["estimate", "--log", tmp_path / "log.jsonl", "--size-est",
+                  "induced", "--bootstrap", "3", "--seed", "2",
+                  "--out", tmp_path / "est.json"]):
+        assert run(argv) == 0
+    assert len(loaded) == 2 and built == []
+    assert all("edge_array" not in vars(g) for g, _ in loaded)
 
 
 @pytest.mark.parametrize("token", ["C0", "C0=x", "C9=2", "C0=1,=2"])

@@ -1142,6 +1142,50 @@ def test_a_broken_sidecar_is_ignored_and_replaced(tmp_path, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == files
 
 
+# each kind's file edited in place to the same length, still readable:
+# one edge end of the graph, the trace's seed, the logs' population hint
+SAME_LENGTH_EDITS = {"graph": (b"2\t3\n", b"2\t4\n"),
+                     "trace": (b'"seed": 1', b'"seed": 7'),
+                     "star log": (b'"N": 5', b'"N": 7'),
+                     "induced log": (b'"N": 5', b'"N": 7')}
+
+
+def _thread_count_kept(load, *args):
+    """``load(*args)``, or the FileFormatError it raises, once the threads
+    alive after the call are those alive before it."""
+    before = threading.active_count()
+    try:
+        return load(*args)
+    except FileFormatError as exc:
+        return str(exc)
+    finally:
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("kind", sorted(SIDECAR_KINDS))
+def test_a_file_edited_in_place_after_its_sidecar_is_parsed(tmp_path, kind):
+    """The key is hashed beside the sidecar's read and compared before a
+    hit is served: a same-length edit is parsed, as the load of the file
+    without a sidecar is; no load, hit, stale, missed or refused, leaves a
+    thread behind."""
+    write_files, name, load, parse = SIDECAR_KINDS[kind]
+    write_files(tmp_path)
+    path, sidecar = tmp_path / name, tmp_path / f"{name}.categraph.npz"
+    with mock.patch.object(fileio, parse, side_effect=AssertionError):
+        before = _thread_count_kept(load, tmp_path)
+    old, new = SAME_LENGTH_EDITS[kind]
+    text = path.read_bytes()
+    assert text.count(old) == 1
+    path.write_bytes(text.replace(old, new))
+    with mock.patch.object(fileio, parse, wraps=getattr(fileio, parse)) as parsed:
+        edited = _thread_count_kept(load, tmp_path)
+    assert parsed.called and edited != before
+    sidecar.unlink(missing_ok=True)
+    assert _thread_count_kept(load, tmp_path) == edited
+    path.write_bytes(text.replace(old, b"x" * len(old)))   # refused
+    assert isinstance(_thread_count_kept(load, tmp_path), str)
+
+
 def test_a_pair_rewritten_during_its_parse_is_not_kept(tmp_path, monkeypatch):
     """The files are hashed again after the parse; where they changed, the
     parse of the earlier bytes is not kept under the earlier key."""

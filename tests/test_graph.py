@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     CategoryGraph,
@@ -20,6 +22,8 @@ from categraph import (
     sample_rw,
     synthetic_graph,
 )
+
+from categraph.graph import _distinct, _lookup
 
 from _reference import (
     brute_force_category_graph,
@@ -381,3 +385,87 @@ def test_malformed_graph_input_is_named(build, message):
     with pytest.raises(ValueError, match=message):
         build()
 
+
+
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def lookups(draw):
+    """An ascending, distinct int64 table, dense or sparse near 0 or either
+    int64 end or spread over the whole range, and keys of any of its ids,
+    their neighbours, both int64 ends, 0 and -1, flat or as pairs."""
+    lo = draw(st.sampled_from([0, -40, -2**63, 2**63 - 41]))
+    ids = draw(st.lists(st.integers(lo, lo + 40), max_size=30))
+    ids += draw(st.lists(INT64, max_size=2 * draw(st.booleans())))
+    table = np.unique(np.array(ids, np.int64))
+    near = [v + d for v in table.tolist() for d in (-1, 1)
+            if -2**63 <= v + d < 2**63]
+    keys = draw(st.lists(st.sampled_from(
+        table.tolist() + near + [-2**63, 2**63 - 1, 0, -1]), max_size=40))
+    keys = np.array(keys, np.int64)
+    return table, (keys[:len(keys) // 2 * 2].reshape(-1, 2)
+                   if draw(st.booleans()) else keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lookups())
+@example(case=(np.arange(2**63 - 3, 2**63 - 1, dtype=np.int64),   # wraps
+               np.array([-2**63, -2**63 + 1, 2**63 - 1, 2**63 - 3, 0])))
+@example(case=(np.array([-2**63, 2**63 - 1]),   # the widest span: a search
+               np.array([[-2**63, 2**63 - 1], [0, -1]])))
+@example(case=(np.array([], np.int64), np.array([0, -2**63])))
+def test_lookup_finds_each_key_as_a_dict_does(case):
+    """On either route, the direct table (span at most table plus keys) or
+    the search, where an offset from table[0] wraps or not."""
+    table, keys = case
+    rank = {v: i for i, v in enumerate(table.tolist())}
+    at, found = _lookup(table, keys)
+    assert found.shape == keys.shape
+    assert found.tolist() == np.vectorize(rank.__contains__, otypes=[bool])(
+        keys).tolist()
+    assert at[found].tolist() == [rank[k] for k in keys[found].tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=st.lists(st.one_of(st.integers(-5, 40), INT64), max_size=40),
+       small=st.booleans())
+def test_distinct_is_np_unique(nodes, small):
+    """The same ids, first draws and keys, dtypes and shapes, whether the
+    ids' span takes the table (at most twice their count) or the sort."""
+    nodes = np.array(nodes, np.int64)
+    if small:
+        nodes = (nodes % 50).astype(np.uint8)
+    want = np.unique(nodes, return_index=True, return_inverse=True)
+    for got, expected in zip(_distinct(nodes), want):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert np.array_equal(got, expected)
+
+
+@st.composite
+def partitioned_graphs(draw):
+    """A random graph and partition, plus an isolated node in each of its
+    categories and a category of two nodes that holds no cross edge,
+    perhaps one inside it."""
+    n, c = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        edges.append((n, n + 1))
+    labels = draw(st.lists(st.integers(0, c - 1), min_size=n, max_size=n))
+    labels += [c, c, *range(c)]
+    return (Graph.from_edges(len(labels), edges),
+            CategoryPartition(labels=labels, names=tuple(map(str, range(c + 1)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=partitioned_graphs())
+def test_exact_category_graph_over_the_csr_is_the_brute_force(case):
+    """One bincount over the CSR entries, read at a < b: cuts, in ascending
+    (a, b), sizes and weights; edge_array stays unbuilt."""
+    g, part = case
+    cg = exact_category_graph(g, part)
+    assert (cg.sizes, cg.cut_counts, cg.weights) == \
+        brute_force_category_graph(g, part)
+    assert list(cg.cut_counts) == sorted(cg.cut_counts)
+    assert "edge_array" not in vars(g)

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from categraph import (
     CategoryPartition,
@@ -199,3 +201,24 @@ def test_resample_star_rows_follow_draws(labeled_graph):
     sub = log.resampled(np.array([1, 1]))
     assert sub.nodes.tolist() == [2, 2]
     assert np.array_equal(sub.neighbor_counts[0], log.neighbor_counts[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_induced_edges_are_the_edge_array_rows_with_both_ends_drawn(data):
+    """Read off the drawn rows' CSR entries, the edges are those rows of
+    ``edge_array``, in its order and dtype, under repeated draws."""
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph.from_edges(n, edges)
+    part = CategoryPartition(labels=np.zeros(n, np.int64), names=("a",))
+    draws = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n))
+    got = observe_induced(g, part, make_trace(draws)).induced_edges
+    drawn = np.zeros(n, dtype=bool)
+    drawn[draws] = True
+    ea = g.edge_array
+    want = ea[drawn[ea[:, 0]] & drawn[ea[:, 1]]]
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == \
+        (want.dtype, want.shape, want.flags.c_contiguous)
+    assert np.array_equal(got, want)

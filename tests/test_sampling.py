@@ -32,7 +32,7 @@ from categraph.fileio import load_trace, save_trace
 from categraph.sampling import draw_traces, lockstep_walks
 
 from _reference import (naive_mhrw, naive_rw, naive_wis, naive_wrw,
-                        random_partition)
+                        random_graph, random_partition)
 
 LONG_RUN = 1_000_000
 
@@ -471,6 +471,28 @@ def test_wrw_matches_per_row_cumsum_reference(three_color_graph):
         assert t.nodes.tolist() == nodes
         assert t.weights.tolist() == weights
         assert t.start == first
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       cw=st.lists(st.floats(2.0**-60, 2.0**60), min_size=3, max_size=3))
+def test_wrw_running_sums_add_each_row_in_order(seed, cw):
+    """Accumulated a degree class at a time, each row's sums are its
+    weights added left to right, bit for bit, and the last its total."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(int(rng.integers(3, 40)), float(rng.uniform(0, 0.4)), rng)
+    part = random_partition(g.node_count, 3, rng)
+    sums, totals = sampling._wrw_sums(g, part, cw if len(set(cw)) > 1 else None)
+    if sums is None:
+        return
+    node_cw = np.asarray(cw)[part.labels]
+    for v in range(g.node_count):
+        run, want = 0.0, []
+        for u in g.neighbors(v).tolist():
+            run += float(node_cw[v]) + float(node_cw[u])
+            want.append(run)
+        assert sums[g.indptr[v]:g.indptr[v + 1]].tolist() == want
+        assert totals[v] == (want[-1] if want else 0.0)
 
 
 def test_wrw_takes_one_step_per_category_weight_vector():
