@@ -97,7 +97,7 @@ def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
 # sidecars: a file's parse kept beside it, as ``<file>.categraph.npz``
 
 _SIDECAR = ".categraph.npz"
-_VERSIONS = {"graph": 2, "trace": 1, "log": 1}   # of what each kind holds
+_VERSIONS = {"graph": 2, "trace": 1, "log": 2}   # of what each kind holds
 
 
 def _key(kind: str, *paths) -> bytes | None:
@@ -132,11 +132,10 @@ def _seeded(kind: str):
                           f"numpy {np.__version__}".encode())
 
 
-def _sidecar(path) -> tuple[bytes, dict]:
-    """The key and the arrays of the sidecar beside ``path``, read without
-    unpickling; an exception where there is none, which readers parse past."""
-    with open(os.fsdecode(path) + _SIDECAR, "rb") as fh, \
-            np.load(fh, allow_pickle=False) as npz:
+def _sidecar(fh) -> tuple[bytes, dict]:
+    """The key and the arrays of the open sidecar ``fh``, read without
+    unpickling; an exception where it fails, which readers parse past."""
+    with np.load(fh, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
     return arrays.pop("key").tobytes(), arrays
 
@@ -181,8 +180,9 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
     key = _hashing("graph", category_path, edge_path)
-    with suppress(Exception):   # a sidecar failing in any way is parsed past
-        stored_key, arrays = _sidecar(edge_path)
+    # a sidecar failing in any way, or missing, is parsed past
+    with suppress(Exception), open(os.fsdecode(edge_path) + _SIDECAR, "rb") as fh:
+        stored_key, arrays = _sidecar(fh)
         names = json.loads(arrays["names"].tobytes())
         stored = [arrays[a] for a in ("indptr", "indices", "labels")]
         indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
@@ -538,15 +538,17 @@ def _decode(path, line: int, text: str):
 
 def save_trace(trace: SampleTrace, path) -> None:
     """Write a trace; a weight the readers refuse raises InvalidWeight, and
-    meta they refuse InvalidParameter (both ValueErrors), with the reader's
-    rule, and no file is written. Floats are written with the ``repr`` that
-    ``json.dumps`` uses."""
+    meta they refuse or a step or node that is no whole number within int64
+    InvalidParameter (both ValueErrors), with the reader's rule, and no file
+    is written. Steps and nodes are written as integers, and weights with
+    the ``repr`` that ``json.dumps`` uses."""
     check_weights(trace.weights)
     meta = json.dumps(_checked("trace meta", {
         "sampler": trace.sampler, "seed": trace.seed, "start": trace.start,
         "burn_in": trace.burn_in, "thin": trace.thin_interval}, _TRACE_META,
         error=InvalidParameter))
-    steps, nodes, weights = columns = trace.steps, trace.nodes, trace.weights
+    steps, nodes, weights = columns = (
+        _integers(trace.steps, "'i'"), _integers(trace.nodes, "'v'"), trace.weights)
     key = _write(path, meta + "\n", (len(nodes), lambda lo, hi: _rows(
         b'{"i": ', steps[lo:hi], b', "v": ', nodes[lo:hi], b', "w": ',
         weights[lo:hi], b"}\n")), kind="trace")
@@ -575,6 +577,25 @@ def _trace(path, meta_line: int, meta, lines, rows) -> SampleTrace:
                        thin_interval=meta["thin"])
 
 
+def _integers(values, what: str, row: str = "draw") -> np.ndarray:
+    """``values`` as int64, where each is a whole number within int64 (an
+    integer, a boolean or a whole float); else InvalidParameter naming the
+    ``row`` of the first other value and ``what`` it is."""
+    column = np.asarray(values)
+    if column.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{what} must be an integer, got {column.dtype} values")
+    with np.errstate(invalid="ignore"):   # NaN and floats beyond int64 cast to any int
+        ints = column.astype(np.int64, copy=False)
+    whole = ints == column
+    if column.dtype.kind == "f":   # 2**63 may cast to 2**63 - 1, equal as a float
+        whole &= column < 2.0**63
+    bad = np.nonzero(~whole)[0]
+    if len(bad):
+        raise InvalidParameter(f"{row} {bad[0]}: {what} must be an integer, "
+                               f"got {column[bad[0]].tolist()!r}")
+    return ints
+
+
 def _leave(path, key: bytes | None, meta: str, arrays: dict) -> None:
     """Keep the meta line and ``arrays`` a JSON Lines writer just wrote to
     ``path`` beside it, under the ``key`` ``_write`` gave, each flat in C
@@ -590,9 +611,11 @@ def _read_records(path, kind: str, build: Callable):
     """``build(path, meta line, meta, record lines, records)`` of a JSON
     Lines file: of its sidecar's flat arrays, where their dtypes and weights
     and ``build`` pass them, else of the records :func:`_read_jsonl` parses."""
-    key = _hashing(kind, path)
-    with suppress(Exception):   # a sidecar failing in any way is parsed past
-        stored_key, arrays = _sidecar(path)
+    key = lambda: None   # a file without a sidecar is not hashed
+    # a sidecar failing in any way, or missing, is parsed past
+    with suppress(Exception), open(os.fsdecode(path) + _SIDECAR, "rb") as fh:
+        key = _hashing(kind, path)
+        stored_key, arrays = _sidecar(fh)
         meta = json.loads(arrays.pop("meta").tobytes())
         if np.all(weights_ok(arrays["w"])) and all(a.ndim == 1 and a.dtype == (
                 float if name == "w" else np.int64) for name, a in arrays.items()):
@@ -681,14 +704,29 @@ def _require(path, lines, ok, rule: str, values) -> None:
 # observation logs
 
 def save_log(log: ObservationLog, path) -> None:
-    """Write a log; a weight the readers refuse raises InvalidWeight (a
-    ValueError) and no file is written."""
+    """Write a log that :func:`load_log` reads back, or else no file. A
+    weight the readers refuse raises InvalidWeight, and an id, degree or
+    count that is no whole number within int64 InvalidParameter, naming its
+    draw or induced edge; any other record :func:`load_log` refuses raises
+    InvalidParameter with the reader's message for the line it would be, as
+    the reader's checks run on the arrays kept beside the file."""
     check_weights(log.weights)
-    meta = json.dumps({"mode": log.mode, "N": log.population_hint,
-                       "categories": list(log.category_names)})
-    columns = [np.asarray(x).astype(t, copy=False) for x, t in (
-        (log.nodes, np.int64), (log.categories, np.int64),
-        (log.degrees, np.int64), (log.weights, float))]
+    meta = {"mode": log.mode, "N": log.population_hint,
+            "categories": list(log.category_names)}
+    text = json.dumps(meta)
+    arrays = {key: _integers(x, repr(key)) for key, x in (
+        ("v", log.nodes), ("c", log.categories), ("deg", log.degrees))}
+    arrays["w"] = np.asarray(log.weights).astype(float, copy=False)
+    if log.mode == STAR:
+        arrays["nbr_cats"] = _integers(log.neighbor_counts, "nbr_cats count")
+    elif log.mode == INDUCED:
+        arrays["induced_edges"] = _integers(log.induced_edges, "an end",
+                                            "induced edge")
+    try:   # the log load_log reads from these arrays is the one written
+        log = _log(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
+    except FileFormatError as exc:
+        raise InvalidParameter(str(exc)) from None
+    columns = log.nodes, log.categories, log.degrees, log.weights
 
     def records(lo: int, hi: int) -> bytes:
         v, c, deg, w = (x[lo:hi] for x in columns)
@@ -700,15 +738,11 @@ def save_log(log: ObservationLog, path) -> None:
     induced = ()
     if log.mode == INDUCED:
         # json.dumps({"induced_edges": edges}), a block of pairs at a time
-        edges = np.asarray(log.induced_edges).astype(np.int64, copy=False)
-        u, v = edges.T
-        induced = ('{"induced_edges": [', (len(edges), lambda lo, hi: _rows(
+        u, v = log.induced_edges.T
+        induced = ('{"induced_edges": [', (len(u), lambda lo, hi: _rows(
             b", [", u[lo:hi], b", ", v[lo:hi], b"]")[2 if lo == 0 else 0:]), "]}\n")
-    key = _write(path, meta + "\n", (len(columns[0]), records), *induced,
-                 kind="log")
-    _leave(path, key, meta, dict(zip(_LOG_RECORD, columns), **(
-        {"induced_edges": edges} if log.mode == INDUCED
-        else {"nbr_cats": np.asarray(log.neighbor_counts).T})))   # a row a category
+    key = _write(path, text + "\n", (log.n, records), *induced, kind="log")
+    _leave(path, key, text, arrays)
 
 
 def _star_rows(head: list, counts: np.ndarray) -> bytes:
@@ -823,13 +857,14 @@ def _edge_block(path, lineno: int, block) -> np.ndarray:
 
 
 def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
-    """The ``nbr_cats`` objects, or a sidecar's counts, as (n, C) int64
-    counts, the transpose of one row a category."""
+    """The ``nbr_cats`` objects, or a sidecar's counts, flat in node order,
+    as (n, C) int64 counts."""
     if type(records) is dict:
-        counts = records["nbr_cats"].reshape(num_categories, len(lines))
-        if (counts < 0).any():
-            raise FileFormatError("a sidecar count is below 0")
-        return counts.T
+        counts = records["nbr_cats"].reshape(len(lines), num_categories)
+        if (counts < 0).any():   # 5x faster than a test of each row
+            _require(path, lines, (counts >= 0).all(axis=1),
+                     "nbr_cats count must be >= 0", counts.min(axis=1))
+        return counts
     nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
     _require(path, lines, [type(x) is dict for x in nbrs],
              "nbr_cats must be an object", nbrs)
@@ -845,9 +880,9 @@ def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
     column = _column(path, entry_lines, values, _INT64,
                      "nbr_cats count must be an integer")
     _require(path, entry_lines, column >= 0, "nbr_cats count must be >= 0", values)
-    counts = np.zeros((num_categories, len(nbrs)), dtype=np.int64)
-    counts[cols, rows] = column
-    return counts.T
+    counts = np.zeros((len(nbrs), num_categories), dtype=np.int64)
+    counts[rows, cols] = column
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -87,7 +87,6 @@ def _entries(counts: np.ndarray, cats: np.ndarray) -> np.ndarray:
     """The nonzero ``counts`` (a row per node, a column per category) node
     by node, as int64 rows of (row, the row's ``cats`` * C + column, count),
     so each (a, b) cell's in ascending node order."""
-    counts = np.ascontiguousarray(counts)
     flat = np.flatnonzero(counts)
     at, b = np.divmod(flat, counts.shape[1])
     return np.stack([at, cats[at] * counts.shape[1] + b, counts.ravel()[flat]])
@@ -105,9 +104,9 @@ class ObservationLog:
     ``induced_edges`` holds the deduplicated edge set among distinct
     drawn nodes (induced mode); estimators recover draw-pair
     multiplicity from the records. ``neighbor_counts[i, c]`` is how
-    many neighbors of draw i lie in category c (star mode), stored as the
-    transpose of one row per category; row i sums to draw i's degree. Each
-    draw of a node carries its one category, degree and neighbor counts.
+    many neighbors of draw i lie in category c (star mode), one int64 row
+    a draw; row i sums to draw i's degree. Each draw of a node carries its
+    one category, degree and neighbor counts.
     """
 
     mode: str
@@ -180,14 +179,12 @@ class ObservationLog:
             # both ends drawn; .all(axis=1) on the two columns is 20x slower
             induced = induced[np.logical_and(*np.isin(induced, nodes).T)]
         counts = self.neighbor_counts
-        if counts is not None:
-            counts = np.take(counts.T, indices, 1).T
         return replace(self, nodes=nodes,
                        categories=self.categories[indices],
                        degrees=self.degrees[indices],
                        weights=self.weights[indices],
                        induced_edges=induced,
-                       neighbor_counts=counts)
+                       neighbor_counts=None if counts is None else counts[indices])
 
 
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:
@@ -212,11 +209,11 @@ def _observed(mode: str, g: Graph, part: CategoryPartition, nodes: np.ndarray,
 
 def _neighbor_counts(g: Graph, labels: np.ndarray, c: int,
                      nodes: np.ndarray) -> np.ndarray:
-    """``[c, i]``: how many neighbors of ``nodes[i]`` lie in category c, as
-    int64, one contiguous row per category."""
+    """``[i, c]``: how many neighbors of ``nodes[i]`` lie in category c, as
+    int64."""
     rows, nbrs = _adjacent(g, nodes)
     d = len(nodes)
-    return np.bincount(labels[nbrs] * d + rows, minlength=c * d).reshape(c, d)
+    return np.bincount(rows * c + labels[nbrs], minlength=d * c).reshape(d, c)
 
 
 def _adjacent(g: Graph, nodes: np.ndarray) -> tuple:
@@ -249,8 +246,8 @@ def observe_star(g: Graph, part: CategoryPartition,
     neighbors, counted once a node. Neighbor identities are not retained."""
     nodes, _, labels = draws = _draws(g, part, trace)
     ids, _, keys = _distinct(nodes)
-    rows = np.take(_neighbor_counts(g, labels, part.num_categories, ids), keys, 1)
-    return _observed(STAR, g, part, *draws, neighbor_counts=rows.T)
+    counts = _neighbor_counts(g, labels, part.num_categories, ids)
+    return _observed(STAR, g, part, *draws, neighbor_counts=counts[keys])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +266,7 @@ class ObservationTable:
         g, part = self.graph, self.partition
         labels = part.labels_for(g)
         return _entries(_neighbor_counts(g, labels, part.num_categories,
-                                         np.arange(g.node_count)).T, labels)
+                                         np.arange(g.node_count)), labels)
 
     @cached_property
     def cross_edges(self) -> tuple:

@@ -20,6 +20,7 @@ from categraph import (
     CategoryPartition,
     FileFormatError,
     Graph,
+    InvalidParameter,
     SyntheticParams,
     bootstrap_variance,
     estimate_category_graph,
@@ -1039,7 +1040,7 @@ BROKEN_SIDECARS = {
     "connectivity in an array": lambda path: _rewrite_sidecar(
         path, connected=np.array([False])),
     # a trace's or a log's sidecar: its key, meta and record columns, and
-    # a star log's counts, one row a category, or an induced log's edges
+    # a star log's counts, flat in node order, or an induced log's edges
     "trace: wrong key": lambda path: _rewrite_sidecar(
         path, key=b"\x00" * 32, v=np.array([9, 9, 9, 9, 9])),
     "trace: weights missing": lambda path: _rewrite_sidecar(path, drop=("w",)),
@@ -1061,9 +1062,9 @@ BROKEN_SIDECARS = {
     "star log: float counts": lambda path: _rewrite_sidecar(
         path, nbr_cats=np.zeros((3, 5))),
     "star log: a negative count": lambda path: _rewrite_sidecar(
-        path, nbr_cats=np.full((3, 5), -1)),
+        path, nbr_cats=np.full(15, -1)),
     "star log: a count below 0, each sum kept": lambda path: _rewrite_sidecar(
-        path, nbr_cats=_stored_array(path, "nbr_cats") + np.repeat([-9, 9, 0], 5)),
+        path, nbr_cats=_stored_array(path, "nbr_cats") + np.tile([-9, 9, 0], 5)),
     "star log: meta not JSON": lambda path: _rewrite_sidecar(path, meta=b"{x"),
     "induced log: edges missing": lambda path: _rewrite_sidecar(
         path, drop=("induced_edges",)),
@@ -1186,6 +1187,18 @@ def test_a_file_edited_in_place_after_its_sidecar_is_parsed(tmp_path, kind):
     assert isinstance(_thread_count_kept(load, tmp_path), str)
 
 
+@pytest.mark.parametrize("kind", ["trace", "star log", "induced log"])
+def test_a_read_without_a_sidecar_hashes_nothing(tmp_path, kind):
+    """A trace or log read with no sidecar beside its file parses it and
+    hashes nothing, as no key would be compared, and leaves no thread."""
+    write_files, name, load, _ = SIDECAR_KINDS[kind]
+    write_files(tmp_path)
+    want = load(tmp_path)
+    (tmp_path / f"{name}.categraph.npz").unlink()
+    with mock.patch.object(fileio, "_key", side_effect=AssertionError):
+        assert _thread_count_kept(load, tmp_path) == want
+
+
 def test_a_pair_rewritten_during_its_parse_is_not_kept(tmp_path, monkeypatch):
     """The files are hashed again after the parse; where they changed, the
     parse of the earlier bytes is not kept under the earlier key."""
@@ -1301,8 +1314,8 @@ def test_a_walk_on_a_disconnected_graph_from_its_sidecar_warns(tmp_path):
 def written(draw):
     """A trace or a star or induced log for the writers, with repeated
     nodes, categories without draws and node arrays of several dtypes; one
-    in two has one flaw, which the readers refuse or the writer's cast
-    hides."""
+    in two has one flaw, which the readers refuse or a cast to int64 hides.
+    The writers refuse these flaws, so a flawed file is written unchecked."""
     kind = draw(st.sampled_from(["trace", "star", "induced"]))
     flaw = draw(st.sampled_from([None] * 8 + ["big id", "negative id", "float ids"] + (
         ["burn_in", "thin", "start"] if kind == "trace"
@@ -1326,8 +1339,8 @@ def written(draw):
                 "start": draw(st.one_of(st.none(), st.integers(0, 5))),
                 **{"burn_in": {"burn_in": -3}, "thin": {"thin_interval": 0},
                    "start": {"start": -5}}.get(flaw, {})}
-        # save_trace refuses the meta flaws, so those files are written raw
-        save = (save_unchecked_trace if flaw in ("burn_in", "thin", "start")
+        # save_trace writes whole float ids as integers, and refuses the rest
+        save = (save_unchecked_trace if flaw in ("burn_in", "thin", "start", "big id")
                 else save_trace)
         return save, load_trace, SampleTrace(
             nodes=nodes, steps=np.arange(n) * draw(st.integers(1, 3)),
@@ -1350,7 +1363,7 @@ def written(draw):
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     if flaw == "edge":   # a self-loop, an undrawn end or a repeat
         edges.append(draw(st.sampled_from([(ids[0], ids[0]), (10, ids[0]), *edges[:1]])))
-    return save_log, load_log, ObservationLog(
+    return save_unchecked_log if flaw else save_log, load_log, ObservationLog(
         mode=kind, nodes=nodes, categories=np.array(node_cats)[picks],
         degrees=degrees, weights=weights, num_categories=c,
         category_names=tuple("abc"[:c]),
@@ -1381,10 +1394,10 @@ def test_a_sidecar_hit_equals_the_parse(tmp_path_factory, case):
         with mock.patch.object(fileio, "_read_jsonl", side_effect=AssertionError):
             assert _outcome(load, path) == hit
     # the writer leaves a sidecar where its columns are int64 and its
-    # weights float64, as a log's are cast, and a sidecar depends on the
-    # file's bytes alone
-    exact = save is save_log or (item.nodes.dtype == np.int64
-                                 and item.weights.dtype == np.float64)
+    # weights float64, as the checked writers' ids and a log's weights are
+    # cast, and a sidecar depends on the file's bytes alone
+    exact = load is load_log or (item.weights.dtype == np.float64 and (
+        save is save_trace or item.nodes.dtype == np.int64))
     assert sidecar.exists() == exact
     if exact:
         stored = sidecar.read_bytes()
@@ -1481,6 +1494,22 @@ def save_unchecked_trace(trace, path):
     fileio._leave(path, key, meta, dict(zip("ivw", columns)))
 
 
+def save_unchecked_log(log, path):
+    """What ``save_log`` leaves for ``log`` but without its checks, its
+    columns cast to int64 and float64: the per-line writer's file, and
+    through the writer's own ``_leave`` a sidecar, that a reader may refuse."""
+    part = "neighbor_counts" if log.mode == "star" else "induced_edges"
+    log = dataclasses.replace(log, weights=np.asarray(log.weights, float), **{
+        field: np.asarray(getattr(log, field)).astype(np.int64)
+        for field in ("nodes", "categories", "degrees", part)})
+    naive_save_log(log, path)
+    meta = json.dumps({"mode": log.mode, "N": log.population_hint,
+                       "categories": list(log.category_names)})
+    fileio._leave(path, fileio._key("log", path), meta, {
+        "v": log.nodes, "c": log.categories, "deg": log.degrees, "w": log.weights,
+        "nbr_cats" if part == "neighbor_counts" else part: getattr(log, part)})
+
+
 @pytest.mark.parametrize("kind", ["trace", "star", "induced"])
 def test_a_writer_keys_its_sidecar_by_the_bytes_it_wrote(tmp_path, monkeypatch,
                                                          three_color_graph, kind):
@@ -1556,23 +1585,28 @@ def test_save_trace_matches_per_line_writer(tmp_path_factory, draws, sampler,
 
 @st.composite
 def logs(draw):
+    """A log the readers take: each draw of a node repeats its first's
+    category, counts (summing to its degree) and weight, and each induced
+    edge joins two drawn nodes, each pair once, in either order."""
     mode = draw(st.sampled_from(["induced", "star"]))
     c = draw(st.integers(1, 12))   # category ids of one and two digits
     n = draw(st.integers(0, 10))
     nodes = draw(st.lists(ids_st, min_size=n, max_size=n))
+    first = [nodes.index(v) for v in nodes]   # each draw's node's first draw
     counts = np.array(draw(st.lists(
         st.one_of(st.just([0] * c),
                   st.lists(st.integers(0, 10**6), min_size=c, max_size=c)),
-        min_size=n, max_size=n)), dtype=np.int64).reshape(n, c)
+        min_size=n, max_size=n)), dtype=np.int64).reshape(n, c)[first]
     edges = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
                           max_size=6)) if nodes else []
+    edges = list({frozenset(e): e for e in edges if e[0] != e[1]}.values())
     return ObservationLog(
         mode=mode, nodes=np.array(nodes, dtype=np.int64),
-        categories=np.array(draw(st.lists(st.integers(0, c - 1),
-                                          min_size=n, max_size=n)), dtype=np.int64),
+        categories=np.array(draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                          max_size=n)), dtype=np.int64)[first],
         degrees=counts.sum(axis=1),
         weights=np.array(draw(st.lists(weights_st, min_size=n, max_size=n)),
-                         dtype=float),
+                         dtype=float)[first],
         num_categories=c,
         category_names=tuple(draw(st.lists(names_st, min_size=c, max_size=c))),
         population_hint=draw(st.one_of(st.none(), st.integers(1, 2**63 - 1))),
@@ -1582,10 +1616,10 @@ def logs(draw):
 
 
 def _log(mode, n, **fields):
+    counts = fields.get("neighbor_counts", np.zeros((n, 0), np.int64))
     return ObservationLog(
         mode=mode, nodes=2**63 - 1 - np.arange(n, dtype=np.int64),
-        categories=np.zeros(n, dtype=np.int64),
-        degrees=np.zeros(n, dtype=np.int64),
+        categories=np.zeros(n, dtype=np.int64), degrees=counts.sum(axis=1),
         weights=np.array(SPECIAL_WEIGHTS[:n], dtype=float), num_categories=2,
         category_names=("é", "中 x"), **fields)
 
@@ -1778,6 +1812,104 @@ def test_writers_refuse_weights_the_readers_refuse(tmp_path, three_color_graph,
                            match="draw 2: weight must be positive and finite"):
             save(item, tmp_path / "out.jsonl")
         assert not (tmp_path / "out.jsonl").exists()
+
+
+def _three_draws(mode, **fields):
+    """A log of three draws, node 4 twice, that load_log reads, with
+    ``fields`` replaced."""
+    return dataclasses.replace(ObservationLog(
+        mode=mode, nodes=np.array([4, 7, 4]), categories=np.array([0, 1, 0]),
+        degrees=np.array([2, 1, 2]), weights=np.ones(3), num_categories=2,
+        category_names=("a", "b"), induced_edges=np.array([[7, 4]]),
+        neighbor_counts=np.array([[1, 1], [0, 1], [1, 1]])), **fields)
+
+
+# (mode, fields replaced, the refusal: the reader's message for its line,
+# or, for what no line can hold, the draw or edge that holds it)
+REFUSED_LOGS = {
+    "a negative node id": ("star", {"nodes": np.array([-4, 7, -4])},
+                           ":2: node id must be >= 0, got -4"),
+    "counts that do not sum to deg": ("star", {"degrees": np.array([2, 2, 2])},
+                                      ":3: nbr_cats must sum to deg, got 1"),
+    "a repeated node with another category": (
+        "induced", {"categories": np.array([0, 1, 1])},
+        ":4: category differs from an earlier record of the node, got 1"),
+    "a category beyond C": ("star", {"categories": np.array([0, 2, 0])},
+                            ":3: category must be in 0..1, got 2"),
+    "an induced self-loop": ("induced", {"induced_edges": np.array([[4, 4]])},
+                             ":5: induced edge is a self-loop, got [4, 4]"),
+    "an induced edge with an undrawn end": (
+        "induced", {"induced_edges": np.array([[4, 9]])},
+        ":5: induced edge has an undrawn endpoint, got [4, 9]"),
+    "population 0": ("star", {"population_hint": 0},
+                     ":1: meta 'N' must be a positive integer or null, got 0"),
+    "node 0.5": ("star", {"nodes": np.array([4, 0.5, 4])},
+                 "draw 1: 'v' must be an integer, got 0.5"),
+    "node 2**63 as a float": ("induced", {"nodes": np.array([4, 7, 2.0**63])},
+                              "draw 2: 'v' must be an integer, got 9.223372036854776e+18"),
+    "a NaN degree": ("induced", {"degrees": np.array([2, np.nan, 2])},
+                     "draw 1: 'deg' must be an integer, got nan"),
+    "a count of 1.5": ("star", {"neighbor_counts": np.array([[1, 1], [0, 1.5], [1, 1]])},
+                       "draw 1: nbr_cats count must be an integer, got [0.0, 1.5]"),
+    "an edge end of 4.5": ("induced", {"induced_edges": np.array([[7, 4.5]])},
+                           "induced edge 0: an end must be an integer, got [7.0, 4.5]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_LOGS))
+def test_save_log_refuses_what_load_log_refuses(tmp_path, case):
+    """The writer runs the reader's checks on the arrays it keeps, and
+    refuses an id, degree or count that is no whole number within int64,
+    before it writes the file or its sidecar."""
+    mode, fields, message = REFUSED_LOGS[case]
+    save_log(_three_draws(mode), tmp_path / "good.jsonl")   # the log is read
+    with pytest.raises(InvalidParameter, match=re.escape(message) + "$"):
+        save_log(_three_draws(mode, **fields), tmp_path / "l.jsonl")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "good.jsonl", "good.jsonl.categraph.npz"]
+
+
+REFUSED_TRACE_COLUMNS = {
+    "step 0.5": ({"steps": np.array([0, 0.5, 2])}, "draw 1: 'i' must be an integer, got 0.5"),
+    "a NaN node": ({"nodes": np.array([0, np.nan, 2])},
+                   "draw 1: 'v' must be an integer, got nan"),
+    "node 2**63 as uint64": ({"nodes": np.array([0, 2**63, 2], np.uint64)},
+                             "draw 1: 'v' must be an integer, got 9223372036854775808"),
+    "node -2**64 as a float": ({"nodes": np.array([0, 1, -2.0**64])},
+                               "draw 2: 'v' must be an integer, got -1.8446744073709552e+19"),
+    "text nodes": ({"nodes": np.array(["0", "1", "2"])},
+                   "'v' must be an integer, got <U1 values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_TRACE_COLUMNS))
+def test_save_trace_refuses_ids_and_steps_beyond_int64(tmp_path, case):
+    fields, message = REFUSED_TRACE_COLUMNS[case]
+    trace = SampleTrace(nodes=np.arange(3), steps=np.arange(3), weights=np.ones(3),
+                        sampler="rw", seed=None, start=None, burn_in=0)
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        save_trace(dataclasses.replace(trace, **fields), tmp_path / "t.jsonl")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writers_write_whole_ids_as_integers(tmp_path):
+    """Whole floats, booleans and uint64 values within int64 are written as
+    the int64 values are, so the readers read them back as those."""
+    trace = SampleTrace(nodes=np.array([1, 0, 1]), steps=np.arange(3),
+                        weights=np.ones(3), sampler="rw", seed=None, start=None,
+                        burn_in=0)
+    log = _three_draws("star")
+    for save, item, fields in [
+            (save_trace, trace, {"nodes": np.array([True, False, True]),
+                                 "steps": np.array([0.0, 1.0, 2.0])}),
+            (save_log, log, {"nodes": np.array([4.0, 7.0, 4.0]),
+                             "degrees": np.array([2, 1, 2], np.uint64),
+                             "neighbor_counts": log.neighbor_counts * 1.0})]:
+        save(item, tmp_path / "int.jsonl")
+        save(dataclasses.replace(item, **fields), tmp_path / "other.jsonl")
+        for name in ("", ".categraph.npz"):
+            assert ((tmp_path / f"other.jsonl{name}").read_bytes()
+                    == (tmp_path / f"int.jsonl{name}").read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -167,19 +167,24 @@ def test_a_table_refuses_a_partition_of_another_size():
 
 def test_neighbor_counts_stay_int64_from_the_table_to_the_totals(tmp_path):
     """The table's rows, a star log's counts and the columns its totals
-    read are int64, and the counts are stored one row per category (a
-    C-contiguous ``neighbor_counts.T``), whether the log is observed, read
-    back or resampled."""
+    read are int64, and the counts are one C-contiguous (n, C) block, a row
+    a draw, whether the log is observed, read from its sidecar or its
+    JSON Lines, or resampled."""
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     part = CategoryPartition(labels=np.array([0, 0, 1, 1]), names=("A", "B"))
     assert ObservationTable(g, part).neighbor_entries.dtype == np.int64
     log = observe_star(g, part, SampleTrace(
         nodes=np.array([0, 2, 2, 3]), steps=np.arange(4), weights=np.ones(4),
         sampler="uis", seed=None, start=None, burn_in=0))
-    save_log(log, tmp_path / "star.jsonl")
-    for got in (log, load_log(tmp_path / "star.jsonl"), log.resampled([3, 0])):
+    path = tmp_path / "star.jsonl"
+    save_log(log, path)
+    from_sidecar = load_log(path)
+    (tmp_path / "star.jsonl.categraph.npz").unlink()
+    for got, n in ((log, 4), (from_sidecar, 4), (load_log(path), 4),
+                   (log.resampled([3, 0]), 2)):
         assert got.neighbor_counts.dtype == np.int64
-        assert got.neighbor_counts.T.flags.c_contiguous
+        assert got.neighbor_counts.shape == (n, 2)
+        assert got.neighbor_counts.flags.c_contiguous
         assert got._nodes[2].dtype == np.int64
 
 
