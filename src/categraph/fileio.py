@@ -23,10 +23,10 @@ block is a numpy byte array, a row a line or a segment of one: literal
 bytes and each field's text right-aligned, kept by a mask read off each
 field's length.
 
-A parse is kept beside its file, keyed by the file's bytes: the pair
-``load_graph`` parsed and whether it is connected, and the arrays
-``save_trace`` and ``save_log`` wrote, keyed by hashing each block as it
-is written. A reader takes them where its file, hashed on a helper thread
+A parse is kept beside its file, keyed by the file's bytes: a graph pair
+and whether it is connected, by ``load_graph`` or ``save_graph``, and the
+arrays ``save_trace`` and ``save_log`` wrote; each writer hashes each block
+as it writes it. A reader takes them where its file, hashed on a helper thread
 meanwhile, holds their key: it parses no text and runs its checks; a
 sidecar that fails in any way is parsed past.
 """
@@ -38,6 +38,7 @@ import os
 import re
 import tempfile
 import threading
+import zipfile
 from contextlib import suppress
 from itertools import chain, compress, repeat
 from operator import itemgetter
@@ -50,7 +51,7 @@ from .errors import (COUNT_FLOORS, CategraphError, FileFormatError,
 from .estimate import MODES, CategoryGraphEstimate
 from .evaluate import ExperimentConfig
 from .generate import SyntheticParams, synthetic_graph
-from .graph import CategoryGraph, CategoryPartition, Graph, _lookup
+from .graph import CategoryGraph, CategoryPartition, Graph, _distinct, _lookup
 from .observe import INDUCED, STAR, ObservationLog
 from .sampling import SampleTrace
 
@@ -141,16 +142,23 @@ def _sidecar(fh) -> tuple[bytes, dict]:
 
 
 def _keep(path, key: bytes, arrays: dict) -> None:
-    """Write ``key`` and ``arrays`` as the sidecar beside ``path``, through a
-    temporary file moved into place; an OSError leaves no file. np.savez
-    dates no entry by the clock, so the bytes are the arrays'."""
+    """Write ``key`` and ``arrays`` (arrays or (array, dtype) pairs) beside
+    ``path`` in np.savez's bytes, no entry dated by the clock, each cast ``_BLOCK``
+    items at a time, via a temporary file moved into place; an OSError leaves none."""
     path = os.fsdecode(path) + _SIDECAR
     with suppress(OSError):
         fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".",
                                    os.path.dirname(path) or ".")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, key=key, **arrays)
+            with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+                for name, a in {"key": key, **arrays}.items():
+                    a, dtype = a if type(a) is tuple else (a, np.asarray(a).dtype)
+                    with zf.open(name + ".npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array_header_1_0(member, {
+                            "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+                            "fortran_order": False, "shape": np.shape(a)})
+                        for lo in range(0, np.size(a), _BLOCK):
+                            member.write(np.ravel(a)[lo:lo + _BLOCK].astype(dtype))
             os.replace(tmp, path)
         except BaseException:
             os.remove(tmp)
@@ -176,8 +184,8 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     appear only there are isolated nodes. Each file is read once, by
     :func:`_read_table`, and its rules are checked once over the records
     read; the earliest refused line is named, counting blank and comment
-    lines. A pair that passes is kept in a sidecar beside the edge file,
-    ``<edge file>.categraph.npz``, which a load of the same bytes reads.
+    lines. A pair that passes is kept beside the edge file, as by ``save_graph``,
+    in ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
     key = _hashing("graph", category_path, edge_path)
     # a sidecar failing in any way, or missing, is parsed past
@@ -201,11 +209,20 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     key = key()
     g, part = _parse_graph(edge_path, category_path)
     if key and _key("graph", category_path, edge_path) == key:
-        _keep(edge_path, key, {
-            "names": json.dumps(part.names).encode(), "indptr": g.indptr,
-            "labels": part.labels, "connected": np.array(g.is_connected),
-            "indices": g.indices.astype(np.min_scalar_type(g.node_count))})
+        _keep_graph(edge_path, key, g, part)
     return g, part
+
+
+def _keep_graph(edge_path, key: bytes, g: Graph, part: CategoryPartition) -> None:
+    """Keep the pair beside the edge file as its files parse to it: the names
+    in order of first appearance, the labels renumbered to match."""
+    order = np.argsort(_distinct(part.labels)[1])
+    labels = np.argsort(order)[part.labels]
+    _keep(edge_path, key, {
+        "names": json.dumps([part.names[c] for c in order]).encode(),
+        "indptr": (g.indptr, np.int64), "labels": (labels, np.int64),
+        "connected": np.array(g.is_connected),
+        "indices": (g.indices, np.min_scalar_type(g.node_count))})
 
 
 def _parse_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
@@ -331,9 +348,12 @@ def _parse(source, dtype: np.dtype, count: int, comments=None):
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
-    """Write the edge list (u < v, sorted) and the category file. A name
-    the reader would refuse or merge, or a category without members, which
-    the category file cannot hold, raises ValueError; nothing is written."""
+    """Write the category file and the edge list (u < v, sorted). A
+    partition of another node count, a name the reader would refuse or
+    merge, or a category without members, which the category file cannot
+    hold, raises ValueError; nothing is written. Where ``g``'s connectivity
+    is cached, the files' parse is kept, keyed by the bytes as written."""
+    part.labels_for(g)   # a ValueError where the node counts differ
     last = {name: c for c, name in enumerate(part.names)}
     for c, name in enumerate(part.names):
         if {"\t", "\n", "\r"} & set(name):
@@ -344,21 +364,24 @@ def save_graph(g: Graph, part: CategoryPartition, edge_path,
     if len(empty):
         raise ValueError(f"category {part.names[empty[0]]!r} has no members, "
                          "and a category file lists only labeled nodes")
-    u, v = g.edge_array.T
-    _write(edge_path, (g.edge_count, lambda lo, hi: _rows(
-        u[lo:hi], b"\t", v[lo:hi], b"\n")))
     names = [name.encode() for name in part.names]
-    _write(category_path, (part.node_count, lambda lo, hi: _rows(
-        np.arange(lo, hi), b"\t", _table(names, part.labels[lo:hi]), b"\n")))
+    key = _seeded("graph") if "is_connected" in vars(g) else None
+    labeled = _write(category_path, (part.node_count, lambda lo, hi: _rows(
+        np.arange(lo, hi), b"\t", _table(names, part.labels[lo:hi]), b"\n")), key=key)
+    u, v = g.edge_array.T
+    key = _write(edge_path, (g.edge_count, lambda lo, hi: _rows(
+        u[lo:hi], b"\t", v[lo:hi], b"\n")), key=key)
+    if labeled and key:
+        _keep_graph(edge_path, key, g, part)
 
 
-def _write(path, *parts, kind: str | None = None) -> bytes | None:
+def _write(path, *parts, key=None) -> bytes | None:
     """Write ``parts`` in order: a string as UTF-8, and a (count, block)
     pair as ``block(lo, hi)``, the bytes of rows lo..hi-1, for each run of
-    ``_BLOCK`` of its ``count`` rows. With ``kind``, return the
-    ``_key`` of the bytes written, hashed as they are written, or None where
-    ``path`` is not a regular file."""
-    key, size = _seeded(kind) if kind else None, 0
+    ``_BLOCK`` of its ``count`` rows. With ``key``, a ``_seeded`` hash, feed
+    it the bytes as they are written and their length, as ``_key`` does,
+    and return its digest, or None where ``path`` is not a regular file."""
+    size = 0
     with open(path, "wb") as fh:
         for part in parts:
             count, block = ((1, lambda lo, hi: part.encode())
@@ -551,7 +574,7 @@ def save_trace(trace: SampleTrace, path) -> None:
         _integers(trace.steps, "'i'"), _integers(trace.nodes, "'v'"), trace.weights)
     key = _write(path, meta + "\n", (len(nodes), lambda lo, hi: _rows(
         b'{"i": ', steps[lo:hi], b', "v": ', nodes[lo:hi], b', "w": ',
-        weights[lo:hi], b"}\n")), kind="trace")
+        weights[lo:hi], b"}\n")), key=_seeded("trace"))
     _leave(path, key, meta, dict(zip(_TRACE_RECORD, columns)))
 
 
@@ -741,7 +764,7 @@ def save_log(log: ObservationLog, path) -> None:
         u, v = log.induced_edges.T
         induced = ('{"induced_edges": [', (len(u), lambda lo, hi: _rows(
             b", [", u[lo:hi], b", ", v[lo:hi], b"]")[2 if lo == 0 else 0:]), "]}\n")
-    key = _write(path, text + "\n", (log.n, records), *induced, kind="log")
+    key = _write(path, text + "\n", (log.n, records), *induced, key=_seeded("log"))
     _leave(path, key, text, arrays)
 
 

@@ -134,15 +134,9 @@ def _regular_edges_once(size: int, k: int, rng: np.random.Generator):
     return np.column_stack(np.divmod(accepted, size))
 
 
-def gen_intra_regular(sizes: Sequence[int], k: int,
-                      rng: np.random.Generator) -> tuple[Graph, CategoryPartition]:
-    """Disjoint random k-regular graphs, one per category.
-
-    Node ids are assigned in contiguous blocks, category by category.
-    """
-    _check_model(sizes, k)
-    sizes = list(map(int, sizes))
-    labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+def _intra_edges(sizes: list[int], k: int, rng: np.random.Generator):
+    """Disjoint random k-regular graphs, one per category, in blocks of node
+    ids: their (u, v) rows, u < v, ascending as ``edge_array``'s, and labels."""
     all_edges = [np.empty((0, 2), dtype=np.int64)]
     offset = 0
     for size in sizes:
@@ -156,9 +150,20 @@ def gen_intra_regular(sizes: Sequence[int], k: int,
                 f"{_MAX_REGULAR_ATTEMPTS} attempts")
         all_edges.append(edges + offset)
         offset += size
-    g = Graph.from_edges(offset, np.concatenate(all_edges))
+    labels = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
     names = tuple(f"C{i}" for i in range(len(sizes)))
-    return g, CategoryPartition(labels=labels, names=names)
+    return np.concatenate(all_edges), CategoryPartition(labels=labels, names=names)
+
+
+def gen_intra_regular(sizes: Sequence[int], k: int,
+                      rng: np.random.Generator) -> tuple[Graph, CategoryPartition]:
+    """Disjoint random k-regular graphs, one per category.
+
+    Node ids are assigned in contiguous blocks, category by category.
+    """
+    _check_model(sizes, k)
+    edges, part = _intra_edges(list(map(int, sizes)), k, rng)
+    return Graph.from_edges(part.node_count, edges), part
 
 
 def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
@@ -172,22 +177,30 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
     _check_model((), 0, m)
     if m == 0:
         return g
-    n, labels = g.node_count, part.labels
-    cross_total = (n * n - int((part.sizes.astype(np.int64) ** 2).sum())) // 2
     ea = g.edge_array
-    existing_inter = int(np.count_nonzero(labels[ea[:, 0]] != labels[ea[:, 1]]))
+    return Graph.from_edges(g.node_count, np.concatenate(
+        [ea, _inter_edges(g.node_count, ea, part.labels, m, rng)]))
+
+
+def _inter_edges(n: int, edges: np.ndarray, labels: np.ndarray, m: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """The m new cross-category (u, v) rows, u < v, in the order drawn,
+    given the n nodes' labels and the ascending (u, v) rows, u < v, there."""
+    sizes = np.bincount(labels)
+    cross_total = (n * n - int((sizes.astype(np.int64) ** 2).sum())) // 2
+    existing_inter = int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]]))
     available = cross_total - existing_inter
     if m > available:
         raise TooManyEdgesRequested(
             f"requested {m} inter-category edges, only {available} free pairs")
 
-    taken = np.sort(ea[:, 0] * n + ea[:, 1])
+    taken = edges[:, 0] * n + edges[:, 1]
     if cross_total <= 2_000_000 and m * 4 > available:
         # dense regime: enumerate the cross-category pairs, each once as
         # (a member of c) x (a node labeled above c), in ascending key
         # order, and sample the absent ones without replacement
         keys = []
-        for c in range(part.num_categories):
+        for c in range(len(sizes)):
             mine, above = np.flatnonzero(labels == c), np.flatnonzero(labels > c)
             keys.append((np.minimum.outer(mine, above) * n
                          + np.maximum.outer(mine, above)).ravel())
@@ -207,9 +220,7 @@ def add_inter_edges(g: Graph, part: CategoryPartition, m: int,
             chosen = np.concatenate([chosen, new])
             if len(new) < need:
                 taken = _merge(taken, np.sort(new))
-
-    new = np.column_stack(np.divmod(chosen, n))
-    return Graph.from_edges(n, np.concatenate([ea, new]))
+    return np.column_stack(np.divmod(chosen, n))
 
 
 def permute_labels(part: CategoryPartition, alpha: float,
@@ -237,8 +248,9 @@ def synthetic_graph(params: SyntheticParams) -> tuple[Graph, CategoryPartition]:
     disconnected (walk samplers then cover the start component only).
     """
     rng = np.random.default_rng(params.seed)
-    g, part = gen_intra_regular(params.category_sizes, params.k, rng)
-    g = add_inter_edges(g, part, params.resolved_inter_edges(), rng)
+    edges, part = _intra_edges(list(params.category_sizes), params.k, rng)
+    g = Graph.from_edges(part.node_count, np.concatenate([edges, _inter_edges(
+        part.node_count, edges, part.labels, params.resolved_inter_edges(), rng)]))
     part = permute_labels(part, params.alpha, rng)
     if not g.is_connected:
         warnings.warn("synthetic graph is disconnected; walk samplers "

@@ -1232,7 +1232,7 @@ def test_a_sidecar_the_directory_refuses_leaves_no_file(tmp_path, monkeypatch,
             monkeypatch.setattr(fileio.tempfile, "mkstemp", mock.Mock(
                 side_effect=PermissionError(13, "Permission denied")))
     else:
-        monkeypatch.setattr(fileio.np, "savez", mock.Mock(
+        monkeypatch.setattr(fileio.np.lib.format, "write_array_header_1_0", mock.Mock(
             side_effect=OSError(28, "No space left on device")))
     try:
         g, part = load_graph(edges, cats)
@@ -1304,6 +1304,123 @@ def test_a_walk_on_a_disconnected_graph_from_its_sidecar_warns(tmp_path):
     with pytest.warns(RuntimeWarning, match="disconnected graph"):
         trace = sample_rw(g, 50, start=0, seed=41)
     assert set(trace.nodes.tolist()) <= {0, 1, 2}
+
+
+# the graph sidecar save_graph keeps: the parse of the files it wrote,
+# byte for byte the sidecar a load's miss writes
+
+def _pair(pair):
+    """A graph pair as plain values: its arrays with their dtypes, its
+    names and its connectivity."""
+    g, part = pair
+    return ([(a.tolist(), a.dtype) for a in (g.indptr, g.indices, part.labels)],
+            part.names, g.is_connected)
+
+
+NAME_POOL = ("a", "\x00b", "é中", "b\x00", " ", "#", "")
+
+
+@st.composite
+def cached_graphs(draw):
+    """A graph, with isolated nodes as often as not, and a partition of it
+    whose names are drawn from NAME_POOL and whose labels first appear in
+    any order; every category has members."""
+    n = draw(st.integers(1, 12))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    g = Graph.from_edges(n, np.column_stack([iu, iv])[np.array(keep, dtype=bool)])
+    c = draw(st.integers(1, min(n, len(NAME_POOL))))
+    names = draw(st.permutations(NAME_POOL))[:c]
+    extra = draw(st.lists(st.integers(0, c - 1), min_size=n - c, max_size=n - c))
+    labels = draw(st.permutations(list(range(c)) + extra))
+    return g, CategoryPartition(labels=np.array(labels, np.int64), names=names)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph=cached_graphs())
+@example(graph=(Graph.from_edges(5, [(1, 3)]), CategoryPartition(   # isolated
+    labels=np.array([2, 0, 2, 1, 0]), names=("a", "\x00b", "é中"))))
+def test_save_graph_keeps_the_parse_of_the_files_it_wrote(tmp_path_factory, graph):
+    """A load after save_graph parses nothing and gives the parse, field by
+    field: the names in order of first appearance, the labels renumbered
+    to match, and the connectivity. The sidecar is the one a miss writes."""
+    g, part = graph
+    g.is_connected   # cached, as synthetic_graph and load_graph leave it
+    d = tmp_path_factory.mktemp("graph")
+    edges, cats, sidecar = d / "e.tsv", d / "c.tsv", d / "e.tsv.categraph.npz"
+    save_graph(g, part, edges, cats)
+    kept = sidecar.read_bytes()
+    with mock.patch.object(fileio, "_parse_graph", side_effect=AssertionError):
+        hit = load_graph(edges, cats)
+    assert _pair(hit) == _pair(fileio._parse_graph(edges, cats))
+    assert hit[0] == g
+    sidecar.unlink()
+    with mock.patch.object(fileio, "_parse_graph", wraps=fileio._parse_graph) as parsed:
+        load_graph(edges, cats)
+    assert parsed.called and sidecar.read_bytes() == kept
+
+
+@pytest.mark.parametrize("case", ["connectivity not cached", "category file a device",
+                                  "edge file a device", "read-only directory",
+                                  "disk full"])
+def test_save_graph_keeps_no_sidecar_where_none_is_kept(tmp_path, monkeypatch, case):
+    """A graph whose connectivity is not cached, a path that is not a
+    regular file, and a directory that refuses the sidecar leave the files
+    and no sidecar. A read-only directory refuses the temporary file; where
+    the test runs with the rights to write there regardless, the refusal
+    is simulated."""
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    part = CategoryPartition(labels=np.array([1, 0, 1]), names=("a", "b"))
+    if case != "connectivity not cached":
+        assert g.is_connected
+    d = tmp_path / "graph"
+    d.mkdir()
+    edges, cats = write(d / "e.tsv", ""), write(d / "c.tsv", "")
+    if case == "category file a device":
+        cats = os.devnull
+    elif case == "edge file a device":
+        edges = os.devnull
+    elif case == "read-only directory":
+        d.chmod(0o555)
+        if os.access(d, os.W_OK):
+            monkeypatch.setattr(fileio.tempfile, "mkstemp", mock.Mock(
+                side_effect=PermissionError(13, "Permission denied")))
+    elif case == "disk full":
+        monkeypatch.setattr(fileio.np.lib.format, "write_array_header_1_0", mock.Mock(
+            side_effect=OSError(28, "No space left on device")))
+    try:
+        save_graph(g, part, edges, cats)
+        assert sorted(p.name for p in d.iterdir()) == ["c.tsv", "e.tsv"]
+        assert not os.path.exists(os.devnull + ".categraph.npz")
+        if "device" not in case:
+            assert (d / "e.tsv").read_text() == "0\t1\n1\t2\n"
+            assert (d / "c.tsv").read_text() == "0\tb\n1\ta\n2\tb\n"
+    finally:
+        d.chmod(0o755)
+
+
+@pytest.mark.parametrize("edited, old, new", [("e.tsv", b"2\t3", b"0\t3"),
+                                              ("c.tsv", b"2\ta", b"2\tb")])
+def test_a_byte_edited_after_save_graph_is_parsed(tmp_path, edited, old, new):
+    """The sidecar is keyed by the bytes written, not read back: one byte
+    edited in either file since is parsed, not served from it."""
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    part = CategoryPartition(labels=np.array([0, 1, 0, 1]), names=("a", "b"))
+    assert g.is_connected
+    edges, cats = tmp_path / "e.tsv", tmp_path / "c.tsv"
+    save_graph(g, part, edges, cats)
+    assert (tmp_path / "e.tsv.categraph.npz").exists()
+    path = tmp_path / edited
+    text = path.read_bytes()
+    assert text.count(old) == 1
+    path.write_bytes(text.replace(old, new))
+    with mock.patch.object(fileio, "_parse_graph", wraps=fileio._parse_graph) as parsed:
+        got = load_graph(edges, cats)
+    assert parsed.called
+    want_edges, want_labels, want_names = naive_load_graph(edges, cats)
+    assert got[0].edge_array.tolist() == [list(e) for e in want_edges]
+    assert (got[1].labels.tolist(), got[1].names) == (want_labels, want_names)
+    assert _pair(got) != _pair((g, part))
 
 
 # ---------------------------------------------------------------------------
@@ -1490,7 +1607,8 @@ def save_unchecked_trace(trace, path):
     columns = trace.steps, trace.nodes, trace.weights
     key = fileio._write(path, meta + "\n", "".join(
         f'{{"i": {i}, "v": {v}, "w": {w!r}}}\n'
-        for i, v, w in zip(*(x.tolist() for x in columns))), kind="trace")
+        for i, v, w in zip(*(x.tolist() for x in columns))),
+        key=fileio._seeded("trace"))
     fileio._leave(path, key, meta, dict(zip("ivw", columns)))
 
 
@@ -1510,23 +1628,29 @@ def save_unchecked_log(log, path):
         "nbr_cats" if part == "neighbor_counts" else part: getattr(log, part)})
 
 
-@pytest.mark.parametrize("kind", ["trace", "star", "induced"])
+@pytest.mark.parametrize("kind", ["trace", "star", "induced", "graph"])
 def test_a_writer_keys_its_sidecar_by_the_bytes_it_wrote(tmp_path, monkeypatch,
                                                          three_color_graph, kind):
     """The key a writer hashes block by block as it writes, blocks of 3
     rows here, is the key a reader computes from the file, so the writer
-    reads nothing back."""
+    reads nothing back; save_graph's is of its category file, then its
+    edge file, as load_graph's."""
     g, part = three_color_graph
     trace = sample_rw(g, 10, start=0, seed=8)
-    item = trace if kind == "trace" else {
-        "star": observe_star, "induced": observe_induced}[kind](g, part, trace)
-    path, key = tmp_path / "f.jsonl", fileio._key
+    path, cats, key = tmp_path / "f", tmp_path / "c.tsv", fileio._key
     with monkeypatch.context() as mp:
         mp.setattr(fileio, "_BLOCK", 3)
         mp.setattr(fileio, "_key", mock.Mock(side_effect=AssertionError))
-        (save_trace if kind == "trace" else save_log)(item, path)
-    with np.load(tmp_path / "f.jsonl.categraph.npz") as npz:
-        assert npz["key"].tobytes() == key("trace" if kind == "trace" else "log", path)
+        if kind == "graph":
+            assert g.is_connected   # cached, so that save_graph keeps a sidecar
+            save_graph(g, part, path, cats)
+        else:
+            item = trace if kind == "trace" else {
+                "star": observe_star, "induced": observe_induced}[kind](g, part, trace)
+            (save_trace if kind == "trace" else save_log)(item, path)
+    read = {"graph": ("graph", cats, path), "trace": ("trace", path)}.get(kind, ("log", path))
+    with np.load(tmp_path / "f.categraph.npz") as npz:
+        assert npz["key"].tobytes() == key(*read)
 
 
 # ---------------------------------------------------------------------------
@@ -1762,6 +1886,19 @@ def test_save_graph_refuses_an_empty_category(tmp_path):
     with pytest.raises(ValueError, match="^category 'b' has no members"):
         save_graph(g, part, edges, cats)
     assert not edges.exists() and not cats.exists()
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 1, 0], [0, 1, 1, 0, 1, 0]],
+                         ids=["4 labels", "6 labels"])
+def test_save_graph_refuses_a_partition_of_another_node_count(tmp_path, labels):
+    """4 labels on a 5-node graph would write files the reader refuses (an
+    edge end without a label), and 6 a 6-node graph that reads back as
+    another; both raise before either file is opened."""
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    part = CategoryPartition(labels=np.array(labels), names=("a", "b"))
+    with pytest.raises(ValueError, match="disagree on node count"):
+        save_graph(g, part, tmp_path / "e.tsv", tmp_path / "c.tsv")
+    assert not any(tmp_path.iterdir())
 
 
 def test_save_graph_transient_memory_does_not_grow_with_the_edges(

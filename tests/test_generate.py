@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -397,4 +398,64 @@ def test_dense_inter_edges_match_the_oracle_on_interleaved_labels(seed):
     new = naive_add_inter_edges(30, edges, labels, m, twin)
     g = add_inter_edges(g, part, m, rng)
     assert list(map(tuple, g.edge_array.tolist())) == sorted(edges + new)
+    assert _next_draws(rng) == _next_draws(twin)
+
+
+# ---------------------------------------------------------------------------
+# synthetic_graph builds one Graph: the intra-category rows go straight into
+# the inter-edge draw, with the draws of the three public steps
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("sizes, k, m, alpha", [
+    (DEFAULT_CATEGORY_SIZES[:6], 10, None, 0.5),   # the sparse ladder
+    ((2, 2, 2), 1, 10, 1.0),                       # a dense tiny cut
+    ((4, 6), 3, 0, 0.3),                           # no inter-category edge
+], ids=["sparse ladder", "dense tiny cut", "no inter edges"])
+def test_synthetic_graph_equals_its_three_steps_on_one_generator(seed, sizes, k,
+                                                                 m, alpha):
+    """The graph, the partition and the generator's next draw are those of
+    gen_intra_regular, add_inter_edges and permute_labels run in turn on a
+    generator of the same seed; the connectivity is left cached."""
+    params = SyntheticParams(category_sizes=sizes, k=k, inter_edge_count=m,
+                             alpha=alpha, seed=seed)
+    made, default_rng = [], np.random.default_rng
+    with mock.patch.object(generate.np.random, "default_rng",
+                           lambda s: made.append(default_rng(s)) or made[-1]), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # m = 0 disconnects
+        g, part = synthetic_graph(params)
+    rng = np.random.default_rng(seed)
+    want_g, want_part = gen_intra_regular(sizes, k, rng)
+    want_g = add_inter_edges(want_g, want_part, params.resolved_inter_edges(), rng)
+    want_part = permute_labels(want_part, alpha, rng)
+    assert (g, part) == (want_g, want_part)
+    assert made[0].random() == rng.random()
+    assert vars(g)["is_connected"] is (m != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 16), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       regime=st.sampled_from(["sparse", "dense", "refused"]),
+       pick=st.integers(0, 2**20))
+def test_inter_edges_match_the_per_pair_oracle(n, data, seed, regime, pick):
+    """The helper synthetic_graph and add_inter_edges share takes the
+    oracle's (n, edges, labels, m, rng) and gives its pairs in its order,
+    or refuses where it does, leaving the generator where it leaves it."""
+    labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    iu, iv = np.triu_indices(n, k=1)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(iu), max_size=len(iu)))
+    edges = np.column_stack([iu, iv])[np.array(keep, dtype=bool)]
+    sizes = np.bincount(labels)
+    free = ((n * n - int((sizes ** 2).sum())) // 2
+            - int(np.count_nonzero(labels[edges[:, 0]] != labels[edges[:, 1]])))
+    m = _inter_count(free, regime, pick)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        want = naive_add_inter_edges(n, edges.tolist(), labels, m, twin)
+    except ValueError:
+        with pytest.raises(TooManyEdgesRequested):
+            generate._inter_edges(n, edges, labels, m, rng)
+    else:
+        got = generate._inter_edges(n, edges, labels, m, rng)
+        assert list(map(tuple, got.tolist())) == want
     assert _next_draws(rng) == _next_draws(twin)
