@@ -23,12 +23,14 @@ block is a numpy byte array, a row a line or a segment of one: literal
 bytes and each field's text right-aligned, kept by a mask read off each
 field's length.
 
-A parse is kept beside its file, keyed by the file's bytes: a graph pair
-and whether it is connected, by ``load_graph`` or ``save_graph``, and the
-arrays ``save_trace`` and ``save_log`` wrote; each writer hashes each block
-as it writes it. A reader takes them where its file, hashed on a helper thread
-meanwhile, holds their key: it parses no text and runs its checks; a
-sidecar that fails in any way is parsed past.
+A parse is kept beside its file, keyed by the file's bytes (each writer
+hashes each block as it writes it): one JSON meta object and the flat
+arrays a parse yields, a graph's CSR and labels with its names and
+connectivity as meta, a star log's counts as their nonzero (record,
+category, count) entries. One reader, ``_from_sidecar``, takes any kind
+where its file, hashed on a helper thread meanwhile, holds the key; the
+same rules then run on its arrays as on a parse's, and a sidecar that
+fails in any way is parsed past.
 """
 from __future__ import annotations
 
@@ -98,7 +100,7 @@ def _kept_lines(path, data: bytes, skip: bytes) -> tuple[np.ndarray, list]:
 # sidecars: a file's parse kept beside it, as ``<file>.categraph.npz``
 
 _SIDECAR = ".categraph.npz"
-_VERSIONS = {"graph": 2, "trace": 1, "log": 2}   # of what each kind holds
+_VERSIONS = {"graph": 3, "trace": 1, "log": 3}   # of what each kind holds
 
 
 def _key(kind: str, *paths) -> bytes | None:
@@ -117,15 +119,6 @@ def _key(kind: str, *paths) -> bytes | None:
     return None
 
 
-def _hashing(kind: str, *paths) -> Callable[[], bytes | None]:
-    """A call that joins a helper thread, begun now, as hashlib lets go of
-    the GIL, and returns its ``_key(kind, *paths)``; every reader calls it."""
-    keys = []
-    thread = threading.Thread(target=lambda: keys.append(_key(kind, *paths)))
-    thread.start()
-    return lambda: thread.join() or keys[0]
-
-
 def _seeded(kind: str):
     """SHA-256 of ``kind``'s format version and numpy's, which ``_key`` and
     ``_write`` go on to feed a file's bytes and length."""
@@ -133,12 +126,24 @@ def _seeded(kind: str):
                           f"numpy {np.__version__}".encode())
 
 
-def _sidecar(fh) -> tuple[bytes, dict]:
-    """The key and the arrays of the open sidecar ``fh``, read without
-    unpickling; an exception where it fails, which readers parse past."""
-    with np.load(fh, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    return arrays.pop("key").tobytes(), arrays
+def _from_sidecar(kind: str, path, build: Callable, *paths):
+    """``build(meta, arrays)`` of the sidecar beside ``path`` (its JSON meta
+    object and flat arrays, read without unpickling) where it holds the key
+    of ``paths``, hashed meanwhile on a helper thread once it opens; else
+    None, as for one that fails to read or that ``build`` refuses by raising."""
+    keys = []
+    thread = threading.Thread(target=lambda: keys.append(_key(kind, *paths)))
+    with suppress(Exception), open(os.fsdecode(path) + _SIDECAR, "rb") as fh:
+        thread.start()
+        with np.load(fh, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        stored = arrays.pop("key").tobytes()
+        built = build(json.loads(arrays.pop("meta").tobytes()), arrays)
+        thread.join()
+        if stored == keys[0]:
+            return built
+    if thread.is_alive():   # joined, so that no thread outlives the read
+        thread.join()
 
 
 def _keep(path, key: bytes, arrays: dict) -> None:
@@ -187,30 +192,32 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     lines. A pair that passes is kept beside the edge file, as by ``save_graph``,
     in ``<edge file>.categraph.npz``, which a load of the same bytes reads.
     """
-    key = _hashing("graph", category_path, edge_path)
-    # a sidecar failing in any way, or missing, is parsed past
-    with suppress(Exception), open(os.fsdecode(edge_path) + _SIDECAR, "rb") as fh:
-        stored_key, arrays = _sidecar(fh)
-        names = json.loads(arrays["names"].tobytes())
-        stored = [arrays[a] for a in ("indptr", "indices", "labels")]
-        indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
-        connected = arrays["connected"]
-        # O(N+E) checks in place of Graph.validate: indptr rises from 0 to
-        # len(indices), and indices, read unsigned, lie below N
-        if (type(names) is list and set(map(type, names)) <= {str}
-                and connected.shape == () and connected.dtype == bool
-                and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
-                and len(indptr) == len(labels) + 1 and indptr[0] == 0
-                and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
-                and np.all(indices.view(np.uint64) < len(labels)) and stored_key == key()):
-            g = Graph(indptr=indptr, indices=indices)
-            vars(g)["is_connected"] = bool(connected)   # the cached property
-            return g, CategoryPartition(labels=labels, names=tuple(names))
-    key = key()
+    pair = _from_sidecar("graph", edge_path, _kept_graph, category_path, edge_path)
+    if pair is not None:
+        return pair
+    key = _key("graph", category_path, edge_path)
     g, part = _parse_graph(edge_path, category_path)
     if key and _key("graph", category_path, edge_path) == key:
         _keep_graph(edge_path, key, g, part)
     return g, part
+
+
+def _kept_graph(meta: dict, arrays: dict) -> tuple[Graph, CategoryPartition]:
+    """A graph sidecar's pair, once O(N+E) checks in place of Graph.validate
+    pass (indptr rises from 0 to len(indices), indices lie below N)."""
+    names, connected = meta["names"], meta["connected"]
+    stored = [arrays[a] for a in ("indptr", "indices", "labels")]
+    indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
+    if not (type(names) is list and set(map(type, names)) <= {str}
+            and type(connected) is bool
+            and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
+            and len(indptr) == len(labels) + 1 and indptr[0] == 0
+            and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
+            and np.all(indices.view(np.uint64) < len(labels))):
+        raise ValueError("the graph sidecar fails its checks")
+    g = Graph(indptr=indptr, indices=indices)
+    vars(g)["is_connected"] = connected   # the cached property
+    return g, CategoryPartition(labels=labels, names=tuple(names))
 
 
 def _keep_graph(edge_path, key: bytes, g: Graph, part: CategoryPartition) -> None:
@@ -219,9 +226,9 @@ def _keep_graph(edge_path, key: bytes, g: Graph, part: CategoryPartition) -> Non
     order = np.argsort(_distinct(part.labels)[1])
     labels = np.argsort(order)[part.labels]
     _keep(edge_path, key, {
-        "names": json.dumps([part.names[c] for c in order]).encode(),
+        "meta": json.dumps({"names": [part.names[c] for c in order],
+                            "connected": g.is_connected}).encode(),
         "indptr": (g.indptr, np.int64), "labels": (labels, np.int64),
-        "connected": np.array(g.is_connected),
         "indices": (g.indices, np.min_scalar_type(g.node_count))})
 
 
@@ -238,9 +245,11 @@ def _parse_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
         with suppress(ValueError):
             return Graph.from_edges(n, dense), part
     self_loop = ext[:, 0] == ext[:, 1]
-    duplicate = _later_copies(np.minimum(dense[:, 0], dense[:, 1]) * n
-                              + np.maximum(dense[:, 0], dense[:, 1]))[0]
-    refused = self_loop | ~(labeled[:, 0] & labeled[:, 1]) | duplicate
+    # every copy of an edge but its first is refused, so the earliest is named
+    _, first, which = _distinct(np.minimum(dense[:, 0], dense[:, 1]) * n
+                                + np.maximum(dense[:, 0], dense[:, 1]))
+    refused = (self_loop | ~(labeled[:, 0] & labeled[:, 1])
+               | (first[which] != np.arange(len(ext))))
     # where the records pass every rule, the parse refused the next line
     row = int(np.argmax(refused)) if refused.any() else len(ext)
     if row == len(ext):
@@ -256,16 +265,6 @@ def _parse_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
     raise FileFormatError(f"{edge_path}:{lines[row]}: {rule}")
 
 
-def _later_copies(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each key repeats an earlier one, and the stable order that
-    sorts the keys: every copy but the first is marked, so the earliest
-    refused row is the one named."""
-    order = np.argsort(keys, kind="stable")
-    later = np.zeros(len(keys), dtype=bool)
-    later[order[1:]] = keys[order[1:]] == keys[order[:-1]]
-    return later, order
-
-
 def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The category file as (sorted external ids, the category id of
     each, category names interned in that order). Ids are read by the
@@ -273,7 +272,8 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     two, an unreadable id or an id labeled before is named."""
     records, bad = _read_table(path, _LABEL)
     nodes = records["node"]
-    twice, order = _later_copies(nodes)
+    ids, first, which = _distinct(nodes)
+    twice = first[which] != np.arange(len(nodes))
     if twice.any():
         row = int(np.argmax(twice))
         rule = f"node {nodes[row]} labeled twice"
@@ -284,10 +284,10 @@ def _read_categories(path) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
                     "does not fit 64 bits" if _NODE_ID.fullmatch(fields[0].strip())
                     else "is not an integer"))
     else:
-        names = records["category"][order].tolist()
+        names = records["category"][first].tolist()   # ids distinct: first sorts them
         name_id = {name: c for c, name in enumerate(dict.fromkeys(names))}
         labels = np.fromiter(map(name_id.__getitem__, names), np.int64, len(names))
-        return nodes[order], labels, tuple(name_id)
+        return ids, labels, tuple(name_id)
     lines = _kept_lines(path, _file_bytes(path), _SKIPPED)[0]
     raise FileFormatError(f"{path}:{lines[row]}: {rule}")
 
@@ -575,14 +575,15 @@ def save_trace(trace: SampleTrace, path) -> None:
     key = _write(path, meta + "\n", (len(nodes), lambda lo, hi: _rows(
         b'{"i": ', steps[lo:hi], b', "v": ', nodes[lo:hi], b', "w": ',
         weights[lo:hi], b"}\n")), key=_seeded("trace"))
-    _leave(path, key, meta, dict(zip(_TRACE_RECORD, columns)))
+    _leave(path, key, meta, dict(zip("ivw", columns)))
 
 
 _TRACE_META = {"sampler": _STRING,
                "seed": _either(_NULL, _SEED, _list_of(_SEED)),
                "start": _either(_NULL, _NATURAL),
                "burn_in": _count("burn_in"), "thin": _count("thin_interval")}
-_TRACE_RECORD = {"i": _INT64, "v": _INT64, "w": _WEIGHT}
+# the record columns of traces ("i", "v" and "w") and logs
+_RECORD = {"i": _INT64, "v": _INT64, "c": _INT64, "deg": _INT64, "w": _WEIGHT}
 
 
 def load_trace(path) -> SampleTrace:
@@ -593,7 +594,7 @@ def _trace(path, meta_line: int, meta, lines, rows) -> SampleTrace:
     meta = _checked(f"{path}:{meta_line}: meta",
                     {"sampler": "unknown", "seed": None, "start": None,
                      "burn_in": 0, "thin": 1, **meta}, _TRACE_META)
-    steps, nodes, weights = _columns(path, lines, rows, _TRACE_RECORD)
+    steps, nodes, weights = (rows[key] for key in "ivw")   # in the order read
     return SampleTrace(nodes=nodes, steps=steps, weights=weights,
                        sampler=meta["sampler"], seed=meta["seed"],
                        start=meta["start"], burn_in=meta["burn_in"],
@@ -631,22 +632,15 @@ def _leave(path, key: bytes | None, meta: str, arrays: dict) -> None:
 
 
 def _read_records(path, kind: str, build: Callable):
-    """``build(path, meta line, meta, record lines, records)`` of a JSON
-    Lines file: of its sidecar's flat arrays, where their dtypes and weights
-    and ``build`` pass them, else of the records :func:`_read_jsonl` parses."""
-    key = lambda: None   # a file without a sidecar is not hashed
-    # a sidecar failing in any way, or missing, is parsed past
-    with suppress(Exception), open(os.fsdecode(path) + _SIDECAR, "rb") as fh:
-        key = _hashing(kind, path)
-        stored_key, arrays = _sidecar(fh)
-        meta = json.loads(arrays.pop("meta").tobytes())
-        if np.all(weights_ok(arrays["w"])) and all(a.ndim == 1 and a.dtype == (
-                float if name == "w" else np.int64) for name, a in arrays.items()):
-            built = build(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
-            if stored_key == key():
-                return built
-    key()   # joined, so that no thread outlives the read
-    return build(path, *_read_jsonl(path, kind))
+    """``build(path, meta line, meta, line numbers, arrays)`` of a JSON Lines
+    file: of its sidecar's arrays, by :func:`_kept_records`, else of
+    :class:`_Parsed` of its parse."""
+    built = _from_sidecar(kind, path, lambda meta, arrays: _kept_records(
+        path, build, meta, arrays), path)
+    if built is None:
+        parsed = _Parsed(path, *_read_jsonl(path, kind))
+        built = build(path, parsed.meta_line, parsed.meta, parsed.lines, parsed)
+    return built
 
 
 def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
@@ -668,24 +662,69 @@ def _read_jsonl(path, kind: str) -> tuple[int, dict, np.ndarray, list]:
     return lines[0], values[0], lines[1:], values[1:]
 
 
-def _columns(path, lines, records, keys: dict) -> list[np.ndarray]:
-    """Each key of ``keys`` (an _INT64 or _WEIGHT kind) over the records,
-    read by :func:`_column`; a record without the key is named. Records
-    that are a sidecar's arrays give theirs, one value a line."""
-    if type(records) is dict:
-        if any(len(records[key]) != len(lines) for key in keys):
-            raise FileFormatError("a sidecar column is not one value a record")
-        return [records[key] for key in keys]
-    columns = []
-    for key, kind in keys.items():
+class _Parsed(dict):
+    """A JSON Lines parse's records as the flat arrays its writer keeps, each
+    decoded from the JSON values where a reader first reads it, so that the
+    first refusal in the reader's order is named: a column of ``_RECORD``, an
+    induced log's trailing block as "induced_edges" ends, or a star log's
+    "nbr_cats" objects as (record, category, count) entries, as written."""
+
+    def __init__(self, *parse):   # path, meta line, meta, lines, records
+        self.path, self.meta_line, self.meta, self.lines, self.records = parse
+
+    def __missing__(self, key: str) -> np.ndarray:
+        if key in ("induced_edges", "nbr_cats"):
+            self[key] = (self._edge_ends if key == "induced_edges" else self._star_entries)()
+            return self[key]
+        path, lines, records, kind = self.path, self.lines, self.records, _RECORD[key]
         try:
             values = list(map(itemgetter(key), records))
         except (KeyError, TypeError):   # a record without the key
             _require(path, lines, [type(r) is dict and key in r for r in records],
                      f"record has no {key!r}", records)
-        columns.append(_column(path, lines, values, kind,
-                               f"{key!r} must be {kind.what}"))
-    return columns
+        self[key] = _column(path, lines, values, kind, f"{key!r} must be {kind.what}")
+        return self[key]
+
+    def _edge_ends(self) -> np.ndarray:   # read before the columns: the block is no record
+        path, lines, records = self.path, self.lines, self.records
+        if not records or type(records[-1]) is not dict \
+                or "induced_edges" not in records[-1]:
+            raise FileFormatError(f"{path}:{lines[-1] if records else self.meta_line}: "
+                                  "induced log missing trailing induced_edges block")
+        block, self.records = records[-1]["induced_edges"], records[:-1]
+        rule = "induced_edges must be a list of [u, v] integer pairs"
+        if (type(block) is not list or not set(map(type, block)) <= {list}
+                or not set(map(len, block)) <= {2}):
+            raise FileFormatError(f"{path}:{lines[-1]}: {rule}")
+        flat = list(chain.from_iterable(block))
+        return _column(path, [lines[-1]] * len(flat), flat, _INT64, rule)
+
+    def _star_entries(self) -> np.ndarray:
+        nbrs = list(map(dict.get, self.records, repeat("nbr_cats"), repeat({})))
+        _require(self.path, self.lines, [type(x) is dict for x in nbrs],
+                 "nbr_cats must be an object", nbrs)
+        at = np.repeat(np.arange(len(nbrs)), list(map(len, nbrs)))
+        lines, keys = self.lines[at], list(chain.from_iterable(nbrs))
+        c = _category_count(self.meta.get("categories", []), self["c"])
+        col_of = {str(b): b for b in range(c)}
+        cats = np.fromiter(map(col_of.get, keys, repeat(-1)), np.int64, len(keys))
+        _require(self.path, lines, cats >= 0,
+                 f"nbr_cats key must be a category in 0..{c - 1}", keys)
+        counts = _column(self.path, lines, list(chain.from_iterable(map(
+            dict.values, nbrs))), _INT64, "nbr_cats count must be an integer")
+        return np.stack([at, cats, counts], axis=1).ravel()
+
+
+def _kept_records(path, build: Callable, meta: dict, arrays: dict):
+    """``build(path, 1, meta, line numbers, arrays)`` of the arrays a JSON Lines
+    writer keeps, each flat and int64 or float64 weights "w" the readers take,
+    a record column one value a record, on lines 2, 3, ... and the line after."""
+    if not (np.all(weights_ok(arrays["w"])) and all(a.ndim == 1 and a.dtype == (
+            float if name == "w" else np.int64) for name, a in arrays.items())):
+        raise ValueError("a sidecar array is not one a writer keeps")
+    if any(len(arrays[key]) != len(arrays["v"]) for key in _RECORD.keys() & arrays.keys()):
+        raise FileFormatError("a sidecar column is not one value a record")
+    return build(path, 1, meta, np.arange(2, len(arrays["v"]) + 3), arrays)
 
 
 def _column(path, lines, values: list, kind: _Kind, rule: str) -> np.ndarray:
@@ -740,13 +779,15 @@ def save_log(log: ObservationLog, path) -> None:
     arrays = {key: _integers(x, repr(key)) for key, x in (
         ("v", log.nodes), ("c", log.categories), ("deg", log.degrees))}
     arrays["w"] = np.asarray(log.weights).astype(float, copy=False)
-    if log.mode == STAR:
-        arrays["nbr_cats"] = _integers(log.neighbor_counts, "nbr_cats count")
+    if log.mode == STAR:   # kept as the nonzero (record, category, count) entries
+        counts = _integers(log.neighbor_counts, "nbr_cats count")
+        at = np.argwhere(counts)   # each nonzero count's (record, category)
+        arrays["nbr_cats"] = np.column_stack([at, counts[tuple(at.T)]]).ravel()
     elif log.mode == INDUCED:
         arrays["induced_edges"] = _integers(log.induced_edges, "an end",
-                                            "induced edge")
+                                            "induced edge").ravel()
     try:   # the log load_log reads from these arrays is the one written
-        log = _log(path, 1, meta, np.arange(2, len(arrays["v"]) + 2), arrays)
+        log = _kept_records(path, _log, meta, arrays)
     except FileFormatError as exc:
         raise InvalidParameter(str(exc)) from None
     columns = log.nodes, log.categories, log.degrees, log.weights
@@ -796,7 +837,6 @@ _LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),
              "categories": _list_of(_STRING),
              "N": _Kind("a positive integer or null", lambda v: v is None
                         or _INTEGER.ok(v) and finite(v) and v > 0)}
-_LOG_RECORD = {"v": _INT64, "c": _INT64, "deg": _INT64, "w": _WEIGHT}
 
 
 def load_log(path) -> ObservationLog:
@@ -818,28 +858,24 @@ def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
                     {"mode": None, "categories": [], "N": None, **meta},
                     _LOG_META)
     mode, names = meta["mode"], meta["categories"]
-    induced = None
-    if mode == INDUCED and type(rows) is dict:   # a sidecar's arrays
-        induced = rows["induced_edges"].reshape(-1, 2)
-        edge_lines = np.full(len(induced), len(lines) + 2)
-    elif mode == INDUCED:
-        if not rows or type(rows[-1]) is not dict \
-                or "induced_edges" not in rows[-1]:
-            raise FileFormatError(
-                f"{path}:{lines[-1] if rows else meta_line}: induced log "
-                "missing trailing induced_edges block")
-        induced = _edge_block(path, lines[-1], rows[-1]["induced_edges"])
-        edge_lines = np.full(len(induced), lines[-1])
-        lines, rows = lines[:-1], rows[:-1]
-
-    nodes, cats, degrees, weights = _columns(path, lines, rows, _LOG_RECORD)
-    num_categories = len(names) or (int(cats.max()) + 1 if len(cats) else 0)
+    induced = rows["induced_edges"].reshape(-1, 2) if mode == INDUCED else None
+    nodes, cats, degrees, weights = (rows[key] for key in ("v", "c", "deg", "w"))
+    num_categories = _category_count(names, cats)
     _require(path, lines, nodes >= 0, "node id must be >= 0", nodes)
     _require(path, lines, (cats >= 0) & (cats < num_categories),
              f"category must be in 0..{num_categories - 1}", cats)
     _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
-    counts = (_neighbor_counts(path, lines, rows, num_categories)
-              if mode == STAR else None)
+    counts = None
+    if mode == STAR:   # the entries, scattered into a row of C a record
+        shape = (len(nodes), num_categories)
+        at, b, count = rows["nbr_cats"].reshape(-1, 3).T
+        # ValueError for an entry outside the block, which only a sidecar holds
+        flat = np.ravel_multi_index((at, b), shape)
+        _require(path, lines[at], count >= 0, "nbr_cats count must be >= 0", count)
+        counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape)   # per cell
+        if counts.max(initial=0) > 1:
+            raise FileFormatError(f"{path}: a nbr_cats entry repeats another")
+        counts.put(flat, count)
     log = ObservationLog(
         mode=mode, nodes=nodes, categories=cats, degrees=degrees,
         weights=weights, num_categories=num_categories,
@@ -857,6 +893,7 @@ def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
         _require(path, lines, (counts == counts[first[keys]]).all(axis=1),
                  "nbr_cats differs from an earlier record of the node", counts)
     else:
+        edge_lines = np.full(len(induced), lines[len(nodes)])
         _require(path, edge_lines, np.logical_and(*drawn.T),
                  "induced edge has an undrawn endpoint", induced)
         # edges are keyed by their ends' ranks among the drawn ids, as
@@ -864,48 +901,15 @@ def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
         u, v = rank.T
         _require(path, edge_lines, u != v, "induced edge is a self-loop",
                  induced)
-        _require(path, edge_lines, ~_later_copies(
-            np.minimum(u, v) * len(ids) + np.maximum(u, v))[0],
-            "induced edge repeats an earlier one", induced)
+        _, once, which = _distinct(np.minimum(u, v) * len(ids) + np.maximum(u, v))
+        _require(path, edge_lines, once[which] == np.arange(len(u)),
+                 "induced edge repeats an earlier one", induced)
     return log
 
 
-def _edge_block(path, lineno: int, block) -> np.ndarray:
-    rule = "induced_edges must be a list of [u, v] integer pairs"
-    if (type(block) is not list or not set(map(type, block)) <= {list}
-            or not set(map(len, block)) <= {2}):
-        raise FileFormatError(f"{path}:{lineno}: {rule}")
-    flat = list(chain.from_iterable(block))
-    return _column(path, [lineno] * len(flat), flat, _INT64, rule).reshape(-1, 2)
-
-
-def _neighbor_counts(path, lines, records, num_categories: int) -> np.ndarray:
-    """The ``nbr_cats`` objects, or a sidecar's counts, flat in node order,
-    as (n, C) int64 counts."""
-    if type(records) is dict:
-        counts = records["nbr_cats"].reshape(len(lines), num_categories)
-        if (counts < 0).any():   # 5x faster than a test of each row
-            _require(path, lines, (counts >= 0).all(axis=1),
-                     "nbr_cats count must be >= 0", counts.min(axis=1))
-        return counts
-    nbrs = list(map(dict.get, records, repeat("nbr_cats"), repeat({})))
-    _require(path, lines, [type(x) is dict for x in nbrs],
-             "nbr_cats must be an object", nbrs)
-    rows = np.repeat(np.arange(len(nbrs)), list(map(len, nbrs)))
-    entry_lines = lines[rows]
-    keys = list(chain.from_iterable(nbrs))
-    col_of = {str(c): c for c in range(num_categories)}
-    cols = np.fromiter(map(col_of.get, keys, repeat(-1)), np.int64, len(keys))
-    _require(path, entry_lines, cols >= 0,
-             f"nbr_cats key must be a category in 0..{num_categories - 1}",
-             keys)
-    values = list(chain.from_iterable(map(dict.values, nbrs)))
-    column = _column(path, entry_lines, values, _INT64,
-                     "nbr_cats count must be an integer")
-    _require(path, entry_lines, column >= 0, "nbr_cats count must be >= 0", values)
-    counts = np.zeros((len(nbrs), num_categories), dtype=np.int64)
-    counts[rows, cols] = column
-    return counts
+def _category_count(names: list, cats: np.ndarray) -> int:
+    """C of a log: its meta's category names', else its largest category + 1."""
+    return len(names) or (int(cats.max()) + 1 if len(cats) else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     TooManyEdgesRequested,
     check_count,
 )
-from .graph import CategoryPartition, Graph, _lookup
+from .graph import CategoryPartition, Graph, _distinct, _lookup
 
 # Benchmark default: ten categories on the 1-2-5 decade ladder, 88,850
 # nodes in total.
@@ -95,12 +95,6 @@ def _merge(sorted_keys: np.ndarray, new_sorted: np.ndarray) -> np.ndarray:
                      new_sorted)
 
 
-def _first_occurrences(keys: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """Where each distinct key of ``keys[ok]`` first occurs, by key."""
-    idx = np.flatnonzero(ok)
-    return idx[np.unique(keys[idx], return_index=True)[1]]
-
-
 def _suitable(accepted: np.ndarray, stub_nodes: np.ndarray, size: int) -> bool:
     # Generation can still finish iff some pair of the (non-empty) leftover
     # stub nodes is non-adjacent, as one is if there are more pairs than edges.
@@ -126,7 +120,8 @@ def _regular_edges_once(size: int, k: int, rng: np.random.Generator):
         u, v = stubs[0::2], stubs[1::2]
         a, b = np.minimum(u, v), np.maximum(u, v)
         keys = a * size + b
-        firsts = _first_occurrences(keys, (a != b) & ~_lookup(accepted, keys)[1])
+        new = np.flatnonzero((a != b) & ~_lookup(accepted, keys)[1])
+        firsts = new[_distinct(keys[new])[1]]   # each new key's first, by key
         accepted = _merge(accepted, keys[firsts])
         stubs = np.delete(np.column_stack([a, b]), firsts, axis=0).ravel()
         if stubs.size and not _suitable(accepted, stubs, size):
@@ -215,8 +210,8 @@ def _inter_edges(n: int, edges: np.ndarray, labels: np.ndarray, m: int,
             us = rng.integers(0, n, size=max(64, 2 * need))
             vs = rng.integers(0, n, size=max(64, 2 * need))
             keys = np.minimum(us, vs) * n + np.maximum(us, vs)
-            ok = (labels[us] != labels[vs]) & ~_lookup(taken, keys)[1]
-            new = keys[np.sort(_first_occurrences(keys, ok))[:need]]
+            ok = np.flatnonzero((labels[us] != labels[vs]) & ~_lookup(taken, keys)[1])
+            new = keys[np.sort(ok[_distinct(keys[ok])[1]])[:need]]
             chosen = np.concatenate([chosen, new])
             if len(new) < need:
                 taken = _merge(taken, np.sort(new))

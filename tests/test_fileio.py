@@ -1000,6 +1000,34 @@ def _stored_array(path, name):
         return npz[name]
 
 
+def _stored_meta(path):
+    return json.loads(_stored_array(path, "meta").tobytes())
+
+
+def _rewrite_meta(path, drop=(), **changes):
+    """Rewrite the sidecar's JSON meta object, ``changes`` made and the
+    keys ``drop`` names left out."""
+    meta = {k: v for k, v in {**_stored_meta(path), **changes}.items() if k not in drop}
+    _rewrite_sidecar(path, meta=json.dumps(meta).encode())
+
+
+def _rewrite_entries(path, edit):
+    """Rewrite a star log sidecar's (record, category, count) entries as
+    ``edit`` returns them, given them as rows."""
+    entries = _stored_array(path, "nbr_cats").reshape(-1, 3)
+    _rewrite_sidecar(path, nbr_cats=np.asarray(edit(entries), np.int64).ravel())
+
+
+def _count_below_zero(entries):
+    """The entries with 9 moved from the first to a category its record has
+    no entry in: a count below 0, each record's sum kept."""
+    record = entries[0, 0]
+    free = min({0, 1, 2} - set(entries[entries[:, 0] == record, 1].tolist()))
+    moved = entries.copy()
+    moved[0, 2] -= 9
+    return np.vstack([moved, [[record, free, 9]]])
+
+
 class _Unpickled:
     """Unpickled, it makes the directory ``path``, which the tests below
     find: no sidecar is ever unpickled."""
@@ -1016,8 +1044,8 @@ BROKEN_SIDECARS = {
     "not a zip": lambda path: path.write_bytes(b"PK not a zip archive"),
     "a pickle": lambda path: path.write_bytes(
         pickle.dumps(_Unpickled(path.parent / "unpickled"))),
-    "wrong key": lambda path: _rewrite_sidecar(path, key=b"\x00" * 32,
-                                               names=b'["x", "y"]'),
+    "wrong key": lambda path: (_rewrite_meta(path, names=["x", "y"]),
+                               _rewrite_sidecar(path, key=b"\x00" * 32)),
     "index out of range": lambda path: _rewrite_sidecar(
         path, indices=np.array([1, 5, 0, 2, 1, 3, 2, 0], np.uint8)),
     "negative index": lambda path: _rewrite_sidecar(
@@ -1032,15 +1060,21 @@ BROKEN_SIDECARS = {
         path, labels=np.array([0.0, 1, 0, 1, 1])),
     "object labels": lambda path: _rewrite_sidecar(path, labels=np.array(
         [_Unpickled(path.parent / "unpickled")] * 5, dtype=object)),
-    "names not strings": lambda path: _rewrite_sidecar(path, names=b"[0, 1]"),
-    "names not JSON": lambda path: _rewrite_sidecar(path, names=b"[x"),
+    "names not strings": lambda path: _rewrite_meta(path, names=[0, 1]),
+    "names not JSON": lambda path: _rewrite_sidecar(
+        path, meta=b'{"names": [x], "connected": false}'),
     "labels missing": lambda path: _rewrite_sidecar(path, drop=("labels",)),
-    "connectivity missing": lambda path: _rewrite_sidecar(path, drop=("connected",)),
-    "connectivity an integer": lambda path: _rewrite_sidecar(path, connected=np.array(0)),
-    "connectivity in an array": lambda path: _rewrite_sidecar(
-        path, connected=np.array([False])),
+    "connectivity missing": lambda path: _rewrite_meta(path, drop=("connected",)),
+    "connectivity an integer": lambda path: _rewrite_meta(path, connected=0),
+    "connectivity in an array": lambda path: _rewrite_meta(path, connected=[False]),
+    "connectivity a string": lambda path: _rewrite_meta(path, connected="false"),
+    "connectivity null": lambda path: _rewrite_meta(path, connected=None),
+    "meta not an object": lambda path: _rewrite_sidecar(
+        path, meta=json.dumps([["a", "b"], False]).encode()),
+    "meta missing": lambda path: _rewrite_sidecar(path, drop=("meta",)),
     # a trace's or a log's sidecar: its key, meta and record columns, and
-    # a star log's counts, flat in node order, or an induced log's edges
+    # a star log's nonzero counts as flat (record, category, count) entries,
+    # or an induced log's edges
     "trace: wrong key": lambda path: _rewrite_sidecar(
         path, key=b"\x00" * 32, v=np.array([9, 9, 9, 9, 9])),
     "trace: weights missing": lambda path: _rewrite_sidecar(path, drop=("w",)),
@@ -1058,13 +1092,23 @@ BROKEN_SIDECARS = {
     "star log: wrong key": lambda path: _rewrite_sidecar(path, key=b"\x01" * 32),
     "star log: counts missing": lambda path: _rewrite_sidecar(path, drop=("nbr_cats",)),
     "star log: counts in two dimensions": lambda path: _rewrite_sidecar(
-        path, nbr_cats=np.zeros((3, 5), np.int64)),
+        path, nbr_cats=_stored_array(path, "nbr_cats").reshape(-1, 3)),
     "star log: float counts": lambda path: _rewrite_sidecar(
-        path, nbr_cats=np.zeros((3, 5))),
-    "star log: a negative count": lambda path: _rewrite_sidecar(
-        path, nbr_cats=np.full(15, -1)),
-    "star log: a count below 0, each sum kept": lambda path: _rewrite_sidecar(
-        path, nbr_cats=_stored_array(path, "nbr_cats") + np.tile([-9, 9, 0], 5)),
+        path, nbr_cats=_stored_array(path, "nbr_cats").astype(float)),
+    "star log: a negative count": lambda path: _rewrite_entries(
+        path, lambda entries: entries * [1, 1, -1]),
+    "star log: a count below 0, each sum kept": lambda path: _rewrite_entries(
+        path, _count_below_zero),
+    "star log: an entry of record n": lambda path: _rewrite_entries(
+        path, lambda entries: np.vstack([entries, [[5, 0, 0]]])),
+    "star log: an entry of record -1": lambda path: _rewrite_entries(
+        path, lambda entries: np.vstack([entries, [[-1, 0, 0]]])),
+    "star log: an entry of category C": lambda path: _rewrite_entries(
+        path, lambda entries: np.vstack([entries, [[0, 3, 0]]])),
+    "star log: an entry repeated": lambda path: _rewrite_entries(
+        path, lambda entries: np.vstack([entries[:1], entries])),
+    "star log: an entry cut short": lambda path: _rewrite_entries(
+        path, lambda entries: entries.ravel()[:-1]),
     "star log: meta not JSON": lambda path: _rewrite_sidecar(path, meta=b"{x"),
     "induced log: edges missing": lambda path: _rewrite_sidecar(
         path, drop=("induced_edges",)),
@@ -1288,7 +1332,7 @@ def test_a_graph_sidecar_hit_computes_no_connectivity(tmp_path, edges, connected
     edges = write(tmp_path / "e.tsv", edges)
     cats = write(tmp_path / "c.tsv", "0\ta\n1\tb\n2\ta\n3\tb\n")
     assert load_graph(edges, cats)[0].is_connected is connected
-    assert _stored_array(tmp_path / "e.tsv.categraph.npz", "connected") == connected
+    assert _stored_meta(tmp_path / "e.tsv.categraph.npz")["connected"] is connected
     with mock.patch.object(fileio, "_parse_graph", side_effect=AssertionError), \
             mock.patch.object(Graph.__dict__["is_connected"], "func",
                               side_effect=AssertionError):
@@ -1623,9 +1667,14 @@ def save_unchecked_log(log, path):
     naive_save_log(log, path)
     meta = json.dumps({"mode": log.mode, "N": log.population_hint,
                        "categories": list(log.category_names)})
+    if part == "neighbor_counts":   # kept as nonzero (record, category, count) entries
+        at, b = np.nonzero(log.neighbor_counts)
+        kept = {"nbr_cats": np.stack([at, b, log.neighbor_counts[at, b]], 1).ravel()}
+    else:
+        kept = {part: log.induced_edges}
     fileio._leave(path, fileio._key("log", path), meta, {
         "v": log.nodes, "c": log.categories, "deg": log.degrees, "w": log.weights,
-        "nbr_cats" if part == "neighbor_counts" else part: getattr(log, part)})
+        **kept})
 
 
 @pytest.mark.parametrize("kind", ["trace", "star", "induced", "graph"])
@@ -2394,17 +2443,18 @@ def column_records(draw):
 @example(records=[{"v": 0, "w": 1.0}, {"v": 1.5, "w": 1.0}])
 def test_whole_columns_are_taken_or_refused_as_value_by_value(records):
     """A column checked whole gives the array, or names the line with the
-    message, that checking each value gives: the record columns, and the
-    "v" values read as the ends of an induced edge block and as
-    ``nbr_cats`` counts."""
-    keys = {"v": fileio._INT64, "w": fileio._WEIGHT}
+    message, that checking each value gives: the record columns a parse
+    decodes, and the "v" values decoded as the ends of an induced edge
+    block and as ``nbr_cats`` counts."""
     lines = np.arange(2, len(records) + 2)
     ends = [r["v"] for r in records if type(r) is dict and "v" in r]
     block = [ends[i:i + 2] for i in range(0, len(ends) - 1, 2)]
-    nbrs = [{"nbr_cats": {"0": v}} for v in ends]
-    reads = [lambda: fileio._columns("f", lines, records, keys),
-             lambda: [fileio._edge_block("f", 9, block)],
-             lambda: [fileio._neighbor_counts("f", lines[:len(ends)], nbrs, 1)]]
+    nbrs = [{"c": 0, "nbr_cats": {"0": v}} for v in ends]
+    parsed = lambda meta, lines, records: fileio._Parsed("f", 1, meta, lines, records)
+    reads = [lambda: [parsed({}, lines, records)[key] for key in ("v", "w")],
+             lambda: [parsed({"mode": "induced"}, np.array([9]),
+                             [{"induced_edges": block}])["induced_edges"]],
+             lambda: [parsed({}, lines[:len(ends)], nbrs)["nbr_cats"]]]
 
     def outcome():
         results = []
@@ -2481,3 +2531,19 @@ def test_json_readers_name_the_line_of_a_byte_that_is_not_utf8(
     with pytest.raises(FileFormatError, match=re.escape(
             f"{path}:5: byte 0xe2 is not UTF-8 (invalid continuation byte)")):
         load_estimate(path)
+
+
+def test_a_star_log_on_500_categories_keeps_a_sidecar_at_most_twice_its_file(tmp_path):
+    """The star sidecar keeps the nonzero counts as (record, category,
+    count) entries, as the file does, not a row of C counts a draw: on a
+    graph of 500 categories of 20 nodes it is at most 2x its JSON Lines
+    (the dense rows made it 29x), and a hit reads the parse's log."""
+    g, part = synthetic_graph(SyntheticParams((20,) * 500, k=10, alpha=0.5, seed=1))
+    path = tmp_path / "log.jsonl"
+    save_log(observe_star(g, part, sample_rw(g, 5_000, seed=2)), path)
+    sidecar = tmp_path / "log.jsonl.categraph.npz"
+    assert sidecar.stat().st_size <= 2 * path.stat().st_size
+    with mock.patch.object(fileio, "_read_jsonl", side_effect=AssertionError):
+        hit = _fields(load_log(path))
+    sidecar.unlink()
+    assert _fields(load_log(path)) == hit
