@@ -53,8 +53,9 @@ from .errors import (COUNT_FLOORS, CategraphError, FileFormatError,
 from .estimate import MODES, CategoryGraphEstimate
 from .evaluate import ExperimentConfig
 from .generate import SyntheticParams, synthetic_graph
-from .graph import CategoryGraph, CategoryPartition, Graph, _distinct, _lookup
-from .observe import INDUCED, STAR, ObservationLog
+from .graph import (CategoryGraph, CategoryPartition, Graph, _csr_rules, _distinct,
+                    _lookup)
+from .observe import INDUCED, STAR, ObservationLog, _refusal
 from .sampling import SampleTrace
 
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
@@ -203,18 +204,18 @@ def load_graph(edge_path, category_path) -> tuple[Graph, CategoryPartition]:
 
 
 def _kept_graph(meta: dict, arrays: dict) -> tuple[Graph, CategoryPartition]:
-    """A graph sidecar's pair, once O(N+E) checks in place of Graph.validate
-    pass (indptr rises from 0 to len(indices), indices lie below N)."""
+    """A graph sidecar's pair, once its meta and arrays are of the kinds
+    ``_keep_graph`` writes, a label a node, and its CSR passes ``_csr_rules``,
+    the O(N+E) part of Graph.validate, which ``save_graph`` ran in full."""
     names, connected = meta["names"], meta["connected"]
     stored = [arrays[a] for a in ("indptr", "indices", "labels")]
-    indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
     if not (type(names) is list and set(map(type, names)) <= {str}
             and type(connected) is bool
             and all(a.ndim == 1 and a.dtype.kind in "iu" for a in stored)
-            and len(indptr) == len(labels) + 1 and indptr[0] == 0
-            and indptr[-1] == len(indices) and np.all(indptr[:-1] <= indptr[1:])
-            and np.all(indices.view(np.uint64) < len(labels))):
+            and len(stored[0]) == len(stored[2]) + 1):
         raise ValueError("the graph sidecar fails its checks")
+    indptr, indices, labels = (a.astype(np.int64, copy=False) for a in stored)
+    _csr_rules(indptr, indices)
     g = Graph(indptr=indptr, indices=indices)
     vars(g)["is_connected"] = connected   # the cached property
     return g, CategoryPartition(labels=labels, names=tuple(names))
@@ -348,11 +349,13 @@ def _parse(source, dtype: np.dtype, count: int, comments=None):
 
 def save_graph(g: Graph, part: CategoryPartition, edge_path,
                category_path) -> None:
-    """Write the category file and the edge list (u < v, sorted). A
-    partition of another node count, a name the reader would refuse or
-    merge, or a category without members, which the category file cannot
-    hold, raises ValueError; nothing is written. Where ``g``'s connectivity
-    is cached, the files' parse is kept, keyed by the bytes as written."""
+    """Write the category file and the edge list (u < v, sorted). A graph
+    that fails ``Graph.validate``, a partition of another node count, a
+    name the reader would refuse or merge, or a category without members,
+    which the category file cannot hold, raises ValueError; nothing is
+    written. Where ``g``'s connectivity is cached, the files' parse is
+    kept, keyed by the bytes as written."""
+    g.validate()
     part.labels_for(g)   # a ValueError where the node counts differ
     last = {name: c for c, name in enumerate(part.names)}
     for c, name in enumerate(part.names):
@@ -770,8 +773,10 @@ def save_log(log: ObservationLog, path) -> None:
     weight the readers refuse raises InvalidWeight, and an id, degree or
     count that is no whole number within int64 InvalidParameter, naming its
     draw or induced edge; any other record :func:`load_log` refuses raises
-    InvalidParameter with the reader's message for the line it would be, as
-    the reader's checks run on the arrays kept beside the file."""
+    InvalidParameter with the reader's message for the line it would be:
+    the reader's rules run on the arrays kept beside the file, star counts
+    as the nonzero (record, category, count) entries of the log's block,
+    which the records are written from too."""
     check_weights(log.weights)
     meta = {"mode": log.mode, "N": log.population_hint,
             "categories": list(log.category_names)}
@@ -779,47 +784,62 @@ def save_log(log: ObservationLog, path) -> None:
     arrays = {key: _integers(x, repr(key)) for key, x in (
         ("v", log.nodes), ("c", log.categories), ("deg", log.degrees))}
     arrays["w"] = np.asarray(log.weights).astype(float, copy=False)
+    # heads: each record's first row among the rows written in blocks
+    counts, heads, entries = log.neighbor_counts, np.arange(log.n), ()
     if log.mode == STAR:   # kept as the nonzero (record, category, count) entries
-        counts = _integers(log.neighbor_counts, "nbr_cats count")
-        at = np.argwhere(counts)   # each nonzero count's (record, category)
-        arrays["nbr_cats"] = np.column_stack([at, counts[tuple(at.T)]]).ravel()
+        c, flat = counts.shape[1], np.flatnonzero(counts)
+        try:   # zero is whole, so only the nonzero counts are cast
+            entries = np.column_stack([*np.divmod(flat, c), _integers(
+                counts.flat[flat], "nbr_cats count")])
+        except InvalidParameter:   # the block's check names the draw and its row
+            _integers(counts, "nbr_cats count")
+        arrays["nbr_cats"] = entries.ravel()
+        heads += np.searchsorted(flat, heads * c)   # each entry is a row after its head
+        prefixes = [f'{sep}"{b}": '.encode() for sep in ("", ", ") for b in range(c)]
     elif log.mode == INDUCED:
         arrays["induced_edges"] = _integers(log.induced_edges, "an end",
                                             "induced edge").ravel()
     try:   # the log load_log reads from these arrays is the one written
-        log = _kept_records(path, _log, meta, arrays)
+        _log(path, 1, meta, np.arange(2, log.n + 3), arrays, counts)
     except FileFormatError as exc:
         raise InvalidParameter(str(exc)) from None
-    columns = log.nodes, log.categories, log.degrees, log.weights
+    columns = [arrays[key] for key in ("v", "c", "deg", "w")]
 
-    def records(lo: int, hi: int) -> bytes:
-        v, c, deg, w = (x[lo:hi] for x in columns)
-        head = [b'{"v": ', v, b', "c": ', c, b', "deg": ', deg, b', "w": ', w]
+    def records(lo: int, hi: int) -> bytes:   # those whose heads are rows lo..hi-1
+        first, last = np.searchsorted(heads, [lo, hi])
+        if first == last:   # rows of one record's entries
+            return b""
+        v, cat, deg, w = (x[first:last] for x in columns)
+        head = [b'{"v": ', v, b', "c": ', cat, b', "deg": ', deg, b', "w": ', w]
         if log.mode != STAR:
             return _rows(*head, b"}\n")
-        return _star_rows(head, log.neighbor_counts[lo:hi])
+        at, cats, count = entries[slice(*np.searchsorted(flat, [first * c, last * c]))].T
+        return _star_rows(head, at - first, cats, count, prefixes)
 
     induced = ()
     if log.mode == INDUCED:
         # json.dumps({"induced_edges": edges}), a block of pairs at a time
-        u, v = log.induced_edges.T
+        u, v = arrays["induced_edges"].reshape(-1, 2).T
         induced = ('{"induced_edges": [', (len(u), lambda lo, hi: _rows(
             b", [", u[lo:hi], b", ", v[lo:hi], b"]")[2 if lo == 0 else 0:]), "]}\n")
-    key = _write(path, text + "\n", (log.n, records), *induced, key=_seeded("log"))
+    key = _write(path, text + "\n", (log.n + len(entries), records), *induced,
+                 key=_seeded("log"))
     _leave(path, key, text, arrays)
 
 
-def _star_rows(head: list, counts: np.ndarray) -> bytes:
+def _star_rows(head: list, at: np.ndarray, cats: np.ndarray, count: np.ndarray,
+               prefixes: list) -> bytes:
     """Star records: ``head``'s parts, then ``"nbr_cats": {...}}`` holding
-    the nonzero entries ``"b": n`` of the record's row of ``counts``. Each
+    the entries ``"b": n`` of each record's categories ``cats`` and
+    ``count``, ``at`` naming the record of each, in record order; of C
+    categories, ``prefixes`` holds ``"b": `` for each, then ``, "b": ``. Each
     entry is one row of a block as wide as the widest entry, and each head
     is split across rows of that width, placed before its record's entries:
     a block holds its entries and heads, never rows times its widest record."""
-    (n, c), (at, cats) = counts.shape, np.nonzero(counts)
+    n, c = len(head[1]), len(prefixes) // 2
     close = np.frombuffer(b"}}\n", np.uint8)
-    prefixes = [f'{sep}"{b}": '.encode() for sep in ("", ", ") for b in range(c)]
     entries = _block(_table(prefixes, cats + c * (np.diff(at, prepend=-1) == 0)),
-                     counts[at, cats], (close, 3 * (np.diff(at, append=n) != 0)))
+                     count, (close, 3 * (np.diff(at, append=n) != 0)))
     size = np.bincount(at, minlength=n)   # each record's entries
     width = entries[0].shape[1]
     heads = _block(*head, b', "nbr_cats": {', (close, 3 * (size == 0)),
@@ -840,20 +860,18 @@ _LOG_META = {"mode": _Kind(" or ".join(MODES), lambda v: v in MODES),
 
 
 def load_log(path) -> ObservationLog:
-    """Read a log written by :func:`save_log`.
-
-    Every record must hold an integer node id >= 0, a category id in
-    0..C-1, a degree >= 0 and a positive finite weight, and every
-    record of a node the same category, degree and weight; star records'
-    neighbor counts must sum to their degree and repeat the node's
-    first, and induced edges must join two distinct drawn nodes, each
-    pair once in either order. A record that breaks a rule is named by
-    its line.
-    """
+    """Read a log written by :func:`save_log`, from its sidecar where that
+    holds the file's key: meta and record values of the kinds ``_LOG_META``
+    and ``_RECORD`` name, checked as they are parsed, then the rules of a
+    log, ``observe._refusal``'s. A record that breaks a rule is named by
+    its line."""
     return _read_records(path, "log", _log)
 
 
-def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
+def _log(path, meta_line: int, meta, lines, rows, counts=None) -> ObservationLog:
+    """The log of a parse's or a sidecar's ``rows``, star entries scattered
+    into a block of zeros, or of a writer's ``rows`` and its block ``counts``;
+    the first row ``_refusal`` refuses is named by its line."""
     meta = _checked(f"{path}:{meta_line}: meta",
                     {"mode": None, "categories": [], "N": None, **meta},
                     _LOG_META)
@@ -861,49 +879,30 @@ def _log(path, meta_line: int, meta, lines, rows) -> ObservationLog:
     induced = rows["induced_edges"].reshape(-1, 2) if mode == INDUCED else None
     nodes, cats, degrees, weights = (rows[key] for key in ("v", "c", "deg", "w"))
     num_categories = _category_count(names, cats)
-    _require(path, lines, nodes >= 0, "node id must be >= 0", nodes)
-    _require(path, lines, (cats >= 0) & (cats < num_categories),
-             f"category must be in 0..{num_categories - 1}", cats)
-    _require(path, lines, degrees >= 0, "degree must be >= 0", degrees)
-    counts = None
-    if mode == STAR:   # the entries, scattered into a row of C a record
-        shape = (len(nodes), num_categories)
-        at, b, count = rows["nbr_cats"].reshape(-1, 3).T
-        # ValueError for an entry outside the block, which only a sidecar holds
-        flat = np.ravel_multi_index((at, b), shape)
-        _require(path, lines[at], count >= 0, "nbr_cats count must be >= 0", count)
-        counts = np.bincount(flat, minlength=np.prod(shape)).reshape(shape)   # per cell
-        if counts.max(initial=0) > 1:
-            raise FileFormatError(f"{path}: a nbr_cats entry repeats another")
-        counts.put(flat, count)
+    shape, scatter = (len(nodes), num_categories), mode == STAR and counts is None
+    counts = np.zeros(shape, np.int64) if scatter else counts
     log = ObservationLog(
         mode=mode, nodes=nodes, categories=cats, degrees=degrees,
         weights=weights, num_categories=num_categories,
         category_names=tuple(names or map(str, range(num_categories))),
-        population_hint=meta["N"], induced_edges=induced, neighbor_counts=counts)
-    # each record of a node repeats its first's, read off the log's index
-    ids, first, keys, rank, drawn = log._index
-    for what, values in (("category", cats), ("degree", degrees),
-                         ("weight", weights)):
-        _require(path, lines, values == values[first[keys]],
-                 f"{what} differs from an earlier record of the node", values)
-    if mode == STAR:
-        _require(path, lines, counts.sum(axis=1) == degrees,
-                 "nbr_cats must sum to deg", counts.sum(axis=1))
-        _require(path, lines, (counts == counts[first[keys]]).all(axis=1),
-                 "nbr_cats differs from an earlier record of the node", counts)
-    else:
-        edge_lines = np.full(len(induced), lines[len(nodes)])
-        _require(path, edge_lines, np.logical_and(*drawn.T),
-                 "induced edge has an undrawn endpoint", induced)
-        # edges are keyed by their ends' ranks among the drawn ids, as
-        # u * N + v on ids up to 2**63 - 1 would overflow
-        u, v = rank.T
-        _require(path, edge_lines, u != v, "induced edge is a self-loop",
-                 induced)
-        _, once, which = _distinct(np.minimum(u, v) * len(ids) + np.maximum(u, v))
-        _require(path, edge_lines, once[which] == np.arange(len(u)),
-                 "induced edge repeats an earlier one", induced)
+        population_hint=meta["N"], induced_edges=induced,
+        neighbor_counts=counts if mode == STAR else None)
+
+    def star() -> np.ndarray:   # read once the record rules pass
+        entries = rows["nbr_cats"].reshape(-1, 3).T
+        # a ValueError for an entry outside the block, which only a sidecar
+        # or a writer's block wider than the meta's categories holds
+        cells = np.ravel_multi_index(entries[:2], shape)
+        if scatter:
+            if np.any(np.diff(np.sort(cells)) == 0):   # only a sidecar's may
+                raise ValueError("a nbr_cats entry repeats another")
+            counts.put(cells, entries[2])
+        return entries
+
+    refused = _refusal(log, star if mode == STAR else None)
+    if refused:
+        row, rule, got = refused
+        raise FileFormatError(f"{path}:{lines[row]}: {rule}, got {got!r}")
     return log
 
 

@@ -70,6 +70,22 @@ def _ids(values, count: int, what: str, outside: str = "",
     return ids.astype(np.int64, copy=False)
 
 
+_CHUNK = 2**16   # CSR entries Graph.validate checks at a time
+
+
+def _csr_rules(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """The O(N+E) shape rules of a CSR on N = ``len(indptr) - 1`` nodes:
+    ``indptr`` rises from 0 to ``len(indices)``, each id lies in 0..N-1
+    and the entries, each edge's two, are even in number; else ValueError."""
+    if (not len(indptr) or indptr[0] != 0 or indptr[-1] != len(indices)
+            or np.any(indptr[:-1] > indptr[1:])):
+        raise ValueError("malformed indptr")
+    if indices.size and (indices.min() < 0 or indices.max() >= len(indptr) - 1):
+        raise ValueError("neighbor id out of range")
+    if len(indices) % 2:
+        raise ValueError("degree sum must equal twice the edge count")
+
+
 def _scaled(x: np.ndarray) -> np.ndarray:
     """``x`` times the power of two that puts its largest value in
     [0.5, 1): exact above subnormals, so a ratio of sums of the scaled
@@ -201,31 +217,44 @@ class Graph:
         return bool(np.all(parent == 0))
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
-        n = self.node_count
-        if (len(self.indptr) != n + 1 or self.indptr[0] != 0
-                or self.indptr[-1] != len(self.indices)
-                or np.any(self.degrees < 0)):
-            raise ValueError("malformed indptr")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
-            raise ValueError("neighbor id out of range")
-        if int(self.degrees.sum()) != 2 * self.edge_count:
-            raise ValueError("degree sum must equal twice the edge count")
-        heads = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        loops = heads[heads == self.indices]
-        # a step within one row that does not increase
-        same_row = heads[1:] == heads[:-1]
-        unsorted = heads[1:][same_row & (np.diff(self.indices) <= 0)]
-        if loops.size or unsorted.size:
-            v = min(loops[:1].tolist() + unsorted[:1].tolist())
-            if loops.size and loops[0] == v:
-                raise ValueError(f"self-loop at node {v}")
-            raise ValueError(f"neighbor row of {v} not sorted/unique")
-        # symmetry: the (head, tail) keys, already ascending, must equal
-        # the sorted (tail, head) keys
-        fwd = heads * n + self.indices
-        rev = self.indices * n + heads
-        if not np.array_equal(fwd, np.sort(rev)):
+        """Check structural invariants, ``_csr_rules`` first, then each row,
+        then each entry's reverse; raises ValueError naming the first
+        violation. Entries are checked ``_CHUNK`` at a time, so that a graph
+        that passes makes no array as long as ``indices``."""
+        _csr_rules(self.indptr, self.indices)
+        n, indptr = self.node_count, self.indptr
+        indices = self.indices.astype(np.int64, copy=False)   # so no key overflows
+        seen, upper = indptr[:-1].copy(), 0   # where each row's next lower entry is
+        symmetric = True
+        for lo in range(0, len(indices), _CHUNK):
+            hi = min(lo + _CHUNK, len(indices))
+            first, last = np.searchsorted(indptr, [lo, hi - 1], "right") - 1
+            heads = np.repeat(np.arange(first, last + 1), np.diff(
+                np.clip(indptr[first:last + 2], lo, hi)))
+            tails = indices[lo:hi]
+            # a self-loop, or a step within one row that does not rise
+            bad = heads == tails
+            bad[1:] |= (heads[1:] == heads[:-1]) & (tails[1:] <= tails[:-1])
+            bad[0] |= indptr[first] < lo and indices[lo - 1] >= tails[0]
+            if bad.any():
+                v = heads[np.argmax(bad)]
+                if np.any(indices[indptr[v]:indptr[v + 1]] == v):
+                    raise ValueError(f"self-loop at node {v}")
+                raise ValueError(f"neighbor row of {v} not sorted/unique")
+            # each t's entries (h, t), h < t rising, take the next places of
+            # row t, which must hold h: as many lower entries as upper ones
+            # pair each with its reverse
+            up = heads < tails
+            t, h = np.divmod(np.sort(tails[up] * n + heads[up]), n)
+            at = np.arange(len(t))
+            runs = np.maximum.accumulate(np.where(np.diff(t, prepend=-1) != 0, at, 0))
+            place, upper = seen[t] + at - runs, upper + len(t)
+            np.add.at(seen, t, 1)
+            symmetric &= np.array_equal(indices.take(place, mode="clip"), h)
+        if not (symmetric and 2 * upper == len(indices) and np.all(seen <= indptr[1:])):
+            # the first entry whose reverse key is not a key
+            heads = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+            fwd, rev = heads * n + indices, indices * n + heads
             tail, head = divmod(int(rev[np.argmin(_lookup(fwd, rev)[1])]), n)
             raise ValueError(f"missing reverse adjacency for ({head}, {tail})")
 

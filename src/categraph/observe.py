@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -185,6 +186,60 @@ class ObservationLog:
                        weights=self.weights[indices],
                        induced_edges=induced,
                        neighbor_counts=None if counts is None else counts[indices])
+
+
+def _refusal(log: ObservationLog, star: Callable | None = None) -> tuple | None:
+    """The first (row, rule, value) of ``log`` that a rule of a log refuses,
+    rule by rule, or None; row n names an induced edge. ``star()``, called
+    once the record rules pass, gives a star log's (draw, category, count)
+    entries, each nonzero cell of ``neighbor_counts`` once: the star rules
+    cost O(entries), gathering from the block only the cells they name."""
+    for bad, rule, values, rows in _rules(log, star):
+        at = np.flatnonzero(bad)
+        if len(at):   # a row of counts or edge ends is named as int64
+            value = values[at[0]]
+            return (at[0] if rows is None else rows[at[0]], rule,
+                    (value.astype(np.int64) if np.ndim(value) else value).tolist())
+    return None
+
+
+def _rules(log: ObservationLog, star: Callable | None):
+    """The rules of ``_refusal`` in turn, as (the items each refuses, the
+    rule, the items' values, their rows or None where items are draws)."""
+    nodes, cats, degrees, weights = log.nodes, log.categories, log.degrees, log.weights
+    c = log.num_categories
+    yield nodes < 0, "node id must be >= 0", nodes, None
+    yield (cats < 0) | (cats >= c), f"category must be in 0..{c - 1}", cats, None
+    yield degrees < 0, "degree must be >= 0", degrees, None
+    if star is not None:
+        at, b, count = entries = star()
+        yield count < 0, "nbr_cats count must be >= 0", count, at
+    ids, first, keys, rank, drawn = log._index
+    head = first[keys]   # each draw's node's first draw, which the others repeat
+    for what, values in (("category", cats), ("degree", degrees), ("weight", weights)):
+        yield (values != values[head],
+               f"{what} differs from an earlier record of the node", values, None)
+    if star is not None:
+        sums = np.zeros(len(nodes), np.int64)
+        np.add.at(sums, at, count)   # in int64, as a row's sum
+        yield sums != degrees, "nbr_cats must sum to deg", sums, None
+        # as many nonzero counts as the first draw, each equal to its cell
+        at, b, count = entries if count.all() else entries[:, count != 0]
+        size = np.bincount(at, minlength=len(nodes))
+        differs = size != size[head]
+        differs[at[log.neighbor_counts[head[at], b] != count]] = True
+        yield (differs, "nbr_cats differs from an earlier record of the node",
+               log.neighbor_counts, None)
+        return
+    edges, rows = log.induced_edges, np.full(len(log.induced_edges), len(nodes))
+    yield ~np.logical_and(*drawn.T), "induced edge has an undrawn endpoint", edges, rows
+    # edges are keyed by their ends' ranks among the drawn ids, as
+    # u * N + v on ids up to 2**63 - 1 would overflow
+    u, v = rank.T
+    yield u == v, "induced edge is a self-loop", edges, rows
+    _, once, which = _distinct(np.minimum(u, v) * len(ids) + np.maximum(u, v))
+    yield (once[which] != np.arange(len(u)), "induced edge repeats an earlier one",
+           edges, rows)
 
 
 def _draws(g: Graph, part: CategoryPartition, trace: SampleTrace) -> tuple:

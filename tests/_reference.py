@@ -471,6 +471,69 @@ def naive_read_jsonl(path):
     return out
 
 
+def naive_log_refusal(path):
+    """The first line ``load_log`` refuses in a log file whose lines hold
+    JSON values of the kinds it reads, and that line's message, as (line,
+    message); None where it refuses none. Each rule runs over every record
+    in turn, in the reader's order, star counts as a dense Python row of C
+    a record."""
+    (_, meta), *records = naive_read_jsonl(path)
+    edges = []
+    if meta["mode"] == "induced":
+        (edge_line, block), records = records[-1], records[:-1]
+        edges = block["induced_edges"]
+    c = len(meta.get("categories", [])) or max(
+        [r["c"] for _, r in records], default=-1) + 1
+    for rule, key, ok in (("node id must be >= 0", "v", lambda x: x >= 0),
+                          (f"category must be in 0..{c - 1}", "c", lambda x: 0 <= x < c),
+                          ("degree must be >= 0", "deg", lambda x: x >= 0)):
+        for line, r in records:
+            if not ok(r[key]):
+                return line, f"{rule}, got {r[key]!r}"
+    rows = []
+    if meta["mode"] == "star":
+        for line, r in records:
+            for key in r["nbr_cats"]:
+                if key not in [str(b) for b in range(c)]:
+                    return line, (f"nbr_cats key must be a category in 0..{c - 1}, "
+                                  f"got {key!r}")
+        for line, r in records:
+            for count in r["nbr_cats"].values():
+                if count < 0:
+                    return line, f"nbr_cats count must be >= 0, got {count!r}"
+        rows = [[r["nbr_cats"].get(str(b), 0) for b in range(c)] for _, r in records]
+    first = {}
+    for i, (_, r) in enumerate(records):
+        first.setdefault(r["v"], i)
+    for what, key in (("category", "c"), ("degree", "deg"), ("weight", "w")):
+        for line, r in records:
+            if r[key] != records[first[r["v"]]][1][key]:
+                return line, (f"{what} differs from an earlier record of the node, "
+                              f"got {r[key]!r}")
+    if meta["mode"] == "star":
+        for (line, r), row in zip(records, rows):
+            if sum(row) != r["deg"]:
+                return line, f"nbr_cats must sum to deg, got {sum(row)!r}"
+        for (line, r), row in zip(records, rows):
+            if row != rows[first[r["v"]]]:
+                return line, (f"nbr_cats differs from an earlier record of the node, "
+                              f"got {row!r}")
+        return None
+    drawn = {r["v"] for _, r in records}
+    for u, v in edges:
+        if u not in drawn or v not in drawn:
+            return edge_line, f"induced edge has an undrawn endpoint, got {[u, v]!r}"
+    for u, v in edges:
+        if u == v:
+            return edge_line, f"induced edge is a self-loop, got {[u, v]!r}"
+    pairs = set()
+    for u, v in edges:
+        if frozenset((u, v)) in pairs:
+            return edge_line, f"induced edge repeats an earlier one, got {[u, v]!r}"
+        pairs.add(frozenset((u, v)))
+    return None
+
+
 def naive_wrw(g, labels, category_weights, n, start=None, burn_in=0,
               seed=None):
     """The category-weighted walk with one np.cumsum table per row and
@@ -585,6 +648,32 @@ def naive_is_connected(g):
                 seen.add(v)
                 stack.append(v)
     return len(seen) == n or n == 0
+
+
+def naive_csr_violation(indptr, indices):
+    """The message ``Graph.validate`` raises for a CSR, or None: its shape,
+    then each row in node order, then each entry's reverse in entry order,
+    as Python lists."""
+    indptr, indices = list(map(int, indptr)), list(map(int, indices))
+    n = len(indptr) - 1
+    if (n < 0 or indptr[0] != 0 or indptr[-1] != len(indices)
+            or any(a > b for a, b in zip(indptr, indptr[1:]))):
+        return "malformed indptr"
+    if any(not 0 <= t < n for t in indices):
+        return "neighbor id out of range"
+    if len(indices) % 2:
+        return "degree sum must equal twice the edge count"
+    rows = [indices[indptr[v]:indptr[v + 1]] for v in range(n)]
+    for v, row in enumerate(rows):
+        if v in row:
+            return f"self-loop at node {v}"
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return f"neighbor row of {v} not sorted/unique"
+    for h, row in enumerate(rows):
+        for t in row:
+            if h not in rows[t]:
+                return f"missing reverse adjacency for ({h}, {t})"
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -23,10 +24,12 @@ from categraph import (
     synthetic_graph,
 )
 
+from categraph import graph
 from categraph.graph import _distinct, _lookup
 
 from _reference import (
     brute_force_category_graph,
+    naive_csr_violation,
     naive_is_connected,
     random_graph,
     random_partition,
@@ -78,6 +81,64 @@ def test_validate_names_each_violation(indptr, indices, message):
     g = Graph(indptr=np.array(indptr), indices=np.array(indices))
     with pytest.raises(ValueError, match=message):
         g.validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 9), seed=st.integers(0, 2**32 - 1), symmetric=st.booleans(),
+       edits=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=3),
+       shift=st.lists(st.integers(0, 10**6), max_size=2), sort=st.booleans(),
+       chunk=st.sampled_from([1, 2, 3, 5, 2**16]))
+def test_validate_names_what_the_per_row_oracle_names(n, seed, symmetric, edits, shift,
+                                                      sort, chunk):
+    """A graph's CSR, or rows of other ids each drawn on its own, with
+    entries rewritten to other ids, or an entry moved to the next row, and
+    each row then sorted or not, checked a few entries at a time or all at
+    once: validate raises the oracle's message, or passes where the oracle
+    finds nothing."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(n, 0.5, rng)
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    if not symmetric:
+        rows = [np.flatnonzero((rng.random(n) < 0.4) & (np.arange(n) != v)) for v in range(n)]
+        indptr, indices = np.cumsum([0] + list(map(len, rows))), np.concatenate(rows)
+        if len(indices) % 2:   # an even count, as _csr_rules has it
+            indptr, indices = indptr - (indptr > 0), indices[1:]
+    for at, value in edits if len(indices) else ():
+        indices[at % len(indices)] = value % n
+    for at in shift:
+        indptr[1 + at % n] += 1 if indptr[1 + at % n] < indptr[-1] else 0
+    for v in range(n) if sort and np.all(np.diff(indptr) >= 0) else ():
+        indices[indptr[v]:indptr[v + 1]].sort()
+    want = naive_csr_violation(indptr, indices)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_CHUNK", chunk)
+        if want is None:
+            Graph(indptr=indptr, indices=indices).validate()
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                Graph(indptr=indptr, indices=indices).validate()
+
+
+def test_validate_names_what_the_oracle_names_on_every_small_csr(monkeypatch):
+    """Every CSR of an even count of entries in sorted rows without
+    self-loops on up to 4 nodes, checked two entries at a time: among them
+    are rows that more entries name than each holds, while others fall
+    short, so every entry's place in its reverse row may hold its head."""
+    monkeypatch.setattr(graph, "_CHUNK", 2)
+    for n in range(1, 5):
+        rows = [[[u for u in range(n) if u != v and mask >> u & 1]
+                 for mask in range(2 ** n) if not mask >> v & 1] for v in range(n)]
+        for csr in itertools.product(*rows):
+            indptr = np.cumsum([0] + list(map(len, csr)))
+            if indptr[-1] % 2:
+                continue
+            indices = np.array([u for row in csr for u in row], np.int64)
+            try:
+                Graph(indptr=indptr, indices=indices).validate()
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == naive_csr_violation(indptr, indices), csr
 
 
 def test_is_connected_matches_search_over_edge_queries():
